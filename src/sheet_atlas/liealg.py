@@ -4,16 +4,26 @@ Provides brackets, bilinear-form membership, characteristic polynomials,
 and a brute-force centraliser-dimension oracle.  All arithmetic is exact:
 entries are rationals or univariate rational-coefficient polynomials in
 one formal parameter.
+
+Matrices whose entries are all rational are measured on integers: the
+entries are scaled by the lcm D of their denominators once, and the
+centraliser rank and the characteristic polynomial are computed on the
+integer matrix D x with Python ints.  Entries in Q[t] use the generic
+scalar path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import RatPoly, Scalar, as_scalar, format_scalar, parse_scalar, scalar_is_zero
 from .spectral import GradedPolynomial
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class RationalMatrix:
@@ -22,7 +32,7 @@ class RationalMatrix:
     __slots__ = ("dim", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(as_scalar(v) for v in r) for r in rows)
+        rows = tuple(tuple(v if isinstance(v, Fraction) else as_scalar(v) for v in r) for r in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
@@ -42,22 +52,25 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return cls._trusted([(_ZERO,) * n] * n)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls.diagonal([_ONE] * n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RationalMatrix":
         n = len(entries)
-        return cls([[as_scalar(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        rows = [[_ZERO] * n for _ in range(n)]
+        for i, v in enumerate(entries):
+            rows[i][i] = as_scalar(v)
+        return cls._trusted(rows)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[_ZERO] * n for _ in range(n)]
         rows[i][j] = as_scalar(value)
-        return cls(rows)
+        return cls._trusted(rows)
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
@@ -175,11 +188,17 @@ def sp_gram(n: int) -> ClassicalForm:
 
 @dataclass(frozen=True)
 class LieAlgebraModel:
-    """A matrix model: the form (absent in type A) plus a spanning basis."""
+    """A matrix model: the form (absent in type A) plus a spanning basis.
+
+    ``sparse_basis[i]`` lists basis element i as (row, col, k) terms with
+    coprime integer k: a nonzero multiple of ``basis[i]``, which is all the
+    integer centraliser kernel needs.
+    """
 
     kind: object  # GroupKind; kept loose to avoid an import cycle
     form: Optional[ClassicalForm]
     basis: Tuple[RationalMatrix, ...]
+    sparse_basis: Tuple[Tuple[Tuple[int, int, int], ...], ...] = field(compare=False, repr=False)
 
     @property
     def matrix_size(self) -> int:
@@ -190,32 +209,59 @@ class LieAlgebraModel:
         return len(self.basis)
 
 
+Term = Tuple[int, int, Fraction]
+
+
 def build_model(kind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
     """Matrix model of gl_n (type A) or of the stabiliser algebra of a form.
 
     For B/C/D the basis spans {x | x^T G + G x = 0}; the expected dimension
-    (n(n-1)/2 orthogonal, m(2m+1) symplectic) is asserted.
+    (n(n-1)/2 orthogonal, m(2m+1) symplectic) is asserted.  Type A has no
+    form, and passing one raises ValueError.
     """
     family = getattr(kind, "family", None)
     n = getattr(kind, "matrix_size", None)
     if family == "A":
-        basis = tuple(RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n))
-        return LieAlgebraModel(kind, None, basis)
+        if form is not None:
+            raise ValueError("type A is modelled by gl_n and takes no form")
+        terms = [[(i, j, _ONE)] for i in range(n) for j in range(n)]
+        return _model(kind, None, n, terms)
     if family not in ("B", "C", "D"):
         raise ValueError("no matrix model for group family %r" % (family,))
     if form is None:
         form = sp_gram(n) if family == "C" else so_gram(n)
     if form.gram.dim != n:
         raise ValueError("form size %d does not match group on %d letters" % (form.gram.dim, n))
-    basis = tuple(form_stabiliser_basis(form.gram))
+    terms = form_stabiliser_basis(form.gram)
     expected = n * (n - 1) // 2 if family in ("B", "D") else (n // 2) * (n + 1)
-    if len(basis) != expected:
-        raise AssertionError("basis size %d, expected %d" % (len(basis), expected))
-    return LieAlgebraModel(kind, form, basis)
+    if len(terms) != expected:
+        raise AssertionError("basis size %d, expected %d" % (len(terms), expected))
+    return _model(kind, form, n, terms)
 
 
-def form_stabiliser_basis(gram: RationalMatrix) -> List[RationalMatrix]:
-    """Basis of {x | x^T G + G x = 0} for a non-degenerate Gram matrix G.
+def _model(kind, form: Optional[ClassicalForm], n: int, terms: List[List[Term]]) -> LieAlgebraModel:
+    basis = tuple(_from_terms(n, t) for t in terms)
+    return LieAlgebraModel(kind, form, basis, tuple(_integer_terms(t) for t in terms))
+
+
+def _from_terms(n: int, terms: List[Term]) -> RationalMatrix:
+    rows = [[_ZERO] * n for _ in range(n)]
+    for r, c, k in terms:
+        rows[r][c] = k
+    return RationalMatrix._trusted(rows)
+
+
+def _integer_terms(terms: List[Term]) -> Tuple[Tuple[int, int, int], ...]:
+    """The terms scaled to coprime integers."""
+    d = lcm(*(k.denominator for _, _, k in terms))
+    ints = [k.numerator * (d // k.denominator) for _, _, k in terms]
+    g = gcd(*ints)
+    return tuple((r, c, v // g) for (r, c, _), v in zip(terms, ints))
+
+
+def form_stabiliser_basis(gram: RationalMatrix) -> List[List[Term]]:
+    """Basis of {x | x^T G + G x = 0} for a non-degenerate Gram matrix G,
+    each element as its nonzero (row, col, coefficient) terms.
 
     When G has exactly one nonzero entry per row and column (all the Gram
     matrices this library constructs), the constraint pairs matrix entries
@@ -230,12 +276,12 @@ def form_stabiliser_basis(gram: RationalMatrix) -> List[RationalMatrix]:
         if len(nz) != 1:
             return _form_stabiliser_basis_generic(gram)
         sigma[j] = nz[0]
-        g[j] = gram.rows[nz[0]][j]
+        g[j] = _as_frac(gram.rows[nz[0]][j])
     if sorted(sigma.values()) != list(range(n)):
         return _form_stabiliser_basis_generic(gram)
     inv = {v: k for k, v in sigma.items()}
     # Constraint: x[r][c] = -(g[inv[c]] / g[inv[r]]) * x[inv[c]][inv[r]].
-    basis: List[RationalMatrix] = []
+    basis: List[List[Term]] = []
     seen = set()
     for r in range(n):
         for c in range(n):
@@ -246,30 +292,27 @@ def form_stabiliser_basis(gram: RationalMatrix) -> List[RationalMatrix]:
             if (r2, c2) == (r, c):
                 seen.add((r, c))
                 if coef == 1:
-                    basis.append(RationalMatrix.unit(n, r, c))
+                    basis.append([(r, c, _ONE)])
             else:
                 seen.add((r, c))
                 seen.add((r2, c2))
-                rows = [[Fraction(0)] * n for _ in range(n)]
-                rows[r][c] = Fraction(1)
-                rows[r2][c2] = coef
-                basis.append(RationalMatrix(rows))
+                basis.append([(r, c, _ONE), (r2, c2, coef)])
     return basis
 
 
-def _form_stabiliser_basis_generic(gram: RationalMatrix) -> List[RationalMatrix]:
+def _form_stabiliser_basis_generic(gram: RationalMatrix) -> List[List[Term]]:
     n = gram.dim
     rows = []
     for i in range(n):
         for j in range(n):
             # (x^T G)[i][j] = sum_k x[k][i] G[k][j]; (G x)[i][j] = sum_k G[i][k] x[k][j]
-            row = [Fraction(0)] * (n * n)
+            row = [_ZERO] * (n * n)
             for k in range(n):
                 row[k * n + i] += _as_frac(gram.rows[k][j])
                 row[k * n + j] += _as_frac(gram.rows[i][k])
             rows.append(row)
     kernel = rational_nullspace(rows)
-    return [RationalMatrix([vec[i * n : (i + 1) * n] for i in range(n)]) for vec in kernel]
+    return [[(p // n, p % n, v) for p, v in enumerate(vec) if v] for vec in kernel]
 
 
 def _as_frac(v: Scalar) -> Fraction:
@@ -294,20 +337,54 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
     return (x.transpose() @ gram + gram @ x).is_zero()
 
 
+def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, List[List[int]]]]:
+    """(D, D x) with D the lcm of the entry denominators, or None when some
+    entry is a non-constant polynomial."""
+    fracs = []
+    for row in x.rows:
+        out = []
+        for v in row:
+            if not isinstance(v, Fraction):
+                if not v.is_constant():
+                    return None
+                v = v.constant_value()
+            out.append(v)
+        fracs.append(out)
+    d = lcm(*(v.denominator for row in fracs for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in fracs]
+
+
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     """Dimension of the kernel of y -> [x, y] on the model, by exact rank.
 
     This is the oracle for the centraliser-dimension invariant d of a sheet;
-    group- and algebra-centraliser dimensions coincide here.
+    group- and algebra-centraliser dimensions coincide here.  Every entry of
+    x must be rational (a Fraction or a constant polynomial), otherwise
+    ValueError.  The rank is taken on integers: with X = D x cleared of
+    denominators, the row for a basis element sum k E_rc is its integer
+    multiple [X, sum k E_rc] = sum k (X[:, r] e_c^T - e_r X[c, :]), filled
+    from the model's sparse basis in O(n) per term, and the rows go to
+    :func:`fraction_free_rank`.
     """
     if not in_algebra(x, model):
         raise ValueError("element is not in the modelled Lie algebra")
+    cleared = _integer_form(x)
+    if cleared is None:
+        raise ValueError("centraliser dimension needs rational entries")
+    big = cleared[1]
     n = x.dim
-    columns = [bracket(x, b) for b in model.basis]
+    col_nz = [[(i, big[i][r]) for i in range(n) if big[i][r]] for r in range(n)]
+    row_nz = [[(j, v) for j, v in enumerate(row) if v] for row in big]
     rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([_as_frac(col.rows[i][j]) for col in columns])
+    for terms in model.sparse_basis:
+        out = [0] * (n * n)
+        for r, c, k in terms:
+            for i, v in col_nz[r]:
+                out[i * n + c] += k * v
+            base = r * n
+            for j, v in row_nz[c]:
+                out[base + j] -= k * v
+        rows.append(out)
     return model.dimension - fraction_free_rank(rows)
 
 
@@ -315,8 +392,36 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
     """Monic characteristic polynomial det(λ - x), exactly.
 
     Uses the trace recursion (Faddeev-LeVerrier), which only ever divides
-    by integers and therefore stays inside the coefficient ring.
+    by integers and therefore stays inside the coefficient ring.  When every
+    entry is rational the recursion runs on the integer matrix X = D x (D
+    the lcm of the denominators), where each division by k is exact, and
+    the coefficients of X give those of x as a_k = c_k / D^k.  Entries in
+    Q[t] run the same recursion on scalar matrices.
     """
+    cleared = _integer_form(x)
+    if cleared is None:
+        return _char_poly_scalar(x)
+    d, big = cleared
+    n = x.dim
+    nz = [[(j, v) for j, v in enumerate(row) if v] for row in big]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs: List[Fraction] = []
+    for k in range(1, n + 1):
+        prod = []
+        for row in nz:
+            out = [0] * n
+            for j, v in row:
+                out = [o + v * w for o, w in zip(out, m[j])]
+            prod.append(out)
+        ck = -sum(prod[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(ck, d**k))
+        for i in range(n):
+            prod[i][i] += ck
+        m = prod
+    return GradedPolynomial._trusted(coeffs)
+
+
+def _char_poly_scalar(x: RationalMatrix) -> GradedPolynomial:
     n = x.dim
     m = RationalMatrix.identity(n)
     coeffs: List[Scalar] = []
@@ -332,17 +437,21 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
 # Exact row reduction.
 
 
-def fraction_free_rank(rows: List[List[Fraction]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on a cleared-denominator copy."""
+def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination on integers.
+
+    The single elimination entry point for centraliser ranks.  Rows of ints
+    are eliminated as given (after dividing out their content); rows with
+    Fraction entries are first scaled to integers by the lcm of their
+    denominators.  Every step is exact.
+    """
     mat: List[List[int]] = []
     for row in rows:
-        if all(v == 0 for v in row):
+        if not any(row):
             continue
-        denom = lcm(*(v.denominator for v in row)) if row else 1
-        ints = [int(v * denom) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        denom = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (denom // v.denominator) for v in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         mat.append(ints)
@@ -351,25 +460,28 @@ def fraction_free_rank(rows: List[List[Fraction]]) -> int:
     ncols = len(mat[0])
     rank = 0
     prev = 1
-    row_idx = 0
     for col in range(ncols):
         piv = None
-        for r in range(row_idx, len(mat)):
-            if mat[r][col] != 0:
+        for r in range(rank, len(mat)):
+            if mat[r][col]:
                 piv = r
                 break
         if piv is None:
             continue
-        mat[row_idx], mat[piv] = mat[piv], mat[row_idx]
-        pivot = mat[row_idx][col]
-        for r in range(row_idx + 1, len(mat)):
-            entry = mat[r][col]
-            for c in range(col, ncols):
-                mat[r][c] = (mat[r][c] * pivot - entry * mat[row_idx][c]) // prev
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        pivot = prow[col]
+        tail = prow[col:]
+        for r in range(rank + 1, len(mat)):
+            row = mat[r]
+            entry = row[col]
+            if entry:
+                row[col:] = [(a * pivot - entry * b) // prev for a, b in zip(row[col:], tail)]
+            elif pivot != prev:
+                row[col:] = [a * pivot // prev for a in row[col:]]
         prev = pivot
-        row_idx += 1
         rank += 1
-        if row_idx == len(mat):
+        if rank == len(mat):
             break
     return rank
 

@@ -1,4 +1,10 @@
+import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# CLI tests run `python -m sheet_atlas.cli` in subprocesses; give them the
+# same source tree the in-process tests import (pyproject's pythonpath).
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

@@ -17,9 +17,9 @@ from sheet_atlas.liealg import (
     sp_gram,
 )
 from sheet_atlas.scalars import RatPoly
-from sheet_atlas.sheets import type_a, type_b, type_c, type_d
+from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
-from sheet_atlas.triples import sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
+from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
 
 from oracles import charpoly_by_expansion, rank_by_rational_elimination
 
@@ -89,6 +89,11 @@ def test_model_dimensions():
     assert build_model(type_c(3)).dimension == 21
     assert build_model(type_d(3)).dimension == 15
     assert build_model(type_d(4)).dimension == 28
+
+
+def test_type_a_model_rejects_a_form():
+    with pytest.raises(ValueError):
+        build_model(type_a(3), so_gram(3))
 
 
 def test_model_default_forms():
@@ -176,6 +181,8 @@ def test_fraction_free_rank_matches_rational_elimination():
     for _ in range(30):
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)] for _ in range(5)]
         assert fraction_free_rank(rows) == rank_by_rational_elimination(rows)
+        ints = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)]
+        assert fraction_free_rank(ints) == rank_by_rational_elimination([[Fraction(v) for v in r] for r in ints])
 
 
 def test_classical_form_validation():
@@ -192,3 +199,115 @@ def test_matrix_json_roundtrip():
     assert RationalMatrix.from_json(x.to_json()) == x
     y = RationalMatrix.diagonal([Fraction(1, 2), -2])
     assert RationalMatrix.from_json(y.to_json()) == y
+
+
+# --- the integer kernel against the independent oracles -------------------------
+
+
+def _oracle_centralizer_dim(x, model):
+    """dim minus the rank of the dense bracket columns, by rational elimination."""
+    columns = [bracket(x, b) for b in model.basis]
+    n = x.dim
+    rows = [[Fraction(col.rows[i][j]) for col in columns] for i in range(n) for j in range(n)]
+    return model.dimension - rank_by_rational_elimination(rows)
+
+
+def _check_against_oracles(x, model):
+    assert centralizer_dim(x, model) == _oracle_centralizer_dim(x, model)
+    if x.dim <= 6:
+        expected = charpoly_by_expansion([[Fraction(v) for v in row] for row in x.rows])
+        assert [Fraction(c) for c in char_poly(x).dense()] == expected
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+
+
+def _random_element(rng, model, terms):
+    """A rational combination of `terms` basis elements.  Coefficients come
+    either from a wide range with denominators up to 999, or from a small
+    pool, so that eigenvalues coincide and centralisers grow."""
+    pool = [Fraction(1, 3), Fraction(-1, 3), Fraction(5, 7)]
+    x = RationalMatrix.zero(model.matrix_size)
+    for b in rng.sample(model.basis, terms):
+        c = _random_rational(rng) if rng.random() < 0.5 else rng.choice(pool)
+        x = x + b.scale(c)
+    return x
+
+
+def _small_models():
+    kinds = [type_a(n) for n in range(1, 9)]
+    kinds += [type_b(r) for r in range(1, 4)]
+    kinds += [type_c(r) for r in range(1, 5)]
+    kinds += [type_d(r) for r in range(2, 5)]
+    return [build_model(k) for k in kinds]
+
+
+def test_integer_kernel_random_elements_against_oracles():
+    rng = random.Random(17)
+    for model in _small_models():
+        n = model.matrix_size
+        # dense elements only where the rational-elimination oracle stays quick
+        sizes = [1, 2, 3, model.dimension] if n <= 5 else [1, 2, 3, 5]
+        for terms in sizes:
+            for _ in range(2):
+                x = _random_element(rng, model, min(terms, model.dimension))
+                assert in_algebra(x, model)
+                _check_against_oracles(x, model)
+        _check_against_oracles(RationalMatrix.zero(n), model)
+        assert centralizer_dim(RationalMatrix.zero(n), model) == model.dimension
+        if model.form is None:
+            scalar = RationalMatrix.identity(n).scale(_random_rational(rng))
+            _check_against_oracles(scalar, model)
+            assert centralizer_dim(scalar, model) == model.dimension
+
+
+def test_integer_kernel_triple_nilpotents_against_oracles():
+    rng = random.Random(29)
+    triples = [build_gl_triple(n - m2, m2) for n in range(2, 9) for m2 in range(1, n // 2 + 1)]
+    for kind in [type_b(r) for r in (1, 2, 3)] + [type_c(r) for r in (1, 2, 3, 4)] + [type_d(r) for r in (2, 3, 4)]:
+        triples += [build_bcd_triple(kind, levi) for levi in valid_max_levi_labels(kind)]
+    assert len(triples) > 20
+    for trip in triples:
+        _check_against_oracles(trip.e, trip.model)
+        # the triples' own Gram matrices carry signs, so their bases have
+        # coefficient -1 terms
+        _check_against_oracles(_random_element(rng, trip.model, 2), trip.model)
+
+
+def test_generic_gram_model():
+    gram = RationalMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    model = build_model(type_b(1), ClassicalForm("symmetric", gram))
+    assert model.dimension == 3
+    sizes = sorted(sum(1 for row in b.rows for v in row if v) for b in model.basis)
+    assert min(sizes) >= 3 and max(sizes) <= 4
+    for b, terms in zip(model.basis, model.sparse_basis):
+        assert in_algebra(b, model)
+        # each sparse element is a nonzero integer multiple of its basis element
+        (r0, c0, k0) = terms[0]
+        ratio = Fraction(k0) / b.rows[r0][c0]
+        scaled = b.scale(ratio)
+        assert all(isinstance(k, int) for _, _, k in terms)
+        assert {(r, c): Fraction(k) for r, c, k in terms} == {
+            (r, c): v for r, row in enumerate(scaled.rows) for c, v in enumerate(row) if v
+        }
+        _check_against_oracles(b, model)
+    rng = random.Random(41)
+    for terms in (1, 2, 3, 3):
+        _check_against_oracles(_random_element(rng, model, terms), model)
+    assert centralizer_dim(RationalMatrix.zero(3), model) == 3
+
+
+def test_constant_polynomial_entries_match_fractions():
+    rng = random.Random(53)
+    for model in (build_model(type_a(3)), build_model(type_c(2)), build_model(type_b(2))):
+        for terms in (1, 3, model.dimension):
+            x = _random_element(rng, model, terms)
+            as_poly = RationalMatrix([[RatPoly.constant(v) for v in row] for row in x.rows])
+            assert char_poly(as_poly) == char_poly(x)
+            assert centralizer_dim(as_poly, model) == centralizer_dim(x, model)
+    t = RatPoly.variable()
+    with pytest.raises(ValueError):
+        centralizer_dim(sp4_slice(t), sp4_model())
+    with pytest.raises(ValueError):
+        centralizer_dim(RationalMatrix.diagonal([t, 0, Fraction(1, 2)]), build_model(type_a(3)))
