@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
-from .liealg import centralizer_dim, char_poly
+from .liealg import centralizer_dim, char_poly, in_algebra
 from .partitions import Partition, profile
 from .sheets import (
     GLLevi,
@@ -134,29 +134,25 @@ def _verify_lines(checks, json_mode: bool, extra_payload=None) -> int:
 def cmd_triple_verify(args) -> int:
     case = args.case
     json_mode = _json_mode(args)
+    if case == "sp4-slice":
+        return _verify_sp4_slice(args, json_mode)
     if case.startswith("gl:"):
         m1, m2 = (int(v) for v in case[3:].split(","))
         trip = triples.build_gl_triple(m1, m2)
-        checks = trip.checks()
         expected = m1 * m1 + m2 * m2
-        got = centralizer_dim(trip.e, trip.model)
-        checks.append(("centraliser dim = dim L", got == expected, "%d vs %d" % (got, expected)))
-        extra = {"matrices": _triple_json(trip)} if args.matrices else None
-        return _verify_lines(checks, json_mode, extra)
-    if case.startswith("bcd:"):
+    elif case.startswith("bcd:"):
         fam, a, res = case[4:].split(",")
         kind = _bcd_kind(fam, int(a), int(res))
         levi = MaxLevi(int(a), int(res))
         trip = triples.build_bcd_triple(kind, levi)
-        checks = trip.checks()
         expected = sheets.max_levi_dim(kind, levi)
-        got = centralizer_dim(trip.e, trip.model)
-        checks.append(("centraliser dim = dim L", got == expected, "%d vs %d" % (got, expected)))
-        extra = {"matrices": _triple_json(trip)} if args.matrices else None
-        return _verify_lines(checks, json_mode, extra)
-    if case == "sp4-slice":
-        return _verify_sp4_slice(args, json_mode)
-    raise ValueError("unknown case %r; use gl:m1,m2 | bcd:kind,a,res | sp4-slice" % case)
+    else:
+        raise ValueError("unknown case %r; use gl:m1,m2 | bcd:kind,a,res | sp4-slice" % case)
+    checks = trip.checks()
+    got = centralizer_dim(trip.e, trip.model)
+    checks.append(("centraliser dim = dim L", got == expected, "%d vs %d" % (got, expected)))
+    extra = {"matrices": _triple_json(trip)} if args.matrices else None
+    return _verify_lines(checks, json_mode, extra)
 
 
 def _bcd_kind(fam: str, a: int, res: int) -> GroupKind:
@@ -191,7 +187,7 @@ def _verify_sp4_slice(args, json_mode: bool) -> int:
     target = spectral.sp4_dix_image(t)
     cp = char_poly(x)
     checks = [
-        ("symplectic membership (symbolic t)", _in_alg(x, model), "x_t^T J + J x_t = 0"),
+        ("symplectic membership (symbolic t)", in_algebra(x, model), "x_t^T J + J x_t = 0"),
         ("char poly is the sheet image", cp == target, "%s" % cp),
     ]
     for tv in (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1)):
@@ -203,12 +199,6 @@ def _verify_sp4_slice(args, json_mode: bool) -> int:
     checks.append(("flip conjugation negates t", flipped == triples.sp4_slice(-t, as_printed=as_printed), "symbolic"))
     extra = {"x_t": x.to_json(), "as_printed": as_printed} if args.matrices else None
     return _verify_lines(checks, json_mode, extra)
-
-
-def _in_alg(x, model):
-    from .liealg import in_algebra
-
-    return in_algebra(x, model)
 
 
 def cmd_hitchin_dim(args) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import RatPoly, Scalar, as_scalar, format_scalar, parse_scalar, scalar_is_zero
+from .scalars import Scalar, as_fraction, as_scalar, format_scalar, parse_scalar, scalar_is_zero
 from .spectral import GradedPolynomial
 
 
@@ -276,7 +276,7 @@ def form_stabiliser_basis(gram: RationalMatrix) -> List[List[Term]]:
         if len(nz) != 1:
             return _form_stabiliser_basis_generic(gram)
         sigma[j] = nz[0]
-        g[j] = _as_frac(gram.rows[nz[0]][j])
+        g[j] = as_fraction(gram.rows[nz[0]][j])
     if sorted(sigma.values()) != list(range(n)):
         return _form_stabiliser_basis_generic(gram)
     inv = {v: k for k, v in sigma.items()}
@@ -308,19 +308,11 @@ def _form_stabiliser_basis_generic(gram: RationalMatrix) -> List[List[Term]]:
             # (x^T G)[i][j] = sum_k x[k][i] G[k][j]; (G x)[i][j] = sum_k G[i][k] x[k][j]
             row = [_ZERO] * (n * n)
             for k in range(n):
-                row[k * n + i] += _as_frac(gram.rows[k][j])
-                row[k * n + j] += _as_frac(gram.rows[i][k])
+                row[k * n + i] += as_fraction(gram.rows[k][j])
+                row[k * n + j] += as_fraction(gram.rows[i][k])
             rows.append(row)
     kernel = rational_nullspace(rows)
     return [[(p // n, p % n, v) for p, v in enumerate(vec) if v] for vec in kernel]
-
-
-def _as_frac(v: Scalar) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, RatPoly) and v.is_constant():
-        return v.constant_value()
-    raise ValueError("rational entry required, got %s" % (v,))
 
 
 def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
@@ -525,25 +517,11 @@ def rational_nullspace(rows: List[List[Fraction]]) -> List[List[Fraction]]:
 
 
 def determinant(x: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination (rational entries only)."""
-    n = x.dim
-    mat = [[_as_frac(v) for v in row] for row in x.rows]
-    sign = 1
-    prev = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                mat[r][c] = (mat[r][c] * mat[col][col] - mat[r][col] * mat[col][c]) / prev
-            mat[r][col] = Fraction(0)
-        prev = mat[col][col]
-    return sign * mat[n - 1][n - 1]
+    """Exact determinant (-1)^n a_n, read off the characteristic polynomial.
+
+    Every entry must be rational (a Fraction or a constant polynomial),
+    otherwise ValueError.
+    """
+    if _integer_form(x) is None:
+        raise ValueError("determinant needs rational entries")
+    return (-1) ** x.dim * char_poly(x).coefficient(x.dim)

@@ -228,10 +228,6 @@ def scalar_is_zero(x: Scalar) -> bool:
     return x.is_zero() if isinstance(x, RatPoly) else x == 0
 
 
-def scalar_is_rational(x: Scalar) -> bool:
-    return isinstance(x, Fraction) or (isinstance(x, RatPoly) and x.is_constant())
-
-
 def as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -4,6 +4,12 @@ Monic graded polynomials in the spectral variable model characteristic
 polynomials of twisted Higgs fields; tuples of them, shaped by a sheet's
 multiplicity profile, are the points of the reduced base.  The composition
 map multiplies the i-th factor in with multiplicity i.
+
+Coefficients are rationals or polynomials in one parameter t.  Arithmetic
+(products, monic division) works over either, but gcds are taken over Q
+only: squarefreeness over Q(t), the heart test, is decided by
+specialising t at enough integers that the discriminant cannot vanish at
+all of them (see :meth:`GradedPolynomial.is_squarefree`).
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .partitions import MultiplicityProfile, Partition, profile
-from .scalars import RatPoly, Scalar, as_scalar, scalar_is_zero
+from .scalars import RatPoly, Scalar, as_fraction, as_scalar, scalar_is_zero
 
 LAMBDA = "λ"
 
@@ -111,7 +117,28 @@ class GradedPolynomial:
         return all(scalar_is_zero(c) for c in rem)
 
     def is_squarefree(self) -> bool:
-        return _poly_degree(poly_gcd(self.dense(), _poly_derivative(self.dense()))) == 0
+        """True iff the polynomial has no repeated root over Q(t).
+
+        Decided by specialisation.  The polynomial is monic, so its
+        discriminant commutes with t = t0; being isobaric of weight d(d-1),
+        it has t-degree at most d(d-1)·w with w = max_k ceil(deg_t a_k / k).
+        It is therefore nonzero iff it is nonzero at one of the integers
+        0, ..., d(d-1)·w, where the rational gcd with the derivative decides.
+        Rational coefficients give w = 0 and a single step.  Coefficients
+        in two different symbols raise ValueError.
+        """
+        symbolic = [
+            (k, c) for k, c in enumerate(self.coeffs, start=1) if isinstance(c, RatPoly) and not c.is_constant()
+        ]
+        if len({c.symbol for _, c in symbolic}) > 1:
+            raise ValueError("coefficients in more than one polynomial symbol")
+        w = max((-(-c.degree() // k) for k, c in symbolic), default=0)
+        d = self.degree
+        for t0 in range(d * (d - 1) * w + 1):
+            p = [Fraction(1), *(c(t0) if isinstance(c, RatPoly) else c for c in self.coeffs)]
+            if len(poly_gcd(p, _poly_derivative(p))) == 1:
+                return True
+        return False
 
     def evaluate(self, value) -> Scalar:
         out = as_scalar(0)
@@ -242,10 +269,6 @@ def _poly_trim(p: List[Scalar]) -> List[Scalar]:
     return p[k:]
 
 
-def _poly_degree(p: List[Scalar]) -> int:
-    return len(p) - 1
-
-
 def _poly_mul(p: List[Scalar], q: List[Scalar]) -> List[Scalar]:
     if not p or not q:
         return []
@@ -298,95 +321,16 @@ def _poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
     return quo, _poly_trim(rem[dq + 1 :])
 
 
-def _scalar_div(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(b, Fraction):
-        return a / b
-    if b.is_constant():
-        return a / b.constant_value()
-    if isinstance(a, Fraction):
-        a = RatPoly.constant(a, b.symbol)
-    return a / b
+def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:
+    """Monic gcd of dense polynomials with rational coefficients, by Euclid.
 
-
-def _lift(p: List[Scalar]) -> Tuple[List[RatPoly], str]:
-    symbol = "t"
-    for c in p:
-        if isinstance(c, RatPoly) and not c.is_constant():
-            symbol = c.symbol
-    return [c if isinstance(c, RatPoly) else RatPoly.constant(c, symbol) for c in p], symbol
-
-
-def _content(p: List[RatPoly], symbol: str) -> RatPoly:
-    g = RatPoly([], symbol)
-    for c in p:
-        g = g.gcd(c) if not g.is_zero() else (c / c.leading() if not c.is_zero() else g)
-    return g if not g.is_zero() else RatPoly.constant(1, symbol)
-
-
-def _primitive(p: List[RatPoly], symbol: str) -> List[RatPoly]:
-    if not p:
-        return p
-    cont = _content(p, symbol)
-    return [c / cont for c in p]
-
-
-def _pseudo_rem(p: List[RatPoly], q: List[RatPoly]) -> List[RatPoly]:
-    rem = list(p)
-    lead = q[0]
-    while len(rem) >= len(q) and rem:
-        c = rem[0]
-        rem = [x * lead for x in rem]
-        for i in range(len(q)):
-            rem[i] = rem[i] - c * q[i]
-        k = 0
-        while k < len(rem) and rem[k].is_zero():
-            k += 1
-        rem = rem[k:]
-        if k == 0:  # leading term failed to cancel; cannot happen
-            raise AssertionError("pseudo-division did not reduce degree")
-    return rem
-
-
-def poly_gcd(p: List[Scalar], q: List[Scalar]) -> List[Scalar]:
-    """Gcd of dense polynomials over the scalar domain.
-
-    Rational coefficients use the Euclidean algorithm over Q; coefficient
-    polynomials use the content-normalised (primitive) pseudo-remainder
-    sequence over Q[t].  The result is normalised with leading coefficient 1
-    (and primitive content in the Q[t] case).
+    Coefficients are Fractions or constant polynomials; a non-constant
+    coefficient raises ValueError.  Each divisor is made monic so the
+    remainder comes from the synthetic division of :func:`_poly_divmod_monic`.
     """
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    if all(isinstance(c, Fraction) or c.is_constant() for c in p + q):
-        a = [c if isinstance(c, Fraction) else c.constant_value() for c in p]
-        b = [c if isinstance(c, Fraction) else c.constant_value() for c in q]
-        while b:
-            a, b = b, _frac_rem(a, b)
-        return [c / a[0] for c in a] if a else []
-    ap, symbol = _lift(p)
-    bp, _ = _lift(q)
-    ap, bp = _primitive(ap, symbol), _primitive(bp, symbol)
-    if len(ap) < len(bp):
-        ap, bp = bp, ap
-    while bp:
-        rem = _primitive(_pseudo_rem(ap, bp), symbol)
-        ap, bp = bp, rem
-    if not ap:
-        return []
-    ap = _primitive(ap, symbol)
-    return [_scalar_div(c, ap[0]) if ap[0].is_constant() else c for c in ap]
-
-
-def _frac_rem(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    rem = list(a)
-    lead = b[0]
-    while len(rem) >= len(b) and rem:
-        c = rem[0] / lead
-        for i in range(len(b)):
-            rem[i] -= c * b[i]
-        k = 0
-        while k < len(rem) and rem[k] == 0:
-            k += 1
-        rem = rem[k:]
-        if k == 0:
-            raise AssertionError("division did not reduce degree")
-    return rem
+    a = _poly_trim([as_fraction(c) for c in p])
+    b = _poly_trim([as_fraction(c) for c in q])
+    while b:
+        b = [c / b[0] for c in b]
+        a, b = b, _poly_divmod_monic(a, b)[1]
+    return [c / a[0] for c in a] if a else []

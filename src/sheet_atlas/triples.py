@@ -23,7 +23,7 @@ from .liealg import (
     sp_gram,
 )
 from .partitions import Partition
-from .scalars import RatPoly, as_scalar, scalar_is_zero
+from .scalars import RatPoly, as_fraction, as_scalar, scalar_is_zero
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
@@ -176,10 +176,8 @@ def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
 
 
 def _gl_abelianisation(x: RationalMatrix, m1: int, m2: int) -> Fraction:
-    from .liealg import _as_frac
-
-    tr1 = sum((_as_frac(x.rows[i][i]) for i in range(m1)), start=Fraction(0))
-    tr2 = sum((_as_frac(x.rows[i][i]) for i in range(m1, m1 + m2)), start=Fraction(0))
+    tr1 = sum((as_fraction(x.rows[i][i]) for i in range(m1)), start=Fraction(0))
+    tr2 = sum((as_fraction(x.rows[i][i]) for i in range(m1, m1 + m2)), start=Fraction(0))
     return m2 * tr1 - m1 * tr2
 
 

@@ -2,8 +2,9 @@
 
 These deliberately take different computational routes from the library:
 diagram transposition by cells, determinant by cofactor expansion over
-dense polynomial entries, rank by plain rational elimination, and tuple
-recovery by squarefree (Yun) decomposition.
+dense polynomial entries, rank by plain rational elimination, polynomial
+gcd by leading-coefficient Euclid, and tuple recovery by squarefree (Yun)
+decomposition.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from sheet_atlas.spectral import (
     _poly_derivative,
     _poly_divmod_monic,
     _poly_trim,
-    poly_gcd,
 )
 
 
@@ -118,6 +118,19 @@ def rank_by_rational_elimination(rows: List[List[Fraction]]) -> int:
     return rank
 
 
+def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
+    """Monic gcd of dense rational polynomials; each remainder step divides
+    by the divisor's leading coefficient instead of normalising it."""
+    a, b = _poly_trim(list(p)), _poly_trim(list(q))
+    while b:
+        rem = a
+        while len(rem) >= len(b):
+            c = rem[0] / b[0]
+            rem = _poly_trim([x - c * y for x, y in zip(rem, b)] + rem[len(b) :])
+        a, b = b, rem
+    return [c / a[0] for c in a] if a else []
+
+
 def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBasePoint:
     """Invert the composition map on a heart point with coprime factors.
 
@@ -126,7 +139,7 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
     """
     f = image.dense()
     fp = _poly_derivative(f)
-    u = poly_gcd(f, fp)
+    u = gcd_by_euclid(f, fp)
     if not u:
         raise ValueError("zero polynomial")
     v, rem = _poly_divmod_monic(f, u)
@@ -140,7 +153,7 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
         if guard > image.degree + 1:
             raise AssertionError("squarefree decomposition did not terminate")
         diff = _sub(w, _poly_derivative(v))
-        a = poly_gcd(v, diff) or [Fraction(1)]
+        a = gcd_by_euclid(v, diff) or [Fraction(1)]
         factors.append(GradedPolynomial.from_dense(a))
         v, rem = _poly_divmod_monic(v, a)
         assert not rem

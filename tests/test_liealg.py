@@ -193,6 +193,25 @@ def test_classical_form_validation():
     assert determinant(so_gram(4).gram) in (Fraction(1), Fraction(-1))
 
 
+def test_determinant_against_cofactor_expansion():
+    rng = random.Random(1303)
+    values = set()
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 999)) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n > 1:
+            rows[-1] = list(rows[rng.randrange(n - 1)])
+        expected = (-1) ** n * charpoly_by_expansion(rows)[-1]
+        got = determinant(RationalMatrix(rows))
+        assert got == expected
+        values.add(got)
+    assert 0 in values and len(values - {0, 1, -1}) > 40
+    t = RatPoly.variable()
+    assert determinant(RationalMatrix([[RatPoly.constant(2), 1], [0, Fraction(1, 3)]])) == Fraction(2, 3)
+    with pytest.raises(ValueError):
+        determinant(RationalMatrix([[t, 1], [0, 0]]))
+
+
 def test_matrix_json_roundtrip():
     t = RatPoly.variable()
     x = sp4_slice(t)

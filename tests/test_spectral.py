@@ -12,6 +12,7 @@ from sheet_atlas.spectral import (
     in_heart,
     min_poly,
     mu_s,
+    poly_gcd,
     product_with_multiplicities,
     sp4_dix_image,
     witness_noninjectivity,
@@ -85,6 +86,53 @@ def test_in_heart_symbolic_coefficients():
     assert not in_heart(SheetBasePoint(prof, (GradedPolynomial.one(), sq)))
     free = GradedPolynomial([RatPoly([]), -(t * t)])  # (λ - t)(λ + t)
     assert in_heart(SheetBasePoint(prof, (GradedPolynomial.one(), free)))
+
+
+def test_is_squarefree_over_qt_seeded():
+    # roots r + s*t + u*t^2 in Q[t]; squarefree exactly when pairwise distinct
+    rng = random.Random(6021)
+    seen = set()
+    for trial in range(24):
+        d = rng.randint(6, 8)
+        roots = [RatPoly([rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 1)]) for _ in range(d)]
+        if trial % 3 == 0:
+            roots[-1] = roots[rng.randrange(d - 1)]
+        f = GradedPolynomial.from_roots(roots)
+        distinct = len(set(roots)) == d
+        seen.add(distinct)
+        assert f.is_squarefree() == distinct, [str(r) for r in roots]
+    assert seen == {True, False}
+
+
+def test_is_squarefree_skips_vanishing_specialisations():
+    # λ^2 - t(t-1)(t-2) λ has discriminant (t(t-1)(t-2))^2, zero at t = 0, 1, 2
+    t = RatPoly.variable()
+    f = GradedPolynomial.from_roots([0, t * (t - 1) * (t - 2)])
+    assert f == GradedPolynomial([-(t * (t - 1) * (t - 2)), 0])
+    for t0 in (0, 1, 2):
+        assert not GradedPolynomial.from_roots([0, t0 * (t0 - 1) * (t0 - 2)]).is_squarefree()
+    assert f.is_squarefree()
+    assert not (f * f).is_squarefree()
+
+
+def test_is_squarefree_rejects_two_symbols():
+    t, s = RatPoly.variable("t"), RatPoly.variable("s")
+    f = GradedPolynomial([t, s])
+    with pytest.raises(ValueError):
+        f.is_squarefree()
+    with pytest.raises(ValueError):
+        in_heart(SheetBasePoint(profile(Partition((1, 1))), (f,)))
+
+
+def test_poly_gcd_is_rational_only():
+    t = RatPoly.variable()
+    with pytest.raises(ValueError):
+        poly_gcd([Fraction(1), t], [Fraction(1), Fraction(0)])
+    one, minus_one = RatPoly.constant(1), RatPoly.constant(-1)
+    # (λ - 1)(λ + 1) and 2(λ - 1) with constant-polynomial coefficients
+    assert poly_gcd([one, RatPoly([]), minus_one], [RatPoly.constant(2), RatPoly.constant(-2)]) == [1, -1]
+    assert poly_gcd([], []) == []
+    assert poly_gcd([Fraction(3)], []) == [1]
 
 
 def test_witness_noninjectivity():
