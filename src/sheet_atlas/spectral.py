@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .partitions import MultiplicityProfile, Partition, profile
@@ -108,7 +109,7 @@ class GradedPolynomial:
         if other.degree > self.degree:
             raise ValueError("divisor degree exceeds dividend degree")
         quo, rem = _poly_divmod_monic(self.dense(), other.dense())
-        return GradedPolynomial.from_dense(quo), rem
+        return GradedPolynomial._trusted(quo[1:]), rem
 
     def divides(self, other: "GradedPolynomial") -> bool:
         if self.degree > other.degree:
@@ -210,18 +211,33 @@ def mu_s(point: SheetBasePoint) -> GradedPolynomial:
 
 
 def product_with_multiplicities(factors: Sequence[GradedPolynomial]) -> GradedPolynomial:
-    out = GradedPolynomial.one()
-    for i, xi in enumerate(factors, start=1):
-        out = out * xi**i
-    return out
+    return _product([(xi, i) for i, xi in enumerate(factors, start=1)])
 
 
 def min_poly(point: SheetBasePoint) -> GradedPolynomial:
     """Each factor taken once; divides mu_s(point)."""
-    out = GradedPolynomial.one()
-    for xi in point.factors:
-        out = out * xi
-    return out
+    return _product([(xi, 1) for xi in point.factors])
+
+
+def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial:
+    """Product of xi**e over (xi, e) pairs.
+
+    With rational coefficients every factor is cleared of denominators once
+    and the product is an integer convolution, so Fractions are built only
+    for the result.
+    """
+    forms = [_int_form(xi.dense()) for xi, _ in powers]
+    if any(f is None for f in forms):
+        out = GradedPolynomial.one()
+        for xi, e in powers:
+            out = out * xi**e
+        return out
+    acc, den = [1], 1
+    for (ip, d), (_, e) in zip(forms, powers):
+        for _ in range(e):
+            acc = _int_convolve(acc, ip)
+            den *= d
+    return GradedPolynomial._trusted(_from_int_form(acc[1:], den))
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -269,24 +285,37 @@ def _poly_trim(p: List[Scalar]) -> List[Scalar]:
     return p[k:]
 
 
+def _int_form(p: List[Scalar]):
+    """(integer coefficients, D) with p = ints / D and D the lcm of the
+    denominators, or None when a coefficient is not a Fraction."""
+    if not all(type(c) is Fraction for c in p):
+        return None
+    d = lcm(*(c.denominator for c in p))
+    return [c.numerator * (d // c.denominator) for c in p], d
+
+
+def _from_int_form(ip: List[int], d: int) -> List[Fraction]:
+    if d == 1:
+        return [Fraction(v) for v in ip]
+    return [Fraction(v, d) for v in ip]
+
+
+def _int_convolve(ip: List[int], iq: List[int]) -> List[int]:
+    out = [0] * (len(ip) + len(iq) - 1)
+    for i, a in enumerate(ip):
+        if a:
+            for j, b in enumerate(iq):
+                out[i + j] += a * b
+    return out
+
+
 def _poly_mul(p: List[Scalar], q: List[Scalar]) -> List[Scalar]:
     if not p or not q:
         return []
-    if all(type(c) is Fraction for c in p) and all(type(c) is Fraction for c in q):
+    fp, fq = _int_form(p), _int_form(q)
+    if fp is not None and fq is not None:
         # exact integer convolution after clearing denominators
-        from math import lcm
-
-        dp = lcm(*(c.denominator for c in p))
-        dq = lcm(*(c.denominator for c in q))
-        ip = [c.numerator * (dp // c.denominator) for c in p]
-        iq = [c.numerator * (dq // c.denominator) for c in q]
-        out = [0] * (len(ip) + len(iq) - 1)
-        for i, a in enumerate(ip):
-            if a:
-                for j, b in enumerate(iq):
-                    out[i + j] += a * b
-        dd = dp * dq
-        return [Fraction(v, dd) for v in out]
+        return _from_int_form(_int_convolve(fp[0], fq[0]), fp[1] * fq[1])
     zero = Fraction(0)
     out = [zero] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -311,6 +340,17 @@ def _poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
     dq = len(rem) - len(q)
     if dq < 0:
         return [], rem
+    fp, fq = _int_form(rem), _int_form(q)
+    if fp is not None and fq is not None and fq[1] == 1:
+        # an integer monic divisor keeps p's common denominator exact
+        ip, d = fp
+        iq = fq[0]
+        for k in range(dq + 1):
+            c = ip[k]
+            if c:
+                for i in range(1, len(iq)):
+                    ip[k + i] -= c * iq[i]
+        return _from_int_form(ip[: dq + 1], d), _poly_trim(_from_int_form(ip[dq + 1 :], d))
     quo = []
     for k in range(dq + 1):
         c = rem[k]

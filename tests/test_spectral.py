@@ -174,6 +174,38 @@ def test_multiplicativity_in_each_factor():
         assert lhs == mu_s(point) * eta**slot
 
 
+
+def test_products_and_division_by_evaluation():
+    """Products and monic division checked by Horner evaluation at rational
+    points: rational factors with denominators (the integer route) and
+    factors with a coefficient in t (the scalar route)."""
+    rng = random.Random(2024)
+    t = RatPoly.variable("t")
+    xs = [Fraction(k, 3) for k in range(-4, 5)]
+    for trial in range(40):
+        point = random_point(rng, Partition((3, 2, 2, 1, 1)))
+        factors = list(point.factors)
+        if trial % 4 == 3:
+            factors[0] = GradedPolynomial([factors[0].coeffs[0] + t, *factors[0].coeffs[1:]])
+        image = product_with_multiplicities(factors)
+        minimal = min_poly(SheetBasePoint(point.profile, factors))
+        for x in xs:
+            expected, once = Fraction(1), Fraction(1)
+            for i, xi in enumerate(factors, start=1):
+                expected = expected * xi.evaluate(x) ** i
+                once = once * xi.evaluate(x)
+            assert image.evaluate(x) == expected
+            assert minimal.evaluate(x) == once
+        assert minimal.divides(image)
+        for divisor in (GradedPolynomial([Fraction(rng.randint(-5, 5)) for _ in range(3)]), factors[1]):
+            quo, rem = image.divmod(divisor)
+            assert len(rem) < divisor.degree + 1 and (not rem or rem[0] != 0)
+            for x in xs:
+                rem_at_x = Fraction(0)
+                for c in rem:
+                    rem_at_x = rem_at_x * x + c
+                assert quo.evaluate(x) * divisor.evaluate(x) + rem_at_x == image.evaluate(x)
+
 def coprime_heart_point(rng, m: Partition, pool):
     prof = profile(m)
     roots = rng.sample(pool, sum(li for _, li in prof.items()))
