@@ -381,9 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser depends on nothing per request; build it on the first call
+    # (not at import) and reuse it for the life of the process.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

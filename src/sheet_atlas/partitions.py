@@ -22,6 +22,13 @@ class Partition:
             raise ValueError("partition parts must be positive: %r" % (ps,))
         object.__setattr__(self, "parts", tuple(ps))
 
+    @classmethod
+    def _trusted(cls, parts) -> "Partition":
+        # internal: parts already positive ints, largest first
+        out = object.__new__(cls)
+        object.__setattr__(out, "parts", tuple(parts))
+        return out
+
     @property
     def n(self) -> int:
         return sum(self.parts)
@@ -87,13 +94,26 @@ class MultiplicityProfile:
 
 
 def conjugate(m: Partition) -> Partition:
-    """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i}."""
-    return Partition(sum(1 for p in m.parts if p >= i) for i in range(1, m.largest + 1))
+    """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i}.
+
+    One walk down the parts: exactly j parts are >= i for every i in
+    (m_{j+1}, m_j] (1-based, m_{k+1} = 0), so m_j - m_{j+1} conjugate parts
+    equal j.
+    """
+    parts = m.parts
+    out = []
+    for j in range(len(parts), 0, -1):
+        below = parts[j] if j < len(parts) else 0
+        out += [j] * (parts[j - 1] - below)
+    return Partition._trusted(out)
 
 
 def profile(m: Partition) -> MultiplicityProfile:
     """Multiplicity profile of m; satisfies l_i = n_i - n_{i+1} for n = conjugate(m)."""
-    return MultiplicityProfile(tuple(m.multiplicity(i) for i in range(1, m.largest + 1)))
+    counts = [0] * m.largest
+    for p in m.parts:
+        counts[p - 1] += 1
+    return MultiplicityProfile(tuple(counts))
 
 
 def is_valid_orbit_partition(kind, p: Partition) -> bool:
@@ -118,20 +138,43 @@ def is_valid_orbit_partition(kind, p: Partition) -> bool:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order (largest-first)."""
+    """All partitions of n in reverse-lexicographic order (largest-first).
+
+    Iterative algorithm ZS1 (Zoghbi and Stojmenovic, 1998): x[1..m] holds
+    the current partition, padded with 1s beyond m, and h indexes its last
+    part above 1.  The next partition lowers x[h] to r = x[h] - 1 and
+    regroups the unit taken off together with the m - h trailing 1s into
+    parts of size r followed by one smaller remainder part; each step costs
+    O(parts written).  Parts are positive and descending by construction,
+    so they skip the validating constructor.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        yield Partition(())
+        yield Partition._trusted(())
         return
-
-    def gen(remaining: int, cap: int, acc: list):
-        if remaining == 0:
-            yield Partition(tuple(acc))
-            return
-        for k in range(min(cap, remaining), 0, -1):
-            acc.append(k)
-            yield from gen(remaining - k, k, acc)
-            acc.pop()
-
-    yield from gen(n, n, [])
+    x = [1] * (n + 1)
+    x[1] = n
+    m = h = 1
+    yield Partition._trusted(x[1:2])
+    while x[1] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield Partition._trusted(x[1 : m + 1])

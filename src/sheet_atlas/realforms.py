@@ -169,11 +169,13 @@ def sheet_of_real_form(label: RealFormLabel, genus: Optional[int] = None) -> Rea
 
     With a genus the report's extra column carries the numeric invariants
     (maximal characteristic number, fixed reduced degree); without one only
-    structural data is reported.
+    structural data is reported.  A genus below 2 is an error.
     """
     builder = _REPORT_BUILDERS.get(type(label))
     if builder is None:
         raise ValueError("unknown real form label %r" % (label,))
+    if genus is not None and genus < 2:
+        raise ValueError("genus must be at least 2")
     return builder(label, genus)
 
 

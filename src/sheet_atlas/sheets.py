@@ -320,7 +320,7 @@ def gl_sheet(m: Partition) -> SheetDescriptor:
         raise ValueError("empty partition labels no sheet")
     prof = profile(m)
     w_l = 1
-    for _, li in prof.items():
+    for li in prof.counts:
         w_l *= factorial(li)
     d = sum(p * p for p in m.parts)
     two_parts = m.num_parts == 2
@@ -342,7 +342,7 @@ def gl_sheet(m: Partition) -> SheetDescriptor:
         class_tag=class_tag,
         type_tag=type_tag,
         component_group_order=1,
-        name="gl%d:m=%s" % (n, ",".join(str(p) for p in m.parts)),
+        name="gl%d:m=%s" % (n, ",".join(map(str, m.parts))),
     )
 
 

@@ -1,10 +1,10 @@
 """Independent oracles used by the tests.
 
 These deliberately take different computational routes from the library:
-diagram transposition by cells, determinant by cofactor expansion over
-dense polynomial entries, rank by plain rational elimination, polynomial
-gcd by leading-coefficient Euclid, and tuple recovery by squarefree (Yun)
-decomposition.
+partition counts by Euler's pentagonal recurrence, diagram transposition by
+cells, determinant by cofactor expansion over dense polynomial entries,
+rank by plain rational elimination, polynomial gcd by leading-coefficient
+Euclid, and tuple recovery by squarefree (Yun) decomposition.
 """
 from __future__ import annotations
 
@@ -19,6 +19,22 @@ from sheet_atlas.spectral import (
     _poly_divmod_monic,
     _poly_trim,
 )
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal number recurrence:
+    p(n) = sum_{k >= 1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p[m] = total
+    return p[n]
 
 
 def conjugate_by_cells(m: Partition) -> Partition:

@@ -111,6 +111,13 @@ def test_realform_command():
     assert payload["extra"]["fixed_degree"] == "8"
 
 
+def test_realform_rejects_genus_below_two():
+    for g in ("0", "-3"):
+        out = run_cli("realform", "--label", "SOSTAR:5", "--genus", g, "--json", expect=1)
+        assert out.stdout == ""
+        assert out.stderr == "error: genus must be at least 2\n"
+
+
 def test_domain_error_exit_code():
     out = run_cli("sheets", "--kind", "D", "--rank", "3", "--levi", "2,2", expect=1)
     assert "error:" in out.stderr
@@ -118,6 +125,59 @@ def test_domain_error_exit_code():
 
 def test_parse_error_exit_code():
     run_cli("sheets", expect=2)
+
+
+# (argv, SHEET_ATLAS_JSON or None, expected exit code), run in this order
+REUSE_SEQUENCE = [
+    (["sheets"], None, 2),
+    (["sheets", "--kind", "C", "--rank", "2"], None, 0),
+    (["sheets", "--kind", "A", "--rank", "7", "--json"], None, 0),
+    (["sheets", "--kind", "A", "--rank", "4"], None, 0),
+    (["triple-verify", "--case", "gl:2,1", "--matrices", "--json"], None, 0),
+    (["triple-verify", "--case", "gl:2,1"], None, 0),
+    (["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "2", "--levi", "1,1"], "1", 0),
+    (["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "2", "--levi", "1,1"], None, 0),
+    (["sheets", "--kind", "D", "--rank", "3", "--levi", "2,2"], None, 1),
+    (["realform", "--label", "SU:3,1", "--genus", "2"], None, 0),
+    (["no-such-command"], None, 2),
+    (["sheets", "--kind", "A", "--rank", "3", "--levi", "2,1", "--json"], None, 0),
+]
+
+REUSE_DRIVER = """
+import io, json, os, sys
+from contextlib import redirect_stderr, redirect_stdout
+from sheet_atlas import cli
+results = []
+for argv, env_json, _ in json.loads(sys.argv[1]):
+    os.environ.pop("SHEET_ATLAS_JSON", None)
+    if env_json is not None:
+        os.environ["SHEET_ATLAS_JSON"] = env_json
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(results))
+"""
+
+
+def test_reused_parser_matches_fresh_processes(monkeypatch):
+    """One interpreter serving a sequence of cli.main calls answers each
+    exactly as a fresh `python -m sheet_atlas.cli` process does."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    served = subprocess.run(
+        [sys.executable, "-c", REUSE_DRIVER, json.dumps(REUSE_SEQUENCE)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    results = json.loads(served.stdout)
+    assert len(results) == len(REUSE_SEQUENCE)
+    for (argv, env_json, expect), (code, out, err) in zip(REUSE_SEQUENCE, results):
+        fresh = run_cli(*argv, env_extra={"SHEET_ATLAS_JSON": env_json} if env_json else None, expect=expect)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_fixture_regen_byte_identical(tmp_path: Path):

@@ -11,7 +11,7 @@ from sheet_atlas.partitions import (
 )
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d
 
-from oracles import conjugate_by_cells, profile_by_conjugate_steps
+from oracles import conjugate_by_cells, partition_count, profile_by_conjugate_steps
 
 
 def random_partitions():
@@ -90,6 +90,28 @@ def test_partitions_of_order_and_count():
     assert ps[-1].parts == (1, 1, 1, 1, 1)
     assert len(ps) == 7
     assert ps == sorted(ps, key=lambda p: p.parts, reverse=True)
+    for n in range(23):
+        ps = list(partitions_of(n))
+        assert len(ps) == partition_count(n)
+        assert all(a.parts > b.parts for a, b in zip(ps, ps[1:]))  # strictly reverse-lexicographic
+        for p in ps:
+            assert p == Partition(p.parts) and p.n == n
+
+
+def test_partitions_of_rejects_negative():
+    with pytest.raises(ValueError):
+        next(partitions_of(-1))
+
+
+def test_conjugate_and_profile_on_every_small_partition():
+    for n in range(15):
+        for m in partitions_of(n):
+            conj = conjugate(m)
+            assert conj == conjugate_by_cells(m)
+            assert conj == Partition(conj.parts)
+            prof = profile(m)
+            assert prof.s == m.largest
+            assert dict(prof.items()) == profile_by_conjugate_steps(m)
 
 
 def test_profile_json_roundtrip():

@@ -76,6 +76,17 @@ def test_su_report_with_genus():
     assert rep.extra["toledo_max"] == 8
 
 
+def test_genus_below_two_is_rejected():
+    # every label family, including one whose report has no genus-dependent
+    # entry (SO*(8)) and a quasi-split one (SU(2,2))
+    for label in (SOStar(5), SU(4, 2), SU(2, 2), SOStar(4)):
+        for g in (1, 0, -3):
+            with pytest.raises(ValueError, match="genus must be at least 2"):
+                sheet_of_real_form(label, genus=g)
+    assert sheet_of_real_form(SOStar(5), genus=2).extra["fixed_degree"] == 8
+    assert "fixed_degree" not in sheet_of_real_form(SOStar(5)).extra
+
+
 def test_so_star_odd():
     rep = sheet_of_real_form(SOStar(5), genus=2)  # SO*(10), m = 2
     assert rep.levi_description == "GL2^2 x Gm"
