@@ -5,11 +5,16 @@ and a brute-force centraliser-dimension oracle.  All arithmetic is exact:
 entries are rationals or univariate rational-coefficient polynomials in
 one formal parameter.
 
-Matrices whose entries are all rational are measured on integers: the
-entries are scaled by the lcm D of their denominators once, and the
-centraliser rank and the characteristic polynomial are computed on the
-integer matrix D x with Python ints.  Entries in Q[t] use the generic
-scalar path.
+Matrices whose entries are all rational are worked on integers.  Each
+matrix is cleared of denominators once: the lcm D of its denominators and
+the nonzero entries of the integer matrix D x, row by row, are cached on the
+(immutable) matrix the first time they are needed.  Brackets, form
+membership, the centraliser rank, the characteristic polynomial and the
+determinant all read that cached form and work with Python ints, building
+a Fraction only for each nonzero entry of a result.  Entries in Q[t] take
+the matrix-product route for brackets and membership; their characteristic
+polynomial runs the same trace recursion on integer coefficient lists,
+after clearing every coefficient's denominator once.
 """
 from __future__ import annotations
 
@@ -18,8 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import Scalar, as_fraction, as_scalar, format_scalar, parse_scalar, scalar_is_zero
-from .spectral import GradedPolynomial
+from .scalars import RatPoly, Scalar, as_fraction, as_scalar, format_scalar, parse_scalar, scalar_is_zero
+from .spectral import GradedPolynomial, _int_convolve
 
 
 _ZERO = Fraction(0)
@@ -27,9 +32,14 @@ _ONE = Fraction(1)
 
 
 class RationalMatrix:
-    """Immutable square matrix with exact scalar entries."""
+    """Immutable square matrix with exact scalar entries.
 
-    __slots__ = ("dim", "rows")
+    The ``_cleared`` slot holds the integer form read by
+    :func:`_integer_form`; it is filled on first use and lives as long as
+    the matrix.
+    """
+
+    __slots__ = ("dim", "rows", "_cleared")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(v if isinstance(v, Fraction) else as_scalar(v) for v in r) for r in rows)
@@ -105,7 +115,7 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = as_scalar(c)
-        return RationalMatrix._trusted([[c * v for v in r] for r in self.rows])
+        return RationalMatrix._trusted([[c * v if v else _ZERO for v in r] for r in self.rows])
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._trusted(list(zip(*self.rows)))
@@ -143,8 +153,29 @@ class RationalMatrix:
 
 
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Commutator ab - ba, exactly."""
-    return a @ b - b @ a
+    """Commutator ab - ba, exactly.
+
+    When every entry of both operands is rational, the commutator of the
+    cached integer forms A = Da a and B = Db b is taken on their nonzero
+    entries, and [a, b] = (AB - BA) / (Da Db).  Entries in Q[t] use the
+    matrix products.
+    """
+    a._same_dim(b)
+    fa, fb = _integer_form(a), _integer_form(b)
+    if fa is None or fb is None:
+        return a @ b - b @ a
+    (da, ra), (db, rb) = fa, fb
+    out = []
+    for ra_i, rb_i in zip(ra, rb):
+        oi = [0] * a.dim
+        for k, v in ra_i:
+            for j, w in rb[k]:
+                oi[j] += v * w
+        for k, v in rb_i:
+            for j, w in ra[k]:
+                oi[j] -= v * w
+        out.append(oi)
+    return RationalMatrix._trusted(_from_integers(out, da * db))
 
 
 @dataclass(frozen=True)
@@ -326,24 +357,60 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
     if model.form is None:
         return True
     gram = model.form.gram
-    return (x.transpose() @ gram + gram @ x).is_zero()
+    fx, fg = _integer_form(x), _integer_form(gram)
+    if fx is None or fg is None:
+        return (x.transpose() @ gram + gram @ x).is_zero()
+    # X^T G + G X on the integer forms: a positive multiple of x^T G + G x
+    rx, rg = fx[1], fg[1]
+    out = [[0] * x.dim for _ in range(x.dim)]
+    for rx_k, rg_k in zip(rx, rg):
+        for i, v in rx_k:
+            oi = out[i]
+            for j, g in rg_k:
+                oi[j] += v * g
+    for oi, rg_i in zip(out, rg):
+        for k, g in rg_i:
+            for j, v in rx[k]:
+                oi[j] += g * v
+    return not any(any(row) for row in out)
 
 
-def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, List[List[int]]]]:
-    """(D, D x) with D the lcm of the entry denominators, or None when some
-    entry is a non-constant polynomial."""
+SparseRows = List[List[Tuple[int, int]]]
+
+
+def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, SparseRows]]:
+    """(D, rows) with D the lcm of the entry denominators and rows[i] the
+    nonzero entries (j, (D x)[i][j]) of row i, or None when some entry is a
+    non-constant polynomial.  Computed once per matrix and cached on it."""
+    try:
+        return x._cleared
+    except AttributeError:
+        pass
     fracs = []
     for row in x.rows:
         out = []
-        for v in row:
+        for j, v in enumerate(row):
+            if not v:
+                continue
             if not isinstance(v, Fraction):
                 if not v.is_constant():
+                    object.__setattr__(x, "_cleared", None)
                     return None
                 v = v.constant_value()
-            out.append(v)
+            out.append((j, v))
         fracs.append(out)
-    d = lcm(*(v.denominator for row in fracs for v in row))
-    return d, [[v.numerator * (d // v.denominator) for v in row] for row in fracs]
+    d = lcm(*(v.denominator for row in fracs for _, v in row))
+    rows = [[(j, v.numerator * (d // v.denominator)) for j, v in row] for row in fracs]
+    cleared = (d, rows)
+    object.__setattr__(x, "_cleared", cleared)
+    return cleared
+
+
+def _from_integers(rows: List[List[int]], d: int) -> List[List[Fraction]]:
+    """The matrix rows / d, with a Fraction only for each nonzero entry."""
+    if d == 1:
+        return [[Fraction(v) if v else _ZERO for v in row] for row in rows]
+    return [[Fraction(v, d) if v else _ZERO for v in row] for row in rows]
 
 
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
@@ -363,10 +430,12 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     cleared = _integer_form(x)
     if cleared is None:
         raise ValueError("centraliser dimension needs rational entries")
-    big = cleared[1]
+    row_nz = cleared[1]
     n = x.dim
-    col_nz = [[(i, big[i][r]) for i in range(n) if big[i][r]] for r in range(n)]
-    row_nz = [[(j, v) for j, v in enumerate(row) if v] for row in big]
+    col_nz: SparseRows = [[] for _ in range(n)]
+    for i, row in enumerate(row_nz):
+        for j, v in row:
+            col_nz[j].append((i, v))
     rows = []
     for terms in model.sparse_basis:
         out = [0] * (n * n)
@@ -388,14 +457,14 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
     entry is rational the recursion runs on the integer matrix X = D x (D
     the lcm of the denominators), where each division by k is exact, and
     the coefficients of X give those of x as a_k = c_k / D^k.  Entries in
-    Q[t] run the same recursion on scalar matrices.
+    Q[t] run the same recursion on integer coefficient lists (see
+    :func:`_char_poly_qt`).
     """
     cleared = _integer_form(x)
     if cleared is None:
-        return _char_poly_scalar(x)
-    d, big = cleared
+        return _char_poly_qt(x)
+    d, nz = cleared
     n = x.dim
-    nz = [[(j, v) for j, v in enumerate(row) if v] for row in big]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     coeffs: List[Fraction] = []
     for k in range(1, n + 1):
@@ -413,16 +482,54 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
     return GradedPolynomial._trusted(coeffs)
 
 
-def _char_poly_scalar(x: RationalMatrix) -> GradedPolynomial:
+def _char_poly_qt(x: RationalMatrix) -> GradedPolynomial:
+    """The trace recursion for entries in Q[t], on integer polynomials.
+
+    Every coefficient's denominator is cleared once (D the lcm of them all),
+    so X = D x has entries in Z[t], held as ascending int lists ([] for 0).
+    The recursion on X divides exactly by k, and a_k = c_k / D^k is returned
+    as a RatPoly.  Entries in two different symbols raise ValueError.
+    """
+    symbols = {v.symbol for row in x.rows for v in row if isinstance(v, RatPoly) and not v.is_constant()}
+    if len(symbols) > 1:
+        raise ValueError("matrix entries in more than one polynomial symbol: %s" % ", ".join(sorted(symbols)))
+    (symbol,) = symbols
+    polys = [[v.coeffs if isinstance(v, RatPoly) else (v,) if v else () for v in row] for row in x.rows]
+    d = lcm(*(c.denominator for row in polys for p in row for c in p))
+    nz = [[(j, [c.numerator * (d // c.denominator) for c in p]) for j, p in enumerate(row) if p] for row in polys]
     n = x.dim
-    m = RationalMatrix.identity(n)
+    m = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
     coeffs: List[Scalar] = []
     for k in range(1, n + 1):
-        prod = x @ m
-        ck = -(prod.trace() / k)
-        coeffs.append(ck)
-        m = prod + RationalMatrix.identity(n).scale(ck)
-    return GradedPolynomial(coeffs)
+        prod = []
+        for row in nz:
+            out = [[]] * n
+            for j, p in row:
+                out = [_int_add(o, _int_convolve(p, q)) if q else o for o, q in zip(out, m[j])]
+            prod.append(out)
+        trace: List[int] = []
+        for i in range(n):
+            trace = _int_add(trace, prod[i][i])
+        ck = [-v // k for v in trace]
+        dk = d**k
+        coeffs.append(RatPoly([Fraction(v, dk) for v in ck], symbol))
+        if ck:
+            for i in range(n):
+                prod[i][i] = _int_add(prod[i][i], ck)
+        m = prod
+    return GradedPolynomial._trusted(coeffs)
+
+
+def _int_add(p: List[int], q: List[int]) -> List[int]:
+    """Sum of ascending integer coefficient lists, trailing zeros trimmed."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, v in enumerate(q):
+        out[i] += v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 # ---------------------------------------------------------------------------

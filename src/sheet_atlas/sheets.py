@@ -36,34 +36,38 @@ class GroupKind:
 
     @property
     def matrix_size(self) -> Optional[int]:
-        return {
-            "A": self.rank,
-            "B": 2 * self.rank + 1,
-            "C": 2 * self.rank,
-            "D": 2 * self.rank,
-            "F4": None,
-        }[self.family]
+        fam = self.family
+        if fam == "A":
+            return self.rank
+        if fam == "B":
+            return 2 * self.rank + 1
+        if fam == "F4":
+            return None
+        return 2 * self.rank
 
     @property
     def dim(self) -> int:
-        r = self.rank
-        return {
-            "A": r * r,
-            "B": r * (2 * r + 1),
-            "C": r * (2 * r + 1),
-            "D": r * (2 * r - 1),
-            "F4": 52,
-        }[self.family]
+        fam, r = self.family, self.rank
+        if fam == "A":
+            return r * r
+        if fam == "D":
+            return r * (2 * r - 1)
+        if fam == "F4":
+            return 52
+        return r * (2 * r + 1)
 
     @property
     def name(self) -> str:
-        return {
-            "A": "GL%d" % self.rank,
-            "B": "SO%d" % (2 * self.rank + 1),
-            "C": "Sp%d" % (2 * self.rank),
-            "D": "SO%d" % (2 * self.rank),
-            "F4": "F4",
-        }[self.family]
+        fam = self.family
+        if fam == "A":
+            return "GL%d" % self.rank
+        if fam == "B":
+            return "SO%d" % (2 * self.rank + 1)
+        if fam == "C":
+            return "Sp%d" % (2 * self.rank)
+        if fam == "D":
+            return "SO%d" % (2 * self.rank)
+        return "F4"
 
     def __str__(self):
         return "F4" if self.family == "F4" else "%s(%d)" % (self.family, self.rank)
@@ -190,11 +194,11 @@ class SheetDescriptor:
     @property
     def decomposition_data(self) -> str:
         orbit = "0" if self.dixmier else str(self.nilpotent_orbit)
-        levi = {
-            TorusLevi: "T",
-            FullGroupLevi: self.kind.name,
-        }.get(type(self.levi), None)
-        if levi is None:
+        if type(self.levi) is TorusLevi:
+            levi = "T"
+        elif type(self.levi) is FullGroupLevi:
+            levi = self.kind.name
+        else:
             levi = _levi_group_name(self.kind, self.levi)
         return "(%s,%s)" % (levi, orbit)
 

@@ -260,8 +260,10 @@ def witness_noninjectivity(a) -> Tuple[SheetBasePoint, SheetBasePoint]:
     p1 = SheetBasePoint(prof, (minus * minus, plus))
     p2 = SheetBasePoint(prof, (plus * plus, minus))
     image1, image2 = mu_s(p1), mu_s(p2)
-    assert image1 == image2
-    assert not in_heart(p1) and not in_heart(p2)
+    if image1 != image2:
+        raise AssertionError("witness images differ")
+    if in_heart(p1) or in_heart(p2):
+        raise AssertionError("witness point lies in the heart")
     return p1, p2
 
 

@@ -425,10 +425,11 @@ def sp4_slice(t, as_printed: bool = False) -> RationalMatrix:
 
 
 def sp4_flip_action(t, as_printed: bool = False) -> RationalMatrix:
-    """Conjugate x_t by the flip; equals x_{-t} and this is asserted."""
+    """Conjugate x_t by the flip; equals x_{-t}, and this is checked."""
     s = sp4_flip_matrix()
     x = sp4_slice(t, as_printed=as_printed)
     conj = s @ x @ s  # s is an involution
     expected = sp4_slice(-as_scalar(t), as_printed=as_printed)
-    assert conj == expected, "flip action did not negate the slice parameter"
+    if conj != expected:
+        raise AssertionError("flip action did not negate the slice parameter")
     return conj

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,6 +17,7 @@ from sheet_atlas.liealg import (
     so_gram,
     sp_gram,
 )
+from sheet_atlas.liealg import _integer_form
 from sheet_atlas.scalars import RatPoly
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
@@ -330,3 +332,108 @@ def test_constant_polynomial_entries_match_fractions():
         centralizer_dim(sp4_slice(t), sp4_model())
     with pytest.raises(ValueError):
         centralizer_dim(RationalMatrix.diagonal([t, 0, Fraction(1, 2)]), build_model(type_a(3)))
+
+
+# --- the integer bracket, membership and Q[t] char poly against their definitions
+
+
+def _bracket_by_products(a, b):
+    return a @ b - b @ a
+
+
+def _in_algebra_by_products(x, model):
+    if model.form is None:
+        return True
+    gram = model.form.gram
+    return (x.transpose() @ gram + gram @ x).is_zero()
+
+
+def _generic_gram_model():
+    return build_model(type_b(1), ClassicalForm("symmetric", RationalMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])))
+
+
+def _outside_element(rng, n):
+    """A sparse matrix with denominators up to 999, usually outside so/sp."""
+    x = RationalMatrix.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        x = x + RationalMatrix.unit(n, rng.randrange(n), rng.randrange(n), _random_rational(rng))
+    return x
+
+
+def test_integer_bracket_and_membership_against_products():
+    rng = random.Random(61)
+    for model in _small_models() + [_generic_gram_model()]:
+        n = model.matrix_size
+        scalar = RationalMatrix.identity(n).scale(_random_rational(rng) or 1)  # never in so or sp
+        elements = [RationalMatrix.zero(n), scalar, _outside_element(rng, n), _outside_element(rng, n)]
+        for terms in (1, 2, 3, model.dimension):
+            elements += [_random_element(rng, model, min(terms, model.dimension)) for _ in range(2)]
+        elements.append(RationalMatrix([[RatPoly.constant(v) for v in row] for row in elements[-1].rows]))
+        seen_outside = False
+        for x in elements:
+            member = in_algebra(x, model)
+            assert member == _in_algebra_by_products(x, model)
+            seen_outside |= not member
+            y = elements[rng.randrange(len(elements))]
+            got = bracket(x, y)
+            assert got == _bracket_by_products(x, y)
+            assert all(isinstance(v, Fraction) for row in got.rows for v in row)
+        assert seen_outside == (model.form is not None)
+    with pytest.raises(ValueError):
+        in_algebra(RationalMatrix.zero(3), build_model(type_c(2)))
+    with pytest.raises(ValueError):
+        bracket(RationalMatrix.identity(2), RationalMatrix.zero(3))
+
+
+def test_bracket_and_membership_over_qt_use_products():
+    t = RatPoly.variable()
+    model = sp4_model()
+    x = sp4_slice(t)
+    assert bracket(x, sp4_e()) == _bracket_by_products(x, sp4_e())
+    assert bracket(sp4_h(), x) == _bracket_by_products(sp4_h(), x)
+    assert in_algebra(x, model)
+    assert not in_algebra(RationalMatrix.diagonal([t, t, 0, 0]), model)
+
+
+def test_integer_form_is_computed_once_per_matrix():
+    rng = random.Random(67)
+    model = build_model(type_c(3))
+    x = _random_element(rng, model, 4)
+    first = _integer_form(x)
+    d, rows = first
+    assert d == lcm(*(v.denominator for row in x.rows for v in row))
+    assert [[(j, Fraction(v, d)) for j, v in row] for row in rows] == [
+        [(j, v) for j, v in enumerate(row) if v] for row in x.rows
+    ]
+    centralizer_dim(x, model)
+    char_poly(x)
+    bracket(x, model.basis[0])
+    assert in_algebra(x, model)
+    assert _integer_form(x) is first
+    assert _integer_form(sp4_slice(RatPoly.variable())) is None
+
+
+def test_char_poly_over_qt_against_cofactor_expansion():
+    rng = random.Random(71)
+    t = RatPoly.variable()
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return Fraction(0)
+        if r < 0.5:
+            return _random_rational(rng)
+        return RatPoly([_random_rational(rng) for _ in range(rng.randint(1, 4))])
+
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        rows[rng.randrange(n)][rng.randrange(n)] = t * _random_rational(rng) + 1
+        got = char_poly(RationalMatrix(rows))
+        expected = charpoly_by_expansion(rows)
+        expected = [Fraction(0)] * (n + 1 - len(expected)) + expected
+        assert got.dense() == expected
+        assert all(isinstance(c, RatPoly) and c.symbol == "t" for c in got.coeffs)
+    s = RatPoly.variable("s")
+    with pytest.raises(ValueError):
+        char_poly(RationalMatrix([[t, 1], [0, s]]))

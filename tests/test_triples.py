@@ -1,8 +1,10 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sheet_atlas.liealg import bracket, centralizer_dim, char_poly, in_algebra
+from sheet_atlas.liealg import RationalMatrix, _integer_form, bracket, centralizer_dim, char_poly, in_algebra
 from sheet_atlas.partitions import Partition
 from sheet_atlas.sheets import MaxLevi, max_levi_dim, maximal_levi_sheet, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import sp4_dix_image
@@ -174,3 +176,83 @@ def test_gl_n_bound():
 def test_bcd_n_bound():
     with pytest.raises(ValueError):
         build_bcd_triple(type_c(9), MaxLevi(4, 5))
+
+
+# --- faults the construction checks must catch -------------------------------------
+
+
+def _failed_by_products(trip_fields):
+    """Names of the failing checks, in the order of Sl2Triple.checks, each
+    evaluated from its definition with matrix products."""
+    e, h, f, model, flag_dims, hp = trip_fields
+
+    def br(a, b):
+        return a @ b - b @ a
+
+    def member(x):
+        if model.form is None:
+            return True
+        g = model.form.gram
+        return (x.transpose() @ g + g @ x).is_zero()
+
+    def group(i):
+        return next(k for k, bound in enumerate(flag_dims) if i < bound)
+
+    def cells(x):
+        return [(r, c) for r in range(x.dim) for c in range(x.dim) if x.rows[r][c] != 0]
+
+    def levi(x):
+        return all(group(r) == group(c) for r, c in cells(x))
+
+    out = [
+        ("[h,e] = 2e", br(h, e) == e.scale(2)),
+        ("[h,f] = -2f", br(h, f) == f.scale(-2)),
+        ("[e,f] = h", br(e, f) == h),
+        ("e in algebra", member(e)),
+        ("h in algebra", member(h)),
+        ("f in algebra", member(f)),
+        ("e nilradical-valued", all(group(r) < group(c) for r, c in cells(e))),
+        ("h Levi-valued", levi(h)),
+    ]
+    if hp is not None:
+        out += [("h' centralises e", br(hp, e).is_zero()), ("h' in algebra", member(hp)), ("h' Levi-valued", levi(hp))]
+    return [name for name, ok in out if not ok]
+
+
+def _fields(trip, **changes):
+    trip_fields = dict(e=trip.e, h=trip.h, f=trip.f, model=trip.model, flag_dims=trip.flag_dims, h_prime=trip.h_prime)
+    trip_fields.update(changes)
+    return tuple(trip_fields.values())
+
+
+def _plus_unit(x, r, c):
+    return x + RationalMatrix.unit(x.dim, r, c, Fraction(3, 7))
+
+
+def test_triple_checks_catch_faults():
+    for trip in (build_gl_triple(3, 2), build_bcd_triple(type_c(3), MaxLevi(1, 2))):
+        assert not _failed_by_products(_fields(trip))
+        n = trip.e.dim
+        off_block = (0, n - 1)  # first and last flag blocks
+        # gl_n holds every matrix, so the GL triple's e gets an entry on the
+        # diagonal block instead, outside its nilradical
+        e_fault = "e in algebra" if trip.model.form is not None else "e nilradical-valued"
+        faults = [
+            ({"f": trip.f.scale(2)}, "[e,f] = h"),
+            ({"e": _plus_unit(trip.e, 0, 0)}, e_fault),
+            ({"h": _plus_unit(trip.h, *off_block)}, "h Levi-valued"),
+        ]
+        for change, target in faults:
+            failed = _failed_by_products(_fields(trip, **change))
+            assert target in failed
+            with pytest.raises(ValueError, match="failed check %s$" % re.escape(repr(failed[0]))):
+                replace(trip, **change)
+
+
+def test_triple_with_halved_e_and_doubled_f_constructs():
+    for trip in (build_gl_triple(3, 2), build_bcd_triple(type_c(3), MaxLevi(1, 2)), build_bcd_triple(type_b(3), MaxLevi(2, 3))):
+        e_half, f_double = trip.e.scale(Fraction(1, 2)), trip.f.scale(2)
+        scaled = replace(trip, e=e_half, f=f_double)
+        assert not _failed_by_products(_fields(scaled))
+        assert all(ok for _, ok, _ in scaled.checks())
+        assert _integer_form(e_half)[0] == 2
