@@ -1,34 +1,46 @@
 """Exact rational matrix algebra for classical Lie algebras.
 
 Provides brackets, bilinear-form membership, characteristic polynomials,
-and a brute-force centraliser-dimension oracle.  All arithmetic is exact:
-entries are rationals or univariate rational-coefficient polynomials in
-one formal parameter.
+determinants and centraliser dimensions (an exact rank).  All arithmetic
+is exact: entries are rationals or univariate rational-coefficient
+polynomials in one formal parameter.
 
-Matrices whose entries are all rational are worked on integers.  Each
-matrix is cleared of denominators once: the lcm D of its denominators and
-the nonzero entries of the integer matrix D x, row by row, are cached on the
-(immutable) matrix the first time they are needed.  Brackets, form
-membership, the centraliser rank, the characteristic polynomial and the
-determinant all read that cached form and work with Python ints, building
-a Fraction only for each nonzero entry of a result.  Entries in Q[t] take
-the matrix-product route for brackets and membership; their characteristic
-polynomial runs the same trace recursion on integer coefficient lists,
-after clearing every coefficient's denominator once.
+Every one of these operations has one route, on integers, and every
+matrix is cleared of denominators by
+:class:`~sheet_atlas.scalars.ClearedGroups`.  A rational matrix is cleared
+once: the lcm D of its denominators and the nonzero entries of the integer
+matrix D x, row by row, are cached on the (immutable) matrix the first time
+they are needed, and every routine reads that form, building a Fraction
+only for each nonzero entry of a result.  With entries in Q[t] the same
+integer routine runs at t = 0, 1, ..., N for an N that bounds the t-degree
+of its result, and the integer values are interpolated back exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import RatPoly, Scalar, as_fraction, as_scalar, format_scalar, parse_scalar, scalar_is_zero
-from .spectral import GradedPolynomial, _int_convolve
+from .scalars import (
+    ZERO,
+    ClearedGroups,
+    Scalar,
+    as_fraction,
+    as_scalar,
+    format_scalar,
+    fractions_over,
+    parse_scalar,
+    scalar_is_zero,
+)
+from .spectral import GradedPolynomial
 
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+SparseRows = List[List[Tuple[int, int]]]
 
 
 class RationalMatrix:
@@ -62,7 +74,7 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, n: int) -> "RationalMatrix":
-        return cls._trusted([(_ZERO,) * n] * n)
+        return cls._trusted([(ZERO,) * n] * n)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -71,14 +83,14 @@ class RationalMatrix:
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RationalMatrix":
         n = len(entries)
-        rows = [[_ZERO] * n for _ in range(n)]
+        rows = [[ZERO] * n for _ in range(n)]
         for i, v in enumerate(entries):
             rows[i][i] = as_scalar(v)
         return cls._trusted(rows)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
-        rows = [[_ZERO] * n for _ in range(n)]
+        rows = [[ZERO] * n for _ in range(n)]
         rows[i][j] = as_scalar(value)
         return cls._trusted(rows)
 
@@ -100,8 +112,7 @@ class RationalMatrix:
         # sparse-aware: Lie algebra elements here are mostly zeros
         self._same_dim(other)
         n = self.dim
-        zero = Fraction(0)
-        out = [[zero] * n for _ in range(n)]
+        out = [[ZERO] * n for _ in range(n)]
         for i, row in enumerate(self.rows):
             orow = out[i]
             for k, a in enumerate(row):
@@ -115,13 +126,13 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = as_scalar(c)
-        return RationalMatrix._trusted([[c * v if v else _ZERO for v in r] for r in self.rows])
+        return RationalMatrix._trusted([[c * v if v else ZERO for v in r] for r in self.rows])
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._trusted(list(zip(*self.rows)))
 
     def trace(self) -> Scalar:
-        return sum((self.rows[i][i] for i in range(self.dim)), start=Fraction(0))
+        return sum((self.rows[i][i] for i in range(self.dim)), start=ZERO)
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(v) for r in self.rows for v in r)
@@ -140,7 +151,7 @@ class RationalMatrix:
         return "RationalMatrix(%r)" % (self.rows,)
 
     def __str__(self):
-        cells = [[str(v) if isinstance(v, Fraction) else str(v) for v in r] for r in self.rows]
+        cells = [[str(v) for v in r] for r in self.rows]
         width = max((len(c) for r in cells for c in r), default=1)
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in r) + " ]" for r in cells)
 
@@ -155,27 +166,31 @@ class RationalMatrix:
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Commutator ab - ba, exactly.
 
-    When every entry of both operands is rational, the commutator of the
-    cached integer forms A = Da a and B = Db b is taken on their nonzero
-    entries, and [a, b] = (AB - BA) / (Da Db).  Entries in Q[t] use the
-    matrix products.
+    The commutator of the integer forms A = Da a and B = Db b is taken on
+    their nonzero entries, and [a, b] = (AB - BA) / (Da Db).  Entries in
+    Q[t] take the same commutator at m_a + m_b + 1 values of t.
     """
     a._same_dim(b)
-    fa, fb = _integer_form(a), _integer_form(b)
-    if fa is None or fb is None:
-        return a @ b - b @ a
-    (da, ra), (db, rb) = fa, fb
-    out = []
+    # an entry of [a, b] sums products of an entry of a and one of b, so
+    # its t-degree is at most m_a + m_b
+    entries = _on_integers((a, b), lambda ma, mb: ma + mb, _commutator, lambda da, db: repeat(da * db))
+    n = a.dim
+    return RationalMatrix._trusted([entries[i * n : i * n + n] for i in range(n)])
+
+
+def _commutator(ra: SparseRows, rb: SparseRows) -> List[int]:
+    """AB - BA of sparse integer rows, as a flat row-major list."""
+    out: List[int] = []
     for ra_i, rb_i in zip(ra, rb):
-        oi = [0] * a.dim
+        oi = [0] * len(ra)
         for k, v in ra_i:
             for j, w in rb[k]:
                 oi[j] += v * w
         for k, v in rb_i:
             for j, w in ra[k]:
                 oi[j] -= v * w
-        out.append(oi)
-    return RationalMatrix._trusted(_from_integers(out, da * db))
+        out += oi
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,7 +291,7 @@ def _model(kind, form: Optional[ClassicalForm], n: int, terms: List[List[Term]])
 
 
 def _from_terms(n: int, terms: List[Term]) -> RationalMatrix:
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for r, c, k in terms:
         rows[r][c] = k
     return RationalMatrix._trusted(rows)
@@ -337,7 +352,7 @@ def _form_stabiliser_basis_generic(gram: RationalMatrix) -> List[List[Term]]:
     for i in range(n):
         for j in range(n):
             # (x^T G)[i][j] = sum_k x[k][i] G[k][j]; (G x)[i][j] = sum_k G[i][k] x[k][j]
-            row = [_ZERO] * (n * n)
+            row = [ZERO] * (n * n)
             for k in range(n):
                 row[k * n + i] += as_fraction(gram.rows[k][j])
                 row[k * n + j] += as_fraction(gram.rows[i][k])
@@ -350,19 +365,23 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
     """Membership test: x^T G + G x = 0 (always true in type A).
 
     Exact, and valid for polynomial entries, so symbolic slice parameters
-    can be checked without substitution.
+    can be checked without substitution.  The test is X^T G' + G' X = 0 on
+    the integer forms of x and of the Gram matrix, a positive multiple of
+    x^T G + G x.
     """
     if x.dim != model.matrix_size:
         raise ValueError("dimension mismatch: %d vs model on %d letters" % (x.dim, model.matrix_size))
     if model.form is None:
         return True
-    gram = model.form.gram
-    fx, fg = _integer_form(x), _integer_form(gram)
-    if fx is None or fg is None:
-        return (x.transpose() @ gram + gram @ x).is_zero()
-    # X^T G + G X on the integer forms: a positive multiple of x^T G + G x
-    rx, rg = fx[1], fg[1]
-    out = [[0] * x.dim for _ in range(x.dim)]
+    # a ClassicalForm's Gram matrix is rational (its determinant is
+    # checked), so each entry of the defect has t-degree at most m
+    rg = _integer_form(model.form.gram)[1]
+    return not any(_on_integers((x,), lambda m: m, lambda rx: _form_defect(rx, rg), lambda d: repeat(1)))
+
+
+def _form_defect(rx: SparseRows, rg: SparseRows) -> List[int]:
+    """X^T G + G X of sparse integer rows, as a flat row-major list."""
+    out = [[0] * len(rx) for _ in rx]
     for rx_k, rg_k in zip(rx, rg):
         for i, v in rx_k:
             oi = out[i]
@@ -372,10 +391,7 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
         for k, g in rg_i:
             for j, v in rx[k]:
                 oi[j] += g * v
-    return not any(any(row) for row in out)
-
-
-SparseRows = List[List[Tuple[int, int]]]
+    return list(chain.from_iterable(out))
 
 
 def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, SparseRows]]:
@@ -386,31 +402,42 @@ def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, SparseRows]]:
         return x._cleared
     except AttributeError:
         pass
-    fracs = []
-    for row in x.rows:
-        out = []
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            if not isinstance(v, Fraction):
-                if not v.is_constant():
-                    object.__setattr__(x, "_cleared", None)
-                    return None
-                v = v.constant_value()
-            out.append((j, v))
-        fracs.append(out)
-    d = lcm(*(v.denominator for row in fracs for _, v in row))
-    rows = [[(j, v.numerator * (d // v.denominator)) for j, v in row] for row in fracs]
-    cleared = (d, rows)
-    object.__setattr__(x, "_cleared", cleared)
-    return cleared
+    cleared, nz = _cleared((x,))
+    form = None if cleared.degrees[0] else (cleared.dens[0], _rows(nz[0], cleared.at(0)[0]))
+    object.__setattr__(x, "_cleared", form)
+    return form
 
 
-def _from_integers(rows: List[List[int]], d: int) -> List[List[Fraction]]:
-    """The matrix rows / d, with a Fraction only for each nonzero entry."""
-    if d == 1:
-        return [[Fraction(v) if v else _ZERO for v in row] for row in rows]
-    return [[Fraction(v, d) if v else _ZERO for v in row] for row in rows]
+def _cleared(mats: Sequence[RationalMatrix]):
+    """The nonzero entries (j, v) of each row of each matrix, and a
+    ClearedGroups with those of each matrix, in order, as one group."""
+    nz = [[[(j, v) for j, v in enumerate(row) if v] for row in x.rows] for x in mats]
+    return ClearedGroups([[v for row in rows for _, v in row] for rows in nz]), nz
+
+
+def _rows(nz: List[List[Tuple[int, Scalar]]], values: Sequence[int]) -> SparseRows:
+    """The rows nz with their entries replaced, in order, by values."""
+    it = iter(values)
+    return [[(j, next(it)) for j, _ in row] for row in nz]
+
+
+def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel, dens) -> List[Scalar]:
+    """Run an integer kernel on the cleared forms of matrices.
+
+    The kernel gets the sparse integer rows of every matrix and returns a
+    flat list of ints; output i is returned over the i-th entry of
+    ``dens(*the matrices' denominators)``.  Rational matrices take one pass
+    on their cached rows.  Otherwise the kernel runs at t = 0, ...,
+    degree_bound(*their t-degrees), which must bound the t-degree of every
+    output, and each output is interpolated to a polynomial in t.
+    """
+    forms = [_integer_form(x) for x in mats]
+    if None not in forms:
+        ds, rows = zip(*forms)
+        return fractions_over(kernel(*rows), dens(*ds))
+    cleared, nz = _cleared(mats)
+    points = degree_bound(*cleared.degrees) + 1
+    return cleared.solve(points, lambda *values: kernel(*map(_rows, nz, values)), dens(*cleared.dens))
 
 
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
@@ -452,21 +479,24 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
 def char_poly(x: RationalMatrix) -> GradedPolynomial:
     """Monic characteristic polynomial det(λ - x), exactly.
 
-    Uses the trace recursion (Faddeev-LeVerrier), which only ever divides
-    by integers and therefore stays inside the coefficient ring.  When every
-    entry is rational the recursion runs on the integer matrix X = D x (D
-    the lcm of the denominators), where each division by k is exact, and
-    the coefficients of X give those of x as a_k = c_k / D^k.  Entries in
-    Q[t] run the same recursion on integer coefficient lists (see
-    :func:`_char_poly_qt`).
+    Uses the trace recursion (Faddeev-LeVerrier) on the integer matrix
+    X = D x (D the lcm of the denominators), where each division by k is
+    exact, and the coefficients c_k of X give those of x as a_k = c_k / D^k.
+    With entries in Q[t] of t-degree at most m, c_k is a sum of products of
+    k entries of X and so has t-degree at most k m: the recursion runs at
+    n m + 1 values of t, and every a_k is returned as a polynomial in t.
     """
-    cleared = _integer_form(x)
-    if cleared is None:
-        return _char_poly_qt(x)
-    d, nz = cleared
     n = x.dim
+    # the denominators of a_1, ..., a_n are D, D^2, ..., D^n
+    coeffs = _on_integers((x,), lambda m: n * m, _char_poly_ints, lambda d: accumulate(repeat(d, n), mul))
+    return GradedPolynomial._trusted(coeffs)
+
+
+def _char_poly_ints(nz: SparseRows) -> List[int]:
+    """Coefficients c_1, ..., c_n of det(λ - X) for sparse integer rows X."""
+    n = len(nz)
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs: List[Fraction] = []
+    coeffs: List[int] = []
     for k in range(1, n + 1):
         prod = []
         for row in nz:
@@ -475,61 +505,11 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
                 out = [o + v * w for o, w in zip(out, m[j])]
             prod.append(out)
         ck = -sum(prod[i][i] for i in range(n)) // k
-        coeffs.append(Fraction(ck, d**k))
+        coeffs.append(ck)
         for i in range(n):
             prod[i][i] += ck
         m = prod
-    return GradedPolynomial._trusted(coeffs)
-
-
-def _char_poly_qt(x: RationalMatrix) -> GradedPolynomial:
-    """The trace recursion for entries in Q[t], on integer polynomials.
-
-    Every coefficient's denominator is cleared once (D the lcm of them all),
-    so X = D x has entries in Z[t], held as ascending int lists ([] for 0).
-    The recursion on X divides exactly by k, and a_k = c_k / D^k is returned
-    as a RatPoly.  Entries in two different symbols raise ValueError.
-    """
-    symbols = {v.symbol for row in x.rows for v in row if isinstance(v, RatPoly) and not v.is_constant()}
-    if len(symbols) > 1:
-        raise ValueError("matrix entries in more than one polynomial symbol: %s" % ", ".join(sorted(symbols)))
-    (symbol,) = symbols
-    polys = [[v.coeffs if isinstance(v, RatPoly) else (v,) if v else () for v in row] for row in x.rows]
-    d = lcm(*(c.denominator for row in polys for p in row for c in p))
-    nz = [[(j, [c.numerator * (d // c.denominator) for c in p]) for j, p in enumerate(row) if p] for row in polys]
-    n = x.dim
-    m = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
-    coeffs: List[Scalar] = []
-    for k in range(1, n + 1):
-        prod = []
-        for row in nz:
-            out = [[]] * n
-            for j, p in row:
-                out = [_int_add(o, _int_convolve(p, q)) if q else o for o, q in zip(out, m[j])]
-            prod.append(out)
-        trace: List[int] = []
-        for i in range(n):
-            trace = _int_add(trace, prod[i][i])
-        ck = [-v // k for v in trace]
-        dk = d**k
-        coeffs.append(RatPoly([Fraction(v, dk) for v in ck], symbol))
-        if ck:
-            for i in range(n):
-                prod[i][i] = _int_add(prod[i][i], ck)
-        m = prod
-    return GradedPolynomial._trusted(coeffs)
-
-
-def _int_add(p: List[int], q: List[int]) -> List[int]:
-    """Sum of ascending integer coefficient lists, trailing zeros trimmed."""
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, v in enumerate(q):
-        out[i] += v
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +528,10 @@ def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     for row in rows:
         if not any(row):
             continue
-        denom = lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (denom // v.denominator) for v in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        mat.append(ints)
+        if set(map(type, row)) != {int}:
+            row = ClearedGroups([row]).at(0)[0]
+        g = gcd(*row)
+        mat.append([v // g for v in row] if g > 1 else list(row))
     if not mat:
         return 0
     ncols = len(mat[0])

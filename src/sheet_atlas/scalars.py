@@ -3,11 +3,21 @@
 Every coefficient in sheet-atlas is either a ``fractions.Fraction`` or a
 ``RatPoly`` (a univariate polynomial over the rationals in one formal
 parameter, by convention ``t``).  No floating point appears anywhere.
+
+The library computes on cleared-denominator integers.  Every input is
+cleared of denominators once by :class:`ClearedGroups`; for inputs in Q[t]
+the integer routine runs at t = 0, 1, ..., N, and :func:`interpolate`
+brings its integer values back to Z[t] exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import zip_longest
+from math import factorial, lcm
+from typing import Callable, Iterable, List, Optional, Sequence, Union
+
+# One shared zero: matrices whose zeros are all this object compare by identity.
+ZERO = Fraction(0)
 
 
 class RatPoly:
@@ -124,36 +134,19 @@ class RatPoly:
         return out
 
     def divmod(self, other: "RatPoly"):
-        """Exact Euclidean division over Q[t]."""
+        """Exact Euclidean division over Q[t], by the monic division of
+        :func:`poly_divmod_monic` with other / (its leading coefficient)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         sym = self._sym(other)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly([], sym), self
-        quo = [Fraction(0)] * (dq + 1)
         lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + k:
-                continue
-            c = rem[len(other.coeffs) + k - 1] / lead
-            quo[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[i + k] -= c * b
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return RatPoly(quo, sym), RatPoly(rem, sym)
+        quo, rem = poly_divmod_monic(self.coeffs[::-1], [c / lead for c in reversed(other.coeffs)])
+        return RatPoly([c / lead for c in reversed(quo)], sym), RatPoly(rem[::-1], sym)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic gcd over Q[t]."""
-        a, b = self, _to_ratpoly(other, self.symbol)
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a / a.leading()
+        """Monic gcd over Q[t], by :func:`poly_gcd`."""
+        other = _to_ratpoly(other, self.symbol)
+        return RatPoly(poly_gcd(self.coeffs[::-1], other.coeffs[::-1])[::-1], self._sym(other))
 
     def derivative(self) -> "RatPoly":
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.symbol)
@@ -254,3 +247,167 @@ def parse_scalar(obj, symbol: str = "t") -> Scalar:
     if isinstance(obj, list):
         return RatPoly([Fraction(c) for c in obj], symbol)
     raise ValueError("cannot parse scalar from %r" % (obj,))
+
+
+# ---------------------------------------------------------------------------
+# Q[t] over the integer kernel: specialisation and exact interpolation.
+
+
+def poly_symbol(scalars: Iterable[Scalar]) -> Optional[str]:
+    """The symbol of the non-constant polynomials among ``scalars``, or None
+    when there are none.  Two different symbols raise ValueError."""
+    symbols = {x.symbol for x in scalars if isinstance(x, RatPoly) and len(x.coeffs) > 1}
+    if len(symbols) > 1:
+        raise ValueError("scalars in more than one polynomial symbol: %s" % ", ".join(sorted(symbols)))
+    return next(iter(symbols), None)
+
+
+class ClearedGroups:
+    """Groups of scalars in Q[t] (ints and Fractions being constants), each
+    cleared of denominators once.
+
+    Group g times the lcm ``dens[g]`` of the denominators of all its
+    t-coefficients is a list of integer polynomials of t-degree at most
+    ``degrees[g]``; ``symbol`` is the one symbol in use, or None.
+    """
+
+    __slots__ = ("symbol", "dens", "degrees", "_columns")
+
+    def __init__(self, groups: Sequence[Sequence[Scalar]]):
+        self.dens: List[int] = []
+        self.degrees: List[int] = []
+        # per group, the integer vectors of its t^0, t^1, ... coefficients
+        self._columns: List[List[List[int]]] = []
+        for group in groups:
+            coeffs = [x.coeffs if type(x) is RatPoly else (x,) for x in group]
+            d = lcm(*[c.denominator for cs in coeffs for c in cs])
+            columns = [[c.numerator * (d // c.denominator) for c in col] for col in zip_longest(*coeffs, fillvalue=ZERO)]
+            self.dens.append(d)
+            self.degrees.append(max(len(columns) - 1, 0))
+            self._columns.append(columns or [[0] * len(group)])
+        # with every degree 0 there is no symbol, and no two of them
+        self.symbol = poly_symbol(x for group in groups for x in group) if any(self.degrees) else None
+
+    def at(self, t0: int) -> List[List[int]]:
+        """The integer values of every group at t = t0 (a group of degree 0
+        gives its shared column, not to be mutated)."""
+        out = []
+        for columns in self._columns:
+            group = columns[-1]
+            for column in columns[-2::-1]:
+                group = [v * t0 + c for v, c in zip(group, column)]
+            out.append(group)
+        return out
+
+    def solve(self, points: int, kernel: Callable[..., Sequence[int]], dens: Iterable[int]) -> List[Scalar]:
+        """Run ``kernel`` on the groups' values at t = 0, ..., points - 1 and
+        return output i, interpolated exactly, over dens[i].
+
+        ``points`` must exceed the t-degree of every output as an integer
+        polynomial in the cleared scalars.  One point gives Fractions, more
+        give polynomials in ``symbol``.
+        """
+        values = [kernel(*self.at(t0)) for t0 in range(points)]
+        if points == 1:
+            return fractions_over(values[0], dens)
+        return [RatPoly([Fraction(c, d) for c in p], self.symbol) for p, d in zip(interpolate(values), dens)]
+
+
+def fractions_over(values: Iterable[int], dens: Iterable[int]) -> List[Fraction]:
+    """values[i] / dens[i], with the shared ZERO for each zero."""
+    return [ZERO if not v else Fraction(v) if d == 1 else Fraction(v, d) for v, d in zip(values, dens)]
+
+
+def interpolate(values: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The integer polynomials f_i with f_i(t0) = values[t0][i] for t0 = 0,
+    ..., N, as ascending coefficient lists (empty for zero).
+
+    Each f_i must lie in Z[t] with degree at most N.  The forward difference
+    Δ^k f(0) is k! times the coefficient of f on the falling factorial
+    t(t-1)...(t-k+1), an integer, so dividing it by k! is exact; the
+    falling-factorial (Newton) form is then expanded on integers.
+    """
+    out = []
+    for column in zip(*values):
+        diff = list(column)
+        for k in range(1, len(diff)):
+            diff[k:] = [b - a for a, b in zip(diff[k - 1 :], diff[k:])]
+        poly: List[int] = []
+        for k in range(len(diff) - 1, -1, -1):
+            # poly * (t - k) + Δ^k f(0) / k!
+            poly = [a - k * b for a, b in zip([0, *poly], [*poly, 0])]
+            c, r = divmod(diff[k], factorial(k))
+            if r:
+                raise AssertionError("values are not those of an integer polynomial of degree < %d" % len(diff))
+            poly[0] += c
+        while poly and not poly[-1]:
+            poly.pop()
+        out.append(poly)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Dense polynomials in a main variable (λ), over the exact scalars: lists of
+# descending-power coefficients with a nonzero leading entry (the zero
+# polynomial is the empty list).
+
+
+def poly_trim(p: List[Scalar]) -> List[Scalar]:
+    k = 0
+    while k < len(p) and scalar_is_zero(p[k]):
+        k += 1
+    return p[k:]
+
+
+def poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
+    """Quotient and trimmed remainder of dense p by a monic q, by synthetic
+    division on integers.
+
+    With e the lcm of q's denominators, λ = μ/e makes q monic with integer
+    weight-k coefficients e^k q_k.  The dividend, substituted alike and
+    cleared by the lcm D of its denominators, is divided on integers, and
+    the weight-j coefficient of the result (counted from p's leading term)
+    is the integer one over D e^j.
+    """
+    if not q or q[0] != 1:
+        raise ValueError("divisor must be monic")
+    nquo = len(p) - len(q)
+    if nquo < 0:
+        return [], list(p)
+    cleared = ClearedGroups((p, q))
+    d, e = cleared.dens
+    powers = [e**j for j in range(len(p))]
+
+    def divide(ip, iq):
+        # ip[j] * e^j is the substituted dividend; iq[k] * e^(k-1) the
+        # divisor's weight-k coefficient (iq[0] = e is the cleared leading 1)
+        ip = [v * w for v, w in zip(ip, powers)]
+        iq = [v * w for v, w in zip(iq[1:], powers)]
+        for k in range(nquo + 1):
+            c = ip[k]
+            if c:
+                for i, v in enumerate(iq, start=k + 1):
+                    ip[i] -= c * v
+        return ip
+
+    # with dp and dq the largest t-degrees in p and q, quotient coefficient
+    # k has t-degree at most dp + k dq (each step subtracts a previous one
+    # times a coefficient of q), and the remainder at most dp + (nquo + 1) dq
+    dp, dq = cleared.degrees
+    out = cleared.solve(dp + (nquo + 1) * dq + 1, divide, [d * w for w in powers])
+    return out[: nquo + 1], poly_trim(out[nquo + 1 :])
+
+
+def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:
+    """Monic gcd of dense polynomials with rational coefficients, by Euclid.
+
+    Coefficients are Fractions or constant polynomials; a non-constant
+    coefficient raises ValueError.  Each divisor is made monic so the
+    remainder comes from :func:`poly_divmod_monic`.
+    """
+    a = poly_trim([as_fraction(c) for c in p])
+    b = poly_trim([as_fraction(c) for c in q])
+    while b:
+        b = [c / b[0] for c in b]
+        a, b = b, poly_divmod_monic(a, b)[1]
+    return [c / a[0] for c in a] if a else []

@@ -5,9 +5,11 @@ polynomials of twisted Higgs fields; tuples of them, shaped by a sheet's
 multiplicity profile, are the points of the reduced base.  The composition
 map multiplies the i-th factor in with multiplicity i.
 
-Coefficients are rationals or polynomials in one parameter t.  Arithmetic
-(products, monic division) works over either, but gcds are taken over Q
-only: squarefreeness over Q(t), the heart test, is decided by
+Coefficients are rationals or polynomials in one parameter t.  Products
+and monic division have one route each, on cleared-denominator integers;
+coefficients in Q[t] take it at enough integer values of t to interpolate
+the answer exactly (:class:`~sheet_atlas.scalars.ClearedGroups`).  Gcds are
+taken over Q only: squarefreeness over Q(t), the heart test, is decided by
 specialising t at enough integers that the discriminant cannot vanish at
 all of them (see :meth:`GradedPolynomial.is_squarefree`).
 """
@@ -15,11 +17,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import prod
 from typing import List, Sequence, Tuple
 
 from .partitions import MultiplicityProfile, Partition, profile
-from .scalars import RatPoly, Scalar, as_fraction, as_scalar, scalar_is_zero
+from .scalars import (
+    ClearedGroups,
+    RatPoly,
+    Scalar,
+    as_scalar,
+    format_scalar,
+    parse_scalar,
+    poly_divmod_monic,
+    poly_gcd,
+    poly_symbol,
+    poly_trim,
+    scalar_is_zero,
+)
 
 LAMBDA = "λ"
 
@@ -67,10 +82,7 @@ class GradedPolynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence) -> "GradedPolynomial":
-        out = cls.one()
-        for r in roots:
-            out = out * cls((-as_scalar(r),))
-        return out
+        return _product([(cls._trusted((-as_scalar(r),)), 1) for r in roots])
 
     @classmethod
     def from_dense(cls, dense: Sequence) -> "GradedPolynomial":
@@ -85,20 +97,12 @@ class GradedPolynomial:
         return [Fraction(1), *self.coeffs]
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return GradedPolynomial._trusted(_poly_mul(self.dense(), other.dense())[1:])
+        return _product([(self, 1), (other, 1)])
 
     def __pow__(self, k: int) -> "GradedPolynomial":
         if k < 0:
             raise ValueError("negative power")
-        out = GradedPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _product([(self, k)])
 
     def divmod(self, other: "GradedPolynomial"):
         """Division by another monic polynomial; exact in the coefficient ring.
@@ -108,14 +112,11 @@ class GradedPolynomial:
         """
         if other.degree > self.degree:
             raise ValueError("divisor degree exceeds dividend degree")
-        quo, rem = _poly_divmod_monic(self.dense(), other.dense())
+        quo, rem = poly_divmod_monic(self.dense(), other.dense())
         return GradedPolynomial._trusted(quo[1:]), rem
 
     def divides(self, other: "GradedPolynomial") -> bool:
-        if self.degree > other.degree:
-            return False
-        _, rem = other.divmod(self)
-        return all(scalar_is_zero(c) for c in rem)
+        return self.degree <= other.degree and not other.divmod(self)[1]
 
     def is_squarefree(self) -> bool:
         """True iff the polynomial has no repeated root over Q(t).
@@ -128,12 +129,8 @@ class GradedPolynomial:
         Rational coefficients give w = 0 and a single step.  Coefficients
         in two different symbols raise ValueError.
         """
-        symbolic = [
-            (k, c) for k, c in enumerate(self.coeffs, start=1) if isinstance(c, RatPoly) and not c.is_constant()
-        ]
-        if len({c.symbol for _, c in symbolic}) > 1:
-            raise ValueError("coefficients in more than one polynomial symbol")
-        w = max((-(-c.degree() // k) for k, c in symbolic), default=0)
+        poly_symbol(self.coeffs)  # ValueError for two symbols
+        w = max([0, *(-(-c.degree() // k) for k, c in enumerate(self.coeffs, start=1) if isinstance(c, RatPoly))])
         d = self.degree
         for t0 in range(d * (d - 1) * w + 1):
             p = [Fraction(1), *(c(t0) if isinstance(c, RatPoly) else c for c in self.coeffs)]
@@ -169,14 +166,10 @@ class GradedPolynomial:
         return out
 
     def to_json(self):
-        from .scalars import format_scalar
-
         return {"degree": self.degree, "coeffs": [format_scalar(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj) -> "GradedPolynomial":
-        from .scalars import parse_scalar
-
         coeffs = [parse_scalar(c) for c in obj["coeffs"]]
         if len(coeffs) != obj["degree"]:
             raise ValueError("degree/coefficient mismatch in %r" % (obj,))
@@ -220,24 +213,28 @@ def min_poly(point: SheetBasePoint) -> GradedPolynomial:
 
 
 def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial:
-    """Product of xi**e over (xi, e) pairs.
+    """Product of xi**e over (xi, e) pairs, on integers.
 
-    With rational coefficients every factor is cleared of denominators once
-    and the product is an integer convolution, so Fractions are built only
-    for the result.
+    Each factor is cleared of denominators once (D_i) and the integer
+    factors are convolved; the result is over prod D_i^e.  A coefficient of
+    xi^e sums products of e coefficients of xi, so with m_i the largest
+    t-degree in xi the product's coefficients have t-degree at most
+    sum e m_i, and that many values of t plus one determine them (one for
+    rational factors).
     """
-    forms = [_int_form(xi.dense()) for xi, _ in powers]
-    if any(f is None for f in forms):
-        out = GradedPolynomial.one()
-        for xi, e in powers:
-            out = out * xi**e
-        return out
-    acc, den = [1], 1
-    for (ip, d), (_, e) in zip(forms, powers):
-        for _ in range(e):
-            acc = _int_convolve(acc, ip)
-            den *= d
-    return GradedPolynomial._trusted(_from_int_form(acc[1:], den))
+    exponents = [e for _, e in powers]
+    cleared = ClearedGroups([xi.dense() for xi, _ in powers])
+
+    def convolve(*factors):
+        acc = [1]
+        for ip, e in zip(factors, exponents):
+            for _ in range(e):
+                acc = _int_convolve(acc, ip)
+        return acc[1:]
+
+    points = sum(e * m for e, m in zip(exponents, cleared.degrees)) + 1
+    den = prod(d**e for d, e in zip(cleared.dens, exponents))
+    return GradedPolynomial._trusted(cleared.solve(points, convolve, repeat(den)))
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -274,32 +271,7 @@ def sp4_dix_image(b) -> GradedPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over the exact scalar domain.
-#
-# Dense lists are descending-power coefficient sequences with a nonzero
-# leading entry (the zero polynomial is the empty list).
-
-
-def _poly_trim(p: List[Scalar]) -> List[Scalar]:
-    k = 0
-    while k < len(p) and scalar_is_zero(p[k]):
-        k += 1
-    return p[k:]
-
-
-def _int_form(p: List[Scalar]):
-    """(integer coefficients, D) with p = ints / D and D the lcm of the
-    denominators, or None when a coefficient is not a Fraction."""
-    if not all(type(c) is Fraction for c in p):
-        return None
-    d = lcm(*(c.denominator for c in p))
-    return [c.numerator * (d // c.denominator) for c in p], d
-
-
-def _from_int_form(ip: List[int], d: int) -> List[Fraction]:
-    if d == 1:
-        return [Fraction(v) for v in ip]
-    return [Fraction(v, d) for v in ip]
+# Dense polynomial helpers (descending coefficient lists, as in scalars).
 
 
 def _int_convolve(ip: List[int], iq: List[int]) -> List[int]:
@@ -311,68 +283,6 @@ def _int_convolve(ip: List[int], iq: List[int]) -> List[int]:
     return out
 
 
-def _poly_mul(p: List[Scalar], q: List[Scalar]) -> List[Scalar]:
-    if not p or not q:
-        return []
-    fp, fq = _int_form(p), _int_form(q)
-    if fp is not None and fq is not None:
-        # exact integer convolution after clearing denominators
-        return _from_int_form(_int_convolve(fp[0], fq[0]), fp[1] * fq[1])
-    zero = Fraction(0)
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
 def _poly_derivative(p: List[Scalar]) -> List[Scalar]:
     d = len(p) - 1
-    return _poly_trim([c * (d - i) for i, c in enumerate(p[:-1])])
-
-
-def _poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
-    """Divide by a monic q via synthetic division (exact in any ring)."""
-    if not q or q[0] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(p)
-    dq = len(rem) - len(q)
-    if dq < 0:
-        return [], rem
-    fp, fq = _int_form(rem), _int_form(q)
-    if fp is not None and fq is not None and fq[1] == 1:
-        # an integer monic divisor keeps p's common denominator exact
-        ip, d = fp
-        iq = fq[0]
-        for k in range(dq + 1):
-            c = ip[k]
-            if c:
-                for i in range(1, len(iq)):
-                    ip[k + i] -= c * iq[i]
-        return _from_int_form(ip[: dq + 1], d), _poly_trim(_from_int_form(ip[dq + 1 :], d))
-    quo = []
-    for k in range(dq + 1):
-        c = rem[k]
-        quo.append(c)
-        if not scalar_is_zero(c):
-            for i in range(1, len(q)):
-                rem[k + i] = rem[k + i] - c * q[i]
-    return quo, _poly_trim(rem[dq + 1 :])
-
-
-def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:
-    """Monic gcd of dense polynomials with rational coefficients, by Euclid.
-
-    Coefficients are Fractions or constant polynomials; a non-constant
-    coefficient raises ValueError.  Each divisor is made monic so the
-    remainder comes from the synthetic division of :func:`_poly_divmod_monic`.
-    """
-    a = _poly_trim([as_fraction(c) for c in p])
-    b = _poly_trim([as_fraction(c) for c in q])
-    while b:
-        b = [c / b[0] for c in b]
-        a, b = b, _poly_divmod_monic(a, b)[1]
-    return [c / a[0] for c in a] if a else []
+    return poly_trim([c * (d - i) for i, c in enumerate(p[:-1])])

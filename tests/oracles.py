@@ -4,7 +4,9 @@ These deliberately take different computational routes from the library:
 partition counts by Euler's pentagonal recurrence, diagram transposition by
 cells, determinant by cofactor expansion over dense polynomial entries,
 rank by plain rational elimination, polynomial gcd by leading-coefficient
-Euclid, and tuple recovery by squarefree (Yun) decomposition.
+Euclid, and tuple recovery by squarefree (Yun) decomposition.  It also
+holds :func:`falling_factorial`, a test input shared by the modules that
+check the degree bounds of the specialisation layer.
 """
 from __future__ import annotations
 
@@ -12,13 +14,8 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from sheet_atlas.partitions import MultiplicityProfile, Partition
-from sheet_atlas.spectral import (
-    GradedPolynomial,
-    SheetBasePoint,
-    _poly_derivative,
-    _poly_divmod_monic,
-    _poly_trim,
-)
+from sheet_atlas.scalars import poly_divmod_monic, poly_trim
+from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint, _poly_derivative
 
 
 def partition_count(n: int) -> int:
@@ -137,14 +134,23 @@ def rank_by_rational_elimination(rows: List[List[Fraction]]) -> int:
 def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
     """Monic gcd of dense rational polynomials; each remainder step divides
     by the divisor's leading coefficient instead of normalising it."""
-    a, b = _poly_trim(list(p)), _poly_trim(list(q))
+    a, b = poly_trim(list(p)), poly_trim(list(q))
     while b:
         rem = a
         while len(rem) >= len(b):
             c = rem[0] / b[0]
-            rem = _poly_trim([x - c * y for x, y in zip(rem, b)] + rem[len(b) :])
+            rem = poly_trim([x - c * y for x, y in zip(rem, b)] + rem[len(b) :])
         a, b = b, rem
     return [c / a[0] for c in a] if a else []
+
+
+def falling_factorial(t, start: int, count: int):
+    """(t - start)(t - start - 1)...(t - start - count + 1): zero at `count`
+    consecutive integers, nonzero at the next one."""
+    out = t**0
+    for i in range(start, start + count):
+        out = out * (t - i)
+    return out
 
 
 def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBasePoint:
@@ -158,9 +164,9 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
     u = gcd_by_euclid(f, fp)
     if not u:
         raise ValueError("zero polynomial")
-    v, rem = _poly_divmod_monic(f, u)
+    v, rem = poly_divmod_monic(f, u)
     assert not rem
-    w, rem = _poly_divmod_monic(fp, u)
+    w, rem = poly_divmod_monic(fp, u)
     assert not rem
     factors: List[GradedPolynomial] = []
     guard = 0
@@ -171,9 +177,9 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
         diff = _sub(w, _poly_derivative(v))
         a = gcd_by_euclid(v, diff) or [Fraction(1)]
         factors.append(GradedPolynomial.from_dense(a))
-        v, rem = _poly_divmod_monic(v, a)
+        v, rem = poly_divmod_monic(v, a)
         assert not rem
-        w, rem = _poly_divmod_monic(diff, a)
+        w, rem = poly_divmod_monic(diff, a)
         assert not rem
     while len(factors) < prof.s:
         factors.append(GradedPolynomial.one())
@@ -184,4 +190,4 @@ def _sub(a, b):
     size = max(len(a), len(b))
     a = [Fraction(0)] * (size - len(a)) + list(a)
     b = [Fraction(0)] * (size - len(b)) + list(b)
-    return _poly_trim([x - y for x, y in zip(a, b)])
+    return poly_trim([x - y for x, y in zip(a, b)])

@@ -217,3 +217,22 @@ def test_fixtures_validate_against_documented_schema():
         payload = json.loads((data_dir() / name).read_text())
         for row in payload["rows"]:
             validator.validate(row)
+
+
+def test_sp4_slice_transcripts_are_golden(monkeypatch):
+    """Exact exit code, stdout and stderr of every sp4-slice verification
+    (with and without --as-printed and --matrices, table and JSON), as
+    recorded in tests/golden; the char poly lines print Q[t] coefficients."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from sheet_atlas import cli
+
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    golden = json.loads((Path(__file__).parent / "golden" / "sp4_slice_transcripts.json").read_text(encoding="utf-8"))
+    assert len(golden) == 8
+    for case in golden:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(case["argv"]))
+        assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]

@@ -23,7 +23,7 @@ from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_la
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
 
-from oracles import charpoly_by_expansion, rank_by_rational_elimination
+from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination
 
 
 def test_bracket_sp4_triple():
@@ -437,3 +437,73 @@ def test_char_poly_over_qt_against_cofactor_expansion():
     s = RatPoly.variable("s")
     with pytest.raises(ValueError):
         char_poly(RationalMatrix([[t, 1], [0, s]]))
+
+
+# --- Q[t] by specialisation: every degree bound at its edge ------------------------
+
+
+def _companion(coeffs):
+    """Companion matrix of λ^n + c_1 λ^(n-1) + ... + c_n (so its char poly)."""
+    n = len(coeffs)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = Fraction(1)
+    for i, c in enumerate(coeffs):
+        rows[n - 1 - i][n - 1] = -Fraction(c)
+    return rows
+
+
+def _expanded(rows):
+    n = len(rows)
+    expected = charpoly_by_expansion(rows)
+    return [Fraction(0)] * (n + 1 - len(expected)) + expected
+
+
+def test_char_poly_specialisation_bound_is_met():
+    # t^m times a companion matrix: a_k = t^(km) c_k, so a_n has t-degree
+    # exactly n m, the bound
+    t = RatPoly.variable()
+    rng = random.Random(83)
+    for n in range(1, 6):
+        for m in (1, 2, 3):
+            coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(n)]
+            rows = [[(t**m) * v if v else v for v in row] for row in _companion(coeffs)]
+            got = char_poly(RationalMatrix(rows))
+            assert got.dense() == _expanded(rows)
+            assert got.coefficient(n).degree() == n * m
+            assert got == GradedPolynomial([c * t ** (k * m) for k, c in enumerate(coeffs, start=1)])
+    # diag(r_1, ..., r_n) with r_k vanishing on consecutive blocks of m
+    # integers: a_n = ±t(t-1)...(t-nm+1) is zero at every sample point but
+    # the last
+    for n in range(1, 5):
+        for m in (1, 2):
+            x = RationalMatrix.diagonal([falling_factorial(t, k * m, m) / (k + 2) for k in range(n)])
+            got = char_poly(x)
+            assert got.dense() == _expanded(x.rows)
+            a_n = got.coefficient(n)
+            assert a_n.degree() == n * m and all(a_n(i) == 0 for i in range(n * m)) and a_n(n * m) != 0
+            for t0 in (Fraction(1, 3), Fraction(-7, 2)):
+                at_t0 = RationalMatrix([[v(t0) if isinstance(v, RatPoly) else v for v in row] for row in x.rows])
+                assert [c(t0) for c in got.coeffs] == _expanded(at_t0.rows)[1:]
+
+
+def test_bracket_and_membership_specialisation_bounds_are_met():
+    t = RatPoly.variable()
+    model = sp4_model()
+    for ma, mb in ((1, 1), (1, 3), (2, 2), (3, 1)):
+        # [r_a E_01, r_b E_10] = r_a r_b (E_00 - E_11), of t-degree ma + mb
+        # and zero at every sample point but the last
+        ra, rb = falling_factorial(t, 0, ma) * Fraction(2, 3), falling_factorial(t, ma, mb) * Fraction(-5, 7)
+        a = RationalMatrix.unit(3, 0, 1, ra) + RationalMatrix.unit(3, 2, 2, t**ma)
+        b = RationalMatrix.unit(3, 1, 0, rb) + RationalMatrix.unit(3, 2, 1, Fraction(1, 9))
+        got = bracket(a, b)
+        assert got == _bracket_by_products(a, b)
+        assert got.rows[0][0] == ra * rb and got.rows[0][0].degree() == ma + mb
+        assert all(isinstance(v, RatPoly) for row in got.rows for v in row)
+        # r_m times sp4 elements (members) and times the identity (defect
+        # 2 r_m J, zero at every sample point but the last)
+        r = falling_factorial(t, 0, ma) / 4
+        for x in (sp4_e().scale(r) + sp4_h().scale(t**ma), RationalMatrix.identity(4).scale(r), sp4_slice(t).scale(r)):
+            assert in_algebra(x, model) == _in_algebra_by_products(x, model)
+        assert not in_algebra(RationalMatrix.identity(4).scale(r), model)
+        assert in_algebra(sp4_slice(t).scale(r), model)

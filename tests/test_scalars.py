@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from sheet_atlas.scalars import RatPoly, as_scalar, format_scalar, parse_scalar
+from sheet_atlas.scalars import RatPoly, as_scalar, format_scalar, interpolate, parse_scalar
 
 
 def test_arithmetic_and_mixing():
@@ -85,3 +86,21 @@ def test_gcd_divides_both_fuzz(g, a, b):
     assert f2.divmod(d)[1].is_zero()
     # g divides the gcd
     assert d.divmod(g / g.leading())[1].is_zero() or d.degree() >= g.degree()
+
+
+def test_interpolate_recovers_integer_polynomials():
+    rng = random.Random(97)
+    for points in range(1, 12):
+        polys = []
+        for _ in range(6):
+            p = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, points))]
+            while p and not p[-1]:
+                p.pop()
+            polys.append(p)
+        # t(t-1)...(t-points+2): zero at every point but the last
+        falling = [1]
+        for i in range(points - 1):
+            falling = [a - i * b for a, b in zip([0, *falling], [*falling, 0])]
+        polys.append(falling)
+        values = [[sum(c * t0**k for k, c in enumerate(p)) for p in polys] for t0 in range(points)]
+        assert interpolate(values) == polys

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sheet_atlas.partitions import Partition, partitions_of, profile
-from sheet_atlas.scalars import RatPoly
+from sheet_atlas.scalars import RatPoly, poly_divmod_monic
 from sheet_atlas.spectral import (
     GradedPolynomial,
     SheetBasePoint,
@@ -18,7 +18,7 @@ from sheet_atlas.spectral import (
     witness_noninjectivity,
 )
 
-from oracles import recover_tuple
+from oracles import falling_factorial, gcd_by_euclid, recover_tuple
 
 
 def poly_from_roots(roots):
@@ -175,10 +175,17 @@ def test_multiplicativity_in_each_factor():
 
 
 
+# (λ - 1/3)(λ + 5/7)(λ - 11/13): a monic divisor with large coprime denominators
+COPRIME_DIVISOR = GradedPolynomial.from_roots([Fraction(1, 3), Fraction(-5, 7), Fraction(11, 13)])
+# the same with 12/13, never a root of the test points (their roots lie in Z/12)
+NON_DIVISOR = GradedPolynomial.from_roots([Fraction(1, 3), Fraction(-5, 7), Fraction(12, 13)])
+
+
 def test_products_and_division_by_evaluation():
     """Products and monic division checked by Horner evaluation at rational
-    points: rational factors with denominators (the integer route) and
-    factors with a coefficient in t (the scalar route)."""
+    points, rational factors with denominators and factors with a
+    coefficient in t; divisors with and without a remainder; gcds against
+    leading-coefficient Euclid."""
     rng = random.Random(2024)
     t = RatPoly.variable("t")
     xs = [Fraction(k, 3) for k in range(-4, 5)]
@@ -197,7 +204,16 @@ def test_products_and_division_by_evaluation():
             assert image.evaluate(x) == expected
             assert minimal.evaluate(x) == once
         assert minimal.divides(image)
-        for divisor in (GradedPolynomial([Fraction(rng.randint(-5, 5)) for _ in range(3)]), factors[1]):
+        # (divisor, whether it divides): large coprime denominators included
+        image = image * COPRIME_DIVISOR
+        divisors = [
+            (GradedPolynomial([Fraction(rng.randint(-5, 5)) for _ in range(3)]), None),
+            (factors[1], True),
+            (COPRIME_DIVISOR, True),
+            (factors[0] * COPRIME_DIVISOR, True),
+            (NON_DIVISOR, False),
+        ]
+        for divisor, divides in divisors:
             quo, rem = image.divmod(divisor)
             assert len(rem) < divisor.degree + 1 and (not rem or rem[0] != 0)
             for x in xs:
@@ -205,6 +221,73 @@ def test_products_and_division_by_evaluation():
                 for c in rem:
                     rem_at_x = rem_at_x * x + c
                 assert quo.evaluate(x) * divisor.evaluate(x) + rem_at_x == image.evaluate(x)
+            if divides is not None:
+                assert (not rem) == divides == divisor.divides(image)
+            if trial % 4 != 3:
+                assert poly_gcd(image.dense(), divisor.dense()) == gcd_by_euclid(image.dense(), divisor.dense())
+
+
+def _value(dense, lam, t0):
+    """Horner in t at t0, then in λ at lam, of a dense coefficient list."""
+    out = Fraction(0)
+    for c in dense:
+        out = out * lam + (c(t0) if isinstance(c, RatPoly) else c)
+    return out
+
+
+SAMPLES = [(lam, t0) for lam in (Fraction(2), Fraction(-3, 5)) for t0 in (Fraction(1, 3), Fraction(-7, 2))]
+
+
+def _staircase(s, width):
+    """The profile with s factors, each of degree `width`."""
+    return profile(Partition([k for k in range(s, 0, -1) for _ in range(width)]))
+
+
+def test_products_and_division_specialisation_bounds_are_met():
+    t = RatPoly.variable()
+    for degrees in ((1,), (2, 1), (1, 2, 1), (3, 1, 2)):
+        s = len(degrees)
+        # ξ_i = λ^2 + t^(m_i) λ + (i/7) t^(m_i): the constant term of mu_s
+        # has t-degree sum i m_i, the bound
+        factors = [GradedPolynomial([t**m, Fraction(i, 7) * t**m]) for i, m in enumerate(degrees, start=1)]
+        image = mu_s(SheetBasePoint(_staircase(s, 2), factors))
+        assert image.coefficient(image.degree).degree() == sum(i * m for i, m in enumerate(degrees, start=1))
+        # ξ_i = λ - r_i, the r_i zero on consecutive blocks of m_i integers:
+        # the constant term of min_poly is zero at every sample point but the
+        # last
+        roots = [falling_factorial(t, sum(degrees[:i]), m) * Fraction(3, 5) for i, m in enumerate(degrees)]
+        minimal = min_poly(SheetBasePoint(_staircase(s, 1), [GradedPolynomial.from_roots([r]) for r in roots]))
+        assert minimal.coefficient(s).degree() == sum(degrees)
+        for lam, t0 in SAMPLES:
+            expected = Fraction(1)
+            for i, xi in enumerate(factors, start=1):
+                expected *= _value(xi.dense(), lam, t0) ** i
+            assert _value(image.dense(), lam, t0) == expected
+            expected = Fraction(1)
+            for r in roots:
+                expected *= lam - r(t0)
+            assert _value(minimal.dense(), lam, t0) == expected
+    for k, dp, dq in ((1, 0, 1), (2, 1, 2), (3, 2, 1), (1, 3, 2)):
+        r = falling_factorial(t, dp, dq)
+        # t^dp λ^k mod (λ - t^dq) is t^(dp + k dq), the bound; p λ mod
+        # (λ - r), with p and r zero on consecutive blocks, is p r, zero at
+        # every sample point but the last
+        for p, q in (([t**dp] + [Fraction(0)] * k, [Fraction(1), -(t**dq)]), ([falling_factorial(t, 0, dp), 0], [1, -r])):
+            quo, rem = poly_divmod_monic(p, q)
+            assert rem == [p[0] * (-q[1]) ** (len(p) - 1)] and rem[0].degree() == dp + (len(p) - 1) * dq
+            for lam, t0 in SAMPLES:
+                assert _value(quo, lam, t0) * _value(q, lam, t0) + _value(rem, lam, t0) == _value(p, lam, t0)
+    # monic divisions of graded polynomials over Q[t], exact and not
+    f = GradedPolynomial([t, Fraction(1, 3) * t * t, falling_factorial(t, 0, 3), Fraction(-2)])
+    for g in (GradedPolynomial([falling_factorial(t, 0, 2)]), GradedPolynomial([t, Fraction(5, 7)]), COPRIME_DIVISOR):
+        assert (f * g).divmod(g) == (f, [])
+        quo, rem = f.divmod(g)
+        assert rem
+        for lam, t0 in SAMPLES:
+            assert _value(quo.dense(), lam, t0) * _value(g.dense(), lam, t0) + _value(rem, lam, t0) == _value(
+                f.dense(), lam, t0
+            )
+
 
 def coprime_heart_point(rng, m: Partition, pool):
     prof = profile(m)
