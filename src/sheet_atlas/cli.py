@@ -99,7 +99,12 @@ def cmd_sheets(args) -> int:
     else:
         descs = sheets.sheets_for(kind)
     if _json_mode(args):
-        print(json.dumps([d.to_json() for d in descs], indent=2))
+        # every record is built before the first is written, so a request
+        # that fails leaves stdout empty
+        write = sys.stdout.write
+        for piece in sheets.records_json(descs):
+            write(piece)
+        write("\n")
     else:
         _print_table(_descriptor_rows(descs), DESCRIPTOR_HEADER)
     return 0
@@ -108,7 +113,7 @@ def cmd_sheets(args) -> int:
 def cmd_sheet_info(args) -> int:
     kind = GroupKind(args.kind, args.rank if args.kind != "F4" else 4)
     desc = sheets.find_sheet(kind, _parse_levi(kind, args.levi))
-    print(json.dumps(desc.to_json(), indent=2))
+    print(sheets.record_json(desc))
     return 0
 
 
@@ -296,13 +301,13 @@ def cmd_realform(args) -> int:
 
 
 def render_table1() -> str:
-    rows = [d.to_json() for d in sheets.sheets_sp4()]
-    return json.dumps({"table": "sp4_sheets", "rows": rows}, indent=2) + "\n"
+    rows = "".join(sheets.records_json(sheets.sheets_sp4(), 1))
+    return '{\n  "table": "sp4_sheets",\n  "rows": %s\n}\n' % rows
 
 
 def render_table2(max_n: int = TABLE2_MAX_N) -> str:
-    rows = [d.to_json() for d in sheets.all_max_levi_sheets(max_n)]
-    return json.dumps({"table": "maximal_levi_sheets", "max_n": max_n, "rows": rows}, indent=2) + "\n"
+    rows = "".join(sheets.records_json(sheets.all_max_levi_sheets(max_n), 1))
+    return '{\n  "table": "maximal_levi_sheets",\n  "max_n": %d,\n  "rows": %s\n}\n' % (max_n, rows)
 
 
 def cmd_fixtures(args) -> int:

@@ -13,7 +13,9 @@ matrix D x, row by row, are cached on the (immutable) matrix the first time
 they are needed, and every routine reads that form, building a Fraction
 only for each nonzero entry of a result.  With entries in Q[t] the same
 integer routine runs at t = 0, 1, ..., N for an N that bounds the t-degree
-of its result, and the integer values are interpolated back exactly.
+of its result, and the integer values are interpolated back exactly; such
+a matrix is also cleared once, and its cleared coefficients are cached the
+same way.
 """
 from __future__ import annotations
 
@@ -46,9 +48,8 @@ SparseRows = List[List[Tuple[int, int]]]
 class RationalMatrix:
     """Immutable square matrix with exact scalar entries.
 
-    The ``_cleared`` slot holds the integer form read by
-    :func:`_integer_form`; it is filled on first use and lives as long as
-    the matrix.
+    The ``_cleared`` slot holds the cleared form read by :func:`_form`; it
+    is filled on first use and lives as long as the matrix.
     """
 
     __slots__ = ("dim", "rows", "_cleared")
@@ -99,11 +100,11 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_dim(other)
-        return RationalMatrix._trusted([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return RationalMatrix._trusted([[a + b if a or b else ZERO for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_dim(other)
-        return RationalMatrix._trusted([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return RationalMatrix._trusted([[a - b if a or b else ZERO for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix._trusted([[-v for v in r] for r in self.rows])
@@ -397,22 +398,26 @@ def _form_defect(rx: SparseRows, rg: SparseRows) -> List[int]:
 def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, SparseRows]]:
     """(D, rows) with D the lcm of the entry denominators and rows[i] the
     nonzero entries (j, (D x)[i][j]) of row i, or None when some entry is a
-    non-constant polynomial.  Computed once per matrix and cached on it."""
+    non-constant polynomial."""
+    form = _form(x)
+    return None if type(form[0]) is ClearedGroups else form
+
+
+def _form(x: RationalMatrix):
+    """The cleared form of x, computed once per matrix and cached on it: the
+    integer form (D, rows) of :func:`_integer_form` when every entry is
+    rational, otherwise (cleared, nz) with nz the nonzero entries (j, v) of
+    each row and cleared a ClearedGroups with those entries, in order, as
+    its one group."""
     try:
         return x._cleared
     except AttributeError:
         pass
-    cleared, nz = _cleared((x,))
-    form = None if cleared.degrees[0] else (cleared.dens[0], _rows(nz[0], cleared.at(0)[0]))
+    nz = [[(j, v) for j, v in enumerate(row) if v] for row in x.rows]
+    cleared = ClearedGroups([[v for row in nz for _, v in row]])
+    form = (cleared, nz) if cleared.degrees[0] else (cleared.dens[0], _rows(nz, cleared.at(0)[0]))
     object.__setattr__(x, "_cleared", form)
     return form
-
-
-def _cleared(mats: Sequence[RationalMatrix]):
-    """The nonzero entries (j, v) of each row of each matrix, and a
-    ClearedGroups with those of each matrix, in order, as one group."""
-    nz = [[[(j, v) for j, v in enumerate(row) if v] for row in x.rows] for x in mats]
-    return ClearedGroups([[v for row in rows for _, v in row] for rows in nz]), nz
 
 
 def _rows(nz: List[List[Tuple[int, Scalar]]], values: Sequence[int]) -> SparseRows:
@@ -431,13 +436,17 @@ def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel, dens) -> 
     degree_bound(*their t-degrees), which must bound the t-degree of every
     output, and each output is interpolated to a polynomial in t.
     """
-    forms = [_integer_form(x) for x in mats]
-    if None not in forms:
+    forms = [_form(x) for x in mats]
+    if all(type(d) is int for d, _ in forms):
         ds, rows = zip(*forms)
         return fractions_over(kernel(*rows), dens(*ds))
-    cleared, nz = _cleared(mats)
-    points = degree_bound(*cleared.degrees) + 1
-    return cleared.solve(points, lambda *values: kernel(*map(_rows, nz, values)), dens(*cleared.dens))
+    # a rational matrix joins as its integer form D x, a group of degree 0
+    # over 1, and keeps its own D below
+    parts = [d if type(d) is ClearedGroups else ClearedGroups([[v for row in rows for _, v in row]]) for d, rows in forms]
+    cleared = ClearedGroups.join(parts)
+    ds = [d.dens[0] if type(d) is ClearedGroups else d for d, _ in forms]
+    nz = [rows for _, rows in forms]
+    return cleared.solve(degree_bound(*cleared.degrees) + 1, lambda *values: kernel(*map(_rows, nz, values)), dens(*ds))
 
 
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Union
 
 # One shared zero: matrices whose zeros are all this object compare by identity.
 ZERO = Fraction(0)
@@ -256,7 +256,10 @@ def parse_scalar(obj, symbol: str = "t") -> Scalar:
 def poly_symbol(scalars: Iterable[Scalar]) -> Optional[str]:
     """The symbol of the non-constant polynomials among ``scalars``, or None
     when there are none.  Two different symbols raise ValueError."""
-    symbols = {x.symbol for x in scalars if isinstance(x, RatPoly) and len(x.coeffs) > 1}
+    return _one_symbol({x.symbol for x in scalars if isinstance(x, RatPoly) and len(x.coeffs) > 1})
+
+
+def _one_symbol(symbols: Set[str]) -> Optional[str]:
     if len(symbols) > 1:
         raise ValueError("scalars in more than one polynomial symbol: %s" % ", ".join(sorted(symbols)))
     return next(iter(symbols), None)
@@ -287,6 +290,18 @@ class ClearedGroups:
             self._columns.append(columns or [[0] * len(group)])
         # with every degree 0 there is no symbol, and no two of them
         self.symbol = poly_symbol(x for group in groups for x in group) if any(self.degrees) else None
+
+    @classmethod
+    def join(cls, parts: Sequence["ClearedGroups"]) -> "ClearedGroups":
+        """The groups of every part, in order, as one ClearedGroups, without
+        clearing them again.  Parts in two different symbols raise
+        ValueError."""
+        out = object.__new__(cls)
+        out.dens = [d for part in parts for d in part.dens]
+        out.degrees = [k for part in parts for k in part.degrees]
+        out._columns = [columns for part in parts for columns in part._columns]
+        out.symbol = _one_symbol({part.symbol for part in parts} - {None})
+        return out
 
     def at(self, t0: int) -> List[List[int]]:
         """The integer values of every group at t = t0 (a group of degree 0

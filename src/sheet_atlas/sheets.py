@@ -7,8 +7,10 @@ classes), and the one exceptional record (the B3 Levi inside F4).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import factorial
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .partitions import Partition, conjugate, is_valid_orbit_partition, partitions_of, profile
 
@@ -301,6 +303,106 @@ def _levi_from_json(obj) -> LeviLabel:
     if isinstance(obj, dict):
         return MaxLevi(obj["a"], obj["residual"])
     raise ValueError("cannot parse levi from %r" % (obj,))
+
+
+# --- JSON text of records -----------------------------------------------------
+#
+# The CLI and the golden fixtures write records as json.dumps(..., indent=2)
+# would, but from the descriptor's fixed schema: one %-template per record,
+# strings through the encoder json.dumps uses, ints as int.__repr__ writes
+# them, and no intermediate dict.
+
+# (key, conversion) of SheetDescriptor.to_json, in its order
+_RECORD_FIELDS = (
+    ("kind", "%s"),
+    ("name", "%s"),
+    ("levi", "%s"),
+    ("decomposition_data", "%s"),
+    ("dixmier", "%s"),
+    ("nilpotent_orbit", "%s"),
+    ("d", "%d"),
+    ("dim_z", "%d"),
+    ("w_l_order", "%d"),
+    ("katsylo_order", "%d"),
+    ("w_s_order", "%d"),
+    ("dim_sheet", "%d"),
+    ("class_tag", "%s"),
+    ("type_tag", "%s"),
+    ("component_group_order", "%s"),
+    ("levi_conjugacy_caveat", "%s"),
+)
+
+
+@lru_cache(maxsize=8)
+def _layout(depth: int):
+    """Line breaks indented to nesting depths depth, ..., depth + 3, and the
+    record template at ``depth``."""
+    breaks = tuple("\n" + "  " * k for k in range(depth, depth + 4))
+    fields = ",".join('%s"%s": %s' % (breaks[1], key, conv) for key, conv in _RECORD_FIELDS)
+    return breaks, "{" + fields + breaks[0] + "}"
+
+
+def _int_list(values, inner: str, outer: str) -> str:
+    """A list of ints, one item per line break ``inner``, closed after ``outer``."""
+    if not values:
+        return "[]"
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + outer + "]"
+
+
+def _optional(value) -> str:
+    """A string or int field that may be None, as JSON."""
+    if value is None:
+        return "null"
+    return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
+
+
+def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
+    """``json.dumps(desc.to_json(), indent=2)``, byte for byte, as it is
+    written at nesting depth ``depth``: each line after the first is
+    indented by 2 * depth more spaces.  Nothing but the text is built."""
+    (b0, b1, b2, b3), template = _layout(depth)
+    levi = desc.levi
+    if isinstance(levi, GLLevi):
+        levi_text = '{%s"gl": %s%s}' % (b2, _int_list(levi.m.parts, b3, b2), b1)
+    elif isinstance(levi, MaxLevi):
+        levi_text = '{%s"a": %d,%s"residual": %d%s}' % (b2, levi.a, b2, levi.residual, b1)
+    else:
+        levi_text = encode_basestring_ascii(_levi_to_json(levi))
+    orbit = desc.nilpotent_orbit
+    if isinstance(orbit, str):
+        orbit_text = '{%s"bala_carter": %s%s}' % (b2, encode_basestring_ascii(orbit), b1)
+    else:
+        orbit_text = _int_list(orbit.parts, b2, b1)
+    return template % (
+        encode_basestring_ascii(str(desc.kind)),
+        _optional(desc.name),
+        levi_text,
+        encode_basestring_ascii(desc.decomposition_data),
+        "true" if desc.dixmier else "false",
+        orbit_text,
+        desc.d,
+        desc.dim_z,
+        desc.w_l_order,
+        desc.katsylo_order,
+        desc.w_s_order,
+        desc.dim_sheet,
+        _optional(desc.class_tag),
+        _optional(desc.type_tag),
+        _optional(desc.component_group_order),
+        "true" if desc.levi_conjugacy_caveat else "false",
+    )
+
+
+def records_json(descs: Iterable[SheetDescriptor], depth: int = 0) -> Iterator[str]:
+    """The JSON list of ``descs`` as :func:`record_json` writes it at
+    ``depth``, in pieces of one record each (the last piece closes it)."""
+    (b0, b1, _, _), _ = _layout(depth)
+    sep = "[" + b1
+    for desc in descs:
+        yield sep + record_json(desc, depth + 1)
+        sep = "," + b1
+    # an empty list leaves the opening separator unused
+    yield "[]" if sep[0] == "[" else b0 + "]"
 
 
 # --- Type A -----------------------------------------------------------------

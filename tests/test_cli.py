@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sheet_atlas import sheets
 from sheet_atlas.cli import data_dir, render_table1, render_table2
+from sheet_atlas.partitions import Partition
 
 
 def run_cli(*args, env_extra=None, expect=0):
@@ -178,6 +180,63 @@ def test_reused_parser_matches_fresh_processes(monkeypatch):
     for (argv, env_json, expect), (code, out, err) in zip(REUSE_SEQUENCE, results):
         fresh = run_cli(*argv, env_extra={"SHEET_ATLAS_JSON": env_json} if env_json else None, expect=expect)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# (argv, the records it answers with), each answered by a fresh process
+JSON_REQUESTS = [
+    (["sheets", "--kind", "A", "--rank", "7"], lambda: sheets.enumerate_sheets_gln(7)),
+    (["sheets", "--kind", "C", "--rank", "2"], sheets.sheets_sp4),
+    (["sheets", "--kind", "D", "--rank", "4"], lambda: sheets.sheets_for(sheets.type_d(4))),
+    (["sheets", "--kind", "B", "--rank", "3", "--levi", "2,3"], lambda: [sheets.maximal_levi_sheet(sheets.type_b(3), sheets.MaxLevi(2, 3))]),
+    (["sheets", "--kind", "F4"], lambda: [sheets.f4_b3_sheet()]),
+    (["sheet-info", "--kind", "C", "--rank", "2", "--levi", "1,1"], lambda: sheets.sheets_sp4()[1]),
+    (["sheet-info", "--kind", "D", "--rank", "4", "--levi", "4,0"], lambda: sheets.maximal_levi_sheet(sheets.type_d(4), sheets.MaxLevi(4, 0))),
+    (["sheet-info", "--kind", "A", "--rank", "5", "--levi", "2,2,1"], lambda: sheets.gl_sheet(Partition((2, 2, 1)))),
+    (["sheet-info", "--kind", "F4"], sheets.f4_b3_sheet),
+]
+
+
+def test_sheets_json_is_json_dumps(monkeypatch):
+    """`sheets --json` and `sheet-info --json` write exactly
+    json.dumps(..., indent=2) and a newline."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    for argv, records in JSON_REQUESTS:
+        got = records()
+        obj = [d.to_json() for d in got] if isinstance(got, list) else got.to_json()
+        out = run_cli(*argv, "--json")
+        assert (out.stdout, out.stderr) == (json.dumps(obj, indent=2) + "\n", ""), argv
+
+
+def test_listing_beyond_rank_40_is_refused_with_empty_stdout():
+    out = run_cli("sheets", "--kind", "A", "--rank", "41", "--json", expect=1)
+    assert out.stdout == "" and out.stderr.startswith("error:")
+
+
+# The largest type A listing (rank 40, p(40) = 37338 records) must not hold
+# its reply in memory: 287 MB before records were streamed, about 54 MB
+# after (Linux x86-64, CPython 3.11), most of it the list of descriptors.
+RANK_40_MAX_RSS_MB = 128
+
+# A child's ru_maxrss also counts the memory of the process that spawned it
+# (the spawn shares its address space until exec), so a small intermediate
+# interpreter spawns the listing and reports its peak.
+RSS_PROBE = """
+import os, subprocess, sys
+with open(os.devnull, "w") as null:
+    child = subprocess.Popen([sys.executable, "-m", "sheet_atlas.cli", *sys.argv[1:]], stdout=null)
+    _, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_rank_40_listing_memory_is_bounded():
+    argv = ["sheets", "--kind", "A", "--rank", "40", "--json"]
+    done = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv], capture_output=True, text=True, check=True)
+    code, maxrss = map(int, done.stdout.split())
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_mb = maxrss / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert code == 0
+    assert peak_mb < RANK_40_MAX_RSS_MB, peak_mb
 
 
 def test_fixture_regen_byte_identical(tmp_path: Path):

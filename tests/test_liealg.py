@@ -17,8 +17,8 @@ from sheet_atlas.liealg import (
     so_gram,
     sp_gram,
 )
-from sheet_atlas.liealg import _integer_form
-from sheet_atlas.scalars import RatPoly
+from sheet_atlas.liealg import _form, _integer_form
+from sheet_atlas.scalars import ZERO, ClearedGroups, RatPoly
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
@@ -395,7 +395,7 @@ def test_bracket_and_membership_over_qt_use_products():
     assert not in_algebra(RationalMatrix.diagonal([t, t, 0, 0]), model)
 
 
-def test_integer_form_is_computed_once_per_matrix():
+def test_integer_form_is_computed_once_per_matrix(monkeypatch):
     rng = random.Random(67)
     model = build_model(type_c(3))
     x = _random_element(rng, model, 4)
@@ -410,7 +410,68 @@ def test_integer_form_is_computed_once_per_matrix():
     bracket(x, model.basis[0])
     assert in_algebra(x, model)
     assert _integer_form(x) is first
-    assert _integer_form(sp4_slice(RatPoly.variable())) is None
+
+    # a matrix over Q[t] is cleared once too, and every later call, alone or
+    # beside a rational matrix, reads the cached form
+    t = RatPoly.variable()
+    xt = sp4_slice(t)
+    assert _integer_form(xt) is None
+    qt_first = _form(xt)
+    cleared, nz = qt_first
+    assert nz == [[(j, v) for j, v in enumerate(row) if v] for row in xt.rows]
+    for t0 in range(4):
+        values = iter(cleared.at(t0)[0])
+        assert [[(j, Fraction(next(values), cleared.dens[0])) for j, _ in row] for row in nz] == [
+            [(j, v(t0) if isinstance(v, RatPoly) else v) for j, v in row] for row in nz
+        ]
+    clearings = []
+    init = ClearedGroups.__init__
+
+    def counted(self, groups):
+        clearings.append([v for group in groups for v in group])
+        init(self, groups)
+
+    monkeypatch.setattr(ClearedGroups, "__init__", counted)
+    e = sp4_e()
+    assert char_poly(xt) == char_poly(sp4_slice(t))
+    assert bracket(xt, e) == _bracket_by_products(xt, e)
+    assert bracket(e, xt) == _bracket_by_products(e, xt)
+    assert bracket(xt, xt).is_zero()
+    assert in_algebra(xt, sp4_model())
+    assert _integer_form(xt) is None
+    assert _form(xt) is qt_first
+    # the only matrices cleared again are the fresh sp4_slice(t) and, in the
+    # mixed brackets, the integer rows of e
+    assert sum(any(isinstance(v, RatPoly) for v in group) for group in clearings) == 1
+
+
+def test_sums_and_differences_entrywise():
+    """a + b and a - b against scalar arithmetic, entry by entry, on
+    rational and Q[t] entries; where both entries are zero the result holds
+    the shared ZERO."""
+    rng = random.Random(73)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return Fraction(0)
+        if r < 0.4:
+            return RatPoly([])
+        if r < 0.7:
+            return _random_rational(rng)
+        return RatPoly([_random_rational(rng) for _ in range(rng.randint(1, 4))])
+
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        a = RationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        b = RationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        total, difference = a + b, a - b
+        for i in range(n):
+            for j in range(n):
+                u, v = a.entry(i, j), b.entry(i, j)
+                assert total.entry(i, j) == u + v and difference.entry(i, j) == u - v
+                if not u and not v:
+                    assert total.entry(i, j) is ZERO and difference.entry(i, j) is ZERO
 
 
 def test_char_poly_over_qt_against_cofactor_expansion():

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from sheet_atlas.partitions import Partition, conjugate, is_valid_orbit_partition
@@ -13,6 +16,9 @@ from sheet_atlas.sheets import (
     find_sheet,
     gl_sheet,
     maximal_levi_sheet,
+    record_json,
+    records_json,
+    sheets_for,
     sheets_sp4,
     type_a,
     type_b,
@@ -160,3 +166,49 @@ def test_type_tags():
     for desc in all_max_levi_sheets(12):
         assert desc.type_tag == (1 if desc.class_tag in type1 else 2)
         assert (desc.w_s_order == 1) == (desc.type_tag == 1)
+
+
+def _catalogue():
+    """Every record the CLI serves and the fixtures hold: A1-30, every B/C/D
+    label up to rank 8 (with the rank-2 symplectic table), F4 and table 2."""
+    descs = [d for n in range(1, 31) for d in enumerate_sheets_gln(n)]
+    for kind in [type_b(r) for r in range(1, 9)] + [type_c(r) for r in range(1, 9)] + [type_d(r) for r in range(2, 9)]:
+        descs += [maximal_levi_sheet(kind, levi) for levi in valid_max_levi_labels(kind)]
+        descs += sheets_for(kind)
+    return descs + [f4_b3_sheet()] + all_max_levi_sheets(12)
+
+
+def _dumps_at(obj, depth):
+    """json.dumps(obj, indent=2) as written nested at ``depth``."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def test_record_writer_matches_json_dumps():
+    # and a record without a name, and one whose name needs escaping
+    descs = _catalogue() + [replace(f4_b3_sheet(), name=None), replace(sheets_sp4()[1], name='sp4:"SDix"\\\u03bb\n')]
+    seen = set()
+    for desc in descs:
+        obj = desc.to_json()
+        for key, value in obj.items():
+            seen.add((key, type(value).__name__))
+        text = json.dumps(obj, indent=2)
+        assert record_json(desc) == text, desc.name
+        assert record_json(desc, 3) == text.replace("\n", "\n      "), desc.name
+    # null, true, string tags, both orbit forms and every Levi form occur
+    for key, kind in [
+        ("name", "NoneType"), ("class_tag", "NoneType"), ("class_tag", "str"), ("type_tag", "NoneType"),
+        ("type_tag", "int"), ("component_group_order", "NoneType"), ("levi_conjugacy_caveat", "bool"),
+        ("nilpotent_orbit", "dict"), ("nilpotent_orbit", "list"), ("levi", "str"), ("levi", "dict"),
+    ]:
+        assert (key, kind) in seen, (key, kind)
+    assert any(d.levi_conjugacy_caveat for d in descs)
+    assert {str(d.levi) for d in descs} >= {"T", "G", "B3"}
+
+
+def test_record_list_writer_matches_json_dumps():
+    descs = sheets_sp4() + [f4_b3_sheet()] + enumerate_sheets_gln(6) + all_max_levi_sheets(8)
+    for depth in range(4):
+        for rows in ([], descs[:1], descs):
+            pieces = list(records_json(rows, depth))
+            assert len(pieces) == len(rows) + 1
+            assert "".join(pieces) == _dumps_at([d.to_json() for d in rows], depth)
