@@ -282,9 +282,14 @@ class ClearedGroups:
         # per group, the integer vectors of its t^0, t^1, ... coefficients
         self._columns: List[List[List[int]]] = []
         for group in groups:
-            coeffs = [x.coeffs if type(x) is RatPoly else (x,) for x in group]
-            d = lcm(*[c.denominator for cs in coeffs for c in cs])
-            columns = [[c.numerator * (d // c.denominator) for c in col] for col in zip_longest(*coeffs, fillvalue=ZERO)]
+            if RatPoly in map(type, group):
+                coeffs = [x.coeffs if type(x) is RatPoly else (x,) for x in group]
+                d = lcm(*[c.denominator for cs in coeffs for c in cs])
+                columns = [[c.numerator * (d // c.denominator) for c in col] for col in zip_longest(*coeffs, fillvalue=ZERO)]
+            else:
+                # Fractions and ints: the group is its own t^0 column
+                d = lcm(*[c.denominator for c in group])
+                columns = [[c.numerator * (d // c.denominator) for c in group]]
             self.dens.append(d)
             self.degrees.append(max(len(columns) - 1, 0))
             self._columns.append(columns or [[0] * len(group)])
@@ -405,12 +410,32 @@ def poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
                     ip[i] -= c * v
         return ip
 
-    # with dp and dq the largest t-degrees in p and q, quotient coefficient
-    # k has t-degree at most dp + k dq (each step subtracts a previous one
-    # times a coefficient of q), and the remainder at most dp + (nquo + 1) dq
+    # Two bounds on the t-degree of the outputs, each proven by induction on
+    # the division steps (output j is p_j minus earlier quotient
+    # coefficients j - k times q_k).  With dp and dq the largest t-degrees
+    # in p and q, quotient coefficient k has t-degree at most dp + k dq, and
+    # the remainder at most dp + (nquo + 1) dq.  By weight: with w = max_k
+    # ceil(deg_t q_k / k) and c = max_j (deg_t p_j - w j), output j has
+    # t-degree at most c + w j.  Both hold, so the smaller one is used.
     dp, dq = cleared.degrees
-    out = cleared.solve(dp + (nquo + 1) * dq + 1, divide, [d * w for w in powers])
+    bound = dp + (nquo + 1) * dq
+    if dq:
+        w = t_weight(q[1:])
+        c = max(_t_degree(x) - w * j for j, x in enumerate(p))
+        bound = min(bound, c + w * (len(p) - 1))
+    out = cleared.solve(bound + 1, divide, [d * power for power in powers])
     return out[: nquo + 1], poly_trim(out[nquo + 1 :])
+
+
+def _t_degree(x: Scalar) -> int:
+    return len(x.coeffs) - 1 if type(x) is RatPoly else 0
+
+
+def t_weight(coeffs: Sequence[Scalar]) -> int:
+    """The least w >= 0 with deg_t coeffs[k - 1] <= w k for k = 1, 2, ...:
+    the t-degree per unit of weight of the coefficients of a monic
+    polynomial whose coefficient of weight k is coeffs[k - 1]."""
+    return max([0, *(-(-_t_degree(x) // k) for k, x in enumerate(coeffs, start=1))])
 
 
 def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:

@@ -11,7 +11,10 @@ coefficients in Q[t] take it at enough integer values of t to interpolate
 the answer exactly (:class:`~sheet_atlas.scalars.ClearedGroups`).  Gcds are
 taken over Q only: squarefreeness over Q(t), the heart test, is decided by
 specialising t at enough integers that the discriminant cannot vanish at
-all of them (see :meth:`GradedPolynomial.is_squarefree`).
+all of them (see :meth:`GradedPolynomial.is_squarefree`).  At each
+specialisation a gcd modulo the prime 2^61 - 1 may certify squarefreeness
+first; it never answers "not squarefree", which only the exact rational gcd
+does.
 """
 from __future__ import annotations
 
@@ -31,12 +34,14 @@ from .scalars import (
     parse_scalar,
     poly_divmod_monic,
     poly_gcd,
-    poly_symbol,
     poly_trim,
     scalar_is_zero,
+    t_weight,
 )
 
 LAMBDA = "λ"
+# The Mersenne prime 2^61 - 1, modulus of the squarefreeness certificate.
+CERTIFICATE_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -128,12 +133,25 @@ class GradedPolynomial:
         0, ..., d(d-1)·w, where the rational gcd with the derivative decides.
         Rational coefficients give w = 0 and a single step.  Coefficients
         in two different symbols raise ValueError.
+
+        Before each rational gcd, a certificate modulo the prime
+        ℓ = 2^61 - 1 is tried.  With D the lcm of the denominators, P =
+        D·p(t0) has integer coefficients and leading coefficient D.  If D is
+        prime to ℓ and P is coprime to P' modulo ℓ, then P is squarefree
+        over Q: a repeated factor g^2 of P over Q can be taken in Z[λ]
+        (Gauss's lemma), its leading coefficient divides D, so g keeps its
+        degree modulo ℓ and divides both P and P' there.  The certificate
+        can only answer True; when it fails (D divisible by ℓ, or a common
+        factor modulo ℓ, which may come from ℓ dividing the discriminant)
+        the exact rational gcd decides, so every False is exact.
         """
-        poly_symbol(self.coeffs)  # ValueError for two symbols
-        w = max([0, *(-(-c.degree() // k) for k, c in enumerate(self.coeffs, start=1) if isinstance(c, RatPoly))])
         d = self.degree
-        for t0 in range(d * (d - 1) * w + 1):
-            p = [Fraction(1), *(c(t0) if isinstance(c, RatPoly) else c for c in self.coeffs)]
+        cleared = ClearedGroups([self.dense()])  # ValueError for two symbols
+        for t0 in range(d * (d - 1) * t_weight(self.coeffs) + 1):
+            values = cleared.at(t0)[0]
+            if _certified_squarefree(values):
+                return True
+            p = [Fraction(v) for v in values]
             if len(poly_gcd(p, _poly_derivative(p))) == 1:
                 return True
         return False
@@ -286,3 +304,26 @@ def _int_convolve(ip: List[int], iq: List[int]) -> List[int]:
 def _poly_derivative(p: List[Scalar]) -> List[Scalar]:
     d = len(p) - 1
     return poly_trim([c * (d - i) for i, c in enumerate(p[:-1])])
+
+
+def _certified_squarefree(values: Sequence[int]) -> bool:
+    """True if the integer polynomial P (descending coefficients) is proven
+    squarefree over Q: its leading coefficient is prime to CERTIFICATE_PRIME
+    and Euclid in that field finds gcd(P, P') = 1.  False proves nothing."""
+    m = CERTIFICATE_PRIME
+    n = len(values) - 1
+    a = [v % m for v in values]
+    if not a[0]:
+        return False
+    b = poly_trim([(n - i) * v % m for i, v in enumerate(a[:-1])])
+    while len(b) > 1:
+        # a mod b, reducing modulo m only where a value is read
+        inv, nb, top = pow(b[0], -1, m), len(b), len(a) - len(b) + 1
+        r, tail = list(a), b[1:]
+        for k in range(top):
+            c = r[k] * inv % m
+            if c:
+                r[k + 1 : k + nb] = [x - c * y for x, y in zip(r[k + 1 : k + nb], tail)]
+        a, b = b, poly_trim([v % m for v in r[top:]])
+    # a nonzero constant remainder, or a constant P
+    return len(b) == 1 or len(a) == 1

@@ -124,6 +124,90 @@ def test_is_squarefree_rejects_two_symbols():
         in_heart(SheetBasePoint(profile(Partition((1, 1))), (f,)))
 
 
+ELL = 2**61 - 1  # the prime of the squarefreeness certificate
+
+
+def _squarefree_by_oracle(dense):
+    """Squarefreeness of a rational dense polynomial by leading-coefficient
+    Euclid with its derivative."""
+    d = len(dense) - 1
+    return len(gcd_by_euclid(dense, [c * (d - i) for i, c in enumerate(dense[:-1])])) == 1
+
+
+def _at(f: GradedPolynomial, t0):
+    return [c(t0) if isinstance(c, RatPoly) else c for c in f.dense()]
+
+
+def test_is_squarefree_agrees_with_euclid_seeded():
+    """Rational polynomials with and without repeated roots, and random
+    coefficients, against the oracle gcd; polynomials over Q[t] built from
+    roots, against their construction and against the oracle at a rational
+    t that no specialisation of the route uses."""
+    rng = random.Random(8081)
+    answers = set()
+    for trial in range(300):
+        d = rng.randint(0, 10)
+        if trial % 3:
+            roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+            if d >= 2 and trial % 3 == 2:
+                roots[-1] = roots[0]
+            f = GradedPolynomial.from_roots(roots)
+        else:
+            f = GradedPolynomial([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)])
+        expected = _squarefree_by_oracle(f.dense())
+        answers.add(expected)
+        assert f.is_squarefree() == expected, str(f)
+    assert answers == {True, False}
+    generic = Fraction(1, 7919)
+    for trial in range(40):
+        d = rng.randint(1, 7)
+        roots = [RatPoly([rng.randint(-4, 4), rng.randint(-3, 3)]) for _ in range(d)]
+        if d >= 2 and trial % 2:
+            roots[rng.randrange(1, d)] = roots[0]
+        distinct = len(set(roots)) == d
+        f = GradedPolynomial.from_roots(roots)
+        assert f.is_squarefree() == distinct, [str(r) for r in roots]
+        # squarefree at one t proves it over Q(t); a repeated root repeats at every t
+        assert _squarefree_by_oracle(_at(f, generic)) == distinct
+
+
+@pytest.mark.parametrize(
+    "roots, squarefree",
+    [
+        # roots r and r + ℓ: squarefree, but they agree modulo ℓ
+        ([3, 3 + ELL], True),
+        ([Fraction(1, 2), Fraction(1, 2) + ELL, -7, 0], True),
+        ([3, 3 + ELL, 3 + ELL], False),
+        # a root 1/ℓ: a denominator divisible by ℓ
+        ([Fraction(1, ELL), 2], True),
+        ([Fraction(1, ELL), Fraction(5, ELL), Fraction(-1, 3)], True),
+        ([Fraction(1, ELL), 2, Fraction(1, ELL)], False),
+        # both
+        ([Fraction(1, ELL), Fraction(1, ELL) + ELL], True),
+    ],
+)
+def test_is_squarefree_where_the_certificate_fails(roots, squarefree):
+    f = GradedPolynomial.from_roots([Fraction(r) for r in roots])
+    assert _squarefree_by_oracle(f.dense()) == squarefree
+    assert f.is_squarefree() == squarefree
+    prof = profile(Partition([1] * len(roots)))
+    assert in_heart(SheetBasePoint(prof, (f,))) == squarefree
+
+
+def test_is_squarefree_over_qt_where_the_certificate_fails_at_zero():
+    t = RatPoly.variable()
+    # at t = 0 the roots are 0 and ℓ: squarefree over Q, not modulo ℓ
+    f = GradedPolynomial.from_roots([t, t + ELL, -t + 1])
+    assert f.is_squarefree()
+    assert not GradedPolynomial.from_roots([t, t + ELL, t]).is_squarefree()
+    # denominators ℓ rule the certificate out at every t, and at t = 0 the
+    # roots ℓ t and 0 coincide
+    g = GradedPolynomial.from_roots([ELL * t, Fraction(1, ELL) * t + Fraction(1, ELL), 0])
+    assert not _squarefree_by_oracle(_at(g, 0))
+    assert g.is_squarefree()
+    assert not (g * GradedPolynomial.from_roots([ELL * t])).is_squarefree()
+
+
 def test_poly_gcd_is_rational_only():
     t = RatPoly.variable()
     with pytest.raises(ValueError):
@@ -287,6 +371,47 @@ def test_products_and_division_specialisation_bounds_are_met():
             assert _value(quo.dense(), lam, t0) * _value(g.dense(), lam, t0) + _value(rem, lam, t0) == _value(
                 f.dense(), lam, t0
             )
+
+
+def _check_division(p, q):
+    """poly_divmod_monic(p, q) against p = quo q + rem by Horner at the
+    sample points, with deg rem < deg q."""
+    quo, rem = poly_divmod_monic(p, q)
+    assert len(quo) == len(p) - len(q) + 1 and len(rem) < len(q)
+    for lam, t0 in SAMPLES + [(Fraction(5, 4), Fraction(11)), (Fraction(-1), Fraction(-2, 9))]:
+        assert _value(quo, lam, t0) * _value(q, lam, t0) + _value(rem, lam, t0) == _value(p, lam, t0)
+    return quo, rem
+
+
+def test_division_over_qt_up_to_degree_ten():
+    """mu_s by min_poly over Q[t] on seeded profiles of n <= 10, factors of
+    any degree, roots of t-degree up to 2; then dividends whose t-degree
+    exceeds the weight of the divisor, and divisors for which the bound
+    dp + (nquo + 1) dq is the smaller one."""
+    rng = random.Random(5150)
+    t = RatPoly.variable()
+    profiles = [m for n in range(2, 11) for m in partitions_of(n)]
+    for trial in range(60):
+        m = profiles[-1 - trial % 12] if trial % 3 == 0 else rng.choice(profiles)
+        prof = profile(m)
+        factors = []
+        for _, li in prof.items():
+            roots = [RatPoly([rng.randint(-5, 5), rng.choice((-2, -1, 1, 3)), rng.randint(-1, 1)]) for _ in range(li)]
+            factors.append(GradedPolynomial.from_roots(roots))
+        point = SheetBasePoint(prof, factors)
+        image, minimal = mu_s(point), min_poly(point)
+        quo, rem = _check_division(image.dense(), minimal.dense())
+        assert rem == [] and minimal.divides(image)
+        assert quo == product_with_multiplicities(factors[1:]).dense()
+        # not weight-bounded: p_0 of t-degree 3, other coefficients raised
+        p = [t**3 - 2, *(c * (t * t + 1) if k % 2 else c for k, c in enumerate(image.coeffs))]
+        _check_division(p, minimal.dense())
+    for n in range(4, 11):
+        # λ^n + λ/2 by λ^3 + t: the weight bound is n, dp + (n - 2) dq is n - 2
+        p = [Fraction(1)] + [Fraction(0)] * (n - 2) + [Fraction(1, 2), Fraction(0)]
+        quo, rem = _check_division(p, [Fraction(1), Fraction(0), Fraction(0), t])
+        assert rem and max(c.degree() for c in quo if isinstance(c, RatPoly)) == (n - 3) // 3
+        _check_division([t, *p[1:]], [Fraction(1), Fraction(-1, 3), Fraction(0), t * t - t])
 
 
 def coprime_heart_point(rng, m: Partition, pool):
