@@ -209,6 +209,10 @@ def _verify_sp4_slice(args, json_mode: bool) -> int:
 def cmd_hitchin_dim(args) -> int:
     kind = GroupKind(args.kind, args.rank if args.kind != "F4" else 4)
     g = args.genus
+    if args.levi:
+        # a request for a sheet record is refused beyond the rank bound
+        # before the base dimension sums over every invariant degree
+        sheets.check_rank(kind)
     payload = {"kind": str(kind), "genus": g, "dim_base": hitchin.dim_hitchin_base(kind, g)}
     if args.levi:
         desc = sheets.find_sheet(kind, _parse_levi(kind, args.levi))

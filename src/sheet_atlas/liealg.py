@@ -15,16 +15,19 @@ only for each nonzero entry of a result.  With entries in Q[t] the same
 integer routine runs at t = 0, 1, ..., N for an N that bounds the t-degree
 of its result, and the integer values are interpolated back exactly; such
 a matrix is also cleared once, and its cleared coefficients are cached the
-same way.
+same way.  Centraliser ranks come from a sparse fraction-free elimination
+with Markowitz-style pivots on the nonzero entries of the ad x rows, which a
+model fills from its basis kept as sparse integer terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     ZERO,
@@ -207,7 +210,9 @@ class ClassicalForm:
         sign = 1 if self.kind == "symmetric" else -1
         if self.gram.transpose() != self.gram.scale(sign):
             raise ValueError("gram matrix does not have %s symmetry" % self.kind)
-        if determinant(self.gram) == 0:
+        # one nonzero per row (so per column: G^T = ±G) makes G monomial, hence non-degenerate
+        cleared = _integer_form(self.gram)
+        if (cleared is None or any(len(row) != 1 for row in cleared[1])) and determinant(self.gram) == 0:
             raise ValueError("gram matrix is degenerate")
 
 
@@ -237,23 +242,26 @@ def sp_gram(n: int) -> ClassicalForm:
 class LieAlgebraModel:
     """A matrix model: the form (absent in type A) plus a spanning basis.
 
-    ``sparse_basis[i]`` lists basis element i as (row, col, k) terms with
-    coprime integer k: a nonzero multiple of ``basis[i]``, which is all the
-    integer centraliser kernel needs.
+    ``terms[i]`` lists basis element i as its nonzero (row, col, rational
+    coefficient) entries, and ``sparse_basis[i]`` as a coprime integer
+    multiple of them, all that the integer centraliser kernel reads.  The
+    dense matrices ``basis`` are built on first access.
     """
 
     kind: object  # GroupKind; kept loose to avoid an import cycle
     form: Optional[ClassicalForm]
-    basis: Tuple[RationalMatrix, ...]
+    matrix_size: int
+    terms: Tuple[Tuple[Term, ...], ...]
     sparse_basis: Tuple[Tuple[Tuple[int, int, int], ...], ...] = field(compare=False, repr=False)
 
-    @property
-    def matrix_size(self) -> int:
-        return self.basis[0].dim
+    @cached_property
+    def basis(self) -> Tuple[RationalMatrix, ...]:
+        n = self.matrix_size
+        return tuple(sum((RationalMatrix.unit(n, r, c, k) for r, c, k in t), RationalMatrix.zero(n)) for t in self.terms)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.sparse_basis)
 
 
 Term = Tuple[int, int, Fraction]
@@ -287,15 +295,7 @@ def build_model(kind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
 
 
 def _model(kind, form: Optional[ClassicalForm], n: int, terms: List[List[Term]]) -> LieAlgebraModel:
-    basis = tuple(_from_terms(n, t) for t in terms)
-    return LieAlgebraModel(kind, form, basis, tuple(_integer_terms(t) for t in terms))
-
-
-def _from_terms(n: int, terms: List[Term]) -> RationalMatrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    for r, c, k in terms:
-        rows[r][c] = k
-    return RationalMatrix._trusted(rows)
+    return LieAlgebraModel(kind, form, n, tuple(map(tuple, terms)), tuple(map(_integer_terms, terms)))
 
 
 def _integer_terms(terms: List[Term]) -> Tuple[Tuple[int, int, int], ...]:
@@ -374,8 +374,8 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
         raise ValueError("dimension mismatch: %d vs model on %d letters" % (x.dim, model.matrix_size))
     if model.form is None:
         return True
-    # a ClassicalForm's Gram matrix is rational (its determinant is
-    # checked), so each entry of the defect has t-degree at most m
+    # a ClassicalForm's Gram matrix is rational (checked on construction),
+    # so each entry of the defect has t-degree at most m
     rg = _integer_form(model.form.gram)[1]
     return not any(_on_integers((x,), lambda m: m, lambda rx: _form_defect(rx, rg), lambda d: repeat(1)))
 
@@ -526,49 +526,51 @@ def _char_poly_ints(nz: SparseRows) -> List[int]:
 
 
 def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on integers.
+    """Rank by fraction-free sparse elimination on integers.
 
-    The single elimination entry point for centraliser ranks.  Rows of ints
-    are eliminated as given (after dividing out their content); rows with
-    Fraction entries are first scaled to integers by the lcm of their
-    denominators.  Every step is exact.
+    Each nonzero row, cleared of denominators if it holds Fractions, is kept
+    as its nonzero entries {col: value} divided by their content.  The pivot
+    is chosen Markowitz-style: the shortest remaining row, then its entry p
+    of least absolute value, in column c.  That row leaves the rest, and each
+    row with an entry e in column c becomes (p/g) row - (e/g) pivot_row,
+    g = gcd(p, e), divided by its content.  Every surviving row is a nonzero
+    rational multiple of the Bareiss row for the same pivot sequence (both
+    lie in the span of the row and the pivot rows and vanish on the pivot
+    columns), so its entries stay within the Bareiss (Hadamard) bound.
     """
-    mat: List[List[int]] = []
+    pending: List[Dict[int, int]] = []
     for row in rows:
-        if not any(row):
+        values = list(filter(None, row))
+        if not values:
             continue
-        if set(map(type, row)) != {int}:
-            row = ClearedGroups([row]).at(0)[0]
-        g = gcd(*row)
-        mat.append([v // g for v in row] if g > 1 else list(row))
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+        if set(map(type, values)) != {int}:
+            values = ClearedGroups([values]).at(0)[0]
+        g = gcd(*values)
+        pending.append(dict(zip(compress(count(), row), values if g == 1 else [v // g for v in values])))
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pivot = prow[col]
-        tail = prow[col:]
-        for r in range(rank + 1, len(mat)):
-            row = mat[r]
-            entry = row[col]
-            if entry:
-                row[col:] = [(a * pivot - entry * b) // prev for a, b in zip(row[col:], tail)]
-            elif pivot != prev:
-                row[col:] = [a * pivot // prev for a in row[col:]]
-        prev = pivot
+    while pending:
+        lengths = list(map(len, pending))
+        prow = pending.pop(lengths.index(min(lengths)))
+        col, p = min(prow.items(), key=lambda item: abs(item[1]))
         rank += 1
-        if rank == len(mat):
-            break
+        for row in pending:
+            e = row.get(col)
+            if e is not None:
+                g = gcd(p, e)
+                a, b = p // g, e // g
+                for j in row:
+                    row[j] *= a
+                for j, w in prow.items():
+                    v = row.get(j, 0) - b * w
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        pending = list(filter(None, pending))
     return rank
 
 

@@ -673,10 +673,21 @@ def f4_b3_sheet() -> SheetDescriptor:
 
 # --- Lookup used by the CLI ---------------------------------------------------
 
+# A B/C/D record holds O(rank) lines and a listing O(rank) records, so every
+# request for a larger rank is refused before any record is built.
+MAX_RANK = 1000
+
+
+def check_rank(kind: GroupKind):
+    """Refuse, with ValueError, a rank above MAX_RANK."""
+    if kind.rank > MAX_RANK:
+        raise ValueError("rank %d is beyond the supported maximum %d" % (kind.rank, MAX_RANK))
+
 
 def find_sheet(kind: GroupKind, levi: Optional[LeviLabel]) -> SheetDescriptor:
     """Resolve (kind, levi) to a descriptor, preferring the full rank-2
-    symplectic table when it applies."""
+    symplectic table when it applies.  Ranks above MAX_RANK are refused."""
+    check_rank(kind)
     if kind.family == "F4":
         return f4_b3_sheet()
     if kind.family == "A":
@@ -701,7 +712,9 @@ def find_sheet(kind: GroupKind, levi: Optional[LeviLabel]) -> SheetDescriptor:
 
 
 def sheets_for(kind: GroupKind) -> List[SheetDescriptor]:
-    """Everything this library classifies for one group."""
+    """Everything this library classifies for one group; ranks above
+    MAX_RANK are refused."""
+    check_rank(kind)
     if kind.family == "A":
         return enumerate_sheets_gln(kind.rank)
     if kind.family == "F4":

@@ -23,7 +23,7 @@ from .liealg import (
     sp_gram,
 )
 from .partitions import Partition
-from .scalars import RatPoly, as_fraction, as_scalar, scalar_is_zero
+from .scalars import ZERO, RatPoly, as_fraction, as_scalar, scalar_is_zero
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
@@ -148,13 +148,11 @@ def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
     n = m1 + m2
     if n > 20:
         raise ValueError("n > 20 unsupported")
-    e_rows = [[Fraction(0)] * n for _ in range(n)]
-    f_rows = [[Fraction(0)] * n for _ in range(n)]
+    e_rows = [[ZERO] * n for _ in range(n)]
     for k in range(m2):
         e_rows[k][m1 + k] = Fraction(1)
-        f_rows[m1 + k][k] = Fraction(1)
-    e = RationalMatrix(e_rows)
-    f = RationalMatrix(f_rows)
+    e = RationalMatrix._trusted(e_rows)
+    f = e.transpose()
     h = bracket(e, f)
     abel = _gl_abelianisation(h, m1, m2)
     h_prime = None
@@ -217,9 +215,9 @@ def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
     model = build_model(kind, form)
 
     size = orbit.n
-    e_rows = [[Fraction(0)] * size for _ in range(size)]
-    f_rows = [[Fraction(0)] * size for _ in range(size)]
-    h_rows = [[Fraction(0)] * size for _ in range(size)]
+    e_rows = [[ZERO] * size for _ in range(size)]
+    f_rows = [[ZERO] * size for _ in range(size)]
+    h_rows = [[ZERO] * size for _ in range(size)]
     for j, nj in enumerate(orbit.parts):
         for i in range(1, nj + 1):
             h_rows[pos[(i, j)]][pos[(i, j)]] = Fraction(nj - 2 * i + 1)
@@ -234,17 +232,17 @@ def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
     h_prime = None
     if sheet.type_tag == 1:
         # beta pairs block a-1 with block a; h' is +1 on one, -1 on the other.
-        hp = [[Fraction(0)] * size for _ in range(size)]
+        hp = [[ZERO] * size for _ in range(size)]
         for i in range(1, orbit.parts[a - 1] + 1):
             hp[pos[(i, a - 1)]][pos[(i, a - 1)]] = Fraction(1)
         for i in range(1, orbit.parts[a] + 1):
             hp[pos[(i, a)]][pos[(i, a)]] = Fraction(-1)
-        h_prime = RationalMatrix(hp)
+        h_prime = RationalMatrix._trusted(hp)
 
     return Sl2Triple(
-        e=RationalMatrix(e_rows),
-        h=RationalMatrix(h_rows),
-        f=RationalMatrix(f_rows),
+        e=RationalMatrix._trusted(e_rows),
+        h=RationalMatrix._trusted(h_rows),
+        f=RationalMatrix._trusted(f_rows),
         model=model,
         flag_dims=flag,
         abelianization_value=abel,
@@ -328,10 +326,10 @@ def _basis_order(parts: Tuple[int, ...], beta: List[int], a: int):
 def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: bool):
     """Solve the sign recursion: pairings supported on i + i' = n_j + 1 for
     beta-paired blocks, alternating down the antidiagonal; the beta-image
-    side is forced by the requested symmetry."""
+    side is forced by the requested symmetry, which ClassicalForm checks."""
     size = sum(parts)
     eps = Fraction(1) if symmetric else Fraction(-1)
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    rows = [[ZERO] * size for _ in range(size)]
     seeds = []
     done = set()
     for j in range(len(parts)):
@@ -346,11 +344,7 @@ def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: b
             rows[pos[(i, j)]][pos[(nj + 1 - i, jp)]] = seed * Fraction(-1) ** (i - 1)
             if jp != j:
                 rows[pos[(i, jp)]][pos[(nj + 1 - i, j)]] = seed * eps * Fraction(-1) ** (nj - i)
-    gram = RationalMatrix(rows)
-    sign = 1 if symmetric else -1
-    if gram.transpose() != gram.scale(sign):
-        raise ValueError("sign recursion produced the wrong symmetry")
-    return gram, seeds
+    return RationalMatrix._trusted(rows), seeds
 
 
 # --- Rank-2 symplectic artifacts -------------------------------------------------

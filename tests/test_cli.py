@@ -26,6 +26,19 @@ def run_cli(*args, env_extra=None, expect=0):
     return completed
 
 
+def _serve(argv):
+    """Exit code, stdout and stderr of one in-process cli.main request."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from sheet_atlas import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_sheet_info_sdix_row():
     out = run_cli("sheet-info", "--kind", "C", "--rank", "2", "--levi", "1,1")
     payload = json.loads(out.stdout)
@@ -282,16 +295,53 @@ def test_sp4_slice_transcripts_are_golden(monkeypatch):
     """Exact exit code, stdout and stderr of every sp4-slice verification
     (with and without --as-printed and --matrices, table and JSON), as
     recorded in tests/golden; the char poly lines print Q[t] coefficients."""
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
-
-    from sheet_atlas import cli
-
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     golden = json.loads((Path(__file__).parent / "golden" / "sp4_slice_transcripts.json").read_text(encoding="utf-8"))
     assert len(golden) == 8
     for case in golden:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(list(case["argv"]))
-        assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+        assert _serve(case["argv"]) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def _record_requests(r):
+    """Every request that builds a sheet record of rank r."""
+    return [
+        ["sheet-info", "--kind", "A", "--rank", str(r), "--levi", str(r)],
+        ["sheet-info", "--kind", "B", "--rank", str(r), "--levi", "1,%d" % (2 * r - 1)],
+        ["sheet-info", "--kind", "C", "--rank", str(r), "--levi", "1,%d" % (r - 1)],
+        ["sheet-info", "--kind", "D", "--rank", str(r), "--levi", "1,%d" % (2 * r - 2)],
+        ["sheets", "--kind", "B", "--rank", str(r), "--json"],
+        ["sheets", "--kind", "C", "--rank", str(r), "--json"],
+        ["sheets", "--kind", "D", "--rank", str(r)],
+        ["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", str(r), "--levi", "1,%d" % (r - 1)],
+        ["multiplicity", "--sheet", "C:%d:1,%d" % (r, r - 1)],
+    ]
+
+
+def test_record_requests_are_bounded_at_rank_1000(monkeypatch):
+    """Rank 1000 is served; rank 1001, and the rank 10^9 that used to end in
+    a MemoryError, are refused with exit 1 and nothing on stdout."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    assert sheets.MAX_RANK == 1000
+    for argv in _record_requests(1000):
+        code, out, err = _serve(argv)
+        assert (code, err) == (0, "") and out, argv
+        if argv[0] == "sheets" and "--json" in argv:
+            assert len(json.loads(out)) == 1000
+    for r in (1001, 10**9):
+        for argv in _record_requests(r):
+            assert _serve(argv) == (1, "", "error: rank %d is beyond the supported maximum 1000\n" % r), argv
+    # without a record, the base dimension has no rank bound
+    assert _serve(["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "1001"]) == (0, "%d\n" % (1001 * 2003), "")
+
+
+def test_triple_verify_transcripts_are_golden(monkeypatch):
+    """Exact exit code, stdout and stderr of triple-verify for every GL pair
+    with n <= 8 and every B/C/D maximal Levi label up to rank 4, with and
+    without --matrices, table and JSON, as recorded in tests/golden."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    golden = json.loads((Path(__file__).parent / "golden" / "triple_verify_transcripts.json").read_text(encoding="utf-8"))
+    assert len(golden) == 168
+    cases = {case["argv"][2] for case in golden}
+    assert "gl:4,4" in cases and "bcd:B,4,1" in cases and "bcd:D,4,0" in cases
+    for case in golden:
+        assert _serve(case["argv"]) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]

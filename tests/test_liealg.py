@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -19,7 +19,7 @@ from sheet_atlas.liealg import (
 )
 from sheet_atlas.liealg import _form, _integer_form
 from sheet_atlas.scalars import ZERO, ClearedGroups, RatPoly
-from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
 
@@ -187,12 +187,170 @@ def test_fraction_free_rank_matches_rational_elimination():
         assert fraction_free_rank(ints) == rank_by_rational_elimination([[Fraction(v) for v in r] for r in ints])
 
 
+def _rank_oracle(rows):
+    return rank_by_rational_elimination([[Fraction(v) for v in row] for row in rows])
+
+
+def _ad_like_rows(rng, n):
+    """n^2 rows in n^2 columns with O(n) small nonzeros each, as the rows of
+    ad x are, and some rows planted as combinations of two others, so the
+    rank is below n^2."""
+    rows = []
+    for _ in range(n * n):
+        row = [0] * (n * n)
+        for _ in range(rng.randint(0, 2 * n)):
+            row[rng.randrange(n * n)] = rng.choice([-3, -2, -1, 1, 1, 2, 5])
+        rows.append(row)
+    half = n * n // 2
+    for _ in range(rng.randint(1, n)):
+        # sources in the first half, never overwritten, targets in the second
+        i, j, k = rng.randrange(half), rng.randrange(half), rng.randrange(half, n * n)
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        rows[k] = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_fraction_free_rank_on_sparse_ad_like_rows():
+    rng = random.Random(101)
+    ranks = set()
+    for trial in range(40):
+        n = rng.randint(2, 6)
+        rows = _ad_like_rows(rng, n)
+        expected = _rank_oracle(rows)
+        assert fraction_free_rank(rows) == expected
+        ranks.add((n, expected))
+        # the rank ignores the order of the rows and how they are scaled
+        scaled = [[k * v for v in row] for k, row in zip(rng.choices([-6, -1, 2, 7], k=len(rows)), reversed(rows))]
+        assert fraction_free_rank(scaled) == expected
+    # the planted rows make every rank deficient, by varying amounts
+    assert all(r < n * n for n, r in ranks) and len({n * n - r for n, r in ranks}) > 5
+
+
+def test_fraction_free_rank_on_dense_rows_with_large_entries():
+    rng = random.Random(103)
+    for trial in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3 == 0 and nrows > 2:
+            # a planted dependency, and a row with a large common factor
+            rows[-1] = [3 * u - 5 * v for u, v in zip(rows[0], rows[1])]
+            rows[-2] = [999983 * v for v in rows[-2]]
+        assert fraction_free_rank(rows) == _rank_oracle(rows)
+
+
+def test_fraction_free_rank_edge_shapes():
+    rng = random.Random(107)
+    assert fraction_free_rank([]) == 0
+    assert fraction_free_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert fraction_free_rank([[0], [0]]) == 0
+    assert fraction_free_rank([[5]]) == 1
+    assert fraction_free_rank([[0], [-7], [3]]) == 1
+    assert fraction_free_rank([[Fraction(0)] * 4, [Fraction(1, 3), 0, 0, Fraction(-2, 7)]]) == 1
+    assert fraction_free_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]]) == 1
+    for _ in range(20):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.4 else Fraction(0) for _ in range(5)] for _ in range(rng.randint(1, 6))]
+        rows.append([0] * 5)
+        assert fraction_free_rank(rows) == rank_by_rational_elimination(rows)
+
+
+def _workload_points():
+    """(x = z + e, model, dim L) for the triples of the sheet-points cases
+    with n <= 8, z on the Levi centre at a few scales (z = 0 gives e)."""
+    cases = []
+    for n in range(2, 9):
+        for m1 in range((n + 1) // 2, n):
+            m2 = n - m1
+            cases.append((build_gl_triple(m1, m2), [m2] * m1 + [-m1] * m2, m1 * m1 + m2 * m2))
+    for kind in [type_b(r) for r in (1, 2, 3)] + [type_c(r) for r in (1, 2, 3, 4)] + [type_d(r) for r in (2, 3, 4)]:
+        for levi in valid_max_levi_labels(kind):
+            trip = build_bcd_triple(kind, levi)
+            a, size = levi.a, trip.e.dim
+            cases.append((trip, [1] * a + [0] * (size - 2 * a) + [-1] * a, max_levi_dim(kind, levi)))
+    for trip, diag, dim_l in cases:
+        for c in (Fraction(0), Fraction(1), Fraction(-355, 113)):
+            yield trip.e + RationalMatrix.diagonal([c * v for v in diag]), trip.model, (dim_l if c else None)
+
+
+def test_centralizer_dim_at_workload_points_against_oracle():
+    seen = 0
+    for x, model, dim_l in _workload_points():
+        got = centralizer_dim(x, model)
+        assert got == _oracle_centralizer_dim(x, model)
+        if dim_l is not None:
+            # a generic point z + e of a Dixmier sheet has centraliser dim L
+            assert got == dim_l
+        seen += 1
+    assert seen > 100
+
+
 def test_classical_form_validation():
     with pytest.raises(ValueError):
         ClassicalForm("symmetric", RationalMatrix([[0, 1], [-1, 0]]))
     with pytest.raises(ValueError):
         ClassicalForm("antisymmetric", RationalMatrix([[0, 0], [0, 0]]))
     assert determinant(so_gram(4).gram) in (Fraction(1), Fraction(-1))
+
+
+def test_classical_form_monomial_and_general_gram_matrices():
+    t = RatPoly.variable()
+    # non-monomial and non-degenerate: accepted through the determinant
+    ClassicalForm("symmetric", RationalMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]]))
+    ClassicalForm("antisymmetric", RationalMatrix([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]]))
+    # monomial with any nonzero rational entries: accepted by its shape
+    ClassicalForm("symmetric", RationalMatrix([[0, 0, Fraction(2, 3)], [0, -5, 0], [Fraction(2, 3), 0, 0]]))
+    ClassicalForm("antisymmetric", RationalMatrix([[0, 7, 0, 0], [-7, 0, 0, 0], [0, 0, 0, Fraction(-1, 2)], [0, 0, Fraction(1, 2), 0]]))
+    degenerate = [
+        ("symmetric", [[1, 1], [1, 1]]),
+        ("symmetric", [[1, 2, 3], [2, 4, 6], [3, 6, 9]]),
+        ("symmetric", [[0, 1, 1], [1, 0, 0], [1, 0, 0]]),
+        ("antisymmetric", [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+        ("symmetric", [[1, 0], [0, 0]]),
+    ]
+    for kind, rows in degenerate:
+        assert determinant(RationalMatrix(rows)) == 0
+        with pytest.raises(ValueError, match="degenerate"):
+            ClassicalForm(kind, RationalMatrix(rows))
+    # monomial but of the wrong symmetry
+    for kind, rows in [
+        ("antisymmetric", so_gram(4).gram.rows),
+        ("symmetric", sp_gram(4).gram.rows),
+        ("symmetric", [[0, 2], [3, 0]]),
+        ("antisymmetric", [[0, 1], [1, 0]]),
+    ]:
+        with pytest.raises(ValueError, match="symmetry"):
+            ClassicalForm(kind, RationalMatrix(rows))
+    # a Gram matrix must be rational, monomial or not
+    for rows in ([[0, t], [t, 0]], [[t, 1], [1, 1]]):
+        with pytest.raises(ValueError):
+            ClassicalForm("symmetric", RationalMatrix(rows))
+
+
+def test_model_basis_matches_terms():
+    for model in _small_models() + [_generic_gram_model()]:
+        n = model.matrix_size
+        assert model.dimension == len(model.terms) == len(model.sparse_basis) == len(model.basis)
+        for b, terms, ints in zip(model.basis, model.terms, model.sparse_basis):
+            cells = {(r, c): k for r, c, k in terms}
+            assert len(cells) == len(terms) and all(k for k in cells.values())
+            assert b == RationalMatrix([[cells.get((i, j), 0) for j in range(n)] for i in range(n)])
+            # sparse_basis[i] is a nonzero multiple of basis[i], with coprime integers
+            assert [(r, c) for r, c, _ in ints] == [(r, c) for r, c, _ in terms]
+            assert all(isinstance(k, int) for _, _, k in ints) and gcd(*(k for _, _, k in ints)) == 1
+            ratio = Fraction(ints[0][2]) / terms[0][2]
+            assert ratio and all(Fraction(k) == ratio * q for (_, _, k), (_, _, q) in zip(ints, terms))
+        assert model.basis is model.basis
+
+
+def test_models_of_one_kind_compare_equal():
+    for kind in (type_a(4), type_b(2), type_c(3), type_d(3)):
+        first, second = build_model(kind), build_model(kind)
+        assert first == second and hash(first) == hash(second)
+        second.basis  # building the dense basis does not change equality
+        assert first == second
+    assert build_model(type_c(2)) != build_model(type_c(2), ClassicalForm("antisymmetric", sp_gram(4).gram.scale(2)))
+    assert _generic_gram_model() == _generic_gram_model()
+    assert _generic_gram_model() != build_model(type_b(1))
 
 
 def test_determinant_against_cofactor_expansion():
