@@ -211,7 +211,8 @@ def cmd_hitchin_dim(args) -> int:
     g = args.genus
     if args.levi:
         # a request for a sheet record is refused beyond the rank bound
-        # before the base dimension sums over every invariant degree
+        # before anything is computed; the base dimension alone is a closed
+        # form and is answered at any rank
         sheets.check_rank(kind)
     payload = {"kind": str(kind), "genus": g, "dim_base": hitchin.dim_hitchin_base(kind, g)}
     if args.levi:

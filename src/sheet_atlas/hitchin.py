@@ -61,8 +61,13 @@ def invariant_degrees(kind: GroupKind) -> Tuple[int, ...]:
 
 
 def dim_hitchin_base(kind: GroupKind, g: int) -> int:
-    """Dimension of the full base: sum of section spaces over the degrees."""
-    return sum(h0_canonical_power(g, d) for d in invariant_degrees(kind))
+    """Dimension of the full base, the sum of h0(K^d) over the invariant
+    degrees d, in closed form: the (2d - 1) summed over the degrees make
+    dim G, and the degree-1 invariant of GL_n has g sections instead of
+    g - 1, so the base has dimension (g - 1) dim G + [family A]."""
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+    return (g - 1) * kind.dim + (1 if kind.family == "A" else 0)
 
 
 def dim_hitchin_base_sp4(g: int) -> int:

@@ -7,7 +7,7 @@ own conjugate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -93,19 +93,34 @@ class MultiplicityProfile:
         return cls(tuple(int(obj.get(str(i), 0)) for i in range(1, s + 1)))
 
 
-def conjugate(m: Partition) -> Partition:
-    """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i}.
+def conjugate_runs(m: Partition) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """The conjugate parts of m, largest first, and its runs of equal parts
+    as (part, run length), smallest part first, from one walk up the parts.
 
-    One walk down the parts: exactly j parts are >= i for every i in
-    (m_{j+1}, m_j] (1-based, m_{k+1} = 0), so m_j - m_{j+1} conjugate parts
-    equal j.
+    Exactly j parts are >= i for every i in (m_{j+1}, m_j] (1-based,
+    m_{k+1} = 0), so m_j - m_{j+1} conjugate parts equal j; that is zero
+    inside a run of equal parts, so the walk steps from the end of one run
+    to the end of the next.
     """
     parts = m.parts
-    out = []
-    for j in range(len(parts), 0, -1):
-        below = parts[j] if j < len(parts) else 0
-        out += [j] * (parts[j - 1] - below)
-    return Partition._trusted(out)
+    conj: List[int] = []
+    runs: List[Tuple[int, int]] = []
+    below = 0
+    j = len(parts)
+    while j:
+        p = parts[j - 1]
+        # parts[i:j] is the run of parts equal to p; index() scans in C
+        i = parts.index(p)
+        conj += [j] * (p - below)
+        runs.append((p, j - i))
+        below = p
+        j = i
+    return conj, runs
+
+
+def conjugate(m: Partition) -> Partition:
+    """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i}."""
+    return Partition._trusted(conjugate_runs(m)[0])
 
 
 def profile(m: Partition) -> MultiplicityProfile:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Union
 
 from .partitions import Partition
-from .sheets import GLLevi, LeviLabel, gl_sheet
+from .sheets import GLLevi, LeviLabel, check_rank, gl_sheet, type_a
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,10 @@ def so_star_fixed_degree(m: int, g: int) -> int:
 
 def su_sheet_partition(p: int, q: int) -> Partition:
     """Levi partition (p-q, 1^{2q}) of the sheet through the isotropy-regular
-    locus; the leading part is dropped when p = q."""
+    locus; the leading part is dropped when p = q.  The sheet lives in
+    GL_{p+q}, so p + q above the record bound MAX_RANK is refused before the
+    2q parts are built."""
+    check_rank(type_a(p + q))
     r = p - q
     parts = ([r] if r > 0 else []) + [1] * (2 * q)
     return Partition(parts)

@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from .partitions import Partition, conjugate, is_valid_orbit_partition, partitions_of, profile
+from .partitions import Partition, conjugate_runs, is_valid_orbit_partition, partitions_of
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
@@ -263,7 +263,7 @@ def parse_kind(text: str) -> GroupKind:
 
 def _levi_group_name(kind: GroupKind, levi: LeviLabel) -> str:
     if isinstance(levi, GLLevi):
-        return "x".join("GL%d" % p for p in levi.m.parts)
+        return "GL" + "xGL".join(map(str, levi.m.parts))
     if isinstance(levi, F4B3Levi):
         return "B3-Levi"
     if isinstance(levi, MaxLevi):
@@ -413,42 +413,56 @@ def enumerate_sheets_gln(n: int) -> List[SheetDescriptor]:
 
     The sheet for the Levi partition m has the conjugate partition as its
     nilpotent orbit, d = sum m_i^2, centre of dimension #parts, relative
-    Weyl group of order prod l_i!, and trivial residual finite group.
+    Weyl group of order prod l_i!, and trivial residual finite group.  Every
+    record shares one (immutable) GroupKind.
     """
     if not 1 <= n <= 40:
         raise ValueError("n out of supported range 1..40")
-    return [gl_sheet(m) for m in partitions_of(n)]
+    kind = type_a(n)
+    return [_gl_record(m, kind) for m in partitions_of(n)]
 
 
 def gl_sheet(m: Partition) -> SheetDescriptor:
-    n = m.n
-    if n < 1:
-        raise ValueError("empty partition labels no sheet")
-    prof = profile(m)
+    """The sheet of gl_n with Levi partition m (n = |m|)."""
+    return _gl_record(m, None)
+
+
+def _gl_record(m: Partition, kind: Optional[GroupKind]) -> SheetDescriptor:
+    """The record of :func:`gl_sheet` from one walk of m's parts, for the
+    group ``kind`` (built here when None; a kind of another rank fails the
+    descriptor's checks)."""
+    conj, runs = conjugate_runs(m)
+    n = d = 0
     w_l = 1
-    for li in prof.counts:
-        w_l *= factorial(li)
-    d = sum(p * p for p in m.parts)
-    two_parts = m.num_parts == 2
+    for p, l in runs:
+        n += p * l
+        d += p * p * l
+        w_l *= factorial(l)
+    if kind is None:
+        if n < 1:
+            raise ValueError("empty partition labels no sheet")
+        kind = type_a(n)
+    parts = m.parts
+    num_parts = len(parts)
     class_tag = None
     type_tag = None
-    if two_parts:
-        class_tag = "I" if m.parts[0] == m.parts[1] else "II"
+    if num_parts == 2:
+        class_tag = "I" if parts[0] == parts[1] else "II"
         type_tag = 1 if class_tag in TYPE1_CLASSES else 2
     return SheetDescriptor(
-        kind=type_a(n),
+        kind=kind,
         levi=GLLevi(m),
         dixmier=True,
-        nilpotent_orbit=conjugate(m),
+        nilpotent_orbit=Partition._trusted(conj),
         d=d,
-        dim_z=m.num_parts,
+        dim_z=num_parts,
         w_l_order=w_l,
         katsylo_order=1,
-        dim_sheet=n * n - d + m.num_parts,
+        dim_sheet=n * n - d + num_parts,
         class_tag=class_tag,
         type_tag=type_tag,
         component_group_order=1,
-        name="gl%d:m=%s" % (n, ",".join(map(str, m.parts))),
+        name="gl%d:m=%s" % (n, ",".join(map(str, parts))),
     )
 
 

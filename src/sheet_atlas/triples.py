@@ -11,19 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .liealg import (
     ClassicalForm,
     LieAlgebraModel,
     RationalMatrix,
+    _form,
     bracket,
     build_model,
     in_algebra,
     sp_gram,
 )
 from .partitions import Partition
-from .scalars import ZERO, RatPoly, as_fraction, as_scalar, scalar_is_zero
+from .scalars import ZERO, RatPoly, as_fraction, as_scalar
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
@@ -107,27 +108,23 @@ class Sl2Triple:
         return out
 
 
-def _group_of(index: int, flag_dims: Tuple[int, ...]) -> int:
+def _nonzero_blocks(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
+    """(flag block of r, flag block of c) for every nonzero entry x[r][c],
+    read from the matrix's cached cleared form; block k holds the indices
+    below flag_dims[k] and not below an earlier bound.  A nonzero entry
+    outside the last block raises IndexError."""
+    block: List[int] = []
     for k, bound in enumerate(flag_dims):
-        if index < bound:
-            return k
-    raise IndexError(index)
+        block += [k] * (bound - len(block))
+    return ((block[r], block[c]) for r, row in enumerate(_form(x)[1]) for c, _ in row)
 
 
 def _strictly_block_upper(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> bool:
-    for c in range(x.dim):
-        for r in range(x.dim):
-            if not scalar_is_zero(x.rows[r][c]) and _group_of(r, flag_dims) >= _group_of(c, flag_dims):
-                return False
-    return True
+    return all(br < bc for br, bc in _nonzero_blocks(x, flag_dims))
 
 
 def _block_diagonal(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> bool:
-    for r in range(x.dim):
-        for c in range(x.dim):
-            if not scalar_is_zero(x.rows[r][c]) and _group_of(r, flag_dims) != _group_of(c, flag_dims):
-                return False
-    return True
+    return all(br == bc for br, bc in _nonzero_blocks(x, flag_dims))
 
 
 # --- GL triples ---------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 These deliberately take different computational routes from the library:
 partition counts by Euler's pentagonal recurrence, diagram transposition by
-cells, determinant by cofactor expansion over dense polynomial entries,
-rank by plain rational elimination, polynomial gcd by leading-coefficient
-Euclid, and tuple recovery by squarefree (Yun) decomposition.  It also
+cells, type A sheet records from those cells, Hitchin base dimensions by
+summing over listed invariant degrees, flag conditions by a dense scan,
+determinant by cofactor expansion over dense polynomial entries, rank by
+plain rational elimination, polynomial gcd by leading-coefficient Euclid,
+and tuple recovery by squarefree (Yun) decomposition.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from math import factorial
+from typing import Callable, List, Sequence
 
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import poly_divmod_monic, poly_trim
@@ -53,6 +56,58 @@ def profile_by_conjugate_steps(m: Partition) -> dict:
         ni1 = conj[i] if i < len(conj) else 0
         steps[i] = ni - ni1
     return steps
+
+
+def gl_record_fields(m: Partition) -> dict:
+    """The fields of the gl_n sheet record of the Levi partition m, from the
+    cells of its diagram: the orbit is the transposed diagram, |W_L| the
+    product of l_i! over the steps of the transpose, d = sum m_i^2."""
+    parts = m.parts
+    n = sum(parts)
+    d = sum(p * p for p in parts)
+    w_l = 1
+    for li in profile_by_conjugate_steps(m).values():
+        w_l *= factorial(li)
+    two = len(parts) == 2
+    return {
+        "nilpotent_orbit": conjugate_by_cells(m),
+        "dixmier": True,
+        "d": d,
+        "dim_z": len(parts),
+        "w_l_order": w_l,
+        "katsylo_order": 1,
+        "dim_sheet": n * n - d + len(parts),
+        "class_tag": ("I" if parts[0] == parts[1] else "II") if two else None,
+        "type_tag": (2 if parts[0] == parts[1] else 1) if two else None,
+        "component_group_order": 1,
+        "levi_conjugacy_caveat": False,
+        "name": "gl%d:m=%s" % (n, ",".join(str(p) for p in parts)),
+        "decomposition_data": "(%s,0)" % "x".join("GL%d" % p for p in parts),
+    }
+
+
+def hitchin_base_by_degrees(family: str, r: int, g: int) -> int:
+    """Sum of h0(K^d) over the listed invariant degrees d of the group:
+    g sections for d = 1, (2d - 1)(g - 1) otherwise."""
+    degrees = {
+        "A": list(range(1, r + 1)),
+        "B": [2 * i for i in range(1, r + 1)],
+        "C": [2 * i for i in range(1, r + 1)],
+        "D": [2 * i for i in range(1, r)] + [r],
+        "F4": [2, 6, 8, 12],
+    }[family]
+    return sum(g if d == 1 else (2 * d - 1) * (g - 1) for d in degrees)
+
+
+def flag_condition_by_scan(rows, flag_dims: Sequence[int], allowed: Callable[[int, int], bool]) -> bool:
+    """Whether allowed(block of r, block of c) holds at every nonzero entry
+    rows[r][c], scanning every entry; block k holds the indices below
+    flag_dims[k] and not below an earlier bound."""
+
+    def block(i: int) -> int:
+        return next(k for k, bound in enumerate(flag_dims) if i < bound)
+
+    return all(allowed(block(r), block(c)) for r, row in enumerate(rows) for c, v in enumerate(row) if v != 0)
 
 
 def charpoly_by_expansion(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:

@@ -334,6 +334,34 @@ def test_record_requests_are_bounded_at_rank_1000(monkeypatch):
     assert _serve(["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "1001"]) == (0, "%d\n" % (1001 * 2003), "")
 
 
+def test_hitchin_dim_without_levi_is_answered_at_any_rank(monkeypatch):
+    """The full base is a closed form: rank 10^9 in type C (which used to
+    end in a MemoryError) is answered, and a genus below 2 still fails."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    argv = ["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", str(10**9)]
+    assert _serve(argv) == (0, "2000000001000000000\n", "")
+    code, out, err = _serve(argv + ["--json"])
+    assert (code, err) == (0, "") and json.loads(out)["dim_base"] == 2000000001000000000
+    code, out, err = _serve(["hitchin-dim", "--genus", "1", "--kind", "C", "--rank", str(10**9)])
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_realform_su_is_bounded_by_the_record_rank(monkeypatch):
+    """SU(p, q) lives in GL_{p+q}: p + q = 1000 is answered, and a larger
+    label (which used to end in a MemoryError) is refused with exit 1 and
+    nothing on stdout before its partition is built."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    for p, q in ((500, 500), (999, 1), (600, 400)):
+        code, out, err = _serve(["realform", "--label", "SU:%d,%d" % (p, q), "--genus", "2", "--json"])
+        assert (code, err) == (0, "") and json.loads(out)["levi"]["gl"] == ([p - q] if p > q else []) + [1] * (2 * q)
+    for p, q in ((501, 500), (1000, 1), (30000000, 20000000), (1000000000, 999999999)):
+        for extra in ([], ["--json"]):
+            argv = ["realform", "--label", "SU:%d,%d" % (p, q), *extra]
+            assert _serve(argv) == (1, "", "error: rank %d is beyond the supported maximum 1000\n" % (p + q)), argv
+    code, out, err = _serve(["realform", "--label", "SOSTAR:1000001", "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["label"] == "SO*(2000002)"
+
+
 def test_triple_verify_transcripts_are_golden(monkeypatch):
     """Exact exit code, stdout and stderr of triple-verify for every GL pair
     with n <= 8 and every B/C/D maximal Levi label up to rank 4, with and

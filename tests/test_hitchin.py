@@ -14,7 +14,9 @@ from sheet_atlas.hitchin import (
     slice_weights,
 )
 from sheet_atlas.partitions import Partition, partitions_of
-from sheet_atlas.sheets import gl_sheet, sheets_sp4, type_a, type_c
+from sheet_atlas.sheets import F4, gl_sheet, sheets_sp4, type_a, type_b, type_c, type_d
+
+from oracles import hitchin_base_by_degrees
 
 
 def test_h0_examples():
@@ -60,6 +62,17 @@ def test_reduced_base_bounded_by_full_base():
                 full = dim_hitchin_base(type_a(n), g)
                 assert s_dim <= full
                 assert (s_dim == full) == (m == Partition([1] * n))
+
+
+def test_full_base_closed_form_matches_summed_degrees():
+    makers = {"A": type_a, "B": type_b, "C": type_c, "D": type_d}
+    groups = [(makers[f](r), f, r) for f in "ABCD" for r in range(2 if f == "D" else 1, 65)] + [(F4, "F4", 4)]
+    for kind, family, r in groups:
+        for g in range(2, 7):
+            assert dim_hitchin_base(kind, g) == hitchin_base_by_degrees(family, r, g), (kind, g)
+    for g in (1, 0, -2):
+        with pytest.raises(ValueError):
+            dim_hitchin_base(type_c(3), g)
 
 
 def test_sp4_base_dims():

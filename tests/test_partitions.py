@@ -5,6 +5,7 @@ from sheet_atlas.partitions import (
     MultiplicityProfile,
     Partition,
     conjugate,
+    conjugate_runs,
     is_valid_orbit_partition,
     partitions_of,
     profile,
@@ -104,14 +105,19 @@ def test_partitions_of_rejects_negative():
 
 
 def test_conjugate_and_profile_on_every_small_partition():
-    for n in range(15):
+    """conjugate against the cell transpose, the runs of equal parts
+    (part, length), smallest part first, and the profile against the steps
+    of the transpose, for every partition with n <= 30."""
+    for n in range(31):
         for m in partitions_of(n):
             conj = conjugate(m)
-            assert conj == conjugate_by_cells(m)
+            assert conj == conjugate_by_cells(m), m
             assert conj == Partition(conj.parts)
+            steps = profile_by_conjugate_steps(m)
+            assert conjugate_runs(m) == (list(conj.parts), [(i, li) for i, li in sorted(steps.items()) if li]), m
             prof = profile(m)
             assert prof.s == m.largest
-            assert dict(prof.items()) == profile_by_conjugate_steps(m)
+            assert dict(prof.items()) == steps
 
 
 def test_profile_json_roundtrip():

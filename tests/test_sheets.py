@@ -27,6 +27,8 @@ from sheet_atlas.sheets import (
     valid_max_levi_labels,
 )
 
+from oracles import gl_record_fields, partition_count
+
 
 def test_gln_sheet_example_n4():
     descs = {d.levi.m.parts: d for d in enumerate_sheets_gln(4)}
@@ -55,6 +57,28 @@ def test_gln_enumeration_order_and_range():
         enumerate_sheets_gln(0)
     with pytest.raises(ValueError):
         enumerate_sheets_gln(41)
+
+
+def test_type_a_records_match_oracles():
+    """Every field of every gl_n record with n <= 24, listed or built alone,
+    against the record computed from the cells of the Levi diagram."""
+    for n in range(1, 25):
+        listing = enumerate_sheets_gln(n)
+        assert len(listing) == partition_count(n)
+        assert len({d.levi.m for d in listing}) == len(listing)
+        for desc in listing:
+            m = desc.levi.m
+            expected = gl_record_fields(m)
+            alone = gl_sheet(m)
+            for d in (desc, alone):
+                assert (d.kind, d.levi) == (type_a(n), GLLevi(m))
+                assert {name: getattr(d, name) for name in expected} == expected, m
+            assert record_json(alone) == record_json(desc)
+
+
+def test_gl_sheet_refuses_the_empty_partition():
+    with pytest.raises(ValueError):
+        gl_sheet(Partition(()))
 
 
 def test_sheets_sp4_rows():

@@ -20,6 +20,9 @@ from sheet_atlas.triples import (
     sp4_slice,
     sp4_triple,
 )
+from sheet_atlas.triples import _block_diagonal, _strictly_block_upper
+
+from oracles import flag_condition_by_scan
 
 
 def all_bcd_cases(max_n):
@@ -227,6 +230,50 @@ def _fields(trip, **changes):
 
 def _plus_unit(x, r, c):
     return x + RationalMatrix.unit(x.dim, r, c, Fraction(3, 7))
+
+
+def _workload_triples(max_n):
+    """Every GL and B/C/D maximal-Levi triple with matrices of size <= max_n,
+    and the rank-2 symplectic one."""
+    for n in range(2, max_n + 1):
+        for m2 in range(1, n // 2 + 1):
+            yield build_gl_triple(n - m2, m2)
+    for kind, levi in all_bcd_cases(max_n):
+        yield build_bcd_triple(kind, levi)
+    yield sp4_triple()
+
+
+def _moved_into(x, block):
+    """x with its first nonzero entry moved to the top left of block."""
+    rows = [list(r) for r in x.rows]
+    r0, c0 = next((r, c) for r, row in enumerate(rows) for c, v in enumerate(row) if v != 0)
+    value, rows[r0][c0] = rows[r0][c0], Fraction(0)
+    rows[block[0]][block[1]] = value
+    return RationalMatrix(rows)
+
+
+def test_flag_conditions_match_a_dense_scan():
+    """The flag conditions on e, h and h' of every triple with n <= 8 agree
+    with a dense scan, and fail once one nonzero entry is moved into any
+    block the condition forbids."""
+    upper = (_strictly_block_upper, lambda br, bc: br < bc)
+    diagonal = (_block_diagonal, lambda br, bc: br == bc)
+    checked = 0
+    for trip in _workload_triples(8):
+        dims = trip.flag_dims
+        starts = (0,) + dims[:-1]
+        for x, (check, allowed) in ((trip.e, upper), (trip.h, diagonal), (trip.h_prime, diagonal)):
+            if x is None:
+                continue
+            assert check(x, dims) is flag_condition_by_scan(x.rows, dims, allowed) is True
+            for br in range(len(dims)):
+                for bc in range(len(dims)):
+                    if allowed(br, bc):
+                        continue
+                    moved = _moved_into(x, (starts[br], starts[bc]))
+                    assert check(moved, dims) is flag_condition_by_scan(moved.rows, dims, allowed) is False
+                    checked += 1
+    assert checked >= 300
 
 
 def test_triple_checks_catch_faults():
