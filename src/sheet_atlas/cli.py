@@ -239,6 +239,9 @@ def cmd_hitchin_dim(args) -> int:
 
 def cmd_mu_s(args) -> int:
     m = Partition(int(v) for v in args.profile.split(","))
+    # the profile of m lives in gl_n, n = |m|: refused beyond the rank bound
+    # before the profile (one count per integer up to the largest part) is built
+    sheets.check_rank(sheets.type_a(m.n))
     prof = profile(m)
     factor_chunks = args.factors.split(";") if args.factors else []
     if len(factor_chunks) != prof.s:

@@ -6,17 +6,17 @@ is exact: entries are rationals or univariate rational-coefficient
 polynomials in one formal parameter.
 
 Every one of these operations has one route, on integers, and every
-matrix is cleared of denominators by
-:class:`~sheet_atlas.scalars.ClearedGroups`.  A rational matrix is cleared
-once: the lcm D of its denominators and the nonzero entries of the integer
-matrix D x, row by row, are cached on the (immutable) matrix the first time
-they are needed, and every routine reads that form, building a Fraction
-only for each nonzero entry of a result.  With entries in Q[t] the same
-integer routine runs at t = 0, 1, ..., N for an N that bounds the t-degree
-of its result, and the integer values are interpolated back exactly; such
-a matrix is also cleared once, and its cleared coefficients are cached the
-same way.  Centraliser ranks come from a sparse fraction-free elimination
-with Markowitz-style pivots on the nonzero entries of the ad x rows, which a
+matrix is cleared of denominators by :func:`~sheet_atlas.scalars.clear`.
+A rational matrix is cleared once: the lcm D of its denominators and the
+nonzero entries of the integer matrix D x, row by row, are cached on the
+(immutable) matrix the first time they are needed, and every routine reads
+that form, building a Fraction only for each nonzero entry of a result.
+With entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for
+an N that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
+and the integer values are interpolated back exactly; such a matrix is also
+cleared once, and its cleared coefficients are cached the same way.
+Centraliser ranks come from a sparse fraction-free elimination with
+Markowitz-style pivots on the nonzero entries of the ad x rows, which a
 model fills from its basis kept as sparse integer terms.
 """
 from __future__ import annotations
@@ -31,14 +31,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     ZERO,
-    ClearedGroups,
     Scalar,
     as_fraction,
     as_scalar,
+    clear,
+    cleared_degree,
     format_scalar,
-    fractions_over,
     parse_scalar,
+    run,
     scalar_is_zero,
+    scalars_over,
 )
 from .spectral import GradedPolynomial
 
@@ -400,22 +402,22 @@ def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, SparseRows]]:
     nonzero entries (j, (D x)[i][j]) of row i, or None when some entry is a
     non-constant polynomial."""
     form = _form(x)
-    return None if type(form[0]) is ClearedGroups else form
+    return None if type(form[0]) is tuple else form
 
 
 def _form(x: RationalMatrix):
     """The cleared form of x, computed once per matrix and cached on it: the
     integer form (D, rows) of :func:`_integer_form` when every entry is
     rational, otherwise (cleared, nz) with nz the nonzero entries (j, v) of
-    each row and cleared a ClearedGroups with those entries, in order, as
-    its one group."""
+    each row and cleared the :func:`~sheet_atlas.scalars.clear` form of
+    those entries, in order."""
     try:
         return x._cleared
     except AttributeError:
         pass
     nz = [[(j, v) for j, v in enumerate(row) if v] for row in x.rows]
-    cleared = ClearedGroups([[v for row in nz for _, v in row]])
-    form = (cleared, nz) if cleared.degrees[0] else (cleared.dens[0], _rows(nz, cleared.at(0)[0]))
+    cleared = clear([v for row in nz for _, v in row])
+    form = (cleared, nz) if cleared[2] else (cleared[0], _rows(nz, cleared[1]))
     object.__setattr__(x, "_cleared", form)
     return form
 
@@ -439,14 +441,14 @@ def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel, dens) -> 
     forms = [_form(x) for x in mats]
     if all(type(d) is int for d, _ in forms):
         ds, rows = zip(*forms)
-        return fractions_over(kernel(*rows), dens(*ds))
-    # a rational matrix joins as its integer form D x, a group of degree 0
-    # over 1, and keeps its own D below
-    parts = [d if type(d) is ClearedGroups else ClearedGroups([[v for row in rows for _, v in row]]) for d, rows in forms]
-    cleared = ClearedGroups.join(parts)
-    ds = [d.dens[0] if type(d) is ClearedGroups else d for d, _ in forms]
+        return scalars_over(kernel(*rows), dens(*ds), None)
+    # a rational matrix joins as its integer entries D x, of t-degree 0, and
+    # keeps its own D
+    cleared = [d if type(d) is tuple else (d, [v for row in rows for _, v in row], None) for d, rows in forms]
     nz = [rows for _, rows in forms]
-    return cleared.solve(degree_bound(*cleared.degrees) + 1, lambda *values: kernel(*map(_rows, nz, values)), dens(*ds))
+    bound = lambda: degree_bound(*map(cleared_degree, cleared)) + 1
+    values, symbol = run(cleared, bound, lambda *values: kernel(*map(_rows, nz, values)))
+    return scalars_over(values, dens(*[d for d, _, _ in cleared]), symbol)
 
 
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
@@ -544,7 +546,7 @@ def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
         if not values:
             continue
         if set(map(type, values)) != {int}:
-            values = ClearedGroups([values]).at(0)[0]
+            values = clear(values)[1]
         g = gcd(*values)
         pending.append(dict(zip(compress(count(), row), values if g == 1 else [v // g for v in values])))
     rank = 0

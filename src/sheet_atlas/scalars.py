@@ -5,16 +5,17 @@ Every coefficient in sheet-atlas is either a ``fractions.Fraction`` or a
 parameter, by convention ``t``).  No floating point appears anywhere.
 
 The library computes on cleared-denominator integers.  Every input is
-cleared of denominators once by :class:`ClearedGroups`; for inputs in Q[t]
-the integer routine runs at t = 0, 1, ..., N, and :func:`interpolate`
-brings its integer values back to Z[t] exactly.
+cleared of denominators once by :func:`clear`; :func:`run` runs an integer
+routine on cleared inputs, for inputs in Q[t] at t = 0, 1, ..., N, and
+:func:`interpolate` brings its integer values back to Z[t] exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat
 from math import factorial, lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Union
+from operator import mul
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 # One shared zero: matrices whose zeros are all this object compare by identity.
 ZERO = Fraction(0)
@@ -165,36 +166,26 @@ class RatPoly:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash(self.coeffs)
+        return hash(self.constant_value()) if self.is_constant() else hash(self.coeffs)
 
     def __repr__(self):
         return "RatPoly(%r, %r)" % (list(self.coeffs), self.symbol)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                base = str(c)
-            else:
-                var = self.symbol if i == 1 else "%s^%d" % (self.symbol, i)
-                if c == 1:
-                    base = var
-                elif c == -1:
-                    base = "-" + var
-                else:
-                    base = "%s*%s" % (c, var)
-            terms.append(base)
-        out = terms[0]
-        for term in terms[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        return format_terms([(str(c), i) for i, c in reversed(list(enumerate(self.coeffs))) if c], self.symbol) if self.coeffs else "0"
+
+
+def format_terms(terms: Sequence, var: str) -> str:
+    """The sum of the terms c var^k for (text of c, k) pairs, highest k
+    first: var^0, 1* and -1* are left out and signs are folded."""
+    out = []
+    for cs, k in terms:
+        v = var if k == 1 else "%s^%d" % (var, k)
+        out.append(cs if k == 0 else v if cs == "1" else "-" + v if cs == "-1" else "%s*%s" % (cs, v))
+    text = out[0]
+    for term in out[1:]:
+        text += " - " + term[1:] if term.startswith("-") else " + " + term
+    return text
 
 
 Scalar = Union[Fraction, RatPoly]
@@ -231,18 +222,14 @@ def as_fraction(x: Scalar) -> Fraction:
 
 def format_scalar(x: Scalar):
     """JSON form: "p/q" for rationals, ascending coefficient array otherwise."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if x.is_constant():
-        return str(x.constant_value())
+    if isinstance(x, Fraction) or x.is_constant():
+        return str(as_fraction(x))
     return [str(c) for c in x.coeffs]
 
 
 def parse_scalar(obj, symbol: str = "t") -> Scalar:
     """Inverse of :func:`format_scalar`."""
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, int):
+    if isinstance(obj, (str, int)):
         return Fraction(obj)
     if isinstance(obj, list):
         return RatPoly([Fraction(c) for c in obj], symbol)
@@ -265,77 +252,61 @@ def _one_symbol(symbols: Set[str]) -> Optional[str]:
     return next(iter(symbols), None)
 
 
-class ClearedGroups:
-    """Groups of scalars in Q[t] (ints and Fractions being constants), each
-    cleared of denominators once.
-
-    Group g times the lcm ``dens[g]`` of the denominators of all its
-    t-coefficients is a list of integer polynomials of t-degree at most
-    ``degrees[g]``; ``symbol`` is the one symbol in use, or None.
-    """
-
-    __slots__ = ("symbol", "dens", "degrees", "_columns")
-
-    def __init__(self, groups: Sequence[Sequence[Scalar]]):
-        self.dens: List[int] = []
-        self.degrees: List[int] = []
-        # per group, the integer vectors of its t^0, t^1, ... coefficients
-        self._columns: List[List[List[int]]] = []
-        for group in groups:
-            if RatPoly in map(type, group):
-                coeffs = [x.coeffs if type(x) is RatPoly else (x,) for x in group]
-                d = lcm(*[c.denominator for cs in coeffs for c in cs])
-                columns = [[c.numerator * (d // c.denominator) for c in col] for col in zip_longest(*coeffs, fillvalue=ZERO)]
-            else:
-                # Fractions and ints: the group is its own t^0 column
-                d = lcm(*[c.denominator for c in group])
-                columns = [[c.numerator * (d // c.denominator) for c in group]]
-            self.dens.append(d)
-            self.degrees.append(max(len(columns) - 1, 0))
-            self._columns.append(columns or [[0] * len(group)])
-        # with every degree 0 there is no symbol, and no two of them
-        self.symbol = poly_symbol(x for group in groups for x in group) if any(self.degrees) else None
-
-    @classmethod
-    def join(cls, parts: Sequence["ClearedGroups"]) -> "ClearedGroups":
-        """The groups of every part, in order, as one ClearedGroups, without
-        clearing them again.  Parts in two different symbols raise
-        ValueError."""
-        out = object.__new__(cls)
-        out.dens = [d for part in parts for d in part.dens]
-        out.degrees = [k for part in parts for k in part.degrees]
-        out._columns = [columns for part in parts for columns in part._columns]
-        out.symbol = _one_symbol({part.symbol for part in parts} - {None})
-        return out
-
-    def at(self, t0: int) -> List[List[int]]:
-        """The integer values of every group at t = t0 (a group of degree 0
-        gives its shared column, not to be mutated)."""
-        out = []
-        for columns in self._columns:
-            group = columns[-1]
-            for column in columns[-2::-1]:
-                group = [v * t0 + c for v, c in zip(group, column)]
-            out.append(group)
-        return out
-
-    def solve(self, points: int, kernel: Callable[..., Sequence[int]], dens: Iterable[int]) -> List[Scalar]:
-        """Run ``kernel`` on the groups' values at t = 0, ..., points - 1 and
-        return output i, interpolated exactly, over dens[i].
-
-        ``points`` must exceed the t-degree of every output as an integer
-        polynomial in the cleared scalars.  One point gives Fractions, more
-        give polynomials in ``symbol``.
-        """
-        values = [kernel(*self.at(t0)) for t0 in range(points)]
-        if points == 1:
-            return fractions_over(values[0], dens)
-        return [RatPoly([Fraction(c, d) for c in p], self.symbol) for p, d in zip(interpolate(values), dens)]
+Cleared = Tuple[int, list, Optional[str]]
 
 
-def fractions_over(values: Iterable[int], dens: Iterable[int]) -> List[Fraction]:
-    """values[i] / dens[i], with the shared ZERO for each zero."""
-    return [ZERO if not v else Fraction(v) if d == 1 else Fraction(v, d) for v, d in zip(values, dens)]
+def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
+    """(D, c, symbol) for scalars x_k in Q[t] (ints and Fractions being
+    constants): D is the lcm of the denominators of every t-coefficient and
+    c_k = D x_k, or D^k x_k when ``weighted``, as ints when ``symbol`` is
+    None, else as ascending integer coefficient lists in it."""
+    symbol = poly_symbol(scalars) if RatPoly in map(type, scalars) else None  # ValueError for two
+    if symbol:
+        cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
+        d = lcm(*[x.denominator for c in cs for x in c])
+        weights = accumulate(repeat(d), mul) if weighted else repeat(d)
+        return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], symbol
+    if RatPoly in map(type, scalars):
+        scalars = [x.constant_value() if type(x) is RatPoly else x for x in scalars]
+    d = lcm(*[x.denominator for x in scalars])
+    weights = accumulate(repeat(d), mul) if weighted else repeat(d)
+    return d, [x.numerator * (w // x.denominator) for x, w in zip(scalars, weights)], None
+
+
+def cleared_degree(form: Cleared) -> int:
+    """The largest t-degree in a cleared form."""
+    return max([1, *map(len, form[1])]) - 1 if form[2] else 0
+
+
+def at(c: list, t0: int) -> List[int]:
+    """The values at t = t0 of ascending integer coefficient lists."""
+    out = []
+    for v in c:
+        x = 0
+        for a in reversed(v):
+            x = x * t0 + a
+        out.append(x)
+    return out
+
+
+def run(forms: Sequence[Cleared], points: Callable[[], int], kernel: Callable[..., list]) -> Tuple[list, Optional[str]]:
+    """(output, symbol) of ``kernel`` on the integer lists c of the forms:
+    one pass for rational forms, else at t = 0, ..., points() - 1, which
+    must exceed the t-degree of every output as a polynomial in the cleared
+    values, interpolated to ascending integer coefficient lists."""
+    symbol = _one_symbol({s for _, _, s in forms} - {None})
+    if symbol is None:
+        return kernel(*[c for _, c, _ in forms]), None
+    values = [kernel(*[at(c, t0) if s else c for _, c, s in forms]) for t0 in range(points())]
+    return interpolate(values), symbol
+
+
+def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -> List[Scalar]:
+    """values[i] / dens[i]: Fractions (the shared ZERO for each zero), or
+    with ``symbol`` polynomials from ascending integer coefficient lists."""
+    if symbol is None:
+        return [ZERO if not v else Fraction(v) if d == 1 else Fraction(v, d) for v, d in zip(values, dens)]
+    return [RatPoly([Fraction(c, d) for c in p], symbol) for p, d in zip(values, dens)]
 
 
 def interpolate(values: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -381,61 +352,67 @@ def poly_trim(p: List[Scalar]) -> List[Scalar]:
 
 def poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
     """Quotient and trimmed remainder of dense p by a monic q, by synthetic
-    division on integers.
-
-    With e the lcm of q's denominators, λ = μ/e makes q monic with integer
-    weight-k coefficients e^k q_k.  The dividend, substituted alike and
-    cleared by the lcm D of its denominators, is divided on integers, and
-    the weight-j coefficient of the result (counted from p's leading term)
-    is the integer one over D e^j.
+    division on integers: λ = μ/e, e the lcm of q's denominators, makes q
+    monic with integer coefficients e^k q_k; p, substituted alike and cleared
+    by its lcm D, is divided, and output j is the integer one over D e^j.
     """
     if not q or q[0] != 1:
         raise ValueError("divisor must be monic")
     nquo = len(p) - len(q)
     if nquo < 0:
         return [], list(p)
-    cleared = ClearedGroups((p, q))
-    d, e = cleared.dens
-    powers = [e**j for j in range(len(p))]
+    fp, fq = clear(p), clear(q)
+    powers = [fq[0] ** j for j in range(len(p))]
 
     def divide(ip, iq):
         # ip[j] * e^j is the substituted dividend; iq[k] * e^(k-1) the
         # divisor's weight-k coefficient (iq[0] = e is the cleared leading 1)
-        ip = [v * w for v, w in zip(ip, powers)]
-        iq = [v * w for v, w in zip(iq[1:], powers)]
-        for k in range(nquo + 1):
-            c = ip[k]
-            if c:
-                for i, v in enumerate(iq, start=k + 1):
-                    ip[i] -= c * v
-        return ip
+        return monic_division([v * w for v, w in zip(ip, powers)], [v * w for v, w in zip(iq[1:], powers)], nquo)
 
-    # Two bounds on the t-degree of the outputs, each proven by induction on
-    # the division steps (output j is p_j minus earlier quotient
-    # coefficients j - k times q_k).  With dp and dq the largest t-degrees
-    # in p and q, quotient coefficient k has t-degree at most dp + k dq, and
-    # the remainder at most dp + (nquo + 1) dq.  By weight: with w = max_k
-    # ceil(deg_t q_k / k) and c = max_j (deg_t p_j - w j), output j has
-    # t-degree at most c + w j.  Both hold, so the smaller one is used.
-    dp, dq = cleared.degrees
-    bound = dp + (nquo + 1) * dq
-    if dq:
-        w = t_weight(q[1:])
-        c = max(_t_degree(x) - w * j for j, x in enumerate(p))
-        bound = min(bound, c + w * (len(p) - 1))
-    out = cleared.solve(bound + 1, divide, [d * power for power in powers])
+    values, symbol = run([fp, fq], lambda: division_bound(p, q) + 1, divide)
+    out = scalars_over(values, [fp[0] * w for w in powers], symbol)
     return out[: nquo + 1], poly_trim(out[nquo + 1 :])
 
 
-def _t_degree(x: Scalar) -> int:
-    return len(x.coeffs) - 1 if type(x) is RatPoly else 0
+def monic_division(r: List[int], tail: Sequence[int], nquo: int) -> List[int]:
+    """Synthetic division, in place, of the integer polynomial r (descending
+    coefficients) by the monic one with coefficients 1, *tail: afterwards
+    r[: nquo + 1] is the quotient and r[nquo + 1 :] the remainder."""
+    m = len(tail)
+    for k in range(nquo + 1):
+        c = r[k]
+        if c:
+            r[k + 1 : k + 1 + m] = [x - c * y for x, y in zip(r[k + 1 : k + 1 + m], tail)]
+    return r
+
+
+def division_bound(p: Sequence[Scalar], q: Sequence[Scalar]) -> int:
+    """The smaller of two bounds on the t-degree of every quotient and
+    remainder coefficient of dense p by a dense monic q, each proven by
+    induction on the division steps (output j is p_j minus quotient
+    coefficients j - k times q_k): dp + (nquo + 1) dq, with dp and dq the
+    largest t-degrees in p and q; and c + w (len(p) - 1), with w =
+    max_k ceil(deg_t q_k / k) and c = max_j (deg_t p_j - w j).  Scaling q_k
+    by e^k and p_j by D e^j keeps both."""
+    dp, dq = max(map(t_degree, p)), max(map(t_degree, q))
+    bound = dp + (len(p) - len(q) + 1) * dq
+    if dq:
+        w = t_weight(q[1:])
+        c = max(t_degree(x) - w * j for j, x in enumerate(p))
+        bound = min(bound, c + w * (len(p) - 1))
+    return bound
+
+
+def t_degree(x: Scalar) -> int:
+    """The t-degree of a scalar, 0 for a constant (and for zero)."""
+    return max(len(x.coeffs) - 1, 0) if type(x) is RatPoly else 0
 
 
 def t_weight(coeffs: Sequence[Scalar]) -> int:
     """The least w >= 0 with deg_t coeffs[k - 1] <= w k for k = 1, 2, ...:
     the t-degree per unit of weight of the coefficients of a monic
     polynomial whose coefficient of weight k is coeffs[k - 1]."""
-    return max([0, *(-(-_t_degree(x) // k) for k, x in enumerate(coeffs, start=1))])
+    return max([0, *(-(-t_degree(x) // k) for k, x in enumerate(coeffs, start=1))])
 
 
 def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:

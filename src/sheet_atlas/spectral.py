@@ -5,37 +5,47 @@ polynomials of twisted Higgs fields; tuples of them, shaped by a sheet's
 multiplicity profile, are the points of the reduced base.  The composition
 map multiplies the i-th factor in with multiplicity i.
 
-Coefficients are rationals or polynomials in one parameter t.  Products
-and monic division have one route each, on cleared-denominator integers;
-coefficients in Q[t] take it at enough integer values of t to interpolate
-the answer exactly (:class:`~sheet_atlas.scalars.ClearedGroups`).  Gcds are
-taken over Q only: squarefreeness over Q(t), the heart test, is decided by
-specialising t at enough integers that the discriminant cannot vanish at
-all of them (see :meth:`GradedPolynomial.is_squarefree`).  At each
-specialisation a gcd modulo the prime 2^61 - 1 may certify squarefreeness
-first; it never answers "not squarefree", which only the exact rational gcd
-does.
+Coefficients are rationals or polynomials in one parameter t.  Every
+operation reads a monic p = λ^d + a_1 λ^{d-1} + ... + a_d as the pair (D, P),
+P(μ) = D^d p(μ/D), monic with integer coefficients c_k = D^k a_k.  Roots A/D
+give P = prod (μ - A) in one pass; products rescale each P_i to D = lcm(D_i)
+(c_k -> c_k (D/D_i)^k) and convolve; monic division is synthetic division in
+Z[μ] after the same rescaling.  Over Q[t] the same routine runs on P(t0) at
+enough integers t0 to interpolate the answer exactly.  Gcds are taken over Q
+only: squarefreeness over Q(t), the heart test, is decided by specialising
+t (see :meth:`GradedPolynomial.is_squarefree`), where a gcd of P and P'
+modulo the prime 2^61 - 1 may certify squarefreeness first; it never
+answers "not squarefree", which only the exact rational gcd does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import prod
-from typing import List, Sequence, Tuple
+from functools import cached_property, reduce
+from itertools import count
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .partitions import MultiplicityProfile, Partition, profile
 from .scalars import (
-    ClearedGroups,
+    Cleared,
     RatPoly,
     Scalar,
     as_scalar,
+    at,
+    clear,
+    cleared_degree,
+    division_bound,
     format_scalar,
+    format_terms,
+    monic_division,
     parse_scalar,
-    poly_divmod_monic,
     poly_gcd,
     poly_trim,
+    run,
     scalar_is_zero,
+    scalars_over,
+    t_degree,
     t_weight,
 )
 
@@ -51,6 +61,11 @@ class GradedPolynomial:
     The coefficient of λ^{d-k} carries weight k.  The constant polynomial 1
     (d = 0) is permitted as the empty-cover placeholder.  Coefficients are
     exact scalars (rationals or chart-variable polynomials).
+
+    ``_scaled`` (not a field) caches the scaled form (D, c, symbol) that
+    every operation reads: P(μ) = D^d a(μ/D) = μ^d + c_1 μ^{d-1} + ... + c_d,
+    c_k = D^k a_k in Z or Z[symbol].  The operation that made the polynomial
+    stores it; otherwise the first use clears the coefficients.
     """
 
     coeffs: Tuple[Scalar, ...]
@@ -64,6 +79,10 @@ class GradedPolynomial:
         out = object.__new__(cls)
         object.__setattr__(out, "coeffs", tuple(coeffs))
         return out
+
+    @cached_property
+    def _scaled(self) -> Cleared:
+        return clear(self.coeffs, weighted=True)  # ValueError for two symbols
 
     @property
     def degree(self) -> int:
@@ -87,7 +106,15 @@ class GradedPolynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence) -> "GradedPolynomial":
-        return _product([(cls._trusted((-as_scalar(r),)), 1) for r in roots])
+        """prod (λ - r): P = prod (μ - A) over the roots A/D, whose c_k
+        have t-degree at most the sum of those of the roots."""
+        roots = [as_scalar(r) for r in roots]
+        form = clear(roots)
+
+        def expand(a):
+            return reduce(_int_convolve, [[-v] for v in a], [1])[1:]
+
+        return _graded(form[0], *run([form], lambda: sum(map(t_degree, roots)) + 1, expand))
 
     @classmethod
     def from_dense(cls, dense: Sequence) -> "GradedPolynomial":
@@ -115,13 +142,13 @@ class GradedPolynomial:
         Both operands are monic, so the quotient is monic; a divisor of
         larger degree is an error rather than a zero quotient.
         """
-        if other.degree > self.degree:
-            raise ValueError("divisor degree exceeds dividend degree")
-        quo, rem = poly_divmod_monic(self.dense(), other.dense())
-        return GradedPolynomial._trusted(quo[1:]), rem
+        den, values, symbol = _divide(self, other)
+        nquo = self.degree - other.degree
+        rem = scalars_over(values[nquo:], map(den.__pow__, count(nquo + 1)), symbol)
+        return _graded(den, values[:nquo], symbol), poly_trim(rem)
 
     def divides(self, other: "GradedPolynomial") -> bool:
-        return self.degree <= other.degree and not other.divmod(self)[1]
+        return self.degree <= other.degree and not any(_divide(other, self)[1][other.degree - self.degree :])
 
     def is_squarefree(self) -> bool:
         """True iff the polynomial has no repeated root over Q(t).
@@ -135,24 +162,25 @@ class GradedPolynomial:
         in two different symbols raise ValueError.
 
         Before each rational gcd, a certificate modulo the prime
-        ℓ = 2^61 - 1 is tried.  With D the lcm of the denominators, P =
-        D·p(t0) has integer coefficients and leading coefficient D.  If D is
-        prime to ℓ and P is coprime to P' modulo ℓ, then P is squarefree
-        over Q: a repeated factor g^2 of P over Q can be taken in Z[λ]
-        (Gauss's lemma), its leading coefficient divides D, so g keeps its
-        degree modulo ℓ and divides both P and P' there.  The certificate
-        can only answer True; when it fails (D divisible by ℓ, or a common
-        factor modulo ℓ, which may come from ℓ dividing the discriminant)
-        the exact rational gcd decides, so every False is exact.
+        ℓ = 2^61 - 1 is tried on P(t0), monic in Z[μ] and squarefree exactly
+        when p(t0) is.  If P is coprime to P' modulo ℓ, P is squarefree over
+        Q: a repeated factor g^2 of P can be taken monic in Z[μ] (Gauss's
+        lemma), so g keeps its degree modulo ℓ and divides P and P' there.
+        Nothing is asked of D.  The certificate only answers True; when it
+        fails (ℓ may divide the discriminant) the exact rational gcd
+        decides, so every False is exact.  Degree 0 and 1 need neither.
         """
         d = self.degree
-        cleared = ClearedGroups([self.dense()])  # ValueError for two symbols
-        for t0 in range(d * (d - 1) * t_weight(self.coeffs) + 1):
-            values = cleared.at(t0)[0]
+        if d < 2:
+            return True
+        den, c, symbol = self._scaled
+        for t0 in range(d * (d - 1) * t_weight(self.coeffs) + 1 if symbol else 1):
+            values = [1, *(at(c, t0) if symbol else c)]
             if _certified_squarefree(values):
                 return True
-            p = [Fraction(v) for v in values]
-            if len(poly_gcd(p, _poly_derivative(p))) == 1:
+            # D^d p(t0), a multiple of p(t0), has coefficients c_k D^(d-k)
+            p = [v * den ** (d - k) for k, v in enumerate(values)]
+            if len(poly_gcd(list(map(Fraction, p)), [Fraction(v * (d - k)) for k, v in enumerate(p[:-1])])) == 1:
                 return True
         return False
 
@@ -163,25 +191,8 @@ class GradedPolynomial:
         return out
 
     def __str__(self):
-        terms = []
-        for k, c in enumerate(self.dense()):
-            d = self.degree - k
-            if scalar_is_zero(c) and self.degree > 0:
-                continue
-            cs = str(c)
-            if isinstance(c, RatPoly) and not c.is_constant():
-                cs = "(%s)" % cs
-            if d == 0:
-                terms.append(cs)
-            else:
-                var = LAMBDA if d == 1 else "%s^%d" % (LAMBDA, d)
-                terms.append(var if cs == "1" else ("-%s" % var if cs == "-1" else "%s*%s" % (cs, var)))
-        if not terms:
-            return "1"
-        out = terms[0]
-        for term in terms[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        terms = [(c, self.degree - k) for k, c in enumerate(self.dense()) if not scalar_is_zero(c)]
+        return format_terms([("(%s)" % c if type(c) is RatPoly and not c.is_constant() else str(c), k) for c, k in terms], LAMBDA)
 
     def to_json(self):
         return {"degree": self.degree, "coeffs": [format_scalar(c) for c in self.coeffs]}
@@ -211,10 +222,6 @@ class SheetBasePoint:
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def total_degree(self) -> int:
-        return sum(i * xi.degree for i, xi in enumerate(self.factors, start=1))
-
 
 def mu_s(point: SheetBasePoint) -> GradedPolynomial:
     """Composition into the full base: the product of ξ_i^i."""
@@ -231,28 +238,38 @@ def min_poly(point: SheetBasePoint) -> GradedPolynomial:
 
 
 def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial:
-    """Product of xi**e over (xi, e) pairs, on integers.
-
-    Each factor is cleared of denominators once (D_i) and the integer
-    factors are convolved; the result is over prod D_i^e.  A coefficient of
-    xi^e sums products of e coefficients of xi, so with m_i the largest
-    t-degree in xi the product's coefficients have t-degree at most
-    sum e m_i, and that many values of t plus one determine them (one for
-    rational factors).
+    """Product of xi**e over (xi, e) pairs: each P_i rescaled to D =
+    lcm(D_i), convolved.  With m_i the largest t-degree in xi, the product's
+    coefficients (sums of products of e coefficients of each xi) have
+    t-degree at most sum e m_i, so that many values of t plus one suffice.
     """
-    exponents = [e for _, e in powers]
-    cleared = ClearedGroups([xi.dense() for xi, _ in powers])
+    forms = [xi._scaled for xi, _ in powers]
+    den = lcm(*[d for d, _, _ in forms])
 
-    def convolve(*factors):
+    def convolve(*cs):
         acc = [1]
-        for ip, e in zip(factors, exponents):
-            for _ in range(e):
-                acc = _int_convolve(acc, ip)
+        for c, (d, _, _), (_, e) in zip(cs, forms, powers):
+            tail = _rescaled(c, den // d)
+            for _ in range(e if c else 0):
+                acc = _int_convolve(acc, tail)
         return acc[1:]
 
-    points = sum(e * m for e, m in zip(exponents, cleared.degrees)) + 1
-    den = prod(d**e for d, e in zip(cleared.dens, exponents))
-    return GradedPolynomial._trusted(cleared.solve(points, convolve, repeat(den)))
+    return _graded(den, *run(forms, lambda: sum(e * cleared_degree(f) for f, (_, e) in zip(forms, powers)) + 1, convolve))
+
+
+def _divide(p: GradedPolynomial, q: GradedPolynomial) -> Cleared:
+    """(D, values, symbol): synthetic division in Z[μ] of P by Q, both
+    rescaled to D = lcm(D_p, D_q): the quotient's c_1, ..., c_{n-m}, then
+    the remainder, the value of weight j standing for value / D^j."""
+    if q.degree > p.degree:
+        raise ValueError("divisor degree exceeds dividend degree")
+    fp, fq, nquo = p._scaled, q._scaled, p.degree - q.degree
+    den = lcm(fp[0], fq[0])
+
+    def divide(cp, cq):
+        return monic_division([1, *_rescaled(cp, den // fp[0])], _rescaled(cq, den // fq[0]), nquo)[1:]
+
+    return den, *run([fp, fq], lambda: division_bound(p.dense(), q.dense()) + 1, divide)
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -289,32 +306,38 @@ def sp4_dix_image(b) -> GradedPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers (descending coefficient lists, as in scalars).
+# Scaled forms (D, c, symbol), as from :func:`~sheet_atlas.scalars.clear`.
 
 
-def _int_convolve(ip: List[int], iq: List[int]) -> List[int]:
-    out = [0] * (len(ip) + len(iq) - 1)
-    for i, a in enumerate(ip):
-        if a:
-            for j, b in enumerate(iq):
-                out[i + j] += a * b
+def _rescaled(c: List[int], r: int) -> List[int]:
+    """c_k r^k: the c of P over D rescaled to D r."""
+    return c if r == 1 else [v * r**k for k, v in enumerate(c, start=1)]
+
+
+def _graded(den: int, values: list, symbol: Optional[str]) -> GradedPolynomial:
+    """The monic polynomial with scaled form (den, values, symbol)."""
+    out = GradedPolynomial._trusted(scalars_over(values, map(den.__pow__, count(1)), symbol))
+    object.__setattr__(out, "_scaled", (den, values, symbol))
     return out
 
 
-def _poly_derivative(p: List[Scalar]) -> List[Scalar]:
-    d = len(p) - 1
-    return poly_trim([c * (d - i) for i, c in enumerate(p[:-1])])
+def _int_convolve(ip: List[int], tail: List[int]) -> List[int]:
+    """ip times the monic polynomial with coefficients 1, *tail."""
+    out = [*ip, *[0] * len(tail)]
+    for i, a in enumerate(ip):
+        if a:
+            for j, b in enumerate(tail, start=i + 1):
+                out[j] += a * b
+    return out
 
 
 def _certified_squarefree(values: Sequence[int]) -> bool:
-    """True if the integer polynomial P (descending coefficients) is proven
-    squarefree over Q: its leading coefficient is prime to CERTIFICATE_PRIME
-    and Euclid in that field finds gcd(P, P') = 1.  False proves nothing."""
+    """True if the monic integer polynomial P (descending coefficients) is
+    proven squarefree over Q: Euclid in the field of CERTIFICATE_PRIME
+    elements finds gcd(P, P') = 1.  False proves nothing."""
     m = CERTIFICATE_PRIME
     n = len(values) - 1
     a = [v % m for v in values]
-    if not a[0]:
-        return False
     b = poly_trim([(n - i) * v % m for i, v in enumerate(a[:-1])])
     while len(b) > 1:
         # a mod b, reducing modulo m only where a value is read

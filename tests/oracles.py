@@ -6,6 +6,7 @@ cells, type A sheet records from those cells, Hitchin base dimensions by
 summing over listed invariant degrees, flag conditions by a dense scan,
 determinant by cofactor expansion over dense polynomial entries, rank by
 plain rational elimination, polynomial gcd by leading-coefficient Euclid,
+polynomials from their roots by multiplying in one linear factor at a time,
 and tuple recovery by squarefree (Yun) decomposition.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer.
@@ -18,7 +19,7 @@ from typing import Callable, List, Sequence
 
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import poly_divmod_monic, poly_trim
-from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint, _poly_derivative
+from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 
 
 def partition_count(n: int) -> int:
@@ -199,6 +200,15 @@ def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction
     return [c / a[0] for c in a] if a else []
 
 
+def expand_roots(roots: Sequence) -> List:
+    """Dense coefficients [1, a_1, ..., a_d] of prod (λ - r), one linear
+    factor at a time with plain scalar (Fraction or RatPoly) arithmetic."""
+    dense = [Fraction(1)]
+    for r in roots:
+        dense = [a - r * b for a, b in zip(dense + [Fraction(0)], [Fraction(0)] + dense)]
+    return dense
+
+
 def falling_factorial(t, start: int, count: int):
     """(t - start)(t - start - 1)...(t - start - count + 1): zero at `count`
     consecutive integers, nonzero at the next one."""
@@ -215,7 +225,7 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
     pairwise coprime, recovered by iterated gcds with derivatives.
     """
     f = image.dense()
-    fp = _poly_derivative(f)
+    fp = _derivative(f)
     u = gcd_by_euclid(f, fp)
     if not u:
         raise ValueError("zero polynomial")
@@ -229,7 +239,7 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
         guard += 1
         if guard > image.degree + 1:
             raise AssertionError("squarefree decomposition did not terminate")
-        diff = _sub(w, _poly_derivative(v))
+        diff = _sub(w, _derivative(v))
         a = gcd_by_euclid(v, diff) or [Fraction(1)]
         factors.append(GradedPolynomial.from_dense(a))
         v, rem = poly_divmod_monic(v, a)
@@ -239,6 +249,11 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
     while len(factors) < prof.s:
         factors.append(GradedPolynomial.one())
     return SheetBasePoint(prof, factors[: prof.s])
+
+
+def _derivative(p):
+    d = len(p) - 1
+    return poly_trim([c * (d - i) for i, c in enumerate(p[:-1])])
 
 
 def _sub(a, b):

@@ -104,6 +104,22 @@ def test_mu_s_command():
     assert payload["in_heart"] is False
 
 
+def test_mu_s_is_bounded_at_rank_1000(monkeypatch):
+    """A profile of n = 1000 is answered; n = 1001, a single part of 3200
+    and the part 10^9 that used to end in a MemoryError are refused with
+    exit 1 and nothing on stdout, before the factors are read."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    ones = ",".join(["1"] * 1000)
+    factor = ",".join(["0"] * 999 + ["-1"])  # λ^1000 - 1
+    code, out, err = _serve(["mu-s", "--profile", ones, "--factors=" + factor])
+    assert (code, err) == (0, "")
+    assert out == "image:    λ^1000 - 1\nmin poly: λ^1000 - 1\nin heart: True\n"
+    for profile, n in ((ones + ",1", 1001), ("3200", 3200), (str(10**9), 10**9)):
+        for extra in ([], ["--json"]):
+            argv = ["mu-s", "--profile", profile, "--factors", "not parsed", *extra]
+            assert _serve(argv) == (1, "", "error: rank %d is beyond the supported maximum 1000\n" % n)
+
+
 def test_multiplicity_command():
     out = run_cli("multiplicity", "--sheet", "C:2:1,1", "--z", "5", "--json")
     payload = json.loads(out.stdout)

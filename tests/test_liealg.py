@@ -18,7 +18,8 @@ from sheet_atlas.liealg import (
     sp_gram,
 )
 from sheet_atlas.liealg import _form, _integer_form
-from sheet_atlas.scalars import ZERO, ClearedGroups, RatPoly
+from sheet_atlas import liealg
+from sheet_atlas.scalars import ZERO, RatPoly, at
 from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
@@ -575,21 +576,22 @@ def test_integer_form_is_computed_once_per_matrix(monkeypatch):
     xt = sp4_slice(t)
     assert _integer_form(xt) is None
     qt_first = _form(xt)
-    cleared, nz = qt_first
+    (d, c, symbol), nz = qt_first
+    assert symbol == "t"
     assert nz == [[(j, v) for j, v in enumerate(row) if v] for row in xt.rows]
     for t0 in range(4):
-        values = iter(cleared.at(t0)[0])
-        assert [[(j, Fraction(next(values), cleared.dens[0])) for j, _ in row] for row in nz] == [
+        values = iter(at(c, t0))
+        assert [[(j, Fraction(next(values), d)) for j, _ in row] for row in nz] == [
             [(j, v(t0) if isinstance(v, RatPoly) else v) for j, v in row] for row in nz
         ]
     clearings = []
-    init = ClearedGroups.__init__
+    clear = liealg.clear
 
-    def counted(self, groups):
-        clearings.append([v for group in groups for v in group])
-        init(self, groups)
+    def counted(scalars, weighted=False):
+        clearings.append(list(scalars))
+        return clear(scalars, weighted)
 
-    monkeypatch.setattr(ClearedGroups, "__init__", counted)
+    monkeypatch.setattr(liealg, "clear", counted)
     e = sp4_e()
     assert char_poly(xt) == char_poly(sp4_slice(t))
     assert bracket(xt, e) == _bracket_by_products(xt, e)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from sheet_atlas.spectral import (
     witness_noninjectivity,
 )
 
-from oracles import falling_factorial, gcd_by_euclid, recover_tuple
+from oracles import expand_roots, falling_factorial, gcd_by_euclid, recover_tuple
 
 
 def poly_from_roots(roots):
@@ -463,3 +464,112 @@ def test_divmod_reconstructs(coeffs):
     rem_padded = [Fraction(0)] * (len(dense) - len(rem)) + list(rem)
     total = [a + b for a, b in zip(dense, rem_padded)]
     assert total == f.dense()
+
+
+# Root pools for the scaled route: denominators sharing factors, pairwise
+# coprime denominators, denominators divisible by ℓ = 2^61 - 1, and
+# denominators whose lcm exceeds 2^128.
+ROOT_POOLS = {
+    "shared": [Fraction(a, b) for a in range(-9, 10) for b in (2, 4, 6, 12)],
+    "coprime": [Fraction(a, b) for a in range(-9, 10) for b in (3, 5, 7, 11)],
+    "ell": [Fraction(a, b) for a in range(-4, 5) for b in (ELL, 2 * ELL, 3)],
+    "big": [Fraction(a, b) for a in range(-4, 5) for b in (2**129 + 1, 2**127 - 1, 10)],
+}
+
+
+def _check_point_against_oracles(prof, roots):
+    """from_roots, mu_s, min_poly, divides and in_heart on the point whose
+    i-th factor has the given roots, against Fraction (or RatPoly)
+    expansion of its roots, leading-coefficient Euclid and multiset
+    inclusion of the roots."""
+    factors = [GradedPolynomial.from_roots(rs) for rs in roots]
+    for f, rs in zip(factors, roots):
+        assert f.dense() == expand_roots(rs)
+    point = SheetBasePoint(prof, factors)
+    every = [r for i, rs in enumerate(roots, start=1) for r in rs for _ in range(i)]
+    once = [r for rs in roots for r in rs]
+    image, minimal = mu_s(point), min_poly(point)
+    assert image.dense() == expand_roots(every)
+    assert minimal.dense() == expand_roots(once)
+    assert minimal.divides(image)
+    repeated = [len(set(rs)) < len(rs) for rs in roots]
+    assert in_heart(point) == (not any(repeated))
+    return factors, image, every
+
+
+def _divides_by_roots(divisor_roots, roots) -> bool:
+    rest = list(roots)
+    for r in divisor_roots:
+        if r not in rest:
+            return False
+        rest.remove(r)
+    return True
+
+
+@pytest.mark.parametrize("pool", sorted(ROOT_POOLS))
+def test_scaled_route_against_oracles_rational(pool):
+    rng = random.Random("scaled/" + pool)
+    roots_pool = ROOT_POOLS[pool]
+    profiles = [m for n in range(1, 8) for m in partitions_of(n)]
+    divides_seen, dens_seen = set(), set()
+    for trial, m in enumerate(profiles * 2):
+        prof = profile(m)
+        roots = [rng.sample(roots_pool, li) for _, li in prof.items()]
+        if trial % 3 == 0:
+            # a repeated root in the first factor of degree >= 2
+            for rs in roots:
+                if len(rs) >= 2:
+                    rs[-1] = rs[0]
+                    break
+        factors, image, every = _check_point_against_oracles(prof, roots)
+        for f in factors:
+            dense = f.dense()
+            assert f.is_squarefree() == _squarefree_by_oracle(dense)
+        # a divisor from some roots of the image, and one with a root the
+        # image lacks or has too few times
+        k = rng.randint(1, len(every))
+        divisor_roots = rng.sample(every, k)
+        if trial % 2:
+            divisor_roots[-1] = rng.choice(roots_pool)
+        divisor = GradedPolynomial.from_roots(divisor_roots)
+        expected = _divides_by_roots(divisor_roots, every)
+        assert divisor.divides(image) == expected
+        assert (gcd_by_euclid(image.dense(), divisor.dense()) == divisor.dense()) == expected
+        quo, rem = image.divmod(divisor)
+        assert (not rem) == expected
+        if expected:
+            rest = list(every)
+            for r in divisor_roots:
+                rest.remove(r)
+            assert quo.dense() == expand_roots(rest)
+        divides_seen.add(expected)
+        d = lcm(*(r.denominator for r in every))
+        dens_seen.add("ell" if d % ELL == 0 else "big" if d > 2**128 else "small")
+    assert divides_seen == {True, False}
+    if pool in ("ell", "big"):
+        assert pool in dens_seen
+
+
+def test_scaled_route_against_oracles_over_qt():
+    """Roots r + s t with r and s non-integer rationals."""
+    rng = random.Random(1618)
+    pool = [RatPoly([Fraction(a, b), Fraction(c, e)]) for a, b, c, e in ((1, 2, 1, 3), (-2, 3, 3, 4), (5, 6, -1, 2), (-1, 4, 2, 5), (7, 10, -3, 7), (3, 5, 5, 6), (-5, 7, 1, 9))]
+    profiles = [m for n in range(1, 6) for m in partitions_of(n) if max(li for _, li in profile(m).items()) <= 3]
+    divides_seen, hearts = set(), set()
+    for trial, m in enumerate(profiles):
+        prof = profile(m)
+        roots = [rng.sample(pool, li) for _, li in prof.items()]
+        if trial % 2:
+            for rs in roots:
+                if len(rs) >= 2:
+                    rs[-1] = rs[0]
+                    break
+        factors, image, every = _check_point_against_oracles(prof, roots)
+        hearts.add(in_heart(SheetBasePoint(prof, factors)))
+        divisor_roots = rng.sample(every, rng.randint(1, min(3, len(every))))
+        if trial % 3 == 1:
+            divisor_roots[-1] = rng.choice(pool)
+        expected = _divides_by_roots(divisor_roots, every)
+        assert GradedPolynomial.from_roots(divisor_roots).divides(image) == expected
+        divides_seen.add(expected)
+    assert divides_seen == {True, False} and hearts == {True, False}
