@@ -15,24 +15,26 @@ With entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for
 an N that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
 and the integer values are interpolated back exactly; such a matrix is also
 cleared once, and its cleared coefficients are cached the same way.
-Centraliser ranks come from a sparse fraction-free elimination with
-Markowitz-style pivots on the nonzero entries of the ad x rows, which a
-model fills from its basis kept as sparse integer terms.
+There is one elimination, sparse and fraction-free with Markowitz-style
+pivots: its pivot rows give centraliser ranks, on the ad x rows that a
+model fills from its basis, and read back in reverse order they give the
+nullspace behind the model of a form that is not monomial.  A model keeps
+its basis in one representation, sparse coprime integer terms, read from
+the cached integer form of its Gram matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     ZERO,
     Scalar,
-    as_fraction,
     as_scalar,
     clear,
     cleared_degree,
@@ -244,17 +246,16 @@ def sp_gram(n: int) -> ClassicalForm:
 class LieAlgebraModel:
     """A matrix model: the form (absent in type A) plus a spanning basis.
 
-    ``terms[i]`` lists basis element i as its nonzero (row, col, rational
-    coefficient) entries, and ``sparse_basis[i]`` as a coprime integer
-    multiple of them, all that the integer centraliser kernel reads.  The
-    dense matrices ``basis`` are built on first access.
+    ``terms[i]`` lists basis element i as its nonzero (row, col, k) entries,
+    coprime ints: the one representation of the basis, read by the integer
+    centraliser kernel.  The dense matrices ``basis`` are built on first
+    access.
     """
 
     kind: object  # GroupKind; kept loose to avoid an import cycle
     form: Optional[ClassicalForm]
     matrix_size: int
     terms: Tuple[Tuple[Term, ...], ...]
-    sparse_basis: Tuple[Tuple[Tuple[int, int, int], ...], ...] = field(compare=False, repr=False)
 
     @cached_property
     def basis(self) -> Tuple[RationalMatrix, ...]:
@@ -263,10 +264,10 @@ class LieAlgebraModel:
 
     @property
     def dimension(self) -> int:
-        return len(self.sparse_basis)
+        return len(self.terms)
 
 
-Term = Tuple[int, int, Fraction]
+Term = Tuple[int, int, int]
 
 
 def build_model(kind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
@@ -281,8 +282,7 @@ def build_model(kind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
     if family == "A":
         if form is not None:
             raise ValueError("type A is modelled by gl_n and takes no form")
-        terms = [[(i, j, _ONE)] for i in range(n) for j in range(n)]
-        return _model(kind, None, n, terms)
+        return LieAlgebraModel(kind, None, n, tuple(((i, j, 1),) for i in range(n) for j in range(n)))
     if family not in ("B", "C", "D"):
         raise ValueError("no matrix model for group family %r" % (family,))
     if form is None:
@@ -293,75 +293,56 @@ def build_model(kind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
     expected = n * (n - 1) // 2 if family in ("B", "D") else (n // 2) * (n + 1)
     if len(terms) != expected:
         raise AssertionError("basis size %d, expected %d" % (len(terms), expected))
-    return _model(kind, form, n, terms)
+    return LieAlgebraModel(kind, form, n, tuple(terms))
 
 
-def _model(kind, form: Optional[ClassicalForm], n: int, terms: List[List[Term]]) -> LieAlgebraModel:
-    return LieAlgebraModel(kind, form, n, tuple(map(tuple, terms)), tuple(map(_integer_terms, terms)))
+def form_stabiliser_basis(gram: RationalMatrix) -> List[Tuple[Term, ...]]:
+    """Basis of {x | x^T G + G x = 0} for the Gram matrix G of a
+    :class:`ClassicalForm`, each element as its nonzero (row, col, k) terms
+    with coprime integers k.
 
-
-def _integer_terms(terms: List[Term]) -> Tuple[Tuple[int, int, int], ...]:
-    """The terms scaled to coprime integers."""
-    d = lcm(*(k.denominator for _, _, k in terms))
-    ints = [k.numerator * (d // k.denominator) for _, _, k in terms]
-    g = gcd(*ints)
-    return tuple((r, c, v // g) for (r, c, _), v in zip(terms, ints))
-
-
-def form_stabiliser_basis(gram: RationalMatrix) -> List[List[Term]]:
-    """Basis of {x | x^T G + G x = 0} for a non-degenerate Gram matrix G,
-    each element as its nonzero (row, col, coefficient) terms.
-
-    When G has exactly one nonzero entry per row and column (all the Gram
-    matrices this library constructs), the constraint pairs matrix entries
-    one against one and the basis is written down directly; otherwise the
-    kernel is computed by exact row reduction of the linearised condition.
+    Both routes read the cached integer form G' = D G.  When every row of G
+    has one nonzero entry (all the Gram matrices this library constructs),
+    G is monomial, the constraint pairs matrix entries one against one and
+    the basis is written down directly; otherwise it is the integer
+    nullspace of the linearised condition (:func:`_integer_nullspace`).
     """
-    n = gram.dim
-    sigma = {}
-    g = {}
-    for j in range(n):
-        nz = [i for i in range(n) if not scalar_is_zero(gram.rows[i][j])]
-        if len(nz) != 1:
-            return _form_stabiliser_basis_generic(gram)
-        sigma[j] = nz[0]
-        g[j] = as_fraction(gram.rows[nz[0]][j])
-    if sorted(sigma.values()) != list(range(n)):
-        return _form_stabiliser_basis_generic(gram)
-    inv = {v: k for k, v in sigma.items()}
-    # Constraint: x[r][c] = -(g[inv[c]] / g[inv[r]]) * x[inv[c]][inv[r]].
-    basis: List[List[Term]] = []
+    rg = _integer_form(gram)[1]
+    n = len(rg)
+    if any(len(row) != 1 for row in rg):
+        return _form_stabiliser_basis_generic(rg)
+    # row i of G' is the single entry v[i] in column inv[i]; G'^T = ±G'
+    # makes inv an involution
+    inv, v = zip(*(row[0] for row in rg))
+    basis: List[Tuple[Term, ...]] = []
     seen = set()
     for r in range(n):
         for c in range(n):
             if (r, c) in seen:
                 continue
-            r2, c2 = inv[c], inv[r]
-            coef = -(g[inv[c]] / g[inv[r]])
+            # entry (inv r, c) of x^T G' + G' x: a x[r][c] + b x[r2][c2] = 0
+            r2, c2, a, b = inv[c], inv[r], v[inv[r]], v[inv[c]]
+            seen.add((r, c))
             if (r2, c2) == (r, c):
-                seen.add((r, c))
-                if coef == 1:
-                    basis.append([(r, c, _ONE)])
+                if a + b == 0:
+                    basis.append(((r, c, 1),))
             else:
-                seen.add((r, c))
                 seen.add((r2, c2))
-                basis.append([(r, c, _ONE), (r2, c2, coef)])
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                basis.append(((r, c, b // g), (r2, c2, -a // g)))
     return basis
 
 
-def _form_stabiliser_basis_generic(gram: RationalMatrix) -> List[List[Term]]:
-    n = gram.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            # (x^T G)[i][j] = sum_k x[k][i] G[k][j]; (G x)[i][j] = sum_k G[i][k] x[k][j]
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                row[k * n + i] += as_fraction(gram.rows[k][j])
-                row[k * n + j] += as_fraction(gram.rows[i][k])
-            rows.append(row)
-    kernel = rational_nullspace(rows)
-    return [[(p // n, p % n, v) for p, v in enumerate(vec) if v] for vec in kernel]
+def _form_stabiliser_basis_generic(rg: SparseRows) -> List[Tuple[Term, ...]]:
+    n = len(rg)
+    rows = [[0] * (n * n) for _ in range(n * n)]
+    for k, row in enumerate(rg):
+        for j, g in row:
+            for i in range(n):
+                # G'[k][j] = g enters (x^T G')[i][j] with x[k][i] and (G' x)[k][i] with x[j][i]
+                rows[i * n + j][k * n + i] += g
+                rows[k * n + i][j * n + i] += g
+    return [tuple((p // n, p % n, k) for p, k in vec) for vec in _integer_nullspace(rows)]
 
 
 def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
@@ -475,7 +456,7 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
         for j, v in row:
             col_nz[j].append((i, v))
     rows = []
-    for terms in model.sparse_basis:
+    for terms in model.terms:
         out = [0] * (n * n)
         for r, c, k in terms:
             for i, v in col_nz[r]:
@@ -528,7 +509,14 @@ def _char_poly_ints(nz: SparseRows) -> List[int]:
 
 
 def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Rank by fraction-free sparse elimination on integers.
+    """Rank by fraction-free sparse elimination on integers: the number of
+    pivot rows of :func:`_pivot_rows`."""
+    return len(_pivot_rows(rows))
+
+
+def _pivot_rows(rows: Sequence[Sequence[Union[int, Fraction]]]) -> List[Tuple[int, Dict[int, int]]]:
+    """The (pivot column, pivot row) pairs of a sparse fraction-free
+    elimination on integers, in the order the pivots were chosen.
 
     Each nonzero row, cleared of denominators if it holds Fractions, is kept
     as its nonzero entries {col: value} divided by their content.  The pivot
@@ -538,7 +526,8 @@ def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     g = gcd(p, e), divided by its content.  Every surviving row is a nonzero
     rational multiple of the Bareiss row for the same pivot sequence (both
     lie in the span of the row and the pivot rows and vanish on the pivot
-    columns), so its entries stay within the Bareiss (Hadamard) bound.
+    columns), so its entries stay within the Bareiss (Hadamard) bound.  A
+    pivot row therefore vanishes on every earlier pivot column.
     """
     pending: List[Dict[int, int]] = []
     for row in rows:
@@ -549,12 +538,12 @@ def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
             values = clear(values)[1]
         g = gcd(*values)
         pending.append(dict(zip(compress(count(), row), values if g == 1 else [v // g for v in values])))
-    rank = 0
+    pivots = []
     while pending:
         lengths = list(map(len, pending))
         prow = pending.pop(lengths.index(min(lengths)))
         col, p = min(prow.items(), key=lambda item: abs(item[1]))
-        rank += 1
+        pivots.append((col, prow))
         for row in pending:
             e = row.get(col)
             if e is not None:
@@ -573,44 +562,38 @@ def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
                     for j in row:
                         row[j] //= g
         pending = list(filter(None, pending))
-    return rank
+    return pivots
 
 
-def rational_nullspace(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the nullspace of the row system, by exact Gauss-Jordan."""
-    if not rows:
-        return []
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    pivots = []
-    row_idx = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row_idx, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row_idx], mat[piv] = mat[piv], mat[row_idx]
-        inv = 1 / mat[row_idx][col]
-        mat[row_idx] = [v * inv for v in mat[row_idx]]
-        for r in range(len(mat)):
-            if r != row_idx and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_idx])]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+def _integer_nullspace(rows: Sequence[Sequence[int]]) -> List[List[Tuple[int, int]]]:
+    """A basis of the nullspace of integer rows, one vector per column that
+    is no pivot of :func:`_pivot_rows`, each as its nonzero (column, value)
+    entries: coprime ints, positive in that column.
+
+    The pivot rows are solved in reverse order.  A pivot row vanishes on
+    every earlier pivot column, so its other entries lie in the free
+    columns and in later pivot columns, which are solved already.  The
+    vector is kept integral by scaling it by |p| / g before solving for the
+    pivot entry p, g the gcd of p and the sum already known.
+    """
+    pivots = _pivot_rows(rows)
+    pivot_cols = {col for col, _ in pivots}
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+    for free in range(len(rows[0]) if rows else 0):
+        if free in pivot_cols:
+            continue
+        x = {free: 1}
+        for col, prow in reversed(pivots):
+            s = sum(v * x[j] for j, v in prow.items() if j in x)
+            if s:
+                p = prow[col]
+                g = gcd(s, p)
+                if abs(p) != g:
+                    for j in x:
+                        x[j] *= abs(p) // g
+                x[col] = -s // g if p > 0 else s // g
+        g = gcd(*x.values())
+        basis.append(sorted((j, v // g) for j, v in x.items()))
     return basis
 
 

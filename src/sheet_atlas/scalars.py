@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -374,14 +374,19 @@ def poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
     return out[: nquo + 1], poly_trim(out[nquo + 1 :])
 
 
-def monic_division(r: List[int], tail: Sequence[int], nquo: int) -> List[int]:
+def monic_division(r: List[int], tail: Sequence[int], nquo: int, lead: int = 1) -> List[int]:
     """Synthetic division, in place, of the integer polynomial r (descending
-    coefficients) by the monic one with coefficients 1, *tail: afterwards
-    r[: nquo + 1] is the quotient and r[nquo + 1 :] the remainder."""
+    coefficients) by the one with coefficients lead, *tail.  With lead 1
+    (a monic divisor) r[: nquo + 1] is afterwards the quotient and
+    r[nquo + 1 :] the remainder.  Otherwise each step multiplies what is
+    left of r by lead before it subtracts, so r[nquo + 1 :] is the remainder
+    of lead^e r, e the number of nonzero steps: a pseudo-remainder."""
     m = len(tail)
     for k in range(nquo + 1):
         c = r[k]
         if c:
+            if lead != 1:
+                r[k + 1 :] = [lead * x for x in r[k + 1 :]]
             r[k + 1 : k + 1 + m] = [x - c * y for x, y in zip(r[k + 1 : k + 1 + m], tail)]
     return r
 
@@ -416,15 +421,38 @@ def t_weight(coeffs: Sequence[Scalar]) -> int:
 
 
 def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:
-    """Monic gcd of dense polynomials with rational coefficients, by Euclid.
+    """Monic gcd of dense polynomials with rational coefficients.
 
-    Coefficients are Fractions or constant polynomials; a non-constant
-    coefficient raises ValueError.  Each divisor is made monic so the
-    remainder comes from :func:`poly_divmod_monic`.
+    Coefficients are ints, Fractions or constant polynomials; a non-constant
+    coefficient raises ValueError.  Each argument is cleared of denominators
+    once by :func:`clear`, Euclid runs on integers (:func:`integer_euclid`
+    with primitive parts), and Fractions are built only for the monic answer.
     """
-    a = poly_trim([as_fraction(c) for c in p])
-    b = poly_trim([as_fraction(c) for c in q])
-    while b:
-        b = [c / b[0] for c in b]
-        a, b = b, poly_divmod_monic(a, b)[1]
-    return [c / a[0] for c in a] if a else []
+    (_, a, pt), (_, b, qt) = clear(p), clear(q)
+    if pt or qt:
+        raise ValueError("poly_gcd needs rational coefficients, not polynomials in %s" % (pt or qt))
+    g = integer_euclid(_primitive(a), _primitive(b), _primitive)
+    return [Fraction(v, g[0]) for v in g]
+
+
+def integer_euclid(a: List[int], b: List[int], reduce: Callable[[List[int]], List[int]]) -> List[int]:
+    """The last nonzero remainder of Euclid on integer polynomials a and b
+    (descending coefficients, leading entry nonzero; both are consumed).
+    Each remainder is a pseudo-remainder of :func:`monic_division`, a
+    nonzero multiple of the true one, passed through ``reduce``: the
+    primitive part gives a gcd over Q (W. S. Brown, JACM 1971), residues
+    modulo a prime a gcd over that field."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        top = len(a) - len(b) + 1
+        a, b = b, reduce(monic_division(a, b[1:], top - 1, b[0])[top:])
+    # a nonzero constant b is a gcd
+    return b or a
+
+
+def _primitive(c: List[int]) -> List[int]:
+    """c without leading zeros, divided by the gcd of its entries."""
+    c = poly_trim(c)
+    g = gcd(*c)
+    return c if g <= 1 else [v // g for v in c]

@@ -15,7 +15,7 @@ enough integers t0 to interpolate the answer exactly.  Gcds are taken over Q
 only: squarefreeness over Q(t), the heart test, is decided by specialising
 t (see :meth:`GradedPolynomial.is_squarefree`), where a gcd of P and P'
 modulo the prime 2^61 - 1 may certify squarefreeness first; it never
-answers "not squarefree", which only the exact rational gcd does.
+answers "not squarefree", which only the exact integer Euclid does.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .scalars import (
     division_bound,
     format_scalar,
     format_terms,
+    integer_euclid,
     monic_division,
     parse_scalar,
     poly_gcd,
@@ -157,30 +158,31 @@ class GradedPolynomial:
         discriminant commutes with t = t0; being isobaric of weight d(d-1),
         it has t-degree at most d(d-1)·w with w = max_k ceil(deg_t a_k / k).
         It is therefore nonzero iff it is nonzero at one of the integers
-        0, ..., d(d-1)·w, where the rational gcd with the derivative decides.
-        Rational coefficients give w = 0 and a single step.  Coefficients
-        in two different symbols raise ValueError.
+        0, ..., d(d-1)·w.  At each t0 the test runs on P(t0), monic in Z[μ]
+        and squarefree exactly when p(t0) is, and its derivative P'(t0):
+        :func:`~sheet_atlas.scalars.poly_gcd` of the two, an integer Euclid,
+        decides.  Rational coefficients give w = 0 and a single step.
+        Coefficients in two different symbols raise ValueError.
 
-        Before each rational gcd, a certificate modulo the prime
-        ℓ = 2^61 - 1 is tried on P(t0), monic in Z[μ] and squarefree exactly
-        when p(t0) is.  If P is coprime to P' modulo ℓ, P is squarefree over
-        Q: a repeated factor g^2 of P can be taken monic in Z[μ] (Gauss's
-        lemma), so g keeps its degree modulo ℓ and divides P and P' there.
-        Nothing is asked of D.  The certificate only answers True; when it
-        fails (ℓ may divide the discriminant) the exact rational gcd
-        decides, so every False is exact.  Degree 0 and 1 need neither.
+        Before each gcd a certificate modulo the prime ℓ = 2^61 - 1 is
+        tried.  If P is coprime to P' modulo ℓ, P is squarefree over Q: a
+        repeated factor g^2 of P can be taken monic in Z[μ] (Gauss's lemma),
+        so g keeps its degree modulo ℓ and divides P and P' there.  Nothing
+        is asked of D.  The certificate only answers True; when it fails (ℓ
+        may divide the discriminant) the exact gcd decides, so every False
+        is exact.  Degree 0 and 1 need neither.
         """
         d = self.degree
         if d < 2:
             return True
-        den, c, symbol = self._scaled
+        _, c, symbol = self._scaled
         for t0 in range(d * (d - 1) * t_weight(self.coeffs) + 1 if symbol else 1):
             values = [1, *(at(c, t0) if symbol else c)]
-            if _certified_squarefree(values):
+            derivative = [v * (d - k) for k, v in enumerate(values[:-1])]
+            # the certificate: gcd(P, P') = 1 over the field of CERTIFICATE_PRIME elements
+            if len(integer_euclid(_residues(values), _residues(derivative), _residues)) == 1:
                 return True
-            # D^d p(t0), a multiple of p(t0), has coefficients c_k D^(d-k)
-            p = [v * den ** (d - k) for k, v in enumerate(values)]
-            if len(poly_gcd(list(map(Fraction, p)), [Fraction(v * (d - k)) for k, v in enumerate(p[:-1])])) == 1:
+            if len(poly_gcd(values, derivative)) == 1:
                 return True
         return False
 
@@ -331,22 +333,6 @@ def _int_convolve(ip: List[int], tail: List[int]) -> List[int]:
     return out
 
 
-def _certified_squarefree(values: Sequence[int]) -> bool:
-    """True if the monic integer polynomial P (descending coefficients) is
-    proven squarefree over Q: Euclid in the field of CERTIFICATE_PRIME
-    elements finds gcd(P, P') = 1.  False proves nothing."""
-    m = CERTIFICATE_PRIME
-    n = len(values) - 1
-    a = [v % m for v in values]
-    b = poly_trim([(n - i) * v % m for i, v in enumerate(a[:-1])])
-    while len(b) > 1:
-        # a mod b, reducing modulo m only where a value is read
-        inv, nb, top = pow(b[0], -1, m), len(b), len(a) - len(b) + 1
-        r, tail = list(a), b[1:]
-        for k in range(top):
-            c = r[k] * inv % m
-            if c:
-                r[k + 1 : k + nb] = [x - c * y for x, y in zip(r[k + 1 : k + nb], tail)]
-        a, b = b, poly_trim([v % m for v in r[top:]])
-    # a nonzero constant remainder, or a constant P
-    return len(b) == 1 or len(a) == 1
+def _residues(r: List[int]) -> List[int]:
+    """r modulo CERTIFICATE_PRIME, leading zeros dropped."""
+    return poly_trim([v % CERTIFICATE_PRIME for v in r])

@@ -5,9 +5,10 @@ partition counts by Euler's pentagonal recurrence, diagram transposition by
 cells, type A sheet records from those cells, Hitchin base dimensions by
 summing over listed invariant degrees, flag conditions by a dense scan,
 determinant by cofactor expansion over dense polynomial entries, rank by
-plain rational elimination, polynomial gcd by leading-coefficient Euclid,
-polynomials from their roots by multiplying in one linear factor at a time,
-and tuple recovery by squarefree (Yun) decomposition.  It also
+plain rational elimination, polynomial gcd by leading-coefficient Euclid
+over plain rational long division, polynomials from their roots by
+multiplying in one linear factor at a time, and tuple recovery by
+squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer.
 """
@@ -18,7 +19,7 @@ from math import factorial
 from typing import Callable, List, Sequence
 
 from sheet_atlas.partitions import MultiplicityProfile, Partition
-from sheet_atlas.scalars import poly_divmod_monic, poly_trim
+from sheet_atlas.scalars import poly_trim
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 
 
@@ -192,12 +193,19 @@ def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction
     by the divisor's leading coefficient instead of normalising it."""
     a, b = poly_trim(list(p)), poly_trim(list(q))
     while b:
-        rem = a
-        while len(rem) >= len(b):
-            c = rem[0] / b[0]
-            rem = poly_trim([x - c * y for x, y in zip(rem, b)] + rem[len(b) :])
-        a, b = b, rem
+        a, b = b, long_division(a, b)[1]
     return [c / a[0] for c in a] if a else []
+
+
+def long_division(p: Sequence[Fraction], q: Sequence[Fraction]):
+    """Quotient and trimmed remainder of dense rational p by q (leading
+    entry nonzero), one leading term of p at a time in Fractions."""
+    quo, rem = [], list(p)
+    while len(rem) >= len(q):
+        c = rem[0] / q[0]
+        quo.append(c)
+        rem = [x - c * y for x, y in zip(rem[1:], q[1:])] + rem[len(q) :]
+    return quo, poly_trim(rem)
 
 
 def expand_roots(roots: Sequence) -> List:
@@ -229,9 +237,9 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
     u = gcd_by_euclid(f, fp)
     if not u:
         raise ValueError("zero polynomial")
-    v, rem = poly_divmod_monic(f, u)
+    v, rem = long_division(f, u)
     assert not rem
-    w, rem = poly_divmod_monic(fp, u)
+    w, rem = long_division(fp, u)
     assert not rem
     factors: List[GradedPolynomial] = []
     guard = 0
@@ -242,9 +250,9 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
         diff = _sub(w, _derivative(v))
         a = gcd_by_euclid(v, diff) or [Fraction(1)]
         factors.append(GradedPolynomial.from_dense(a))
-        v, rem = poly_divmod_monic(v, a)
+        v, rem = long_division(v, a)
         assert not rem
-        w, rem = poly_divmod_monic(diff, a)
+        w, rem = long_division(diff, a)
         assert not rem
     while len(factors) < prof.s:
         factors.append(GradedPolynomial.one())

@@ -328,18 +328,16 @@ def test_classical_form_monomial_and_general_gram_matrices():
 
 
 def test_model_basis_matches_terms():
-    for model in _small_models() + [_generic_gram_model()]:
+    for model in _small_models() + [_generic_gram_model(), _unit_free_monomial_model()]:
         n = model.matrix_size
-        assert model.dimension == len(model.terms) == len(model.sparse_basis) == len(model.basis)
-        for b, terms, ints in zip(model.basis, model.terms, model.sparse_basis):
+        assert model.dimension == len(model.terms) == len(model.basis)
+        for b, terms in zip(model.basis, model.terms):
+            # basis[i] is the dense matrix of terms[i], which are coprime ints
             cells = {(r, c): k for r, c, k in terms}
             assert len(cells) == len(terms) and all(k for k in cells.values())
+            assert all(type(k) is int for k in cells.values()) and gcd(*cells.values()) == 1
             assert b == RationalMatrix([[cells.get((i, j), 0) for j in range(n)] for i in range(n)])
-            # sparse_basis[i] is a nonzero multiple of basis[i], with coprime integers
-            assert [(r, c) for r, c, _ in ints] == [(r, c) for r, c, _ in terms]
-            assert all(isinstance(k, int) for _, _, k in ints) and gcd(*(k for _, _, k in ints)) == 1
-            ratio = Fraction(ints[0][2]) / terms[0][2]
-            assert ratio and all(Fraction(k) == ratio * q for (_, _, k), (_, _, q) in zip(ints, terms))
+            assert in_algebra(b, model) and _in_algebra_by_products(b, model)
         assert model.basis is model.basis
 
 
@@ -461,21 +459,66 @@ def test_generic_gram_model():
     assert model.dimension == 3
     sizes = sorted(sum(1 for row in b.rows for v in row if v) for b in model.basis)
     assert min(sizes) >= 3 and max(sizes) <= 4
-    for b, terms in zip(model.basis, model.sparse_basis):
+    for b, terms in zip(model.basis, model.terms):
         assert in_algebra(b, model)
-        # each sparse element is a nonzero integer multiple of its basis element
-        (r0, c0, k0) = terms[0]
-        ratio = Fraction(k0) / b.rows[r0][c0]
-        scaled = b.scale(ratio)
-        assert all(isinstance(k, int) for _, _, k in terms)
-        assert {(r, c): Fraction(k) for r, c, k in terms} == {
-            (r, c): v for r, row in enumerate(scaled.rows) for c, v in enumerate(row) if v
-        }
+        assert all(type(k) is int for _, _, k in terms) and gcd(*(k for _, _, k in terms)) == 1
         _check_against_oracles(b, model)
     rng = random.Random(41)
     for terms in (1, 2, 3, 3):
         _check_against_oracles(_random_element(rng, model, terms), model)
     assert centralizer_dim(RationalMatrix.zero(3), model) == 3
+
+
+def _random_gram(rng, kind: str, n: int, rational: bool) -> ClassicalForm:
+    """A seeded non-degenerate Gram matrix with a row of two or more nonzero
+    entries, so that its model takes the nullspace route."""
+    sign = 1 if kind == "symmetric" else -1
+    while True:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if sign == 1 else i + 1, n):
+                if rng.random() < 0.6:
+                    v = Fraction(rng.randint(-5, 5), rng.randint(1, 9) if rational else 1)
+                    rows[i][j], rows[j][i] = v, sign * v
+        if all(sum(1 for v in row if v) < 2 for row in rows):
+            continue
+        try:
+            return ClassicalForm(kind, RationalMatrix(rows))
+        except ValueError:  # degenerate
+            continue
+
+
+def _form_defect_by_hand(terms, gram, n):
+    """x^T G + G x for the element with the given terms, by dense Fraction
+    products."""
+    x = [[Fraction(0)] * n for _ in range(n)]
+    for r, c, k in terms:
+        x[r][c] += k
+    g = gram.rows
+    return [[sum(x[k][i] * g[k][j] + g[i][k] * x[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_generic_gram_models_against_dense_products():
+    rng = random.Random(71)
+    cases = [("symmetric", kind) for kind in (type_b(1), type_d(2), type_b(2), type_d(3))]
+    cases += [("antisymmetric", kind) for kind in (type_c(2), type_c(3))]
+    for form_kind, kind in cases:
+        n = kind.matrix_size
+        expected = n * (n - 1) // 2 if form_kind == "symmetric" else n * (n + 1) // 2
+        for rational in (False, True, True):
+            form = _random_gram(rng, form_kind, n, rational)
+            model = build_model(kind, form)
+            assert model.dimension == len(model.terms) == expected
+            vectors = []
+            for terms in model.terms:
+                ks = [k for _, _, k in terms]
+                assert all(type(k) is int for k in ks) and gcd(*ks) == 1
+                assert not any(any(row) for row in _form_defect_by_hand(terms, form.gram, n))
+                vec = [Fraction(0)] * (n * n)
+                for r, c, k in terms:
+                    vec[r * n + c] = Fraction(k)
+                vectors.append(vec)
+            assert rank_by_rational_elimination(vectors) == expected
 
 
 def test_constant_polynomial_entries_match_fractions():
@@ -509,6 +552,12 @@ def _in_algebra_by_products(x, model):
 
 def _generic_gram_model():
     return build_model(type_b(1), ClassicalForm("symmetric", RationalMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])))
+
+
+def _unit_free_monomial_model():
+    """sp_4 for a monomial Gram matrix whose entries differ in size."""
+    rows = [[0, 3, 0, 0], [-3, 0, 0, 0], [0, 0, 0, Fraction(1, 2)], [0, 0, Fraction(-1, 2), 0]]
+    return build_model(type_c(2), ClassicalForm("antisymmetric", RationalMatrix(rows)))
 
 
 def _outside_element(rng, n):

@@ -220,6 +220,37 @@ def test_poly_gcd_is_rational_only():
     assert poly_gcd([Fraction(3)], []) == [1]
 
 
+def test_poly_gcd_against_euclid_up_to_degree_40():
+    rng = random.Random(113)
+    pool = sorted({Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)})
+    scales = [Fraction(3, 7), Fraction(-2, 5), Fraction(9, 4)]
+
+    def dense(roots):
+        scale = rng.choice(scales)
+        return [scale * c for c in expand_roots(roots)]
+
+    for repeated in (False, True):
+        # A B and A C at degree 4, then 20 to 40, with B and C of degree k
+        for degree in (4, 20, 30, 40):
+            k = min(degree // 2, 10)
+            roots = rng.sample(pool, degree + k)
+            common = roots[: degree - k]
+            if repeated:
+                common[-1] = common[0]
+            p, q = dense(common + roots[degree - k : degree]), dense(common + roots[degree:])
+            expected = gcd_by_euclid(p, q)
+            assert poly_gcd(p, q) == expected == expand_roots(common)
+            assert poly_gcd(q, p[:-1]) == gcd_by_euclid(q, p[:-1])
+        # p and p' at degree 20: every Euclid step, with a repeated root or none
+        roots = rng.sample(pool, 20)
+        if repeated:
+            roots[-1] = roots[0]
+        p = dense(roots)
+        derivative = [c * (20 - k) for k, c in enumerate(p[:-1])]
+        expected = gcd_by_euclid(p, derivative)
+        assert poly_gcd(p, derivative) == expected and len(expected) == 1 + repeated
+
+
 def test_witness_noninjectivity():
     for a in (1, 2, 3, Fraction(1, 2)):
         p1, p2 = witness_noninjectivity(a)
