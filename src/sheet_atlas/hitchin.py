@@ -14,21 +14,6 @@ from .sheets import GLLevi, GroupKind, SheetDescriptor, TorusLevi
 
 
 @dataclass(frozen=True)
-class CurveParams:
-    """Curve data: genus >= 2; the twist is recorded for forward
-    compatibility but only the canonical twist is implemented."""
-
-    genus: int
-    twist: str = "canonical"
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError("genus must be at least 2")
-        if self.twist != "canonical":
-            raise ValueError("only the canonical twist is implemented")
-
-
-@dataclass(frozen=True)
 class SliceWeights:
     """Scaling weights of the contracted slice coordinates."""
 

@@ -5,22 +5,22 @@ determinants and centraliser dimensions (an exact rank).  All arithmetic
 is exact: entries are rationals or univariate rational-coefficient
 polynomials in one formal parameter.
 
-Every one of these operations has one route, on integers, and every
-matrix is cleared of denominators by :func:`~sheet_atlas.scalars.clear`.
-A rational matrix is cleared once: the lcm D of its denominators and the
-nonzero entries of the integer matrix D x, row by row, are cached on the
-(immutable) matrix the first time they are needed, and every routine reads
-that form, building a Fraction only for each nonzero entry of a result.
-With entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for
-an N that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
-and the integer values are interpolated back exactly; such a matrix is also
-cleared once, and its cleared coefficients are cached the same way.
+A matrix x is stored only as its cleared form: the least D >= 1 with D x
+over Z (or over Z[t]), and the nonzero entries of D x row by row, ints or
+ascending integer coefficient tuples in t.  Every operation runs on those
+integers, and every matrix it makes goes through one reduction to the
+cleared form (:meth:`RationalMatrix.from_cleared`), so equal matrices have
+equal forms.  Fractions are built only for the dense view, for the
+coefficients of a characteristic polynomial and for a determinant.  With
+entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for an N
+that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
+and the integer values are interpolated back exactly.
 There is one elimination, sparse and fraction-free with Markowitz-style
 pivots: its pivot rows give centraliser ranks, on the ad x rows that a
 model fills from its basis, and read back in reverse order they give the
 nullspace behind the model of a form that is not monomial.  A model keeps
 its basis in one representation, sparse coprime integer terms, read from
-the cached integer form of its Gram matrix.
+the cleared form of its Gram matrix.
 """
 from __future__ import annotations
 
@@ -28,12 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     ZERO,
+    RatPoly,
     Scalar,
     as_scalar,
     clear,
@@ -41,115 +42,149 @@ from .scalars import (
     format_scalar,
     parse_scalar,
     run,
-    scalar_is_zero,
     scalars_over,
 )
 from .spectral import GradedPolynomial
 
 
-_ONE = Fraction(1)
-
-SparseRows = List[List[Tuple[int, int]]]
+SparseRows = Sequence[Sequence[Tuple[int, int]]]
 
 
 class RationalMatrix:
-    """Immutable square matrix with exact scalar entries.
+    """Immutable square matrix with exact scalar entries, stored as its
+    cleared form.
 
-    The ``_cleared`` slot holds the cleared form read by :func:`_form`; it
-    is filled on first use and lives as long as the matrix.
+    ``den`` is the least D >= 1 with D x over Z, or over Z[symbol];
+    ``symbol`` is None unless some entry is a non-constant polynomial; and
+    ``nz[i]`` holds the nonzero entries (j, v) of row i of D x in ascending
+    j, each v an int, or with a symbol an ascending tuple of ints.  The
+    form is canonical, so equality and hashing read only it.  The dense
+    ``rows`` are a view built on first access: Fractions, or with a symbol
+    polynomials in it.
     """
 
-    __slots__ = ("dim", "rows", "_cleared")
+    __slots__ = ("dim", "den", "nz", "symbol", "_view")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(v if isinstance(v, Fraction) else as_scalar(v) for v in r) for r in rows)
+    def __new__(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "rows", rows)
+        return cls._of_scalars(n, [enumerate(r) for r in rows])
+
+    @classmethod
+    def _of_scalars(cls, n: int, rows) -> "RationalMatrix":
+        """The matrix with the exact scalar entries rows[i] = (j, x), ...
+        in ascending j, cleared by :func:`~sheet_atlas.scalars.clear`."""
+        rows = [[(j, x if type(x) in (int, Fraction, RatPoly) else as_scalar(x)) for j, x in row] for row in rows]
+        rows = [[(j, x) for j, x in row if x] for row in rows]
+        den, values, symbol = clear([x for row in rows for _, x in row])
+        return cls.from_cleared(n, den, _rows(rows, values), symbol)
+
+    @classmethod
+    def from_cleared(cls, n: int, den: int, rows, symbol: Optional[str] = None) -> "RationalMatrix":
+        """The n x n matrix x with D x = X, for D = den >= 1 and X given by
+        its rows, rows[i] = (j, v), ... in ascending j, each v an int or,
+        with a symbol, an ascending integer coefficient list in it.
+
+        This is the one reduction to the cleared form: zero entries are
+        dropped, D and every integer are divided by their gcd, and the
+        symbol is dropped when no entry is a non-constant polynomial.
+        """
+        rows = [[(j, v) for j, v in row if v] for row in rows]
+        if symbol and all(len(v) == 1 for row in rows for _, v in row):
+            rows, symbol = [[(j, v[0]) for j, v in row] for row in rows], None
+        if symbol:
+            g = gcd(den, *(c for row in rows for _, v in row for c in v))
+            nz = tuple(tuple((j, tuple(c // g for c in v)) for j, v in row) for row in rows)
+        else:
+            g = gcd(den, *(v for row in rows for _, v in row))
+            nz = tuple(tuple((j, v // g) for j, v in row) if g > 1 else tuple(row) for row in rows)
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (n, den // g, nz, symbol)):
+            object.__setattr__(out, name, value)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
-    def _trusted(cls, rows) -> "RationalMatrix":
-        # internal: entries already exact scalars
-        out = object.__new__(cls)
-        object.__setattr__(out, "dim", len(rows))
-        object.__setattr__(out, "rows", tuple(tuple(r) for r in rows))
-        return out
-
-    @classmethod
     def zero(cls, n: int) -> "RationalMatrix":
-        return cls._trusted([(ZERO,) * n] * n)
+        return cls.from_cleared(n, 1, [()] * n)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls.diagonal([_ONE] * n)
+        return cls.from_cleared(n, 1, [[(i, 1)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RationalMatrix":
-        n = len(entries)
-        rows = [[ZERO] * n for _ in range(n)]
-        for i, v in enumerate(entries):
-            rows[i][i] = as_scalar(v)
-        return cls._trusted(rows)
+        return cls._of_scalars(len(entries), [[(i, x)] for i, x in enumerate(entries)])
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
-        rows = [[ZERO] * n for _ in range(n)]
-        rows[i][j] = as_scalar(value)
-        return cls._trusted(rows)
+        return cls._of_scalars(n, [[(j, value)] if r == i else [] for r in range(n)])
+
+    @property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The dense entries, built on first access and kept."""
+        if not hasattr(self, "_view"):
+            zero = ZERO if self.symbol is None else RatPoly([], self.symbol)
+            dense = [[zero] * self.dim for _ in self.nz]
+            values = scalars_over([v for row in self.nz for _, v in row], repeat(self.den), self.symbol)
+            for out, row in zip(dense, _rows(self.nz, values)):
+                for j, v in row:
+                    out[j] = v
+            object.__setattr__(self, "_view", tuple(map(tuple, dense)))
+        return self._view
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_dim(other)
-        return RationalMatrix._trusted([[a + b if a or b else ZERO for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """self + sign other, on integers over the lcm of the denominators."""
         self._same_dim(other)
-        return RationalMatrix._trusted([[a - b if a or b else ZERO for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        d = lcm(self.den, other.den)
+        wa, wb = d // self.den, sign * (d // other.den)
+        values, symbol = _on_integers((self, other), max, lambda ra, rb: _linear(ra, rb, wa, wb))
+        return _from_flat(self.dim, d, values, symbol)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._trusted([[-v for v in r] for r in self.rows])
+        return self.scale(-1)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        # sparse-aware: Lie algebra elements here are mostly zeros
         self._same_dim(other)
-        n = self.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for i, row in enumerate(self.rows):
-            orow = out[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                brow = other.rows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return RationalMatrix._trusted(out)
+        # an entry of ab sums products of an entry of a and one of b, so its
+        # t-degree is at most m_a + m_b
+        values, symbol = _on_integers((self, other), add, _product)
+        return _from_flat(self.dim, self.den * other.den, values, symbol)
 
     def scale(self, c) -> "RationalMatrix":
-        c = as_scalar(c)
-        return RationalMatrix._trusted([[c * v if v else ZERO for v in r] for r in self.rows])
+        # c joins as a 1 x 1 matrix, and an entry of c x has t-degree at most m + m_c
+        c = RationalMatrix([[c]])
+        values, symbol = _on_integers((self, c), add, _scaled)
+        return RationalMatrix.from_cleared(self.dim, self.den * c.den, _rows(self.nz, values), symbol)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._trusted(list(zip(*self.rows)))
-
-    def trace(self) -> Scalar:
-        return sum((self.rows[i][i] for i in range(self.dim)), start=ZERO)
+        columns: List[list] = [[] for _ in self.nz]
+        for i, row in enumerate(self.nz):
+            for j, v in row:
+                columns[j].append((i, v))
+        return RationalMatrix.from_cleared(self.dim, self.den, columns, self.symbol)
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(v) for r in self.rows for v in r)
+        return not any(self.nz)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.dim == other.dim and self.rows == other.rows
+        # the size is len(nz)
+        return isinstance(other, RationalMatrix) and (self.den, self.nz, self.symbol) == (other.den, other.nz, other.symbol)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.nz, self.symbol))
 
     def _same_dim(self, other: "RationalMatrix"):
         if self.dim != other.dim:
@@ -171,6 +206,32 @@ class RationalMatrix:
         return cls([[parse_scalar(v) for v in r] for r in obj])
 
 
+def _rows(nz, values: Sequence) -> List[List[tuple]]:
+    """The rows nz with their entries replaced, in order, by values."""
+    it = iter(values)
+    return [[(j, next(it)) for j, _ in row] for row in nz]
+
+
+def _from_flat(n: int, den: int, values: Sequence, symbol: Optional[str]) -> RationalMatrix:
+    """The matrix whose cleared form X over den is the flat row-major list values."""
+    return RationalMatrix.from_cleared(n, den, [enumerate(values[i * n : i * n + n]) for i in range(n)], symbol)
+
+
+def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel) -> Tuple[list, Optional[str]]:
+    """(output, symbol) of an integer kernel on the cleared forms of matrices.
+
+    The kernel gets the sparse integer rows D x of every matrix and returns
+    a flat list of ints.  With entries in Q[t] it runs at t = 0, ...,
+    degree_bound(*the matrices' t-degrees), which must bound the t-degree
+    of every output, and each output is interpolated to an ascending
+    integer coefficient list (:func:`~sheet_atlas.scalars.run`); a rational
+    matrix joins with its rows, of t-degree 0.
+    """
+    forms = [(x.den, [v for row in x.nz for _, v in row] if x.symbol else x.nz, x.symbol) for x in mats]
+    bound = lambda: degree_bound(*map(cleared_degree, forms)) + 1
+    return run(forms, bound, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)]))
+
+
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Commutator ab - ba, exactly.
 
@@ -181,24 +242,42 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     a._same_dim(b)
     # an entry of [a, b] sums products of an entry of a and one of b, so
     # its t-degree is at most m_a + m_b
-    entries = _on_integers((a, b), lambda ma, mb: ma + mb, _commutator, lambda da, db: repeat(da * db))
-    n = a.dim
-    return RationalMatrix._trusted([entries[i * n : i * n + n] for i in range(n)])
+    values, symbol = _on_integers((a, b), add, lambda ra, rb: _product(ra, rb, commutator=True))
+    return _from_flat(a.dim, a.den * b.den, values, symbol)
 
 
-def _commutator(ra: SparseRows, rb: SparseRows) -> List[int]:
-    """AB - BA of sparse integer rows, as a flat row-major list."""
+def _product(ra: SparseRows, rb: SparseRows, commutator: bool = False) -> List[int]:
+    """AB, or with commutator AB - BA, of sparse integer rows, as a flat
+    row-major list."""
     out: List[int] = []
     for ra_i, rb_i in zip(ra, rb):
         oi = [0] * len(ra)
         for k, v in ra_i:
             for j, w in rb[k]:
                 oi[j] += v * w
-        for k, v in rb_i:
-            for j, w in ra[k]:
-                oi[j] -= v * w
+        if commutator:
+            for k, v in rb_i:
+                for j, w in ra[k]:
+                    oi[j] -= v * w
         out += oi
     return out
+
+
+def _linear(ra: SparseRows, rb: SparseRows, wa: int, wb: int) -> List[int]:
+    """wa A + wb B of sparse integer rows, as a flat row-major list."""
+    n = len(ra)
+    out = [0] * (n * n)
+    for w, rows in ((wa, ra), (wb, rb)):
+        for i, row in enumerate(rows):
+            for j, v in row:
+                out[i * n + j] += w * v
+    return out
+
+
+def _scaled(rx: SparseRows, rc: SparseRows) -> List[int]:
+    """The nonzero entries of X, in order, times the 1 x 1 matrix rc."""
+    c = rc[0][0][1] if rc[0] else 0
+    return [v * c for row in rx for _, v in row]
 
 
 @dataclass(frozen=True)
@@ -215,17 +294,13 @@ class ClassicalForm:
         if self.gram.transpose() != self.gram.scale(sign):
             raise ValueError("gram matrix does not have %s symmetry" % self.kind)
         # one nonzero per row (so per column: G^T = ±G) makes G monomial, hence non-degenerate
-        cleared = _integer_form(self.gram)
-        if (cleared is None or any(len(row) != 1 for row in cleared[1])) and determinant(self.gram) == 0:
+        if (self.gram.symbol or any(len(row) != 1 for row in self.gram.nz)) and determinant(self.gram) == 0:
             raise ValueError("gram matrix is degenerate")
 
 
 def so_gram(n: int) -> ClassicalForm:
     """Antidiagonal symmetric unit form on n letters."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = Fraction(1)
-    return ClassicalForm("symmetric", RationalMatrix(rows))
+    return ClassicalForm("symmetric", RationalMatrix.from_cleared(n, 1, [[(n - 1 - i, 1)] for i in range(n)]))
 
 
 def sp_gram(n: int) -> ClassicalForm:
@@ -236,10 +311,8 @@ def sp_gram(n: int) -> ClassicalForm:
     """
     if n % 2:
         raise ValueError("symplectic form needs even size")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = Fraction(1) if i < n // 2 else Fraction(-1)
-    return ClassicalForm("antisymmetric", RationalMatrix(rows))
+    rows = [[(n - 1 - i, 1 if i < n // 2 else -1)] for i in range(n)]
+    return ClassicalForm("antisymmetric", RationalMatrix.from_cleared(n, 1, rows))
 
 
 @dataclass(frozen=True)
@@ -260,7 +333,7 @@ class LieAlgebraModel:
     @cached_property
     def basis(self) -> Tuple[RationalMatrix, ...]:
         n = self.matrix_size
-        return tuple(sum((RationalMatrix.unit(n, r, c, k) for r, c, k in t), RationalMatrix.zero(n)) for t in self.terms)
+        return tuple(RationalMatrix.from_cleared(n, 1, [[(c, k) for r, c, k in sorted(t) if r == i] for i in range(n)]) for t in self.terms)
 
     @property
     def dimension(self) -> int:
@@ -301,13 +374,13 @@ def form_stabiliser_basis(gram: RationalMatrix) -> List[Tuple[Term, ...]]:
     :class:`ClassicalForm`, each element as its nonzero (row, col, k) terms
     with coprime integers k.
 
-    Both routes read the cached integer form G' = D G.  When every row of G
+    Both routes read the cleared form G' = D G.  When every row of G
     has one nonzero entry (all the Gram matrices this library constructs),
     G is monomial, the constraint pairs matrix entries one against one and
     the basis is written down directly; otherwise it is the integer
     nullspace of the linearised condition (:func:`_integer_nullspace`).
     """
-    rg = _integer_form(gram)[1]
+    rg = gram.nz
     n = len(rg)
     if any(len(row) != 1 for row in rg):
         return _form_stabiliser_basis_generic(rg)
@@ -359,8 +432,8 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
         return True
     # a ClassicalForm's Gram matrix is rational (checked on construction),
     # so each entry of the defect has t-degree at most m
-    rg = _integer_form(model.form.gram)[1]
-    return not any(_on_integers((x,), lambda m: m, lambda rx: _form_defect(rx, rg), lambda d: repeat(1)))
+    rg = model.form.gram.nz
+    return not any(_on_integers((x,), lambda m: m, lambda rx: _form_defect(rx, rg))[0])
 
 
 def _form_defect(rx: SparseRows, rg: SparseRows) -> List[int]:
@@ -378,60 +451,6 @@ def _form_defect(rx: SparseRows, rg: SparseRows) -> List[int]:
     return list(chain.from_iterable(out))
 
 
-def _integer_form(x: RationalMatrix) -> Optional[Tuple[int, SparseRows]]:
-    """(D, rows) with D the lcm of the entry denominators and rows[i] the
-    nonzero entries (j, (D x)[i][j]) of row i, or None when some entry is a
-    non-constant polynomial."""
-    form = _form(x)
-    return None if type(form[0]) is tuple else form
-
-
-def _form(x: RationalMatrix):
-    """The cleared form of x, computed once per matrix and cached on it: the
-    integer form (D, rows) of :func:`_integer_form` when every entry is
-    rational, otherwise (cleared, nz) with nz the nonzero entries (j, v) of
-    each row and cleared the :func:`~sheet_atlas.scalars.clear` form of
-    those entries, in order."""
-    try:
-        return x._cleared
-    except AttributeError:
-        pass
-    nz = [[(j, v) for j, v in enumerate(row) if v] for row in x.rows]
-    cleared = clear([v for row in nz for _, v in row])
-    form = (cleared, nz) if cleared[2] else (cleared[0], _rows(nz, cleared[1]))
-    object.__setattr__(x, "_cleared", form)
-    return form
-
-
-def _rows(nz: List[List[Tuple[int, Scalar]]], values: Sequence[int]) -> SparseRows:
-    """The rows nz with their entries replaced, in order, by values."""
-    it = iter(values)
-    return [[(j, next(it)) for j, _ in row] for row in nz]
-
-
-def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel, dens) -> List[Scalar]:
-    """Run an integer kernel on the cleared forms of matrices.
-
-    The kernel gets the sparse integer rows of every matrix and returns a
-    flat list of ints; output i is returned over the i-th entry of
-    ``dens(*the matrices' denominators)``.  Rational matrices take one pass
-    on their cached rows.  Otherwise the kernel runs at t = 0, ...,
-    degree_bound(*their t-degrees), which must bound the t-degree of every
-    output, and each output is interpolated to a polynomial in t.
-    """
-    forms = [_form(x) for x in mats]
-    if all(type(d) is int for d, _ in forms):
-        ds, rows = zip(*forms)
-        return scalars_over(kernel(*rows), dens(*ds), None)
-    # a rational matrix joins as its integer entries D x, of t-degree 0, and
-    # keeps its own D
-    cleared = [d if type(d) is tuple else (d, [v for row in rows for _, v in row], None) for d, rows in forms]
-    nz = [rows for _, rows in forms]
-    bound = lambda: degree_bound(*map(cleared_degree, cleared)) + 1
-    values, symbol = run(cleared, bound, lambda *values: kernel(*map(_rows, nz, values)))
-    return scalars_over(values, dens(*[d for d, _, _ in cleared]), symbol)
-
-
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     """Dimension of the kernel of y -> [x, y] on the model, by exact rank.
 
@@ -446,15 +465,10 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     """
     if not in_algebra(x, model):
         raise ValueError("element is not in the modelled Lie algebra")
-    cleared = _integer_form(x)
-    if cleared is None:
+    if x.symbol:
         raise ValueError("centraliser dimension needs rational entries")
-    row_nz = cleared[1]
     n = x.dim
-    col_nz: SparseRows = [[] for _ in range(n)]
-    for i, row in enumerate(row_nz):
-        for j, v in row:
-            col_nz[j].append((i, v))
+    row_nz, col_nz = x.nz, x.transpose().nz
     rows = []
     for terms in model.terms:
         out = [0] * (n * n)
@@ -479,9 +493,9 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
     n m + 1 values of t, and every a_k is returned as a polynomial in t.
     """
     n = x.dim
+    values, symbol = _on_integers((x,), lambda m: n * m, _char_poly_ints)
     # the denominators of a_1, ..., a_n are D, D^2, ..., D^n
-    coeffs = _on_integers((x,), lambda m: n * m, _char_poly_ints, lambda d: accumulate(repeat(d, n), mul))
-    return GradedPolynomial._trusted(coeffs)
+    return GradedPolynomial._trusted(scalars_over(values, accumulate(repeat(x.den, n), mul), symbol))
 
 
 def _char_poly_ints(nz: SparseRows) -> List[int]:
@@ -603,6 +617,6 @@ def determinant(x: RationalMatrix) -> Fraction:
     Every entry must be rational (a Fraction or a constant polynomial),
     otherwise ValueError.
     """
-    if _integer_form(x) is None:
+    if x.symbol:
         raise ValueError("determinant needs rational entries")
     return (-1) ** x.dim * char_poly(x).coefficient(x.dim)

@@ -17,7 +17,8 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-# One shared zero: matrices whose zeros are all this object compare by identity.
+# One shared zero: every zero Fraction that scalars_over builds, and every zero
+# entry of a rational matrix's dense view, is this object.
 ZERO = Fraction(0)
 
 
@@ -31,7 +32,7 @@ class RatPoly:
     __slots__ = ("coeffs", "symbol")
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]], symbol: str = "t"):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -108,13 +109,13 @@ class RatPoly:
         if other is NotImplemented:
             return NotImplemented
         sym = self._sym(other)
-        if self.is_zero() or other.is_zero():
-            return RatPoly([], sym)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out, sym)
+        # the convolution of the cleared coefficients, over Da Db
+        (da, a, _), (db, b, _) = clear(self.coeffs), clear(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return RatPoly([Fraction(c, da * db) for c in out], sym)
 
     __rmul__ = __mul__
 
@@ -320,6 +321,9 @@ def interpolate(values: Sequence[Sequence[int]]) -> List[List[int]]:
     """
     out = []
     for column in zip(*values):
+        if not any(column):
+            out.append([])
+            continue
         diff = list(column)
         for k in range(1, len(diff)):
             diff[k:] = [b - a for a, b in zip(diff[k - 1 :], diff[k:])]

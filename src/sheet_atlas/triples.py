@@ -13,18 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .liealg import (
-    ClassicalForm,
-    LieAlgebraModel,
-    RationalMatrix,
-    _form,
-    bracket,
-    build_model,
-    in_algebra,
-    sp_gram,
-)
+from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket, build_model, in_algebra, sp_gram
 from .partitions import Partition
-from .scalars import ZERO, RatPoly, as_fraction, as_scalar
+from .scalars import RatPoly, as_scalar
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
@@ -34,14 +25,12 @@ class JordanBasisPlan:
 
     beta is an involution on block indices (0-based) pairing equal-size
     blocks; the first gl_block_size blocks have their chain tops spanning
-    the isotropic subspace V+.  sign_choices holds the seed pairing value
-    for each beta-orbit, keyed by the lower block index.
+    the isotropic subspace V+.
     """
 
     orbit: Partition
     beta: Tuple[int, ...]
     gl_block_size: int
-    sign_choices: Tuple[Fraction, ...]
     symmetric: bool
 
     def __post_init__(self):
@@ -110,13 +99,13 @@ class Sl2Triple:
 
 def _nonzero_blocks(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
     """(flag block of r, flag block of c) for every nonzero entry x[r][c],
-    read from the matrix's cached cleared form; block k holds the indices
+    read from the matrix's cleared form; block k holds the indices
     below flag_dims[k] and not below an earlier bound.  A nonzero entry
     outside the last block raises IndexError."""
     block: List[int] = []
     for k, bound in enumerate(flag_dims):
         block += [k] * (bound - len(block))
-    return ((block[r], block[c]) for r, row in enumerate(_form(x)[1]) for c, _ in row)
+    return ((block[r], block[c]) for r, row in enumerate(x.nz) for c, _ in row)
 
 
 def _strictly_block_upper(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> bool:
@@ -127,11 +116,23 @@ def _block_diagonal(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> bool:
     return all(br == bc for br, bc in _nonzero_blocks(x, flag_dims))
 
 
+MAX_TRIPLE_SIZE = 64
+"""The largest matrix size n of a GL or B/C/D triple.  The cost is set by
+the centraliser dimension: at n = 64 a generic one takes about 1.4 s and
+150 MB."""
+
+
+def _check_size(n: int):
+    if n > MAX_TRIPLE_SIZE:
+        raise ValueError("matrix size %d is beyond the supported maximum %d" % (n, MAX_TRIPLE_SIZE))
+
+
 # --- GL triples ---------------------------------------------------------------
 
 
 def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
-    """Two-block shift triple for the GL Levi (m1 >= m2 >= 1), n = m1+m2 <= 20.
+    """Two-block shift triple for the GL Levi (m1 >= m2 >= 1), with
+    n = m1 + m2 <= MAX_TRIPLE_SIZE.
 
     e shifts the second block onto the head of the first, f shifts back,
     and h is defined as [e, f] (the diagonal +1 on 1..m2, 0 on m2+1..m1,
@@ -143,12 +144,8 @@ def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
     if not (m1 >= m2 >= 1):
         raise ValueError("need m1 >= m2 >= 1")
     n = m1 + m2
-    if n > 20:
-        raise ValueError("n > 20 unsupported")
-    e_rows = [[ZERO] * n for _ in range(n)]
-    for k in range(m2):
-        e_rows[k][m1 + k] = Fraction(1)
-    e = RationalMatrix._trusted(e_rows)
+    _check_size(n)
+    e = RationalMatrix.from_cleared(n, 1, [[(m1 + k, 1)] if k < m2 else [] for k in range(n)])
     f = e.transpose()
     h = bracket(e, f)
     abel = _gl_abelianisation(h, m1, m2)
@@ -171,9 +168,8 @@ def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
 
 
 def _gl_abelianisation(x: RationalMatrix, m1: int, m2: int) -> Fraction:
-    tr1 = sum((as_fraction(x.rows[i][i]) for i in range(m1)), start=Fraction(0))
-    tr2 = sum((as_fraction(x.rows[i][i]) for i in range(m1, m1 + m2)), start=Fraction(0))
-    return m2 * tr1 - m1 * tr2
+    diag = [dict(row).get(i, 0) for i, row in enumerate(x.nz)]
+    return Fraction(m2 * sum(diag[:m1]) - m1 * sum(diag[m1:]), x.den)
 
 
 # --- SO/Sp triples --------------------------------------------------------------
@@ -184,44 +180,37 @@ def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
 
     The block pairing is planned so that the chain tops of the first a
     blocks span an isotropic V+, every chain of length >= 2 threads the
-    flag V+ < V+ + W < V, and the seeded sign recursion produces a Gram
+    flag V+ < V+ + W < V, and the sign recursion produces a Gram
     matrix of the symmetry the group requires.  e is the down-shift, h the
     chain-weight diagonal, and f carries the coefficients i(n_j - i) forced
     by the bracket relations.
     """
     if kind.family not in ("B", "C", "D"):
         raise ValueError("normalised Jordan triples apply to types B, C, D")
-    n = kind.matrix_size
-    if n > 16:
-        raise ValueError("n > 16 unsupported")
+    _check_size(kind.matrix_size)
     sheet = maximal_levi_sheet(kind, levi)
     orbit: Partition = sheet.nilpotent_orbit
     a = levi.a
     symmetric = kind.family in ("B", "D")
     beta = _plan_beta(orbit.parts, a, symmetric)
-    order, pos = _basis_order(orbit.parts, beta, a)
-    gram, seeds = _build_gram(orbit.parts, beta, pos, symmetric)
-    plan = JordanBasisPlan(
-        orbit=orbit,
-        beta=tuple(beta),
-        gl_block_size=a,
-        sign_choices=tuple(seeds),
-        symmetric=symmetric,
-    )
+    pos = _basis_order(orbit.parts, beta, a)
+    gram = _build_gram(orbit.parts, beta, pos, symmetric)
+    plan = JordanBasisPlan(orbit=orbit, beta=tuple(beta), gl_block_size=a, symmetric=symmetric)
     form = ClassicalForm("symmetric" if symmetric else "antisymmetric", gram)
     model = build_model(kind, form)
 
     size = orbit.n
-    e_rows = [[ZERO] * size for _ in range(size)]
-    f_rows = [[ZERO] * size for _ in range(size)]
-    h_rows = [[ZERO] * size for _ in range(size)]
+    # pos is a bijection, so each row of e and f gets at most one entry
+    e_rows: List[list] = [[] for _ in range(size)]
+    f_rows: List[list] = [[] for _ in range(size)]
+    h_diag = [0] * size
     for j, nj in enumerate(orbit.parts):
         for i in range(1, nj + 1):
-            h_rows[pos[(i, j)]][pos[(i, j)]] = Fraction(nj - 2 * i + 1)
+            h_diag[pos[(i, j)]] = nj - 2 * i + 1
             if i > 1:
-                e_rows[pos[(i - 1, j)]][pos[(i, j)]] = Fraction(1)
+                e_rows[pos[(i - 1, j)]].append((pos[(i, j)], 1))
             if i < nj:
-                f_rows[pos[(i + 1, j)]][pos[(i, j)]] = Fraction(i * (nj - i))
+                f_rows[pos[(i + 1, j)]].append((pos[(i, j)], i * (nj - i)))
     dim_w = size - 2 * a
     flag = (a, a + dim_w, size) if dim_w else (a, size)
     abel = Fraction(sum(orbit.parts[j] - 1 for j in range(a)))
@@ -229,17 +218,17 @@ def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
     h_prime = None
     if sheet.type_tag == 1:
         # beta pairs block a-1 with block a; h' is +1 on one, -1 on the other.
-        hp = [[ZERO] * size for _ in range(size)]
+        hp = [0] * size
         for i in range(1, orbit.parts[a - 1] + 1):
-            hp[pos[(i, a - 1)]][pos[(i, a - 1)]] = Fraction(1)
+            hp[pos[(i, a - 1)]] = 1
         for i in range(1, orbit.parts[a] + 1):
-            hp[pos[(i, a)]][pos[(i, a)]] = Fraction(-1)
-        h_prime = RationalMatrix._trusted(hp)
+            hp[pos[(i, a)]] = -1
+        h_prime = RationalMatrix.diagonal(hp)
 
     return Sl2Triple(
-        e=RationalMatrix._trusted(e_rows),
-        h=RationalMatrix._trusted(h_rows),
-        f=RationalMatrix._trusted(f_rows),
+        e=RationalMatrix.from_cleared(size, 1, e_rows),
+        h=RationalMatrix.diagonal(h_diag),
+        f=RationalMatrix.from_cleared(size, 1, f_rows),
         model=model,
         flag_dims=flag,
         abelianization_value=abel,
@@ -308,7 +297,7 @@ def _plan_beta(parts: Tuple[int, ...], a: int, symmetric: bool) -> List[int]:
 
 
 def _basis_order(parts: Tuple[int, ...], beta: List[int], a: int):
-    """Basis vectors ordered V+ then W then V-, with a position lookup."""
+    """The position of each basis vector, ordered V+ then W then V-."""
     vplus = [(1, j) for j in range(a)]
     vminus = [(parts[j], beta[j]) for j in range(a)]
     used = set(vplus) | set(vminus)
@@ -316,18 +305,17 @@ def _basis_order(parts: Tuple[int, ...], beta: List[int], a: int):
         raise ValueError("flag subspaces collide; invalid pairing plan")
     middle = [(i, j) for j in range(len(parts)) for i in range(1, parts[j] + 1) if (i, j) not in used]
     middle.sort(key=lambda t: (t[1], t[0]))
-    order = vplus + middle + vminus
-    return order, {v: k for k, v in enumerate(order)}
+    return {v: k for k, v in enumerate(vplus + middle + vminus)}
 
 
-def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: bool):
+def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: bool) -> RationalMatrix:
     """Solve the sign recursion: pairings supported on i + i' = n_j + 1 for
     beta-paired blocks, alternating down the antidiagonal; the beta-image
-    side is forced by the requested symmetry, which ClassicalForm checks."""
+    side is forced by the requested symmetry, which ClassicalForm checks.
+    Each basis vector pairs with one other, so each row gets one entry."""
     size = sum(parts)
-    eps = Fraction(1) if symmetric else Fraction(-1)
-    rows = [[ZERO] * size for _ in range(size)]
-    seeds = []
+    eps = 1 if symmetric else -1
+    rows: List[list] = [[] for _ in range(size)]
     done = set()
     for j in range(len(parts)):
         jp = beta[j]
@@ -335,13 +323,11 @@ def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: b
             continue
         done.add((j, jp))
         nj = parts[j]
-        seed = Fraction(1)
-        seeds.append(seed)
         for i in range(1, nj + 1):
-            rows[pos[(i, j)]][pos[(nj + 1 - i, jp)]] = seed * Fraction(-1) ** (i - 1)
+            rows[pos[(i, j)]].append((pos[(nj + 1 - i, jp)], (-1) ** (i - 1)))
             if jp != j:
-                rows[pos[(i, jp)]][pos[(nj + 1 - i, j)]] = seed * eps * Fraction(-1) ** (nj - i)
-    return RationalMatrix._trusted(rows), seeds
+                rows[pos[(i, jp)]].append((pos[(nj + 1 - i, j)], eps * (-1) ** (nj - i)))
+    return RationalMatrix.from_cleared(size, 1, rows)
 
 
 # --- Rank-2 symplectic artifacts -------------------------------------------------

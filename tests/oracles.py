@@ -4,6 +4,7 @@ These deliberately take different computational routes from the library:
 partition counts by Euler's pentagonal recurrence, diagram transposition by
 cells, type A sheet records from those cells, Hitchin base dimensions by
 summing over listed invariant degrees, flag conditions by a dense scan,
+polynomial products by the plain double loop over Fractions,
 determinant by cofactor expansion over dense polynomial entries, rank by
 plain rational elimination, polynomial gcd by leading-coefficient Euclid
 over plain rational long division, polynomials from their roots by
@@ -110,6 +111,18 @@ def flag_condition_by_scan(rows, flag_dims: Sequence[int], allowed: Callable[[in
         return next(k for k, bound in enumerate(flag_dims) if i < bound)
 
     return all(allowed(block(r), block(c)) for r, row in enumerate(rows) for c, v in enumerate(row) if v != 0)
+
+
+def convolve_fractions(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
+    """The product of two ascending coefficient lists by the plain double
+    loop over Fractions, trailing zeros trimmed."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def charpoly_by_expansion(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:

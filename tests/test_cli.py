@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 from sheet_atlas import sheets
 from sheet_atlas.cli import data_dir, render_table1, render_table2
 from sheet_atlas.partitions import Partition
+from sheet_atlas.sheets import type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.triples import MAX_TRIPLE_SIZE
 
 
 def run_cli(*args, env_extra=None, expect=0):
@@ -389,3 +392,34 @@ def test_triple_verify_transcripts_are_golden(monkeypatch):
     assert "gl:4,4" in cases and "bcd:B,4,1" in cases and "bcd:D,4,0" in cases
     for case in golden:
         assert _serve(case["argv"]) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_triples_beyond_the_size_bound_are_refused():
+    """n = 65 is refused with exit 1, an error on stderr and nothing on
+    stdout, in both output modes."""
+    assert MAX_TRIPLE_SIZE == 64
+    for case in ("gl:33,32", "bcd:B,1,63"):
+        for extra in ([], ["--json"]):
+            code, out, err = _serve(["triple-verify", "--case", case, *extra])
+            assert (code, out) == (1, "") and err == "error: matrix size 65 is beyond the supported maximum 64\n", case
+
+
+def test_triples_above_the_former_ceilings_pass_every_check(monkeypatch):
+    """A seeded sample of two GL pairs and two B/C/D maximal Levi labels
+    with 24 < n <= 64 (beyond the former ceilings n <= 20 and n <= 16):
+    triple-verify passes every check, the centraliser dimension included."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    gl = ["gl:%d,%d" % (n - m2, m2) for n in range(25, MAX_TRIPLE_SIZE + 1) for m2 in range(1, n // 2 + 1)]
+    bcd = [
+        "bcd:%s,%d,%d" % (kind.family, levi.a, levi.residual)
+        for r in range(12, MAX_TRIPLE_SIZE // 2 + 1)
+        for kind in (type_b(r), type_c(r), type_d(r))
+        if 24 < kind.matrix_size <= MAX_TRIPLE_SIZE
+        for levi in valid_max_levi_labels(kind)
+    ]
+    rng = random.Random(19)
+    for case in rng.sample(gl, 2) + rng.sample(bcd, 2):
+        code, out, err = _serve(["triple-verify", "--case", case])
+        lines = out.splitlines()
+        assert (code, err) == (0, "") and all(line.startswith("PASS") for line in lines), (case, out)
+        assert any(line.startswith("PASS  centraliser dim = dim L") for line in lines)

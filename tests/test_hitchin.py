@@ -1,7 +1,6 @@
 import pytest
 
 from sheet_atlas.hitchin import (
-    CurveParams,
     component_count,
     dim_hitchin_base,
     dim_hitchin_base_sp4,
@@ -27,14 +26,6 @@ def test_h0_examples():
         h0_canonical_power(1, 1)
     with pytest.raises(ValueError):
         h0_canonical_power(2, 0)
-
-
-def test_curve_params():
-    CurveParams(2)
-    with pytest.raises(ValueError):
-        CurveParams(1)
-    with pytest.raises(ValueError):
-        CurveParams(2, twist="theta")
 
 
 def test_dim_s_hitchin_base_gln_examples():

@@ -17,9 +17,7 @@ from sheet_atlas.liealg import (
     so_gram,
     sp_gram,
 )
-from sheet_atlas.liealg import _form, _integer_form
-from sheet_atlas import liealg
-from sheet_atlas.scalars import ZERO, RatPoly, at
+from sheet_atlas.scalars import ZERO, RatPoly
 from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
@@ -603,84 +601,114 @@ def test_bracket_and_membership_over_qt_use_products():
     assert not in_algebra(RationalMatrix.diagonal([t, t, 0, 0]), model)
 
 
-def test_integer_form_is_computed_once_per_matrix(monkeypatch):
+def test_cleared_form_is_canonical():
+    """However a matrix is built, it is stored as one cleared form, so equal
+    matrices compare and hash equal: from Fractions, from constant
+    polynomials, through the sparse builders, and as results of bracket,
+    +, -, @ and scale.  den is least (the lcm of the entries' denominators,
+    written out here), zero entries are absent, and a result over Q[t]
+    whose t cancels equals its rational twin."""
     rng = random.Random(67)
-    model = build_model(type_c(3))
-    x = _random_element(rng, model, 4)
-    first = _integer_form(x)
-    d, rows = first
-    assert d == lcm(*(v.denominator for row in x.rows for v in row))
-    assert [[(j, Fraction(v, d)) for j, v in row] for row in rows] == [
-        [(j, v) for j, v in enumerate(row) if v] for row in x.rows
-    ]
-    centralizer_dim(x, model)
-    char_poly(x)
-    bracket(x, model.basis[0])
-    assert in_algebra(x, model)
-    assert _integer_form(x) is first
-
-    # a matrix over Q[t] is cleared once too, and every later call, alone or
-    # beside a rational matrix, reads the cached form
     t = RatPoly.variable()
-    xt = sp4_slice(t)
-    assert _integer_form(xt) is None
-    qt_first = _form(xt)
-    (d, c, symbol), nz = qt_first
-    assert symbol == "t"
-    assert nz == [[(j, v) for j, v in enumerate(row) if v] for row in xt.rows]
-    for t0 in range(4):
-        values = iter(at(c, t0))
-        assert [[(j, Fraction(next(values), d)) for j, _ in row] for row in nz] == [
-            [(j, v(t0) if isinstance(v, RatPoly) else v) for j, v in row] for row in nz
+    for model in _small_models() + [_generic_gram_model()]:
+        n = model.matrix_size
+        x, y = _random_element(rng, model, min(3, model.dimension)), _outside_element(rng, n)
+        rows = [list(r) for r in x.rows]
+        d = lcm(*(v.denominator for r in rows for v in r))
+        cleared = [[(j, int(v * d)) for j, v in enumerate(r) if v] for r in rows]
+        c = _random_rational(rng) or Fraction(1)
+        st = RationalMatrix.diagonal([t ** (k + 1) + k for k in range(n)])
+        twins = [
+            RationalMatrix(rows),
+            RationalMatrix([[RatPoly.constant(v) for v in r] for r in rows]),
+            RationalMatrix.from_cleared(n, d, cleared),
+            RationalMatrix.from_cleared(n, 6 * d, [[(j, 6 * v) for j, v in r] for r in cleared]),
+            sum((RationalMatrix.unit(n, i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r)), RationalMatrix.zero(n)),
+            (x + y) - y,
+            -(-x),
+            x.scale(c).scale(1 / c),
+            RationalMatrix.identity(n) @ x,
+            x @ RationalMatrix.identity(n).scale(3) @ RationalMatrix.identity(n).scale(Fraction(1, 3)),
+            x.transpose().transpose(),
+            bracket(x, y) + y @ x - x @ y + x,
+            # over Q[t], with t cancelling
+            (x + st) - st,
+            (st @ x + x) - st @ x,
+            x.scale(t + 1) - x.scale(t),
+            bracket(st, st) + x,
         ]
-    clearings = []
-    clear = liealg.clear
+        for z in twins:
+            assert z == x and hash(z) == hash(x)
+            assert (z.dim, z.den, z.nz, z.symbol) == (n, d, tuple(map(tuple, cleared)), None)
+            assert all(type(v) is Fraction for r in z.rows for v in r)
+        assert bracket(x, y) == x @ y - y @ x and hash(bracket(x, y)) == hash(x @ y - y @ x)
+        assert RationalMatrix.from_json(x.to_json()) == x
 
-    def counted(scalars, weighted=False):
-        clearings.append(list(scalars))
-        return clear(scalars, weighted)
+        # a matrix over Q[t]: den is the lcm over every coefficient of every
+        # entry, and the view shows every entry as a polynomial in t
+        xt = (x + st).scale(Fraction(2, 3))
+        entries = [v for r in xt.rows for v in r]
+        dt = lcm(*(a.denominator for v in entries for a in v.coeffs))
+        assert xt.symbol == "t" and xt.den == dt
+        assert all(isinstance(v, RatPoly) and v.symbol == "t" for v in entries)
+        assert xt.nz == tuple(tuple((j, tuple(int(a * dt) for a in v.coeffs)) for j, v in enumerate(r) if v) for r in xt.rows)
+        assert RationalMatrix(xt.rows) == xt and hash(RationalMatrix(xt.rows)) == hash(xt)
+        assert RationalMatrix.from_json(xt.to_json()) == xt
+        assert xt != x and (xt - xt).is_zero() and xt - xt == RationalMatrix.zero(n)
 
-    monkeypatch.setattr(liealg, "clear", counted)
-    e = sp4_e()
-    assert char_poly(xt) == char_poly(sp4_slice(t))
-    assert bracket(xt, e) == _bracket_by_products(xt, e)
-    assert bracket(e, xt) == _bracket_by_products(e, xt)
-    assert bracket(xt, xt).is_zero()
-    assert in_algebra(xt, sp4_model())
-    assert _integer_form(xt) is None
-    assert _form(xt) is qt_first
-    # the only matrices cleared again are the fresh sp4_slice(t) and, in the
-    # mixed brackets, the integer rows of e
-    assert sum(any(isinstance(v, RatPoly) for v in group) for group in clearings) == 1
+
+def _random_entry(rng):
+    """Zero (as a Fraction or a polynomial), a rational, or a polynomial in t."""
+    r = rng.random()
+    if r < 0.3:
+        return Fraction(0)
+    if r < 0.4:
+        return RatPoly([])
+    if r < 0.7:
+        return _random_rational(rng)
+    return RatPoly([_random_rational(rng) for _ in range(rng.randint(1, 4))])
 
 
 def test_sums_and_differences_entrywise():
     """a + b and a - b against scalar arithmetic, entry by entry, on
     rational and Q[t] entries; where both entries are zero the result holds
-    the shared ZERO."""
+    the zero of its view: the shared ZERO in a rational matrix, the zero
+    polynomial in one over Q[t]."""
     rng = random.Random(73)
-
-    def entry():
-        r = rng.random()
-        if r < 0.3:
-            return Fraction(0)
-        if r < 0.4:
-            return RatPoly([])
-        if r < 0.7:
-            return _random_rational(rng)
-        return RatPoly([_random_rational(rng) for _ in range(rng.randint(1, 4))])
-
     for trial in range(60):
         n = rng.randint(1, 8)
-        a = RationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
-        b = RationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        a = RationalMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+        b = RationalMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
         total, difference = a + b, a - b
         for i in range(n):
             for j in range(n):
                 u, v = a.entry(i, j), b.entry(i, j)
                 assert total.entry(i, j) == u + v and difference.entry(i, j) == u - v
                 if not u and not v:
-                    assert total.entry(i, j) is ZERO and difference.entry(i, j) is ZERO
+                    for out in (total, difference):
+                        if out.symbol is None:
+                            assert out.entry(i, j) is ZERO
+                        else:
+                            assert type(out.entry(i, j)) is RatPoly and not out.entry(i, j)
+
+
+def test_products_scales_and_transposes_entrywise():
+    """a @ b, [a, b], c a, -a and the transpose against scalar arithmetic on
+    the dense views, on rational and Q[t] entries and scalars."""
+    rng = random.Random(79)
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        a = RationalMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+        b = RationalMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+        c = _random_entry(rng)
+        ra, rb = a.rows, b.rows
+        ab = [[sum((ra[i][k] * rb[k][j] for k in range(n)), start=Fraction(0)) for j in range(n)] for i in range(n)]
+        ba = [[sum((rb[i][k] * ra[k][j] for k in range(n)), start=Fraction(0)) for j in range(n)] for i in range(n)]
+        assert [list(r) for r in (a @ b).rows] == ab
+        assert [list(r) for r in bracket(a, b).rows] == [[u - v for u, v in zip(p, q)] for p, q in zip(ab, ba)]
+        assert [list(r) for r in a.scale(c).rows] == [[c * v for v in r] for r in ra]
+        assert [list(r) for r in (-a).rows] == [[-v for v in r] for r in ra]
+        assert [list(r) for r in a.transpose().rows] == [list(col) for col in zip(*ra)]
 
 
 def test_char_poly_over_qt_against_cofactor_expansion():

@@ -5,6 +5,8 @@ import pytest
 
 from sheet_atlas.scalars import RatPoly, as_scalar, format_scalar, interpolate, parse_scalar
 
+from oracles import convolve_fractions
+
 
 def test_arithmetic_and_mixing():
     t = RatPoly.variable()
@@ -14,6 +16,27 @@ def test_arithmetic_and_mixing():
     assert (Fraction(2) + t).coeffs == (Fraction(2), Fraction(1))
     assert (1 - t).coeffs == (Fraction(1), Fraction(-1))
     assert (t**3).coeffs == (0, 0, 0, 1)
+
+
+def test_mul_against_fraction_convolution():
+    """Products of polynomials of degree up to 6 with denominators up to 999,
+    zero and constants included, against the Fraction double loop."""
+    rng = random.Random(89)
+
+    def coeffs():
+        return [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(rng.randint(0, 7))]
+
+    for _ in range(300):
+        a, b = coeffs(), coeffs()
+        got = RatPoly(a) * RatPoly(b)
+        assert got.coeffs == tuple(convolve_fractions(a, b)) and got.symbol == "t"
+        assert all(type(c) is Fraction for c in got.coeffs)
+        c = a[0] if a else Fraction(0)
+        assert (RatPoly(b) * c).coeffs == (c * RatPoly(b)).coeffs == tuple(convolve_fractions([c], b))
+        assert (RatPoly(b) * 3).coeffs == tuple(convolve_fractions([Fraction(3)], b))
+    assert (RatPoly([], "s") * RatPoly([1, 2])).symbol == "t"
+    with pytest.raises(ValueError):
+        RatPoly([0, 1], "t") * RatPoly([0, 1], "s")
 
 
 def test_divmod_and_gcd():

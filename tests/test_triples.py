@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sheet_atlas.liealg import RationalMatrix, _integer_form, bracket, centralizer_dim, char_poly, in_algebra
+from sheet_atlas.liealg import RationalMatrix, bracket, centralizer_dim, char_poly, in_algebra
 from sheet_atlas.partitions import Partition
 from sheet_atlas.sheets import MaxLevi, max_levi_dim, maximal_levi_sheet, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import sp4_dix_image
@@ -172,13 +172,15 @@ def test_sp4_slice_stabiliser_degeneration():
 
 
 def test_gl_n_bound():
-    with pytest.raises(ValueError):
-        build_gl_triple(15, 10)
+    with pytest.raises(ValueError, match="matrix size 65 is beyond the supported maximum 64"):
+        build_gl_triple(33, 32)
 
 
 def test_bcd_n_bound():
-    with pytest.raises(ValueError):
-        build_bcd_triple(type_c(9), MaxLevi(4, 5))
+    with pytest.raises(ValueError, match="matrix size 65 is beyond the supported maximum 64"):
+        build_bcd_triple(type_b(32), MaxLevi(1, 63))
+    with pytest.raises(ValueError, match="matrix size 66 is beyond"):
+        build_bcd_triple(type_c(33), MaxLevi(1, 32))
 
 
 # --- faults the construction checks must catch -------------------------------------
@@ -302,4 +304,4 @@ def test_triple_with_halved_e_and_doubled_f_constructs():
         scaled = replace(trip, e=e_half, f=f_double)
         assert not _failed_by_products(_fields(scaled))
         assert all(ok for _, ok, _ in scaled.checks())
-        assert _integer_form(e_half)[0] == 2
+        assert e_half.den == 2
