@@ -94,18 +94,17 @@ DESCRIPTOR_HEADER = ["sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "
 
 def cmd_sheets(args) -> int:
     kind = GroupKind(args.kind, args.rank if args.kind != "F4" else 4)
-    if args.levi:
-        descs = [sheets.find_sheet(kind, _parse_levi(kind, args.levi))]
-    else:
-        descs = sheets.sheets_for(kind)
+    levi = _parse_levi(kind, args.levi) if args.levi else None
     if _json_mode(args):
-        # every record is built before the first is written, so a request
-        # that fails leaves stdout empty
+        # every refusal is raised before the first piece is written, so a
+        # refused request leaves stdout empty
+        pieces = sheets.records_json([sheets.find_sheet(kind, levi)]) if levi else sheets.listing_json(kind)
         write = sys.stdout.write
-        for piece in sheets.records_json(descs):
+        for piece in pieces:
             write(piece)
         write("\n")
     else:
+        descs = [sheets.find_sheet(kind, levi)] if levi else sheets.sheets_for(kind)
         _print_table(_descriptor_rows(descs), DESCRIPTOR_HEADER)
     return 0
 

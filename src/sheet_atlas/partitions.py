@@ -41,10 +41,6 @@ class Partition:
     def largest(self) -> int:
         return self.parts[0] if self.parts else 0
 
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i."""
-        return sum(1 for p in self.parts if p == i)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
@@ -131,24 +127,26 @@ def profile(m: Partition) -> MultiplicityProfile:
     return MultiplicityProfile(tuple(counts))
 
 
-def is_valid_orbit_partition(kind, p: Partition) -> bool:
-    """Parity test for nilpotent-orbit partitions of classical groups.
+def is_valid_orbit_partition(kind, p) -> bool:
+    """Parity test for nilpotent-orbit partitions of classical groups; p is
+    a Partition or its parts, largest first.
 
     Type A admits everything; orthogonal types (B, D) need every even part
     with even multiplicity; the symplectic type (C) needs every odd part
-    with even multiplicity.  A size mismatch between the group and p.n is
-    an error, not a False.
+    with even multiplicity.  A size mismatch between the group and p is an
+    error, not a False.
     """
+    parts = p.parts if type(p) is Partition else p
     family = getattr(kind, "family", kind)
     expected = getattr(kind, "matrix_size", None)
-    if expected is not None and p.n != expected:
-        raise ValueError("partition of %d does not match group on %d letters" % (p.n, expected))
+    if expected is not None and sum(parts) != expected:
+        raise ValueError("partition of %d does not match group on %d letters" % (sum(parts), expected))
     if family == "A":
         return True
     if family in ("B", "D"):
-        return all(p.multiplicity(i) % 2 == 0 for i in set(p.parts) if i % 2 == 0)
+        return all(parts.count(i) % 2 == 0 for i in set(parts) if i % 2 == 0)
     if family == "C":
-        return all(p.multiplicity(i) % 2 == 0 for i in set(p.parts) if i % 2 == 1)
+        return all(parts.count(i) % 2 == 0 for i in set(parts) if i % 2 == 1)
     raise ValueError("no orbit-partition criterion for group family %r" % (family,))
 
 

@@ -160,14 +160,16 @@ class RatPoly:
         return out
 
     def __eq__(self, other):
+        # constants equal each other and their int or Fraction value in any
+        # symbol; a non-constant polynomial equals one only in its own symbol
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs and (self.is_constant() or self.symbol == other.symbol)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.constant_value()) if self.is_constant() else hash(self.coeffs)
+        return hash(self.constant_value()) if self.is_constant() else hash((self.symbol, self.coeffs))
 
     def __repr__(self):
         return "RatPoly(%r, %r)" % (list(self.coeffs), self.symbol)

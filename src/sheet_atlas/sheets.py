@@ -181,13 +181,7 @@ class SheetDescriptor:
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.w_l_order % self.katsylo_order:
-            raise ValueError("katsylo order %d does not divide |W_L| = %d" % (self.katsylo_order, self.w_l_order))
-        if self.dim_sheet != self.kind.dim - self.d + self.dim_z:
-            raise ValueError("dim_sheet fails dim G - d + dim_z")
-        if isinstance(self.nilpotent_orbit, Partition):
-            if not is_valid_orbit_partition(self.kind, self.nilpotent_orbit):
-                raise ValueError("orbit partition %s invalid for %s" % (self.nilpotent_orbit, self.kind))
+        check_record(self.kind, self.d, self.dim_z, self.w_l_order, self.katsylo_order, self.dim_sheet, self.nilpotent_orbit)
 
     @property
     def w_s_order(self) -> int:
@@ -230,26 +224,18 @@ class SheetDescriptor:
         }
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SheetDescriptor":
-        orbit = obj["nilpotent_orbit"]
-        nilpotent = orbit["bala_carter"] if isinstance(orbit, dict) else Partition(orbit)
-        return cls(
-            kind=parse_kind(obj["kind"]),
-            levi=_levi_from_json(obj["levi"]),
-            dixmier=obj["dixmier"],
-            nilpotent_orbit=nilpotent,
-            d=obj["d"],
-            dim_z=obj["dim_z"],
-            w_l_order=obj["w_l_order"],
-            katsylo_order=obj["katsylo_order"],
-            dim_sheet=obj["dim_sheet"],
-            class_tag=obj.get("class_tag"),
-            type_tag=obj.get("type_tag"),
-            component_group_order=obj.get("component_group_order"),
-            levi_conjugacy_caveat=obj.get("levi_conjugacy_caveat", False),
-            name=obj.get("name"),
-        )
+
+def check_record(kind: GroupKind, d: int, dim_z: int, w_l_order: int, katsylo_order: int, dim_sheet: int, orbit) -> None:
+    """The check of every sheet record, built or streamed: ValueError unless
+    katsylo_order divides |W_L|, dim_sheet = dim G - d + dim_z, and the orbit
+    (a Partition or its parts) is a valid orbit of the group's size; a
+    Bala-Carter tag is not checked."""
+    if w_l_order % katsylo_order:
+        raise ValueError("katsylo order %d does not divide |W_L| = %d" % (katsylo_order, w_l_order))
+    if dim_sheet != kind.dim - d + dim_z:
+        raise ValueError("dim_sheet fails dim G - d + dim_z")
+    if type(orbit) is not str and not is_valid_orbit_partition(kind, orbit):
+        raise ValueError("orbit partition %s invalid for %s" % (Partition(orbit), kind))
 
 
 def parse_kind(text: str) -> GroupKind:
@@ -263,7 +249,7 @@ def parse_kind(text: str) -> GroupKind:
 
 def _levi_group_name(kind: GroupKind, levi: LeviLabel) -> str:
     if isinstance(levi, GLLevi):
-        return "GL" + "xGL".join(map(str, levi.m.parts))
+        return _gl_levi_name([*map(str, levi.m.parts)])
     if isinstance(levi, F4B3Levi):
         return "B3-Levi"
     if isinstance(levi, MaxLevi):
@@ -275,6 +261,11 @@ def _levi_group_name(kind: GroupKind, levi: LeviLabel) -> str:
         head = "GL%d" % a if a > 1 else "Gm"
         return head + tail
     raise ValueError("unnamed levi %r" % (levi,))
+
+
+def _gl_levi_name(texts) -> str:
+    """The group name of a type A Levi, from its parts as text."""
+    return "GL" + "xGL".join(texts)
 
 
 def _levi_to_json(levi: LeviLabel):
@@ -291,26 +282,12 @@ def _levi_to_json(levi: LeviLabel):
     raise ValueError("unknown levi %r" % (levi,))
 
 
-def _levi_from_json(obj) -> LeviLabel:
-    if obj == "torus":
-        return TorusLevi()
-    if obj == "full":
-        return FullGroupLevi()
-    if obj == "B3":
-        return F4B3Levi()
-    if isinstance(obj, dict) and "gl" in obj:
-        return GLLevi(Partition(obj["gl"]))
-    if isinstance(obj, dict):
-        return MaxLevi(obj["a"], obj["residual"])
-    raise ValueError("cannot parse levi from %r" % (obj,))
-
-
 # --- JSON text of records -----------------------------------------------------
 #
 # The CLI and the golden fixtures write records as json.dumps(..., indent=2)
 # would, but from the descriptor's fixed schema: one %-template per record,
-# strings through the encoder json.dumps uses, ints as int.__repr__ writes
-# them, and no intermediate dict.
+# strings through the encoder json.dumps uses, ints written by %d and str as
+# json.dumps writes them, and no intermediate dict.
 
 # (key, conversion) of SheetDescriptor.to_json, in its order
 _RECORD_FIELDS = (
@@ -333,20 +310,28 @@ _RECORD_FIELDS = (
 )
 
 
-@lru_cache(maxsize=8)
-def _layout(depth: int):
+@lru_cache(maxsize=64)  # a few depths, and one template per type A rank
+def _layout(depth: int, fixed: Tuple[Tuple[str, str], ...] = ()):
     """Line breaks indented to nesting depths depth, ..., depth + 3, and the
-    record template at ``depth``."""
+    record template at ``depth``, with the JSON text (free of %) of each
+    (key, text) of ``fixed`` written in."""
     breaks = tuple("\n" + "  " * k for k in range(depth, depth + 4))
-    fields = ",".join('%s"%s": %s' % (breaks[1], key, conv) for key, conv in _RECORD_FIELDS)
+    texts = dict(fixed)
+    fields = ",".join('%s"%s": %s' % (breaks[1], key, texts.get(key, conv)) for key, conv in _RECORD_FIELDS)
     return breaks, "{" + fields + breaks[0] + "}"
 
 
-def _int_list(values, inner: str, outer: str) -> str:
-    """A list of ints, one item per line break ``inner``, closed after ``outer``."""
-    if not values:
+def _list_text(texts, inner: str, outer: str) -> str:
+    """A JSON list of item texts, one item per line break ``inner``, closed
+    after ``outer``."""
+    if not texts:
         return "[]"
-    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + outer + "]"
+    return "[%s%s%s]" % (inner, ("," + inner).join(texts), outer)
+
+
+def _gl_levi_json(texts, breaks) -> str:
+    """The ``levi`` text of a type A record, from its parts as text."""
+    return '{%s"gl": %s%s}' % (breaks[2], _list_text(texts, breaks[3], breaks[2]), breaks[1])
 
 
 def _optional(value) -> str:
@@ -360,10 +345,11 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
     """``json.dumps(desc.to_json(), indent=2)``, byte for byte, as it is
     written at nesting depth ``depth``: each line after the first is
     indented by 2 * depth more spaces.  Nothing but the text is built."""
-    (b0, b1, b2, b3), template = _layout(depth)
+    breaks, template = _layout(depth)
+    b0, b1, b2, b3 = breaks
     levi = desc.levi
     if isinstance(levi, GLLevi):
-        levi_text = '{%s"gl": %s%s}' % (b2, _int_list(levi.m.parts, b3, b2), b1)
+        levi_text = _gl_levi_json([*map(str, levi.m.parts)], breaks)
     elif isinstance(levi, MaxLevi):
         levi_text = '{%s"a": %d,%s"residual": %d%s}' % (b2, levi.a, b2, levi.residual, b1)
     else:
@@ -372,7 +358,7 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
     if isinstance(orbit, str):
         orbit_text = '{%s"bala_carter": %s%s}' % (b2, encode_basestring_ascii(orbit), b1)
     else:
-        orbit_text = _int_list(orbit.parts, b2, b1)
+        orbit_text = _list_text([*map(str, orbit.parts)], b2, b1)
     return template % (
         encode_basestring_ascii(str(desc.kind)),
         _optional(desc.name),
@@ -396,10 +382,16 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
 def records_json(descs: Iterable[SheetDescriptor], depth: int = 0) -> Iterator[str]:
     """The JSON list of ``descs`` as :func:`record_json` writes it at
     ``depth``, in pieces of one record each (the last piece closes it)."""
+    return _json_list((record_json(desc, depth + 1) for desc in descs), depth)
+
+
+def _json_list(records: Iterable[str], depth: int) -> Iterator[str]:
+    """The JSON list, written at ``depth``, of record texts written at
+    ``depth + 1``, in pieces of one record each (the last piece closes it)."""
     (b0, b1, _, _), _ = _layout(depth)
     sep = "[" + b1
-    for desc in descs:
-        yield sep + record_json(desc, depth + 1)
+    for text in records:
+        yield sep + text
         sep = "," + b1
     # an empty list leaves the opening separator unused
     yield "[]" if sep[0] == "[" else b0 + "]"
@@ -416,21 +408,38 @@ def enumerate_sheets_gln(n: int) -> List[SheetDescriptor]:
     Weyl group of order prod l_i!, and trivial residual finite group.  Every
     record shares one (immutable) GroupKind.
     """
+    kind = _gl_kind(n)
+    return [gl_sheet(m, kind) for m in partitions_of(n)]
+
+
+def _gl_kind(n: int) -> GroupKind:
     if not 1 <= n <= 40:
         raise ValueError("n out of supported range 1..40")
-    kind = type_a(n)
-    return [_gl_record(m, kind) for m in partitions_of(n)]
+    return type_a(n)
 
 
-def gl_sheet(m: Partition) -> SheetDescriptor:
-    """The sheet of gl_n with Levi partition m (n = |m|)."""
-    return _gl_record(m, None)
+def _gl_texts(kind: GroupKind) -> Iterator[str]:
+    """The text of each record of ``enumerate_sheets_gln(kind.rank)`` as
+    ``records_json`` writes it, made as soon as the walk yields its Levi
+    partition: no descriptor is built, and the values pass check_record."""
+    shared = {"kind": encode_basestring_ascii(str(kind)), "dixmier": "true", "katsylo_order": "1",
+              "component_group_order": "1", "levi_conjugacy_caveat": "false"}
+    breaks, template = _layout(1, tuple(shared.items()))
+    for m in partitions_of(kind.rank):
+        _, d, dim_z, w_l, dim_sheet, conj, class_tag, type_tag, name, texts = _gl_values(m)
+        check_record(kind, d, dim_z, w_l, 1, dim_sheet, conj)
+        decomposition = "(%s,0)" % _gl_levi_name(texts)  # (L, 0) for a Dixmier sheet
+        orbit = _list_text([*map(str, conj)], breaks[2], breaks[1])
+        levi = _gl_levi_json(texts, breaks)
+        # w_s_order = w_l_order / katsylo_order = w_l_order
+        yield template % (encode_basestring_ascii(name), levi, encode_basestring_ascii(decomposition), orbit, d, dim_z,
+                          w_l, w_l, dim_sheet, _optional(class_tag), _optional(type_tag))
 
 
-def _gl_record(m: Partition, kind: Optional[GroupKind]) -> SheetDescriptor:
-    """The record of :func:`gl_sheet` from one walk of m's parts, for the
-    group ``kind`` (built here when None; a kind of another rank fails the
-    descriptor's checks)."""
+def _gl_values(m: Partition) -> tuple:
+    """(n, d, dim_z, |W_L|, dim_sheet, conjugate parts, class tag, type tag,
+    name, parts as text) of the sheet of gl_n with Levi partition m, n = |m|,
+    from one walk of m's parts: the one source of type A record values."""
     conj, runs = conjugate_runs(m)
     n = d = 0
     w_l = 1
@@ -438,31 +447,40 @@ def _gl_record(m: Partition, kind: Optional[GroupKind]) -> SheetDescriptor:
         n += p * l
         d += p * p * l
         w_l *= factorial(l)
+    parts = m.parts
+    dim_z = len(parts)
+    class_tag = type_tag = None
+    if dim_z == 2:
+        class_tag = "I" if parts[0] == parts[1] else "II"
+        type_tag = 1 if class_tag in TYPE1_CLASSES else 2
+    texts = list(map(str, parts))
+    name = "gl%d:m=%s" % (n, ",".join(texts))
+    return n, d, dim_z, w_l, n * n - d + dim_z, conj, class_tag, type_tag, name, texts
+
+
+def gl_sheet(m: Partition, kind: Optional[GroupKind] = None) -> SheetDescriptor:
+    """The sheet of gl_n with Levi partition m (n = |m|), for the group
+    ``kind`` (built here when None; a kind of another rank fails the
+    descriptor's checks)."""
+    n, d, dim_z, w_l, dim_sheet, conj, class_tag, type_tag, name, _ = _gl_values(m)
     if kind is None:
         if n < 1:
             raise ValueError("empty partition labels no sheet")
         kind = type_a(n)
-    parts = m.parts
-    num_parts = len(parts)
-    class_tag = None
-    type_tag = None
-    if num_parts == 2:
-        class_tag = "I" if parts[0] == parts[1] else "II"
-        type_tag = 1 if class_tag in TYPE1_CLASSES else 2
     return SheetDescriptor(
         kind=kind,
         levi=GLLevi(m),
         dixmier=True,
         nilpotent_orbit=Partition._trusted(conj),
         d=d,
-        dim_z=num_parts,
+        dim_z=dim_z,
         w_l_order=w_l,
         katsylo_order=1,
-        dim_sheet=n * n - d + num_parts,
+        dim_sheet=dim_sheet,
         class_tag=class_tag,
         type_tag=type_tag,
         component_group_order=1,
-        name="gl%d:m=%s" % (n, ",".join(map(str, parts))),
+        name=name,
     )
 
 
@@ -736,3 +754,13 @@ def sheets_for(kind: GroupKind) -> List[SheetDescriptor]:
     if kind == type_c(2):
         return sheets_sp4()
     return [maximal_levi_sheet(kind, levi) for levi in valid_max_levi_labels(kind)]
+
+
+def listing_json(kind: GroupKind) -> Iterator[str]:
+    """The pieces of ``records_json(sheets_for(kind))``.  A type A listing
+    is written as the walk reaches each record; every refusal is raised when
+    this is called, before any piece is made."""
+    if kind.family != "A":
+        return records_json(sheets_for(kind))
+    check_rank(kind)
+    return _json_list(_gl_texts(_gl_kind(kind.rank)), 0)

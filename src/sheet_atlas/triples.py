@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket, build_model, in_algebra, sp_gram
 from .partitions import Partition
-from .scalars import RatPoly, as_scalar
+from .scalars import RatPoly, as_scalar, clear, cleared_degree, run
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
@@ -387,18 +387,15 @@ def sp4_slice(t, as_printed: bool = False) -> RationalMatrix:
     the symplectic algebra but its characteristic polynomial picks up a
     nonzero constant term, so it leaves the sheet for t != 0.
     """
-    t = as_scalar(t)
-    c = t * t if as_printed else 4 * t * t
-    q = Fraction(1, 4)
-    two_t = 2 * t
-    return RationalMatrix(
-        [
-            [q * two_t, 0, q, 0],
-            [0, -(q * two_t), 0, q],
-            [q * c, 0, q * two_t, 0],
-            [0, q * c, 0, -(q * two_t)],
-        ]
+    # for t = v / q, 4 q^2 x_t has the entries +-2qv, q^2 and k v^2 (k = 1
+    # as printed, else 4): integers, or over Q[t] interpolated from them
+    form = clear([as_scalar(t)])
+    q, k = form[0], 1 if as_printed else 4
+    (half, neg, unit, corner), symbol = run(
+        [form], lambda: 2 * cleared_degree(form) + 1, lambda c: [2 * q * c[0], -2 * q * c[0], q * q, k * c[0] ** 2]
     )
+    rows = [[(0, half), (2, unit)], [(1, neg), (3, unit)], [(0, corner), (2, half)], [(1, corner), (3, neg)]]
+    return RationalMatrix.from_cleared(4, 4 * q * q, rows, symbol)
 
 
 def sp4_flip_action(t, as_printed: bool = False) -> RationalMatrix:

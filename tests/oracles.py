@@ -11,7 +11,9 @@ over plain rational long division, polynomials from their roots by
 multiplying in one linear factor at a time, and tuple recovery by
 squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
-check the degree bounds of the specialisation layer.
+check the degree bounds of the specialisation layer, and
+:func:`descriptor_from_json`, which reads a record back from its dict form
+for the round-trip tests (the library only writes records).
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from typing import Callable, List, Sequence
 
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import poly_trim
+from sheet_atlas.sheets import F4B3Levi, FullGroupLevi, GLLevi, MaxLevi, SheetDescriptor, TorusLevi, parse_kind
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 
 
@@ -282,3 +285,22 @@ def _sub(a, b):
     a = [Fraction(0)] * (size - len(a)) + list(a)
     b = [Fraction(0)] * (size - len(b)) + list(b)
     return poly_trim([x - y for x, y in zip(a, b)])
+
+
+def descriptor_from_json(obj: dict) -> SheetDescriptor:
+    """The descriptor whose ``to_json()`` is ``obj``; building it runs the
+    descriptor's checks."""
+    levi = obj["levi"]
+    if isinstance(levi, dict):
+        levi = GLLevi(Partition(levi["gl"])) if "gl" in levi else MaxLevi(levi["a"], levi["residual"])
+    else:
+        levi = {"torus": TorusLevi(), "full": FullGroupLevi(), "B3": F4B3Levi()}[levi]
+    orbit = obj["nilpotent_orbit"]
+    fields = {key: obj[key] for key in ("dixmier", "d", "dim_z", "w_l_order", "katsylo_order", "dim_sheet", "class_tag",
+                                        "type_tag", "component_group_order", "levi_conjugacy_caveat", "name")}
+    return SheetDescriptor(
+        kind=parse_kind(obj["kind"]),
+        levi=levi,
+        nilpotent_orbit=orbit["bala_carter"] if isinstance(orbit, dict) else Partition(orbit),
+        **fields,
+    )

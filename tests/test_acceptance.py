@@ -26,7 +26,6 @@ from sheet_atlas.partitions import Partition, is_valid_orbit_partition, partitio
 from sheet_atlas.realforms import SOStar, SU, sheet_of_real_form, toledo_max
 from sheet_atlas.sheets import (
     MaxLevi,
-    SheetDescriptor,
     all_max_levi_sheets,
     enumerate_sheets_gln,
     max_levi_dim,
@@ -57,7 +56,7 @@ from sheet_atlas.triples import (
     sp4_slice,
 )
 
-from oracles import recover_tuple
+from oracles import descriptor_from_json, recover_tuple
 
 
 def _accept(name: str):
@@ -357,7 +356,7 @@ def test_cli_fixtures_and_roundtrip():
     for name in ("table1.json", "table2.json"):
         payload = json.loads((data_dir() / name).read_text())
         for row in payload["rows"]:
-            assert SheetDescriptor.from_json(row).to_json() == row
+            assert descriptor_from_json(row).to_json() == row
     completed = subprocess.run(
         [sys.executable, "-m", "sheet_atlas.cli", "fixtures"],
         capture_output=True,

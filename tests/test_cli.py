@@ -246,7 +246,9 @@ def test_listing_beyond_rank_40_is_refused_with_empty_stdout():
 
 # The largest type A listing (rank 40, p(40) = 37338 records) must not hold
 # its reply in memory: 287 MB before records were streamed, about 54 MB
-# after (Linux x86-64, CPython 3.11), most of it the list of descriptors.
+# while they were written from a list of descriptors, and about 18 MB since
+# they are written straight from the partition walk (Linux x86-64, CPython
+# 3.11; the interpreter with the CLI imported takes about 17 MB).
 RANK_40_MAX_RSS_MB = 128
 
 # A child's ru_maxrss also counts the memory of the process that spawned it
@@ -288,12 +290,12 @@ def test_render_matches_committed():
 
 
 def test_json_roundtrip_on_fixtures():
-    from sheet_atlas.sheets import SheetDescriptor
+    from oracles import descriptor_from_json
 
     for name in ("table1.json", "table2.json"):
         payload = json.loads((data_dir() / name).read_text())
         for row in payload["rows"]:
-            desc = SheetDescriptor.from_json(row)
+            desc = descriptor_from_json(row)
             assert desc.to_json() == row
 
 

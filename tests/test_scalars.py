@@ -80,6 +80,18 @@ def test_mixed_symbols_rejected():
         RatPoly.variable("t") + RatPoly.variable("u")
 
 
+def test_equality_reads_the_symbol_of_non_constants():
+    t, s = RatPoly([0, 1], "t"), RatPoly([0, 1], "s")
+    assert t != s and hash(t) != hash(s)
+    assert t == RatPoly([0, 1], "t") and hash(t) == hash(RatPoly([0, 1], "t"))
+    # constants stay equal across symbols and to their value, so equality
+    # stays transitive: 2 in t == 2 == 2 in s
+    for c in (0, 2, Fraction(-1, 3)):
+        ct, cs = RatPoly.constant(c, "t"), RatPoly.constant(c, "s")
+        assert ct == c == cs and ct == cs
+        assert hash(ct) == hash(c) == hash(cs)
+
+
 from hypothesis import given, strategies as st
 
 frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))

@@ -1,8 +1,11 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 
 import pytest
 
+from sheet_atlas import cli, sheets
 from sheet_atlas.partitions import Partition, conjugate, is_valid_orbit_partition
 from sheet_atlas.sheets import (
     F4,
@@ -10,11 +13,13 @@ from sheet_atlas.sheets import (
     MaxLevi,
     SheetDescriptor,
     all_max_levi_sheets,
+    check_record,
     classify_max_levi,
     enumerate_sheets_gln,
     f4_b3_sheet,
     find_sheet,
     gl_sheet,
+    listing_json,
     maximal_levi_sheet,
     record_json,
     records_json,
@@ -27,7 +32,7 @@ from sheet_atlas.sheets import (
     valid_max_levi_labels,
 )
 
-from oracles import gl_record_fields, partition_count
+from oracles import descriptor_from_json, gl_record_fields, partition_count
 
 
 def test_gln_sheet_example_n4():
@@ -74,6 +79,69 @@ def test_type_a_records_match_oracles():
                 assert (d.kind, d.levi) == (type_a(n), GLLevi(m))
                 assert {name: getattr(d, name) for name in expected} == expected, m
             assert record_json(alone) == record_json(desc)
+
+
+def test_streamed_type_a_listing_is_the_descriptor_listing():
+    for n in range(1, 25):
+        assert "".join(listing_json(type_a(n))) == "".join(records_json(enumerate_sheets_gln(n))), n
+
+
+# Each bad record: (kind, d, dim_z, |W_L|, katsylo order, dim_sheet, orbit),
+# one value off a good record (gl4 with Levi (2,1,1); C(2) class VIII).
+BAD_RECORDS = {
+    "katsylo order does not divide |W_L|": (type_a(4), 6, 3, 2, 3, 13, (3, 1)),
+    "dim_sheet is not dim G - d + dim_z": (type_a(4), 6, 3, 2, 1, 12, (3, 1)),
+    "orbit of the wrong size": (type_a(4), 6, 3, 2, 1, 13, (3, 2)),
+    "orbit of the wrong parity": (type_c(2), 4, 1, 2, 2, 7, (3, 1)),
+    "orbit of the wrong size, B/C/D": (type_c(2), 4, 1, 2, 2, 7, (2, 2, 1)),
+}
+
+
+def test_check_record_accepts_the_good_records():
+    check_record(type_a(4), 6, 3, 2, 1, 13, (3, 1))
+    check_record(type_c(2), 4, 1, 2, 2, 7, (2, 2))
+    check_record(F4, 22, 1, 2, 1, 31, "A~2")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_check_record_refuses_each_bad_record(case):
+    kind, d, dim_z, w_l, katsylo, dim_sheet, orbit = BAD_RECORDS[case]
+    with pytest.raises(ValueError):
+        check_record(kind, d, dim_z, w_l, katsylo, dim_sheet, orbit)
+    # and through the descriptor, whose constructor calls it
+    with pytest.raises(ValueError):
+        SheetDescriptor(
+            kind=kind,
+            levi=GLLevi(Partition((2, 1, 1))) if kind.family == "A" else MaxLevi(1, 1),
+            dixmier=True,
+            nilpotent_orbit=Partition(orbit),
+            d=d,
+            dim_z=dim_z,
+            w_l_order=w_l,
+            katsylo_order=katsylo,
+            dim_sheet=dim_sheet,
+        )
+
+
+def test_the_streamed_listing_checks_every_record(monkeypatch):
+    """A wrong d in the values the walk yields fails the record check, and
+    the CLI exits 1 with an error."""
+    good = sheets._gl_values
+
+    def wrong_d(m):
+        n, d, *rest = good(m)
+        return (n, d + 1, *rest)
+
+    monkeypatch.setattr(sheets, "_gl_values", wrong_d)
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    with pytest.raises(ValueError, match="dim_sheet"):
+        list(listing_json(type_a(5)))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["sheets", "--kind", "A", "--rank", "5", "--json"])
+    assert code == 1 and err.getvalue().startswith("error:")
+    # the first record fails, before anything is written
+    assert out.getvalue() == ""
 
 
 def test_gl_sheet_refuses_the_empty_partition():
@@ -175,7 +243,7 @@ def test_type_c_gl_restriction_rule():
 
 def test_descriptor_json_roundtrip():
     for desc in sheets_sp4() + [f4_b3_sheet(), gl_sheet(Partition((3, 2, 2)))]:
-        assert SheetDescriptor.from_json(desc.to_json()) == desc
+        assert descriptor_from_json(desc.to_json()) == desc
 
 
 def test_find_sheet_routes():
