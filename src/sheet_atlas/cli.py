@@ -38,6 +38,19 @@ def _json_mode(args) -> bool:
     return bool(getattr(args, "json", False)) or os.environ.get("SHEET_ATLAS_JSON") == "1"
 
 
+def _rational(text: str) -> Fraction:
+    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  A decimal
+    exponent beyond sys.get_int_max_str_digits() is refused before the value
+    is built: building it takes time growing steeply with the exponent, and
+    the value would be too long to print."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and digits.isdecimal() and (len(digits) > limit or int(digits) > limit):
+        raise ValueError("decimal exponent beyond %d in a rational input" % limit)
+    return Fraction(text)
+
+
 def _parse_levi(kind: GroupKind, text: Optional[str]):
     if text is None:
         return None
@@ -93,7 +106,7 @@ DESCRIPTOR_HEADER = ["sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "
 
 
 def cmd_sheets(args) -> int:
-    kind = GroupKind(args.kind, args.rank if args.kind != "F4" else 4)
+    kind = GroupKind(args.kind, args.rank)
     levi = _parse_levi(kind, args.levi) if args.levi else None
     if _json_mode(args):
         # every refusal is raised before the first piece is written, so a
@@ -110,7 +123,7 @@ def cmd_sheets(args) -> int:
 
 
 def cmd_sheet_info(args) -> int:
-    kind = GroupKind(args.kind, args.rank if args.kind != "F4" else 4)
+    kind = GroupKind(args.kind, args.rank)
     desc = sheets.find_sheet(kind, _parse_levi(kind, args.levi))
     print(sheets.record_json(desc))
     return 0
@@ -206,7 +219,7 @@ def _verify_sp4_slice(args, json_mode: bool) -> int:
 
 
 def cmd_hitchin_dim(args) -> int:
-    kind = GroupKind(args.kind, args.rank if args.kind != "F4" else 4)
+    kind = GroupKind(args.kind, args.rank)
     g = args.genus
     if args.levi:
         # a request for a sheet record is refused beyond the rank bound
@@ -226,11 +239,8 @@ def cmd_hitchin_dim(args) -> int:
                 "weights": list(weights.weights),
             }
         )
-    if _json_mode(args):
-        print(json.dumps(payload, indent=2))
-    elif args.levi:
-        for key, value in payload.items():
-            print("%s: %s" % (key, value))
+    if args.levi or _json_mode(args):
+        _print_payload(args, payload)
     else:
         print(payload["dim_base"])
     return 0
@@ -247,7 +257,7 @@ def cmd_mu_s(args) -> int:
         raise ValueError("expected %d factors for profile of %s, got %d" % (prof.s, m, len(factor_chunks)))
     factors = []
     for i, chunk in enumerate(factor_chunks, start=1):
-        coeffs = [Fraction(v) for v in chunk.split(",") if v.strip() != ""]
+        coeffs = [_rational(v) for v in chunk.split(",") if v.strip() != ""]
         if len(coeffs) != prof.l(i):
             raise ValueError("factor %d needs %d coefficients, got %d" % (i, prof.l(i), len(coeffs)))
         factors.append(spectral.GradedPolynomial(coeffs))
@@ -277,7 +287,7 @@ def cmd_mu_s(args) -> int:
 
 def cmd_multiplicity(args) -> int:
     desc = _parse_sheet_spec(args.sheet)
-    z = [Fraction(v) for v in args.z.split(",")] if args.z is not None else [Fraction(0)] * desc.dim_z
+    z = [_rational(v) for v in args.z.split(",")] if args.z is not None else [Fraction(0)] * desc.dim_z
     point = multiplicity.SlicePoint(desc, z if len(z) > 1 else z[0])
     payload = {
         "sheet": desc.name,
@@ -286,11 +296,7 @@ def cmd_multiplicity(args) -> int:
         "inertia_order": multiplicity.inertia_order(point),
         "polarisation_count": multiplicity.polarisation_orbit_count(desc) if desc.dixmier else None,
     }
-    if _json_mode(args):
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print("%s: %s" % (key, value))
+    _print_payload(args, payload)
     return 0
 
 
@@ -299,12 +305,17 @@ def cmd_realform(args) -> int:
     report = realforms.sheet_of_real_form(label, genus=args.genus)
     payload = report.to_json()
     payload["abelianised_fibres_positive_dimensional"] = realforms.abelianized_fiber_dim_is_positive(label)
+    _print_payload(args, payload)
+    return 0
+
+
+def _print_payload(args, payload: dict) -> None:
+    """The payload as indented JSON, or one "key: value" line per entry."""
     if _json_mode(args):
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
             print("%s: %s" % (key, value))
-    return 0
 
 
 def render_table1() -> str:
@@ -340,21 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sheet-atlas", description="Sheets, slices and spectral data, exactly.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="JSON output (also SHEET_ATLAS_JSON=1)")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
+    group.add_argument("--rank", type=int, default=0)
+    group.add_argument("--levi", help="partition for A (e.g. 2,1,1) or a,residual for B/C/D")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
-    p = add_parser("sheets", help="list classified sheets of one group")
-    p.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
-    p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--levi", help="partition for A (e.g. 2,1,1) or a,residual for B/C/D")
+    p = add_parser("sheets", group, help="list classified sheets of one group")
     p.set_defaults(func=cmd_sheets)
 
-    p = add_parser("sheet-info", help="full JSON record of one sheet")
-    p.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
-    p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--levi")
+    p = add_parser("sheet-info", group, help="full JSON record of one sheet")
     p.set_defaults(func=cmd_sheet_info)
 
     p = add_parser("triple-verify", help="verify an sl2-triple or slice construction")
@@ -363,11 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrices", action="store_true", help="include matrices in JSON output")
     p.set_defaults(func=cmd_triple_verify)
 
-    p = add_parser("hitchin-dim", help="base dimensions, components, weights")
+    p = add_parser("hitchin-dim", group, help="base dimensions, components, weights")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
-    p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--levi")
     p.set_defaults(func=cmd_hitchin_dim)
 
     p = add_parser("mu-s", help="compose factor polynomials into the full base")

@@ -53,10 +53,6 @@ class Partition:
     def to_json(self) -> list:
         return list(self.parts)
 
-    @classmethod
-    def from_json(cls, obj) -> "Partition":
-        return cls(obj)
-
 
 @dataclass(frozen=True)
 class MultiplicityProfile:

@@ -12,7 +12,7 @@ routine on cleared inputs, for inputs in Q[t] at t = 0, 1, ..., N, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -136,14 +136,22 @@ class RatPoly:
         return out
 
     def divmod(self, other: "RatPoly"):
-        """Exact Euclidean division over Q[t], by the monic division of
-        :func:`poly_divmod_monic` with other / (its leading coefficient)."""
+        """Exact Euclidean division in Q[t]: p / lead(p) by q / lead(q) by
+        :func:`scaled_divmod`, the quotient scaled back by lead(p) / lead(q)
+        and the remainder by lead(p)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         sym = self._sym(other)
-        lead = other.coeffs[-1]
-        quo, rem = poly_divmod_monic(self.coeffs[::-1], [c / lead for c in reversed(other.coeffs)])
-        return RatPoly([c / lead for c in reversed(quo)], sym), RatPoly(rem[::-1], sym)
+        nquo = len(self.coeffs) - len(other.coeffs)
+        if nquo < 0:
+            return RatPoly([], sym), RatPoly(self.coeffs, sym)
+        # the scaled forms of the monic p / lead(p) and q / lead(q)
+        forms = [clear([c / x.coeffs[-1] for c in x.coeffs[-2::-1]], weighted=True) for x in (self, other)]
+        den, values, _ = scaled_divmod(*forms)
+        # lead(p) times the descending quotient, then remainder, of the two
+        lead = self.coeffs[-1]
+        out = [lead, *(lead * v for v in scalars_over(values, map(den.__pow__, count(1)), None))]
+        return RatPoly([c / other.coeffs[-1] for c in out[nquo::-1]], sym), RatPoly(out[:nquo:-1], sym)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd over Q[t], by :func:`poly_gcd`."""
@@ -346,7 +354,8 @@ def interpolate(values: Sequence[Sequence[int]]) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 # Dense polynomials in a main variable (λ), over the exact scalars: lists of
 # descending-power coefficients with a nonzero leading entry (the zero
-# polynomial is the empty list).
+# polynomial is the empty list); a monic one is also read as its scaled form
+# (D, c, symbol) from clear(..., weighted=True).
 
 
 def poly_trim(p: List[Scalar]) -> List[Scalar]:
@@ -356,28 +365,27 @@ def poly_trim(p: List[Scalar]) -> List[Scalar]:
     return p[k:]
 
 
-def poly_divmod_monic(p: List[Scalar], q: List[Scalar]):
-    """Quotient and trimmed remainder of dense p by a monic q, by synthetic
-    division on integers: λ = μ/e, e the lcm of q's denominators, makes q
-    monic with integer coefficients e^k q_k; p, substituted alike and cleared
-    by its lcm D, is divided, and output j is the integer one over D e^j.
-    """
-    if not q or q[0] != 1:
-        raise ValueError("divisor must be monic")
-    nquo = len(p) - len(q)
+def rescaled(c: List[int], r: int) -> List[int]:
+    """c_k r^k: the c of a scaled form over D rescaled to D r."""
+    return c if r == 1 else [v * r**k for k, v in enumerate(c, start=1)]
+
+
+def scaled_divmod(p: Cleared, q: Cleared) -> Cleared:
+    """(D, values, symbol): monic p of degree n divided by monic q of degree
+    m <= n, read as scaled forms (D_p, c, symbol), P(μ) = D_p^n p(μ/D_p) in
+    Z[μ] (the substitution λ = μ/D of von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 10).  P and Q, rescaled to D = lcm(D_p, D_q), are
+    divided synthetically: the values are the quotient's c_1, ..., c_{n-m},
+    then the remainder, the value of weight j standing for value / D^j."""
+    nquo = len(p[1]) - len(q[1])
     if nquo < 0:
-        return [], list(p)
-    fp, fq = clear(p), clear(q)
-    powers = [fq[0] ** j for j in range(len(p))]
+        raise ValueError("divisor degree exceeds dividend degree")
+    den = lcm(p[0], q[0])
 
-    def divide(ip, iq):
-        # ip[j] * e^j is the substituted dividend; iq[k] * e^(k-1) the
-        # divisor's weight-k coefficient (iq[0] = e is the cleared leading 1)
-        return monic_division([v * w for v, w in zip(ip, powers)], [v * w for v, w in zip(iq[1:], powers)], nquo)
+    def divide(cp, cq):
+        return monic_division([1, *rescaled(cp, den // p[0])], rescaled(cq, den // q[0]), nquo)[1:]
 
-    values, symbol = run([fp, fq], lambda: division_bound(p, q) + 1, divide)
-    out = scalars_over(values, [fp[0] * w for w in powers], symbol)
-    return out[: nquo + 1], poly_trim(out[nquo + 1 :])
+    return den, *run([p, q], lambda: division_bound(p, q) + 1, divide)
 
 
 def monic_division(r: List[int], tail: Sequence[int], nquo: int, lead: int = 1) -> List[int]:
@@ -397,20 +405,19 @@ def monic_division(r: List[int], tail: Sequence[int], nquo: int, lead: int = 1) 
     return r
 
 
-def division_bound(p: Sequence[Scalar], q: Sequence[Scalar]) -> int:
-    """The smaller of two bounds on the t-degree of every quotient and
-    remainder coefficient of dense p by a dense monic q, each proven by
-    induction on the division steps (output j is p_j minus quotient
-    coefficients j - k times q_k): dp + (nquo + 1) dq, with dp and dq the
-    largest t-degrees in p and q; and c + w (len(p) - 1), with w =
-    max_k ceil(deg_t q_k / k) and c = max_j (deg_t p_j - w j).  Scaling q_k
-    by e^k and p_j by D e^j keeps both."""
-    dp, dq = max(map(t_degree, p)), max(map(t_degree, q))
-    bound = dp + (len(p) - len(q) + 1) * dq
+def division_bound(p: Cleared, q: Cleared) -> int:
+    """The smaller of two bounds on the t-degree of every value of
+    scaled_divmod(p, q), each proven by induction on the division steps
+    (value j is c_j of P minus quotient values j - k times c_k of Q):
+    dp + (n - m + 1) dq, with dp and dq the largest t-degrees in P and Q;
+    and c + w n, with w = t_weight(q) and c = max_j (deg_t c_j - w j) over
+    j = 0, ..., n (c_0 = 1).  Rescaling by an integer keeps both."""
+    dp, dq = cleared_degree(p), cleared_degree(q)
+    bound = dp + (len(p[1]) - len(q[1]) + 1) * dq
     if dq:
-        w = t_weight(q[1:])
-        c = max(t_degree(x) - w * j for j, x in enumerate(p))
-        bound = min(bound, c + w * (len(p) - 1))
+        w = t_weight(q)
+        c = max([0, *(len(x) - 1 - w * j for j, x in enumerate(p[1], start=1))]) if p[2] else 0
+        bound = min(bound, c + w * len(p[1]))
     return bound
 
 
@@ -419,11 +426,10 @@ def t_degree(x: Scalar) -> int:
     return max(len(x.coeffs) - 1, 0) if type(x) is RatPoly else 0
 
 
-def t_weight(coeffs: Sequence[Scalar]) -> int:
-    """The least w >= 0 with deg_t coeffs[k - 1] <= w k for k = 1, 2, ...:
-    the t-degree per unit of weight of the coefficients of a monic
-    polynomial whose coefficient of weight k is coeffs[k - 1]."""
-    return max([0, *(-(-t_degree(x) // k) for k, x in enumerate(coeffs, start=1))])
+def t_weight(form: Cleared) -> int:
+    """The least w >= 0 with deg_t c_k <= w k for k = 1, 2, ... in the
+    scaled form of a monic polynomial: its t-degree per unit of weight."""
+    return max([0, *(-(-(len(x) - 1) // k) for k, x in enumerate(form[1], start=1))]) if form[2] else 0
 
 
 def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:

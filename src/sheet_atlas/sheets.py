@@ -6,6 +6,7 @@ classes), and the one exceptional record (the B3 Levi inside F4).
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -199,30 +200,8 @@ class SheetDescriptor:
         return "(%s,%s)" % (levi, orbit)
 
     def to_json(self) -> dict:
-        orbit = (
-            {"bala_carter": self.nilpotent_orbit}
-            if isinstance(self.nilpotent_orbit, str)
-            else self.nilpotent_orbit.to_json()
-        )
-        out = {
-            "kind": str(self.kind),
-            "name": self.name,
-            "levi": _levi_to_json(self.levi),
-            "decomposition_data": self.decomposition_data,
-            "dixmier": self.dixmier,
-            "nilpotent_orbit": orbit,
-            "d": self.d,
-            "dim_z": self.dim_z,
-            "w_l_order": self.w_l_order,
-            "katsylo_order": self.katsylo_order,
-            "w_s_order": self.w_s_order,
-            "dim_sheet": self.dim_sheet,
-            "class_tag": self.class_tag,
-            "type_tag": self.type_tag,
-            "component_group_order": self.component_group_order,
-            "levi_conjugacy_caveat": self.levi_conjugacy_caveat,
-        }
-        return out
+        """The record as a dict: the JSON that :func:`record_json` writes."""
+        return json.loads(record_json(self))
 
 
 def check_record(kind: GroupKind, d: int, dim_z: int, w_l_order: int, katsylo_order: int, dim_sheet: int, orbit) -> None:
@@ -268,20 +247,6 @@ def _gl_levi_name(texts) -> str:
     return "GL" + "xGL".join(texts)
 
 
-def _levi_to_json(levi: LeviLabel):
-    if isinstance(levi, GLLevi):
-        return {"gl": levi.m.to_json()}
-    if isinstance(levi, MaxLevi):
-        return {"a": levi.a, "residual": levi.residual}
-    if isinstance(levi, TorusLevi):
-        return "torus"
-    if isinstance(levi, FullGroupLevi):
-        return "full"
-    if isinstance(levi, F4B3Levi):
-        return "B3"
-    raise ValueError("unknown levi %r" % (levi,))
-
-
 # --- JSON text of records -----------------------------------------------------
 #
 # The CLI and the golden fixtures write records as json.dumps(..., indent=2)
@@ -289,7 +254,7 @@ def _levi_to_json(levi: LeviLabel):
 # strings through the encoder json.dumps uses, ints written by %d and str as
 # json.dumps writes them, and no intermediate dict.
 
-# (key, conversion) of SheetDescriptor.to_json, in its order
+# (key, conversion) of each field of a record, in its order
 _RECORD_FIELDS = (
     ("kind", "%s"),
     ("name", "%s"),
@@ -308,6 +273,9 @@ _RECORD_FIELDS = (
     ("component_group_order", "%s"),
     ("levi_conjugacy_caveat", "%s"),
 )
+
+# the JSON text of each Levi label without parameters
+_LEVI_NAMES = {TorusLevi: '"torus"', FullGroupLevi: '"full"', F4B3Levi: '"B3"'}
 
 
 @lru_cache(maxsize=64)  # a few depths, and one template per type A rank
@@ -342,9 +310,10 @@ def _optional(value) -> str:
 
 
 def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
-    """``json.dumps(desc.to_json(), indent=2)``, byte for byte, as it is
-    written at nesting depth ``depth``: each line after the first is
-    indented by 2 * depth more spaces.  Nothing but the text is built."""
+    """The record of ``desc``, byte for byte as ``json.dumps(..., indent=2)``
+    writes it at nesting depth ``depth``: each line after the first is
+    indented by 2 * depth more spaces.  Nothing but the text is built; this
+    and _RECORD_FIELDS are the one definition of the record schema."""
     breaks, template = _layout(depth)
     b0, b1, b2, b3 = breaks
     levi = desc.levi
@@ -353,7 +322,7 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
     elif isinstance(levi, MaxLevi):
         levi_text = '{%s"a": %d,%s"residual": %d%s}' % (b2, levi.a, b2, levi.residual, b1)
     else:
-        levi_text = encode_basestring_ascii(_levi_to_json(levi))
+        levi_text = _LEVI_NAMES[type(levi)]
     orbit = desc.nilpotent_orbit
     if isinstance(orbit, str):
         orbit_text = '{%s"bala_carter": %s%s}' % (b2, encode_basestring_ascii(orbit), b1)
@@ -730,15 +699,11 @@ def find_sheet(kind: GroupKind, levi: Optional[LeviLabel]) -> SheetDescriptor:
         return gl_sheet(levi.m)
     if levi is None:
         raise ValueError("a Levi label is required for %s" % (kind,))
-    if kind == type_c(2) and isinstance(levi, MaxLevi):
+    if kind == type_c(2) and isinstance(levi, (MaxLevi, TorusLevi)):
         for row in sheets_sp4():
             if row.levi == levi:
                 return row
     if isinstance(levi, (TorusLevi, FullGroupLevi)):
-        if kind == type_c(2):
-            for row in sheets_sp4():
-                if row.levi == levi and isinstance(levi, TorusLevi):
-                    return row
         raise ValueError("only maximal Levi labels are classified for %s" % (kind,))
     return maximal_levi_sheet(kind, levi)
 

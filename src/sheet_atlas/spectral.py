@@ -35,17 +35,16 @@ from .scalars import (
     at,
     clear,
     cleared_degree,
-    division_bound,
     format_scalar,
     format_terms,
     integer_euclid,
-    monic_division,
-    parse_scalar,
     poly_gcd,
     poly_trim,
+    rescaled,
     run,
     scalar_is_zero,
     scalars_over,
+    scaled_divmod,
     t_degree,
     t_weight,
 )
@@ -143,13 +142,13 @@ class GradedPolynomial:
         Both operands are monic, so the quotient is monic; a divisor of
         larger degree is an error rather than a zero quotient.
         """
-        den, values, symbol = _divide(self, other)
+        den, values, symbol = scaled_divmod(self._scaled, other._scaled)
         nquo = self.degree - other.degree
         rem = scalars_over(values[nquo:], map(den.__pow__, count(nquo + 1)), symbol)
         return _graded(den, values[:nquo], symbol), poly_trim(rem)
 
     def divides(self, other: "GradedPolynomial") -> bool:
-        return self.degree <= other.degree and not any(_divide(other, self)[1][other.degree - self.degree :])
+        return self.degree <= other.degree and not any(scaled_divmod(other._scaled, self._scaled)[1][other.degree - self.degree :])
 
     def is_squarefree(self) -> bool:
         """True iff the polynomial has no repeated root over Q(t).
@@ -176,7 +175,7 @@ class GradedPolynomial:
         if d < 2:
             return True
         _, c, symbol = self._scaled
-        for t0 in range(d * (d - 1) * t_weight(self.coeffs) + 1 if symbol else 1):
+        for t0 in range(d * (d - 1) * t_weight(self._scaled) + 1 if symbol else 1):
             values = [1, *(at(c, t0) if symbol else c)]
             derivative = [v * (d - k) for k, v in enumerate(values[:-1])]
             # the certificate: gcd(P, P') = 1 over the field of CERTIFICATE_PRIME elements
@@ -198,13 +197,6 @@ class GradedPolynomial:
 
     def to_json(self):
         return {"degree": self.degree, "coeffs": [format_scalar(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj) -> "GradedPolynomial":
-        coeffs = [parse_scalar(c) for c in obj["coeffs"]]
-        if len(coeffs) != obj["degree"]:
-            raise ValueError("degree/coefficient mismatch in %r" % (obj,))
-        return cls(coeffs)
 
 
 @dataclass(frozen=True)
@@ -251,27 +243,12 @@ def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial
     def convolve(*cs):
         acc = [1]
         for c, (d, _, _), (_, e) in zip(cs, forms, powers):
-            tail = _rescaled(c, den // d)
+            tail = rescaled(c, den // d)
             for _ in range(e if c else 0):
                 acc = _int_convolve(acc, tail)
         return acc[1:]
 
     return _graded(den, *run(forms, lambda: sum(e * cleared_degree(f) for f, (_, e) in zip(forms, powers)) + 1, convolve))
-
-
-def _divide(p: GradedPolynomial, q: GradedPolynomial) -> Cleared:
-    """(D, values, symbol): synthetic division in Z[μ] of P by Q, both
-    rescaled to D = lcm(D_p, D_q): the quotient's c_1, ..., c_{n-m}, then
-    the remainder, the value of weight j standing for value / D^j."""
-    if q.degree > p.degree:
-        raise ValueError("divisor degree exceeds dividend degree")
-    fp, fq, nquo = p._scaled, q._scaled, p.degree - q.degree
-    den = lcm(fp[0], fq[0])
-
-    def divide(cp, cq):
-        return monic_division([1, *_rescaled(cp, den // fp[0])], _rescaled(cq, den // fq[0]), nquo)[1:]
-
-    return den, *run([fp, fq], lambda: division_bound(p.dense(), q.dense()) + 1, divide)
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -309,11 +286,6 @@ def sp4_dix_image(b) -> GradedPolynomial:
 
 # ---------------------------------------------------------------------------
 # Scaled forms (D, c, symbol), as from :func:`~sheet_atlas.scalars.clear`.
-
-
-def _rescaled(c: List[int], r: int) -> List[int]:
-    """c_k r^k: the c of P over D rescaled to D r."""
-    return c if r == 1 else [v * r**k for k, v in enumerate(c, start=1)]
 
 
 def _graded(den: int, values: list, symbol: Optional[str]) -> GradedPolynomial:

@@ -261,38 +261,26 @@ def _plan_beta(parts: Tuple[int, ...], a: int, symmetric: bool) -> List[int]:
         tops = [k for k in idxs if k < a]
         nons = [k for k in idxs if k >= a]
         if size >= 2:
-            spill = len(nons)
-            if spill > len(tops):
-                raise ValueError("cannot absorb %d non-top blocks of size %d" % (spill, size))
-            for t, nn in zip(tops[len(tops) - spill :], nons):
-                beta[t] = nn
-                beta[nn] = t
-            rest = tops[: len(tops) - spill]
-            if (size % 2 == 1) == symmetric:
-                for t in rest:
-                    beta[t] = t
-            else:
-                if len(rest) % 2:
-                    raise ValueError("odd number of size-%d blocks left to cross-pair" % size)
-                for u in range(0, len(rest), 2):
-                    beta[rest[u]] = rest[u + 1]
-                    beta[rest[u + 1]] = rest[u]
+            # the last tops absorb the non-tops
+            spill = len(tops) - len(nons)
+            if spill < 0:
+                raise ValueError("cannot absorb %d non-top blocks of size %d" % (len(nons), size))
+            pairs, rest = zip(tops[spill:], nons), tops[:spill]
         else:
+            # each top 1-block takes a partner beyond a
             if len(tops) > len(nons):
                 raise ValueError("top 1-blocks outnumber available partners")
-            for t, nn in zip(tops, nons[: len(tops)]):
-                beta[t] = nn
-                beta[nn] = t
-            rest = nons[len(tops) :]
-            if symmetric:
-                for t in rest:
-                    beta[t] = t
-            else:
-                if len(rest) % 2:
-                    raise ValueError("odd number of 1-blocks in a symplectic space")
-                for u in range(0, len(rest), 2):
-                    beta[rest[u]] = rest[u + 1]
-                    beta[rest[u + 1]] = rest[u]
+            pairs, rest = zip(tops, nons), nons[len(tops) :]
+        for t, nn in pairs:
+            beta[t], beta[nn] = nn, t
+        if (size % 2 == 1) == symmetric:
+            for t in rest:
+                beta[t] = t
+        else:
+            if len(rest) % 2:
+                raise ValueError("odd number of size-%d blocks left to cross-pair" % size)
+            for u in range(0, len(rest), 2):
+                beta[rest[u]], beta[rest[u + 1]] = rest[u + 1], rest[u]
     return beta  # type: ignore[return-value]
 
 

@@ -13,7 +13,9 @@ squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer, and
 :func:`descriptor_from_json`, which reads a record back from its dict form
-for the round-trip tests (the library only writes records).
+for the round-trip tests (the library only writes records), and
+:func:`descriptor_to_json`, the record as a dict built field by field from
+the descriptor, against which the library's text writer is checked.
 """
 from __future__ import annotations
 
@@ -304,3 +306,33 @@ def descriptor_from_json(obj: dict) -> SheetDescriptor:
         nilpotent_orbit=orbit["bala_carter"] if isinstance(orbit, dict) else Partition(orbit),
         **fields,
     )
+
+
+def descriptor_to_json(desc: SheetDescriptor) -> dict:
+    """The record of ``desc`` as a dict, built field by field."""
+    orbit = desc.nilpotent_orbit
+    levi = desc.levi
+    if isinstance(levi, GLLevi):
+        levi = {"gl": list(levi.m.parts)}
+    elif isinstance(levi, MaxLevi):
+        levi = {"a": levi.a, "residual": levi.residual}
+    else:
+        levi = {TorusLevi: "torus", FullGroupLevi: "full", F4B3Levi: "B3"}[type(levi)]
+    return {
+        "kind": str(desc.kind),
+        "name": desc.name,
+        "levi": levi,
+        "decomposition_data": desc.decomposition_data,
+        "dixmier": desc.dixmier,
+        "nilpotent_orbit": {"bala_carter": orbit} if isinstance(orbit, str) else list(orbit.parts),
+        "d": desc.d,
+        "dim_z": desc.dim_z,
+        "w_l_order": desc.w_l_order,
+        "katsylo_order": desc.katsylo_order,
+        "w_s_order": desc.w_s_order,
+        "dim_sheet": desc.dim_sheet,
+        "class_tag": desc.class_tag,
+        "type_tag": desc.type_tag,
+        "component_group_order": desc.component_group_order,
+        "levi_conjugacy_caveat": desc.levi_conjugacy_caveat,
+    }

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 from sheet_atlas import sheets
@@ -13,6 +15,8 @@ from sheet_atlas.cli import data_dir, render_table1, render_table2
 from sheet_atlas.partitions import Partition
 from sheet_atlas.sheets import type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.triples import MAX_TRIPLE_SIZE
+
+from oracles import descriptor_from_json, descriptor_to_json
 
 
 def run_cli(*args, env_extra=None, expect=0):
@@ -134,6 +138,27 @@ def test_multiplicity_command():
     assert json.loads(out.stdout)["mu"] == 1
 
 
+def test_rational_inputs_with_huge_exponents_are_refused(monkeypatch):
+    """`multiplicity --z` and `mu-s --factors` refuse a decimal exponent
+    beyond sys.get_int_max_str_digits() with exit 1 and nothing on stdout,
+    before the value is built (1e10000000 took 13 s to end in an error),
+    and read ordinary rationals as Fraction does."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    limit = sys.get_int_max_str_digits()
+    huge = ["1e10000000", "-2.5E-10000000", "0e+10_000_000", "7e%d" % (limit + 1), "1e" + "9" * (limit + 1)]
+    for value in huge:
+        for argv in (["multiplicity", "--sheet", "C:2:1,1", "--z=" + value], ["mu-s", "--profile", "1", "--factors=" + value]):
+            start = time.perf_counter()
+            code, out, err = _serve(argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert (code, out) == (1, "") and err.startswith("error:"), argv
+    for value in ("5", "7/5", "0.5", "1e3", "-3E-2"):
+        code, out, _ = _serve(["multiplicity", "--sheet", "C:2:1,1", "--z=" + value, "--json"])
+        assert code == 0 and json.loads(out)["z"] == [str(Fraction(value))]
+        code, out, _ = _serve(["mu-s", "--profile", "1", "--factors=" + value, "--json"])
+        assert code == 0 and json.loads(out)["image"]["coeffs"] == [str(Fraction(value))]
+
+
 def test_realform_command():
     out = run_cli("realform", "--label", "SU:3,1", "--genus", "2", "--json")
     payload = json.loads(out.stdout)
@@ -234,7 +259,7 @@ def test_sheets_json_is_json_dumps(monkeypatch):
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     for argv, records in JSON_REQUESTS:
         got = records()
-        obj = [d.to_json() for d in got] if isinstance(got, list) else got.to_json()
+        obj = [descriptor_to_json(d) for d in got] if isinstance(got, list) else descriptor_to_json(got)
         out = run_cli(*argv, "--json")
         assert (out.stdout, out.stderr) == (json.dumps(obj, indent=2) + "\n", ""), argv
 
@@ -290,8 +315,6 @@ def test_render_matches_committed():
 
 
 def test_json_roundtrip_on_fixtures():
-    from oracles import descriptor_from_json
-
     for name in ("table1.json", "table2.json"):
         payload = json.loads((data_dir() / name).read_text())
         for row in payload["rows"]:

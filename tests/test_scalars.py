@@ -5,7 +5,7 @@ import pytest
 
 from sheet_atlas.scalars import RatPoly, as_scalar, format_scalar, interpolate, parse_scalar
 
-from oracles import convolve_fractions
+from oracles import convolve_fractions, long_division
 
 
 def test_arithmetic_and_mixing():
@@ -48,6 +48,30 @@ def test_divmod_and_gcd():
     g = a.gcd((t - 2) * (t - 5))
     assert g == t - 2
     assert a.gcd(RatPoly.constant(7)).is_constant()
+
+
+def test_divmod_against_long_division():
+    """Quotient and remainder of seeded polynomials of degree up to 7, with
+    non-monic divisors, constant divisors and divisors of higher degree,
+    against one-term-at-a-time long division over Fractions."""
+    rng = random.Random(4021)
+
+    def coeffs(size):
+        out = [Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(size)]
+        if out and not out[-1]:
+            out[-1] = Fraction(rng.choice((-7, 3)), rng.randint(1, 9))
+        return out
+
+    sizes = [(rng.randint(0, 8), rng.randint(1, 8)) for _ in range(300)] + [(k, 1) for k in range(9)] + [(2, 5), (0, 3)]
+    for np, nq in sizes:
+        p, q = coeffs(np), coeffs(nq)
+        quo, rem = RatPoly(p).divmod(RatPoly(q))
+        want_quo, want_rem = long_division(p[::-1], q[::-1])
+        assert (list(quo.coeffs), list(rem.coeffs)) == (want_quo[::-1], want_rem[::-1]), (p, q)
+        assert quo.symbol == rem.symbol == "t"
+    for p in ([], [Fraction(1, 2)], [Fraction(3), Fraction(0), Fraction(-1, 7)]):
+        with pytest.raises(ZeroDivisionError):
+            RatPoly(p).divmod(RatPoly([]))
 
 
 def test_eval_and_derivative():

@@ -9,9 +9,11 @@ from sheet_atlas import cli, sheets
 from sheet_atlas.partitions import Partition, conjugate, is_valid_orbit_partition
 from sheet_atlas.sheets import (
     F4,
+    FullGroupLevi,
     GLLevi,
     MaxLevi,
     SheetDescriptor,
+    TorusLevi,
     all_max_levi_sheets,
     check_record,
     classify_max_levi,
@@ -32,7 +34,7 @@ from sheet_atlas.sheets import (
     valid_max_levi_labels,
 )
 
-from oracles import descriptor_from_json, gl_record_fields, partition_count
+from oracles import descriptor_from_json, descriptor_to_json, gl_record_fields, partition_count
 
 
 def test_gln_sheet_example_n4():
@@ -251,6 +253,17 @@ def test_find_sheet_routes():
     assert find_sheet(type_a(4), GLLevi(Partition((2, 1, 1)))).nilpotent_orbit == Partition((3, 1))
     assert find_sheet(F4, None).name == "f4:B3"
     assert find_sheet(type_c(3), MaxLevi(3, 0)).class_tag == "VII"
+    # maximal and torus labels of C(2) resolve to their rows of the table;
+    # the full-group label (two rows there) and a torus label elsewhere are
+    # refused, and so is a label that does not fit
+    for row in sheets_sp4():
+        if not isinstance(row.levi, FullGroupLevi):
+            assert find_sheet(type_c(2), row.levi) == row
+    for kind, levi in ((type_c(2), FullGroupLevi()), (type_c(3), TorusLevi()), (type_b(2), TorusLevi())):
+        with pytest.raises(ValueError, match="only maximal Levi labels are classified"):
+            find_sheet(kind, levi)
+    with pytest.raises(ValueError, match="does not fit"):
+        find_sheet(type_c(2), MaxLevi(1, 2))
 
 
 def test_type_tags():
@@ -280,12 +293,13 @@ def test_record_writer_matches_json_dumps():
     descs = _catalogue() + [replace(f4_b3_sheet(), name=None), replace(sheets_sp4()[1], name='sp4:"SDix"\\\u03bb\n')]
     seen = set()
     for desc in descs:
-        obj = desc.to_json()
+        obj = descriptor_to_json(desc)
         for key, value in obj.items():
             seen.add((key, type(value).__name__))
         text = json.dumps(obj, indent=2)
         assert record_json(desc) == text, desc.name
         assert record_json(desc, 3) == text.replace("\n", "\n      "), desc.name
+        assert desc.to_json() == obj, desc.name
     # null, true, string tags, both orbit forms and every Levi form occur
     for key, kind in [
         ("name", "NoneType"), ("class_tag", "NoneType"), ("class_tag", "str"), ("type_tag", "NoneType"),
@@ -303,4 +317,4 @@ def test_record_list_writer_matches_json_dumps():
         for rows in ([], descs[:1], descs):
             pieces = list(records_json(rows, depth))
             assert len(pieces) == len(rows) + 1
-            assert "".join(pieces) == _dumps_at([d.to_json() for d in rows], depth)
+            assert "".join(pieces) == _dumps_at([descriptor_to_json(d) for d in rows], depth)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sheet_atlas.partitions import Partition, partitions_of, profile
-from sheet_atlas.scalars import RatPoly, poly_divmod_monic
+from sheet_atlas.scalars import RatPoly
 from sheet_atlas.spectral import (
     GradedPolynomial,
     SheetBasePoint,
@@ -383,16 +383,13 @@ def test_products_and_division_specialisation_bounds_are_met():
             for r in roots:
                 expected *= lam - r(t0)
             assert _value(minimal.dense(), lam, t0) == expected
-    for k, dp, dq in ((1, 0, 1), (2, 1, 2), (3, 2, 1), (1, 3, 2)):
-        r = falling_factorial(t, dp, dq)
-        # t^dp λ^k mod (λ - t^dq) is t^(dp + k dq), the bound; p λ mod
-        # (λ - r), with p and r zero on consecutive blocks, is p r, zero at
-        # every sample point but the last
-        for p, q in (([t**dp] + [Fraction(0)] * k, [Fraction(1), -(t**dq)]), ([falling_factorial(t, 0, dp), 0], [1, -r])):
-            quo, rem = poly_divmod_monic(p, q)
-            assert rem == [p[0] * (-q[1]) ** (len(p) - 1)] and rem[0].degree() == dp + (len(p) - 1) * dq
-            for lam, t0 in SAMPLES:
-                assert _value(quo, lam, t0) * _value(q, lam, t0) + _value(rem, lam, t0) == _value(p, lam, t0)
+    for k, dq in ((1, 1), (2, 2), (3, 1), (1, 2)):
+        # λ^k mod (λ - t^dq) is t^(k dq), the bound; λ mod (λ - r), with r
+        # zero at t = 0, ..., dq - 1, is r, zero at every sample point but
+        # the last
+        for p, q in ((GradedPolynomial.monomial(k), GradedPolynomial([-(t**dq)])), (GradedPolynomial.monomial(1), GradedPolynomial([-falling_factorial(t, 0, dq)]))):
+            quo, rem = _check_division(p, q)
+            assert rem == [(-q.coeffs[0]) ** p.degree] and rem[0].degree() == p.degree * dq
     # monic divisions of graded polynomials over Q[t], exact and not
     f = GradedPolynomial([t, Fraction(1, 3) * t * t, falling_factorial(t, 0, 3), Fraction(-2)])
     for g in (GradedPolynomial([falling_factorial(t, 0, 2)]), GradedPolynomial([t, Fraction(5, 7)]), COPRIME_DIVISOR):
@@ -406,12 +403,12 @@ def test_products_and_division_specialisation_bounds_are_met():
 
 
 def _check_division(p, q):
-    """poly_divmod_monic(p, q) against p = quo q + rem by Horner at the
-    sample points, with deg rem < deg q."""
-    quo, rem = poly_divmod_monic(p, q)
-    assert len(quo) == len(p) - len(q) + 1 and len(rem) < len(q)
+    """p.divmod(q) against p = quo q + rem by Horner at the sample points,
+    with deg rem < deg q."""
+    quo, rem = p.divmod(q)
+    assert quo.degree == p.degree - q.degree and len(rem) <= q.degree
     for lam, t0 in SAMPLES + [(Fraction(5, 4), Fraction(11)), (Fraction(-1), Fraction(-2, 9))]:
-        assert _value(quo, lam, t0) * _value(q, lam, t0) + _value(rem, lam, t0) == _value(p, lam, t0)
+        assert _value(quo.dense(), lam, t0) * _value(q.dense(), lam, t0) + _value(rem, lam, t0) == _value(p.dense(), lam, t0)
     return quo, rem
 
 
@@ -432,18 +429,24 @@ def test_division_over_qt_up_to_degree_ten():
             factors.append(GradedPolynomial.from_roots(roots))
         point = SheetBasePoint(prof, factors)
         image, minimal = mu_s(point), min_poly(point)
-        quo, rem = _check_division(image.dense(), minimal.dense())
+        quo, rem = _check_division(image, minimal)
         assert rem == [] and minimal.divides(image)
-        assert quo == product_with_multiplicities(factors[1:]).dense()
-        # not weight-bounded: p_0 of t-degree 3, other coefficients raised
-        p = [t**3 - 2, *(c * (t * t + 1) if k % 2 else c for k, c in enumerate(image.coeffs))]
-        _check_division(p, minimal.dense())
+        assert quo.dense() == product_with_multiplicities(factors[1:]).dense()
+        # not weight-bounded: a_1 of t-degree 3, other coefficients raised
+        p = GradedPolynomial([t**3 - 2, *(c * (t * t + 1) if k % 2 else c for k, c in enumerate(image.coeffs))])
+        _check_division(p, minimal)
     for n in range(4, 11):
         # λ^n + λ/2 by λ^3 + t: the weight bound is n, dp + (n - 2) dq is n - 2
-        p = [Fraction(1)] + [Fraction(0)] * (n - 2) + [Fraction(1, 2), Fraction(0)]
-        quo, rem = _check_division(p, [Fraction(1), Fraction(0), Fraction(0), t])
-        assert rem and max(c.degree() for c in quo if isinstance(c, RatPoly)) == (n - 3) // 3
-        _check_division([t, *p[1:]], [Fraction(1), Fraction(-1, 3), Fraction(0), t * t - t])
+        p = [Fraction(0)] * (n - 2) + [Fraction(1, 2), Fraction(0)]
+        quo, rem = _check_division(GradedPolynomial(p), GradedPolynomial([Fraction(0), Fraction(0), t]))
+        assert rem and max([0, *(c.degree() for c in quo.coeffs)]) == (n - 3) // 3
+        _check_division(GradedPolynomial([t, *p]), GradedPolynomial([Fraction(-1, 3), Fraction(0), t * t - t]))
+    for k in range(1, 6):
+        # λ^k mod (λ^k + r λ^(k-1)), r zero at t = 0, 1: the remainder -r
+        # λ^(k-1) meets dp + (nquo + 1) dq = 2, below the weight bound 2k
+        r = falling_factorial(t, 0, 2)
+        quo, rem = _check_division(GradedPolynomial.monomial(k), GradedPolynomial([r, *[Fraction(0)] * (k - 1)]))
+        assert rem[0] == -r
 
 
 def coprime_heart_point(rng, m: Partition, pool):
