@@ -39,16 +39,23 @@ def _json_mode(args) -> bool:
 
 
 def _rational(text: str) -> Fraction:
-    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  A decimal
-    exponent beyond sys.get_int_max_str_digits() is refused before the value
-    is built: building it takes time growing steeply with the exponent, and
-    the value would be too long to print."""
-    _, e, exponent = text.lower().rpartition("e")
+    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  With
+    L = sys.get_int_max_str_digits(), a decimal exponent beyond L (slow to
+    build) and a numerator or denominator of more than L digits, as written
+    or as read (too long to print), are refused before any work is done."""
+    mantissa, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "")
     limit = sys.get_int_max_str_digits()
     if e and limit and digits.isdecimal() and (len(digits) > limit or int(digits) > limit):
         raise ValueError("decimal exponent beyond %d in a rational input" % limit)
-    return Fraction(text)
+    if limit and len(text) > limit and any(sum(map(str.isdecimal, p)) > limit for p in (mantissa if e else text).split("/")):
+        raise ValueError("more than %d digits in a rational input" % limit)
+    value = Fraction(text)
+    big = max(abs(value.numerator), value.denominator)
+    # 2^(3L) < 10^L, so the power is built only for a value of more than 3L bits
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError("more than %d digits in a rational input" % limit)
+    return value
 
 
 def _parse_levi(kind: GroupKind, text: Optional[str]):

@@ -8,13 +8,16 @@ polynomials in one formal parameter.
 A matrix x is stored only as its cleared form: the least D >= 1 with D x
 over Z (or over Z[t]), and the nonzero entries of D x row by row, ints or
 ascending integer coefficient tuples in t.  Every operation runs on those
-integers, and every matrix it makes goes through one reduction to the
-cleared form (:meth:`RationalMatrix.from_cleared`), so equal matrices have
-equal forms.  Fractions are built only for the dense view, for the
-coefficients of a characteristic polynomial and for a determinant.  With
-entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for an N
-that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
-and the integer values are interpolated back exactly.
+integers: with rational entries its integer routine reads the stored rows
+once, and a scalar factor is cleared once by
+:func:`~sheet_atlas.scalars.clear`.  Every matrix it makes goes through one
+reduction to the cleared form (:meth:`RationalMatrix.from_cleared`), so
+equal matrices have equal forms.  Fractions are built only for the dense
+view, for the coefficients of a characteristic polynomial and for a
+determinant.  With entries in Q[t] the same integer routine runs at
+t = 0, 1, ..., N for an N that bounds the t-degree of its result
+(:func:`~sheet_atlas.scalars.run`), and the integer values are interpolated
+back exactly.
 There is one elimination, sparse and fraction-free with Markowitz-style
 pivots: its pivot rows give centraliser ranks, on the ad x rows that a
 model fills from its basis, and read back in reverse order they give the
@@ -29,11 +32,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     ZERO,
+    Cleared,
     RatPoly,
     Scalar,
     as_scalar,
@@ -75,8 +79,7 @@ class RationalMatrix:
     def _of_scalars(cls, n: int, rows) -> "RationalMatrix":
         """The matrix with the exact scalar entries rows[i] = (j, x), ...
         in ascending j, cleared by :func:`~sheet_atlas.scalars.clear`."""
-        rows = [[(j, x if type(x) in (int, Fraction, RatPoly) else as_scalar(x)) for j, x in row] for row in rows]
-        rows = [[(j, x) for j, x in row if x] for row in rows]
+        rows = [[(j, y) for j, x in row if (y := x if type(x) in _EXACT else as_scalar(x))] for row in rows]
         den, values, symbol = clear([x for row in rows for _, x in row])
         return cls.from_cleared(n, den, _rows(rows, values), symbol)
 
@@ -90,18 +93,21 @@ class RationalMatrix:
         dropped, D and every integer are divided by their gcd, and the
         symbol is dropped when no entry is a non-constant polynomial.
         """
-        rows = [[(j, v) for j, v in row if v] for row in rows]
+        rows = [tuple(filter(_value, row)) for row in rows]
         if symbol and all(len(v) == 1 for row in rows for _, v in row):
-            rows, symbol = [[(j, v[0]) for j, v in row] for row in rows], None
+            rows, symbol = [tuple((j, v[0]) for j, v in row) for row in rows], None
         if symbol:
-            g = gcd(den, *(c for row in rows for _, v in row for c in v))
-            nz = tuple(tuple((j, tuple(c // g for c in v)) for j, v in row) for row in rows)
+            g = gcd(den, *(c for row in rows for _, v in row for c in v)) if den > 1 else 1
+            rows = [tuple((j, tuple(c // g for c in v)) for j, v in row) for row in rows]
         else:
-            g = gcd(den, *(v for row in rows for _, v in row))
-            nz = tuple(tuple((j, v // g) for j, v in row) if g > 1 else tuple(row) for row in rows)
+            g = gcd(den, *map(_value, chain.from_iterable(rows))) if den > 1 else 1
+            if g > 1:
+                rows = [tuple((j, v // g) for j, v in row) for row in rows]
         out = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (n, den // g, nz, symbol)):
-            object.__setattr__(out, name, value)
+        _set(out, "dim", n)
+        _set(out, "den", den // g)
+        _set(out, "nz", tuple(rows))
+        _set(out, "symbol", symbol)
         return out
 
     def __setattr__(self, name, value):
@@ -164,10 +170,11 @@ class RationalMatrix:
         return _from_flat(self.dim, self.den * other.den, values, symbol)
 
     def scale(self, c) -> "RationalMatrix":
-        # c joins as a 1 x 1 matrix, and an entry of c x has t-degree at most m + m_c
-        c = RationalMatrix([[c]])
-        values, symbol = _on_integers((self, c), add, _scaled)
-        return RationalMatrix.from_cleared(self.dim, self.den * c.den, _rows(self.nz, values), symbol)
+        c = clear([c if type(c) in _EXACT else as_scalar(c)])
+        # the kernel scales the nonzero entries of X in order; an entry of c x
+        # has t-degree at most m + m_c
+        values, symbol = _on_integers((self,), add, lambda rx, cs: [v * cs[0] for row in rx for _, v in row], c)
+        return RationalMatrix.from_cleared(self.dim, self.den * c[0], _rows(self.nz, values), symbol)
 
     def transpose(self) -> "RationalMatrix":
         columns: List[list] = [[] for _ in self.nz]
@@ -206,10 +213,16 @@ class RationalMatrix:
         return cls([[parse_scalar(v) for v in r] for r in obj])
 
 
-def _rows(nz, values: Sequence) -> List[List[tuple]]:
+_set = object.__setattr__
+_index, _value = itemgetter(0), itemgetter(1)
+_EXACT = (int, Fraction, RatPoly)  # read by clear as they are; others go through as_scalar
+
+
+def _rows(nz, values: Sequence) -> List[tuple]:
     """The rows nz with their entries replaced, in order, by values."""
     it = iter(values)
-    return [[(j, next(it)) for j, _ in row] for row in nz]
+    # zip stops at the end of a row before it draws from it
+    return [tuple(zip(map(_index, row), it)) for row in nz]
 
 
 def _from_flat(n: int, den: int, values: Sequence, symbol: Optional[str]) -> RationalMatrix:
@@ -217,19 +230,24 @@ def _from_flat(n: int, den: int, values: Sequence, symbol: Optional[str]) -> Rat
     return RationalMatrix.from_cleared(n, den, [enumerate(values[i * n : i * n + n]) for i in range(n)], symbol)
 
 
-def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel) -> Tuple[list, Optional[str]]:
-    """(output, symbol) of an integer kernel on the cleared forms of matrices.
+def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel, *scalars: Cleared) -> Tuple[list, Optional[str]]:
+    """(output, symbol) of an integer kernel on the cleared forms of matrices
+    and then of scalars.
 
-    The kernel gets the sparse integer rows D x of every matrix and returns
-    a flat list of ints.  With entries in Q[t] it runs at t = 0, ...,
-    degree_bound(*the matrices' t-degrees), which must bound the t-degree
-    of every output, and each output is interpolated to an ascending
-    integer coefficient list (:func:`~sheet_atlas.scalars.run`); a rational
-    matrix joins with its rows, of t-degree 0.
+    The kernel gets the sparse integer rows D x of every matrix and the
+    integer list of every scalar form, and returns a flat list of ints.  On
+    rational inputs it runs once, on the stored rows.  With entries in Q[t]
+    it runs at t = 0, ..., degree_bound(*the inputs' t-degrees), which must
+    bound the t-degree of every output, and each output is interpolated to
+    an ascending integer coefficient list (:func:`~sheet_atlas.scalars.run`);
+    a rational input joins as it is, of t-degree 0.
     """
-    forms = [(x.den, [v for row in x.nz for _, v in row] if x.symbol else x.nz, x.symbol) for x in mats]
+    rational = [x.nz for x in mats if x.symbol is None] + [c for _, c, s in scalars if s is None]
+    if len(rational) == len(mats) + len(scalars):
+        return kernel(*rational), None
+    forms = [(x.den, [v for row in x.nz for _, v in row] if x.symbol else x.nz, x.symbol) for x in mats] + list(scalars)
     bound = lambda: degree_bound(*map(cleared_degree, forms)) + 1
-    return run(forms, bound, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)]))
+    return run(forms, bound, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)], *values[len(mats) :]))
 
 
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -272,12 +290,6 @@ def _linear(ra: SparseRows, rb: SparseRows, wa: int, wb: int) -> List[int]:
             for j, v in row:
                 out[i * n + j] += w * v
     return out
-
-
-def _scaled(rx: SparseRows, rc: SparseRows) -> List[int]:
-    """The nonzero entries of X, in order, times the 1 x 1 matrix rc."""
-    c = rc[0][0][1] if rc[0] else 0
-    return [v * c for row in rx for _, v in row]
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,26 @@ def test_rational_inputs_with_huge_exponents_are_refused(monkeypatch):
         assert code == 0 and json.loads(out)["image"]["coeffs"] == [str(Fraction(value))]
 
 
+def test_rational_inputs_with_too_many_digits_are_refused(monkeypatch):
+    """A rational input whose numerator or denominator, as written or as
+    read, has more than sys.get_int_max_str_digits() digits is refused with
+    the CLI's own error line, exit 1 and nothing on stdout, within 1 s; one
+    digit fewer is answered."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    limit = sys.get_int_max_str_digits()
+    long_digits = "7" * (limit + 1)
+    too_long = ["1e%d" % limit, "-1e-%d" % limit, long_digits, "1/" + long_digits, "0." + long_digits, "1" * limit + "e1"]
+    for value in too_long:
+        for argv in (["multiplicity", "--sheet", "C:2:1,1", "--z=" + value], ["mu-s", "--profile", "1", "--factors=" + value]):
+            start = time.perf_counter()
+            code, out, err = _serve(argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert (code, out) == (1, "") and err == "error: more than %d digits in a rational input\n" % limit, argv
+    for value in ("1e%d" % (limit - 1), "7" * limit, "1/" + "7" * limit):
+        code, out, err = _serve(["multiplicity", "--sheet", "C:2:1,1", "--z=" + value, "--json"])
+        assert (code, err) == (0, "") and json.loads(out)["z"] == [str(Fraction(value))]
+
+
 def test_realform_command():
     out = run_cli("realform", "--label", "SU:3,1", "--genus", "2", "--json")
     payload = json.loads(out.stdout)

@@ -711,6 +711,72 @@ def test_products_scales_and_transposes_entrywise():
         assert [list(r) for r in a.transpose().rows] == [list(col) for col in zip(*ra)]
 
 
+def _random_matrices(rng, count, symbolic):
+    """Random matrices with some zero entries, over Q[t] when symbolic (and
+    then with at least one non-constant entry), else rational."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        x = RationalMatrix([[_random_entry(rng) if symbolic else _random_rational(rng) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+        if bool(x.symbol) == symbolic:
+            out.append(x)
+    return out
+
+
+def _dense(x):
+    return [list(r) for r in x.rows]
+
+
+def test_scaling_by_zero_gives_the_cleared_zero_matrix():
+    """A matrix over Q[t] (or Q) scaled by 0, Fraction(0) or the zero
+    polynomial is RationalMatrix.zero(n): den 1, no symbol, no entries."""
+    rng = random.Random(83)
+    for x in _random_matrices(rng, 20, True) + _random_matrices(rng, 10, False):
+        for zero in (0, Fraction(0), RatPoly([])):
+            out = x.scale(zero)
+            assert out == RationalMatrix.zero(x.dim)
+            assert (out.den, out.nz, out.symbol) == (1, ((),) * x.dim, None)
+            assert _dense(out) == [[zero * v for v in r] for r in x.rows]
+
+
+def test_scaling_by_a_rational_or_its_constant_polynomial_agrees():
+    """c x and RatPoly([c]) x have the same cleared form, on rational and on
+    Q[t] matrices, and both match the dense views."""
+    rng = random.Random(89)
+    for x in _random_matrices(rng, 20, True) + _random_matrices(rng, 20, False):
+        c = _random_rational(rng) or Fraction(1, 3)
+        a, b = x.scale(c), x.scale(RatPoly([c]))
+        assert (a.den, a.nz, a.symbol) == (b.den, b.nz, b.symbol)
+        assert _dense(a) == _dense(b) == [[c * v for v in r] for r in x.rows]
+
+
+def test_a_rational_matrix_scaled_by_t_is_over_qt():
+    t = RatPoly.variable()
+    rng = random.Random(97)
+    for x in _random_matrices(rng, 20, False):
+        out = x.scale(t)
+        assert out.symbol == ("t" if not x.is_zero() else None)
+        assert _dense(out) == [[t * v for v in r] for r in x.rows]
+        assert out.scale(Fraction(1, 2)) == x.scale(t * Fraction(1, 2))
+
+
+def test_from_cleared_over_one_keeps_entries_sharing_a_factor():
+    x = RationalMatrix.from_cleared(3, 1, [[(0, 2), (2, -4)], [], [(1, 6), (2, 0)]])
+    assert (x.den, x.nz, x.symbol) == (1, (((0, 2), (2, -4)), (), ((1, 6),)), None)
+    assert _dense(x) == [[2, 0, -4], [0, 0, 0], [0, 6, 0]]
+    y = RationalMatrix.from_cleared(2, 1, [[(0, [0, 2]), (1, [4])], [(1, [6, 2])]], "t")
+    assert (y.den, y.nz, y.symbol) == (1, (((0, (0, 2)), (1, (4,))), ((1, (6, 2)),)), "t")
+
+
+def test_from_cleared_over_d_divides_by_the_gcd():
+    x = RationalMatrix.from_cleared(3, 6, [[(0, 2), (2, -4)], [], [(1, 6), (2, 0)]])
+    assert (x.den, x.nz, x.symbol) == (3, (((0, 1), (2, -2)), (), ((1, 3),)), None)
+    assert x == RationalMatrix([[Fraction(1, 3), 0, Fraction(-2, 3)], [0, 0, 0], [0, 1, 0]])
+    y = RationalMatrix.from_cleared(2, 4, [[(0, [0, 2]), (1, [4])], [(1, [6, 2])]], "t")
+    assert (y.den, y.nz, y.symbol) == (2, (((0, (0, 1)), (1, (2,))), ((1, (3, 1)),)), "t")
+    assert _dense(y) == [[RatPoly([0, Fraction(1, 2)]), RatPoly([1])], [RatPoly([]), RatPoly([Fraction(3, 2), Fraction(1, 2)])]]
+
+
 def test_char_poly_over_qt_against_cofactor_expansion():
     rng = random.Random(71)
     t = RatPoly.variable()
