@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
 from .liealg import centralizer_dim, char_poly, in_algebra
@@ -80,33 +80,39 @@ def _parse_sheet_spec(spec: str) -> SheetDescriptor:
     return sheets.find_sheet(kind, _parse_levi(kind, bits[2]))
 
 
-def _print_table(rows: List[List[str]], header: List[str]):
-    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
-    line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for r in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
+def _print_table(rows, header: List[str]):
+    """rows() gives the rows, tuples of str, afresh on each call: one pass
+    takes the column widths and the next writes the rows, so the table need
+    not be held."""
+    widths = [*map(len, header)]
+    for r in rows():
+        widths = [*map(max, widths, map(len, r))]
+    # each cell left-justified to its column's width
+    line = "  ".join("%%-%ds" % w for w in widths) + "\n"
+    write = sys.stdout.write
+    head = line % tuple(header)
+    write(head + "-" * (len(head) - 1) + "\n")
+    for r in rows():
+        write(line % r)
 
 
-def _descriptor_rows(descs: List[SheetDescriptor]) -> List[List[str]]:
-    rows = []
-    for d in descs:
-        orbit = d.nilpotent_orbit if isinstance(d.nilpotent_orbit, str) else str(d.nilpotent_orbit)
-        rows.append(
-            [
-                d.name or "",
-                d.decomposition_data,
-                orbit,
-                str(d.d),
-                str(d.dim_z),
-                str(d.w_l_order),
-                str(d.katsylo_order),
-                str(d.dim_sheet),
-                d.class_tag or "-",
-            ]
-        )
-    return rows
+def _descriptor_rows(descs: List[SheetDescriptor]) -> List[Tuple[str, ...]]:
+    return [
+        (d.name or "", d.decomposition_data, str(d.nilpotent_orbit),
+         *map(str, (d.d, d.dim_z, d.w_l_order, d.katsylo_order, d.dim_sheet)), d.class_tag or "-")
+        for d in descs
+    ]
+
+
+def _gl_rows(kind: GroupKind, records):
+    """The rows of ``_descriptor_rows(sheets_for(kind))`` for type A, one
+    for each of ``records = sheets.gl_records(kind)``."""
+    prefix = "gl%d:m=" % kind.rank
+    text = [*map(str, range(kind.rank + 1))].__getitem__
+    for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, _) in records:
+        texts = [*map(text, parts)]
+        yield (prefix + ",".join(texts), "(GL%s,0)" % "xGL".join(texts), "(%s)" % ",".join(map(text, conj)),
+               str(d), text(dim_z), str(w_l), "1", str(dim_sheet), class_tag or "-")
 
 
 DESCRIPTOR_HEADER = ["sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|", "dim", "class"]
@@ -123,9 +129,14 @@ def cmd_sheets(args) -> int:
         for piece in pieces:
             write(piece)
         write("\n")
+    elif levi or kind.family != "A":
+        rows = _descriptor_rows([sheets.find_sheet(kind, levi)] if levi else sheets.sheets_for(kind))
+        _print_table(lambda: rows, DESCRIPTOR_HEADER)
     else:
-        descs = [sheets.find_sheet(kind, levi)] if levi else sheets.sheets_for(kind)
-        _print_table(_descriptor_rows(descs), DESCRIPTOR_HEADER)
+        # walked twice, for the widths and then the rows: a refusal or a
+        # record that fails its check raises in the first walk, so stdout
+        # stays empty
+        _print_table(lambda: _gl_rows(kind, sheets.gl_records(kind)), DESCRIPTOR_HEADER)
     return 0
 
 

@@ -7,6 +7,7 @@ own conjugate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 
@@ -85,34 +86,35 @@ class MultiplicityProfile:
         return cls(tuple(int(obj.get(str(i), 0)) for i in range(1, s + 1)))
 
 
-def conjugate_runs(m: Partition) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """The conjugate parts of m, largest first, and its runs of equal parts
-    as (part, run length), smallest part first, from one walk up the parts.
+def conjugate_walk(parts: Tuple[int, ...]) -> Tuple[int, int, List[int]]:
+    """(sum of m_i^2, product of l! over the runs of l equal parts, the
+    conjugate parts largest first) of the partition m with these parts,
+    largest first, from one walk up its runs from the smallest part.
 
     Exactly j parts are >= i for every i in (m_{j+1}, m_j] (1-based,
     m_{k+1} = 0), so m_j - m_{j+1} conjugate parts equal j; that is zero
     inside a run of equal parts, so the walk steps from the end of one run
     to the end of the next.
     """
-    parts = m.parts
     conj: List[int] = []
-    runs: List[Tuple[int, int]] = []
-    below = 0
+    d = below = 0
+    w = 1
     j = len(parts)
     while j:
         p = parts[j - 1]
         # parts[i:j] is the run of parts equal to p; index() scans in C
         i = parts.index(p)
         conj += [j] * (p - below)
-        runs.append((p, j - i))
+        d += (j - i) * p * p
+        w *= factorial(j - i)
         below = p
         j = i
-    return conj, runs
+    return d, w, conj
 
 
 def conjugate(m: Partition) -> Partition:
     """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i}."""
-    return Partition._trusted(conjugate_runs(m)[0])
+    return Partition._trusted(conjugate_walk(m.parts)[2])
 
 
 def profile(m: Partition) -> MultiplicityProfile:

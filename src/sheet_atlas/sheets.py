@@ -10,10 +10,10 @@ import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import factorial
+from operator import mul
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from .partitions import Partition, conjugate_runs, is_valid_orbit_partition, partitions_of
+from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, partitions_of
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
@@ -228,7 +228,7 @@ def parse_kind(text: str) -> GroupKind:
 
 def _levi_group_name(kind: GroupKind, levi: LeviLabel) -> str:
     if isinstance(levi, GLLevi):
-        return _gl_levi_name([*map(str, levi.m.parts)])
+        return "GL" + "xGL".join(map(str, levi.m.parts))
     if isinstance(levi, F4B3Levi):
         return "B3-Levi"
     if isinstance(levi, MaxLevi):
@@ -240,11 +240,6 @@ def _levi_group_name(kind: GroupKind, levi: LeviLabel) -> str:
         head = "GL%d" % a if a > 1 else "Gm"
         return head + tail
     raise ValueError("unnamed levi %r" % (levi,))
-
-
-def _gl_levi_name(texts) -> str:
-    """The group name of a type A Levi, from its parts as text."""
-    return "GL" + "xGL".join(texts)
 
 
 # --- JSON text of records -----------------------------------------------------
@@ -281,8 +276,9 @@ _LEVI_NAMES = {TorusLevi: '"torus"', FullGroupLevi: '"full"', F4B3Levi: '"B3"'}
 @lru_cache(maxsize=64)  # a few depths, and one template per type A rank
 def _layout(depth: int, fixed: Tuple[Tuple[str, str], ...] = ()):
     """Line breaks indented to nesting depths depth, ..., depth + 3, and the
-    record template at ``depth``, with the JSON text (free of %) of each
-    (key, text) of ``fixed`` written in."""
+    record template at ``depth``, with the text of each (key, text) of
+    ``fixed`` written in place of the field's conversion: the JSON text of a
+    field every record shares, or a text around its own conversion."""
     breaks = tuple("\n" + "  " * k for k in range(depth, depth + 4))
     texts = dict(fixed)
     fields = ",".join('%s"%s": %s' % (breaks[1], key, texts.get(key, conv)) for key, conv in _RECORD_FIELDS)
@@ -295,11 +291,6 @@ def _list_text(texts, inner: str, outer: str) -> str:
     if not texts:
         return "[]"
     return "[%s%s%s]" % (inner, ("," + inner).join(texts), outer)
-
-
-def _gl_levi_json(texts, breaks) -> str:
-    """The ``levi`` text of a type A record, from its parts as text."""
-    return '{%s"gl": %s%s}' % (breaks[2], _list_text(texts, breaks[3], breaks[2]), breaks[1])
 
 
 def _optional(value) -> str:
@@ -318,7 +309,7 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
     b0, b1, b2, b3 = breaks
     levi = desc.levi
     if isinstance(levi, GLLevi):
-        levi_text = _gl_levi_json([*map(str, levi.m.parts)], breaks)
+        levi_text = '{%s"gl": %s%s}' % (b2, _list_text([*map(str, levi.m.parts)], b3, b2), b1)
     elif isinstance(levi, MaxLevi):
         levi_text = '{%s"a": %d,%s"residual": %d%s}' % (b2, levi.a, b2, levi.residual, b1)
     else:
@@ -387,55 +378,71 @@ def _gl_kind(n: int) -> GroupKind:
     return type_a(n)
 
 
-def _gl_texts(kind: GroupKind) -> Iterator[str]:
-    """The text of each record of ``enumerate_sheets_gln(kind.rank)`` as
-    ``records_json`` writes it, made as soon as the walk yields its Levi
-    partition: no descriptor is built, and the values pass check_record."""
-    shared = {"kind": encode_basestring_ascii(str(kind)), "dixmier": "true", "katsylo_order": "1",
-              "component_group_order": "1", "levi_conjugacy_caveat": "false"}
-    breaks, template = _layout(1, tuple(shared.items()))
-    for m in partitions_of(kind.rank):
-        _, d, dim_z, w_l, dim_sheet, conj, class_tag, type_tag, name, texts = _gl_values(m)
+def gl_records(kind: GroupKind) -> Iterator[tuple]:
+    """(parts, d, dim_z, |W_L|, dim_sheet, conjugate parts, (class tag, type
+    tag)) of each record of ``enumerate_sheets_gln(kind.rank)``, as soon as
+    the walk yields its Levi partition, each passed by check_record: the one
+    loop behind both forms of a type A listing.  Every refusal is raised
+    when this is called, before any record is made."""
+    check_rank(kind)
+    return _gl_walk(_gl_kind(kind.rank))
+
+
+def _gl_walk(kind: GroupKind) -> Iterator[tuple]:
+    n = kind.rank
+    odd = range(1, 2 * n, 2)
+    for m in partitions_of(n):
+        parts = m.parts
+        d, w_l, conj = conjugate_walk(parts)
+        dim_z = len(parts)
+        # dim O + dim z, with dim O = n^2 - sum (2i - 1) conj_i read off the orbit
+        dim_sheet = n * n - sum(map(mul, odd, conj)) + dim_z
         check_record(kind, d, dim_z, w_l, 1, dim_sheet, conj)
-        decomposition = "(%s,0)" % _gl_levi_name(texts)  # (L, 0) for a Dixmier sheet
-        orbit = _list_text([*map(str, conj)], breaks[2], breaks[1])
-        levi = _gl_levi_json(texts, breaks)
+        yield parts, d, dim_z, w_l, dim_sheet, conj, _GL_TWO_PART_TAGS[parts[0] == parts[1]] if dim_z == 2 else _NO_TAGS
+
+
+def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
+    """The text of each of ``records = gl_records(kind)`` as ``records_json``
+    writes it: no descriptor is built.  What depends only on the rank is
+    made once: the text of each integer up to n, of each pair of tags, and
+    the template with the shared fields, the name prefix and the heads and
+    tails of the levi and orbit lists written in."""
+    n = kind.rank
+    _, b1, b2, b3 = _layout(1)[0]
+    fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"gl%d:m=%%s"' % n,
+             "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"(GL%s,0)"',
+             "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
+             "component_group_order": "1", "levi_conjugacy_caveat": "false"}
+    _, template = _layout(1, tuple(fixed.items()))
+    text = [*map(str, range(n + 1))].__getitem__
+    tag_texts = {tags: tuple(map(_optional, tags)) for tags in (*_GL_TWO_PART_TAGS.values(), _NO_TAGS)}
+    levi_sep, orbit_sep = "," + b3, "," + b2
+    for parts, d, dim_z, w_l, dim_sheet, conj, tags in records:
+        texts = [*map(text, parts)]
+        class_tag, type_tag = tag_texts[tags]
         # w_s_order = w_l_order / katsylo_order = w_l_order
-        yield template % (encode_basestring_ascii(name), levi, encode_basestring_ascii(decomposition), orbit, d, dim_z,
-                          w_l, w_l, dim_sheet, _optional(class_tag), _optional(type_tag))
+        yield template % (",".join(texts), levi_sep.join(texts), "xGL".join(texts), orbit_sep.join(map(text, conj)),
+                          d, dim_z, w_l, w_l, dim_sheet, class_tag, type_tag)
 
 
-def _gl_values(m: Partition) -> tuple:
-    """(n, d, dim_z, |W_L|, dim_sheet, conjugate parts, class tag, type tag,
-    name, parts as text) of the sheet of gl_n with Levi partition m, n = |m|,
-    from one walk of m's parts: the one source of type A record values."""
-    conj, runs = conjugate_runs(m)
-    n = d = 0
-    w_l = 1
-    for p, l in runs:
-        n += p * l
-        d += p * p * l
-        w_l *= factorial(l)
-    parts = m.parts
-    dim_z = len(parts)
-    class_tag = type_tag = None
-    if dim_z == 2:
-        class_tag = "I" if parts[0] == parts[1] else "II"
-        type_tag = 1 if class_tag in TYPE1_CLASSES else 2
-    texts = list(map(str, parts))
-    name = "gl%d:m=%s" % (n, ",".join(texts))
-    return n, d, dim_z, w_l, n * n - d + dim_z, conj, class_tag, type_tag, name, texts
+# (class tag, type tag) of a two-part Levi partition, by whether its parts are equal
+_GL_TWO_PART_TAGS = {equal: (tag, 1 if tag in TYPE1_CLASSES else 2) for equal, tag in ((True, "I"), (False, "II"))}
+_NO_TAGS = (None, None)
 
 
 def gl_sheet(m: Partition, kind: Optional[GroupKind] = None) -> SheetDescriptor:
     """The sheet of gl_n with Levi partition m (n = |m|), for the group
     ``kind`` (built here when None; a kind of another rank fails the
-    descriptor's checks)."""
-    n, d, dim_z, w_l, dim_sheet, conj, class_tag, type_tag, name, _ = _gl_values(m)
+    descriptor's checks).  The orbit is the conjugate of m, d = sum m_i^2,
+    |W_L| = prod l_i! and dim_sheet = dim O + dim z."""
+    parts = m.parts
+    d, w_l, conj = conjugate_walk(parts)
+    n, dim_z = sum(parts), len(parts)
     if kind is None:
         if n < 1:
             raise ValueError("empty partition labels no sheet")
         kind = type_a(n)
+    class_tag, type_tag = _GL_TWO_PART_TAGS[parts[0] == parts[1]] if dim_z == 2 else _NO_TAGS
     return SheetDescriptor(
         kind=kind,
         levi=GLLevi(m),
@@ -445,11 +452,11 @@ def gl_sheet(m: Partition, kind: Optional[GroupKind] = None) -> SheetDescriptor:
         dim_z=dim_z,
         w_l_order=w_l,
         katsylo_order=1,
-        dim_sheet=dim_sheet,
+        dim_sheet=n * n - sum(map(mul, range(1, 2 * n, 2), conj)) + dim_z,
         class_tag=class_tag,
         type_tag=type_tag,
         component_group_order=1,
-        name=name,
+        name="gl%d:m=%s" % (n, ",".join(map(str, parts))),
     )
 
 
@@ -727,5 +734,4 @@ def listing_json(kind: GroupKind) -> Iterator[str]:
     this is called, before any piece is made."""
     if kind.family != "A":
         return records_json(sheets_for(kind))
-    check_rank(kind)
-    return _json_list(_gl_texts(_gl_kind(kind.rank)), 0)
+    return _json_list(_gl_texts(kind, gl_records(kind)), 0)

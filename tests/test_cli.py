@@ -318,6 +318,50 @@ def test_rank_40_listing_memory_is_bounded():
     assert peak_mb < RANK_40_MAX_RSS_MB, peak_mb
 
 
+# Either form of the rank-40 listing may grow the peak RSS by at most 8 MB
+# over the interpreter with the CLI imported: it is written one record at a
+# time, and the table is walked twice (widths, then rows) instead of being
+# held.  Holding the table's rows grew it by about 57 MB.
+RANK_40_MAX_GROWTH_MB = 8
+
+# Both listings in one fresh interpreter, stdout counted and dropped; one
+# line per form: exit code, characters written, peak RSS growth so far.
+GROWTH_PROBE = """
+import resource
+from contextlib import redirect_stdout
+from sheet_atlas import cli
+
+class Count:
+    size = 0
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+    def flush(self):
+        pass
+
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for extra in (["--json"], []):
+    with redirect_stdout(Count()) as out:
+        code = cli.main(["sheets", "--kind", "A", "--rank", "40", *extra])
+    print(code, out.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_rank_40_listings_grow_the_peak_rss_by_at_most_8_mb():
+    env = {k: v for k, v in os.environ.items() if k != "SHEET_ATLAS_JSON"}
+    done = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True, check=True, env=env)
+    golden = json.loads((Path(__file__).parent / "golden" / "type_a_listing_digests.json").read_text())
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line, form in zip(lines, ("json", "table")):
+        code, size, growth = map(int, line.split())
+        # the whole listing was written (it is ASCII: one byte a character)
+        assert (code, size) == (0, golden["40 %s" % form]["bytes"]), form
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        growth_mb = growth / (1024 * 1024 if sys.platform == "darwin" else 1024)
+        assert growth_mb <= RANK_40_MAX_GROWTH_MB, (form, growth_mb)
+
+
 def test_fixture_regen_byte_identical(tmp_path: Path):
     out = run_cli("fixtures", "--regen", "--out-dir", str(tmp_path))
     for name in ("table1.json", "table2.json"):

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,7 @@ from sheet_atlas.partitions import (
     MultiplicityProfile,
     Partition,
     conjugate,
-    conjugate_runs,
+    conjugate_walk,
     is_valid_orbit_partition,
     partitions_of,
     profile,
@@ -105,16 +107,19 @@ def test_partitions_of_rejects_negative():
 
 
 def test_conjugate_and_profile_on_every_small_partition():
-    """conjugate against the cell transpose, the runs of equal parts
-    (part, length), smallest part first, and the profile against the steps
-    of the transpose, for every partition with n <= 30."""
+    """conjugate against the cell transpose, the walk's sum of squared parts
+    and product of l_i! over the steps l_i of the transpose, and the profile
+    against those steps, for every partition with n <= 30."""
     for n in range(31):
         for m in partitions_of(n):
             conj = conjugate(m)
             assert conj == conjugate_by_cells(m), m
             assert conj == Partition(conj.parts)
             steps = profile_by_conjugate_steps(m)
-            assert conjugate_runs(m) == (list(conj.parts), [(i, li) for i, li in sorted(steps.items()) if li]), m
+            w = 1
+            for li in steps.values():
+                w *= factorial(li)
+            assert conjugate_walk(m.parts) == (sum(p * p for p in m.parts), w, list(conj.parts)), m
             prof = profile(m)
             assert prof.s == m.largest
             assert dict(prof.items()) == steps

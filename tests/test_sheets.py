@@ -88,6 +88,26 @@ def test_streamed_type_a_listing_is_the_descriptor_listing():
         assert "".join(listing_json(type_a(n))) == "".join(records_json(enumerate_sheets_gln(n))), n
 
 
+def test_streamed_type_a_listing_against_the_oracle():
+    """Every record of the streamed listing for n <= 24, read back as JSON,
+    against the record computed from the cells of its Levi diagram: p(n)
+    records, one per partition of n, in the reverse-lexicographic order of
+    the ZS1 walk."""
+    for n in range(1, 25):
+        records = json.loads("".join(listing_json(type_a(n))))
+        assert len(records) == partition_count(n), n
+        levis = [tuple(record["levi"]["gl"]) for record in records]
+        # strictly decreasing, so p(n) distinct partitions of n: all of them
+        assert all(a > b for a, b in zip(levis, levis[1:])), n
+        for record, parts in zip(records, levis):
+            m = Partition(parts)
+            assert m.parts == parts and m.n == n
+            expected = gl_record_fields(m)
+            expected.update(kind="A(%d)" % n, levi={"gl": list(parts)}, w_s_order=expected["w_l_order"],
+                            nilpotent_orbit=list(expected["nilpotent_orbit"].parts))
+            assert record == expected, parts
+
+
 # Each bad record: (kind, d, dim_z, |W_L|, katsylo order, dim_sheet, orbit),
 # one value off a good record (gl4 with Levi (2,1,1); C(2) class VIII).
 BAD_RECORDS = {
@@ -126,24 +146,26 @@ def test_check_record_refuses_each_bad_record(case):
 
 
 def test_the_streamed_listing_checks_every_record(monkeypatch):
-    """A wrong d in the values the walk yields fails the record check, and
-    the CLI exits 1 with an error."""
-    good = sheets._gl_values
+    """A wrong d from the walk of each Levi partition fails the record
+    check, and the CLI exits 1 with an error, in both forms of the listing."""
+    good = sheets.conjugate_walk
 
-    def wrong_d(m):
-        n, d, *rest = good(m)
-        return (n, d + 1, *rest)
+    def wrong_d(parts):
+        d, w_l, conj = good(parts)
+        return d + 1, w_l, conj
 
-    monkeypatch.setattr(sheets, "_gl_values", wrong_d)
+    monkeypatch.setattr(sheets, "conjugate_walk", wrong_d)
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     with pytest.raises(ValueError, match="dim_sheet"):
         list(listing_json(type_a(5)))
-    out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["sheets", "--kind", "A", "--rank", "5", "--json"])
-    assert code == 1 and err.getvalue().startswith("error:")
-    # the first record fails, before anything is written
-    assert out.getvalue() == ""
+    for extra in (["--json"], []):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["sheets", "--kind", "A", "--rank", "5", *extra])
+        assert code == 1 and err.getvalue().startswith("error:"), extra
+        # the first record fails, before anything is written (the table
+        # fails in its first walk, which only takes the column widths)
+        assert out.getvalue() == "", extra
 
 
 def test_gl_sheet_refuses_the_empty_partition():
