@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Union
 
 from .partitions import Partition
-from .sheets import GLLevi, LeviLabel, check_rank, gl_sheet, type_a
+from .sheets import GLLevi, LeviLabel, check_rank, type_a
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,3 @@ def parse_real_form(text: str) -> RealFormLabel:
     if head in ("SOSTAR", "SO*"):
         return SOStar(int(tail))
     raise ValueError("cannot parse real form label %r" % (text,))
-
-
-def su_sheet(label: SU):
-    """The full sheet descriptor behind an SU report."""
-    return gl_sheet(su_sheet_partition(label.p, label.q))

@@ -212,7 +212,7 @@ def _to_ratpoly(x, symbol: str):
 
 def as_scalar(x) -> Scalar:
     """Coerce an int/Fraction/RatPoly into the library's scalar type."""
-    if isinstance(x, RatPoly):
+    if type(x) is Fraction or isinstance(x, RatPoly):
         return x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
@@ -271,17 +271,20 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
     constants): D is the lcm of the denominators of every t-coefficient and
     c_k = D x_k, or D^k x_k when ``weighted``, as ints when ``symbol`` is
     None, else as ascending integer coefficient lists in it."""
-    symbol = poly_symbol(scalars) if RatPoly in map(type, scalars) else None  # ValueError for two
-    if symbol:
-        cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
-        d = lcm(*[x.denominator for c in cs for x in c])
-        weights = accumulate(repeat(d), mul) if weighted else repeat(d)
-        return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], symbol
     if RatPoly in map(type, scalars):
+        symbol = poly_symbol(scalars)  # ValueError for two
+        if symbol:
+            cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
+            d = lcm(*[x.denominator for c in cs for x in c])
+            weights = accumulate(repeat(d), mul) if weighted else repeat(d)
+            return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], symbol
         scalars = [x.constant_value() if type(x) is RatPoly else x for x in scalars]
     d = lcm(*[x.denominator for x in scalars])
-    weights = accumulate(repeat(d), mul) if weighted else repeat(d)
-    return d, [x.numerator * (w // x.denominator) for x, w in zip(scalars, weights)], None
+    out, w = [], 1
+    for x in scalars:
+        w = w * d if weighted else d
+        out.append(x.numerator * (w // x.denominator))
+    return d, out, None
 
 
 def cleared_degree(form: Cleared) -> int:
@@ -305,9 +308,9 @@ def run(forms: Sequence[Cleared], points: Callable[[], int], kernel: Callable[..
     one pass for rational forms, else at t = 0, ..., points() - 1, which
     must exceed the t-degree of every output as a polynomial in the cleared
     values, interpolated to ascending integer coefficient lists."""
-    symbol = _one_symbol({s for _, _, s in forms} - {None})
-    if symbol is None:
+    if not any([s for _, _, s in forms]):
         return kernel(*[c for _, c, _ in forms]), None
+    symbol = _one_symbol({s for _, _, s in forms} - {None})
     values = [kernel(*[at(c, t0) if s else c for _, c, s in forms]) for t0 in range(points())]
     return interpolate(values), symbol
 

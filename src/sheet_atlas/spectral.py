@@ -7,7 +7,8 @@ map multiplies the i-th factor in with multiplicity i.
 
 Coefficients are rationals or polynomials in one parameter t.  Every
 operation reads a monic p = λ^d + a_1 λ^{d-1} + ... + a_d as the pair (D, P),
-P(μ) = D^d p(μ/D), monic with integer coefficients c_k = D^k a_k.  Roots A/D
+P(μ) = D^d p(μ/D), monic with integer coefficients c_k = D^k a_k; a result
+stores only (D, P) and builds its coefficients on first read.  Roots A/D
 give P = prod (μ - A) in one pass; products rescale each P_i to D = lcm(D_i)
 (c_k -> c_k (D/D_i)^k) and convolve; monic division is synthetic division in
 Z[μ] after the same rescaling.  Over Q[t] the same routine runs on P(t0) at
@@ -54,39 +55,52 @@ LAMBDA = "λ"
 CERTIFICATE_PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
 class GradedPolynomial:
     """Monic polynomial a(λ) = λ^d + a_1 λ^{d-1} + ... + a_d.
 
     The coefficient of λ^{d-k} carries weight k.  The constant polynomial 1
     (d = 0) is permitted as the empty-cover placeholder.  Coefficients are
-    exact scalars (rationals or chart-variable polynomials).
+    exact scalars (rationals or chart-variable polynomials), by whose values
+    polynomials compare and hash.
 
-    ``_scaled`` (not a field) caches the scaled form (D, c, symbol) that
-    every operation reads: P(μ) = D^d a(μ/D) = μ^d + c_1 μ^{d-1} + ... + c_d,
-    c_k = D^k a_k in Z or Z[symbol].  The operation that made the polynomial
-    stores it; otherwise the first use clears the coefficients.
+    Every operation reads the scaled form ``_scaled`` = (D, c, symbol):
+    P(μ) = D^d a(μ/D) = μ^d + c_1 μ^{d-1} + ... + c_d, c_k = D^k a_k in Z or
+    Z[symbol].  A polynomial made by an operation stores only that form and
+    builds ``coeffs`` on first read; one made from coefficients stores them
+    and clears them on first use.  ``degree`` is set from either.
     """
 
-    coeffs: Tuple[Scalar, ...]
-
     def __init__(self, coeffs: Sequence = ()):
-        object.__setattr__(self, "coeffs", tuple(as_scalar(c) for c in coeffs))
+        coeffs = tuple(as_scalar(c) for c in coeffs)
+        self.__dict__.update(coeffs=coeffs, degree=len(coeffs))
 
     @classmethod
     def _trusted(cls, coeffs) -> "GradedPolynomial":
         # internal: coefficients already exact scalars
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(coeffs))
+        out.__dict__.update(coeffs=tuple(coeffs), degree=len(coeffs))
         return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedPolynomial is immutable")
+
+    @cached_property
+    def coeffs(self) -> Tuple[Scalar, ...]:
+        den, values, symbol = self._scaled
+        return tuple(scalars_over(values, map(den.__pow__, count(1)), symbol))
 
     @cached_property
     def _scaled(self) -> Cleared:
         return clear(self.coeffs, weighted=True)  # ValueError for two symbols
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, GradedPolynomial) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "GradedPolynomial(coeffs=%r)" % (self.coeffs,)
 
     def coefficient(self, k: int) -> Scalar:
         """Weight-k coefficient a_k (k = 0 gives the leading 1)."""
@@ -184,12 +198,6 @@ class GradedPolynomial:
             if len(poly_gcd(values, derivative)) == 1:
                 return True
         return False
-
-    def evaluate(self, value) -> Scalar:
-        out = as_scalar(0)
-        for c in self.dense():
-            out = out * value + c
-        return out
 
     def __str__(self):
         terms = [(c, self.degree - k) for k, c in enumerate(self.dense()) if not scalar_is_zero(c)]
@@ -289,9 +297,9 @@ def sp4_dix_image(b) -> GradedPolynomial:
 
 
 def _graded(den: int, values: list, symbol: Optional[str]) -> GradedPolynomial:
-    """The monic polynomial with scaled form (den, values, symbol)."""
-    out = GradedPolynomial._trusted(scalars_over(values, map(den.__pow__, count(1)), symbol))
-    object.__setattr__(out, "_scaled", (den, values, symbol))
+    """The monic polynomial with scaled form (den, values, symbol) alone."""
+    out = object.__new__(GradedPolynomial)
+    out.__dict__.update(_scaled=(den, values, symbol), degree=len(values))
     return out
 
 

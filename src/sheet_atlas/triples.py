@@ -342,12 +342,6 @@ def sp4_flip_matrix() -> RationalMatrix:
     return RationalMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
-def sp4_semisimple(t) -> RationalMatrix:
-    """The semisimple orbit representatives diag(t, 0, 0, -t)."""
-    t = as_scalar(t)
-    return RationalMatrix.diagonal([t, 0, 0, -t])
-
-
 def sp4_triple() -> Sl2Triple:
     """The standard subregular triple, adapted to the flag (1, 3, 4)."""
     return Sl2Triple(

@@ -8,7 +8,8 @@ polynomial products by the plain double loop over Fractions,
 determinant by cofactor expansion over dense polynomial entries, rank by
 plain rational elimination, polynomial gcd by leading-coefficient Euclid
 over plain rational long division, polynomials from their roots by
-multiplying in one linear factor at a time, and tuple recovery by
+multiplying in one linear factor at a time, a graded polynomial's value
+by Horner's rule over its dense coefficients, and tuple recovery by
 squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer, and
@@ -233,6 +234,15 @@ def expand_roots(roots: Sequence) -> List:
     for r in roots:
         dense = [a - r * b for a, b in zip(dense + [Fraction(0)], [Fraction(0)] + dense)]
     return dense
+
+
+def evaluate(poly: GradedPolynomial, value):
+    """poly(value) by Horner's rule over [1, a_1, ..., a_d], in plain scalar
+    (Fraction or RatPoly) arithmetic."""
+    out = Fraction(0)
+    for c in poly.dense():
+        out = out * value + c
+    return out
 
 
 def falling_factorial(t, start: int, count: int):

@@ -52,7 +52,6 @@ from sheet_atlas.triples import (
     sp4_e,
     sp4_flip_action,
     sp4_model,
-    sp4_semisimple,
     sp4_slice,
 )
 
@@ -93,7 +92,7 @@ def test_table1_reproduction():
     model = sp4_model()
     representatives = [
         RationalMatrix.diagonal([1, 2, -2, -1]),  # regular semisimple
-        sp4_semisimple(1),                        # the one-parameter family
+        RationalMatrix.diagonal([1, 0, 0, -1]),   # the one-parameter family at t = 1
         RationalMatrix.diagonal([1, 1, -1, -1]),  # the equal-eigenvalue family
         RationalMatrix.unit(4, 0, 3),             # minimal nilpotent
         RationalMatrix.zero(4),

@@ -20,7 +20,7 @@ from sheet_atlas.liealg import (
 from sheet_atlas.scalars import ZERO, RatPoly
 from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
-from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_semisimple, sp4_slice
+from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_slice
 
 from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination
 
@@ -51,7 +51,7 @@ def test_centralizer_dims_table1():
     model = sp4_model()
     cases = [
         (RationalMatrix.diagonal([1, 2, -2, -1]), 2),
-        (sp4_semisimple(1), 4),
+        (RationalMatrix.diagonal([1, 0, 0, -1]), 4),  # diag(t, 0, 0, -t) at t = 1
         (RationalMatrix.diagonal([1, 1, -1, -1]), 4),
         (RationalMatrix.unit(4, 0, 3), 6),  # minimal nilpotent
         (RationalMatrix.zero(4), 10),
@@ -146,7 +146,7 @@ def test_centralizer_dim_ad_invariance():
     model = build_model(type_c(2))
     gram = model.form.gram
     nil = _nilpotent_basis_elements(model)
-    x = sp4_semisimple(1)
+    x = RationalMatrix.diagonal([1, 0, 0, -1])
     base = centralizer_dim(x, model)
     for _ in range(20):
         g = RationalMatrix.identity(4)

@@ -10,12 +10,11 @@ from sheet_atlas.realforms import (
     parse_real_form,
     sheet_of_real_form,
     so_star_fixed_degree,
-    su_sheet,
     su_sheet_partition,
     toledo,
     toledo_max,
 )
-from sheet_atlas.sheets import GLLevi
+from sheet_atlas.sheets import GLLevi, gl_sheet
 
 
 def test_su_sheet_partitions():
@@ -50,11 +49,11 @@ def test_quasi_split_iff_all_ones():
 
 
 def test_su_sheet_descriptor():
-    desc = su_sheet(SU(4, 1))  # Levi partition (3, 1, 1), self-conjugate
+    desc = gl_sheet(su_sheet_partition(4, 1))  # Levi partition (3, 1, 1), self-conjugate
     assert desc.levi.m == Partition((3, 1, 1))
     assert desc.nilpotent_orbit == Partition((3, 1, 1))
     assert desc.katsylo_order == 1
-    desc = su_sheet(SU(5, 1))  # Levi partition (4, 1, 1)
+    desc = gl_sheet(su_sheet_partition(5, 1))  # Levi partition (4, 1, 1)
     assert desc.nilpotent_orbit == Partition((3, 1, 1, 1))
     assert desc.katsylo_order == 1
 

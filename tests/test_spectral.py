@@ -5,8 +5,9 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from sheet_atlas.liealg import RationalMatrix, char_poly
 from sheet_atlas.partitions import Partition, partitions_of, profile
-from sheet_atlas.scalars import RatPoly
+from sheet_atlas.scalars import ZERO, RatPoly
 from sheet_atlas.spectral import (
     GradedPolynomial,
     SheetBasePoint,
@@ -19,7 +20,7 @@ from sheet_atlas.spectral import (
     witness_noninjectivity,
 )
 
-from oracles import expand_roots, falling_factorial, gcd_by_euclid, recover_tuple
+from oracles import evaluate, expand_roots, falling_factorial, gcd_by_euclid, recover_tuple
 
 
 def poly_from_roots(roots):
@@ -298,10 +299,10 @@ NON_DIVISOR = GradedPolynomial.from_roots([Fraction(1, 3), Fraction(-5, 7), Frac
 
 
 def test_products_and_division_by_evaluation():
-    """Products and monic division checked by Horner evaluation at rational
-    points, rational factors with denominators and factors with a
-    coefficient in t; divisors with and without a remainder; gcds against
-    leading-coefficient Euclid."""
+    """Products and monic division checked by Horner evaluation
+    (``oracles.evaluate``) at rational points, rational factors with
+    denominators and factors with a coefficient in t; divisors with and
+    without a remainder; gcds against leading-coefficient Euclid."""
     rng = random.Random(2024)
     t = RatPoly.variable("t")
     xs = [Fraction(k, 3) for k in range(-4, 5)]
@@ -315,10 +316,10 @@ def test_products_and_division_by_evaluation():
         for x in xs:
             expected, once = Fraction(1), Fraction(1)
             for i, xi in enumerate(factors, start=1):
-                expected = expected * xi.evaluate(x) ** i
-                once = once * xi.evaluate(x)
-            assert image.evaluate(x) == expected
-            assert minimal.evaluate(x) == once
+                expected = expected * evaluate(xi, x) ** i
+                once = once * evaluate(xi, x)
+            assert evaluate(image, x) == expected
+            assert evaluate(minimal, x) == once
         assert minimal.divides(image)
         # (divisor, whether it divides): large coprime denominators included
         image = image * COPRIME_DIVISOR
@@ -336,7 +337,7 @@ def test_products_and_division_by_evaluation():
                 rem_at_x = Fraction(0)
                 for c in rem:
                     rem_at_x = rem_at_x * x + c
-                assert quo.evaluate(x) * divisor.evaluate(x) + rem_at_x == image.evaluate(x)
+                assert evaluate(quo, x) * evaluate(divisor, x) + rem_at_x == evaluate(image, x)
             if divides is not None:
                 assert (not rem) == divides == divisor.divides(image)
             if trial % 4 != 3:
@@ -607,3 +608,65 @@ def test_scaled_route_against_oracles_over_qt():
         assert GradedPolynomial.from_roots(divisor_roots).divides(image) == expected
         divides_seen.add(expected)
     assert divides_seen == {True, False} and hearts == {True, False}
+
+
+# Root lists for the construction routes: shared and coprime denominators, a
+# zero coefficient ((λ - 1/2)(λ + 1/2) = λ^2 - 1/4), roots r + s t over Q[t]
+# and a zero coefficient over Q[t] ((λ - t)(λ + t) = λ^2 - t^2).
+ROUTE_ROOTS = {
+    "shared": [Fraction(1, 6), Fraction(-5, 6), Fraction(7, 12)],
+    "coprime": [Fraction(1, 3), Fraction(-5, 7), Fraction(11, 13)],
+    "zero": [Fraction(1, 2), Fraction(-1, 2)],
+    "qt": [RatPoly([Fraction(1, 2), 1]), RatPoly([-3, Fraction(2, 3)])],
+    "qt-zero": [RatPoly([0, 1]), RatPoly([0, -1])],
+}
+
+
+def _routes(roots):
+    """(polynomial, its roots) from every construction route."""
+    first, rest = GradedPolynomial.from_roots(roots[:1]), GradedPolynomial.from_roots(roots[1:])
+    whole = GradedPolynomial.from_roots(roots)
+    b = roots[0] + 1
+    # factors of degrees len(roots) and 1: mu_s is whole * (λ - b)^2
+    point = SheetBasePoint(profile(Partition((2, *[1] * len(roots)))), (whole, GradedPolynomial.from_roots([b])))
+    yield whole, roots
+    yield first * rest, roots
+    yield whole**2, roots * 2
+    yield mu_s(point), [*roots, b, b]
+    yield min_poly(point), [*roots, b]
+    quo, rem = (whole * GradedPolynomial.from_roots([b, b])).divmod(GradedPolynomial.from_roots([b]))
+    assert rem == []
+    yield quo, [*roots, b]
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_ROOTS))
+def test_every_construction_route_gives_the_coefficient_built_polynomial(case):
+    """Each route's polynomial equals, hashes and prints like the one built
+    from its coefficients, and its coefficients are those of the expanded
+    roots with the library's types: the shared ZERO for a rational zero,
+    Fractions otherwise, RatPolys over Q[t]."""
+    symbolic, zeros = case.startswith("qt"), 0
+    for p, roots in _routes(ROUTE_ROOTS[case]):
+        degree, text, payload = p.degree, str(p), p.to_json()
+        twin = GradedPolynomial(p.coeffs)
+        assert degree == twin.degree == len(roots)
+        assert p == twin and twin == p and hash(p) == hash(twin)
+        assert text == str(twin) and payload == twin.to_json()
+        assert list(p.coeffs) == expand_roots(roots)[1:]
+        for c in p.coeffs:
+            if symbolic:
+                assert type(c) is RatPoly and c.symbol == "t"
+            else:
+                assert type(c) is Fraction and (c is ZERO or c != 0)
+                zeros += c is ZERO
+    assert (zeros > 0) == (case == "zero")
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_ROOTS))
+def test_char_poly_of_a_diagonal_matrix_is_from_roots(case):
+    """char_poly (built from coefficients) equals from_roots (built from its
+    scaled form) on the diagonal matrix of the roots."""
+    roots = ROUTE_ROOTS[case]
+    cp, p = char_poly(RationalMatrix.diagonal(roots)), GradedPolynomial.from_roots(roots)
+    assert cp == p and p == cp and hash(cp) == hash(p)
+    assert str(cp) == str(p) and cp.to_json() == p.to_json()
