@@ -12,12 +12,14 @@ integers: with rational entries its integer routine reads the stored rows
 once, and a scalar factor is cleared once by
 :func:`~sheet_atlas.scalars.clear`.  Every matrix it makes goes through one
 reduction to the cleared form (:meth:`RationalMatrix.from_cleared`), so
-equal matrices have equal forms.  Fractions are built only for the dense
-view, for the coefficients of a characteristic polynomial and for a
-determinant.  With entries in Q[t] the same integer routine runs at
-t = 0, 1, ..., N for an N that bounds the t-degree of its result
-(:func:`~sheet_atlas.scalars.run`), and the integer values are interpolated
-back exactly.
+equal matrices have equal forms.  A relation [a, b] = k c makes no
+matrix (:func:`bracket_is`): the commutator kernel of :func:`bracket`
+takes AB - BA on the stored rows, and Dc (AB - BA) = k Da Db C is compared
+entry by entry, with no gcd.  Fractions are built only for the dense view,
+a characteristic polynomial and a determinant.  With entries in Q[t] the
+same integer routine runs at t = 0, 1, ..., N for an N that bounds the
+t-degree of its result (:func:`~sheet_atlas.scalars.run`), and the integer
+values are interpolated back exactly.
 There is one elimination, sparse and fraction-free with Markowitz-style
 pivots: its pivot rows give centraliser ranks, on the ad x rows that a
 model fills from its basis, and read back in reverse order they give the
@@ -123,11 +125,14 @@ class RationalMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RationalMatrix":
-        return cls._of_scalars(len(entries), [[(i, x)] for i, x in enumerate(entries)])
+        rows = [[(i, x)] for i, x in enumerate(entries)]
+        # integer entries are their own cleared form over D = 1
+        return cls.from_cleared(len(rows), 1, rows) if all(type(x) is int for x in entries) else cls._of_scalars(len(rows), rows)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
-        return cls._of_scalars(n, [[(j, value)] if r == i else [] for r in range(n)])
+        rows = [[(j, value)] if r == i else [] for r in range(n)]
+        return cls.from_cleared(n, 1, rows) if type(value) is int else cls._of_scalars(n, rows)
 
     @property
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
@@ -177,11 +182,7 @@ class RationalMatrix:
         return RationalMatrix.from_cleared(self.dim, self.den * c[0], _rows(self.nz, values), symbol)
 
     def transpose(self) -> "RationalMatrix":
-        columns: List[list] = [[] for _ in self.nz]
-        for i, row in enumerate(self.nz):
-            for j, v in row:
-                columns[j].append((i, v))
-        return RationalMatrix.from_cleared(self.dim, self.den, columns, self.symbol)
+        return RationalMatrix.from_cleared(self.dim, self.den, _columns(self.nz), self.symbol)
 
     def is_zero(self) -> bool:
         return not any(self.nz)
@@ -225,6 +226,15 @@ def _rows(nz, values: Sequence) -> List[tuple]:
     return [tuple(zip(map(_index, row), it)) for row in nz]
 
 
+def _columns(nz) -> List[list]:
+    """The sparse rows of the transpose of the sparse rows nz."""
+    columns: List[list] = [[] for _ in nz]
+    for i, row in enumerate(nz):
+        for j, v in row:
+            columns[j].append((i, v))
+    return columns
+
+
 def _from_flat(n: int, den: int, values: Sequence, symbol: Optional[str]) -> RationalMatrix:
     """The matrix whose cleared form X over den is the flat row-major list values."""
     return RationalMatrix.from_cleared(n, den, [enumerate(values[i * n : i * n + n]) for i in range(n)], symbol)
@@ -262,6 +272,25 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     # its t-degree is at most m_a + m_b
     values, symbol = _on_integers((a, b), add, lambda ra, rb: _product(ra, rb, commutator=True))
     return _from_flat(a.dim, a.den * b.den, values, symbol)
+
+
+def bracket_is(a: RationalMatrix, b: RationalMatrix, k: int, c: RationalMatrix) -> bool:
+    """Whether [a, b] = k c, for an int k: the integer identity
+    Dc (AB - BA) = k Da Db C on the cleared forms, AB - BA as in
+    :func:`bracket`.  It makes no matrix and no gcd.  Entries in Q[t] take
+    it at max(m_a + m_b, m_c) + 1 values of t."""
+    a._same_dim(b)
+    a._same_dim(c)
+    wc, w = c.den, k * a.den * b.den
+
+    def defect(ra, rb, rc):
+        out = [wc * v for v in _product(ra, rb, commutator=True)]
+        for i, row in enumerate(rc):
+            for j, v in row:
+                out[i * len(ra) + j] -= w * v
+        return out
+
+    return not any(_on_integers((a, b, c), lambda ma, mb, mc: max(ma + mb, mc), defect)[0])
 
 
 def _product(ra: SparseRows, rb: SparseRows, commutator: bool = False) -> List[int]:
@@ -303,7 +332,9 @@ class ClassicalForm:
         if self.kind not in ("symmetric", "antisymmetric"):
             raise ValueError("form kind must be symmetric or antisymmetric")
         sign = 1 if self.kind == "symmetric" else -1
-        if self.gram.transpose() != self.gram.scale(sign):
+        cells = {(i, j): v for i, row in enumerate(self.gram.nz) for j, v in row}
+        # G^T = ±G: each nonzero G[i][j] faces G[j][i] = ±G[i][j] (a zero facing it fails from its side)
+        if any(cells.get((j, i)) != (sign * v if type(v) is int else tuple(sign * c for c in v)) for (i, j), v in cells.items()):
             raise ValueError("gram matrix does not have %s symmetry" % self.kind)
         # one nonzero per row (so per column: G^T = ±G) makes G monomial, hence non-degenerate
         if (self.gram.symbol or any(len(row) != 1 for row in self.gram.nz)) and determinant(self.gram) == 0:
@@ -480,7 +511,7 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     if x.symbol:
         raise ValueError("centraliser dimension needs rational entries")
     n = x.dim
-    row_nz, col_nz = x.nz, x.transpose().nz
+    row_nz, col_nz = x.nz, _columns(x.nz)
     rows = []
     for terms in model.terms:
         out = [0] * (n * n)
@@ -511,15 +542,23 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
 
 
 def _char_poly_ints(nz: SparseRows) -> List[int]:
-    """Coefficients c_1, ..., c_n of det(λ - X) for sparse integer rows X."""
+    """Coefficients c_1, ..., c_n of det(λ - X) for sparse integer rows X, by
+    c_k = -tr(X M_{k-1}) / k, M_k = X M_{k-1} + c_k I from M_0 = I: M_1 =
+    X + c_1 I needs no product and c_n only the trace of X M_{n-1}, so n - 2
+    full products are taken, each row from its first nonzero."""
     n = len(nz)
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs: List[int] = []
-    for k in range(1, n + 1):
+    ck = -sum(v for i, row in enumerate(nz) for j, v in row if i == j)
+    coeffs = [ck] if n else []
+    m = [[0] * n for _ in nz]
+    for i, (mi, row) in enumerate(zip(m, nz)):
+        for j, v in row:
+            mi[j] = v
+        mi[i] += ck
+    for k in range(2, n):
         prod = []
         for row in nz:
-            out = [0] * n
-            for j, v in row:
+            out = [row[0][1] * w for w in m[row[0][0]]] if row else [0] * n
+            for j, v in row[1:]:
                 out = [o + v * w for o, w in zip(out, m[j])]
             prod.append(out)
         ck = -sum(prod[i][i] for i in range(n)) // k
@@ -527,6 +566,8 @@ def _char_poly_ints(nz: SparseRows) -> List[int]:
         for i in range(n):
             prod[i][i] += ck
         m = prod
+    if n > 1:
+        coeffs.append(-sum(v * m[j][i] for i, row in enumerate(nz) for j, v in row) // n)
     return coeffs
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import count
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
@@ -125,18 +125,15 @@ class GradedPolynomial:
         roots = [as_scalar(r) for r in roots]
         form = clear(roots)
 
-        def expand(a):
-            return reduce(_int_convolve, [[-v] for v in a], [1])[1:]
+        def expand(a):  # times μ - A for each root A, in place from the top down
+            c = [1] + [0] * len(a)
+            for d, v in enumerate(a, 1):
+                if v:
+                    for k in range(d, 0, -1):
+                        c[k] -= v * c[k - 1]
+            return c[1:]
 
         return _graded(form[0], *run([form], lambda: sum(map(t_degree, roots)) + 1, expand))
-
-    @classmethod
-    def from_dense(cls, dense: Sequence) -> "GradedPolynomial":
-        """From descending-power coefficients; leading coefficient must be 1."""
-        dense = [as_scalar(c) for c in dense]
-        if not dense or dense[0] != 1:
-            raise ValueError("graded polynomials are monic")
-        return cls(tuple(dense[1:]))
 
     def dense(self) -> List[Scalar]:
         """Descending-power coefficient list [1, a_1, ..., a_d]."""

@@ -14,9 +14,12 @@ squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer, and
 :func:`descriptor_from_json`, which reads a record back from its dict form
-for the round-trip tests (the library only writes records), and
+for the round-trip tests (the library only writes records),
 :func:`descriptor_to_json`, the record as a dict built field by field from
-the descriptor, against which the library's text writer is checked.
+the descriptor, against which the library's text writer is checked, and
+two test inputs: :func:`graded_from_dense`, a graded polynomial from its
+dense coefficients, and :func:`sp4_triple`, the printed rank-2 symplectic
+subregular triple.
 """
 from __future__ import annotations
 
@@ -24,10 +27,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Sequence
 
+from sheet_atlas.liealg import RationalMatrix
 from sheet_atlas.partitions import MultiplicityProfile, Partition
-from sheet_atlas.scalars import poly_trim
+from sheet_atlas.scalars import as_scalar, poly_trim
 from sheet_atlas.sheets import F4B3Levi, FullGroupLevi, GLLevi, MaxLevi, SheetDescriptor, TorusLevi, parse_kind
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
+from sheet_atlas.triples import Sl2Triple, sp4_e, sp4_model
 
 
 def partition_count(n: int) -> int:
@@ -245,6 +250,35 @@ def evaluate(poly: GradedPolynomial, value):
     return out
 
 
+def graded_from_dense(dense: Sequence) -> GradedPolynomial:
+    """From descending-power coefficients; leading coefficient must be 1."""
+    dense = [as_scalar(c) for c in dense]
+    if not dense or dense[0] != 1:
+        raise ValueError("graded polynomials are monic")
+    return GradedPolynomial(tuple(dense[1:]))
+
+
+def sp4_h() -> RationalMatrix:
+    return RationalMatrix.diagonal([1, 1, -1, -1])
+
+
+def sp4_f() -> RationalMatrix:
+    return RationalMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def sp4_triple() -> Sl2Triple:
+    """The standard subregular triple, adapted to the flag (1, 3, 4)."""
+    return Sl2Triple(
+        e=sp4_e(),
+        h=sp4_h(),
+        f=sp4_f(),
+        model=sp4_model(),
+        flag_dims=(1, 3, 4),
+        abelianization_value=Fraction(1),
+        label="sp4:subregular-triple",
+    )
+
+
 def falling_factorial(t, start: int, count: int):
     """(t - start)(t - start - 1)...(t - start - count + 1): zero at `count`
     consecutive integers, nonzero at the next one."""
@@ -277,7 +311,7 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
             raise AssertionError("squarefree decomposition did not terminate")
         diff = _sub(w, _derivative(v))
         a = gcd_by_euclid(v, diff) or [Fraction(1)]
-        factors.append(GradedPolynomial.from_dense(a))
+        factors.append(graded_from_dense(a))
         v, rem = long_division(v, a)
         assert not rem
         w, rem = long_division(diff, a)

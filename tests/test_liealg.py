@@ -20,9 +20,9 @@ from sheet_atlas.liealg import (
 from sheet_atlas.scalars import ZERO, RatPoly
 from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
-from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_f, sp4_h, sp4_model, sp4_slice
+from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
-from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination
+from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h
 
 
 def test_bracket_sp4_triple():
@@ -81,6 +81,58 @@ def test_char_poly_against_cofactor_expansion():
         expected = charpoly_by_expansion(rows)
         expected = [Fraction(0)] * (n + 1 - len(expected)) + expected
         assert [Fraction(c) for c in got] == expected
+
+
+def _char_poly_and_determinant_match_expansion(x):
+    """char_poly(x) against cofactor expansion, and over Q the determinant
+    against (-1)^n times its constant term."""
+    n = x.dim
+    expected = charpoly_by_expansion([list(r) for r in x.rows])
+    assert len(expected) == n + 1
+    assert char_poly(x).dense() == expected
+    if x.symbol is None:
+        assert determinant(x) == (-1) ** n * expected[-1]
+
+
+def _sparse_entry(rng, kind):
+    if rng.random() < 0.55:
+        return 0
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "rational" or rng.random() < 0.5:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
+
+
+def test_char_poly_kernel_edge_cases():
+    """The trimmed trace recursion takes its first step without a product
+    and its last as a trace alone; they meet at n = 2, and n = 1 takes
+    neither.  Small sizes, empty and singleton rows, diagonal and triangular
+    matrices up to n = 6, and seeded sparse integer, rational and Q[t] ones
+    up to n = 7, against cofactor expansion."""
+    t = RatPoly.variable()
+    cases = [RationalMatrix([[a]]) for a in (0, 3, Fraction(-2, 5), t, t * t - 1)]
+    cases += [RationalMatrix(rows) for rows in ([[1, 2], [3, 4]], [[0, 1], [0, 0]], [[Fraction(1, 2), 0], [t, -1]])]
+    cases += [RationalMatrix([[2, 1, 0], [0, 0, 0], [5, Fraction(1, 3), -1]]), RationalMatrix([[0, 0, 0], [1, 2, 3], [t, 0, 1]])]
+    for n in range(1, 7):
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        perm = [[Fraction(i + 2, 3) if j == (i * 3 + 1) % n else 0 for j in range(n)] for i in range(n)]
+        cases += [RationalMatrix(shift), RationalMatrix(perm), RationalMatrix.diagonal([Fraction(i - 2, i + 1) for i in range(n)])]
+        upper = [[Fraction(i + j + 1, j + 2) if j >= i else 0 for j in range(n)] for i in range(n)]
+        cases += [RationalMatrix(upper), RationalMatrix(upper).transpose()]
+        empty_row = [[Fraction(i * n + j - 3, 2) if i != n // 2 else 0 for j in range(n)] for i in range(n)]
+        cases.append(RationalMatrix(empty_row))
+    rng = random.Random(4241)
+    for n in range(1, 8):
+        for kind in ("int", "rational", "qt"):
+            drawn = 0
+            while drawn < (3 if n < 7 else 1):
+                x = RationalMatrix([[_sparse_entry(rng, kind) for _ in range(n)] for _ in range(n)])
+                if (x.symbol is not None) == (kind == "qt"):
+                    cases.append(x)
+                    drawn += 1
+    for x in cases:
+        _char_poly_and_determinant_match_expansion(x)
 
 
 def test_model_dimensions():
@@ -288,6 +340,14 @@ def test_classical_form_validation():
         ClassicalForm("symmetric", RationalMatrix([[0, 1], [-1, 0]]))
     with pytest.raises(ValueError):
         ClassicalForm("antisymmetric", RationalMatrix([[0, 0], [0, 0]]))
+    # G^T = ±G read on the cleared entries: a nonzero facing a zero, or a
+    # nonzero diagonal entry of an antisymmetric matrix, fails either way
+    t = RatPoly.variable()
+    for kind, rows in [("symmetric", [[0, 1], [0, 0]]), ("antisymmetric", [[0, 0], [1, 0]]), ("antisymmetric", [[1, 0], [0, -1]]),
+                       ("symmetric", [[0, t], [t + 1, 0]]), ("antisymmetric", [[0, t], [t, 0]])]:
+        with pytest.raises(ValueError, match="symmetry"):
+            ClassicalForm(kind, RationalMatrix(rows))
+    ClassicalForm("antisymmetric", RationalMatrix([[0, Fraction(2, 3)], [Fraction(-2, 3), 0]]))
     assert determinant(so_gram(4).gram) in (Fraction(1), Fraction(-1))
 
 
@@ -643,6 +703,11 @@ def test_cleared_form_is_canonical():
             assert all(type(v) is Fraction for r in z.rows for v in r)
         assert bracket(x, y) == x @ y - y @ x and hash(bracket(x, y)) == hash(x @ y - y @ x)
         assert RationalMatrix.from_json(x.to_json()) == x
+        # integer diagonals and units are written as their own cleared form
+        ints = [rng.randint(-3, 3) for _ in range(n)]
+        for z, dense in [(RationalMatrix.diagonal(ints), [[v if i == j else 0 for j in range(n)] for i, v in enumerate(ints)]),
+                         (RationalMatrix.unit(n, n - 1, 0, ints[0]), [[ints[0] if (i, j) == (n - 1, 0) else 0 for j in range(n)] for i in range(n)])]:
+            assert (z.den, z.nz, z.symbol) == (RationalMatrix(dense).den, RationalMatrix(dense).nz, None) and z == RationalMatrix(dense)
 
         # a matrix over Q[t]: den is the lcm over every coefficient of every
         # entry, and the view shows every entry as a polynomial in t

@@ -20,7 +20,7 @@ from sheet_atlas.spectral import (
     witness_noninjectivity,
 )
 
-from oracles import evaluate, expand_roots, falling_factorial, gcd_by_euclid, recover_tuple
+from oracles import evaluate, expand_roots, falling_factorial, gcd_by_euclid, graded_from_dense, recover_tuple
 
 
 def poly_from_roots(roots):
@@ -485,7 +485,7 @@ def test_recover_tuple_inverts_mu_s():
 
 def test_monic_division_rejects_nonmonic():
     with pytest.raises(ValueError):
-        GradedPolynomial.from_dense([2, 1])
+        graded_from_dense([2, 1])
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=4))

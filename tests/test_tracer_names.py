@@ -8,20 +8,20 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from sheet_atlas import partitions
+from sheet_atlas import liealg, partitions, sheets
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     for layer, name, modname, attr in tracer.FUNCTIONS:
         assert layer in tracer.LAYERS, (layer, name)
         mod = importlib.import_module(modname)
@@ -38,3 +38,26 @@ def test_every_traced_name_resolves():
 def test_partitions_of_is_a_generator_function():
     # the tracer's partitions.yielded counter wraps it as a generator
     assert inspect.isgeneratorfunction(partitions.partitions_of)
+
+
+def test_rank_rows_keep_the_shape_the_tracer_counts(monkeypatch):
+    """The tracer counts liealg.rank_entries as len(rows) * len(rows[0]) of
+    the argument of fraction_free_rank.  That measures the same work only
+    while every sheet-points case, at a rational z, hands the elimination
+    one row per basis element of the model, each of n^2 entries."""
+    gen, ops = _load("gen"), _load("ops")
+    shapes = []
+    rank = liealg.fraction_free_rank
+
+    def recorded(rows):
+        shapes.append((len(rows), {len(row) for row in rows}))
+        return rank(rows)
+
+    monkeypatch.setattr(liealg, "fraction_free_rank", recorded)
+    cases = gen._point_cases()
+    for n, case in cases:
+        shapes.clear()
+        assert ops.sheet_point((case, 3, 7, False))[0] == "rational"
+        dimension = n * n if case[0] == "gl" else liealg.build_model(sheets.GroupKind(case[1], case[2])).dimension
+        assert shapes == [(dimension, {n * n})], case
+    assert len(cases) > 80

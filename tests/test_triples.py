@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,11 +19,10 @@ from sheet_atlas.triples import (
     sp4_flip_matrix,
     sp4_model,
     sp4_slice,
-    sp4_triple,
 )
 from sheet_atlas.triples import _block_diagonal, _strictly_block_upper
 
-from oracles import flag_condition_by_scan
+from oracles import flag_condition_by_scan, sp4_triple
 
 
 def all_bcd_cases(max_n):
@@ -305,3 +305,42 @@ def test_triple_with_halved_e_and_doubled_f_constructs():
         assert not _failed_by_products(_fields(scaled))
         assert all(ok for _, ok, _ in scaled.checks())
         assert e_half.den == 2
+
+
+def _failed_by_checks(trip_fields):
+    """Names of the failing checks of Sl2Triple.checks on the fields, with no
+    construction (which would raise on the first failure)."""
+    e, h, f, model, flag_dims, hp = trip_fields
+    fields = SimpleNamespace(e=e, h=h, f=f, model=model, flag_dims=flag_dims, h_prime=hp, abelianization_value=1)
+    return [name for name, ok, _ in Sl2Triple.checks(fields) if not ok]
+
+
+def test_checks_agree_with_the_product_oracle_under_faults():
+    """For every triple with n <= 8, each single fault fails exactly the
+    checks that matrix products say it fails: 3/7 added at a corner, on the
+    diagonal or on a nonzero entry of e, f, h or h' (which may leave every
+    relation true: h' + (3/7) h' still centralises e); f doubled; and e
+    halved with f doubled, which still passes."""
+    faults_seen = 0
+    for trip in _workload_triples(8):
+        n = trip.e.dim
+        changes = [{"f": trip.f.scale(2)}, {"e": trip.e.scale(Fraction(1, 2)), "f": trip.f.scale(2)}]
+        for name in ("e", "f", "h", "h_prime"):
+            x = getattr(trip, name)
+            if x is None:
+                continue
+            first = next(((r, row[0][0]) for r, row in enumerate(x.nz) if row), (1, 0))
+            for cell in {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), first}:
+                changes.append({name: _plus_unit(x, *cell)})
+        for change in changes:
+            fields = _fields(trip, **change)
+            failed = _failed_by_products(fields)
+            assert _failed_by_checks(fields) == failed, (trip.label, change)
+            if not failed:
+                replace(trip, **change)
+                continue
+            with pytest.raises(ValueError, match="failed check %s$" % re.escape(repr(failed[0]))):
+                replace(trip, **change)
+            faults_seen += 1
+        assert not _failed_by_products(_fields(trip, **changes[1]))
+    assert faults_seen >= 600
