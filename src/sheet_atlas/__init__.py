@@ -34,15 +34,7 @@ from .sheets import (
     type_d,
 )
 from .triples import Sl2Triple, build_bcd_triple, build_gl_triple, sp4_flip_action, sp4_slice
-from .hitchin import (
-    component_count,
-    dim_hitchin_base,
-    dim_hitchin_base_sp4,
-    dim_s_hitchin_base_gln,
-    dim_s_hitchin_base_sp4_dix,
-    h0_canonical_power,
-    s_cameral_degree,
-)
+from .hitchin import component_count, dim_hitchin_base, h0_canonical_power, s_cameral_degree
 from .multiplicity import SlicePoint, inertia_order, orbit_method_multiplicity, polarisation_orbit_count
 from .realforms import SU, SOStar, abelianized_fiber_dim_is_positive, sheet_of_real_form, toledo, toledo_max
 

@@ -174,15 +174,15 @@ def cmd_triple_verify(args) -> int:
     if case.startswith("gl:"):
         m1, m2 = (int(v) for v in case[3:].split(","))
         trip = triples.build_gl_triple(m1, m2)
-        expected = m1 * m1 + m2 * m2
+        kind, levi = sheets.type_a(m1 + m2), GLLevi(Partition((m1, m2)))
     elif case.startswith("bcd:"):
         fam, a, res = case[4:].split(",")
         kind = _bcd_kind(fam, int(a), int(res))
         levi = MaxLevi(int(a), int(res))
         trip = triples.build_bcd_triple(kind, levi)
-        expected = sheets.max_levi_dim(kind, levi)
     else:
         raise ValueError("unknown case %r; use gl:m1,m2 | bcd:kind,a,res | sp4-slice" % case)
+    expected = sheets.find_sheet(kind, levi).d
     checks = trip.checks()
     got = centralizer_dim(trip.e, trip.model)
     checks.append(("centraliser dim = dim L", got == expected, "%d vs %d" % (got, expected)))

@@ -2,14 +2,15 @@
 
 Everything here is exact integer arithmetic driven by the dimension of
 spaces of sections of powers of the canonical bundle on a curve of genus
-g >= 2: g sections for the first power, (2j-1)(g-1) for the j-th.
+g >= 2: g sections for the first power, (2j-1)(g-1) for the j-th.  A base
+dimension has one route, from the group or from a sheet's slice weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
 
-from .partitions import Partition, profile
+from .partitions import profile
 from .sheets import GLLevi, GroupKind, SheetDescriptor, TorusLevi
 
 
@@ -53,31 +54,6 @@ def dim_hitchin_base(kind: GroupKind, g: int) -> int:
     if g < 2:
         raise ValueError("genus must be at least 2")
     return (g - 1) * kind.dim + (1 if kind.family == "A" else 0)
-
-
-def dim_hitchin_base_sp4(g: int) -> int:
-    """Rank-2 symplectic base: h0(K^2) + h0(K^4) = 10(g-1)."""
-    return h0_canonical_power(g, 2) + h0_canonical_power(g, 4)
-
-
-def dim_s_hitchin_base_gln(m: Partition, g: int) -> int:
-    """Reduced-base dimension for the gl sheet of the Levi partition m.
-
-    Double sum over the multiplicity profile: for each part size i with
-    l_i parts, the coordinates contribute section spaces of weights 1..l_i.
-    """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    prof = profile(m)
-    return sum(h0_canonical_power(g, j) for _, li in prof.items() for j in range(1, li + 1))
-
-
-def dim_s_hitchin_base_sp4_dix(g: int) -> int:
-    """Coarse dimension of the distinguished component for the rank-2
-    symplectic sheet with residual group of order 2: one weight-1 line."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    return g
 
 
 def component_count(katsylo_order: int, g: int) -> int:

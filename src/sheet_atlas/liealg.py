@@ -15,11 +15,12 @@ reduction to the cleared form (:meth:`RationalMatrix.from_cleared`), so
 equal matrices have equal forms.  A relation [a, b] = k c makes no
 matrix (:func:`bracket_is`): the commutator kernel of :func:`bracket`
 takes AB - BA on the stored rows, and Dc (AB - BA) = k Da Db C is compared
-entry by entry, with no gcd.  Fractions are built only for the dense view,
-a characteristic polynomial and a determinant.  With entries in Q[t] the
-same integer routine runs at t = 0, 1, ..., N for an N that bounds the
-t-degree of its result (:func:`~sheet_atlas.scalars.run`), and the integer
-values are interpolated back exactly.
+entry by entry, with no gcd.  Fractions are built only for the dense view
+and a determinant; a characteristic polynomial is returned in its scaled
+form (D, c_k = D^k a_k) and builds its coefficients on first read.  With
+entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for an N
+that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
+and the integer values are interpolated back exactly.
 There is one elimination, sparse and fraction-free with Markowitz-style
 pivots: its pivot rows give centraliser ranks, on the ad x rows that a
 model fills from its basis, and read back in reverse order they give the
@@ -32,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
@@ -50,7 +51,7 @@ from .scalars import (
     run,
     scalars_over,
 )
-from .spectral import GradedPolynomial
+from .spectral import GradedPolynomial, _graded
 
 
 SparseRows = Sequence[Sequence[Tuple[int, int]]]
@@ -530,15 +531,14 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
 
     Uses the trace recursion (Faddeev-LeVerrier) on the integer matrix
     X = D x (D the lcm of the denominators), where each division by k is
-    exact, and the coefficients c_k of X give those of x as a_k = c_k / D^k.
-    With entries in Q[t] of t-degree at most m, c_k is a sum of products of
-    k entries of X and so has t-degree at most k m: the recursion runs at
-    n m + 1 values of t, and every a_k is returned as a polynomial in t.
+    exact.  The coefficients c_k of X are D^k a_k, so (D, c) is already the
+    scaled form of the answer, which is returned as it is.  With entries in
+    Q[t] of t-degree at most m, c_k is a sum of products of k entries of X
+    and so has t-degree at most k m: the recursion runs at n m + 1 values
+    of t, and every c_k is returned as a polynomial in t.
     """
     n = x.dim
-    values, symbol = _on_integers((x,), lambda m: n * m, _char_poly_ints)
-    # the denominators of a_1, ..., a_n are D, D^2, ..., D^n
-    return GradedPolynomial._trusted(scalars_over(values, accumulate(repeat(x.den, n), mul), symbol))
+    return _graded(x.den, *_on_integers((x,), lambda m: n * m, _char_poly_ints))
 
 
 def _char_poly_ints(nz: SparseRows) -> List[int]:

@@ -26,7 +26,10 @@ class RatPoly:
     """Univariate polynomial with Fraction coefficients in one formal symbol.
 
     Coefficients are stored in ascending degree with trailing zeros trimmed;
-    the zero polynomial has an empty coefficient tuple.
+    the zero polynomial has an empty coefficient tuple.  A value type for
+    matrix entries and graded coefficients: ring operations, comparison,
+    hashing and printing.  Division and gcds of polynomials in λ run on the
+    integer kernel (:func:`scaled_divmod`, :func:`poly_gcd`).
     """
 
     __slots__ = ("coeffs", "symbol")
@@ -66,11 +69,6 @@ class RatPoly:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def _sym(self, other: "RatPoly") -> str:
         if self.coeffs and other.coeffs and self.symbol != other.symbol:
@@ -119,26 +117,11 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c / other for c in self.coeffs], self.symbol)
-        quo, rem = self.divmod(_to_ratpoly(other, self.symbol))
-        if not rem.is_zero():
-            raise ValueError("inexact polynomial division")
-        return quo
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative exponent")
-        out = RatPoly.constant(1, self.symbol)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def divmod(self, other: "RatPoly"):
         """Exact Euclidean division in Q[t]: p / lead(p) by q / lead(q) by
         :func:`scaled_divmod`, the quotient scaled back by lead(p) / lead(q)
-        and the remainder by lead(p)."""
+        and the remainder by lead(p).  Unused in the library: kept only for
+        the benchmark tracer, which wraps it by name."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         sym = self._sym(other)
@@ -154,18 +137,10 @@ class RatPoly:
         return RatPoly([c / other.coeffs[-1] for c in out[nquo::-1]], sym), RatPoly(out[:nquo:-1], sym)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic gcd over Q[t], by :func:`poly_gcd`."""
+        """Monic gcd over Q[t], by :func:`poly_gcd`.  Unused in the library:
+        kept only for the benchmark tracer, which wraps it by name."""
         other = _to_ratpoly(other, self.symbol)
         return RatPoly(poly_gcd(self.coeffs[::-1], other.coeffs[::-1])[::-1], self._sym(other))
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.symbol)
-
-    def __call__(self, value):
-        out = Fraction(0) if isinstance(value, (int, Fraction)) else RatPoly([], self.symbol)
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
 
     def __eq__(self, other):
         # constants equal each other and their int or Fraction value in any

@@ -697,6 +697,8 @@ def find_sheet(kind: GroupKind, levi: Optional[LeviLabel]) -> SheetDescriptor:
     symplectic table when it applies.  Ranks above MAX_RANK are refused."""
     check_rank(kind)
     if kind.family == "F4":
+        if levi is not None:
+            raise ValueError("F4 has one classified sheet, f4:B3, and takes no Levi label")
         return f4_b3_sheet()
     if kind.family == "A":
         if not isinstance(levi, GLLevi):

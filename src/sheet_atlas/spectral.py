@@ -8,7 +8,10 @@ map multiplies the i-th factor in with multiplicity i.
 Coefficients are rationals or polynomials in one parameter t.  Every
 operation reads a monic p = λ^d + a_1 λ^{d-1} + ... + a_d as the pair (D, P),
 P(μ) = D^d p(μ/D), monic with integer coefficients c_k = D^k a_k; a result
-stores only (D, P) and builds its coefficients on first read.  Roots A/D
+stores only (D, P) and builds its coefficients on first read, and so does a
+characteristic polynomial (:func:`~sheet_atlas.liealg.char_poly`), whose
+trace recursion on D x yields c_k directly.  Only polynomials built from
+coefficients (``GradedPolynomial(coeffs)``) store them.  Roots A/D
 give P = prod (μ - A) in one pass; products rescale each P_i to D = lcm(D_i)
 (c_k -> c_k (D/D_i)^k) and convolve; monic division is synthetic division in
 Z[μ] after the same rescaling.  Over Q[t] the same routine runs on P(t0) at
@@ -65,21 +68,15 @@ class GradedPolynomial:
 
     Every operation reads the scaled form ``_scaled`` = (D, c, symbol):
     P(μ) = D^d a(μ/D) = μ^d + c_1 μ^{d-1} + ... + c_d, c_k = D^k a_k in Z or
-    Z[symbol].  A polynomial made by an operation stores only that form and
-    builds ``coeffs`` on first read; one made from coefficients stores them
-    and clears them on first use.  ``degree`` is set from either.
+    Z[symbol], for any D that makes them so.  A polynomial made by an
+    operation (``char_poly`` included) stores only that form and builds
+    ``coeffs`` on first read; one made from coefficients stores them and
+    clears them on first use.  ``degree`` is set from either.
     """
 
     def __init__(self, coeffs: Sequence = ()):
         coeffs = tuple(as_scalar(c) for c in coeffs)
         self.__dict__.update(coeffs=coeffs, degree=len(coeffs))
-
-    @classmethod
-    def _trusted(cls, coeffs) -> "GradedPolynomial":
-        # internal: coefficients already exact scalars
-        out = object.__new__(cls)
-        out.__dict__.update(coeffs=tuple(coeffs), degree=len(coeffs))
-        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")

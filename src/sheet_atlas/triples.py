@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket, bracket_is, build_model, in_algebra, sp_gram
+from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket_is, build_model, in_algebra, sp_gram
 from .partitions import Partition
 from .scalars import RatPoly, as_scalar, clear, cleared_degree, run
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
@@ -135,8 +135,8 @@ def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
     n = m1 + m2 <= MAX_TRIPLE_SIZE.
 
     e shifts the second block onto the head of the first, f shifts back,
-    and h is defined as [e, f] (the diagonal +1 on 1..m2, 0 on m2+1..m1,
-    -1 on m1+1..n); the abelianisation pairing is
+    and h is the diagonal +1 on 1..m2, 0 on m2+1..m1, -1 on m1+1..n, so
+    [e, f] = h is checked, not assumed; the abelianisation pairing is
     (x1, x2) -> m2 tr(x1) - m1 tr(x2) and evaluates to m2*n on h.
     For m1 > m2 an extra diagonal element h' commuting with e carries a
     nonzero abelianisation value m2.
@@ -147,7 +147,7 @@ def build_gl_triple(m1: int, m2: int) -> Sl2Triple:
     _check_size(n)
     e = RationalMatrix.from_cleared(n, 1, [[(m1 + k, 1)] if k < m2 else [] for k in range(n)])
     f = e.transpose()
-    h = bracket(e, f)
+    h = RationalMatrix.diagonal([1] * m2 + [0] * (m1 - m2) + [-1] * m2)
     abel = _gl_abelianisation(h, m1, m2)
     h_prime = None
     if m1 > m2:

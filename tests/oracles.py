@@ -3,13 +3,16 @@
 These deliberately take different computational routes from the library:
 partition counts by Euler's pentagonal recurrence, diagram transposition by
 cells, type A sheet records from those cells, Hitchin base dimensions by
-summing over listed invariant degrees, flag conditions by a dense scan,
+summing over listed invariant degrees, the paper's worked-example closed
+forms for the rank-2 symplectic and type A bases (the library has only the
+general routes), flag conditions by a dense scan,
 polynomial products by the plain double loop over Fractions,
 determinant by cofactor expansion over dense polynomial entries, rank by
 plain rational elimination, polynomial gcd by leading-coefficient Euclid
 over plain rational long division, polynomials from their roots by
 multiplying in one linear factor at a time, a graded polynomial's value
-by Horner's rule over its dense coefficients, and tuple recovery by
+and a RatPoly's value by Horner's rule over their coefficients (the
+library's RatPoly is a value type with no evaluation), and tuple recovery by
 squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
 check the degree bounds of the specialisation layer, and
@@ -29,7 +32,7 @@ from typing import Callable, List, Sequence
 
 from sheet_atlas.liealg import RationalMatrix
 from sheet_atlas.partitions import MultiplicityProfile, Partition
-from sheet_atlas.scalars import as_scalar, poly_trim
+from sheet_atlas.scalars import RatPoly, as_scalar, poly_trim
 from sheet_atlas.sheets import F4B3Levi, FullGroupLevi, GLLevi, MaxLevi, SheetDescriptor, TorusLevi, parse_kind
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 from sheet_atlas.triples import Sl2Triple, sp4_e, sp4_model
@@ -100,9 +103,14 @@ def gl_record_fields(m: Partition) -> dict:
     }
 
 
+def _h0(g: int, d: int) -> int:
+    """h0(K^d) on a genus-g curve: g sections for d = 1, (2d - 1)(g - 1)
+    otherwise."""
+    return g if d == 1 else (2 * d - 1) * (g - 1)
+
+
 def hitchin_base_by_degrees(family: str, r: int, g: int) -> int:
-    """Sum of h0(K^d) over the listed invariant degrees d of the group:
-    g sections for d = 1, (2d - 1)(g - 1) otherwise."""
+    """Sum of h0(K^d) over the listed invariant degrees d of the group."""
     degrees = {
         "A": list(range(1, r + 1)),
         "B": [2 * i for i in range(1, r + 1)],
@@ -110,7 +118,26 @@ def hitchin_base_by_degrees(family: str, r: int, g: int) -> int:
         "D": [2 * i for i in range(1, r)] + [r],
         "F4": [2, 6, 8, 12],
     }[family]
-    return sum(g if d == 1 else (2 * d - 1) * (g - 1) for d in degrees)
+    return sum(_h0(g, d) for d in degrees)
+
+
+def dim_hitchin_base_sp4(g: int) -> int:
+    """The paper's rank-2 symplectic full base: h0(K^2) + h0(K^4), which is
+    10(g - 1)."""
+    return _h0(g, 2) + _h0(g, 4)
+
+
+def dim_s_hitchin_base_gln(m: Partition, g: int) -> int:
+    """The paper's double sum for the reduced base of the gl sheet of m:
+    for each part size i with l_i parts (the conjugate's steps), one
+    section space of each weight 1, ..., l_i."""
+    return sum(_h0(g, j) for li in profile_by_conjugate_steps(m).values() for j in range(1, li + 1))
+
+
+def dim_s_hitchin_base_sp4_dix(g: int) -> int:
+    """The paper's distinguished component for the rank-2 symplectic sheet
+    with residual group of order 2: one weight-1 line, h0(K) = g."""
+    return _h0(g, 1)
 
 
 def flag_condition_by_scan(rows, flag_dims: Sequence[int], allowed: Callable[[int, int], bool]) -> bool:
@@ -241,13 +268,32 @@ def expand_roots(roots: Sequence) -> List:
     return dense
 
 
-def evaluate(poly: GradedPolynomial, value):
-    """poly(value) by Horner's rule over [1, a_1, ..., a_d], in plain scalar
-    (Fraction or RatPoly) arithmetic."""
+def horner(coeffs: Sequence, value):
+    """The polynomial with descending coefficients ``coeffs`` at ``value``,
+    by Horner's rule in plain scalar (Fraction or RatPoly) arithmetic."""
     out = Fraction(0)
-    for c in poly.dense():
+    for c in coeffs:
         out = out * value + c
     return out
+
+
+def evaluate(poly: GradedPolynomial, value):
+    """poly(value) by Horner's rule over [1, a_1, ..., a_d]."""
+    return horner(poly.dense(), value)
+
+
+def power(x, k: int):
+    """x^k for k >= 1 by k - 1 plain scalar multiplications."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def value_at(x, t0):
+    """A scalar at t = t0: a RatPoly by Horner's rule over its coefficients,
+    any other scalar being constant."""
+    return horner(x.coeffs[::-1], t0) if isinstance(x, RatPoly) else x
 
 
 def graded_from_dense(dense: Sequence) -> GradedPolynomial:
@@ -282,7 +328,7 @@ def sp4_triple() -> Sl2Triple:
 def falling_factorial(t, start: int, count: int):
     """(t - start)(t - start - 1)...(t - start - count + 1): zero at `count`
     consecutive integers, nonzero at the next one."""
-    out = t**0
+    out = RatPoly.constant(1, t.symbol)
     for i in range(start, start + count):
         out = out * (t - i)
     return out

@@ -14,12 +14,7 @@ import time
 from fractions import Fraction
 
 from sheet_atlas.cli import data_dir, render_table1, render_table2
-from sheet_atlas.hitchin import (
-    component_count,
-    dim_hitchin_base_sp4,
-    dim_s_hitchin_base,
-    dim_s_hitchin_base_gln,
-)
+from sheet_atlas.hitchin import component_count, dim_hitchin_base, dim_s_hitchin_base
 from sheet_atlas.liealg import RationalMatrix, centralizer_dim, char_poly, in_algebra
 from sheet_atlas.multiplicity import SlicePoint, orbit_method_multiplicity, polarisation_orbit_count
 from sheet_atlas.partitions import Partition, is_valid_orbit_partition, partitions_of, profile
@@ -55,7 +50,7 @@ from sheet_atlas.triples import (
     sp4_slice,
 )
 
-from oracles import descriptor_from_json, recover_tuple
+from oracles import descriptor_from_json, dim_hitchin_base_sp4, dim_s_hitchin_base_gln, recover_tuple
 
 
 def _accept(name: str):
@@ -235,7 +230,7 @@ def test_dimension_calculus():
     double-sum formulas agree on all partitions of n <= 10; component
     count 16 at genus 2 for residual order 2."""
     for g in (2, 3, 4):
-        assert dim_hitchin_base_sp4(g) == 10 * (g - 1)
+        assert dim_hitchin_base(type_c(2), g) == dim_hitchin_base_sp4(g) == 10 * (g - 1)
     for n in range(1, 11):
         for m in partitions_of(n):
             from sheet_atlas.sheets import gl_sheet

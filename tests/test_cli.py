@@ -202,6 +202,23 @@ def test_domain_error_exit_code():
     assert "error:" in out.stderr
 
 
+def test_f4_refuses_a_levi_label():
+    """F4 has one classified sheet: a Levi label is refused (exit 1, an
+    error line, nothing on stdout) instead of answering the f4:B3 record."""
+    for argv in (
+        ["sheet-info", "--kind", "F4", "--levi", "1,2"],
+        ["sheets", "--kind", "F4", "--levi", "7,9"],
+        ["sheets", "--kind", "F4", "--levi", "1,2", "--json"],
+        ["hitchin-dim", "--genus", "2", "--kind", "F4", "--levi", "1,2"],
+    ):
+        code, out, err = _serve(argv)
+        assert (code, out) == (1, "") and err.startswith("error:") and "no Levi label" in err, argv
+    code, out, _ = _serve(["sheet-info", "--kind", "F4"])
+    assert code == 0 and json.loads(out)["name"] == "f4:B3"
+    code, out, _ = _serve(["hitchin-dim", "--genus", "2", "--kind", "F4", "--json"])
+    assert code == 0 and json.loads(out)["dim_base"] == 52
+
+
 def test_parse_error_exit_code():
     run_cli("sheets", expect=2)
 

@@ -3,10 +3,7 @@ import pytest
 from sheet_atlas.hitchin import (
     component_count,
     dim_hitchin_base,
-    dim_hitchin_base_sp4,
     dim_s_hitchin_base,
-    dim_s_hitchin_base_gln,
-    dim_s_hitchin_base_sp4_dix,
     h0_canonical_power,
     invariant_degrees,
     s_cameral_degree,
@@ -15,7 +12,7 @@ from sheet_atlas.hitchin import (
 from sheet_atlas.partitions import Partition, partitions_of
 from sheet_atlas.sheets import F4, gl_sheet, sheets_sp4, type_a, type_b, type_c, type_d
 
-from oracles import hitchin_base_by_degrees
+from oracles import dim_hitchin_base_sp4, dim_s_hitchin_base_gln, dim_s_hitchin_base_sp4_dix, hitchin_base_by_degrees
 
 
 def test_h0_examples():
@@ -29,12 +26,12 @@ def test_h0_examples():
 
 
 def test_dim_s_hitchin_base_gln_examples():
-    assert dim_s_hitchin_base_gln(Partition((2, 1, 1)), 2) == 7
-    assert dim_s_hitchin_base_gln(Partition((2, 2)), 2) == 5
+    for m, want in (((2, 1, 1), 7), ((2, 2), 5)):
+        assert dim_s_hitchin_base(gl_sheet(Partition(m)), 2) == dim_s_hitchin_base_gln(Partition(m), 2) == want
     for n in (2, 3, 5):
         for g in (2, 3):
             full = sum(h0_canonical_power(g, i) for i in range(1, n + 1))
-            assert dim_s_hitchin_base_gln(Partition([1] * n), g) == full
+            assert dim_s_hitchin_base(gl_sheet(Partition([1] * n)), g) == dim_s_hitchin_base_gln(Partition([1] * n), g) == full
 
 
 def test_weight_formula_matches_double_sum():
@@ -49,7 +46,7 @@ def test_reduced_base_bounded_by_full_base():
     for n in range(1, 9):
         for m in partitions_of(n):
             for g in (2, 3):
-                s_dim = dim_s_hitchin_base_gln(m, g)
+                s_dim = dim_s_hitchin_base(gl_sheet(m), g)
                 full = dim_hitchin_base(type_a(n), g)
                 assert s_dim <= full
                 assert (s_dim == full) == (m == Partition([1] * n))
@@ -67,10 +64,10 @@ def test_full_base_closed_form_matches_summed_degrees():
 
 
 def test_sp4_base_dims():
+    by_name = {d.name: d for d in sheets_sp4()}
     for g in (2, 3, 4, 7):
-        assert dim_hitchin_base_sp4(g) == 10 * (g - 1)
-        assert dim_hitchin_base(type_c(2), g) == 10 * (g - 1)
-        assert dim_s_hitchin_base_sp4_dix(g) == g
+        assert dim_hitchin_base(type_c(2), g) == dim_hitchin_base_sp4(g) == 10 * (g - 1)
+        assert dim_s_hitchin_base(by_name["sp4:SDix"], g) == dim_s_hitchin_base_sp4_dix(g) == g
 
 
 def test_component_count():

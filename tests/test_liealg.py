@@ -22,7 +22,7 @@ from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, val
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
-from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h
+from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, value_at
 
 
 def test_bracket_sp4_triple():
@@ -677,7 +677,7 @@ def test_cleared_form_is_canonical():
         d = lcm(*(v.denominator for r in rows for v in r))
         cleared = [[(j, int(v * d)) for j, v in enumerate(r) if v] for r in rows]
         c = _random_rational(rng) or Fraction(1)
-        st = RationalMatrix.diagonal([t ** (k + 1) + k for k in range(n)])
+        st = RationalMatrix.diagonal([RatPoly([k, *[0] * k, 1]) for k in range(n)])
         twins = [
             RationalMatrix(rows),
             RationalMatrix([[RatPoly.constant(v) for v in r] for r in rows]),
@@ -896,24 +896,24 @@ def test_char_poly_specialisation_bound_is_met():
     for n in range(1, 6):
         for m in (1, 2, 3):
             coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(n)]
-            rows = [[(t**m) * v if v else v for v in row] for row in _companion(coeffs)]
+            rows = [[RatPoly([0] * m + [v]) if v else v for v in row] for row in _companion(coeffs)]
             got = char_poly(RationalMatrix(rows))
             assert got.dense() == _expanded(rows)
             assert got.coefficient(n).degree() == n * m
-            assert got == GradedPolynomial([c * t ** (k * m) for k, c in enumerate(coeffs, start=1)])
+            assert got == GradedPolynomial([RatPoly([0] * (k * m) + [c]) for k, c in enumerate(coeffs, start=1)])
     # diag(r_1, ..., r_n) with r_k vanishing on consecutive blocks of m
     # integers: a_n = ±t(t-1)...(t-nm+1) is zero at every sample point but
     # the last
     for n in range(1, 5):
         for m in (1, 2):
-            x = RationalMatrix.diagonal([falling_factorial(t, k * m, m) / (k + 2) for k in range(n)])
+            x = RationalMatrix.diagonal([falling_factorial(t, k * m, m) * Fraction(1, k + 2) for k in range(n)])
             got = char_poly(x)
             assert got.dense() == _expanded(x.rows)
             a_n = got.coefficient(n)
-            assert a_n.degree() == n * m and all(a_n(i) == 0 for i in range(n * m)) and a_n(n * m) != 0
+            assert a_n.degree() == n * m and all(value_at(a_n, i) == 0 for i in range(n * m)) and value_at(a_n, n * m) != 0
             for t0 in (Fraction(1, 3), Fraction(-7, 2)):
-                at_t0 = RationalMatrix([[v(t0) if isinstance(v, RatPoly) else v for v in row] for row in x.rows])
-                assert [c(t0) for c in got.coeffs] == _expanded(at_t0.rows)[1:]
+                at_t0 = RationalMatrix([[value_at(v, t0) for v in row] for row in x.rows])
+                assert [value_at(c, t0) for c in got.coeffs] == _expanded(at_t0.rows)[1:]
 
 
 def test_bracket_and_membership_specialisation_bounds_are_met():
@@ -923,7 +923,7 @@ def test_bracket_and_membership_specialisation_bounds_are_met():
         # [r_a E_01, r_b E_10] = r_a r_b (E_00 - E_11), of t-degree ma + mb
         # and zero at every sample point but the last
         ra, rb = falling_factorial(t, 0, ma) * Fraction(2, 3), falling_factorial(t, ma, mb) * Fraction(-5, 7)
-        a = RationalMatrix.unit(3, 0, 1, ra) + RationalMatrix.unit(3, 2, 2, t**ma)
+        a = RationalMatrix.unit(3, 0, 1, ra) + RationalMatrix.unit(3, 2, 2, RatPoly([0] * ma + [1]))
         b = RationalMatrix.unit(3, 1, 0, rb) + RationalMatrix.unit(3, 2, 1, Fraction(1, 9))
         got = bracket(a, b)
         assert got == _bracket_by_products(a, b)
@@ -931,8 +931,53 @@ def test_bracket_and_membership_specialisation_bounds_are_met():
         assert all(isinstance(v, RatPoly) for row in got.rows for v in row)
         # r_m times sp4 elements (members) and times the identity (defect
         # 2 r_m J, zero at every sample point but the last)
-        r = falling_factorial(t, 0, ma) / 4
-        for x in (sp4_e().scale(r) + sp4_h().scale(t**ma), RationalMatrix.identity(4).scale(r), sp4_slice(t).scale(r)):
+        r = falling_factorial(t, 0, ma) * Fraction(1, 4)
+        for x in (sp4_e().scale(r) + sp4_h().scale(RatPoly([0] * ma + [1])), RationalMatrix.identity(4).scale(r), sp4_slice(t).scale(r)):
             assert in_algebra(x, model) == _in_algebra_by_products(x, model)
         assert not in_algebra(RationalMatrix.identity(4).scale(r), model)
         assert in_algebra(sp4_slice(t).scale(r), model)
+
+
+def _char_poly_cases(rng):
+    """(matrix, its eigenvalues or None): diagonal matrices with rational and
+    Q[t] eigenvalues, repeated ones included, then seeded dense matrices."""
+    half, t = Fraction(1, 2), RatPoly.variable()
+    cases = [[half, -half], [half, half, Fraction(-1, 3)], [t * half, t * -half]]
+    for _ in range(6):
+        cases.append([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))])
+        cases.append([RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-3, 3), rng.randint(1, 4))]) for _ in range(rng.randint(1, 3))])
+    out = [(RationalMatrix.diagonal(roots), roots) for roots in cases]
+    for _ in range(8):
+        n = rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        out.append((RationalMatrix(rows), None))
+        out.append((RationalMatrix([[v + t * Fraction(rng.randint(-2, 2), 3) if rng.randint(0, 2) == 0 else v for v in row] for row in rows]), None))
+    return out
+
+
+def test_char_poly_keeps_the_matrix_denominator_and_agrees_with_its_coefficients():
+    """char_poly returns the scaled form (D, c_k = D^k a_k) with D the
+    matrix's own denominator, which need not be the D that clearing its
+    coefficients gives: 2, not 4, for diag(1/2, -1/2).  Every operation on
+    it agrees with the same polynomial built from its coefficients and, for
+    a diagonal matrix, from its eigenvalues."""
+    rng = random.Random(4057)
+    g1, g2 = GradedPolynomial([Fraction(-5, 4)]), GradedPolynomial([Fraction(-2, 9), Fraction(5, 4)])
+    other_den = 0
+    for x, roots in _char_poly_cases(rng):
+        cp = char_poly(x)
+        twins = [GradedPolynomial(cp.coeffs)] + ([GradedPolynomial.from_roots(roots)] if roots else [])
+        other_den += cp._scaled[0] != twins[0]._scaled[0]
+        assert cp.dense() == charpoly_by_expansion(x.rows)
+        for tw in twins:
+            assert cp == tw and tw == cp and hash(cp) == hash(tw)
+            assert str(cp) == str(tw) and cp.to_json() == tw.to_json()
+            assert cp * g2 == tw * g2 == g2 * cp and cp * tw == tw * tw
+            assert cp.divides(tw) and tw.divides(cp) and cp.divides(tw * g2) and tw.divides(cp * g2)
+            assert (cp * g2).divmod(tw) == (g2, []) and (tw * g2).divmod(cp) == (g2, [])
+            assert cp.divmod(g1) == tw.divmod(g1)
+            assert cp.is_squarefree() == tw.is_squarefree()
+            if roots:
+                assert cp.is_squarefree() == (len(set(roots)) == len(roots))
+    # the cases exercise a D other than the cleared one
+    assert other_den >= 10

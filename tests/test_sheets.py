@@ -274,6 +274,8 @@ def test_find_sheet_routes():
     assert find_sheet(type_c(2), MaxLevi(1, 1)).name == "sp4:SDix"
     assert find_sheet(type_a(4), GLLevi(Partition((2, 1, 1)))).nilpotent_orbit == Partition((3, 1))
     assert find_sheet(F4, None).name == "f4:B3"
+    with pytest.raises(ValueError, match="takes no Levi label"):
+        find_sheet(F4, MaxLevi(1, 2))
     assert find_sheet(type_c(3), MaxLevi(3, 0)).class_tag == "VII"
     # maximal and torus labels of C(2) resolve to their rows of the table;
     # the full-group label (two rows there) and a torus label elsewhere are

@@ -8,7 +8,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from sheet_atlas import liealg, partitions, sheets
+from sheet_atlas import liealg, partitions, scalars, sheets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,3 +61,20 @@ def test_rank_rows_keep_the_shape_the_tracer_counts(monkeypatch):
         dimension = n * n if case[0] == "gl" else liealg.build_model(sheets.GroupKind(case[1], case[2])).dimension
         assert shapes == [(dimension, {n * n})], case
     assert len(cases) > 80
+
+
+def test_ratpoly_is_a_value_type():
+    """RatPoly keeps what a matrix entry or a graded coefficient needs, and
+    the two methods the tracer wraps by name; nothing in the library calls
+    those two, so they go when the tracer drops the names."""
+    value_type = {
+        *("constant", "variable", "degree", "is_zero", "__bool__", "is_constant", "constant_value"),
+        *("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"),
+        *("__eq__", "__hash__", "__repr__", "__str__"),
+    }
+    tracer_only = {"divmod", "gcd"}
+    internal = {"__init__", "__setattr__", "_sym"}
+    methods = {name for name, v in vars(scalars.RatPoly).items() if callable(v) or isinstance(v, classmethod)}
+    assert methods == value_type | tracer_only | internal
+    wrapped = {attr.split(".")[1] for _, _, _, attr in _load("tracer").FUNCTIONS if attr.startswith("RatPoly.")}
+    assert wrapped - {"__mul__"} == tracer_only

@@ -54,6 +54,18 @@ def test_gl_triple_examples():
     assert t.abelianization_value == 8
 
 
+def test_gl_h_is_its_stated_diagonal_and_equals_ef_minus_fe():
+    """h is written as the diagonal (1^m2, 0^(m1-m2), (-1)^m2), so the
+    relation [e, f] = h is a check that can fail; here against e f - f e."""
+    for n in range(2, 17):
+        for m2 in range(1, n // 2 + 1):
+            m1 = n - m2
+            trip = build_gl_triple(m1, m2)
+            diag = [1] * m2 + [0] * (m1 - m2) + [-1] * m2
+            assert [list(row) for row in trip.h.rows] == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            assert trip.h == trip.e @ trip.f - trip.f @ trip.e, (m1, m2)
+
+
 def test_gl_triple_rejects_bad_order():
     with pytest.raises(ValueError):
         build_gl_triple(1, 2)
