@@ -69,10 +69,20 @@ def _parse_levi(kind: GroupKind, text: Optional[str]):
     return MaxLevi(parts[0], parts[1])
 
 
+def _group_kind(args) -> GroupKind:
+    """The group of --kind and --rank.  F4 has rank 4: an explicit other
+    rank is refused, not ignored."""
+    if args.kind == "F4" and args.rank not in (None, 4):
+        raise ValueError("F4 has rank 4, not %d" % args.rank)
+    return GroupKind(args.kind, 0 if args.rank is None else args.rank)
+
+
 def _parse_sheet_spec(spec: str) -> SheetDescriptor:
     """Compact sheet ids: 'C:2:1,1', 'A:4:2,1,1', 'F4'."""
     bits = spec.split(":")
     if bits[0].strip().upper() == "F4":
+        if len(bits) > 1:
+            raise ValueError("the F4 sheet spec is 'F4' alone: F4 has one classified sheet and rank 4")
         return sheets.f4_b3_sheet()
     if len(bits) != 3:
         raise ValueError("sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1")
@@ -119,7 +129,7 @@ DESCRIPTOR_HEADER = ["sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "
 
 
 def cmd_sheets(args) -> int:
-    kind = GroupKind(args.kind, args.rank)
+    kind = _group_kind(args)
     levi = _parse_levi(kind, args.levi) if args.levi else None
     if _json_mode(args):
         # every refusal is raised before the first piece is written, so a
@@ -141,7 +151,7 @@ def cmd_sheets(args) -> int:
 
 
 def cmd_sheet_info(args) -> int:
-    kind = GroupKind(args.kind, args.rank)
+    kind = _group_kind(args)
     desc = sheets.find_sheet(kind, _parse_levi(kind, args.levi))
     print(sheets.record_json(desc))
     return 0
@@ -237,7 +247,7 @@ def _verify_sp4_slice(args, json_mode: bool) -> int:
 
 
 def cmd_hitchin_dim(args) -> int:
-    kind = GroupKind(args.kind, args.rank)
+    kind = _group_kind(args)
     g = args.genus
     if args.levi:
         # a request for a sheet record is refused beyond the rank bound
@@ -371,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="JSON output (also SHEET_ATLAS_JSON=1)")
     group = argparse.ArgumentParser(add_help=False)
     group.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
-    group.add_argument("--rank", type=int, default=0)
+    group.add_argument("--rank", type=int)
     group.add_argument("--levi", help="partition for A (e.g. 2,1,1) or a,residual for B/C/D")
     sub = parser.add_subparsers(dest="command", required=True)
 

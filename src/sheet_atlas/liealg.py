@@ -18,9 +18,10 @@ takes AB - BA on the stored rows, and Dc (AB - BA) = k Da Db C is compared
 entry by entry, with no gcd.  Fractions are built only for the dense view
 and a determinant; a characteristic polynomial is returned in its scaled
 form (D, c_k = D^k a_k) and builds its coefficients on first read.  With
-entries in Q[t] the same integer routine runs at t = 0, 1, ..., N for an N
-that bounds the t-degree of its result (:func:`~sheet_atlas.scalars.run`),
-and the integer values are interpolated back exactly.
+entries in Q[t] the same integer routine runs once at t = 2^S, for an S
+above a proven bound on the height of its result
+(:func:`~sheet_atlas.scalars.run`), and the integer values are read back
+exactly as balanced base-2^S digits.
 There is one elimination, sparse and fraction-free with Markowitz-style
 pivots: its pivot rows give centraliser ranks, on the ad x rows that a
 model fills from its basis, and read back in reverse order they give the
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
@@ -45,8 +46,8 @@ from .scalars import (
     Scalar,
     as_scalar,
     clear,
-    cleared_degree,
     format_scalar,
+    height,
     parse_scalar,
     run,
     scalars_over,
@@ -162,7 +163,9 @@ class RationalMatrix:
         self._same_dim(other)
         d = lcm(self.den, other.den)
         wa, wb = d // self.den, sign * (d // other.den)
-        values, symbol = _on_integers((self, other), max, lambda ra, rb: _linear(ra, rb, wa, wb))
+        # an entry of wa A + wb B has 1-norm at most |wa| h_a + |wb| h_b
+        bound = lambda ha, hb: abs(wa) * ha + abs(wb) * hb
+        values, symbol = _on_integers((self, other), bound, lambda ra, rb: _linear(ra, rb, wa, wb))
         return _from_flat(self.dim, d, values, symbol)
 
     def __neg__(self) -> "RationalMatrix":
@@ -170,16 +173,17 @@ class RationalMatrix:
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_dim(other)
-        # an entry of ab sums products of an entry of a and one of b, so its
-        # t-degree is at most m_a + m_b
-        values, symbol = _on_integers((self, other), add, _product)
+        # an entry of AB sums n products of an entry of A and one of B, and
+        # the 1-norm is submultiplicative: at most n h_a h_b
+        n = self.dim
+        values, symbol = _on_integers((self, other), lambda ha, hb: n * ha * hb, _product)
         return _from_flat(self.dim, self.den * other.den, values, symbol)
 
     def scale(self, c) -> "RationalMatrix":
         c = clear([c if type(c) in _EXACT else as_scalar(c)])
-        # the kernel scales the nonzero entries of X in order; an entry of c x
-        # has t-degree at most m + m_c
-        values, symbol = _on_integers((self,), add, lambda rx, cs: [v * cs[0] for row in rx for _, v in row], c)
+        # the kernel scales the nonzero entries of X in order; an entry of c X
+        # has 1-norm at most h ‖c‖₁
+        values, symbol = _on_integers((self,), mul, lambda rx, cs: [v * cs[0] for row in rx for _, v in row], c)
         return RationalMatrix.from_cleared(self.dim, self.den * c[0], _rows(self.nz, values), symbol)
 
     def transpose(self) -> "RationalMatrix":
@@ -241,24 +245,25 @@ def _from_flat(n: int, den: int, values: Sequence, symbol: Optional[str]) -> Rat
     return RationalMatrix.from_cleared(n, den, [enumerate(values[i * n : i * n + n]) for i in range(n)], symbol)
 
 
-def _on_integers(mats: Sequence[RationalMatrix], degree_bound, kernel, *scalars: Cleared) -> Tuple[list, Optional[str]]:
+def _on_integers(mats: Sequence[RationalMatrix], bound, kernel, *scalars: Cleared) -> Tuple[list, Optional[str]]:
     """(output, symbol) of an integer kernel on the cleared forms of matrices
     and then of scalars.
 
     The kernel gets the sparse integer rows D x of every matrix and the
     integer list of every scalar form, and returns a flat list of ints.  On
     rational inputs it runs once, on the stored rows.  With entries in Q[t]
-    it runs at t = 0, ..., degree_bound(*the inputs' t-degrees), which must
-    bound the t-degree of every output, and each output is interpolated to
-    an ascending integer coefficient list (:func:`~sheet_atlas.scalars.run`);
-    a rational input joins as it is, of t-degree 0.
+    it runs once at t = 2^S (:func:`~sheet_atlas.scalars.run`), where
+    bound(*heights), given the largest 1-norm of an entry of each input,
+    must bound every t-coefficient of every output; a rational input joins
+    as it is, its entries of 1-norm their absolute value.
     """
     rational = [x.nz for x in mats if x.symbol is None] + [c for _, c, s in scalars if s is None]
     if len(rational) == len(mats) + len(scalars):
         return kernel(*rational), None
-    forms = [(x.den, [v for row in x.nz for _, v in row] if x.symbol else x.nz, x.symbol) for x in mats] + list(scalars)
-    bound = lambda: degree_bound(*map(cleared_degree, forms)) + 1
-    return run(forms, bound, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)], *values[len(mats) :]))
+    flat = [[v for row in x.nz for _, v in row] for x in mats]
+    forms = [(x.den, v if x.symbol else x.nz, x.symbol) for x, v in zip(mats, flat)] + list(scalars)
+    heights = lambda: bound(*map(height, flat), *(height(c) for _, c, _ in scalars))
+    return run(forms, heights, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)], *values[len(mats) :]))
 
 
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -266,12 +271,13 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
     The commutator of the integer forms A = Da a and B = Db b is taken on
     their nonzero entries, and [a, b] = (AB - BA) / (Da Db).  Entries in
-    Q[t] take the same commutator at m_a + m_b + 1 values of t.
+    Q[t] take the same commutator at t = 2^S.
     """
     a._same_dim(b)
-    # an entry of [a, b] sums products of an entry of a and one of b, so
-    # its t-degree is at most m_a + m_b
-    values, symbol = _on_integers((a, b), add, lambda ra, rb: _product(ra, rb, commutator=True))
+    # an entry of AB - BA sums 2n products of an entry of A and one of B:
+    # 1-norm at most 2n h_a h_b
+    n = a.dim
+    values, symbol = _on_integers((a, b), lambda ha, hb: 2 * n * ha * hb, lambda ra, rb: _product(ra, rb, commutator=True))
     return _from_flat(a.dim, a.den * b.den, values, symbol)
 
 
@@ -279,7 +285,7 @@ def bracket_is(a: RationalMatrix, b: RationalMatrix, k: int, c: RationalMatrix) 
     """Whether [a, b] = k c, for an int k: the integer identity
     Dc (AB - BA) = k Da Db C on the cleared forms, AB - BA as in
     :func:`bracket`.  It makes no matrix and no gcd.  Entries in Q[t] take
-    it at max(m_a + m_b, m_c) + 1 values of t."""
+    it at t = 2^S."""
     a._same_dim(b)
     a._same_dim(c)
     wc, w = c.den, k * a.den * b.den
@@ -291,7 +297,10 @@ def bracket_is(a: RationalMatrix, b: RationalMatrix, k: int, c: RationalMatrix) 
                 out[i * len(ra) + j] -= w * v
         return out
 
-    return not any(_on_integers((a, b, c), lambda ma, mb, mc: max(ma + mb, mc), defect)[0])
+    # an entry of Dc (AB - BA) - k Da Db C has 1-norm at most
+    # Dc 2n h_a h_b + |k Da Db| h_c
+    bound = lambda ha, hb, hc: wc * 2 * a.dim * ha * hb + abs(w) * hc
+    return not any(_on_integers((a, b, c), bound, defect)[0])
 
 
 def _product(ra: SparseRows, rb: SparseRows, commutator: bool = False) -> List[int]:
@@ -474,10 +483,11 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
         raise ValueError("dimension mismatch: %d vs model on %d letters" % (x.dim, model.matrix_size))
     if model.form is None:
         return True
-    # a ClassicalForm's Gram matrix is rational (checked on construction),
-    # so each entry of the defect has t-degree at most m
+    # an entry of X^T G' + G' X sums 2n products of an entry of X and one
+    # of G': 1-norm at most 2n h h_G (G' is rational, read only with a symbol)
     rg = model.form.gram.nz
-    return not any(_on_integers((x,), lambda m: m, lambda rx: _form_defect(rx, rg))[0])
+    bound = lambda h: 2 * x.dim * h * height(v for row in rg for _, v in row)
+    return not any(_on_integers((x,), bound, lambda rx: _form_defect(rx, rg))[0])
 
 
 def _form_defect(rx: SparseRows, rg: SparseRows) -> List[int]:
@@ -533,12 +543,14 @@ def char_poly(x: RationalMatrix) -> GradedPolynomial:
     X = D x (D the lcm of the denominators), where each division by k is
     exact.  The coefficients c_k of X are D^k a_k, so (D, c) is already the
     scaled form of the answer, which is returned as it is.  With entries in
-    Q[t] of t-degree at most m, c_k is a sum of products of k entries of X
-    and so has t-degree at most k m: the recursion runs at n m + 1 values
-    of t, and every c_k is returned as a polynomial in t.
+    Q[t], c_k is ± the sum of the C(n, k) principal k x k minors of X, each
+    a sum of k! products of k entries, so ‖c_k‖₁ <= C(n, k) k! h^k <= (n h)^k
+    for h the largest 1-norm of an entry: the recursion runs once at
+    t = 2^S for the bound max(1, n h)^n, and every c_k is returned as a
+    polynomial in t.
     """
     n = x.dim
-    return _graded(x.den, *_on_integers((x,), lambda m: n * m, _char_poly_ints))
+    return _graded(x.den, *_on_integers((x,), lambda h: max(1, n * h) ** n, _char_poly_ints))
 
 
 def _char_poly_ints(nz: SparseRows) -> List[int]:

@@ -6,14 +6,18 @@ parameter, by convention ``t``).  No floating point appears anywhere.
 
 The library computes on cleared-denominator integers.  Every input is
 cleared of denominators once by :func:`clear`; :func:`run` runs an integer
-routine on cleared inputs, for inputs in Q[t] at t = 0, 1, ..., N, and
-:func:`interpolate` brings its integer values back to Z[t] exactly.
+routine on cleared inputs, for inputs in Q[t] once at t = 2^S (Kronecker
+substitution), S taken from a proven bound on the height of its result,
+and reads each integer value back to Z[t] exactly as its balanced
+base-2^S digits.  A monic division, whose result has no usable a priori
+bound, guesses S and proves its digits by an exact identity
+(:func:`scaled_divmod`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -223,7 +227,7 @@ def parse_scalar(obj, symbol: str = "t") -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Q[t] over the integer kernel: specialisation and exact interpolation.
+# Q[t] over the integer kernel: Kronecker substitution t = 2^S.
 
 
 def poly_symbol(scalars: Iterable[Scalar]) -> Optional[str]:
@@ -262,11 +266,6 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
     return d, out, None
 
 
-def cleared_degree(form: Cleared) -> int:
-    """The largest t-degree in a cleared form."""
-    return max([1, *map(len, form[1])]) - 1 if form[2] else 0
-
-
 def at(c: list, t0: int) -> List[int]:
     """The values at t = t0 of ascending integer coefficient lists."""
     out = []
@@ -278,16 +277,58 @@ def at(c: list, t0: int) -> List[int]:
     return out
 
 
-def run(forms: Sequence[Cleared], points: Callable[[], int], kernel: Callable[..., list]) -> Tuple[list, Optional[str]]:
+def digits(x: int, s: int) -> List[int]:
+    """The integer polynomial f with f(2^s) = x whose coefficients, the
+    balanced base-2^s digits of x, lie in [-2^(s-1), 2^(s-1)), as an
+    ascending coefficient list (empty for zero).  For s >= 2 every integer
+    has exactly one such expansion, so f is the polynomial g with
+    g(2^s) = x whenever every coefficient of g is less than 2^(s-1) in
+    absolute value."""
+    out = []
+    mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= base
+        out.append(d)
+        x = (x - d) >> s
+    return out
+
+
+def norm(v) -> int:
+    """The 1-norm (sum of absolute values) of an int, or of the t-coefficients
+    of an ascending integer coefficient list."""
+    return abs(v) if type(v) is int else sum(map(abs, v))
+
+
+def height(c: Iterable) -> int:
+    """The largest 1-norm of an entry of c, 0 when c is empty: a bound on
+    every t-coefficient of every entry."""
+    return max(map(norm, c), default=0)
+
+
+def scaled_norm(c: Sequence, r: int = 1) -> int:
+    """The 1-norm, over every μ- and t-coefficient, of the monic
+    μ^n + c_1 r μ^(n-1) + ... + c_n r^n: 1 + sum r^k ‖c_k‖₁."""
+    return 1 + sum(r**k * norm(v) for k, v in enumerate(c, start=1))
+
+
+def run(forms: Sequence[Cleared], bound: Callable[[], int], kernel: Callable[..., list]) -> Tuple[list, Optional[str]]:
     """(output, symbol) of ``kernel`` on the integer lists c of the forms:
-    one pass for rational forms, else at t = 0, ..., points() - 1, which
-    must exceed the t-degree of every output as a polynomial in the cleared
-    values, interpolated to ascending integer coefficient lists."""
+    one pass for rational forms, else one pass at t = 2^S by Kronecker
+    substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
+    §8.4).  The kernel may use only ring operations and exact divisions, so
+    that it commutes with t = 2^S; bound() must bound every t-coefficient
+    of every output as an integer polynomial in t, and S = bitlen(bound())
+    + 1 (at least 2) puts each coefficient strictly inside the balanced
+    digit range, so that each output is read back exactly as its digits
+    (:func:`digits`)."""
     if not any([s for _, _, s in forms]):
         return kernel(*[c for _, c, _ in forms]), None
     symbol = _one_symbol({s for _, _, s in forms} - {None})
-    values = [kernel(*[at(c, t0) if s else c for _, c, s in forms]) for t0 in range(points())]
-    return interpolate(values), symbol
+    s = max(bound(), 1).bit_length() + 1
+    values = kernel(*[at(c, 1 << s) if sym else c for _, c, sym in forms])
+    return [digits(v, s) for v in values], symbol
 
 
 def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -> List[Scalar]:
@@ -296,37 +337,6 @@ def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -
     if symbol is None:
         return [ZERO if not v else Fraction(v) if d == 1 else Fraction(v, d) for v, d in zip(values, dens)]
     return [RatPoly([Fraction(c, d) for c in p], symbol) for p, d in zip(values, dens)]
-
-
-def interpolate(values: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The integer polynomials f_i with f_i(t0) = values[t0][i] for t0 = 0,
-    ..., N, as ascending coefficient lists (empty for zero).
-
-    Each f_i must lie in Z[t] with degree at most N.  The forward difference
-    Δ^k f(0) is k! times the coefficient of f on the falling factorial
-    t(t-1)...(t-k+1), an integer, so dividing it by k! is exact; the
-    falling-factorial (Newton) form is then expanded on integers.
-    """
-    out = []
-    for column in zip(*values):
-        if not any(column):
-            out.append([])
-            continue
-        diff = list(column)
-        for k in range(1, len(diff)):
-            diff[k:] = [b - a for a, b in zip(diff[k - 1 :], diff[k:])]
-        poly: List[int] = []
-        for k in range(len(diff) - 1, -1, -1):
-            # poly * (t - k) + Δ^k f(0) / k!
-            poly = [a - k * b for a, b in zip([0, *poly], [*poly, 0])]
-            c, r = divmod(diff[k], factorial(k))
-            if r:
-                raise AssertionError("values are not those of an integer polynomial of degree < %d" % len(diff))
-            poly[0] += c
-        while poly and not poly[-1]:
-            poly.pop()
-        out.append(poly)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +364,35 @@ def scaled_divmod(p: Cleared, q: Cleared) -> Cleared:
     Z[μ] (the substitution λ = μ/D of von zur Gathen and Gerhard, Modern
     Computer Algebra, ch. 10).  P and Q, rescaled to D = lcm(D_p, D_q), are
     divided synthetically: the values are the quotient's c_1, ..., c_{n-m},
-    then the remainder, the value of weight j standing for value / D^j."""
+    then the remainder, the value of weight j standing for value / D^j.
+
+    Over Z[t] the quotient and remainder have no usable a priori height
+    bound, so the division runs at t = 2^S for a guessed bound, first
+    ‖P‖₁ ‖Q‖₁, and its digits are proven by the identity P = Q quo + rem:
+    the division at 2^S makes it hold there, and every t-coefficient of
+    P - Q quo - rem is at most ‖P‖₁ + ‖Q‖₁ ‖quo‖₁ + ‖rem‖₁, so below
+    2^(S-1) it holds in Z[t][μ], where monic division is unique.
+    Otherwise the division runs again at the larger of that bound and the
+    square of the guess."""
     nquo = len(p[1]) - len(q[1])
     if nquo < 0:
         raise ValueError("divisor degree exceeds dividend degree")
     den = lcm(p[0], q[0])
+    rp, rq = den // p[0], den // q[0]
 
     def divide(cp, cq):
-        return monic_division([1, *rescaled(cp, den // p[0])], rescaled(cq, den // q[0]), nquo)[1:]
+        return monic_division([1, *rescaled(cp, rp)], rescaled(cq, rq), nquo)[1:]
 
-    return den, *run([p, q], lambda: division_bound(p, q) + 1, divide)
+    if not (p[2] or q[2]):
+        return den, divide(p[1], q[1]), None
+    norm_p, norm_q = scaled_norm(p[1], rp), scaled_norm(q[1], rq)
+    guess = norm_p * norm_q
+    while True:
+        values, symbol = run([p, q], lambda: guess, divide)
+        identity = norm_p + norm_q * scaled_norm(values[:nquo]) + sum(map(norm, values[nquo:]))
+        if identity.bit_length() <= guess.bit_length():
+            return den, values, symbol
+        guess = max(guess * guess, identity)
 
 
 def monic_division(r: List[int], tail: Sequence[int], nquo: int, lead: int = 1) -> List[int]:
@@ -381,27 +410,6 @@ def monic_division(r: List[int], tail: Sequence[int], nquo: int, lead: int = 1) 
                 r[k + 1 :] = [lead * x for x in r[k + 1 :]]
             r[k + 1 : k + 1 + m] = [x - c * y for x, y in zip(r[k + 1 : k + 1 + m], tail)]
     return r
-
-
-def division_bound(p: Cleared, q: Cleared) -> int:
-    """The smaller of two bounds on the t-degree of every value of
-    scaled_divmod(p, q), each proven by induction on the division steps
-    (value j is c_j of P minus quotient values j - k times c_k of Q):
-    dp + (n - m + 1) dq, with dp and dq the largest t-degrees in P and Q;
-    and c + w n, with w = t_weight(q) and c = max_j (deg_t c_j - w j) over
-    j = 0, ..., n (c_0 = 1).  Rescaling by an integer keeps both."""
-    dp, dq = cleared_degree(p), cleared_degree(q)
-    bound = dp + (len(p[1]) - len(q[1]) + 1) * dq
-    if dq:
-        w = t_weight(q)
-        c = max([0, *(len(x) - 1 - w * j for j, x in enumerate(p[1], start=1))]) if p[2] else 0
-        bound = min(bound, c + w * len(p[1]))
-    return bound
-
-
-def t_degree(x: Scalar) -> int:
-    """The t-degree of a scalar, 0 for a constant (and for zero)."""
-    return max(len(x.coeffs) - 1, 0) if type(x) is RatPoly else 0
 
 
 def t_weight(form: Cleared) -> int:

@@ -13,13 +13,16 @@ characteristic polynomial (:func:`~sheet_atlas.liealg.char_poly`), whose
 trace recursion on D x yields c_k directly.  Only polynomials built from
 coefficients (``GradedPolynomial(coeffs)``) store them.  Roots A/D
 give P = prod (μ - A) in one pass; products rescale each P_i to D = lcm(D_i)
-(c_k -> c_k (D/D_i)^k) and convolve; monic division is synthetic division in
-Z[μ] after the same rescaling.  Over Q[t] the same routine runs on P(t0) at
-enough integers t0 to interpolate the answer exactly.  Gcds are taken over Q
-only: squarefreeness over Q(t), the heart test, is decided by specialising
-t (see :meth:`GradedPolynomial.is_squarefree`), where a gcd of P and P'
-modulo the prime 2^61 - 1 may certify squarefreeness first; it never
-answers "not squarefree", which only the exact integer Euclid does.
+(c_k -> c_k (D/D_i)^k), raise each to its power by repeated squaring and
+convolve; monic division is synthetic division in Z[μ] after the same
+rescaling.  Over Q[t] the same routine runs once on P(2^S), S taken from a
+proven height bound (a guessed one for division, proven by an exact
+identity afterwards), and the answer's coefficients are read back as
+balanced base-2^S digits.  Gcds are taken over Q only: squarefreeness
+over Q(t), the heart test, is decided by specialising t (see
+:meth:`GradedPolynomial.is_squarefree`), where a gcd of P and P' modulo
+the prime 2^61 - 1 may certify squarefreeness first; it never answers
+"not squarefree", which only the exact integer Euclid does.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import lcm
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .partitions import MultiplicityProfile, Partition, profile
@@ -38,10 +41,10 @@ from .scalars import (
     as_scalar,
     at,
     clear,
-    cleared_degree,
     format_scalar,
     format_terms,
     integer_euclid,
+    norm,
     poly_gcd,
     poly_trim,
     rescaled,
@@ -49,7 +52,7 @@ from .scalars import (
     scalar_is_zero,
     scalars_over,
     scaled_divmod,
-    t_degree,
+    scaled_norm,
     t_weight,
 )
 
@@ -117,8 +120,10 @@ class GradedPolynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence) -> "GradedPolynomial":
-        """prod (λ - r): P = prod (μ - A) over the roots A/D, whose c_k
-        have t-degree at most the sum of those of the roots."""
+        """prod (λ - r): P = prod (μ - A) over the roots A/D.  Over Z[t]
+        c_k = ±e_k(A), whose 1-norm is at most the sum over k-subsets of
+        prod ‖A_i‖₁, so every t-coefficient of every c_k is at most
+        prod (1 + ‖A_i‖₁)."""
         roots = [as_scalar(r) for r in roots]
         form = clear(roots)
 
@@ -130,7 +135,7 @@ class GradedPolynomial:
                         c[k] -= v * c[k - 1]
             return c[1:]
 
-        return _graded(form[0], *run([form], lambda: sum(map(t_degree, roots)) + 1, expand))
+        return _graded(form[0], *run([form], lambda: prod([1 + norm(v) for v in form[1]]), expand))
 
     def dense(self) -> List[Scalar]:
         """Descending-power coefficient list [1, a_1, ..., a_d]."""
@@ -235,9 +240,10 @@ def min_poly(point: SheetBasePoint) -> GradedPolynomial:
 
 def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial:
     """Product of xi**e over (xi, e) pairs: each P_i rescaled to D =
-    lcm(D_i), convolved.  With m_i the largest t-degree in xi, the product's
-    coefficients (sums of products of e coefficients of each xi) have
-    t-degree at most sum e m_i, so that many values of t plus one suffice.
+    lcm(D_i), raised to its power e_i by repeated squaring and convolved.
+    The 1-norm over every μ- and t-coefficient is submultiplicative, so
+    over Z[t] every t-coefficient of the product is at most
+    prod ‖P_i‖₁^(e_i), on the rescaled P_i.
     """
     forms = [xi._scaled for xi, _ in powers]
     den = lcm(*[d for d, _, _ in forms])
@@ -245,12 +251,14 @@ def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial
     def convolve(*cs):
         acc = [1]
         for c, (d, _, _), (_, e) in zip(cs, forms, powers):
-            tail = rescaled(c, den // d)
-            for _ in range(e if c else 0):
-                acc = _int_convolve(acc, tail)
+            if c and e:
+                acc = _int_convolve(acc, _int_power(rescaled(c, den // d), e))
         return acc[1:]
 
-    return _graded(den, *run(forms, lambda: sum(e * cleared_degree(f) for f, (_, e) in zip(forms, powers)) + 1, convolve))
+    def bound():
+        return prod([scaled_norm(c, den // d) ** e for (d, c, _), (_, e) in zip(forms, powers)])
+
+    return _graded(den, *run(forms, bound, convolve))
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -305,6 +313,16 @@ def _int_convolve(ip: List[int], tail: List[int]) -> List[int]:
             for j, b in enumerate(tail, start=i + 1):
                 out[j] += a * b
     return out
+
+
+def _int_power(tail: List[int], e: int) -> List[int]:
+    """The tail of the monic polynomial (1, *tail)^e, e >= 1, by repeated
+    squaring."""
+    if e == 1:
+        return tail
+    half = _int_power(tail, e // 2)
+    square = _int_convolve([1, *half], half)[1:]
+    return _int_convolve([1, *square], tail)[1:] if e % 2 else square
 
 
 def _residues(r: List[int]) -> List[int]:

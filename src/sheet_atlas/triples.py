@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket_is, build_model, in_algebra, sp_gram
 from .partitions import Partition
-from .scalars import RatPoly, as_scalar, clear, cleared_degree, run
+from .scalars import RatPoly, as_scalar, clear, height, run
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
@@ -349,12 +349,12 @@ def sp4_slice(t, as_printed: bool = False) -> RationalMatrix:
     nonzero constant term, so it leaves the sheet for t != 0.
     """
     # for t = v / q, 4 q^2 x_t has the entries +-2qv, q^2 and k v^2 (k = 1
-    # as printed, else 4): integers, or over Q[t] interpolated from them
+    # as printed, else 4): integers, or over Q[t] read at t = 2^S, with
+    # 1-norms at most 2q h, q^2 and k h^2 for h = ‖v‖₁
     form = clear([as_scalar(t)])
     q, k = form[0], 1 if as_printed else 4
-    (half, neg, unit, corner), symbol = run(
-        [form], lambda: 2 * cleared_degree(form) + 1, lambda c: [2 * q * c[0], -2 * q * c[0], q * q, k * c[0] ** 2]
-    )
+    bound = lambda: max(2 * q * height(form[1]), q * q, k * height(form[1]) ** 2)
+    (half, neg, unit, corner), symbol = run([form], bound, lambda c: [2 * q * c[0], -2 * q * c[0], q * q, k * c[0] ** 2])
     rows = [[(0, half), (2, unit)], [(1, neg), (3, unit)], [(0, corner), (2, half)], [(1, corner), (3, neg)]]
     return RationalMatrix.from_cleared(4, 4 * q * q, rows, symbol)
 

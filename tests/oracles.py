@@ -15,7 +15,7 @@ and a RatPoly's value by Horner's rule over their coefficients (the
 library's RatPoly is a value type with no evaluation), and tuple recovery by
 squarefree (Yun) decomposition on the same long division.  It also
 holds :func:`falling_factorial`, a test input shared by the modules that
-check the degree bounds of the specialisation layer, and
+check answers over Q[t] of full t-degree that vanish at many integers, and
 :func:`descriptor_from_json`, which reads a record back from its dict form
 for the round-trip tests (the library only writes records),
 :func:`descriptor_to_json`, the record as a dict built field by field from
@@ -250,10 +250,12 @@ def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction
 
 def long_division(p: Sequence[Fraction], q: Sequence[Fraction]):
     """Quotient and trimmed remainder of dense rational p by q (leading
-    entry nonzero), one leading term of p at a time in Fractions."""
+    entry nonzero), one leading term of p at a time in Fractions.  A monic
+    q (leading entry 1) needs no division, so p and q may then also have
+    coefficients in Q[t]."""
     quo, rem = [], list(p)
     while len(rem) >= len(q):
-        c = rem[0] / q[0]
+        c = rem[0] if q[0] == 1 else rem[0] / q[0]
         quo.append(c)
         rem = [x - c * y for x, y in zip(rem[1:], q[1:])] + rem[len(q) :]
     return quo, poly_trim(rem)

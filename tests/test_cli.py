@@ -219,6 +219,38 @@ def test_f4_refuses_a_levi_label():
     assert code == 0 and json.loads(out)["dim_base"] == 52
 
 
+def test_f4_refuses_a_rank_other_than_four():
+    """F4 has rank 4: any other explicit --rank is refused (exit 1, an
+    error line, nothing on stdout) instead of being ignored; --rank 4 and
+    no --rank answer as before."""
+    for argv in (
+        ["sheets", "--kind", "F4", "--rank", "7"],
+        ["sheets", "--kind", "F4", "--rank", "0", "--json"],
+        ["sheet-info", "--kind", "F4", "--rank", "3"],
+        ["hitchin-dim", "--genus", "2", "--kind", "F4", "--rank", "9"],
+    ):
+        code, out, err = _serve(argv)
+        assert (code, out) == (1, "") and err.startswith("error:") and "rank 4" in err, argv
+    for argv in (["hitchin-dim", "--genus", "2", "--kind", "F4", "--json"], ["hitchin-dim", "--genus", "2", "--kind", "F4", "--rank", "4", "--json"]):
+        code, out, _ = _serve(argv)
+        assert code == 0 and json.loads(out)["dim_base"] == 52
+    code, out, _ = _serve(["sheets", "--kind", "F4"])
+    assert code == 0 and "f4:B3" in out
+    # the other kinds still need a positive rank
+    code, out, err = _serve(["sheets", "--kind", "C"])
+    assert (code, out) == (1, "") and err == "error: rank must be positive\n"
+
+
+def test_f4_sheet_spec_takes_no_fields():
+    """The --sheet spec of the F4 sheet is 'F4' alone: a rank or Levi field
+    after it is refused instead of being ignored."""
+    for spec in ("F4:4:1,2", "F4:4", "f4:", "F4:7:3,1"):
+        code, out, err = _serve(["multiplicity", "--sheet", spec, "--z", "5"])
+        assert (code, out) == (1, "") and err.startswith("error:") and "'F4' alone" in err, spec
+    code, out, _ = _serve(["multiplicity", "--sheet", "F4", "--z", "5"])
+    assert code == 0 and out
+
+
 def test_parse_error_exit_code():
     run_cli("sheets", expect=2)
 

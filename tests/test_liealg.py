@@ -8,6 +8,7 @@ from sheet_atlas.liealg import (
     ClassicalForm,
     RationalMatrix,
     bracket,
+    bracket_is,
     build_model,
     centralizer_dim,
     char_poly,
@@ -22,7 +23,7 @@ from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, val
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
-from oracles import charpoly_by_expansion, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, value_at
+from oracles import charpoly_by_expansion, expand_roots, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, value_at
 
 
 def test_bracket_sp4_triple():
@@ -868,7 +869,81 @@ def test_char_poly_over_qt_against_cofactor_expansion():
         char_poly(RationalMatrix([[t, 1], [0, s]]))
 
 
-# --- Q[t] by specialisation: every degree bound at its edge ------------------------
+# --- Q[t] by Kronecker substitution: every height bound outgrown ------------------
+
+
+def _plain_product(a, b):
+    """The product of dense square matrices by plain scalar arithmetic."""
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def _plain_sum(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def test_matrix_height_bounds_are_outgrown():
+    """Each matrix operation over Q[t] on inputs whose entries have 1-norm
+    at most 4, with an answer whose t-coefficients are larger (6, 18, 9,
+    27, ...): read at t = 2^S it needs the operation's own height bound.
+    Against plain RatPoly arithmetic on the dense views.  The two zero
+    tests have a nonzero defect, t^2 - 4t and t - 16, that vanishes at
+    t = 2^S for the S = bitlen(h) + 1 of their largest input height h
+    alone (1 and 4)."""
+    t = RatPoly.variable()
+    z = Fraction(0)
+    a = RationalMatrix([[z, 3 * t, 3 * t], [z, z, z], [z, z, z]])
+    b = RationalMatrix([[z, z, z], [Fraction(3), z, z], [Fraction(3), z, Fraction(-3, 2) * t]])
+    assert (a + a).rows[0][1] == 6 * t
+    assert _dense(a + b) == _plain_sum(a.rows, b.rows) and _dense(a - b.scale(-1)) == _plain_sum(a.rows, b.rows)
+    assert _dense(a @ b) == _plain_product(a.rows, b.rows) and (a @ b).rows[0][0] == 18 * t
+    assert a.scale(3 * t) == RationalMatrix([[z, 9 * t * t, 9 * t * t], [z, z, z], [z, z, z]])
+    assert _dense(bracket(a, b)) == _plain_sum(_plain_product(a.rows, b.rows), _plain_product(b.rows, a.rows), -1)
+    x = RationalMatrix([[3 * t, 3 * t, z], [z, 3 * t, 3 * t], [3 * t, z, 3 * t]])
+    assert char_poly(x).dense() == charpoly_by_expansion(x.rows)
+    assert char_poly(RationalMatrix.diagonal([3 * t] * 3)).dense() == expand_roots([3 * t] * 3)
+    # [t E_01, t E_10] = t^2 (E_00 - E_11), not 4 t (E_00 - E_11)
+    e01, e10 = RationalMatrix.unit(2, 0, 1, t), RationalMatrix.unit(2, 1, 0, t)
+    h = RationalMatrix.diagonal([t, -t])
+    assert bracket_is(e01, e10, 1, h.scale(t)) and not bracket_is(e01, e10, 4, h)
+    # X^T G + G X = (t - 16)(E_01 + E_10) for G = diag(1, 4, 1): X is not in so(G)
+    model = build_model(type_b(1), ClassicalForm("symmetric", RationalMatrix.diagonal([1, 4, 1])))
+    outside = RationalMatrix([[z, t, z], [Fraction(-4), z, z], [z, z, z]])
+    defect = _plain_sum(_plain_product(_transposed(outside.rows), model.form.gram.rows), _plain_product(model.form.gram.rows, outside.rows))
+    assert defect[0][1] == t - 16
+    assert not in_algebra(outside, model)
+    assert in_algebra(RationalMatrix([[z, 4 * t, z], [-t, z, z], [z, z, z]]), model)
+    # the rank-2 symplectic slice at 3t: 4 x has the entries ±6t, 1 and 36t^2
+    half, quarter = Fraction(3, 2) * t, Fraction(1, 4)
+    assert sp4_slice(3 * t) == RationalMatrix(
+        [[half, z, quarter, z], [z, -half, z, quarter], [9 * t * t, z, half, z], [z, 9 * t * t, z, -half]]
+    )
+
+
+def _transposed(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def test_char_poly_of_a_dense_twelve_by_twelve_matrix_linear_in_t():
+    """A 12 x 12 matrix with entries linear in t: an upper triangular one,
+    diagonal r_i + s_i t, conjugated by seeded elementary integer
+    operations (row i += c row j, then column j -= c column i), so that its
+    characteristic polynomial is prod (λ - r_i - s_i t), expanded by plain
+    RatPoly arithmetic."""
+    rng = random.Random(1212)
+    n = 12
+    diagonal = [RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.choice((-3, -2, -1, 1, 2, 3))]) for _ in range(n)]
+    rows = [[diagonal[i] if i == j else RatPoly([rng.randint(-3, 3), rng.randint(-3, 3)]) if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    for _ in range(40):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] = row[j] - c * row[i]
+    assert sum(1 for row in rows for v in row if isinstance(v, RatPoly) and v.degree() == 1) > n * n // 2
+    cp = char_poly(RationalMatrix(rows))
+    assert cp.dense() == expand_roots(diagonal)
+    assert all(isinstance(c, RatPoly) and c.symbol == "t" for c in cp.coeffs)
 
 
 def _companion(coeffs):
@@ -890,7 +965,7 @@ def _expanded(rows):
 
 def test_char_poly_specialisation_bound_is_met():
     # t^m times a companion matrix: a_k = t^(km) c_k, so a_n has t-degree
-    # exactly n m, the bound
+    # exactly n m, the most the entries allow
     t = RatPoly.variable()
     rng = random.Random(83)
     for n in range(1, 6):
@@ -902,8 +977,7 @@ def test_char_poly_specialisation_bound_is_met():
             assert got.coefficient(n).degree() == n * m
             assert got == GradedPolynomial([RatPoly([0] * (k * m) + [c]) for k, c in enumerate(coeffs, start=1)])
     # diag(r_1, ..., r_n) with r_k vanishing on consecutive blocks of m
-    # integers: a_n = ±t(t-1)...(t-nm+1) is zero at every sample point but
-    # the last
+    # integers: a_n = ±t(t-1)...(t-nm+1) is zero at t = 0, ..., nm - 1
     for n in range(1, 5):
         for m in (1, 2):
             x = RationalMatrix.diagonal([falling_factorial(t, k * m, m) * Fraction(1, k + 2) for k in range(n)])
@@ -921,7 +995,7 @@ def test_bracket_and_membership_specialisation_bounds_are_met():
     model = sp4_model()
     for ma, mb in ((1, 1), (1, 3), (2, 2), (3, 1)):
         # [r_a E_01, r_b E_10] = r_a r_b (E_00 - E_11), of t-degree ma + mb
-        # and zero at every sample point but the last
+        # and zero at t = 0, ..., ma + mb - 1
         ra, rb = falling_factorial(t, 0, ma) * Fraction(2, 3), falling_factorial(t, ma, mb) * Fraction(-5, 7)
         a = RationalMatrix.unit(3, 0, 1, ra) + RationalMatrix.unit(3, 2, 2, RatPoly([0] * ma + [1]))
         b = RationalMatrix.unit(3, 1, 0, rb) + RationalMatrix.unit(3, 2, 1, Fraction(1, 9))
@@ -930,7 +1004,7 @@ def test_bracket_and_membership_specialisation_bounds_are_met():
         assert got.rows[0][0] == ra * rb and got.rows[0][0].degree() == ma + mb
         assert all(isinstance(v, RatPoly) for row in got.rows for v in row)
         # r_m times sp4 elements (members) and times the identity (defect
-        # 2 r_m J, zero at every sample point but the last)
+        # 2 r_m J, zero at t = 0, ..., ma - 1)
         r = falling_factorial(t, 0, ma) * Fraction(1, 4)
         for x in (sp4_e().scale(r) + sp4_h().scale(RatPoly([0] * ma + [1])), RationalMatrix.identity(4).scale(r), sp4_slice(t).scale(r)):
             assert in_algebra(x, model) == _in_algebra_by_products(x, model)

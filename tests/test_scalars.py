@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sheet_atlas.scalars import RatPoly, as_scalar, format_scalar, interpolate, parse_scalar
+from sheet_atlas.scalars import RatPoly, as_scalar, at, digits, format_scalar, parse_scalar
 
 from oracles import convolve_fractions, long_division
 
@@ -134,19 +134,31 @@ def test_gcd_divides_both_fuzz(g, a, b):
     assert d.divmod(g * (1 / g.coeffs[-1]))[1].is_zero() or d.degree() >= g.degree()
 
 
-def test_interpolate_recovers_integer_polynomials():
+def test_kronecker_digits_round_trip():
+    """An integer polynomial whose coefficients lie strictly inside the
+    balanced range (-2^(s-1), 2^(s-1)) is read back from its value at 2^s
+    as its digits, trailing zeros dropped: negative digits, digits at
+    ±(2^(s-1) - 1), zero and lists ending in zeros included.  The value is
+    checked by the plain sum of c_i 2^(s i)."""
     rng = random.Random(97)
-    for points in range(1, 12):
-        polys = []
+    cases = [(s, []) for s in (2, 5)] + [(3, [0, 0, 0]), (4, [5, 0, 0]), (2, [0, 0])]
+    for s in range(2, 70):
+        edge = 2 ** (s - 1) - 1
+        cases.append((s, [edge, -edge, 0, -edge, edge]))
+        cases.append((s, [-edge] * 4 + [0, 0]))
         for _ in range(6):
-            p = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, points))]
-            while p and not p[-1]:
-                p.pop()
-            polys.append(p)
-        # t(t-1)...(t-points+2): zero at every point but the last
-        falling = [1]
-        for i in range(points - 1):
-            falling = [a - i * b for a, b in zip([0, *falling], [*falling, 0])]
-        polys.append(falling)
-        values = [[sum(c * t0**k for k, c in enumerate(p)) for p in polys] for t0 in range(points)]
-        assert interpolate(values) == polys
+            cases.append((s, [rng.randint(-edge, edge) for _ in range(rng.randint(0, 9))]))
+    for s, poly in cases:
+        value = sum(c * 2 ** (s * i) for i, c in enumerate(poly))
+        assert at([poly], 2**s) == [value]
+        trimmed = list(poly)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert digits(value, s) == trimmed, (s, poly)
+    # every integer has one expansion in digits of [-2^(s-1), 2^(s-1))
+    for s in (2, 3, 8, 31, 64):
+        for _ in range(200):
+            x = rng.randint(-(2 ** (s * 7)), 2 ** (s * 7))
+            d = digits(x, s)
+            assert sum(c * 2 ** (s * i) for i, c in enumerate(d)) == x
+            assert all(-(2 ** (s - 1)) <= c < 2 ** (s - 1) for c in d) and (not d or d[-1])

@@ -20,7 +20,17 @@ from sheet_atlas.spectral import (
     witness_noninjectivity,
 )
 
-from oracles import evaluate, expand_roots, falling_factorial, gcd_by_euclid, graded_from_dense, power, recover_tuple, value_at
+from oracles import (
+    evaluate,
+    expand_roots,
+    falling_factorial,
+    gcd_by_euclid,
+    graded_from_dense,
+    long_division,
+    power,
+    recover_tuple,
+    value_at,
+)
 
 
 def poly_from_roots(roots):
@@ -365,13 +375,12 @@ def test_products_and_division_specialisation_bounds_are_met():
     for degrees in ((1,), (2, 1), (1, 2, 1), (3, 1, 2)):
         s = len(degrees)
         # ξ_i = λ^2 + t^(m_i) λ + (i/7) t^(m_i): the constant term of mu_s
-        # has t-degree sum i m_i, the bound
+        # has t-degree sum i m_i, the most the factors allow
         factors = [GradedPolynomial([RatPoly([0] * m + [1]), RatPoly([0] * m + [Fraction(i, 7)])]) for i, m in enumerate(degrees, start=1)]
         image = mu_s(SheetBasePoint(_staircase(s, 2), factors))
         assert image.coefficient(image.degree).degree() == sum(i * m for i, m in enumerate(degrees, start=1))
         # ξ_i = λ - r_i, the r_i zero on consecutive blocks of m_i integers:
-        # the constant term of min_poly is zero at every sample point but the
-        # last
+        # the constant term of min_poly is zero at t = 0, ..., sum m_i - 1
         roots = [falling_factorial(t, sum(degrees[:i]), m) * Fraction(3, 5) for i, m in enumerate(degrees)]
         minimal = min_poly(SheetBasePoint(_staircase(s, 1), [GradedPolynomial.from_roots([r]) for r in roots]))
         assert minimal.coefficient(s).degree() == sum(degrees)
@@ -385,9 +394,8 @@ def test_products_and_division_specialisation_bounds_are_met():
                 expected *= lam - value_at(r, t0)
             assert _value(minimal.dense(), lam, t0) == expected
     for k, dq in ((1, 1), (2, 2), (3, 1), (1, 2)):
-        # λ^k mod (λ - t^dq) is t^(k dq), the bound; λ mod (λ - r), with r
-        # zero at t = 0, ..., dq - 1, is r, zero at every sample point but
-        # the last
+        # λ^k mod (λ - t^dq) is t^(k dq), of full t-degree; λ mod (λ - r),
+        # with r zero at t = 0, ..., dq - 1, is r
         for p, q in ((GradedPolynomial.monomial(k), GradedPolynomial([RatPoly([0] * dq + [-1])])), (GradedPolynomial.monomial(1), GradedPolynomial([-falling_factorial(t, 0, dq)]))):
             quo, rem = _check_division(p, q)
             assert rem == [power(-q.coeffs[0], p.degree)] and rem[0].degree() == p.degree * dq
@@ -416,8 +424,9 @@ def _check_division(p, q):
 def test_division_over_qt_up_to_degree_ten():
     """mu_s by min_poly over Q[t] on seeded profiles of n <= 10, factors of
     any degree, roots of t-degree up to 2; then dividends whose t-degree
-    exceeds the weight of the divisor, and divisors for which the bound
-    dp + (nquo + 1) dq is the smaller one."""
+    exceeds the weight of the divisor, and divisors for which
+    dp + (nquo + 1) dq, with dp and dq the largest t-degrees, is below
+    the weight count."""
     rng = random.Random(5150)
     t = RatPoly.variable()
     profiles = [m for n in range(2, 11) for m in partitions_of(n)]
@@ -437,17 +446,89 @@ def test_division_over_qt_up_to_degree_ten():
         p = GradedPolynomial([RatPoly([-2, 0, 0, 1]), *(c * (t * t + 1) if k % 2 else c for k, c in enumerate(image.coeffs))])
         _check_division(p, minimal)
     for n in range(4, 11):
-        # λ^n + λ/2 by λ^3 + t: the weight bound is n, dp + (n - 2) dq is n - 2
+        # λ^n + λ/2 by λ^3 + t: the weight count gives n, dp + (n - 2) dq gives n - 2
         p = [Fraction(0)] * (n - 2) + [Fraction(1, 2), Fraction(0)]
         quo, rem = _check_division(GradedPolynomial(p), GradedPolynomial([Fraction(0), Fraction(0), t]))
         assert rem and max([0, *(c.degree() for c in quo.coeffs)]) == (n - 3) // 3
         _check_division(GradedPolynomial([t, *p]), GradedPolynomial([Fraction(-1, 3), Fraction(0), t * t - t]))
     for k in range(1, 6):
         # λ^k mod (λ^k + r λ^(k-1)), r zero at t = 0, 1: the remainder -r
-        # λ^(k-1) meets dp + (nquo + 1) dq = 2, below the weight bound 2k
+        # λ^(k-1) has t-degree dp + (nquo + 1) dq = 2, below the weight count 2k
         r = falling_factorial(t, 0, 2)
         quo, rem = _check_division(GradedPolynomial.monomial(k), GradedPolynomial([r, *[Fraction(0)] * (k - 1)]))
         assert rem[0] == -r
+
+
+def test_product_height_bounds_are_outgrown():
+    """from_roots, ** and * over Q[t] where a coefficient of the answer
+    (27 t^3, then 3^6 t^6 and more) is far above the largest 1-norm of an
+    input (3), so that reading the answer at t = 2^S needs the product
+    bounds: against the root expansion by plain RatPoly arithmetic."""
+    t = RatPoly.variable()
+    cube = graded_from_dense(expand_roots([3 * t] * 3))
+    assert cube.dense()[-1] == RatPoly([0, 0, 0, -27])
+    assert GradedPolynomial.from_roots([3 * t] * 3) == cube
+    linear = GradedPolynomial([-3 * t])
+    assert linear**3 == cube and linear * linear * linear == cube
+    assert (linear**6).dense() == expand_roots([3 * t] * 6)
+    # mu_s and min_poly raise and multiply the rescaled factors (D = 2 and 3)
+    xi1, xi2 = GradedPolynomial([Fraction(-3, 2) * t]), GradedPolynomial([Fraction(-5, 3) * t, Fraction(4, 3) * t])
+    point = SheetBasePoint(_staircase(2, 1), [xi1, GradedPolynomial.from_roots([Fraction(-7, 3) * t])])
+    assert mu_s(point).dense() == expand_roots([Fraction(3, 2) * t, Fraction(-7, 3) * t, Fraction(-7, 3) * t])
+    assert min_poly(point).dense() == expand_roots([Fraction(3, 2) * t, Fraction(-7, 3) * t])
+    assert (xi1 * xi2**4).dense() == _dense_product([xi1.dense()] + [xi2.dense()] * 4)
+
+
+def _dense_product(dense_factors):
+    """The product of descending coefficient lists by plain scalar arithmetic."""
+    out = [Fraction(1)]
+    for f in dense_factors:
+        out = [sum((out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f)), Fraction(0)) for k in range(len(out) + len(f) - 1)]
+    return out
+
+
+def test_division_whose_remainder_outgrows_the_first_guess():
+    """Monic divisions over Q[t] whose remainder has a t-coefficient far
+    above ‖P‖₁ ‖Q‖₁ of the scaled forms, the height first guessed for the
+    answer: λ^6 mod (λ - 5t/3), whose scaled remainder 5^6 t^6 is above
+    1 · (1 + 5), and seeded dividends by λ^2 + 7t λ - 9t^2/2.  Against
+    long division by plain RatPoly arithmetic."""
+    t = RatPoly.variable()
+    cases = [(GradedPolynomial.monomial(6), GradedPolynomial([Fraction(-5, 3) * t]))]
+    rng = random.Random(1618)
+    divisor = GradedPolynomial([7 * t, Fraction(-9, 2) * t * t])
+    for d in range(2, 12):
+        cases.append((GradedPolynomial([RatPoly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(d)]), divisor))
+    cases.append((GradedPolynomial.monomial(9) * divisor, divisor))
+    for p, q in cases:
+        want_quo, want_rem = long_division(p.dense(), q.dense())
+        quo, rem = p.divmod(q)
+        assert (quo.dense(), rem) == (want_quo, want_rem)
+        assert q.divides(p) == (not want_rem)
+    assert cases[0][0].divmod(cases[0][1])[1] == [power(Fraction(5, 3) * t, 6)]
+
+
+def test_mu_s_min_poly_and_divides_over_qt_at_degree_forty():
+    """mu_s, min_poly, divides and divmod on a Q[t] point of a profile with
+    n = 40, roots r + s t: against the root expansion by plain RatPoly
+    arithmetic, each factor's roots repeated by its multiplicity."""
+    rng = random.Random(4040)
+    prof = profile(Partition([4] * 4 + [3] * 4 + [2] * 4 + [1] * 4))
+    assert sum(i * li for i, li in prof.items()) == 40
+    roots = {}
+    for i, li in prof.items():
+        roots[i] = [RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 3)), rng.choice((-3, -2, -1, 1, 2, 3))]) for _ in range(li)]
+    point = SheetBasePoint(prof, [GradedPolynomial.from_roots(roots[i]) for i, _ in prof.items()])
+    image, minimal = mu_s(point), min_poly(point)
+    assert image.dense() == expand_roots([r for i, rs in roots.items() for r in rs for _ in range(i)])
+    assert minimal.dense() == expand_roots([r for rs in roots.values() for r in rs])
+    assert minimal.divides(image)
+    quo, rem = image.divmod(minimal)
+    assert rem == [] and quo.dense() == expand_roots([r for i, rs in roots.items() for r in rs for _ in range(i - 1)])
+    # one root moved: not a divisor, and the remainder is long division's
+    other = GradedPolynomial.from_roots([roots[1][0] + 1, *[r for rs in roots.values() for r in rs][1:]])
+    assert not other.divides(image)
+    assert image.divmod(other)[1] == long_division(image.dense(), other.dense())[1]
 
 
 def coprime_heart_point(rng, m: Partition, pool):
