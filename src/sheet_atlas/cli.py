@@ -39,10 +39,11 @@ def _json_mode(args) -> bool:
 
 
 def _rational(text: str) -> Fraction:
-    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  With
-    L = sys.get_int_max_str_digits(), a decimal exponent beyond L (slow to
-    build) and a numerator or denominator of more than L digits, as written
-    or as read (too long to print), are refused before any work is done."""
+    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  A zero
+    denominator is refused.  With L = sys.get_int_max_str_digits(), a
+    decimal exponent beyond L (slow to build) and a numerator or denominator
+    of more than L digits, as written or as read (too long to print), are
+    refused before any work is done."""
     mantissa, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "")
     limit = sys.get_int_max_str_digits()
@@ -50,7 +51,10 @@ def _rational(text: str) -> Fraction:
         raise ValueError("decimal exponent beyond %d in a rational input" % limit)
     if limit and len(text) > limit and any(sum(map(str.isdecimal, p)) > limit for p in (mantissa if e else text).split("/")):
         raise ValueError("more than %d digits in a rational input" % limit)
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in the rational input %r" % text) from None
     big = max(abs(value.numerator), value.denominator)
     # 2^(3L) < 10^L, so the power is built only for a value of more than 3L bits
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
@@ -84,10 +88,13 @@ def _parse_sheet_spec(spec: str) -> SheetDescriptor:
         if len(bits) > 1:
             raise ValueError("the F4 sheet spec is 'F4' alone: F4 has one classified sheet and rank 4")
         return sheets.f4_b3_sheet()
-    if len(bits) != 3:
-        raise ValueError("sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1")
-    kind = parse_kind(bits[0] + bits[1])
-    return sheets.find_sheet(kind, _parse_levi(kind, bits[2]))
+    try:
+        kind_text, rank_text, levi_text = bits
+        int(rank_text)
+    except ValueError:  # not three fields, or a RANK that is no integer
+        raise ValueError("sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1") from None
+    kind = parse_kind(kind_text + rank_text)
+    return sheets.find_sheet(kind, _parse_levi(kind, levi_text))
 
 
 def _print_table(rows, header: List[str]):

@@ -7,22 +7,22 @@ dimension has one route, from the group or from a sheet's slice weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from ._record import Record, _set
 from .partitions import profile
 from .sheets import GLLevi, GroupKind, SheetDescriptor, TorusLevi
 
 
-@dataclass(frozen=True)
-class SliceWeights:
+class SliceWeights(Record):
     """Scaling weights of the contracted slice coordinates."""
 
-    weights: Tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if any(w < 1 for w in self.weights):
+    def __init__(self, weights: Tuple[int, ...]):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
+        _set(self, "weights", weights)
 
 
 def h0_canonical_power(g: int, j: int) -> int:

@@ -31,7 +31,6 @@ the cleared form of its Gram matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
@@ -39,6 +38,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._record import Record, _set
 from .scalars import (
     ZERO,
     Cleared,
@@ -219,7 +219,6 @@ class RationalMatrix:
         return cls([[parse_scalar(v) for v in r] for r in obj])
 
 
-_set = object.__setattr__
 _index, _value = itemgetter(0), itemgetter(1)
 _EXACT = (int, Fraction, RatPoly)  # read by clear as they are; others go through as_scalar
 
@@ -331,24 +330,24 @@ def _linear(ra: SparseRows, rb: SparseRows, wa: int, wb: int) -> List[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ClassicalForm:
+class ClassicalForm(Record):
     """A non-degenerate symmetric or antisymmetric Gram matrix."""
 
-    kind: str  # "symmetric" | "antisymmetric"
-    gram: RationalMatrix
+    __slots__ = ("kind", "gram")
 
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "antisymmetric"):
+    def __init__(self, kind: str, gram: RationalMatrix):
+        if kind not in ("symmetric", "antisymmetric"):
             raise ValueError("form kind must be symmetric or antisymmetric")
-        sign = 1 if self.kind == "symmetric" else -1
-        cells = {(i, j): v for i, row in enumerate(self.gram.nz) for j, v in row}
+        sign = 1 if kind == "symmetric" else -1
+        cells = {(i, j): v for i, row in enumerate(gram.nz) for j, v in row}
         # G^T = ±G: each nonzero G[i][j] faces G[j][i] = ±G[i][j] (a zero facing it fails from its side)
         if any(cells.get((j, i)) != (sign * v if type(v) is int else tuple(sign * c for c in v)) for (i, j), v in cells.items()):
-            raise ValueError("gram matrix does not have %s symmetry" % self.kind)
+            raise ValueError("gram matrix does not have %s symmetry" % kind)
         # one nonzero per row (so per column: G^T = ±G) makes G monomial, hence non-degenerate
-        if (self.gram.symbol or any(len(row) != 1 for row in self.gram.nz)) and determinant(self.gram) == 0:
+        if (gram.symbol or any(len(row) != 1 for row in gram.nz)) and determinant(gram) == 0:
             raise ValueError("gram matrix is degenerate")
+        _set(self, "kind", kind)
+        _set(self, "gram", gram)
 
 
 def so_gram(n: int) -> ClassicalForm:
@@ -368,8 +367,7 @@ def sp_gram(n: int) -> ClassicalForm:
     return ClassicalForm("antisymmetric", RationalMatrix.from_cleared(n, 1, rows))
 
 
-@dataclass(frozen=True)
-class LieAlgebraModel:
+class LieAlgebraModel(Record):
     """A matrix model: the form (absent in type A) plus a spanning basis.
 
     ``terms[i]`` lists basis element i as its nonzero (row, col, k) entries,
@@ -378,10 +376,19 @@ class LieAlgebraModel:
     access.
     """
 
-    kind: object  # GroupKind; kept loose to avoid an import cycle
-    form: Optional[ClassicalForm]
-    matrix_size: int
-    terms: Tuple[Tuple[Term, ...], ...]
+    __slots__ = ("kind", "form", "matrix_size", "terms", "__dict__")  # __dict__ holds basis once built
+
+    def __init__(
+        self,
+        kind: object,  # GroupKind; kept loose to avoid an import cycle
+        form: Optional[ClassicalForm],
+        matrix_size: int,
+        terms: Tuple[Tuple[Term, ...], ...],
+    ):
+        _set(self, "kind", kind)
+        _set(self, "form", form)
+        _set(self, "matrix_size", matrix_size)
+        _set(self, "terms", terms)
 
     @cached_property
     def basis(self) -> Tuple[RationalMatrix, ...]:

@@ -14,19 +14,17 @@ not computed or verified numerically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from ._record import Record, _set
 from .sheets import SheetDescriptor
 
 
-@dataclass(frozen=True)
-class SlicePoint:
+class SlicePoint(Record):
     """A point of the slice quotient: a rational tuple of length dim_z."""
 
-    sheet: SheetDescriptor
-    z: Tuple[Fraction, ...]
+    __slots__ = ("sheet", "z")
 
     def __init__(self, sheet: SheetDescriptor, z):
         if isinstance(z, (int, Fraction)):
@@ -35,8 +33,8 @@ class SlicePoint:
             z = tuple(Fraction(v) for v in z)
         if len(z) != sheet.dim_z:
             raise ValueError("slice point has length %d, sheet centre has dimension %d" % (len(z), sheet.dim_z))
-        object.__setattr__(self, "sheet", sheet)
-        object.__setattr__(self, "z", z)
+        _set(self, "sheet", sheet)
+        _set(self, "z", z)
 
     @property
     def is_nilpotent_point(self) -> bool:

@@ -6,28 +6,27 @@ own conjugate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, Tuple
 
+from ._record import OrderedRecord, Record, _set
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(OrderedRecord):
     """A weakly decreasing tuple of positive integers."""
 
-    parts: Tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = sorted((int(p) for p in parts), reverse=True)
         if any(p <= 0 for p in ps):
             raise ValueError("partition parts must be positive: %r" % (ps,))
-        object.__setattr__(self, "parts", tuple(ps))
+        _set(self, "parts", tuple(ps))
 
     @classmethod
     def _trusted(cls, parts) -> "Partition":
         # internal: parts already positive ints, largest first
         out = object.__new__(cls)
-        object.__setattr__(out, "parts", tuple(parts))
+        _set(out, "parts", tuple(parts))
         return out
 
     @property
@@ -55,15 +54,17 @@ class Partition:
         return list(self.parts)
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(Record):
     """Part-multiplicity counts l_1..l_s of a partition, s = largest part.
 
     l_i is the number of parts equal to i; indices run 1..s even when some
     l_i = 0 so that downstream tuple shapes are total.
     """
 
-    counts: Tuple[int, ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: Tuple[int, ...]):
+        _set(self, "counts", counts)
 
     @property
     def s(self) -> int:

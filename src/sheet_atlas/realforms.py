@@ -14,38 +14,38 @@ the fixed-point fibres generically have order 2^(m-1)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
+from ._record import Record, _set
 from .partitions import Partition
 from .sheets import GLLevi, LeviLabel, check_rank, type_a
 
 
-@dataclass(frozen=True)
-class SU:
+class SU(Record):
     """SU(p, q) with p >= q >= 1."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not self.p >= self.q >= 1:
+    def __init__(self, p: int, q: int):
+        if not p >= q >= 1:
             raise ValueError("need p >= q >= 1")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def __str__(self):
         return "SU(%d,%d)" % (self.p, self.q)
 
 
-@dataclass(frozen=True)
-class SOStar:
+class SOStar(Record):
     """SO*(2n) with n >= 3."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int):
+        if n < 3:
             raise ValueError("need n >= 3")
+        _set(self, "n", n)
 
     def __str__(self):
         return "SO*(%d)" % (2 * self.n,)
@@ -54,16 +54,26 @@ class SOStar:
 RealFormLabel = Union[SU, SOStar]
 
 
-@dataclass(frozen=True)
-class RealSheetReport:
+class RealSheetReport(Record):
     """Sheet, quasi-split status and abelianisation target of a real form."""
 
-    label: RealFormLabel
-    levi_description: Union[LeviLabel, str, None]
-    quasi_split: bool
-    abelianised_target: Optional[str]
-    extra: Dict[str, Fraction] = field(default_factory=dict)
-    note: Optional[str] = None
+    __slots__ = ("label", "levi_description", "quasi_split", "abelianised_target", "extra", "note")
+
+    def __init__(
+        self,
+        label: RealFormLabel,
+        levi_description: Union[LeviLabel, str, None],
+        quasi_split: bool,
+        abelianised_target: Optional[str],
+        extra: Optional[Dict[str, Fraction]] = None,
+        note: Optional[str] = None,
+    ):
+        _set(self, "label", label)
+        _set(self, "levi_description", levi_description)
+        _set(self, "quasi_split", quasi_split)
+        _set(self, "abelianised_target", abelianised_target)
+        _set(self, "extra", {} if extra is None else extra)
+        _set(self, "note", note)
 
     def to_json(self) -> dict:
         levi = self.levi_description

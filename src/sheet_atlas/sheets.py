@@ -7,35 +7,37 @@ classes), and the one exceptional record (the B3 Levi inside F4).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
+from ._record import Record, _set
 from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, partitions_of
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
 
 
-@dataclass(frozen=True)
-class GroupKind:
+class GroupKind(Record):
     """A classical group label A(n)=GL_n, B(r)=SO_{2r+1}, C(r)=Sp_{2r},
-    D(r)=SO_{2r}, or the exceptional F4."""
+    D(r)=SO_{2r}, or the exceptional F4 (rank 4, which rank 0 also means)."""
 
-    family: str
-    rank: int = 0
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in ("A", "B", "C", "D", "F4"):
-            raise ValueError("unknown group family %r" % (self.family,))
-        if self.family == "F4":
-            object.__setattr__(self, "rank", 4)
-        elif self.rank < 1:
+    def __init__(self, family: str, rank: int = 0):
+        if family not in ("A", "B", "C", "D", "F4"):
+            raise ValueError("unknown group family %r" % (family,))
+        if family == "F4":
+            if rank not in (0, 4):
+                raise ValueError("F4 has rank 4, not %r" % (rank,))
+            rank = 4
+        elif rank < 1:
             raise ValueError("rank must be positive")
-        elif self.family == "D" and self.rank < 2:
+        elif family == "D" and rank < 2:
             raise ValueError("type D needs rank >= 2")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
 
     @property
     def matrix_size(self) -> Optional[int]:
@@ -98,54 +100,59 @@ F4 = GroupKind("F4")
 # --- Levi labels -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GLLevi:
+class GLLevi(Record):
     """Type A Levi: a product of GL blocks, labelled by a partition."""
 
-    m: Partition
+    __slots__ = ("m",)
+
+    def __init__(self, m: Partition):
+        _set(self, "m", m)
 
     def __str__(self):
         return "GL" + str(self.m)
 
 
-@dataclass(frozen=True)
-class MaxLevi:
+class MaxLevi(Record):
     """Maximal Levi of SO/Sp: one GL_a block and the residual classical factor.
 
     For C the residual is p (an Sp_{2p} factor); for B/D it is q (an SO_q
     factor).  Constraints: a >= 1, and for D the residual must not be 2.
     """
 
-    a: int
-    residual: int
+    __slots__ = ("a", "residual")
 
-    def __post_init__(self):
-        if self.a < 1 or self.residual < 0:
-            raise ValueError("invalid maximal Levi label (%d;%d)" % (self.a, self.residual))
+    def __init__(self, a: int, residual: int):
+        if a < 1 or residual < 0:
+            raise ValueError("invalid maximal Levi label (%d;%d)" % (a, residual))
+        _set(self, "a", a)
+        _set(self, "residual", residual)
 
     def __str__(self):
         return "(%d;%d)" % (self.a, self.residual)
 
 
-@dataclass(frozen=True)
-class TorusLevi:
+class TorusLevi(Record):
     """The Cartan subgroup; labels the regular sheet."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "T"
 
 
-@dataclass(frozen=True)
-class FullGroupLevi:
+class FullGroupLevi(Record):
     """The group itself; labels rigid-orbit sheets and the zero sheet."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "G"
 
 
-@dataclass(frozen=True)
-class F4B3Levi:
+class F4B3Levi(Record):
     """The B3 Levi inside F4."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "B3"
@@ -157,8 +164,7 @@ LeviLabel = Union[GLLevi, MaxLevi, TorusLevi, FullGroupLevi, F4B3Levi]
 # --- Sheet descriptors ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SheetDescriptor:
+class SheetDescriptor(Record):
     """Full invariant record of one sheet.
 
     w_s_order is derived (w_l_order / katsylo_order); the constructor checks
@@ -166,23 +172,43 @@ class SheetDescriptor:
     the orbit-partition parity constraint.
     """
 
-    kind: GroupKind
-    levi: LeviLabel
-    dixmier: bool
-    nilpotent_orbit: Union[Partition, str]  # Bala-Carter tag for F4
-    d: int
-    dim_z: int
-    w_l_order: int
-    katsylo_order: int
-    dim_sheet: int
-    class_tag: Optional[str] = None
-    type_tag: Optional[int] = None
-    component_group_order: Optional[int] = None
-    levi_conjugacy_caveat: bool = False  # D-type Levis conjugate only in the full orthogonal group
-    name: Optional[str] = None
+    __slots__ = (
+        "kind", "levi", "dixmier", "nilpotent_orbit", "d", "dim_z", "w_l_order", "katsylo_order", "dim_sheet",
+        "class_tag", "type_tag", "component_group_order", "levi_conjugacy_caveat", "name",
+    )
 
-    def __post_init__(self):
-        check_record(self.kind, self.d, self.dim_z, self.w_l_order, self.katsylo_order, self.dim_sheet, self.nilpotent_orbit)
+    def __init__(
+        self,
+        kind: GroupKind,
+        levi: LeviLabel,
+        dixmier: bool,
+        nilpotent_orbit: Union[Partition, str],  # Bala-Carter tag for F4
+        d: int,
+        dim_z: int,
+        w_l_order: int,
+        katsylo_order: int,
+        dim_sheet: int,
+        class_tag: Optional[str] = None,
+        type_tag: Optional[int] = None,
+        component_group_order: Optional[int] = None,
+        levi_conjugacy_caveat: bool = False,  # D-type Levis conjugate only in the full orthogonal group
+        name: Optional[str] = None,
+    ):
+        check_record(kind, d, dim_z, w_l_order, katsylo_order, dim_sheet, nilpotent_orbit)
+        _set(self, "kind", kind)
+        _set(self, "levi", levi)
+        _set(self, "dixmier", dixmier)
+        _set(self, "nilpotent_orbit", nilpotent_orbit)
+        _set(self, "d", d)
+        _set(self, "dim_z", dim_z)
+        _set(self, "w_l_order", w_l_order)
+        _set(self, "katsylo_order", katsylo_order)
+        _set(self, "dim_sheet", dim_sheet)
+        _set(self, "class_tag", class_tag)
+        _set(self, "type_tag", type_tag)
+        _set(self, "component_group_order", component_group_order)
+        _set(self, "levi_conjugacy_caveat", levi_conjugacy_caveat)
+        _set(self, "name", name)
 
     @property
     def w_s_order(self) -> int:
@@ -617,15 +643,8 @@ def sheets_sp4() -> List[SheetDescriptor]:
             component_group_order=None,
             name="sp4:regular",
         ),
-        replace(
-            maximal_levi_sheet(kind, MaxLevi(1, 1)),
-            component_group_order=2,
-            name="sp4:SDix",
-        ),
-        replace(
-            maximal_levi_sheet(kind, MaxLevi(2, 0)),
-            name="sp4:SDix'",
-        ),
+        _sp4_dixmier(MaxLevi(1, 1), "sp4:SDix", component_group_order=2),
+        _sp4_dixmier(MaxLevi(2, 0), "sp4:SDix'"),
         SheetDescriptor(
             kind=kind,
             levi=FullGroupLevi(),
@@ -652,6 +671,16 @@ def sheets_sp4() -> List[SheetDescriptor]:
         ),
     ]
     return rows
+
+
+def _sp4_dixmier(levi: MaxLevi, name: str, component_group_order: Optional[int] = None) -> SheetDescriptor:
+    """The maximal Levi sheet of Sp4 for ``levi``, under its name in the
+    table and with the given component group order."""
+    row = maximal_levi_sheet(type_c(2), levi)
+    return SheetDescriptor(
+        row.kind, row.levi, row.dixmier, row.nilpotent_orbit, row.d, row.dim_z, row.w_l_order, row.katsylo_order,
+        row.dim_sheet, row.class_tag, row.type_tag, component_group_order, row.levi_conjugacy_caveat, name,
+    )
 
 
 # --- The exceptional record ---------------------------------------------------

@@ -26,13 +26,13 @@ the prime 2^61 - 1 may certify squarefreeness first; it never answers
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
+from ._record import Record, _set
 from .partitions import MultiplicityProfile, Partition, profile
 from .scalars import (
     Cleared,
@@ -206,12 +206,10 @@ class GradedPolynomial:
         return {"degree": self.degree, "coeffs": [format_scalar(c) for c in self.coeffs]}
 
 
-@dataclass(frozen=True)
-class SheetBasePoint:
+class SheetBasePoint(Record):
     """A tuple (ξ_1, ..., ξ_s) of monic factors with deg ξ_i = l_i."""
 
-    profile: MultiplicityProfile
-    factors: Tuple[GradedPolynomial, ...]
+    __slots__ = ("profile", "factors")
 
     def __init__(self, profile: MultiplicityProfile, factors: Sequence[GradedPolynomial]):
         factors = tuple(factors)
@@ -220,8 +218,8 @@ class SheetBasePoint:
         for i, xi in enumerate(factors, start=1):
             if xi.degree != profile.l(i):
                 raise ValueError("factor %d has degree %d, profile wants %d" % (i, xi.degree, profile.l(i)))
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "factors", factors)
+        _set(self, "profile", profile)
+        _set(self, "factors", factors)
 
 
 def mu_s(point: SheetBasePoint) -> GradedPolynomial:

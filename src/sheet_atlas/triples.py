@@ -9,18 +9,17 @@ uncorrected t^2 behind an as_printed flag for comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ._record import Record, _set
 from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket_is, build_model, in_algebra, sp_gram
 from .partitions import Partition
 from .scalars import RatPoly, as_scalar, clear, height, run
 from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
 
 
-@dataclass(frozen=True)
-class JordanBasisPlan:
+class JordanBasisPlan(Record):
     """Pairing plan for a normalised Jordan basis.
 
     beta is an involution on block indices (0-based) pairing equal-size
@@ -28,20 +27,20 @@ class JordanBasisPlan:
     the isotropic subspace V+.
     """
 
-    orbit: Partition
-    beta: Tuple[int, ...]
-    gl_block_size: int
-    symmetric: bool
+    __slots__ = ("orbit", "beta", "gl_block_size", "symmetric")
 
-    def __post_init__(self):
-        parts = self.orbit.parts
-        for j, bj in enumerate(self.beta):
-            if parts[bj] != parts[j] or self.beta[bj] != j:
+    def __init__(self, orbit: Partition, beta: Tuple[int, ...], gl_block_size: int, symmetric: bool):
+        parts = orbit.parts
+        for j, bj in enumerate(beta):
+            if parts[bj] != parts[j] or beta[bj] != j:
                 raise ValueError("beta is not a size-preserving involution")
+        _set(self, "orbit", orbit)
+        _set(self, "beta", beta)
+        _set(self, "gl_block_size", gl_block_size)
+        _set(self, "symmetric", symmetric)
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(Record):
     """An exact sl2-triple (e, h, f) adapted to a parabolic flag.
 
     Invariants checked on construction: the bracket relations [h,e] = 2e,
@@ -50,17 +49,29 @@ class Sl2Triple:
     abelianisation value.
     """
 
-    e: RationalMatrix
-    h: RationalMatrix
-    f: RationalMatrix
-    model: LieAlgebraModel
-    flag_dims: Tuple[int, ...]
-    abelianization_value: Fraction
-    h_prime: Optional[RationalMatrix] = None
-    plan: Optional[JordanBasisPlan] = None
-    label: str = ""
+    __slots__ = ("e", "h", "f", "model", "flag_dims", "abelianization_value", "h_prime", "plan", "label")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        e: RationalMatrix,
+        h: RationalMatrix,
+        f: RationalMatrix,
+        model: LieAlgebraModel,
+        flag_dims: Tuple[int, ...],
+        abelianization_value: Fraction,
+        h_prime: Optional[RationalMatrix] = None,
+        plan: Optional[JordanBasisPlan] = None,
+        label: str = "",
+    ):
+        _set(self, "e", e)
+        _set(self, "h", h)
+        _set(self, "f", f)
+        _set(self, "model", model)
+        _set(self, "flag_dims", flag_dims)
+        _set(self, "abelianization_value", abelianization_value)
+        _set(self, "h_prime", h_prime)
+        _set(self, "plan", plan)
+        _set(self, "label", label)
         for name, ok, _ in self.checks():
             if not ok:
                 raise ValueError("sl2-triple construction failed check %r" % name)

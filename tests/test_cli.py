@@ -251,6 +251,28 @@ def test_f4_sheet_spec_takes_no_fields():
     assert code == 0 and out
 
 
+def test_zero_denominators_are_refused_by_name():
+    """A rational input with a zero denominator is refused with a message
+    that names it, not Python's Fraction(1, 0)."""
+    for argv, text in (
+        (["multiplicity", "--sheet", "A:3:2,1", "--z", "1/0"], "1/0"),
+        (["multiplicity", "--sheet", "A:3:2,1", "--z", "1,0/0"], "0/0"),
+        (["mu-s", "--profile", "1", "--factors", "1/0"], "1/0"),
+        (["mu-s", "--profile", "2,1", "--factors", "3/00;1", "--json"], "3/00"),
+    ):
+        assert _serve(argv) == (1, "", "error: zero denominator in the rational input %r\n" % text), argv
+
+
+def test_sheet_spec_rank_must_be_an_integer():
+    """An empty or non-integer RANK field of a --sheet spec is refused with
+    the spec's format; an integer rank is read as before."""
+    for spec in ("A::1", "A:x:2,1", "C:1.5:1,1", "C: :1,1"):
+        assert _serve(["multiplicity", "--sheet", spec]) == (1, "", "error: sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1\n"), spec
+    assert _serve(["multiplicity", "--sheet", "A:-2:1"]) == (1, "", "error: rank must be positive\n")
+    code, out, _ = _serve(["multiplicity", "--sheet", "C: 2 :1,1", "--z", "1"])
+    assert code == 0 and out.startswith("sheet: sp4:SDix\n")
+
+
 def test_parse_error_exit_code():
     run_cli("sheets", expect=2)
 

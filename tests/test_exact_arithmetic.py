@@ -1,13 +1,15 @@
 """The library's answers are exact: no floating point and nothing
 probabilistic in src/.  Arithmetic modulo a prime may certify an answer,
-which needs only integers, so this guard does not stand in its way."""
+which needs only integers, so this guard does not stand in its way.  The
+same scan keeps ``dataclasses`` out of src/: its import and its generated
+code were most of the CLI's start-up time."""
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sheet_atlas"
 
 FORBIDDEN_NAMES = {"float", "complex"}
-FORBIDDEN_MODULES = {"random", "cmath", "statistics"}
+FORBIDDEN_MODULES = {"random", "cmath", "statistics", "dataclasses"}
 # integer-only functions of math; everything else in it works on floats
 MATH_ALLOWED = {"gcd", "lcm", "factorial", "prod", "comb", "isqrt"}
 
@@ -40,7 +42,7 @@ def test_no_floating_point_or_randomness_in_library():
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s:%d: %s" % (path.relative_to(SRC.parent), line, what) for line, what in _findings(tree)]
-    assert not found, "inexact or probabilistic code in the library: " + "; ".join(found)
+    assert not found, "inexact or probabilistic code, or a dataclasses import, in the library: " + "; ".join(found)
 
 
 def test_guard_catches_each_forbidden_form():
@@ -57,7 +59,9 @@ def test_guard_catches_each_forbidden_form():
             "from math import sqrt, gcd",
             "from math import lcm, factorial, prod, comb, isqrt",
             "from fractions import Fraction",
+            "import dataclasses",
+            "from dataclasses import dataclass",
         ]
     )
     lines = sorted(line for line, _ in _findings(ast.parse(source)))
-    assert lines == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert lines == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13]

@@ -1,6 +1,5 @@
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from io import StringIO
 
 import pytest
@@ -11,6 +10,7 @@ from sheet_atlas.sheets import (
     F4,
     FullGroupLevi,
     GLLevi,
+    GroupKind,
     MaxLevi,
     SheetDescriptor,
     TorusLevi,
@@ -270,6 +270,16 @@ def test_descriptor_json_roundtrip():
         assert descriptor_from_json(desc.to_json()) == desc
 
 
+def test_f4_has_rank_four_only():
+    """F4 takes rank 4, or 0 for unset; any other rank is refused instead
+    of being replaced by 4."""
+    assert GroupKind("F4") == GroupKind("F4", 4) == GroupKind("F4", rank=0) == F4
+    assert F4.rank == 4
+    for rank in (7, -3, 1, 5):
+        with pytest.raises(ValueError, match="F4 has rank 4, not %d$" % rank):
+            GroupKind("F4", rank)
+
+
 def test_find_sheet_routes():
     assert find_sheet(type_c(2), MaxLevi(1, 1)).name == "sp4:SDix"
     assert find_sheet(type_a(4), GLLevi(Partition((2, 1, 1)))).nilpotent_orbit == Partition((3, 1))
@@ -307,6 +317,15 @@ def _catalogue():
     return descs + [f4_b3_sheet()] + all_max_levi_sheets(12)
 
 
+def _renamed(desc, name):
+    """desc built again through the constructor, under another name."""
+    return SheetDescriptor(
+        desc.kind, desc.levi, desc.dixmier, desc.nilpotent_orbit, desc.d, desc.dim_z, desc.w_l_order,
+        desc.katsylo_order, desc.dim_sheet, desc.class_tag, desc.type_tag, desc.component_group_order,
+        desc.levi_conjugacy_caveat, name,
+    )
+
+
 def _dumps_at(obj, depth):
     """json.dumps(obj, indent=2) as written nested at ``depth``."""
     return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
@@ -314,7 +333,7 @@ def _dumps_at(obj, depth):
 
 def test_record_writer_matches_json_dumps():
     # and a record without a name, and one whose name needs escaping
-    descs = _catalogue() + [replace(f4_b3_sheet(), name=None), replace(sheets_sp4()[1], name='sp4:"SDix"\\\u03bb\n')]
+    descs = _catalogue() + [_renamed(f4_b3_sheet(), None), _renamed(sheets_sp4()[1], 'sp4:"SDix"\\\u03bb\n')]
     seen = set()
     for desc in descs:
         obj = descriptor_to_json(desc)
