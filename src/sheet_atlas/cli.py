@@ -2,16 +2,18 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit status 0 on success, 1 on
 a domain error (invalid label, precondition failure), 2 on a parse error.
-Setting SHEET_ATLAS_JSON=1 forces JSON output.
+Setting SHEET_ATLAS_JSON=1 forces JSON output.  Every command and option is
+described once, in COMMANDS: plain requests are parsed from that table, and
+help, abbreviations and parse errors go to an argparse parser built from it.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
@@ -62,10 +64,19 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _parse_levi(kind: GroupKind, text: Optional[str]):
+def _ints(text: str, field: str) -> List[int]:
+    """The comma-separated integers of one field, refused by the field's
+    name and format if any of them is not an integer."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError("%s must be comma-separated integers, e.g. 2,1,1 or 1,1, got %r" % (field, text)) from None
+
+
+def _parse_levi(kind: GroupKind, text: Optional[str], field: str = "--levi"):
     if text is None:
         return None
-    parts = [int(v) for v in text.split(",")]
+    parts = _ints(text, field)
     if kind.family == "A":
         return GLLevi(Partition(parts))
     if len(parts) != 2:
@@ -93,8 +104,10 @@ def _parse_sheet_spec(spec: str) -> SheetDescriptor:
         int(rank_text)
     except ValueError:  # not three fields, or a RANK that is no integer
         raise ValueError("sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1") from None
+    if len(kind_text.strip()) != 1:
+        raise ValueError("the KIND of a sheet spec KIND:RANK:LEVI is one letter, A, B, C or D, got %r" % kind_text)
     kind = parse_kind(kind_text + rank_text)
-    return sheets.find_sheet(kind, _parse_levi(kind, levi_text))
+    return sheets.find_sheet(kind, _parse_levi(kind, levi_text, "the LEVI of a sheet spec KIND:RANK:LEVI"))
 
 
 def _print_table(rows, header: List[str]):
@@ -282,7 +295,7 @@ def cmd_hitchin_dim(args) -> int:
 
 
 def cmd_mu_s(args) -> int:
-    m = Partition(int(v) for v in args.profile.split(","))
+    m = Partition(_ints(args.profile, "--profile"))
     # the profile of m lives in gl_n, n = |m|: refused beyond the rank bound
     # before the profile (one count per integer up to the largest part) is built
     sheets.check_rank(sheets.type_a(m.n))
@@ -382,68 +395,121 @@ def cmd_fixtures(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand once: name -> (handler, help, options by flag).  An option
+# is (flag, dest, type, choices, required, help), where type is int or str,
+# or bool for a store_true flag.  _parse decides plain requests from this
+# table, and build_parser builds the argparse parser from it for the rest.
+_JSON = ("--json", "json", bool, None, False, "JSON output (also SHEET_ATLAS_JSON=1)")
+_GROUP = (
+    ("--kind", "kind", str, ("A", "B", "C", "D", "F4"), True, None),
+    ("--rank", "rank", int, None, False, None),
+    ("--levi", "levi", str, None, False, "partition for A (e.g. 2,1,1) or a,residual for B/C/D"),
+)
+
+
+def _options(*options):
+    """A command's options by flag, ``--json`` first."""
+    return {option[0]: option for option in (_JSON, *options)}
+
+
+COMMANDS = {
+    "sheets": (cmd_sheets, "list classified sheets of one group", _options(*_GROUP)),
+    "sheet-info": (cmd_sheet_info, "full JSON record of one sheet", _options(*_GROUP)),
+    "triple-verify": (cmd_triple_verify, "verify an sl2-triple or slice construction", _options(
+        ("--case", "case", str, None, True, "gl:m1,m2 | bcd:kind,a,res | sp4-slice"),
+        ("--as-printed", "as_printed", bool, None, False, "use the as-printed slice entry t^2"),
+        ("--matrices", "matrices", bool, None, False, "include matrices in JSON output"),
+    )),
+    "hitchin-dim": (cmd_hitchin_dim, "base dimensions, components, weights", _options(
+        *_GROUP,
+        ("--genus", "genus", int, None, True, None),
+    )),
+    "mu-s": (cmd_mu_s, "compose factor polynomials into the full base", _options(
+        ("--profile", "profile", str, None, True, "the Levi partition, e.g. 2,1,1"),
+        ("--factors", "factors", str, None, True, "semicolon-separated coefficient lists (a_1..a_l per factor)"),
+    )),
+    "multiplicity": (cmd_multiplicity, "orbit-method multiplicity at a slice point", _options(
+        ("--sheet", "sheet", str, None, True, "sheet spec KIND:RANK:LEVI, e.g. C:2:1,1"),
+        ("--z", "z", str, None, False, "slice coordinate(s), e.g. 5 or 0,1"),
+    )),
+    "realform": (cmd_realform, "sheet and abelianisation report for a real form", _options(
+        ("--label", "label", str, None, True, "SU:p,q or SOSTAR:n (for SO*(2n))"),
+        ("--genus", "genus", int, None, False, None),
+    )),
+    "fixtures": (cmd_fixtures, "regenerate or check the golden tables", _options(
+        ("--regen", "regen", bool, None, False, None),
+        ("--out-dir", "out_dir", str, None, False, None),
+    )),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of COMMANDS.  It answers what _parse leaves:
+    help, abbreviated options, ``--`` and every parse error (exit 2)."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="sheet-atlas", description="Sheets, slices and spectral data, exactly.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON output (also SHEET_ATLAS_JSON=1)")
-    group = argparse.ArgumentParser(add_help=False)
-    group.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
-    group.add_argument("--rank", type=int)
-    group.add_argument("--levi", help="partition for A (e.g. 2,1,1) or a,residual for B/C/D")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, *parents, **kwargs):
-        return sub.add_parser(name, parents=[common, *parents], **kwargs)
-
-    p = add_parser("sheets", group, help="list classified sheets of one group")
-    p.set_defaults(func=cmd_sheets)
-
-    p = add_parser("sheet-info", group, help="full JSON record of one sheet")
-    p.set_defaults(func=cmd_sheet_info)
-
-    p = add_parser("triple-verify", help="verify an sl2-triple or slice construction")
-    p.add_argument("--case", required=True, help="gl:m1,m2 | bcd:kind,a,res | sp4-slice")
-    p.add_argument("--as-printed", action="store_true", dest="as_printed", help="use the as-printed slice entry t^2")
-    p.add_argument("--matrices", action="store_true", help="include matrices in JSON output")
-    p.set_defaults(func=cmd_triple_verify)
-
-    p = add_parser("hitchin-dim", group, help="base dimensions, components, weights")
-    p.add_argument("--genus", type=int, required=True)
-    p.set_defaults(func=cmd_hitchin_dim)
-
-    p = add_parser("mu-s", help="compose factor polynomials into the full base")
-    p.add_argument("--profile", required=True, help="the Levi partition, e.g. 2,1,1")
-    p.add_argument("--factors", required=True, help="semicolon-separated coefficient lists (a_1..a_l per factor)")
-    p.set_defaults(func=cmd_mu_s)
-
-    p = add_parser("multiplicity", help="orbit-method multiplicity at a slice point")
-    p.add_argument("--sheet", required=True, help="sheet spec KIND:RANK:LEVI, e.g. C:2:1,1")
-    p.add_argument("--z", help="slice coordinate(s), e.g. 5 or 0,1")
-    p.set_defaults(func=cmd_multiplicity)
-
-    p = add_parser("realform", help="sheet and abelianisation report for a real form")
-    p.add_argument("--label", required=True, help="SU:p,q or SOSTAR:n (for SO*(2n))")
-    p.add_argument("--genus", type=int)
-    p.set_defaults(func=cmd_realform)
-
-    p = add_parser("fixtures", help="regenerate or check the golden tables")
-    p.add_argument("--regen", action="store_true")
-    p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_fixtures)
-
+    for name, (func, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, dest, kind, choices, required, help in options.values():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", dest=dest, help=help)
+            else:
+                p.add_argument(flag, type=None if kind is str else kind, choices=choices, required=required, dest=dest, help=help)
+        p.set_defaults(func=func)
     return parser
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
+def _parse(argv):
+    """The parsed request, as argparse would give it, or None to leave argv
+    to argparse.  Decided here: the command's name, then exact long options
+    of that command only, each written ``--opt value`` (a value that does not
+    start with ``-``), ``--opt=value`` (a value other than ``--``) or a bare
+    flag, whose values pass their type and choices, with every required
+    option given.  A repeated option keeps its last value, as in argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            return None
+        _, dest, kind, choices, _, _ = option
+        if kind is bool:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value is left to argparse
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # which argparse reads as no value
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for _, dest, kind, _, required, _ in options.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = False if kind is bool else None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # The parser depends on nothing per request; build it on the first call
-    # (not at import) and reuse it for the life of the process.
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,7 @@ the fixed-point fibres generically have order 2^(m-1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from ._record import Record, _set
 from .partitions import Partition
@@ -55,7 +55,9 @@ RealFormLabel = Union[SU, SOStar]
 
 
 class RealSheetReport(Record):
-    """Sheet, quasi-split status and abelianisation target of a real form."""
+    """Sheet, quasi-split status and abelianisation target of a real form.
+    ``extra`` holds the numeric invariants as (name, value) pairs, in the
+    order they are written, so the record is immutable and hashable."""
 
     __slots__ = ("label", "levi_description", "quasi_split", "abelianised_target", "extra", "note")
 
@@ -65,14 +67,14 @@ class RealSheetReport(Record):
         levi_description: Union[LeviLabel, str, None],
         quasi_split: bool,
         abelianised_target: Optional[str],
-        extra: Optional[Dict[str, Fraction]] = None,
+        extra: Tuple[Tuple[str, Fraction], ...] = (),
         note: Optional[str] = None,
     ):
         _set(self, "label", label)
         _set(self, "levi_description", levi_description)
         _set(self, "quasi_split", quasi_split)
         _set(self, "abelianised_target", abelianised_target)
-        _set(self, "extra", {} if extra is None else extra)
+        _set(self, "extra", tuple(extra))
         _set(self, "note", note)
 
     def to_json(self) -> dict:
@@ -84,7 +86,7 @@ class RealSheetReport(Record):
             "levi": levi,
             "quasi_split": self.quasi_split,
             "abelianised_target": self.abelianised_target,
-            "extra": {k: str(v) for k, v in self.extra.items()},
+            "extra": {k: str(v) for k, v in self.extra},
             "note": self.note,
         }
 
@@ -121,7 +123,7 @@ def _su_report(label: SU, genus: Optional[int]) -> RealSheetReport:
     p, q = label.p, label.q
     m = su_sheet_partition(p, q)
     quasi = (p - q) <= 1
-    extra: Dict[str, Fraction] = {}
+    extra = ()
     note = None
     if quasi:
         target = "Hitchin fibration for SU(%d,%d) itself (regular sheet)" % (p, q)
@@ -133,7 +135,7 @@ def _su_report(label: SU, genus: Optional[int]) -> RealSheetReport:
     else:
         target = "Hitchin fibration for U(%d,%d) at maximal Toledo invariant" % (q, q)
         if genus is not None:
-            extra["toledo_max"] = Fraction(toledo_max(q, genus))
+            extra = (("toledo_max", Fraction(toledo_max(q, genus))),)
     return RealSheetReport(
         label=label,
         levi_description=GLLevi(m),
@@ -148,9 +150,9 @@ def _so_star_report(label: SOStar, genus: Optional[int]) -> RealSheetReport:
     n = label.n
     if n % 2 == 1:
         m = (n - 1) // 2
-        extra = {"jh_rank": Fraction(1), "gl2_blocks": Fraction(m)}
+        extra = (("jh_rank", Fraction(1)), ("gl2_blocks", Fraction(m)))
         if genus is not None:
-            extra["fixed_degree"] = Fraction(so_star_fixed_degree(m, genus))
+            extra += (("fixed_degree", Fraction(so_star_fixed_degree(m, genus))),)
         return RealSheetReport(
             label=label,
             levi_description="GL2^%d x Gm" % m,
@@ -165,7 +167,6 @@ def _so_star_report(label: SOStar, genus: Optional[int]) -> RealSheetReport:
         levi_description=None,
         quasi_split=False,
         abelianised_target=None,
-        extra={},
         note="abelianised fibration not worked out for SO*(4m); finite fibres",
     )
 
@@ -209,8 +210,20 @@ def parse_real_form(text: str) -> RealFormLabel:
     head, _, tail = text.partition(":")
     head = head.strip().upper()
     if head == "SU":
-        p, q = (int(v) for v in tail.split(","))
-        return SU(p, q)
+        return SU(*_int_fields(text, tail, 2, "SU:p,q with integers p and q"))
     if head in ("SOSTAR", "SO*"):
-        return SOStar(int(tail))
+        return SOStar(*_int_fields(text, tail, 1, "SOSTAR:n with an integer n"))
     raise ValueError("cannot parse real form label %r" % (text,))
+
+
+def _int_fields(text: str, tail: str, count: int, form: str) -> List[int]:
+    """The ``count`` comma-separated integers of ``tail``, the part of the
+    label ``text`` after its colon; any other tail is refused with the
+    label's form."""
+    try:
+        values = [int(v) for v in tail.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError("real form label %r is not %s" % (text, form))
+    return values

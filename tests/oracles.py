@@ -22,14 +22,17 @@ for the round-trip tests (the library only writes records),
 the descriptor, against which the library's text writer is checked, and
 two test inputs: :func:`graded_from_dense`, a graded polynomial from its
 dense coefficients, and :func:`sp4_triple`, the printed rank-2 symplectic
-subregular triple.
+subregular triple.  :func:`reference_parser` is the CLI's argparse parser
+written out by hand, against which the CLI's own parsing is checked.
 """
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Sequence
 
+from sheet_atlas import cli
 from sheet_atlas.liealg import RationalMatrix
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import RatPoly, as_scalar, poly_trim
@@ -428,3 +431,58 @@ def descriptor_to_json(desc: SheetDescriptor) -> dict:
         "component_group_order": desc.component_group_order,
         "levi_conjugacy_caveat": desc.levi_conjugacy_caveat,
     }
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser written out by hand, one add_argument call
+    per option, as it was before the CLI read its options from one table.
+    The handlers are the CLI's own: only the parsing is the oracle."""
+    parser = argparse.ArgumentParser(prog="sheet-atlas", description="Sheets, slices and spectral data, exactly.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="JSON output (also SHEET_ATLAS_JSON=1)")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--kind", required=True, choices=["A", "B", "C", "D", "F4"])
+    group.add_argument("--rank", type=int)
+    group.add_argument("--levi", help="partition for A (e.g. 2,1,1) or a,residual for B/C/D")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
+
+    p = add_parser("sheets", group, help="list classified sheets of one group")
+    p.set_defaults(func=cli.cmd_sheets)
+
+    p = add_parser("sheet-info", group, help="full JSON record of one sheet")
+    p.set_defaults(func=cli.cmd_sheet_info)
+
+    p = add_parser("triple-verify", help="verify an sl2-triple or slice construction")
+    p.add_argument("--case", required=True, help="gl:m1,m2 | bcd:kind,a,res | sp4-slice")
+    p.add_argument("--as-printed", action="store_true", dest="as_printed", help="use the as-printed slice entry t^2")
+    p.add_argument("--matrices", action="store_true", help="include matrices in JSON output")
+    p.set_defaults(func=cli.cmd_triple_verify)
+
+    p = add_parser("hitchin-dim", group, help="base dimensions, components, weights")
+    p.add_argument("--genus", type=int, required=True)
+    p.set_defaults(func=cli.cmd_hitchin_dim)
+
+    p = add_parser("mu-s", help="compose factor polynomials into the full base")
+    p.add_argument("--profile", required=True, help="the Levi partition, e.g. 2,1,1")
+    p.add_argument("--factors", required=True, help="semicolon-separated coefficient lists (a_1..a_l per factor)")
+    p.set_defaults(func=cli.cmd_mu_s)
+
+    p = add_parser("multiplicity", help="orbit-method multiplicity at a slice point")
+    p.add_argument("--sheet", required=True, help="sheet spec KIND:RANK:LEVI, e.g. C:2:1,1")
+    p.add_argument("--z", help="slice coordinate(s), e.g. 5 or 0,1")
+    p.set_defaults(func=cli.cmd_multiplicity)
+
+    p = add_parser("realform", help="sheet and abelianisation report for a real form")
+    p.add_argument("--label", required=True, help="SU:p,q or SOSTAR:n (for SO*(2n))")
+    p.add_argument("--genus", type=int)
+    p.set_defaults(func=cli.cmd_realform)
+
+    p = add_parser("fixtures", help="regenerate or check the golden tables")
+    p.add_argument("--regen", action="store_true")
+    p.add_argument("--out-dir")
+    p.set_defaults(func=cli.cmd_fixtures)
+
+    return parser

@@ -335,10 +335,10 @@ def test_real_forms():
     assert toledo_max(2, 2) == 4
     rep = sheet_of_real_form(SOStar(5), genus=2)
     assert rep.levi_description == "GL2^2 x Gm"
-    assert rep.extra["jh_rank"] == 1
-    assert rep.extra["fixed_degree"] == 8  # 4m(g-1) at m = 2, g = 2
+    assert dict(rep.extra)["jh_rank"] == 1
+    assert dict(rep.extra)["fixed_degree"] == 8  # 4m(g-1) at m = 2, g = 2
     for g in (2, 3, 5):
-        assert sheet_of_real_form(SOStar(5), genus=g).extra["fixed_degree"] == 8 * (g - 1)
+        assert dict(sheet_of_real_form(SOStar(5), genus=g).extra)["fixed_degree"] == 8 * (g - 1)
     _accept("real forms: sheet partitions, quasi-split flags, invariants")
 
 

@@ -273,6 +273,54 @@ def test_sheet_spec_rank_must_be_an_integer():
     assert code == 0 and out.startswith("sheet: sp4:SDix\n")
 
 
+def test_sheet_spec_kind_must_be_one_letter():
+    """A KIND field of a --sheet spec that is not one letter is refused by
+    name, not with int()'s message (it was read into the rank: C1:2 was
+    C12)."""
+    for spec, kind in (("AB:3:1", "AB"), (":3:1", ""), ("C1:2:1,1", "C1")):
+        message = "error: the KIND of a sheet spec KIND:RANK:LEVI is one letter, A, B, C or D, got %r\n" % kind
+        assert _serve(["multiplicity", "--sheet", spec]) == (1, "", message), spec
+
+
+def test_sheet_spec_levi_must_be_integers():
+    for spec, levi in (("C:2:1,x", "1,x"), ("A:3:2,", "2,"), ("A:3:", "")):
+        message = "error: the LEVI of a sheet spec KIND:RANK:LEVI must be comma-separated integers, e.g. 2,1,1 or 1,1, got %r\n" % levi
+        assert _serve(["multiplicity", "--sheet", spec]) == (1, "", message), spec
+
+
+def test_levi_flag_must_be_integers():
+    for argv, levi in (
+        (["sheet-info", "--kind", "A", "--rank", "3", "--levi", "2,x"], "2,x"),
+        (["sheet-info", "--kind", "A", "--rank", "3", "--levi", ""], ""),
+        (["sheet-info", "--kind", "C", "--rank", "2", "--levi=1;1", "--json"], "1;1"),
+        (["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "2", "--levi", "1,x"], "1,x"),
+        (["sheets", "--kind", "B", "--rank", "2", "--levi", "1.0,1"], "1.0,1"),
+    ):
+        message = "error: --levi must be comma-separated integers, e.g. 2,1,1 or 1,1, got %r\n" % levi
+        assert _serve(argv) == (1, "", message), argv
+
+
+def test_mu_s_profile_must_be_integers():
+    for profile in ("1,x", "", "2,,1"):
+        message = "error: --profile must be comma-separated integers, e.g. 2,1,1 or 1,1, got %r\n" % profile
+        assert _serve(["mu-s", "--profile", profile, "--factors", "1"]) == (1, "", message), profile
+
+
+def test_real_form_label_fields_must_be_integers():
+    for label, form in (
+        ("SU:3,x", "SU:p,q with integers p and q"),
+        ("su:3", "SU:p,q with integers p and q"),
+        ("SU:3,1,1", "SU:p,q with integers p and q"),
+        ("SOSTAR:x", "SOSTAR:n with an integer n"),
+        ("SO*:", "SOSTAR:n with an integer n"),
+    ):
+        for extra in ([], ["--json"]):
+            argv = ["realform", "--label", label, *extra]
+            assert _serve(argv) == (1, "", "error: real form label %r is not %s\n" % (label, form)), argv
+    # the integer fields are still checked as before once they are read
+    assert _serve(["realform", "--label", "SU:1,3"])[0] == 1
+
+
 def test_parse_error_exit_code():
     run_cli("sheets", expect=2)
 

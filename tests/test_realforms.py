@@ -70,9 +70,9 @@ def test_toledo():
 
 def test_su_report_with_genus():
     rep = sheet_of_real_form(SU(4, 2), genus=2)
-    assert rep.extra["toledo_max"] == 4
+    assert dict(rep.extra)["toledo_max"] == 4
     rep = sheet_of_real_form(SU(4, 2), genus=3)
-    assert rep.extra["toledo_max"] == 8
+    assert dict(rep.extra)["toledo_max"] == 8
 
 
 def test_genus_below_two_is_rejected():
@@ -82,18 +82,22 @@ def test_genus_below_two_is_rejected():
         for g in (1, 0, -3):
             with pytest.raises(ValueError, match="genus must be at least 2"):
                 sheet_of_real_form(label, genus=g)
-    assert sheet_of_real_form(SOStar(5), genus=2).extra["fixed_degree"] == 8
-    assert "fixed_degree" not in sheet_of_real_form(SOStar(5)).extra
+    assert dict(sheet_of_real_form(SOStar(5), genus=2).extra)["fixed_degree"] == 8
+    assert "fixed_degree" not in dict(sheet_of_real_form(SOStar(5)).extra)
 
 
 def test_so_star_odd():
     rep = sheet_of_real_form(SOStar(5), genus=2)  # SO*(10), m = 2
     assert rep.levi_description == "GL2^2 x Gm"
     assert not rep.quasi_split
-    assert rep.extra["jh_rank"] == 1
-    assert rep.extra["fixed_degree"] == 8
+    assert dict(rep.extra)["jh_rank"] == 1
+    assert dict(rep.extra)["fixed_degree"] == 8
     assert "Pic" in rep.abelianised_target
     assert so_star_fixed_degree(2, 3) == 16
+    # the invariants are (name, value) pairs in the order they are written
+    assert rep.extra == (("jh_rank", 1), ("gl2_blocks", 2), ("fixed_degree", 8))
+    assert list(rep.to_json()["extra"]) == ["jh_rank", "gl2_blocks", "fixed_degree"]
+    assert hash(rep) == hash(sheet_of_real_form(SOStar(5), genus=2))
 
 
 def test_so_star_even():
