@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
 from .liealg import centralizer_dim, char_poly, in_algebra
@@ -40,12 +40,12 @@ def _json_mode(args) -> bool:
     return bool(getattr(args, "json", False)) or os.environ.get("SHEET_ATLAS_JSON") == "1"
 
 
-def _rational(text: str) -> Fraction:
-    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  A zero
-    denominator is refused.  With L = sys.get_int_max_str_digits(), a
-    decimal exponent beyond L (slow to build) and a numerator or denominator
-    of more than L digits, as written or as read (too long to print), are
-    refused before any work is done."""
+def _rational(text: str, field: str) -> Fraction:
+    """A rational number as Fraction reads it: 5, 7/5, 0.5 or 1e3.  Other
+    text, and a zero denominator, are refused by the field's name ``field``.
+    With L = sys.get_int_max_str_digits(), a decimal exponent beyond L (slow
+    to build) and a numerator or denominator of more than L digits, as
+    written or as read (too long to print), are refused before any work."""
     mantissa, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "")
     limit = sys.get_int_max_str_digits()
@@ -57,6 +57,8 @@ def _rational(text: str) -> Fraction:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in the rational input %r" % text) from None
+    except ValueError:
+        raise ValueError("%s takes rational numbers such as 5, 7/5, 0.5 or 1e3, got %r" % (field, text)) from None
     big = max(abs(value.numerator), value.denominator)
     # 2^(3L) < 10^L, so the power is built only for a value of more than 3L bits
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
@@ -64,13 +66,16 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _ints(text: str, field: str) -> List[int]:
-    """The comma-separated integers of one field, refused by the field's
-    name and format if any of them is not an integer."""
+def _ints(text: str, field: str, count=None, form="comma-separated integers, e.g. 2,1,1 or 1,1", got=None) -> List[int]:
+    """The comma-separated integers of one field (``count`` of them if given),
+    or a refusal by its name and format quoting ``got`` (if given) or ``text``."""
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError("%s must be comma-separated integers, e.g. 2,1,1 or 1,1, got %r" % (field, text)) from None
+        values = []
+    if values and count in (None, len(values)):
+        return values
+    raise ValueError("%s must be %s, got %r" % (field, form, text if got is None else got))
 
 
 def _parse_levi(kind: GroupKind, text: Optional[str], field: str = "--levi"):
@@ -110,63 +115,35 @@ def _parse_sheet_spec(spec: str) -> SheetDescriptor:
     return sheets.find_sheet(kind, _parse_levi(kind, levi_text, "the LEVI of a sheet spec KIND:RANK:LEVI"))
 
 
-def _print_table(rows, header: List[str]):
-    """rows() gives the rows, tuples of str, afresh on each call: one pass
-    takes the column widths and the next writes the rows, so the table need
-    not be held."""
-    widths = [*map(len, header)]
-    for r in rows():
+def _print_table(rows):
+    """rows() gives the rows, header first, afresh on each call: one pass
+    takes the column widths and the next writes them, holding no table."""
+    walk = rows()
+    widths = [*map(len, next(walk))]
+    for r in walk:
         widths = [*map(max, widths, map(len, r))]
     # each cell left-justified to its column's width
     line = "  ".join("%%-%ds" % w for w in widths) + "\n"
     write = sys.stdout.write
-    head = line % tuple(header)
+    walk = rows()
+    head = line % next(walk)
     write(head + "-" * (len(head) - 1) + "\n")
-    for r in rows():
+    for r in walk:
         write(line % r)
-
-
-def _descriptor_rows(descs: List[SheetDescriptor]) -> List[Tuple[str, ...]]:
-    return [
-        (d.name or "", d.decomposition_data, str(d.nilpotent_orbit),
-         *map(str, (d.d, d.dim_z, d.w_l_order, d.katsylo_order, d.dim_sheet)), d.class_tag or "-")
-        for d in descs
-    ]
-
-
-def _gl_rows(kind: GroupKind, records):
-    """The rows of ``_descriptor_rows(sheets_for(kind))`` for type A, one
-    for each of ``records = sheets.gl_records(kind)``."""
-    prefix = "gl%d:m=" % kind.rank
-    text = [*map(str, range(kind.rank + 1))].__getitem__
-    for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, _) in records:
-        texts = [*map(text, parts)]
-        yield (prefix + ",".join(texts), "(GL%s,0)" % "xGL".join(texts), "(%s)" % ",".join(map(text, conj)),
-               str(d), text(dim_z), str(w_l), "1", str(dim_sheet), class_tag or "-")
-
-
-DESCRIPTOR_HEADER = ["sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|", "dim", "class"]
 
 
 def cmd_sheets(args) -> int:
     kind = _group_kind(args)
     levi = _parse_levi(kind, args.levi) if args.levi else None
+    # a refusal raises before the first piece is written, and the table also
+    # checks every record in the pass that takes its widths: stdout stays empty
     if _json_mode(args):
-        # every refusal is raised before the first piece is written, so a
-        # refused request leaves stdout empty
-        pieces = sheets.records_json([sheets.find_sheet(kind, levi)]) if levi else sheets.listing_json(kind)
         write = sys.stdout.write
-        for piece in pieces:
+        for piece in sheets.listing_json(kind, levi):
             write(piece)
         write("\n")
-    elif levi or kind.family != "A":
-        rows = _descriptor_rows([sheets.find_sheet(kind, levi)] if levi else sheets.sheets_for(kind))
-        _print_table(lambda: rows, DESCRIPTOR_HEADER)
     else:
-        # walked twice, for the widths and then the rows: a refusal or a
-        # record that fails its check raises in the first walk, so stdout
-        # stays empty
-        _print_table(lambda: _gl_rows(kind, sheets.gl_records(kind)), DESCRIPTOR_HEADER)
+        _print_table(sheets.listing_rows(kind, levi))
     return 0
 
 
@@ -202,13 +179,13 @@ def cmd_triple_verify(args) -> int:
     if case == "sp4-slice":
         return _verify_sp4_slice(args, json_mode)
     if case.startswith("gl:"):
-        m1, m2 = (int(v) for v in case[3:].split(","))
+        m1, m2 = _ints(case[3:], "--case", 2, "gl:m1,m2 with integers m1 and m2", case)
         trip = triples.build_gl_triple(m1, m2)
         kind, levi = sheets.type_a(m1 + m2), GLLevi(Partition((m1, m2)))
     elif case.startswith("bcd:"):
-        fam, a, res = case[4:].split(",")
-        kind = _bcd_kind(fam, int(a), int(res))
-        levi = MaxLevi(int(a), int(res))
+        fam, _, tail = case[4:].partition(",")
+        a, res = _ints(tail, "--case", 2, "bcd:KIND,a,res with integers a and res", case)
+        kind, levi = _bcd_kind(fam, a, res), MaxLevi(a, res)
         trip = triples.build_bcd_triple(kind, levi)
     else:
         raise ValueError("unknown case %r; use gl:m1,m2 | bcd:kind,a,res | sp4-slice" % case)
@@ -305,7 +282,10 @@ def cmd_mu_s(args) -> int:
         raise ValueError("expected %d factors for profile of %s, got %d" % (prof.s, m, len(factor_chunks)))
     factors = []
     for i, chunk in enumerate(factor_chunks, start=1):
-        coeffs = [_rational(v) for v in chunk.split(",") if v.strip() != ""]
+        coeffs = chunk.split(",") if chunk.strip() else []  # an empty factor, for l_i = 0
+        if not all(map(str.strip, coeffs)):
+            raise ValueError("--factors has an empty coefficient in factor %d, got %r" % (i, args.factors))
+        coeffs = [_rational(v, "--factors") for v in coeffs]
         if len(coeffs) != prof.l(i):
             raise ValueError("factor %d needs %d coefficients, got %d" % (i, prof.l(i), len(coeffs)))
         factors.append(spectral.GradedPolynomial(coeffs))
@@ -335,7 +315,7 @@ def cmd_mu_s(args) -> int:
 
 def cmd_multiplicity(args) -> int:
     desc = _parse_sheet_spec(args.sheet)
-    z = [_rational(v) for v in args.z.split(",")] if args.z is not None else [Fraction(0)] * desc.dim_z
+    z = [_rational(v, "--z") for v in args.z.split(",")] if args.z is not None else [Fraction(0)] * desc.dim_z
     point = multiplicity.SlicePoint(desc, z if len(z) > 1 else z[0])
     payload = {
         "sheet": desc.name,

@@ -10,7 +10,7 @@ import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import mul
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record, _set
 from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, partitions_of
@@ -387,37 +387,35 @@ def _json_list(records: Iterable[str], depth: int) -> Iterator[str]:
 
 
 def enumerate_sheets_gln(n: int) -> List[SheetDescriptor]:
-    """All sheets of gl_n, one per partition of n, reverse-lexicographic.
-
-    The sheet for the Levi partition m has the conjugate partition as its
-    nilpotent orbit, d = sum m_i^2, centre of dimension #parts, relative
-    Weyl group of order prod l_i!, and trivial residual finite group.  Every
-    record shares one (immutable) GroupKind.
-    """
-    kind = _gl_kind(n)
-    return [gl_sheet(m, kind) for m in partitions_of(n)]
+    """All sheets of gl_n, one per partition of n, reverse-lexicographic,
+    sharing one (immutable) GroupKind."""
+    kind = type_a(n)
+    return _gl_sheets(kind, gl_records(kind))
 
 
-def _gl_kind(n: int) -> GroupKind:
-    if not 1 <= n <= 40:
-        raise ValueError("n out of supported range 1..40")
-    return type_a(n)
+def gl_sheet(m: Partition) -> SheetDescriptor:
+    """The sheet of gl_n with Levi partition m, n = |m| > 0."""
+    kind = type_a(m.n)
+    return _gl_sheets(kind, _gl_walk(kind, (m,)))[0]
 
 
 def gl_records(kind: GroupKind) -> Iterator[tuple]:
     """(parts, d, dim_z, |W_L|, dim_sheet, conjugate parts, (class tag, type
-    tag)) of each record of ``enumerate_sheets_gln(kind.rank)``, as soon as
-    the walk yields its Levi partition, each passed by check_record: the one
-    loop behind both forms of a type A listing.  Every refusal is raised
-    when this is called, before any record is made."""
+    tag)) of each sheet of gl_n, n = kind.rank, as the walk reaches it.
+    Every refusal is raised when this is called, before any record."""
     check_rank(kind)
-    return _gl_walk(_gl_kind(kind.rank))
+    if kind.rank > 40:
+        raise ValueError("n out of supported range 1..40")
+    return _gl_walk(kind, partitions_of(kind.rank))
 
 
-def _gl_walk(kind: GroupKind) -> Iterator[tuple]:
+def _gl_walk(kind: GroupKind, partitions: Iterable[Partition]) -> Iterator[tuple]:
+    """The one loop behind every type A record: the record of each Levi
+    partition m in ``partitions``, checked: the orbit is the conjugate m',
+    d = sum m_i^2, dim z = #parts, |W_L| = prod l_i! over runs of l equal parts."""
     n = kind.rank
     odd = range(1, 2 * n, 2)
-    for m in partitions_of(n):
+    for m in partitions:
         parts = m.parts
         d, w_l, conj = conjugate_walk(parts)
         dim_z = len(parts)
@@ -427,16 +425,22 @@ def _gl_walk(kind: GroupKind) -> Iterator[tuple]:
         yield parts, d, dim_z, w_l, dim_sheet, conj, _GL_TWO_PART_TAGS[parts[0] == parts[1]] if dim_z == 2 else _NO_TAGS
 
 
+def _gl_sheets(kind: GroupKind, records: Iterable[tuple]) -> List[SheetDescriptor]:
+    """The descriptor of each of ``records``, as ``_gl_walk`` yields them."""
+    prefix = _GL_NAME % kind.rank
+    return [SheetDescriptor(kind, GLLevi(Partition._trusted(parts)), True, Partition._trusted(conj), d, dim_z, w_l, 1,
+                            dim_sheet, class_tag, type_tag, 1, False, prefix + ",".join(map(str, parts)))
+            for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, type_tag) in records]
+
+
 def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
-    """The text of each of ``records = gl_records(kind)`` as ``records_json``
-    writes it: no descriptor is built.  What depends only on the rank is
-    made once: the text of each integer up to n, of each pair of tags, and
-    the template with the shared fields, the name prefix and the heads and
-    tails of the levi and orbit lists written in."""
+    """The text of each of ``records = gl_records(kind)`` as record_json
+    writes it, from texts made once per rank: each integer up to n, each
+    pair of tags, and the template with every shared piece written in."""
     n = kind.rank
     _, b1, b2, b3 = _layout(1)[0]
-    fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"gl%d:m=%%s"' % n,
-             "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"(GL%s,0)"',
+    fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % (_GL_NAME % n),
+             "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"%s"' % _GL_DECOMPOSITION,
              "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
              "component_group_order": "1", "levi_conjugacy_caveat": "false"}
     _, template = _layout(1, tuple(fixed.items()))
@@ -451,39 +455,23 @@ def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
                           d, dim_z, w_l, w_l, dim_sheet, class_tag, type_tag)
 
 
+def _gl_rows(kind: GroupKind) -> Iterator[Tuple[str, ...]]:
+    """The header, then the table row of each record of gl_records(kind)."""
+    records = gl_records(kind)
+    yield LISTING_HEADER
+    prefix = _GL_NAME % kind.rank
+    text = [*map(str, range(kind.rank + 1))].__getitem__
+    for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, _) in records:
+        texts = [*map(text, parts)]
+        yield (prefix + ",".join(texts), _GL_DECOMPOSITION % "xGL".join(texts), "(%s)" % ",".join(map(text, conj)),
+               str(d), text(dim_z), str(w_l), "1", str(dim_sheet), class_tag or "-")
+
+
+# the name of a type A record before its parts, and its decomposition data
+_GL_NAME, _GL_DECOMPOSITION = "gl%d:m=", "(GL%s,0)"
 # (class tag, type tag) of a two-part Levi partition, by whether its parts are equal
 _GL_TWO_PART_TAGS = {equal: (tag, 1 if tag in TYPE1_CLASSES else 2) for equal, tag in ((True, "I"), (False, "II"))}
 _NO_TAGS = (None, None)
-
-
-def gl_sheet(m: Partition, kind: Optional[GroupKind] = None) -> SheetDescriptor:
-    """The sheet of gl_n with Levi partition m (n = |m|), for the group
-    ``kind`` (built here when None; a kind of another rank fails the
-    descriptor's checks).  The orbit is the conjugate of m, d = sum m_i^2,
-    |W_L| = prod l_i! and dim_sheet = dim O + dim z."""
-    parts = m.parts
-    d, w_l, conj = conjugate_walk(parts)
-    n, dim_z = sum(parts), len(parts)
-    if kind is None:
-        if n < 1:
-            raise ValueError("empty partition labels no sheet")
-        kind = type_a(n)
-    class_tag, type_tag = _GL_TWO_PART_TAGS[parts[0] == parts[1]] if dim_z == 2 else _NO_TAGS
-    return SheetDescriptor(
-        kind=kind,
-        levi=GLLevi(m),
-        dixmier=True,
-        nilpotent_orbit=Partition._trusted(conj),
-        d=d,
-        dim_z=dim_z,
-        w_l_order=w_l,
-        katsylo_order=1,
-        dim_sheet=n * n - sum(map(mul, range(1, 2 * n, 2), conj)) + dim_z,
-        class_tag=class_tag,
-        type_tag=type_tag,
-        component_group_order=1,
-        name="gl%d:m=%s" % (n, ",".join(map(str, parts))),
-    )
 
 
 # --- Maximal Levi sheets in types B, C, D ------------------------------------
@@ -545,9 +533,7 @@ def maximal_levi_sheet(kind: GroupKind, levi: LeviLabel) -> SheetDescriptor:
     if kind.family == "A":
         if not isinstance(levi, GLLevi) or levi.m.num_parts != 2:
             raise ValueError("type A maximal Levi labels are two-part partitions")
-        if levi.m.n != kind.rank:
-            raise ValueError("partition of %d does not fit %s" % (levi.m.n, kind))
-        return gl_sheet(levi.m)
+        return find_sheet(kind, levi)
     if not isinstance(levi, MaxLevi):
         raise ValueError("expected a MaxLevi label for %s" % (kind,))
     class_tag, orbit, f_order, w_l = classify_max_levi(kind, levi)
@@ -759,10 +745,27 @@ def sheets_for(kind: GroupKind) -> List[SheetDescriptor]:
     return [maximal_levi_sheet(kind, levi) for levi in valid_max_levi_labels(kind)]
 
 
-def listing_json(kind: GroupKind) -> Iterator[str]:
-    """The pieces of ``records_json(sheets_for(kind))``.  A type A listing
-    is written as the walk reaches each record; every refusal is raised when
-    this is called, before any piece is made."""
+LISTING_HEADER = ("sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|", "dim", "class")
+
+
+def listing_json(kind: GroupKind, levi: Optional[LeviLabel] = None) -> Iterator[str]:
+    """The pieces of the JSON list of a ``sheets`` request: the record of
+    ``levi``, or every record of ``kind``, type A as the walk reaches each.
+    Every refusal is raised when this is called, before any piece."""
+    if levi is not None:
+        return records_json([find_sheet(kind, levi)])
     if kind.family != "A":
         return records_json(sheets_for(kind))
     return _json_list(_gl_texts(kind, gl_records(kind)), 0)
+
+
+def listing_rows(kind: GroupKind, levi: Optional[LeviLabel] = None) -> Callable[[], Iterator[Tuple[str, ...]]]:
+    """The rows of the same records as a table, header first, afresh on each
+    call of the function returned.  A type A listing is walked on each call
+    and refused in the first, before its header; any other is built here."""
+    if levi is None and kind.family == "A":
+        return lambda: _gl_rows(kind)
+    rows = [LISTING_HEADER, *((d.name or "", d.decomposition_data, str(d.nilpotent_orbit), str(d.d), str(d.dim_z),
+                               str(d.w_l_order), str(d.katsylo_order), str(d.dim_sheet), d.class_tag or "-")
+                              for d in ([find_sheet(kind, levi)] if levi is not None else sheets_for(kind)))]
+    return rows.__iter__

@@ -19,7 +19,8 @@ check answers over Q[t] of full t-degree that vanish at many integers, and
 :func:`descriptor_from_json`, which reads a record back from its dict form
 for the round-trip tests (the library only writes records),
 :func:`descriptor_to_json`, the record as a dict built field by field from
-the descriptor, against which the library's text writer is checked, and
+the descriptor, against which the library's text writer is checked,
+:func:`sheets_table`, the ``sheets`` table formatted from those dicts, and
 two test inputs: :func:`graded_from_dense`, a graded polynomial from its
 dense coefficients, and :func:`sp4_triple`, the printed rank-2 symplectic
 subregular triple.  :func:`reference_parser` is the CLI's argparse parser
@@ -431,6 +432,28 @@ def descriptor_to_json(desc: SheetDescriptor) -> dict:
         "component_group_order": desc.component_group_order,
         "levi_conjugacy_caveat": desc.levi_conjugacy_caveat,
     }
+
+
+TABLE_HEADER = ("sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|", "dim", "class")
+
+
+def sheets_table(records: Sequence[dict]) -> str:
+    """The table that ``sheets`` writes without --json, for records in the
+    dict form of :func:`descriptor_to_json`: one row per record, each cell
+    padded to the longest cell of its column, two spaces between columns,
+    and a dashed rule as wide as the header line under it."""
+    def orbit(value):
+        return value["bala_carter"] if isinstance(value, dict) else "(" + ",".join(map(str, value)) + ")"
+
+    rows = [TABLE_HEADER] + [
+        (r["name"] or "", r["decomposition_data"], orbit(r["nilpotent_orbit"]), str(r["d"]), str(r["dim_z"]),
+         str(r["w_l_order"]), str(r["katsylo_order"]), str(r["dim_sheet"]), r["class_tag"] or "-")
+        for r in records
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(TABLE_HEADER))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
+    return "".join(line + "\n" for line in lines)
 
 
 def reference_parser() -> argparse.ArgumentParser:

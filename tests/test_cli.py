@@ -10,13 +10,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from sheet_atlas import sheets
 from sheet_atlas.cli import data_dir, render_table1, render_table2
 from sheet_atlas.partitions import Partition
 from sheet_atlas.sheets import type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.triples import MAX_TRIPLE_SIZE
 
-from oracles import descriptor_from_json, descriptor_to_json
+from oracles import descriptor_from_json, descriptor_to_json, sheets_table
 
 
 def run_cli(*args, env_extra=None, expect=0):
@@ -631,3 +633,76 @@ def test_triples_above_the_former_ceilings_pass_every_check(monkeypatch):
         lines = out.splitlines()
         assert (code, err) == (0, "") and all(line.startswith("PASS") for line in lines), (case, out)
         assert any(line.startswith("PASS  centraliser dim = dim L") for line in lines)
+
+
+def _table_requests():
+    """(argv, records) of every non-A ``sheets`` table: B, C and D at ranks
+    1-6, bare and with each valid --levi (D(1) is refused), and F4."""
+    for family, kind_of in (("B", type_b), ("C", type_c), ("D", type_d)):
+        for r in range(2 if family == "D" else 1, 7):
+            kind = kind_of(r)
+            argv = ["sheets", "--kind", family, "--rank", str(r)]
+            yield argv, lambda kind=kind: sheets.sheets_for(kind)
+            for levi in valid_max_levi_labels(kind):
+                yield argv + ["--levi", "%d,%d" % (levi.a, levi.residual)], lambda kind=kind, levi=levi: [sheets.find_sheet(kind, levi)]
+    yield ["sheets", "--kind", "F4"], lambda: [sheets.f4_b3_sheet()]
+
+
+TABLE_REQUESTS = list(_table_requests())
+
+
+@pytest.mark.parametrize("argv, records", TABLE_REQUESTS, ids=[" ".join(argv[2:]) for argv, _ in TABLE_REQUESTS])
+def test_non_a_tables_match_the_oracle(monkeypatch, argv, records):
+    """Each B/C/D and F4 table is the oracle's table of the same records."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    expected = sheets_table([descriptor_to_json(d) for d in records()])
+    assert _serve(argv) == (0, expected, ""), argv
+
+
+def test_triple_verify_case_fields_are_refused_by_name():
+    """A --case whose integers are missing, extra or not integers is refused
+    with the case's format, not with Python's int() or unpacking message."""
+    for case, form in (
+        ("gl:2,x", "gl:m1,m2 with integers m1 and m2"),
+        ("gl:2", "gl:m1,m2 with integers m1 and m2"),
+        ("gl:2,1,1", "gl:m1,m2 with integers m1 and m2"),
+        ("gl:", "gl:m1,m2 with integers m1 and m2"),
+        ("bcd:C,1", "bcd:KIND,a,res with integers a and res"),
+        ("bcd:C,1,x", "bcd:KIND,a,res with integers a and res"),
+        ("bcd:C", "bcd:KIND,a,res with integers a and res"),
+        ("bcd:C,1,2,3", "bcd:KIND,a,res with integers a and res"),
+    ):
+        for extra in ([], ["--json"]):
+            argv = ["triple-verify", "--case", case, *extra]
+            assert _serve(argv) == (1, "", "error: --case must be %s, got %r\n" % (form, case)), argv
+    # well-formed cases still answer, and an unknown KIND keeps its message
+    assert _serve(["triple-verify", "--case", "gl:2,1"])[0] == 0
+    assert _serve(["triple-verify", "--case", "bcd:B,2,1"])[0] == 0
+    assert _serve(["triple-verify", "--case", "bcd:X,1,1"]) == (1, "", "error: bcd kind must be B, C or D\n")
+
+
+def test_rational_fields_are_refused_by_name():
+    """Text that is no rational number is refused by its field's name and
+    the accepted forms, not with Fraction's message."""
+    for argv, field, text in (
+        (["multiplicity", "--sheet", "C:2:1,1", "--z", "x"], "--z", "x"),
+        (["multiplicity", "--sheet", "A:3:2,1", "--z", "1,x"], "--z", "x"),
+        (["multiplicity", "--sheet", "C:2:1,1", "--z", ""], "--z", ""),
+        (["mu-s", "--profile", "1", "--factors", "x"], "--factors", "x"),
+        (["mu-s", "--profile", "2,1", "--factors", "1/2/3;1", "--json"], "--factors", "1/2/3"),
+    ):
+        message = "error: %s takes rational numbers such as 5, 7/5, 0.5 or 1e3, got %r\n" % (field, text)
+        assert _serve(argv) == (1, "", message), argv
+    code, out, _ = _serve(["multiplicity", "--sheet", "C:2:1,1", "--z", "1e3"])
+    assert code == 0 and "z: ['1000']" in out
+
+
+def test_empty_coefficients_in_a_factor_are_refused():
+    """An empty coefficient inside a non-empty factor is refused (it was
+    dropped, answering as if ;1,2); an empty factor, for l_i = 0, is not."""
+    for factors in (";1,,2", ";1,2,", ";,1,2"):
+        message = "error: --factors has an empty coefficient in factor 2, got %r\n" % factors
+        assert _serve(["mu-s", "--profile", "2,2", "--factors=" + factors]) == (1, "", message), factors
+    code, out, err = _serve(["mu-s", "--profile", "2,2", "--factors=;1,2"])
+    assert code == 0 and out.startswith("image:") and err == ""
+    assert _serve(["mu-s", "--profile", "3,1", "--factors=1;;2"])[0] == 0

@@ -1,4 +1,5 @@
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -11,6 +12,7 @@ from sheet_atlas.sheets import (
     FullGroupLevi,
     GLLevi,
     GroupKind,
+    LISTING_HEADER,
     MaxLevi,
     SheetDescriptor,
     TorusLevi,
@@ -22,6 +24,7 @@ from sheet_atlas.sheets import (
     find_sheet,
     gl_sheet,
     listing_json,
+    listing_rows,
     maximal_levi_sheet,
     record_json,
     records_json,
@@ -361,3 +364,26 @@ def test_record_list_writer_matches_json_dumps():
             pieces = list(records_json(rows, depth))
             assert len(pieces) == len(rows) + 1
             assert "".join(pieces) == _dumps_at([descriptor_to_json(d) for d in rows], depth)
+
+
+def test_gln_enumeration_refusals_name_their_bound():
+    """gl_0 is no group, a type A listing stops at rank 40, and every sheet
+    record at rank 1000."""
+    for n, message in ((0, "rank must be positive"), (41, "n out of supported range 1..40"),
+                       (1001, "rank 1001 is beyond the supported maximum 1000")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            enumerate_sheets_gln(n)
+
+
+def test_gl_sheet_is_the_listed_record():
+    """A record built alone is the record of the same Levi partition in the
+    listing and in both forms of the CLI answer, row for row."""
+    for n in range(1, 9):
+        listing = enumerate_sheets_gln(n)
+        rows = list(listing_rows(type_a(n))())
+        assert rows[0] == LISTING_HEADER and len(rows) == len(listing) + 1
+        for desc, row in zip(listing, rows[1:]):
+            alone = gl_sheet(desc.levi.m)
+            assert alone == desc and alone.name == "gl%d:m=%s" % (n, ",".join(map(str, desc.levi.m.parts)))
+            assert list(listing_rows(type_a(n), desc.levi)()) == [LISTING_HEADER, row]
+            assert "".join(listing_json(type_a(n), desc.levi)) == "".join(records_json([desc]))
