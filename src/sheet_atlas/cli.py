@@ -134,7 +134,7 @@ def _print_table(rows):
 
 def cmd_sheets(args) -> int:
     kind = _group_kind(args)
-    levi = _parse_levi(kind, args.levi) if args.levi else None
+    levi = _parse_levi(kind, args.levi)
     # a refusal raises before the first piece is written, and the table also
     # checks every record in the pass that takes its widths: stdout stays empty
     if _json_mode(args):
@@ -246,13 +246,13 @@ def _verify_sp4_slice(args, json_mode: bool) -> int:
 def cmd_hitchin_dim(args) -> int:
     kind = _group_kind(args)
     g = args.genus
-    if args.levi:
+    if args.levi is not None:
         # a request for a sheet record is refused beyond the rank bound
         # before anything is computed; the base dimension alone is a closed
         # form and is answered at any rank
         sheets.check_rank(kind)
     payload = {"kind": str(kind), "genus": g, "dim_base": hitchin.dim_hitchin_base(kind, g)}
-    if args.levi:
+    if args.levi is not None:
         desc = sheets.find_sheet(kind, _parse_levi(kind, args.levi))
         weights = hitchin.slice_weights(desc)
         payload.update(
@@ -264,7 +264,7 @@ def cmd_hitchin_dim(args) -> int:
                 "weights": list(weights.weights),
             }
         )
-    if args.levi or _json_mode(args):
+    if args.levi is not None or _json_mode(args):
         _print_payload(args, payload)
     else:
         print(payload["dim_base"])
@@ -279,7 +279,8 @@ def cmd_mu_s(args) -> int:
     prof = profile(m)
     factor_chunks = args.factors.split(";") if args.factors else []
     if len(factor_chunks) != prof.s:
-        raise ValueError("expected %d factors for profile of %s, got %d" % (prof.s, m, len(factor_chunks)))
+        raise ValueError("--factors has %d factors where profile %s needs %d (one per part size up to %d), got %r"
+                         % (len(factor_chunks), m, prof.s, prof.s, args.factors))
     factors = []
     for i, chunk in enumerate(factor_chunks, start=1):
         coeffs = chunk.split(",") if chunk.strip() else []  # an empty factor, for l_i = 0
@@ -287,7 +288,8 @@ def cmd_mu_s(args) -> int:
             raise ValueError("--factors has an empty coefficient in factor %d, got %r" % (i, args.factors))
         coeffs = [_rational(v, "--factors") for v in coeffs]
         if len(coeffs) != prof.l(i):
-            raise ValueError("factor %d needs %d coefficients, got %d" % (i, prof.l(i), len(coeffs)))
+            raise ValueError("factor %d of --factors has %d coefficients where profile %s needs l_%d = %d, got %r"
+                             % (i, len(coeffs), m, i, prof.l(i), args.factors))
         factors.append(spectral.GradedPolynomial(coeffs))
     point = spectral.SheetBasePoint(prof, factors)
     image = spectral.mu_s(point)

@@ -87,29 +87,80 @@ class MultiplicityProfile(Record):
         return cls(tuple(int(obj.get(str(i), 0)) for i in range(1, s + 1)))
 
 
+# A node of the prefix tree of partitions: its parts >= 2, largest first, and
+# the partition they make when closed by ones.  It carries (parts, sum of
+# parts, sum of squared parts, product of l! over its closed runs of l equal
+# parts, the length of its last run, its last part, the conjugate parts above
+# its last part).  Exactly j parts are >= i for i in (m_{j+1}, m_j], so a
+# part q below the last part p of j parts puts p - q copies of j on top of
+# that conjugate tail.  The root has no parts; its last part 1 keeps the
+# tail of its children empty ([0] * (1 - q) is) and closes it to (n).
+_ROOT = ((), 0, 0, 1, 0, 1, [])
+
+
+def _step(node: tuple, q: int) -> tuple:
+    """The child of ``node`` whose parts end in one more part q >= 2, no
+    larger than the last."""
+    parts, s, d, w, run, last, tail = node
+    if q == last:
+        return parts + (q,), s + q, d + q * q, w, run + 1, q, tail
+    return parts + (q,), s + q, d + q * q, w * factorial(run), 1, q, [len(parts)] * (last - q) + tail
+
+
+def _close(node: tuple, n: int) -> Tuple[Tuple[int, ...], int, int, List[int]]:
+    """(parts, sum of m_i^2, product of l! over the runs of l equal parts,
+    the conjugate parts largest first) of the partition m of n made of the
+    parts of ``node`` and n - (their sum) ones.  Every part of m counts
+    towards the first conjugate part, and the parts of ``node`` towards each
+    one up to its last part."""
+    parts, s, d, w, run, last, tail = node
+    r = n - s
+    k = len(parts)
+    return parts + (1,) * r, d + r, w * factorial(run) * factorial(r), [k + r] + [k] * (last - 1) + tail if n else []
+
+
+def walk(n: int) -> Iterator[Tuple[Tuple[int, ...], int, int, List[int]]]:
+    """(parts, sum of m_i^2, product of l! over the runs of l equal parts,
+    the conjugate parts largest first) of each partition m of n, in
+    reverse-lexicographic order.
+
+    The partitions of n are the nodes of the prefix tree of parts >= 2,
+    each closed by ones; a child, ending in a part >= 2, comes before its
+    parent, ending in ones, so the order is the tree's post-order with the
+    children taken largest part first.  Each of the p(n) nodes but the
+    root is made by one step from its parent, and each is closed once.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    node = _ROOT
+    # (node, largest part of its next child) of each ancestor still open
+    stack = []
+    q = n
+    while True:
+        if q >= 2:
+            stack.append((node, q - 1))
+            node = _step(node, q)
+            r = n - node[1]
+            if r < q:
+                q = r
+        else:
+            yield _close(node, n)
+            if not stack:
+                return
+            node, q = stack.pop()
+
+
 def conjugate_walk(parts: Tuple[int, ...]) -> Tuple[int, int, List[int]]:
     """(sum of m_i^2, product of l! over the runs of l equal parts, the
     conjugate parts largest first) of the partition m with these parts,
-    largest first, from one walk up its runs from the smallest part.
-
-    Exactly j parts are >= i for every i in (m_{j+1}, m_j] (1-based,
-    m_{k+1} = 0), so m_j - m_{j+1} conjugate parts equal j; that is zero
-    inside a run of equal parts, so the walk steps from the end of one run
-    to the end of the next.
-    """
-    conj: List[int] = []
-    d = below = 0
-    w = 1
-    j = len(parts)
-    while j:
-        p = parts[j - 1]
-        # parts[i:j] is the run of parts equal to p; index() scans in C
-        i = parts.index(p)
-        conj += [j] * (p - below)
-        d += (j - i) * p * p
-        w *= factorial(j - i)
-        below = p
-        j = i
+    largest first: the walk's steps along m's own parts >= 2, then closed by
+    its ones."""
+    node = _ROOT
+    for q in parts:
+        if q == 1:
+            break
+        node = _step(node, q)
+    _, d, w, conj = _close(node, sum(parts))
     return d, w, conj
 
 
@@ -150,43 +201,8 @@ def is_valid_orbit_partition(kind, p) -> bool:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order (largest-first).
-
-    Iterative algorithm ZS1 (Zoghbi and Stojmenovic, 1998): x[1..m] holds
-    the current partition, padded with 1s beyond m, and h indexes its last
-    part above 1.  The next partition lowers x[h] to r = x[h] - 1 and
-    regroups the unit taken off together with the m - h trailing 1s into
-    parts of size r followed by one smaller remainder part; each step costs
-    O(parts written).  Parts are positive and descending by construction,
-    so they skip the validating constructor.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        yield Partition._trusted(())
-        return
-    x = [1] * (n + 1)
-    x[1] = n
-    m = h = 1
-    yield Partition._trusted(x[1:2])
-    while x[1] != 1:
-        if x[h] == 2:
-            m += 1
-            x[h] = 1
-            h -= 1
-        else:
-            r = x[h] - 1
-            t = m - h + 1
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h
-            else:
-                m = h + 1
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield Partition._trusted(x[1 : m + 1])
+    """All partitions of n in reverse-lexicographic order (largest-first),
+    as :func:`walk` reaches them.  Parts are positive and descending by
+    construction, so they skip the validating constructor."""
+    for parts, _, _, _ in walk(n):
+        yield Partition._trusted(parts)

@@ -13,7 +13,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record, _set
-from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, partitions_of
+from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, walk
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
@@ -396,7 +396,7 @@ def enumerate_sheets_gln(n: int) -> List[SheetDescriptor]:
 def gl_sheet(m: Partition) -> SheetDescriptor:
     """The sheet of gl_n with Levi partition m, n = |m| > 0."""
     kind = type_a(m.n)
-    return _gl_sheets(kind, _gl_walk(kind, (m,)))[0]
+    return _gl_sheets(kind, _gl_walk(kind, [(m.parts, *conjugate_walk(m.parts))]))[0]
 
 
 def gl_records(kind: GroupKind) -> Iterator[tuple]:
@@ -406,18 +406,18 @@ def gl_records(kind: GroupKind) -> Iterator[tuple]:
     check_rank(kind)
     if kind.rank > 40:
         raise ValueError("n out of supported range 1..40")
-    return _gl_walk(kind, partitions_of(kind.rank))
+    return _gl_walk(kind, walk(kind.rank))
 
 
-def _gl_walk(kind: GroupKind, partitions: Iterable[Partition]) -> Iterator[tuple]:
+def _gl_walk(kind: GroupKind, partitions: Iterable[tuple]) -> Iterator[tuple]:
     """The one loop behind every type A record: the record of each Levi
-    partition m in ``partitions``, checked: the orbit is the conjugate m',
-    d = sum m_i^2, dim z = #parts, |W_L| = prod l_i! over runs of l equal parts."""
+    partition m in ``partitions``, given as (parts, d = sum m_i^2, |W_L| =
+    prod l_i! over runs of l equal parts, conjugate parts) as
+    :func:`partitions.walk` yields them, checked: the orbit is the conjugate
+    m' and dim z = #parts."""
     n = kind.rank
     odd = range(1, 2 * n, 2)
-    for m in partitions:
-        parts = m.parts
-        d, w_l, conj = conjugate_walk(parts)
+    for parts, d, w_l, conj in partitions:
         dim_z = len(parts)
         # dim O + dim z, with dim O = n^2 - sum (2i - 1) conj_i read off the orbit
         dim_sheet = n * n - sum(map(mul, odd, conj)) + dim_z
@@ -436,7 +436,8 @@ def _gl_sheets(kind: GroupKind, records: Iterable[tuple]) -> List[SheetDescripto
 def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
     """The text of each of ``records = gl_records(kind)`` as record_json
     writes it, from texts made once per rank: each integer up to n, each
-    pair of tags, and the template with every shared piece written in."""
+    pair of tags, and the template with every shared piece written in, cut
+    into the chunks between its fields."""
     n = kind.rank
     _, b1, b2, b3 = _layout(1)[0]
     fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % (_GL_NAME % n),
@@ -444,15 +445,20 @@ def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
              "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
              "component_group_order": "1", "levi_conjugacy_caveat": "false"}
     _, template = _layout(1, tuple(fixed.items()))
+    # no text written in holds a literal %, so the fields cut it into 12 chunks
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = template.replace("%d", "%s").split("%s")
     text = [*map(str, range(n + 1))].__getitem__
     tag_texts = {tags: tuple(map(_optional, tags)) for tags in (*_GL_TWO_PART_TAGS.values(), _NO_TAGS)}
     levi_sep, orbit_sep = "," + b3, "," + b2
+    join = "".join
     for parts, d, dim_z, w_l, dim_sheet, conj, tags in records:
-        texts = [*map(text, parts)]
+        parts_text = ",".join(map(text, parts))
         class_tag, type_tag = tag_texts[tags]
+        w_l = str(w_l)
         # w_s_order = w_l_order / katsylo_order = w_l_order
-        yield template % (",".join(texts), levi_sep.join(texts), "xGL".join(texts), orbit_sep.join(map(text, conj)),
-                          d, dim_z, w_l, w_l, dim_sheet, class_tag, type_tag)
+        yield join((c0, parts_text, c1, parts_text.replace(",", levi_sep), c2, parts_text.replace(",", "xGL"),
+                    c3, orbit_sep.join(map(text, conj)), c4, str(d), c5, text(dim_z), c6, w_l, c7, w_l, c8,
+                    str(dim_sheet), c9, class_tag, c10, type_tag, c11))
 
 
 def _gl_rows(kind: GroupKind) -> Iterator[Tuple[str, ...]]:
@@ -462,9 +468,9 @@ def _gl_rows(kind: GroupKind) -> Iterator[Tuple[str, ...]]:
     prefix = _GL_NAME % kind.rank
     text = [*map(str, range(kind.rank + 1))].__getitem__
     for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, _) in records:
-        texts = [*map(text, parts)]
-        yield (prefix + ",".join(texts), _GL_DECOMPOSITION % "xGL".join(texts), "(%s)" % ",".join(map(text, conj)),
-               str(d), text(dim_z), str(w_l), "1", str(dim_sheet), class_tag or "-")
+        parts_text = ",".join(map(text, parts))
+        yield (prefix + parts_text, _GL_DECOMPOSITION % parts_text.replace(",", "xGL"),
+               "(%s)" % ",".join(map(text, conj)), str(d), text(dim_z), str(w_l), "1", str(dim_sheet), class_tag or "-")
 
 
 # the name of a type A record before its parts, and its decomposition data

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately take different computational routes from the library:
-partition counts by Euler's pentagonal recurrence, diagram transposition by
+partition counts by Euler's pentagonal recurrence, the partitions themselves
+by recursion on the largest part and a sort, diagram transposition by
 cells, type A sheet records from those cells, Hitchin base dimensions by
 summing over listed invariant degrees, the paper's worked-example closed
 forms for the rank-2 symplectic and type A bases (the library has only the
@@ -56,6 +57,17 @@ def partition_count(n: int) -> int:
             k += 1
         p[m] = total
     return p[n]
+
+
+def partitions_by_recursion(n: int) -> List[tuple]:
+    """Every partition of n as a tuple of parts, largest first, by recursion
+    on the largest part, then sorted into reverse-lexicographic order."""
+    def parts_up_to(total: int, largest: int) -> List[tuple]:
+        if total == 0:
+            return [()]
+        return [(p, *rest) for p in range(1, min(total, largest) + 1) for rest in parts_up_to(total - p, p)]
+
+    return sorted(parts_up_to(n, n), reverse=True)
 
 
 def conjugate_by_cells(m: Partition) -> Partition:

@@ -706,3 +706,30 @@ def test_empty_coefficients_in_a_factor_are_refused():
     code, out, err = _serve(["mu-s", "--profile", "2,2", "--factors=;1,2"])
     assert code == 0 and out.startswith("image:") and err == ""
     assert _serve(["mu-s", "--profile", "3,1", "--factors=1;;2"])[0] == 0
+
+
+def test_an_empty_levi_is_refused_not_ignored():
+    """An empty --levi is a malformed label, as sheet-info reads it: sheets
+    and hitchin-dim refuse it instead of answering as if no --levi was given."""
+    message = "error: --levi must be comma-separated integers, e.g. 2,1,1 or 1,1, got ''\n"
+    for argv in (
+        ["sheets", "--kind", "C", "--rank", "2", "--levi", ""],
+        ["sheets", "--kind", "C", "--rank", "2", "--levi="],
+        ["sheets", "--kind", "A", "--rank", "3", "--levi=", "--json"],
+        ["sheet-info", "--kind", "C", "--rank", "2", "--levi="],
+        ["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "2", "--levi", ""],
+    ):
+        assert _serve(argv) == (1, "", message), argv
+
+
+def test_factor_counts_and_lengths_are_refused_by_name():
+    """A wrong number of factors, or a factor of the wrong length, is
+    refused naming --factors, the profile and what it needs."""
+    for factors, count in (("1;;", 3), ("1", 1), ("1;2;3;4", 4)):
+        message = "error: --factors has %d factors where profile (2,1) needs 2 (one per part size up to 2), got %r\n" % (
+            count, factors)
+        assert _serve(["mu-s", "--profile", "2,1", "--factors=" + factors]) == (1, "", message), factors
+    for profile, factors, i, got, l_i in (("2,1", "1,2;3", 1, 2, 1), ("2,1", "1;", 2, 0, 1), ("2,2", ";1", 2, 1, 2)):
+        message = "error: factor %d of --factors has %d coefficients where profile (%s) needs l_%d = %d, got %r\n" % (
+            i, got, profile, i, l_i, factors)
+        assert _serve(["mu-s", "--profile", profile, "--factors", factors]) == (1, "", message), factors

@@ -11,10 +11,17 @@ from sheet_atlas.partitions import (
     is_valid_orbit_partition,
     partitions_of,
     profile,
+    walk,
 )
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d
 
-from oracles import conjugate_by_cells, partition_count, profile_by_conjugate_steps
+from oracles import (
+    conjugate_by_cells,
+    gl_record_fields,
+    partition_count,
+    partitions_by_recursion,
+    profile_by_conjugate_steps,
+)
 
 
 def random_partitions():
@@ -128,3 +135,28 @@ def test_conjugate_and_profile_on_every_small_partition():
 def test_profile_json_roundtrip():
     p = profile(Partition((3, 3, 1)))
     assert MultiplicityProfile.from_json(p.to_json()) == p
+
+
+def test_walk_is_every_partition_in_reverse_lexicographic_order():
+    for n in range(15):
+        assert [parts for parts, _, _, _ in walk(n)] == partitions_by_recursion(n), n
+
+
+def test_walk_records_match_the_cell_oracle():
+    """d, |W_L| and the conjugate of each partition the walk reaches, against
+    the diagram's cells; and the walk along one partition's own parts, which
+    conjugate and gl_sheet take, gives the same values."""
+    for n in range(1, 15):
+        for parts, d, w_l, conj in walk(n):
+            m = Partition(parts)
+            fields = gl_record_fields(m)
+            assert (d, w_l) == (fields["d"], fields["w_l_order"]), parts
+            assert conj == list(conjugate_by_cells(m).parts) == list(fields["nilpotent_orbit"].parts), parts
+            assert conjugate_walk(parts) == (d, w_l, conj), parts
+
+
+def test_walk_of_zero_and_negative_n():
+    assert list(walk(0)) == [((), 0, 1, [])]
+    assert conjugate_walk(()) == (0, 1, [])
+    with pytest.raises(ValueError):
+        next(walk(-1))

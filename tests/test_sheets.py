@@ -5,7 +5,7 @@ from io import StringIO
 
 import pytest
 
-from sheet_atlas import cli, sheets
+from sheet_atlas import cli, partitions, sheets
 from sheet_atlas.partitions import Partition, conjugate, is_valid_orbit_partition
 from sheet_atlas.sheets import (
     F4,
@@ -149,26 +149,29 @@ def test_check_record_refuses_each_bad_record(case):
 
 
 def test_the_streamed_listing_checks_every_record(monkeypatch):
-    """A wrong d from the walk of each Levi partition fails the record
-    check, and the CLI exits 1 with an error, in both forms of the listing."""
-    good = sheets.conjugate_walk
+    """A wrong d from the partition walk fails the record check, and the
+    CLI exits 1 with an error before writing anything, in both forms of the
+    listing and for one record.  The fault is in the walk's closing step,
+    which the listing and the walk of a single Levi partition share."""
+    good = partitions._close
 
-    def wrong_d(parts):
-        d, w_l, conj = good(parts)
-        return d + 1, w_l, conj
+    def wrong_d(node, n):
+        parts, d, w_l, conj = good(node, n)
+        return parts, d + 1, w_l, conj
 
-    monkeypatch.setattr(sheets, "conjugate_walk", wrong_d)
+    monkeypatch.setattr(partitions, "_close", wrong_d)
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    assert next(partitions.walk(5))[1] == 26
     with pytest.raises(ValueError, match="dim_sheet"):
         list(listing_json(type_a(5)))
-    for extra in (["--json"], []):
+    for argv in (["sheets", "--json"], ["sheets"], ["sheet-info", "--levi", "2,2,1"]):
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["sheets", "--kind", "A", "--rank", "5", *extra])
-        assert code == 1 and err.getvalue().startswith("error:"), extra
+            code = cli.main([argv[0], "--kind", "A", "--rank", "5", *argv[1:]])
+        assert code == 1 and err.getvalue().startswith("error:"), argv
         # the first record fails, before anything is written (the table
         # fails in its first walk, which only takes the column widths)
-        assert out.getvalue() == "", extra
+        assert out.getvalue() == "", argv
 
 
 def test_gl_sheet_refuses_the_empty_partition():
