@@ -20,8 +20,8 @@ from .liealg import (
 )
 from .sheets import (
     F4,
-    GLLevi,
     GroupKind,
+    Levi,
     MaxLevi,
     SheetDescriptor,
     enumerate_sheets_gln,

@@ -19,13 +19,7 @@ from typing import List, Optional
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
 from .liealg import centralizer_dim, char_poly, in_algebra
 from .partitions import Partition, profile
-from .sheets import (
-    GLLevi,
-    GroupKind,
-    MaxLevi,
-    SheetDescriptor,
-    parse_kind,
-)
+from .sheets import GroupKind, Levi, MaxLevi, SheetDescriptor, parse_kind
 
 TABLE1_NAME = "table1.json"
 TABLE2_NAME = "table2.json"
@@ -78,15 +72,22 @@ def _ints(text: str, field: str, count=None, form="comma-separated integers, e.g
     raise ValueError("%s must be %s, got %r" % (field, form, text if got is None else got))
 
 
-def _parse_levi(kind: GroupKind, text: Optional[str], field: str = "--levi"):
+def _parse_levi(kind: GroupKind, text: Optional[str], field: str = "--levi") -> Optional[Levi]:
+    """The Levi named by ``text``, or None for no text: the parts of a
+    partition in type A, ``a,res`` (one GL_a block and the residual)
+    otherwise.  A malformed label is refused by the field's name ``field``."""
     if text is None:
         return None
-    parts = _ints(text, field)
+    values = _ints(text, field)
     if kind.family == "A":
-        return GLLevi(Partition(parts))
-    if len(parts) != 2:
-        raise ValueError("B/C/D Levi labels are 'a,residual'")
-    return MaxLevi(parts[0], parts[1])
+        if min(values) >= 1:
+            return Levi(Partition(values), 0)
+        form = "a partition, integers >= 1 such as 2,1,1"
+    elif len(values) == 2 and values[0] >= 1 and values[1] >= 0:
+        return MaxLevi(*values)
+    else:
+        form = "a,res with integers a >= 1 and res >= 0"
+    raise ValueError("%s must be %s, got %r" % (field, form, text))
 
 
 def _group_kind(args) -> GroupKind:
@@ -181,10 +182,12 @@ def cmd_triple_verify(args) -> int:
     if case.startswith("gl:"):
         m1, m2 = _ints(case[3:], "--case", 2, "gl:m1,m2 with integers m1 and m2", case)
         trip = triples.build_gl_triple(m1, m2)
-        kind, levi = sheets.type_a(m1 + m2), GLLevi(Partition((m1, m2)))
+        kind, levi = sheets.type_a(m1 + m2), Levi(Partition((m1, m2)), 0)
     elif case.startswith("bcd:"):
         fam, _, tail = case[4:].partition(",")
         a, res = _ints(tail, "--case", 2, "bcd:KIND,a,res with integers a and res", case)
+        if a < 1 or res < 0:
+            raise ValueError("--case must be bcd:KIND,a,res with integers a >= 1 and res >= 0, got %r" % case)
         kind, levi = _bcd_kind(fam, a, res), MaxLevi(a, res)
         trip = triples.build_bcd_triple(kind, levi)
     else:
@@ -359,7 +362,9 @@ def render_table2(max_n: int = TABLE2_MAX_N) -> str:
 
 
 def cmd_fixtures(args) -> int:
-    out_dir = Path(args.out_dir) if args.out_dir else data_dir()
+    if args.out_dir == "":
+        raise ValueError("--out-dir must name a directory, got ''")
+    out_dir = data_dir() if args.out_dir is None else Path(args.out_dir)
     if args.regen:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / TABLE1_NAME).write_text(render_table1())

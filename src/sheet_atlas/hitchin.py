@@ -11,7 +11,7 @@ from typing import Tuple
 
 from ._record import Record, _set
 from .partitions import profile
-from .sheets import GLLevi, GroupKind, SheetDescriptor, TorusLevi
+from .sheets import GroupKind, SheetDescriptor, levi_shape
 
 
 class SliceWeights(Record):
@@ -87,10 +87,11 @@ def slice_weights(descriptor: SheetDescriptor) -> SliceWeights:
     folded by the sign action.  Regular sheets: the invariant degrees.
     Zero-dimensional centres have no weights.
     """
-    if isinstance(descriptor.levi, GLLevi):
-        prof = profile(descriptor.levi.m)
+    shape = levi_shape(descriptor.kind, descriptor.levi)
+    if shape == "gl":
+        prof = profile(descriptor.levi.blocks)
         return SliceWeights(tuple(j for _, li in prof.items() for j in range(1, li + 1)))
-    if isinstance(descriptor.levi, TorusLevi):
+    if shape == "torus":
         return SliceWeights(invariant_degrees(descriptor.kind))
     if descriptor.dim_z == 0:
         return SliceWeights(())

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 
 from ._record import Record, _set
 from .partitions import Partition
-from .sheets import GLLevi, LeviLabel, check_rank, type_a
+from .sheets import Levi, check_rank, type_a
 
 
 class SU(Record):
@@ -64,7 +64,7 @@ class RealSheetReport(Record):
     def __init__(
         self,
         label: RealFormLabel,
-        levi_description: Union[LeviLabel, str, None],
+        levi_description: Union[Levi, str, None],
         quasi_split: bool,
         abelianised_target: Optional[str],
         extra: Tuple[Tuple[str, Fraction], ...] = (),
@@ -79,11 +79,10 @@ class RealSheetReport(Record):
 
     def to_json(self) -> dict:
         levi = self.levi_description
-        if isinstance(levi, GLLevi):
-            levi = {"gl": levi.m.to_json()}
         return {
             "label": str(self.label),
-            "levi": levi,
+            # only SU(p, q) names a Levi, one of GL_{p+q}
+            "levi": {"gl": levi.blocks.to_json()} if isinstance(self.label, SU) else levi,
             "quasi_split": self.quasi_split,
             "abelianised_target": self.abelianised_target,
             "extra": {k: str(v) for k, v in self.extra},
@@ -138,7 +137,7 @@ def _su_report(label: SU, genus: Optional[int]) -> RealSheetReport:
             extra = (("toledo_max", Fraction(toledo_max(q, genus))),)
     return RealSheetReport(
         label=label,
-        levi_description=GLLevi(m),
+        levi_description=Levi(m, 0),
         quasi_split=quasi,
         abelianised_target=target,
         extra=extra,

@@ -74,6 +74,37 @@ class GroupKind(Record):
             return "SO%d" % (2 * self.rank)
         return "F4"
 
+    # What a Levi's residual means: G' is Sp_{2p} for residual p in type C,
+    # SO_q for residual q in B and D (and for F4's B3 Levi, SO_7), and there
+    # is none in type A (residual 0).
+
+    def residual_size(self, residual: int) -> int:
+        """The size of G''s matrices: 2p in type C, q otherwise."""
+        return 2 * residual if self.family == "C" else residual
+
+    def residual_name(self, residual: int) -> str:
+        return ("Sp%d" if self.family == "C" else "SO%d") % self.residual_size(residual)
+
+    def levi_dim(self, levi: Levi) -> int:
+        """dim of the Levi: b^2 for each GL_b block, plus p(2p+1) for
+        Sp_{2p} or q(q-1)/2 for SO_q."""
+        s = self.residual_size(levi.residual)
+        blocks = levi.blocks.parts
+        return sum(map(mul, blocks, blocks)) + s * (s + 1 if self.family == "C" else s - 1) // 2
+
+    def fits(self, levi: Levi) -> bool:
+        """Whether ``levi`` is a Levi of this group: in type A a partition of
+        n with residual 0; in B, C and D each GL block taken twice and G'
+        fill the matrix size, and G' is not SO_2 (a torus, so GL_1 again).
+        F4 takes no label."""
+        fam = self.family
+        if fam == "A":
+            return levi.residual == 0 and levi.blocks.n == self.rank
+        if fam == "F4":
+            return False
+        return (2 * levi.blocks.n + self.residual_size(levi.residual) == self.matrix_size
+                and (fam == "C" or levi.residual != 2))
+
     def __str__(self):
         return "F4" if self.family == "F4" else "%s(%d)" % (self.family, self.rank)
 
@@ -100,65 +131,45 @@ F4 = GroupKind("F4")
 # --- Levi labels -----------------------------------------------------------
 
 
-class GLLevi(Record):
-    """Type A Levi: a product of GL blocks, labelled by a partition."""
+class Levi(Record):
+    """A Levi subgroup GL_{b_1} x ... x GL_{b_k} x G' of a group: ``blocks``
+    is the partition (b_1, ..., b_k) of its GL block sizes and ``residual``
+    names G' as :class:`GroupKind` reads it (p for Sp_{2p} in type C, q for
+    SO_q in B and D, 0 in type A).  The whole group has no blocks; the torus
+    of a group of rank r >= 2 has r blocks of size 1 and the least residual."""
 
-    __slots__ = ("m",)
+    __slots__ = ("blocks", "residual")
 
-    def __init__(self, m: Partition):
-        _set(self, "m", m)
-
-    def __str__(self):
-        return "GL" + str(self.m)
-
-
-class MaxLevi(Record):
-    """Maximal Levi of SO/Sp: one GL_a block and the residual classical factor.
-
-    For C the residual is p (an Sp_{2p} factor); for B/D it is q (an SO_q
-    factor).  Constraints: a >= 1, and for D the residual must not be 2.
-    """
-
-    __slots__ = ("a", "residual")
-
-    def __init__(self, a: int, residual: int):
-        if a < 1 or residual < 0:
-            raise ValueError("invalid maximal Levi label (%d;%d)" % (a, residual))
-        _set(self, "a", a)
+    def __init__(self, blocks: Partition, residual: int):
+        if residual < 0:
+            raise ValueError("a Levi's residual is at least 0, got %d" % residual)
+        _set(self, "blocks", blocks)
         _set(self, "residual", residual)
 
     def __str__(self):
-        return "(%d;%d)" % (self.a, self.residual)
+        return "(%s;%d)" % (",".join(map(str, self.blocks.parts)), self.residual)
 
 
-class TorusLevi(Record):
-    """The Cartan subgroup; labels the regular sheet."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return "T"
+def MaxLevi(a: int, residual: int) -> Levi:
+    """The maximal Levi GL_a x G' of a B, C or D group."""
+    return Levi(Partition((a,)), residual)
 
 
-class FullGroupLevi(Record):
-    """The group itself; labels rigid-orbit sheets and the zero sheet."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return "G"
-
-
-class F4B3Levi(Record):
-    """The B3 Levi inside F4."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return "B3"
-
-
-LeviLabel = Union[GLLevi, MaxLevi, TorusLevi, FullGroupLevi, F4B3Levi]
+def levi_shape(kind: GroupKind, levi: Levi) -> str:
+    """Which of five shapes names ``levi`` in a record of ``kind``: "gl" in
+    type A, "B3" for F4, "full" with no blocks, "max" with one block (so
+    also the torus of a rank-1 group), and "torus" with several blocks of
+    size 1 and the least residual (0, or 1 in type B).  The last three are
+    the record's JSON text of a label without parameters."""
+    fam = kind.family
+    if fam == "A" or fam == "F4":
+        return "gl" if fam == "A" else "B3"
+    blocks = levi.blocks.parts
+    if len(blocks) < 2:
+        return "max" if blocks else "full"
+    if blocks[0] == 1 and levi.residual == kind.matrix_size % 2:
+        return "torus"
+    raise ValueError("no record names the Levi %s of %s" % (levi, kind))
 
 
 # --- Sheet descriptors ------------------------------------------------------
@@ -180,7 +191,7 @@ class SheetDescriptor(Record):
     def __init__(
         self,
         kind: GroupKind,
-        levi: LeviLabel,
+        levi: Levi,
         dixmier: bool,
         nilpotent_orbit: Union[Partition, str],  # Bala-Carter tag for F4
         d: int,
@@ -217,13 +228,16 @@ class SheetDescriptor(Record):
     @property
     def decomposition_data(self) -> str:
         orbit = "0" if self.dixmier else str(self.nilpotent_orbit)
-        if type(self.levi) is TorusLevi:
-            levi = "T"
-        elif type(self.levi) is FullGroupLevi:
-            levi = self.kind.name
+        kind, levi = self.kind, self.levi
+        shape = levi_shape(kind, levi)
+        if shape == "gl":
+            name = "GL" + "xGL".join(map(str, levi.blocks.parts))
+        elif shape == "max":
+            a, res = levi.blocks.parts[0], levi.residual
+            name = ("GL%d" % a if a > 1 else "Gm") + ("x" + kind.residual_name(res) if res else "")
         else:
-            levi = _levi_group_name(self.kind, self.levi)
-        return "(%s,%s)" % (levi, orbit)
+            name = {"B3": "B3-Levi", "full": kind.name, "torus": "T"}[shape]
+        return "(%s,%s)" % (name, orbit)
 
     def to_json(self) -> dict:
         """The record as a dict: the JSON that :func:`record_json` writes."""
@@ -252,22 +266,6 @@ def parse_kind(text: str) -> GroupKind:
     return GroupKind(fam, int(inner))
 
 
-def _levi_group_name(kind: GroupKind, levi: LeviLabel) -> str:
-    if isinstance(levi, GLLevi):
-        return "GL" + "xGL".join(map(str, levi.m.parts))
-    if isinstance(levi, F4B3Levi):
-        return "B3-Levi"
-    if isinstance(levi, MaxLevi):
-        a, res = levi.a, levi.residual
-        if kind.family == "C":
-            tail = "" if res == 0 else "xSp%d" % (2 * res)
-        else:
-            tail = "" if res == 0 else "xSO%d" % res
-        head = "GL%d" % a if a > 1 else "Gm"
-        return head + tail
-    raise ValueError("unnamed levi %r" % (levi,))
-
-
 # --- JSON text of records -----------------------------------------------------
 #
 # The CLI and the golden fixtures write records as json.dumps(..., indent=2)
@@ -294,10 +292,6 @@ _RECORD_FIELDS = (
     ("component_group_order", "%s"),
     ("levi_conjugacy_caveat", "%s"),
 )
-
-# the JSON text of each Levi label without parameters
-_LEVI_NAMES = {TorusLevi: '"torus"', FullGroupLevi: '"full"', F4B3Levi: '"B3"'}
-
 
 @lru_cache(maxsize=64)  # a few depths, and one template per type A rank
 def _layout(depth: int, fixed: Tuple[Tuple[str, str], ...] = ()):
@@ -334,12 +328,13 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
     breaks, template = _layout(depth)
     b0, b1, b2, b3 = breaks
     levi = desc.levi
-    if isinstance(levi, GLLevi):
-        levi_text = '{%s"gl": %s%s}' % (b2, _list_text([*map(str, levi.m.parts)], b3, b2), b1)
-    elif isinstance(levi, MaxLevi):
-        levi_text = '{%s"a": %d,%s"residual": %d%s}' % (b2, levi.a, b2, levi.residual, b1)
+    shape = levi_shape(desc.kind, levi)
+    if shape == "gl":
+        levi_text = '{%s"gl": %s%s}' % (b2, _list_text([*map(str, levi.blocks.parts)], b3, b2), b1)
+    elif shape == "max":
+        levi_text = '{%s"a": %d,%s"residual": %d%s}' % (b2, levi.blocks.parts[0], b2, levi.residual, b1)
     else:
-        levi_text = _LEVI_NAMES[type(levi)]
+        levi_text = '"%s"' % shape
     orbit = desc.nilpotent_orbit
     if isinstance(orbit, str):
         orbit_text = '{%s"bala_carter": %s%s}' % (b2, encode_basestring_ascii(orbit), b1)
@@ -428,7 +423,7 @@ def _gl_walk(kind: GroupKind, partitions: Iterable[tuple]) -> Iterator[tuple]:
 def _gl_sheets(kind: GroupKind, records: Iterable[tuple]) -> List[SheetDescriptor]:
     """The descriptor of each of ``records``, as ``_gl_walk`` yields them."""
     prefix = _GL_NAME % kind.rank
-    return [SheetDescriptor(kind, GLLevi(Partition._trusted(parts)), True, Partition._trusted(conj), d, dim_z, w_l, 1,
+    return [SheetDescriptor(kind, Levi(Partition._trusted(parts), 0), True, Partition._trusted(conj), d, dim_z, w_l, 1,
                             dim_sheet, class_tag, type_tag, 1, False, prefix + ",".join(map(str, parts)))
             for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, type_tag) in records]
 
@@ -483,67 +478,46 @@ _NO_TAGS = (None, None)
 # --- Maximal Levi sheets in types B, C, D ------------------------------------
 
 
-def classify_max_levi(kind: GroupKind, levi: MaxLevi) -> Tuple[str, Partition, int, int]:
+def classify_max_levi(kind: GroupKind, levi: Levi) -> Tuple[str, Partition, int, int]:
     """Class tag, nilpotent orbit, |F| and |W_L| for a maximal Levi label.
 
     Implements the nine-class case analysis: the orbit partition depends on
-    the parity relation between the GL-block size a and the residual, the
-    residual finite group has order 1 or 2, and |W_L| is 1 only when no
+    the parity relation between the GL-block size a and the size q of G',
+    the residual finite group has order 1 or 2, and |W_L| is 1 only when no
     Weyl element inverts the centre (the odd-rank q = 0 orthogonal case and
     the unequal-blocks GL case).
     """
-    a, res = levi.a, levi.residual
+    if kind.family not in ("B", "C", "D"):
+        raise ValueError("maximal Levi labels apply to types B, C, D only")
+    if len(levi.blocks.parts) != 1 or not kind.fits(levi):
+        raise ValueError("label %s does not fit %s" % (levi, kind))
+    a, q = levi.blocks.parts[0], kind.residual_size(levi.residual)
     if kind.family == "C":
-        if a + res != kind.rank:
-            raise ValueError("label %s does not fit %s" % (levi, kind))
-        q = 2 * res
         if a >= q:
             return "VII", Partition([3] * q + [2] * (a - q)), 1, 2
         if a % 2 == 1:
             return "VIII", Partition([3] * (a - 1) + [2, 2] + [1] * (q - a - 1)), 2, 2
         return "IX", Partition([3] * a + [1] * (q - a)), 1, 2
-    if kind.family in ("B", "D"):
-        n = kind.matrix_size
-        q = res
-        if 2 * a + q != n:
-            raise ValueError("label %s does not fit %s" % (levi, kind))
-        if kind.family == "B" and q % 2 == 0:
-            raise ValueError("odd orthogonal residual must be odd")
-        if kind.family == "D" and (q % 2 == 1 or q == 2):
-            raise ValueError("even orthogonal residual must be even and != 2")
-        if q == 0:
-            if a % 2 == 1:
-                return "VI", Partition([2] * (a - 1) + [1, 1]), 1, 1
-            return "IV", Partition([2] * a), 1, 2
-        if a >= q and (a - q) % 2 == 1:
-            return "III", Partition([3] * q + [2] * (a - q - 1) + [1, 1]), 2, 2
-        if a >= q:
-            return "IV", Partition([3] * q + [2] * (a - q)), 1, 2
-        return "V", Partition([3] * a + [1] * (q - a)), 1, 2
-    raise ValueError("maximal Levi labels apply to types B, C, D only")
+    if q == 0:
+        if a % 2 == 1:
+            return "VI", Partition([2] * (a - 1) + [1, 1]), 1, 1
+        return "IV", Partition([2] * a), 1, 2
+    if a >= q and (a - q) % 2 == 1:
+        return "III", Partition([3] * q + [2] * (a - q - 1) + [1, 1]), 2, 2
+    if a >= q:
+        return "IV", Partition([3] * q + [2] * (a - q)), 1, 2
+    return "V", Partition([3] * a + [1] * (q - a)), 1, 2
 
 
-def max_levi_dim(kind: GroupKind, levi: MaxLevi) -> int:
-    """dim(GL_a x residual factor): a^2 + p(2p+1) for C, a^2 + q(q-1)/2 for B/D."""
-    a, res = levi.a, levi.residual
-    if kind.family == "C":
-        return a * a + res * (2 * res + 1)
-    return a * a + res * (res - 1) // 2
-
-
-def maximal_levi_sheet(kind: GroupKind, levi: LeviLabel) -> SheetDescriptor:
-    """The Dixmier sheet attached to a maximal Levi subgroup.
-
-    Accepts a MaxLevi label for B/C/D or a two-part GL partition for A.
-    """
+def maximal_levi_sheet(kind: GroupKind, levi: Levi) -> SheetDescriptor:
+    """The Dixmier sheet attached to a maximal Levi subgroup: two GL blocks
+    in type A, one GL block and G' in B, C and D."""
     if kind.family == "A":
-        if not isinstance(levi, GLLevi) or levi.m.num_parts != 2:
+        if len(levi.blocks.parts) != 2:
             raise ValueError("type A maximal Levi labels are two-part partitions")
         return find_sheet(kind, levi)
-    if not isinstance(levi, MaxLevi):
-        raise ValueError("expected a MaxLevi label for %s" % (kind,))
     class_tag, orbit, f_order, w_l = classify_max_levi(kind, levi)
-    d = max_levi_dim(kind, levi)
+    d = kind.levi_dim(levi)
     return SheetDescriptor(
         kind=kind,
         levi=levi,
@@ -558,28 +532,20 @@ def maximal_levi_sheet(kind: GroupKind, levi: LeviLabel) -> SheetDescriptor:
         type_tag=1 if class_tag in TYPE1_CLASSES else 2,
         component_group_order=None,
         levi_conjugacy_caveat=(kind.family == "D" and levi.residual == 0),
-        name="%s:levi=%d,%d" % (str(kind), levi.a, levi.residual),
+        name="%s:levi=%d,%d" % (str(kind), levi.blocks.parts[0], levi.residual),
     )
 
 
-def valid_max_levi_labels(kind: GroupKind) -> List[MaxLevi]:
-    """All maximal Levi labels for a fixed B/C/D group, ordered by a."""
-    labels = []
-    r = kind.rank
-    if kind.family == "C":
-        for a in range(1, r + 1):
-            labels.append(MaxLevi(a, r - a))
-    elif kind.family == "B":
-        for a in range(1, r + 1):
-            labels.append(MaxLevi(a, 2 * r + 1 - 2 * a))
-    elif kind.family == "D":
-        for a in range(1, r + 1):
-            q = 2 * r - 2 * a
-            if q != 2:
-                labels.append(MaxLevi(a, q))
-    else:
+def valid_max_levi_labels(kind: GroupKind) -> List[Levi]:
+    """All maximal Levi labels for a fixed B/C/D group, ordered by a: GL_a
+    and the G' that fills the rest, where it is a Levi factor."""
+    if kind.family not in ("B", "C", "D"):
         raise ValueError("maximal Levi labels apply to B/C/D")
-    return labels
+    # G' has the size n - 2a that GL_a leaves, so its residual is that over
+    # the size of a unit residual
+    unit = kind.residual_size(1)
+    labels = (MaxLevi(a, (kind.matrix_size - 2 * a) // unit) for a in range(1, kind.rank + 1))
+    return [levi for levi in labels if kind.fits(levi)]
 
 
 def all_max_levi_sheets(max_n: int) -> List[SheetDescriptor]:
@@ -593,7 +559,7 @@ def all_max_levi_sheets(max_n: int) -> List[SheetDescriptor]:
         for m1 in range(n - 1, 0, -1):
             m2 = n - m1
             if m1 >= m2 >= 1:
-                out.append(maximal_levi_sheet(type_a(n), GLLevi(Partition((m1, m2)))))
+                out.append(maximal_levi_sheet(type_a(n), Levi(Partition((m1, m2)), 0)))
     for r in range(1, max_n // 2 + 1):
         for kind in (type_b(r) if 2 * r + 1 <= max_n else None, type_c(r) if 2 * r <= max_n else None, type_d(r) if r >= 2 and 2 * r <= max_n else None):
             if kind is None:
@@ -605,9 +571,7 @@ def all_max_levi_sheets(max_n: int) -> List[SheetDescriptor]:
 
 
 def _table2_sort_key(desc: SheetDescriptor):
-    levi = desc.levi
-    label = (levi.m.parts if isinstance(levi, GLLevi) else (levi.a, levi.residual))
-    return (CLASS_NUMBER[desc.class_tag], desc.kind.family, desc.kind.rank, label)
+    return (CLASS_NUMBER[desc.class_tag], desc.kind.family, desc.kind.rank, desc.levi.blocks, desc.levi.residual)
 
 
 # --- The rank-2 symplectic table ---------------------------------------------
@@ -624,7 +588,7 @@ def sheets_sp4() -> List[SheetDescriptor]:
     rows = [
         SheetDescriptor(
             kind=kind,
-            levi=TorusLevi(),
+            levi=Levi(Partition((1, 1)), 0),
             dixmier=True,
             nilpotent_orbit=Partition((4,)),
             d=2,
@@ -639,7 +603,7 @@ def sheets_sp4() -> List[SheetDescriptor]:
         _sp4_dixmier(MaxLevi(2, 0), "sp4:SDix'"),
         SheetDescriptor(
             kind=kind,
-            levi=FullGroupLevi(),
+            levi=Levi(Partition(()), 2),
             dixmier=False,
             nilpotent_orbit=Partition((2, 1, 1)),
             d=6,
@@ -651,7 +615,7 @@ def sheets_sp4() -> List[SheetDescriptor]:
         ),
         SheetDescriptor(
             kind=kind,
-            levi=FullGroupLevi(),
+            levi=Levi(Partition(()), 2),
             dixmier=True,
             nilpotent_orbit=Partition((1, 1, 1, 1)),
             d=10,
@@ -665,7 +629,7 @@ def sheets_sp4() -> List[SheetDescriptor]:
     return rows
 
 
-def _sp4_dixmier(levi: MaxLevi, name: str, component_group_order: Optional[int] = None) -> SheetDescriptor:
+def _sp4_dixmier(levi: Levi, name: str, component_group_order: Optional[int] = None) -> SheetDescriptor:
     """The maximal Levi sheet of Sp4 for ``levi``, under its name in the
     table and with the given component group order."""
     row = maximal_levi_sheet(type_c(2), levi)
@@ -687,7 +651,7 @@ def f4_b3_sheet() -> SheetDescriptor:
     """
     return SheetDescriptor(
         kind=F4,
-        levi=F4B3Levi(),
+        levi=Levi(Partition((1,)), 7),  # GL_1 x Spin_7, the B3 Levi
         dixmier=True,
         nilpotent_orbit="A~2",
         d=22,
@@ -713,7 +677,7 @@ def check_rank(kind: GroupKind):
         raise ValueError("rank %d is beyond the supported maximum %d" % (kind.rank, MAX_RANK))
 
 
-def find_sheet(kind: GroupKind, levi: Optional[LeviLabel]) -> SheetDescriptor:
+def find_sheet(kind: GroupKind, levi: Optional[Levi]) -> SheetDescriptor:
     """Resolve (kind, levi) to a descriptor, preferring the full rank-2
     symplectic table when it applies.  Ranks above MAX_RANK are refused."""
     check_rank(kind)
@@ -722,18 +686,19 @@ def find_sheet(kind: GroupKind, levi: Optional[LeviLabel]) -> SheetDescriptor:
             raise ValueError("F4 has one classified sheet, f4:B3, and takes no Levi label")
         return f4_b3_sheet()
     if kind.family == "A":
-        if not isinstance(levi, GLLevi):
+        if levi is None:
             raise ValueError("type A sheets are labelled by partitions")
-        if levi.m.n != kind.rank:
-            raise ValueError("partition of %d does not fit %s" % (levi.m.n, kind))
-        return gl_sheet(levi.m)
+        if not kind.fits(levi):
+            raise ValueError("partition of %d does not fit %s" % (levi.blocks.n, kind))
+        return gl_sheet(levi.blocks)
     if levi is None:
         raise ValueError("a Levi label is required for %s" % (kind,))
-    if kind == type_c(2) and isinstance(levi, (MaxLevi, TorusLevi)):
+    # the whole group names two rows of the sp4 table, so it finds neither
+    if kind == type_c(2) and levi.blocks:
         for row in sheets_sp4():
             if row.levi == levi:
                 return row
-    if isinstance(levi, (TorusLevi, FullGroupLevi)):
+    if len(levi.blocks.parts) != 1:
         raise ValueError("only maximal Levi labels are classified for %s" % (kind,))
     return maximal_levi_sheet(kind, levi)
 
@@ -754,7 +719,7 @@ def sheets_for(kind: GroupKind) -> List[SheetDescriptor]:
 LISTING_HEADER = ("sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|", "dim", "class")
 
 
-def listing_json(kind: GroupKind, levi: Optional[LeviLabel] = None) -> Iterator[str]:
+def listing_json(kind: GroupKind, levi: Optional[Levi] = None) -> Iterator[str]:
     """The pieces of the JSON list of a ``sheets`` request: the record of
     ``levi``, or every record of ``kind``, type A as the walk reaches each.
     Every refusal is raised when this is called, before any piece."""
@@ -765,7 +730,7 @@ def listing_json(kind: GroupKind, levi: Optional[LeviLabel] = None) -> Iterator[
     return _json_list(_gl_texts(kind, gl_records(kind)), 0)
 
 
-def listing_rows(kind: GroupKind, levi: Optional[LeviLabel] = None) -> Callable[[], Iterator[Tuple[str, ...]]]:
+def listing_rows(kind: GroupKind, levi: Optional[Levi] = None) -> Callable[[], Iterator[Tuple[str, ...]]]:
     """The rows of the same records as a table, header first, afresh on each
     call of the function returned.  A type A listing is walked on each call
     and refused in the first, before its header; any other is built here."""

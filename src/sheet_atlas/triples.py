@@ -16,7 +16,7 @@ from ._record import Record, _set
 from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket_is, build_model, in_algebra, sp_gram
 from .partitions import Partition
 from .scalars import RatPoly, as_scalar, clear, height, run
-from .sheets import GroupKind, MaxLevi, maximal_levi_sheet, type_a, type_c
+from .sheets import GroupKind, Levi, maximal_levi_sheet, type_a, type_c
 
 
 class JordanBasisPlan(Record):
@@ -186,7 +186,7 @@ def _gl_abelianisation(x: RationalMatrix, m1: int, m2: int) -> Fraction:
 # --- SO/Sp triples --------------------------------------------------------------
 
 
-def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
+def build_bcd_triple(kind: GroupKind, levi: Levi) -> Sl2Triple:
     """Normalised-Jordan-basis triple for a maximal Levi sheet of SO/Sp.
 
     The block pairing is planned so that the chain tops of the first a
@@ -201,7 +201,7 @@ def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
     _check_size(kind.matrix_size)
     sheet = maximal_levi_sheet(kind, levi)
     orbit: Partition = sheet.nilpotent_orbit
-    a = levi.a
+    a = levi.blocks.parts[0]
     symmetric = kind.family in ("B", "D")
     beta = _plan_beta(orbit.parts, a, symmetric)
     pos = _basis_order(orbit.parts, beta, a)
@@ -245,7 +245,7 @@ def build_bcd_triple(kind: GroupKind, levi: MaxLevi) -> Sl2Triple:
         abelianization_value=abel,
         h_prime=h_prime,
         plan=plan,
-        label="bcd:%s,%d,%d" % (kind.family, levi.a, levi.residual),
+        label="bcd:%s,%d,%d" % (kind.family, a, levi.residual),
     )
 
 

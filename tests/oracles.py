@@ -38,7 +38,7 @@ from sheet_atlas import cli
 from sheet_atlas.liealg import RationalMatrix
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import RatPoly, as_scalar, poly_trim
-from sheet_atlas.sheets import F4B3Levi, FullGroupLevi, GLLevi, MaxLevi, SheetDescriptor, TorusLevi, parse_kind
+from sheet_atlas.sheets import GroupKind, Levi, SheetDescriptor, parse_kind
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 from sheet_atlas.triples import Sl2Triple, sp4_e, sp4_model
 
@@ -397,19 +397,32 @@ def _sub(a, b):
     return poly_trim([x - y for x, y in zip(a, b)])
 
 
+def _named_levis(kind: GroupKind) -> dict:
+    """The Levis a record of a B, C, D or F4 group names by a string: the
+    whole group (G' = G: residual r in type C, the matrix size in B and D),
+    the torus (r blocks GL_1, and SO_1 in type B), and F4's B3 Levi
+    (GL_1 x Spin_7)."""
+    if kind.family == "F4":
+        return {"B3": Levi(Partition((1,)), 7)}
+    r = kind.rank
+    return {"full": Levi(Partition(()), r if kind.family == "C" else kind.matrix_size),
+            "torus": Levi(Partition([1] * r), 1 if kind.family == "B" else 0)}
+
+
 def descriptor_from_json(obj: dict) -> SheetDescriptor:
     """The descriptor whose ``to_json()`` is ``obj``; building it runs the
     descriptor's checks."""
+    kind = parse_kind(obj["kind"])
     levi = obj["levi"]
     if isinstance(levi, dict):
-        levi = GLLevi(Partition(levi["gl"])) if "gl" in levi else MaxLevi(levi["a"], levi["residual"])
+        levi = Levi(Partition(levi["gl"]), 0) if "gl" in levi else Levi(Partition([levi["a"]]), levi["residual"])
     else:
-        levi = {"torus": TorusLevi(), "full": FullGroupLevi(), "B3": F4B3Levi()}[levi]
+        levi = _named_levis(kind)[levi]
     orbit = obj["nilpotent_orbit"]
     fields = {key: obj[key] for key in ("dixmier", "d", "dim_z", "w_l_order", "katsylo_order", "dim_sheet", "class_tag",
                                         "type_tag", "component_group_order", "levi_conjugacy_caveat", "name")}
     return SheetDescriptor(
-        kind=parse_kind(obj["kind"]),
+        kind=kind,
         levi=levi,
         nilpotent_orbit=orbit["bala_carter"] if isinstance(orbit, dict) else Partition(orbit),
         **fields,
@@ -419,13 +432,13 @@ def descriptor_from_json(obj: dict) -> SheetDescriptor:
 def descriptor_to_json(desc: SheetDescriptor) -> dict:
     """The record of ``desc`` as a dict, built field by field."""
     orbit = desc.nilpotent_orbit
-    levi = desc.levi
-    if isinstance(levi, GLLevi):
-        levi = {"gl": list(levi.m.parts)}
-    elif isinstance(levi, MaxLevi):
-        levi = {"a": levi.a, "residual": levi.residual}
+    kind, levi = desc.kind, desc.levi
+    if kind.family == "A":
+        levi = {"gl": list(levi.blocks.parts)}
+    elif kind.family != "F4" and len(levi.blocks.parts) == 1:  # a torus of rank 1 too
+        levi = {"a": levi.blocks.parts[0], "residual": levi.residual}
     else:
-        levi = {TorusLevi: "torus", FullGroupLevi: "full", F4B3Levi: "B3"}[type(levi)]
+        levi = {label: name for name, label in _named_levis(kind).items()}[levi]
     return {
         "kind": str(desc.kind),
         "name": desc.name,

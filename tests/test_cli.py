@@ -621,7 +621,7 @@ def test_triples_above_the_former_ceilings_pass_every_check(monkeypatch):
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     gl = ["gl:%d,%d" % (n - m2, m2) for n in range(25, MAX_TRIPLE_SIZE + 1) for m2 in range(1, n // 2 + 1)]
     bcd = [
-        "bcd:%s,%d,%d" % (kind.family, levi.a, levi.residual)
+        "bcd:%s,%d,%d" % (kind.family, levi.blocks.parts[0], levi.residual)
         for r in range(12, MAX_TRIPLE_SIZE // 2 + 1)
         for kind in (type_b(r), type_c(r), type_d(r))
         if 24 < kind.matrix_size <= MAX_TRIPLE_SIZE
@@ -644,7 +644,7 @@ def _table_requests():
             argv = ["sheets", "--kind", family, "--rank", str(r)]
             yield argv, lambda kind=kind: sheets.sheets_for(kind)
             for levi in valid_max_levi_labels(kind):
-                yield argv + ["--levi", "%d,%d" % (levi.a, levi.residual)], lambda kind=kind, levi=levi: [sheets.find_sheet(kind, levi)]
+                yield argv + ["--levi", "%d,%d" % (levi.blocks.parts[0], levi.residual)], lambda kind=kind, levi=levi: [sheets.find_sheet(kind, levi)]
     yield ["sheets", "--kind", "F4"], lambda: [sheets.f4_b3_sheet()]
 
 
@@ -720,6 +720,38 @@ def test_an_empty_levi_is_refused_not_ignored():
         ["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "2", "--levi", ""],
     ):
         assert _serve(argv) == (1, "", message), argv
+
+
+def test_out_of_shape_levi_labels_are_refused_by_name():
+    """A Levi label of integers with the wrong count or range is refused by
+    the field's name and form, quoting it, with empty stdout."""
+    max_form = "a,res with integers a >= 1 and res >= 0"
+    spec = "the LEVI of a sheet spec KIND:RANK:LEVI"
+    for argv, field, form, text in (
+        (["sheet-info", "--kind", "C", "--rank", "3", "--levi", "1,1,1"], "--levi", max_form, "1,1,1"),
+        (["sheets", "--kind", "B", "--rank", "3", "--levi", "2", "--json"], "--levi", max_form, "2"),
+        (["multiplicity", "--sheet", "C:2:1,1,1"], spec, max_form, "1,1,1"),
+        (["sheet-info", "--kind", "D", "--rank", "4", "--levi", "0,5"], "--levi", max_form, "0,5"),
+        (["hitchin-dim", "--genus", "2", "--kind", "C", "--rank", "4", "--levi", "4,-1"], "--levi", max_form, "4,-1"),
+        (["multiplicity", "--sheet", "B:3:0,7"], spec, max_form, "0,7"),
+        (["triple-verify", "--case", "bcd:C,0,3"], "--case", "bcd:KIND,a,res with integers a >= 1 and res >= 0", "bcd:C,0,3"),
+        (["triple-verify", "--case", "bcd:D,2,-2", "--json"], "--case", "bcd:KIND,a,res with integers a >= 1 and res >= 0", "bcd:D,2,-2"),
+        (["sheet-info", "--kind", "A", "--rank", "3", "--levi", "3,0"], "--levi", "a partition, integers >= 1 such as 2,1,1", "3,0"),
+        (["sheets", "--kind", "A", "--rank", "1", "--levi", "2,-1"], "--levi", "a partition, integers >= 1 such as 2,1,1", "2,-1"),
+        (["multiplicity", "--sheet", "A:2:2,0"], spec, "a partition, integers >= 1 such as 2,1,1", "2,0"),
+    ):
+        assert _serve(argv) == (1, "", "error: %s must be %s, got %r\n" % (field, form, text)), argv
+
+
+def test_fixtures_refuse_an_empty_out_dir(monkeypatch, tmp_path: Path):
+    """An empty --out-dir is refused, in both modes, and nothing is written:
+    it was read as no --out-dir, and --regen rewrote the packaged tables."""
+    from sheet_atlas import cli
+
+    monkeypatch.setattr(cli, "data_dir", lambda: tmp_path)
+    for argv in (["fixtures", "--regen", "--out-dir="], ["fixtures", "--regen", "--out-dir", ""], ["fixtures", "--out-dir="]):
+        assert _serve(argv) == (1, "", "error: --out-dir must name a directory, got ''\n"), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_factor_counts_and_lengths_are_refused_by_name():

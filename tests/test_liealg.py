@@ -19,7 +19,7 @@ from sheet_atlas.liealg import (
     sp_gram,
 )
 from sheet_atlas.scalars import ZERO, RatPoly
-from sheet_atlas.sheets import max_levi_dim, type_a, type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
@@ -317,8 +317,8 @@ def _workload_points():
     for kind in [type_b(r) for r in (1, 2, 3)] + [type_c(r) for r in (1, 2, 3, 4)] + [type_d(r) for r in (2, 3, 4)]:
         for levi in valid_max_levi_labels(kind):
             trip = build_bcd_triple(kind, levi)
-            a, size = levi.a, trip.e.dim
-            cases.append((trip, [1] * a + [0] * (size - 2 * a) + [-1] * a, max_levi_dim(kind, levi)))
+            a, size = levi.blocks.parts[0], trip.e.dim
+            cases.append((trip, [1] * a + [0] * (size - 2 * a) + [-1] * a, kind.levi_dim(levi)))
     for trip, diag, dim_l in cases:
         for c in (Fraction(0), Fraction(1), Fraction(-355, 113)):
             yield trip.e + RationalMatrix.diagonal([c * v for v in diag]), trip.model, (dim_l if c else None)

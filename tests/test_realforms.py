@@ -14,7 +14,7 @@ from sheet_atlas.realforms import (
     toledo,
     toledo_max,
 )
-from sheet_atlas.sheets import GLLevi, gl_sheet
+from sheet_atlas.sheets import Levi, gl_sheet
 
 
 def test_su_sheet_partitions():
@@ -26,8 +26,8 @@ def test_su_sheet_partitions():
 
 def test_su_reports():
     rep = sheet_of_real_form(SU(3, 1))
-    assert isinstance(rep.levi_description, GLLevi)
-    assert rep.levi_description.m == Partition((2, 1, 1))
+    assert isinstance(rep.levi_description, Levi)
+    assert rep.levi_description.blocks == Partition((2, 1, 1))
     assert not rep.quasi_split
     assert "U(1,1)" in rep.abelianised_target
 
@@ -42,7 +42,7 @@ def test_quasi_split_iff_all_ones():
     for p in range(1, 7):
         for q in range(1, p + 1):
             rep = sheet_of_real_form(SU(p, q))
-            m = rep.levi_description.m
+            m = rep.levi_description.blocks
             assert rep.quasi_split == (m == Partition([1] * (p + q)))
             assert m.n == p + q
             assert m.num_parts == 2 * q + (1 if p > q else 0)
@@ -50,7 +50,7 @@ def test_quasi_split_iff_all_ones():
 
 def test_su_sheet_descriptor():
     desc = gl_sheet(su_sheet_partition(4, 1))  # Levi partition (3, 1, 1), self-conjugate
-    assert desc.levi.m == Partition((3, 1, 1))
+    assert desc.levi.blocks == Partition((3, 1, 1))
     assert desc.nilpotent_orbit == Partition((3, 1, 1))
     assert desc.katsylo_order == 1
     desc = gl_sheet(su_sheet_partition(5, 1))  # Levi partition (4, 1, 1)

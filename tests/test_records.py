@@ -18,13 +18,10 @@ from sheet_atlas.multiplicity import SlicePoint
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.realforms import SU, RealSheetReport, SOStar
 from sheet_atlas.sheets import (
-    F4B3Levi,
-    FullGroupLevi,
-    GLLevi,
     GroupKind,
+    Levi,
     MaxLevi,
     SheetDescriptor,
-    TorusLevi,
     f4_b3_sheet,
     gl_sheet,
     sheets_sp4,
@@ -54,11 +51,7 @@ def _cases():
         (Partition, [("parts", (2, 1))], {"parts": (3,)}),
         (MultiplicityProfile, [("counts", (1, 1))], {"counts": (2,)}),
         (GroupKind, [("family", "C"), ("rank", 2)], {"rank": 3}),
-        (GLLevi, [("m", Partition((2, 1)))], {"m": Partition((3,))}),
-        (MaxLevi, [("a", 1), ("residual", 2)], {"residual": 3}),
-        (TorusLevi, [], None),
-        (FullGroupLevi, [], None),
-        (F4B3Levi, [], None),
+        (Levi, [("blocks", Partition((2, 1))), ("residual", 0)], {"residual": 1}),
         (SheetDescriptor, SDIX_FIELDS, {"name": "sp4:other"}),
         (ClassicalForm, [("kind", "symmetric"), ("gram", so_gram(3).gram)], {"kind": "antisymmetric", "gram": sp_gram(4).gram}),
         (LieAlgebraModel, [("kind", model.kind), ("form", model.form), ("matrix_size", 3), ("terms", model.terms)], {"terms": model.terms[:1]}),
@@ -88,7 +81,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert {cls for cls, _, _ in _cases()} == _record_classes()
-    assert len(_cases()) == 19
+    assert len(_cases()) == 15
 
 
 def test_positional_and_keyword_construction_agree():
@@ -128,12 +121,10 @@ def test_equality_and_hash_by_value():
 
 
 def test_records_of_different_classes_differ():
-    assert TorusLevi() != FullGroupLevi() != F4B3Levi() != TorusLevi()
-    assert TorusLevi() == TorusLevi() and hash(TorusLevi()) == hash(TorusLevi())
     assert Partition((2, 1)) != (2, 1) and (2, 1) != Partition((2, 1))
     assert MultiplicityProfile((1, 2)) != SliceWeights((1, 2))
     assert SU(2, 1) != MaxLevi(2, 1)
-    assert GLLevi(Partition((2, 1))) != Partition((2, 1))
+    assert Levi(Partition((2, 1)), 0) != Partition((2, 1))
     assert Partition((1,)).__eq__(1) is NotImplemented
 
 
@@ -153,16 +144,14 @@ def test_repr_lists_the_fields():
         expected = "%s(%s)" % (cls.__name__, ", ".join("%s=%r" % field for field in fields))
         assert repr(cls(**dict(fields))) == expected
     assert repr(GroupKind("A", 3)) == "GroupKind(family='A', rank=3)"
-    assert repr(GLLevi(Partition((2, 1)))) == "GLLevi(m=Partition(parts=(2, 1)))"
-    assert repr(MaxLevi(1, 2)) == "MaxLevi(a=1, residual=2)"
-    assert repr(TorusLevi()) == "TorusLevi()"
+    assert repr(MaxLevi(1, 2)) == "Levi(blocks=Partition(parts=(1,)), residual=2)"
     assert repr(SOStar(3)) == "SOStar(n=3)"
     assert repr(SliceWeights((1, 2))) == "SliceWeights(weights=(1, 2))"
     assert repr(JordanBasisPlan(Partition((2, 2)), (1, 0), 1, False)) == (
         "JordanBasisPlan(orbit=Partition(parts=(2, 2)), beta=(1, 0), gl_block_size=1, symmetric=False)"
     )
     assert repr(f4_b3_sheet()) == (
-        "SheetDescriptor(kind=GroupKind(family='F4', rank=4), levi=F4B3Levi(), dixmier=True, nilpotent_orbit='A~2', "
+        "SheetDescriptor(kind=GroupKind(family='F4', rank=4), levi=Levi(blocks=Partition(parts=(1,)), residual=7), dixmier=True, nilpotent_orbit='A~2', "
         "d=22, dim_z=1, w_l_order=2, katsylo_order=1, dim_sheet=31, class_tag=None, type_tag=2, "
         "component_group_order=None, levi_conjugacy_caveat=False, name='f4:B3')"
     )
@@ -181,7 +170,7 @@ def test_partition_sorts_by_its_parts():
         a <= SliceWeights((3,))
     # the other records do not order
     with pytest.raises(TypeError):
-        TorusLevi() < TorusLevi()
+        Levi(Partition((1, 1)), 0) < Levi(Partition((2,)), 0)
     with pytest.raises(TypeError):
         GroupKind("A", 1) < GroupKind("A", 2)
 
@@ -192,7 +181,8 @@ def test_construction_checks_still_raise():
     cases = [
         (lambda: SheetDescriptor(**wrong_dim), "dim_sheet fails dim G - d"),
         (lambda: Sl2Triple(trip.e, trip.h, trip.f.scale(2), trip.model, trip.flag_dims, trip.abelianization_value), "failed check '\\[e,f\\] = h'"),
-        (lambda: MaxLevi(0, 1), "invalid maximal Levi label"),
+        (lambda: MaxLevi(0, 1), "parts must be positive"),
+        (lambda: Levi(Partition((1,)), -1), "residual is at least 0, got -1"),
         (lambda: SU(1, 2), "need p >= q >= 1"),
         (lambda: SOStar(2), "need n >= 3"),
         (lambda: SliceWeights((0,)), "weights must be positive"),
@@ -212,7 +202,7 @@ def test_construction_checks_still_raise():
 
 
 def test_copies_are_built_through_the_constructor():
-    for record in (f4_b3_sheet(), Partition((2, 1)), GroupKind("B", 3), SU(3, 1), TorusLevi(), SliceWeights((1, 2))):
+    for record in (f4_b3_sheet(), Partition((2, 1)), GroupKind("B", 3), SU(3, 1), Levi(Partition((1, 1)), 0), SliceWeights((1, 2))):
         assert pickle.loads(pickle.dumps(record)) == record
         assert copy.copy(record) == record and copy.deepcopy(record) == record
 

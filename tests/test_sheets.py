@@ -9,13 +9,11 @@ from sheet_atlas import cli, partitions, sheets
 from sheet_atlas.partitions import Partition, conjugate, is_valid_orbit_partition
 from sheet_atlas.sheets import (
     F4,
-    FullGroupLevi,
-    GLLevi,
     GroupKind,
     LISTING_HEADER,
+    Levi,
     MaxLevi,
     SheetDescriptor,
-    TorusLevi,
     all_max_levi_sheets,
     check_record,
     classify_max_levi,
@@ -41,7 +39,7 @@ from oracles import descriptor_from_json, descriptor_to_json, gl_record_fields, 
 
 
 def test_gln_sheet_example_n4():
-    descs = {d.levi.m.parts: d for d in enumerate_sheets_gln(4)}
+    descs = {d.levi.blocks.parts: d for d in enumerate_sheets_gln(4)}
     d = descs[(2, 1, 1)]
     assert d.nilpotent_orbit == Partition((3, 1))
     assert d.d == 6 and d.dim_z == 3 and d.w_l_order == 2 and d.katsylo_order == 1
@@ -60,7 +58,7 @@ def test_gln_regular_sheet_n2():
 
 def test_gln_enumeration_order_and_range():
     descs = enumerate_sheets_gln(5)
-    labels = [d.levi.m.parts for d in descs]
+    labels = [d.levi.blocks.parts for d in descs]
     assert labels == sorted(labels, reverse=True)
     assert len(descs) == 7
     with pytest.raises(ValueError):
@@ -75,13 +73,13 @@ def test_type_a_records_match_oracles():
     for n in range(1, 25):
         listing = enumerate_sheets_gln(n)
         assert len(listing) == partition_count(n)
-        assert len({d.levi.m for d in listing}) == len(listing)
+        assert len({d.levi.blocks for d in listing}) == len(listing)
         for desc in listing:
-            m = desc.levi.m
+            m = desc.levi.blocks
             expected = gl_record_fields(m)
             alone = gl_sheet(m)
             for d in (desc, alone):
-                assert (d.kind, d.levi) == (type_a(n), GLLevi(m))
+                assert (d.kind, d.levi) == (type_a(n), Levi(m, 0))
                 assert {name: getattr(d, name) for name in expected} == expected, m
             assert record_json(alone) == record_json(desc)
 
@@ -137,7 +135,7 @@ def test_check_record_refuses_each_bad_record(case):
     with pytest.raises(ValueError):
         SheetDescriptor(
             kind=kind,
-            levi=GLLevi(Partition((2, 1, 1))) if kind.family == "A" else MaxLevi(1, 1),
+            levi=Levi(Partition((2, 1, 1)), 0) if kind.family == "A" else MaxLevi(1, 1),
             dixmier=True,
             nilpotent_orbit=Partition(orbit),
             d=d,
@@ -213,7 +211,7 @@ def test_table2_examples():
     d = maximal_levi_sheet(type_d(3), MaxLevi(3, 0))
     assert (d.class_tag, d.nilpotent_orbit, d.katsylo_order, d.w_l_order) == ("VI", Partition((2, 2, 1, 1)), 1, 1)
     assert d.levi_conjugacy_caveat
-    d = maximal_levi_sheet(type_a(4), GLLevi(Partition((2, 2))))
+    d = maximal_levi_sheet(type_a(4), Levi(Partition((2, 2)), 0))
     assert (d.class_tag, d.nilpotent_orbit, d.katsylo_order, d.w_l_order) == ("I", Partition((2, 2)), 1, 2)
 
 
@@ -223,7 +221,7 @@ def test_invalid_labels_raise():
     with pytest.raises(ValueError):
         maximal_levi_sheet(type_c(3), MaxLevi(1, 1))  # a + p != r
     with pytest.raises(ValueError):
-        maximal_levi_sheet(type_a(4), GLLevi(Partition((2, 1, 1))))  # not maximal
+        maximal_levi_sheet(type_a(4), Levi(Partition((2, 1, 1)), 0))  # not maximal
     with pytest.raises(ValueError):
         classify_max_levi(type_b(2), MaxLevi(1, 2))  # even residual in type B
 
@@ -266,7 +264,7 @@ def test_type_c_gl_restriction_rule():
     for r in range(1, 7):
         for levi in valid_max_levi_labels(type_c(r)):
             desc = maximal_levi_sheet(type_c(r), levi)
-            mults = [levi.a, levi.a] + ([2 * levi.residual] if levi.residual else [])
+            mults = [*levi.blocks.parts] * 2 + ([2 * levi.residual] if levi.residual else [])
             from_gl = conjugate(Partition(mults)) == desc.nilpotent_orbit
             assert from_gl == (desc.katsylo_order == 1), desc.name
 
@@ -288,7 +286,7 @@ def test_f4_has_rank_four_only():
 
 def test_find_sheet_routes():
     assert find_sheet(type_c(2), MaxLevi(1, 1)).name == "sp4:SDix"
-    assert find_sheet(type_a(4), GLLevi(Partition((2, 1, 1)))).nilpotent_orbit == Partition((3, 1))
+    assert find_sheet(type_a(4), Levi(Partition((2, 1, 1)), 0)).nilpotent_orbit == Partition((3, 1))
     assert find_sheet(F4, None).name == "f4:B3"
     with pytest.raises(ValueError, match="takes no Levi label"):
         find_sheet(F4, MaxLevi(1, 2))
@@ -297,9 +295,10 @@ def test_find_sheet_routes():
     # the full-group label (two rows there) and a torus label elsewhere are
     # refused, and so is a label that does not fit
     for row in sheets_sp4():
-        if not isinstance(row.levi, FullGroupLevi):
+        if row.levi.blocks:
             assert find_sheet(type_c(2), row.levi) == row
-    for kind, levi in ((type_c(2), FullGroupLevi()), (type_c(3), TorusLevi()), (type_b(2), TorusLevi())):
+    for kind, levi in ((type_c(2), Levi(Partition(()), 2)), (type_c(3), Levi(Partition((1, 1, 1)), 0)),
+                       (type_b(2), Levi(Partition((1, 1)), 1))):
         with pytest.raises(ValueError, match="only maximal Levi labels are classified"):
             find_sheet(kind, levi)
     with pytest.raises(ValueError, match="does not fit"):
@@ -357,7 +356,8 @@ def test_record_writer_matches_json_dumps():
     ]:
         assert (key, kind) in seen, (key, kind)
     assert any(d.levi_conjugacy_caveat for d in descs)
-    assert {str(d.levi) for d in descs} >= {"T", "G", "B3"}
+    named = {levi for levi in (descriptor_to_json(d)["levi"] for d in descs) if isinstance(levi, str)}
+    assert named == {"torus", "full", "B3"}
 
 
 def test_record_list_writer_matches_json_dumps():
@@ -386,7 +386,7 @@ def test_gl_sheet_is_the_listed_record():
         rows = list(listing_rows(type_a(n))())
         assert rows[0] == LISTING_HEADER and len(rows) == len(listing) + 1
         for desc, row in zip(listing, rows[1:]):
-            alone = gl_sheet(desc.levi.m)
-            assert alone == desc and alone.name == "gl%d:m=%s" % (n, ",".join(map(str, desc.levi.m.parts)))
+            alone = gl_sheet(desc.levi.blocks)
+            assert alone == desc and alone.name == "gl%d:m=%s" % (n, ",".join(map(str, desc.levi.blocks.parts)))
             assert list(listing_rows(type_a(n), desc.levi)()) == [LISTING_HEADER, row]
             assert "".join(listing_json(type_a(n), desc.levi)) == "".join(records_json([desc]))

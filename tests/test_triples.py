@@ -6,7 +6,7 @@ import pytest
 
 from sheet_atlas.liealg import RationalMatrix, bracket, centralizer_dim, char_poly, in_algebra
 from sheet_atlas.partitions import Partition
-from sheet_atlas.sheets import MaxLevi, max_levi_dim, maximal_levi_sheet, type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.sheets import MaxLevi, maximal_levi_sheet, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import sp4_dix_image
 from sheet_atlas.triples import (
     Sl2Triple,
@@ -114,10 +114,10 @@ def test_bcd_sweep_n12():
         sign = 1 if kind.family in ("B", "D") else -1
         assert gram.transpose() == gram.scale(sign)
         assert determinant(gram) != 0
-        assert centralizer_dim(trip.e, trip.model) == max_levi_dim(kind, levi)
+        assert centralizer_dim(trip.e, trip.model) == kind.levi_dim(levi)
         sheet = maximal_levi_sheet(kind, levi)
         assert (sheet.type_tag == 1) == (trip.h_prime is not None)
-        assert trip.abelianization_value == sum(p - 1 for p in trip.plan.orbit.parts[: levi.a])
+        assert trip.abelianization_value == sum(p - 1 for p in trip.plan.orbit.parts[: levi.blocks.parts[0]])
 
 
 def test_bcd_beta_type1_pairing():
