@@ -79,10 +79,11 @@ class RealSheetReport(Record):
 
     def to_json(self) -> dict:
         levi = self.levi_description
+        if isinstance(self.label, SU):  # the one family that names a Levi, of GL_{p+q}
+            levi = {"gl": levi.blocks.to_json()}
         return {
             "label": str(self.label),
-            # only SU(p, q) names a Levi, one of GL_{p+q}
-            "levi": {"gl": levi.blocks.to_json()} if isinstance(self.label, SU) else levi,
+            "levi": levi,
             "quasi_split": self.quasi_split,
             "abelianised_target": self.abelianised_target,
             "extra": {k: str(v) for k, v in self.extra},
