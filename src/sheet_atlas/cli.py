@@ -72,22 +72,27 @@ def _ints(text: str, field: str, count=None, form="comma-separated integers, e.g
     raise ValueError("%s must be %s, got %r" % (field, form, text if got is None else got))
 
 
+def _partition(text: str, field: str) -> Partition:
+    """The partition of one field, its parts comma-separated, or a refusal
+    by the field's name ``field``."""
+    values = _ints(text, field)
+    if min(values) >= 1:
+        return Partition(values)
+    raise ValueError("%s must be a partition, integers >= 1 such as 2,1,1, got %r" % (field, text))
+
+
 def _parse_levi(kind: GroupKind, text: Optional[str], field: str = "--levi") -> Optional[Levi]:
     """The Levi named by ``text``, or None for no text: the parts of a
     partition in type A, ``a,res`` (one GL_a block and the residual)
     otherwise.  A malformed label is refused by the field's name ``field``."""
     if text is None:
         return None
-    values = _ints(text, field)
     if kind.family == "A":
-        if min(values) >= 1:
-            return Levi(Partition(values), 0)
-        form = "a partition, integers >= 1 such as 2,1,1"
-    elif len(values) == 2 and values[0] >= 1 and values[1] >= 0:
+        return Levi(_partition(text, field), 0)
+    values = _ints(text, field)
+    if len(values) == 2 and values[0] >= 1 and values[1] >= 0:
         return MaxLevi(*values)
-    else:
-        form = "a,res with integers a >= 1 and res >= 0"
-    raise ValueError("%s must be %s, got %r" % (field, form, text))
+    raise ValueError("%s must be a,res with integers a >= 1 and res >= 0, got %r" % (field, text))
 
 
 def _group_kind(args) -> GroupKind:
@@ -181,6 +186,8 @@ def cmd_triple_verify(args) -> int:
         return _verify_sp4_slice(args, json_mode)
     if case.startswith("gl:"):
         m1, m2 = _ints(case[3:], "--case", 2, "gl:m1,m2 with integers m1 and m2", case)
+        if not m1 >= m2 >= 1:
+            raise ValueError("--case must be gl:m1,m2 with integers m1 >= m2 >= 1, got %r" % case)
         trip = triples.build_gl_triple(m1, m2)
         kind, levi = sheets.type_a(m1 + m2), Levi(Partition((m1, m2)), 0)
     elif case.startswith("bcd:"):
@@ -275,7 +282,7 @@ def cmd_hitchin_dim(args) -> int:
 
 
 def cmd_mu_s(args) -> int:
-    m = Partition(_ints(args.profile, "--profile"))
+    m = _partition(args.profile, "--profile")
     # the profile of m lives in gl_n, n = |m|: refused beyond the rank bound
     # before the profile (one count per integer up to the largest part) is built
     sheets.check_rank(sheets.type_a(m.n))
@@ -501,6 +508,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone (``| head``): as the Python docs
+        # advise, stdout is pointed at devnull so the flush at exit cannot
+        # raise again, and the exit code is 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

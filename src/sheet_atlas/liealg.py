@@ -52,6 +52,7 @@ from .scalars import (
     run,
     scalars_over,
 )
+from .sheets import GroupKind
 from .spectral import GradedPolynomial, _graded
 
 
@@ -380,7 +381,7 @@ class LieAlgebraModel(Record):
 
     def __init__(
         self,
-        kind: object,  # GroupKind; kept loose to avoid an import cycle
+        kind: GroupKind,
         form: Optional[ClassicalForm],
         matrix_size: int,
         terms: Tuple[Tuple[Term, ...], ...],
@@ -403,29 +404,27 @@ class LieAlgebraModel(Record):
 Term = Tuple[int, int, int]
 
 
-def build_model(kind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
+def build_model(kind: GroupKind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
     """Matrix model of gl_n (type A) or of the stabiliser algebra of a form.
 
-    For B/C/D the basis spans {x | x^T G + G x = 0}; the expected dimension
-    (n(n-1)/2 orthogonal, m(2m+1) symplectic) is asserted.  Type A has no
-    form, and passing one raises ValueError.
+    For B/C/D the basis spans {x | x^T G + G x = 0}, by default for the unit
+    form of the group's form sign, and its size is asserted to be dim G.
+    Type A has no form, and passing one raises ValueError.
     """
-    family = getattr(kind, "family", None)
-    n = getattr(kind, "matrix_size", None)
-    if family == "A":
+    n = kind.matrix_size
+    if kind.family == "A":
         if form is not None:
             raise ValueError("type A is modelled by gl_n and takes no form")
         return LieAlgebraModel(kind, None, n, tuple(((i, j, 1),) for i in range(n) for j in range(n)))
-    if family not in ("B", "C", "D"):
-        raise ValueError("no matrix model for group family %r" % (family,))
+    if kind.form_sign is None:
+        raise ValueError("no matrix model for group family %r" % (kind.family,))
     if form is None:
-        form = sp_gram(n) if family == "C" else so_gram(n)
+        form = so_gram(n) if kind.form_sign == 1 else sp_gram(n)
     if form.gram.dim != n:
         raise ValueError("form size %d does not match group on %d letters" % (form.gram.dim, n))
     terms = form_stabiliser_basis(form.gram)
-    expected = n * (n - 1) // 2 if family in ("B", "D") else (n // 2) * (n + 1)
-    if len(terms) != expected:
-        raise AssertionError("basis size %d, expected %d" % (len(terms), expected))
+    if len(terms) != kind.dim:
+        raise AssertionError("basis size %d, expected %d" % (len(terms), kind.dim))
     return LieAlgebraModel(kind, form, n, tuple(terms))
 
 

@@ -178,26 +178,25 @@ def profile(m: Partition) -> MultiplicityProfile:
 
 
 def is_valid_orbit_partition(kind, p) -> bool:
-    """Parity test for nilpotent-orbit partitions of classical groups; p is
-    a Partition or its parts, largest first.
+    """Parity test for nilpotent-orbit partitions of the group ``kind``; p
+    is a Partition or its parts, largest first.
 
-    Type A admits everything; orthogonal types (B, D) need every even part
-    with even multiplicity; the symplectic type (C) needs every odd part
-    with even multiplicity.  A size mismatch between the group and p is an
-    error, not a False.
+    Type A admits everything; in B, C and D every part of the parity the
+    form pairs off has even multiplicity: the even parts for a symmetric
+    form (B, D), the odd parts for an alternating one (C).  A size mismatch
+    between the group and p is an error, not a False.
     """
     parts = p.parts if type(p) is Partition else p
-    family = getattr(kind, "family", kind)
-    expected = getattr(kind, "matrix_size", None)
-    if expected is not None and sum(parts) != expected:
-        raise ValueError("partition of %d does not match group on %d letters" % (sum(parts), expected))
-    if family == "A":
+    size = kind.matrix_size
+    if size is not None and sum(parts) != size:
+        raise ValueError("partition of %d does not match group on %d letters" % (sum(parts), size))
+    if kind.family == "A":
         return True
-    if family in ("B", "D"):
-        return all(parts.count(i) % 2 == 0 for i in set(parts) if i % 2 == 0)
-    if family == "C":
-        return all(parts.count(i) % 2 == 0 for i in set(parts) if i % 2 == 1)
-    raise ValueError("no orbit-partition criterion for group family %r" % (family,))
+    sign = kind.form_sign
+    if sign is None:
+        raise ValueError("no orbit-partition criterion for group family %r" % (kind.family,))
+    paired = (1 - sign) // 2  # the parity of the parts the form pairs off
+    return all(parts.count(i) % 2 == 0 for i in set(parts) if i % 2 == paired)
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

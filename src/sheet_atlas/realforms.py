@@ -206,14 +206,23 @@ def abelianized_fiber_dim_is_positive(label: RealFormLabel) -> bool:
 
 
 def parse_real_form(text: str) -> RealFormLabel:
-    """Parse labels like "SU:3,1" or "SOSTAR:5" (case-insensitive)."""
+    """Parse labels like "SU:3,1" or "SOSTAR:5" (case-insensitive), the
+    ``--label`` of the CLI; fields out of range are refused by its name."""
     head, _, tail = text.partition(":")
     head = head.strip().upper()
     if head == "SU":
-        return SU(*_int_fields(text, tail, 2, "SU:p,q with integers p and q"))
-    if head in ("SOSTAR", "SO*"):
-        return SOStar(*_int_fields(text, tail, 1, "SOSTAR:n with an integer n"))
-    raise ValueError("cannot parse real form label %r" % (text,))
+        p, q = _int_fields(text, tail, 2, "SU:p,q with integers p and q")
+        if p >= q >= 1:
+            return SU(p, q)
+        form = "SU:p,q with integers p >= q >= 1"
+    elif head in ("SOSTAR", "SO*"):
+        (n,) = _int_fields(text, tail, 1, "SOSTAR:n with an integer n")
+        if n >= 3:
+            return SOStar(n)
+        form = "SOSTAR:n with an integer n >= 3"
+    else:
+        raise ValueError("cannot parse real form label %r" % (text,))
+    raise ValueError("--label must be %s, got %r" % (form, text))
 
 
 def _int_fields(text: str, tail: str, count: int, form: str) -> List[int]:

@@ -17,6 +17,7 @@ from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, wal
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
+_FORM_SIGNS = {"B": 1, "C": -1, "D": 1}  # the sign of the form each B/C/D group keeps
 
 
 class GroupKind(Record):
@@ -51,59 +52,57 @@ class GroupKind(Record):
         return 2 * self.rank
 
     @property
+    def form_sign(self) -> Optional[int]:
+        """The sign of the form G keeps: +1 symmetric (SO, types B and D), -1
+        alternating (Sp, type C), None in A and F4."""
+        return _FORM_SIGNS.get(self.family)
+
+    @property
     def dim(self) -> int:
-        fam, r = self.family, self.rank
+        fam = self.family
         if fam == "A":
-            return r * r
-        if fam == "D":
-            return r * (2 * r - 1)
-        if fam == "F4":
-            return 52
-        return r * (2 * r + 1)
+            return self.rank * self.rank
+        return 52 if fam == "F4" else self._form_dim(self.matrix_size)
 
     @property
     def name(self) -> str:
         fam = self.family
         if fam == "A":
             return "GL%d" % self.rank
-        if fam == "B":
-            return "SO%d" % (2 * self.rank + 1)
-        if fam == "C":
-            return "Sp%d" % (2 * self.rank)
-        if fam == "D":
-            return "SO%d" % (2 * self.rank)
-        return "F4"
+        return "F4" if fam == "F4" else self._form_name(self.matrix_size)
 
-    # What a Levi's residual means: G' is Sp_{2p} for residual p in type C,
-    # SO_q for residual q in B and D (and for F4's B3 Levi, SO_7), and there
-    # is none in type A (residual 0).
+    # The groups keeping the form of G on s letters, and what a Levi's residual
+    # means: G' keeps that form, Sp_{2p} for residual p in type C and SO_q for
+    # q in B and D; F4's B3 Levi has SO_7, and type A has none (residual 0).
+
+    def _form_dim(self, size: int) -> int:
+        """s(s - sign)/2: dim so_s for sign +1 (and in F4), sp_s for -1."""
+        return size * (size - (self.form_sign or 1)) // 2
+
+    def _form_name(self, size: int) -> str:
+        return ("Sp%d" if self.form_sign == -1 else "SO%d") % size
 
     def residual_size(self, residual: int) -> int:
         """The size of G''s matrices: 2p in type C, q otherwise."""
-        return 2 * residual if self.family == "C" else residual
+        return 2 * residual if self.form_sign == -1 else residual
 
     def residual_name(self, residual: int) -> str:
-        return ("Sp%d" if self.family == "C" else "SO%d") % self.residual_size(residual)
+        return self._form_name(self.residual_size(residual))
 
     def levi_dim(self, levi: Levi) -> int:
-        """dim of the Levi: b^2 for each GL_b block, plus p(2p+1) for
-        Sp_{2p} or q(q-1)/2 for SO_q."""
-        s = self.residual_size(levi.residual)
+        """dim of the Levi: b^2 for each GL_b block, plus dim G'."""
         blocks = levi.blocks.parts
-        return sum(map(mul, blocks, blocks)) + s * (s + 1 if self.family == "C" else s - 1) // 2
+        return sum(map(mul, blocks, blocks)) + self._form_dim(self.residual_size(levi.residual))
 
     def fits(self, levi: Levi) -> bool:
         """Whether ``levi`` is a Levi of this group: in type A a partition of
         n with residual 0; in B, C and D each GL block taken twice and G'
         fill the matrix size, and G' is not SO_2 (a torus, so GL_1 again).
         F4 takes no label."""
-        fam = self.family
-        if fam == "A":
-            return levi.residual == 0 and levi.blocks.n == self.rank
-        if fam == "F4":
-            return False
+        if self.form_sign is None:
+            return self.family == "A" and levi.residual == 0 and levi.blocks.n == self.rank
         return (2 * levi.blocks.n + self.residual_size(levi.residual) == self.matrix_size
-                and (fam == "C" or levi.residual != 2))
+                and (self.form_sign == -1 or levi.residual != 2))
 
     def __str__(self):
         return "F4" if self.family == "F4" else "%s(%d)" % (self.family, self.rank)
@@ -161,9 +160,8 @@ def levi_shape(kind: GroupKind, levi: Levi) -> str:
     also the torus of a rank-1 group), and "torus" with several blocks of
     size 1 and the least residual (0, or 1 in type B).  The last three are
     the record's JSON text of a label without parameters."""
-    fam = kind.family
-    if fam == "A" or fam == "F4":
-        return "gl" if fam == "A" else "B3"
+    if kind.form_sign is None:
+        return "gl" if kind.family == "A" else "B3"
     blocks = levi.blocks.parts
     if len(blocks) < 2:
         return "max" if blocks else "full"
@@ -487,12 +485,12 @@ def classify_max_levi(kind: GroupKind, levi: Levi) -> Tuple[str, Partition, int,
     Weyl element inverts the centre (the odd-rank q = 0 orthogonal case and
     the unequal-blocks GL case).
     """
-    if kind.family not in ("B", "C", "D"):
+    if kind.form_sign is None:
         raise ValueError("maximal Levi labels apply to types B, C, D only")
     if len(levi.blocks.parts) != 1 or not kind.fits(levi):
         raise ValueError("label %s does not fit %s" % (levi, kind))
     a, q = levi.blocks.parts[0], kind.residual_size(levi.residual)
-    if kind.family == "C":
+    if kind.form_sign == -1:
         if a >= q:
             return "VII", Partition([3] * q + [2] * (a - q)), 1, 2
         if a % 2 == 1:
@@ -539,7 +537,7 @@ def maximal_levi_sheet(kind: GroupKind, levi: Levi) -> SheetDescriptor:
 def valid_max_levi_labels(kind: GroupKind) -> List[Levi]:
     """All maximal Levi labels for a fixed B/C/D group, ordered by a: GL_a
     and the G' that fills the rest, where it is a Levi factor."""
-    if kind.family not in ("B", "C", "D"):
+    if kind.form_sign is None:
         raise ValueError("maximal Levi labels apply to B/C/D")
     # G' has the size n - 2a that GL_a leaves, so its residual is that over
     # the size of a unit residual

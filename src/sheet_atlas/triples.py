@@ -196,13 +196,13 @@ def build_bcd_triple(kind: GroupKind, levi: Levi) -> Sl2Triple:
     chain-weight diagonal, and f carries the coefficients i(n_j - i) forced
     by the bracket relations.
     """
-    if kind.family not in ("B", "C", "D"):
+    if kind.form_sign is None:
         raise ValueError("normalised Jordan triples apply to types B, C, D")
     _check_size(kind.matrix_size)
     sheet = maximal_levi_sheet(kind, levi)
     orbit: Partition = sheet.nilpotent_orbit
     a = levi.blocks.parts[0]
-    symmetric = kind.family in ("B", "D")
+    symmetric = kind.form_sign == 1
     beta = _plan_beta(orbit.parts, a, symmetric)
     pos = _basis_order(orbit.parts, beta, a)
     gram = _build_gram(orbit.parts, beta, pos, symmetric)

@@ -2,7 +2,8 @@
 
 These deliberately take different computational routes from the library:
 partition counts by Euler's pentagonal recurrence, the partitions themselves
-by recursion on the largest part and a sort, diagram transposition by
+by recursion on the largest part and a sort, the nilpotent-orbit parity
+rule by counting multiplicities per family, diagram transposition by
 cells, type A sheet records from those cells, Hitchin base dimensions by
 summing over listed invariant degrees, the paper's worked-example closed
 forms for the rank-2 symplectic and type A bases (the library has only the
@@ -68,6 +69,21 @@ def partitions_by_recursion(n: int) -> List[tuple]:
         return [(p, *rest) for p in range(1, min(total, largest) + 1) for rest in parts_up_to(total - p, p)]
 
     return sorted(parts_up_to(n, n), reverse=True)
+
+
+def orbit_partition_by_counting(family: str, parts: Sequence[int]) -> bool:
+    """The textbook parity rule for the nilpotent orbits of a classical group
+    (Collingwood-McGovern, Theorems 5.1.2 and 5.1.3), from a count of each
+    part's multiplicity: in the orthogonal types B and D every even part
+    occurs an even number of times, in the symplectic type C every odd part."""
+    counts: dict[int, int] = {}
+    for part in parts:
+        counts[part] = counts.get(part, 0) + 1
+    if family in ("B", "D"):
+        return all(count % 2 == 0 for part, count in counts.items() if part % 2 == 0)
+    if family == "C":
+        return all(count % 2 == 0 for part, count in counts.items() if part % 2 == 1)
+    raise ValueError("no parity rule for type %s" % family)
 
 
 def conjugate_by_cells(m: Partition) -> Partition:

@@ -323,6 +323,37 @@ def test_real_form_label_fields_must_be_integers():
     assert _serve(["realform", "--label", "SU:1,3"])[0] == 1
 
 
+def test_out_of_range_fields_are_refused_by_name():
+    """A field of integers out of its range is refused as --levi is: exit
+    1, nothing on stdout, and an error line naming the field and quoting its
+    text.  The library constructors keep their own checks."""
+    for argv, message in (
+        (["mu-s", "--profile", "3,0", "--factors", "1;;"], "--profile must be a partition, integers >= 1 such as 2,1,1, got '3,0'"),
+        (["mu-s", "--profile", "-1", "--factors", "1"], "--profile must be a partition, integers >= 1 such as 2,1,1, got '-1'"),
+        (["triple-verify", "--case", "gl:0,2"], "--case must be gl:m1,m2 with integers m1 >= m2 >= 1, got 'gl:0,2'"),
+        (["triple-verify", "--case", "gl:1,2"], "--case must be gl:m1,m2 with integers m1 >= m2 >= 1, got 'gl:1,2'"),
+        (["realform", "--label", "SU:0,0"], "--label must be SU:p,q with integers p >= q >= 1, got 'SU:0,0'"),
+        (["realform", "--label", "su:1,3"], "--label must be SU:p,q with integers p >= q >= 1, got 'su:1,3'"),
+        (["realform", "--label", "SOSTAR:2"], "--label must be SOSTAR:n with an integer n >= 3, got 'SOSTAR:2'"),
+    ):
+        for extra in ([], ["--json"]):
+            assert _serve([*argv, *extra]) == (1, "", "error: %s\n" % message), argv
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "table"])
+def test_listing_into_a_closed_pipe_exits_1_without_traceback(json_flag):
+    """A reader that closes the listing's stdout after one line, as ``| head
+    -1`` does, ends the listing with exit 1 and nothing on stderr."""
+    argv = [sys.executable, "-m", "sheet_atlas.cli", "sheets", "--kind", "A", "--rank", "25", *json_flag]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert first and err == "", err
+
+
 def test_parse_error_exit_code():
     run_cli("sheets", expect=2)
 

@@ -18,6 +18,7 @@ from sheet_atlas.sheets import type_a, type_b, type_c, type_d
 from oracles import (
     conjugate_by_cells,
     gl_record_fields,
+    orbit_partition_by_counting,
     partition_count,
     partitions_by_recursion,
     profile_by_conjugate_steps,
@@ -87,6 +88,23 @@ def test_orbit_validity():
     assert not is_valid_orbit_partition(type_c(3), Partition((3, 2, 1)))
     assert is_valid_orbit_partition(type_a(4), Partition((3, 1)))
     assert is_valid_orbit_partition(type_d(2), Partition((2, 2)))
+
+
+def test_orbit_parity_agrees_with_counting_oracle():
+    """Every partition of n <= 12 against every B, C and D group on n
+    letters (there is none on one letter): the form sign's parity rule agrees with the textbook count, on
+    a Partition and on its bare parts, and each group both admits and
+    refuses some partition from n = 3 on."""
+    for n in range(2, 13):
+        kinds = [type_b(n // 2)] if n % 2 else [type_c(n // 2), *([type_d(n // 2)] if n >= 4 else [])]
+        for kind in kinds:
+            answers = set()
+            for parts in partitions_by_recursion(n):
+                expected = orbit_partition_by_counting(kind.family, parts)
+                assert is_valid_orbit_partition(kind, Partition(parts)) == expected, (kind, parts)
+                assert is_valid_orbit_partition(kind, parts) == expected, (kind, parts)
+                answers.add(expected)
+            assert answers == ({True, False} if n >= 3 else {True}), kind
 
 
 def test_orbit_validity_size_mismatch_is_error():
