@@ -195,7 +195,7 @@ def cmd_triple_verify(args) -> int:
         a, res = _ints(tail, "--case", 2, "bcd:KIND,a,res with integers a and res", case)
         if a < 1 or res < 0:
             raise ValueError("--case must be bcd:KIND,a,res with integers a >= 1 and res >= 0, got %r" % case)
-        kind, levi = _bcd_kind(fam, a, res), MaxLevi(a, res)
+        kind, levi = _bcd_kind(fam, a, res, case), MaxLevi(a, res)
         trip = triples.build_bcd_triple(kind, levi)
     else:
         raise ValueError("unknown case %r; use gl:m1,m2 | bcd:kind,a,res | sp4-slice" % case)
@@ -207,15 +207,20 @@ def cmd_triple_verify(args) -> int:
     return _verify_lines(checks, json_mode, extra)
 
 
-def _bcd_kind(fam: str, a: int, res: int) -> GroupKind:
+def _bcd_kind(fam: str, a: int, res: int, case: str) -> GroupKind:
+    """The group of the case ``bcd:fam,a,res``: Sp_(2a+2res) in type C, else
+    SO_(2a+res), whose size must be odd in type B and even in type D; a res
+    of the wrong parity is refused by the case's name."""
     fam = fam.upper()
     if fam == "C":
         return sheets.type_c(a + res)
-    if fam == "B":
-        return sheets.type_b((2 * a + res - 1) // 2)
-    if fam == "D":
-        return sheets.type_d((2 * a + res) // 2)
-    raise ValueError("bcd kind must be B, C or D")
+    if fam not in ("B", "D"):
+        raise ValueError("bcd kind must be B, C or D")
+    if res % 2 != (fam == "B"):
+        parity = "odd" if fam == "B" else "even"
+        raise ValueError("--case must be bcd:%s,a,res with an %s res, as SO_(2a+res) has %s size in type %s, got %r"
+                         % (fam, parity, parity, fam, case))
+    return GroupKind(fam, (2 * a + res) // 2)
 
 
 def _triple_json(trip: triples.Sl2Triple) -> dict:
@@ -328,7 +333,10 @@ def cmd_mu_s(args) -> int:
 def cmd_multiplicity(args) -> int:
     desc = _parse_sheet_spec(args.sheet)
     z = [_rational(v, "--z") for v in args.z.split(",")] if args.z is not None else [Fraction(0)] * desc.dim_z
-    point = multiplicity.SlicePoint(desc, z if len(z) > 1 else z[0])
+    if len(z) != desc.dim_z:
+        needs = "one rational number" if desc.dim_z == 1 else "%d comma-separated rational numbers" % desc.dim_z
+        raise ValueError("--z must be %s for the %d-dimensional centre of sheet %s, got %r" % (needs, desc.dim_z, args.sheet, args.z))
+    point = multiplicity.SlicePoint(desc, z)
     payload = {
         "sheet": desc.name,
         "z": [str(v) for v in point.z],

@@ -141,7 +141,7 @@ class RationalMatrix:
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """The dense entries, built on first access and kept."""
         if not hasattr(self, "_view"):
-            zero = ZERO if self.symbol is None else RatPoly([], self.symbol)
+            zero = ZERO if self.symbol is None else RatPoly([])
             dense = [[zero] * self.dim for _ in self.nz]
             values = scalars_over([v for row in self.nz for _, v in row], repeat(self.den), self.symbol)
             for out, row in zip(dense, _rows(self.nz, values)):

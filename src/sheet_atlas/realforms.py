@@ -207,32 +207,28 @@ def abelianized_fiber_dim_is_positive(label: RealFormLabel) -> bool:
 
 def parse_real_form(text: str) -> RealFormLabel:
     """Parse labels like "SU:3,1" or "SOSTAR:5" (case-insensitive), the
-    ``--label`` of the CLI; fields out of range are refused by its name."""
+    ``--label`` of the CLI; fields that are not integers of the right count
+    and range are refused by its name."""
     head, _, tail = text.partition(":")
     head = head.strip().upper()
     if head == "SU":
-        p, q = _int_fields(text, tail, 2, "SU:p,q with integers p and q")
-        if p >= q >= 1:
-            return SU(p, q)
-        form = "SU:p,q with integers p >= q >= 1"
+        values, form = _int_fields(tail, 2), "SU:p,q with integers p >= q >= 1"
+        if values and values[0] >= values[1] >= 1:
+            return SU(*values)
     elif head in ("SOSTAR", "SO*"):
-        (n,) = _int_fields(text, tail, 1, "SOSTAR:n with an integer n")
-        if n >= 3:
-            return SOStar(n)
-        form = "SOSTAR:n with an integer n >= 3"
+        values, form = _int_fields(tail, 1), "SOSTAR:n with an integer n >= 3"
+        if values and values[0] >= 3:
+            return SOStar(*values)
     else:
         raise ValueError("cannot parse real form label %r" % (text,))
     raise ValueError("--label must be %s, got %r" % (form, text))
 
 
-def _int_fields(text: str, tail: str, count: int, form: str) -> List[int]:
-    """The ``count`` comma-separated integers of ``tail``, the part of the
-    label ``text`` after its colon; any other tail is refused with the
-    label's form."""
+def _int_fields(tail: str, count: int) -> List[int]:
+    """The ``count`` comma-separated integers of ``tail``, the part of a
+    label after its colon, or [] for any other tail."""
     try:
         values = [int(v) for v in tail.split(",")]
     except ValueError:
-        values = []
-    if len(values) != count:
-        raise ValueError("real form label %r is not %s" % (text, form))
-    return values
+        return []
+    return values if len(values) == count else []

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic for the whole library.
 
 Every coefficient in sheet-atlas is either a ``fractions.Fraction`` or a
-``RatPoly`` (a univariate polynomial over the rationals in one formal
-parameter, by convention ``t``).  No floating point appears anywhere.
+``RatPoly``, a univariate polynomial over the rationals in the library's one
+formal parameter :data:`T` (``t``, the coordinate of a one-dimensional
+slice).  No floating point appears anywhere.
 
 The library computes on cleared-denominator integers.  Every input is
 cleared of denominators once by :func:`clear`; :func:`run` runs an integer
@@ -19,15 +20,18 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 # One shared zero: every zero Fraction that scalars_over builds, and every zero
 # entry of a rational matrix's dense view, is this object.
 ZERO = Fraction(0)
 
+# The one formal parameter of every polynomial scalar.
+T = "t"
+
 
 class RatPoly:
-    """Univariate polynomial with Fraction coefficients in one formal symbol.
+    """Univariate polynomial in :data:`T` with Fraction coefficients.
 
     Coefficients are stored in ascending degree with trailing zeros trimmed;
     the zero polynomial has an empty coefficient tuple.  A value type for
@@ -36,25 +40,25 @@ class RatPoly:
     integer kernel (:func:`scaled_divmod`, :func:`poly_gcd`).
     """
 
-    __slots__ = ("coeffs", "symbol")
+    __slots__ = ("coeffs",)
+    symbol = T
 
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]], symbol: str = "t"):
+    def __init__(self, coeffs: Iterable[Union[int, Fraction]]):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "symbol", symbol)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
     @classmethod
-    def constant(cls, c, symbol: str = "t") -> "RatPoly":
-        return cls([Fraction(c)], symbol)
+    def constant(cls, c) -> "RatPoly":
+        return cls([Fraction(c)])
 
     @classmethod
-    def variable(cls, symbol: str = "t") -> "RatPoly":
-        return cls([0, 1], symbol)
+    def variable(cls) -> "RatPoly":
+        return cls([0, 1])
 
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
@@ -74,31 +78,25 @@ class RatPoly:
             raise ValueError("not a constant polynomial")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def _sym(self, other: "RatPoly") -> str:
-        if self.coeffs and other.coeffs and self.symbol != other.symbol:
-            raise ValueError("mixed polynomial symbols %r and %r" % (self.symbol, other.symbol))
-        return self.symbol if self.coeffs else other.symbol
-
     def __add__(self, other):
-        other = _to_ratpoly(other, self.symbol)
+        other = _to_ratpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        sym = self._sym(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPoly(out, sym)
+        return RatPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs], self.symbol)
+        return RatPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = _to_ratpoly(other, self.symbol)
+        other = _to_ratpoly(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -107,17 +105,16 @@ class RatPoly:
         return -(self - other)
 
     def __mul__(self, other):
-        other = _to_ratpoly(other, self.symbol)
+        other = _to_ratpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        sym = self._sym(other)
         # the convolution of the cleared coefficients, over Da Db
         (da, a, _), (db, b, _) = clear(self.coeffs), clear(other.coeffs)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return RatPoly([Fraction(c, da * db) for c in out], sym)
+        return RatPoly([Fraction(c, da * db) for c in out])
 
     __rmul__ = __mul__
 
@@ -128,38 +125,36 @@ class RatPoly:
         the benchmark tracer, which wraps it by name."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        sym = self._sym(other)
         nquo = len(self.coeffs) - len(other.coeffs)
         if nquo < 0:
-            return RatPoly([], sym), RatPoly(self.coeffs, sym)
+            return RatPoly([]), self
         # the scaled forms of the monic p / lead(p) and q / lead(q)
         forms = [clear([c / x.coeffs[-1] for c in x.coeffs[-2::-1]], weighted=True) for x in (self, other)]
         den, values, _ = scaled_divmod(*forms)
         # lead(p) times the descending quotient, then remainder, of the two
         lead = self.coeffs[-1]
         out = [lead, *(lead * v for v in scalars_over(values, map(den.__pow__, count(1)), None))]
-        return RatPoly([c / other.coeffs[-1] for c in out[nquo::-1]], sym), RatPoly(out[:nquo:-1], sym)
+        return RatPoly([c / other.coeffs[-1] for c in out[nquo::-1]]), RatPoly(out[:nquo:-1])
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd over Q[t], by :func:`poly_gcd`.  Unused in the library:
         kept only for the benchmark tracer, which wraps it by name."""
-        other = _to_ratpoly(other, self.symbol)
-        return RatPoly(poly_gcd(self.coeffs[::-1], other.coeffs[::-1])[::-1], self._sym(other))
+        other = _to_ratpoly(other)
+        return RatPoly(poly_gcd(self.coeffs[::-1], other.coeffs[::-1])[::-1])
 
     def __eq__(self, other):
-        # constants equal each other and their int or Fraction value in any
-        # symbol; a non-constant polynomial equals one only in its own symbol
+        # a constant equals its int or Fraction value, and hashes like it
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs and (self.is_constant() or self.symbol == other.symbol)
+            return self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.constant_value()) if self.is_constant() else hash((self.symbol, self.coeffs))
+        return hash(self.constant_value()) if self.is_constant() else hash(self.coeffs)
 
     def __repr__(self):
-        return "RatPoly(%r, %r)" % (list(self.coeffs), self.symbol)
+        return "RatPoly(%r)" % (list(self.coeffs),)
 
     def __str__(self):
         return format_terms([(str(c), i) for i, c in reversed(list(enumerate(self.coeffs))) if c], self.symbol) if self.coeffs else "0"
@@ -181,11 +176,11 @@ def format_terms(terms: Sequence, var: str) -> str:
 Scalar = Union[Fraction, RatPoly]
 
 
-def _to_ratpoly(x, symbol: str):
+def _to_ratpoly(x):
     if isinstance(x, RatPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatPoly([Fraction(x)], symbol)
+        return RatPoly([Fraction(x)])
     return NotImplemented
 
 
@@ -217,29 +212,17 @@ def format_scalar(x: Scalar):
     return [str(c) for c in x.coeffs]
 
 
-def parse_scalar(obj, symbol: str = "t") -> Scalar:
+def parse_scalar(obj) -> Scalar:
     """Inverse of :func:`format_scalar`."""
     if isinstance(obj, (str, int)):
         return Fraction(obj)
     if isinstance(obj, list):
-        return RatPoly([Fraction(c) for c in obj], symbol)
+        return RatPoly([Fraction(c) for c in obj])
     raise ValueError("cannot parse scalar from %r" % (obj,))
 
 
 # ---------------------------------------------------------------------------
 # Q[t] over the integer kernel: Kronecker substitution t = 2^S.
-
-
-def poly_symbol(scalars: Iterable[Scalar]) -> Optional[str]:
-    """The symbol of the non-constant polynomials among ``scalars``, or None
-    when there are none.  Two different symbols raise ValueError."""
-    return _one_symbol({x.symbol for x in scalars if isinstance(x, RatPoly) and len(x.coeffs) > 1})
-
-
-def _one_symbol(symbols: Set[str]) -> Optional[str]:
-    if len(symbols) > 1:
-        raise ValueError("scalars in more than one polynomial symbol: %s" % ", ".join(sorted(symbols)))
-    return next(iter(symbols), None)
 
 
 Cleared = Tuple[int, list, Optional[str]]
@@ -249,14 +232,13 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
     """(D, c, symbol) for scalars x_k in Q[t] (ints and Fractions being
     constants): D is the lcm of the denominators of every t-coefficient and
     c_k = D x_k, or D^k x_k when ``weighted``, as ints when ``symbol`` is
-    None, else as ascending integer coefficient lists in it."""
+    None, else (:data:`T`) as ascending integer coefficient lists in it."""
     if RatPoly in map(type, scalars):
-        symbol = poly_symbol(scalars)  # ValueError for two
-        if symbol:
+        if any([len(x.coeffs) > 1 for x in scalars if type(x) is RatPoly]):
             cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
             d = lcm(*[x.denominator for c in cs for x in c])
             weights = accumulate(repeat(d), mul) if weighted else repeat(d)
-            return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], symbol
+            return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], T
         scalars = [x.constant_value() if type(x) is RatPoly else x for x in scalars]
     d = lcm(*[x.denominator for x in scalars])
     out, w = [], 1
@@ -325,10 +307,9 @@ def run(forms: Sequence[Cleared], bound: Callable[[], int], kernel: Callable[...
     (:func:`digits`)."""
     if not any([s for _, _, s in forms]):
         return kernel(*[c for _, c, _ in forms]), None
-    symbol = _one_symbol({s for _, _, s in forms} - {None})
     s = max(bound(), 1).bit_length() + 1
     values = kernel(*[at(c, 1 << s) if sym else c for _, c, sym in forms])
-    return [digits(v, s) for v in values], symbol
+    return [digits(v, s) for v in values], T
 
 
 def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -> List[Scalar]:
@@ -336,7 +317,7 @@ def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -
     with ``symbol`` polynomials from ascending integer coefficient lists."""
     if symbol is None:
         return [ZERO if not v else Fraction(v) if d == 1 else Fraction(v, d) for v, d in zip(values, dens)]
-    return [RatPoly([Fraction(c, d) for c in p], symbol) for p, d in zip(values, dens)]
+    return [RatPoly([Fraction(c, d) for c in p]) for p, d in zip(values, dens)]
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class GradedPolynomial:
 
     @cached_property
     def _scaled(self) -> Cleared:
-        return clear(self.coeffs, weighted=True)  # ValueError for two symbols
+        return clear(self.coeffs, weighted=True)
 
     def __eq__(self, other):
         return self.coeffs == other.coeffs if isinstance(other, GradedPolynomial) else NotImplemented
@@ -174,7 +174,6 @@ class GradedPolynomial:
         and squarefree exactly when p(t0) is, and its derivative P'(t0):
         :func:`~sheet_atlas.scalars.poly_gcd` of the two, an integer Euclid,
         decides.  Rational coefficients give w = 0 and a single step.
-        Coefficients in two different symbols raise ValueError.
 
         Before each gcd a certificate modulo the prime ℓ = 2^61 - 1 is
         tried.  If P is coprime to P' modulo ℓ, P is squarefree over Q: a

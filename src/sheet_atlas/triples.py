@@ -347,7 +347,7 @@ def sp4_flip_matrix() -> RationalMatrix:
 
 def formal_t() -> RatPoly:
     """The formal slice parameter."""
-    return RatPoly.variable("t")
+    return RatPoly.variable()
 
 
 def sp4_slice(t, as_printed: bool = False) -> RationalMatrix:

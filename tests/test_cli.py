@@ -309,16 +309,18 @@ def test_mu_s_profile_must_be_integers():
 
 
 def test_real_form_label_fields_must_be_integers():
+    """A label that is not made of integers gets the wording of one out of
+    range: the field's name, its form and range, and the quoted text."""
     for label, form in (
-        ("SU:3,x", "SU:p,q with integers p and q"),
-        ("su:3", "SU:p,q with integers p and q"),
-        ("SU:3,1,1", "SU:p,q with integers p and q"),
-        ("SOSTAR:x", "SOSTAR:n with an integer n"),
-        ("SO*:", "SOSTAR:n with an integer n"),
+        ("SU:3,x", "SU:p,q with integers p >= q >= 1"),
+        ("su:3", "SU:p,q with integers p >= q >= 1"),
+        ("SU:3,1,1", "SU:p,q with integers p >= q >= 1"),
+        ("SOSTAR:x", "SOSTAR:n with an integer n >= 3"),
+        ("SO*:", "SOSTAR:n with an integer n >= 3"),
     ):
         for extra in ([], ["--json"]):
             argv = ["realform", "--label", label, *extra]
-            assert _serve(argv) == (1, "", "error: real form label %r is not %s\n" % (label, form)), argv
+            assert _serve(argv) == (1, "", "error: --label must be %s, got %r\n" % (form, label)), argv
     # the integer fields are still checked as before once they are read
     assert _serve(["realform", "--label", "SU:1,3"])[0] == 1
 
@@ -338,6 +340,40 @@ def test_out_of_range_fields_are_refused_by_name():
     ):
         for extra in ([], ["--json"]):
             assert _serve([*argv, *extra]) == (1, "", "error: %s\n" % message), argv
+
+
+def test_bcd_case_of_the_wrong_parity_is_refused_by_name():
+    """A bcd case whose matrix size 2a + res has the wrong parity for its
+    family is refused by --case before any group is built, instead of being
+    rounded down to a rank that does not fit it."""
+    for case, family, parity in (
+        ("bcd:B,1,2", "B", "odd"),
+        ("bcd:b,2,0", "B", "odd"),
+        ("bcd:D,1,1", "D", "even"),
+        ("bcd:D,3,3", "D", "even"),
+    ):
+        message = "--case must be bcd:%s,a,res with an %s res, as SO_(2a+res) has %s size in type %s, got %r" % (family, parity, parity, family, case)
+        for extra in ([], ["--json"]):
+            assert _serve(["triple-verify", "--case", case, *extra]) == (1, "", "error: %s\n" % message), case
+    for case in ("bcd:B,1,1", "bcd:D,2,0", "bcd:C,1,2"):
+        assert _serve(["triple-verify", "--case", case])[0] == 0, case
+    assert _serve(["triple-verify", "--case", "bcd:X,1,2"]) == (1, "", "error: bcd kind must be B, C or D\n")
+
+
+def test_z_of_the_wrong_length_is_refused_by_name():
+    """A --z with more or fewer rationals than the sheet's centre has
+    dimensions is refused by --z, quoting it; the library's SlicePoint keeps
+    its own message."""
+    for spec, z, needs in (
+        ("A:3:2,1", "1", "2 comma-separated rational numbers for the 2-dimensional"),
+        ("A:4:2,1,1", "1,2", "3 comma-separated rational numbers for the 3-dimensional"),
+        ("C:2:1,1", "1,2", "one rational number for the 1-dimensional"),
+        ("F4", "0,0", "one rational number for the 1-dimensional"),
+    ):
+        message = "error: --z must be %s centre of sheet %s, got %r\n" % (needs, spec, z)
+        for extra in ([], ["--json"]):
+            assert _serve(["multiplicity", "--sheet", spec, "--z", z, *extra]) == (1, "", message), (spec, z)
+    assert _serve(["multiplicity", "--sheet", "A:3:2,1", "--z", "1,2"])[0] == 0
 
 
 @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "table"])

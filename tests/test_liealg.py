@@ -864,9 +864,6 @@ def test_char_poly_over_qt_against_cofactor_expansion():
         expected = [Fraction(0)] * (n + 1 - len(expected)) + expected
         assert got.dense() == expected
         assert all(isinstance(c, RatPoly) and c.symbol == "t" for c in got.coeffs)
-    s = RatPoly.variable("s")
-    with pytest.raises(ValueError):
-        char_poly(RationalMatrix([[t, 1], [0, s]]))
 
 
 # --- Q[t] by Kronecker substitution: every height bound outgrown ------------------

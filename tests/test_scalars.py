@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sheet_atlas.scalars import RatPoly, as_scalar, at, digits, format_scalar, parse_scalar
+from sheet_atlas.scalars import T, RatPoly, as_scalar, at, digits, format_scalar, parse_scalar
+from sheet_atlas.triples import formal_t
 
 from oracles import convolve_fractions, long_division
 
@@ -34,9 +35,6 @@ def test_mul_against_fraction_convolution():
         c = a[0] if a else Fraction(0)
         assert (RatPoly(b) * c).coeffs == (c * RatPoly(b)).coeffs == tuple(convolve_fractions([c], b))
         assert (RatPoly(b) * 3).coeffs == tuple(convolve_fractions([Fraction(3)], b))
-    assert (RatPoly([], "s") * RatPoly([1, 2])).symbol == "t"
-    with pytest.raises(ValueError):
-        RatPoly([0, 1], "t") * RatPoly([0, 1], "s")
 
 
 def test_divmod_and_gcd():
@@ -86,21 +84,18 @@ def test_scalar_format_roundtrip():
         assert parse_scalar(format_scalar(v)) == as_scalar(v)
 
 
-def test_mixed_symbols_rejected():
-    with pytest.raises(ValueError):
-        RatPoly.variable("t") + RatPoly.variable("u")
-
-
-def test_equality_reads_the_symbol_of_non_constants():
-    t, s = RatPoly([0, 1], "t"), RatPoly([0, 1], "s")
-    assert t != s and hash(t) != hash(s)
-    assert t == RatPoly([0, 1], "t") and hash(t) == hash(RatPoly([0, 1], "t"))
-    # constants stay equal across symbols and to their value, so equality
-    # stays transitive: 2 in t == 2 == 2 in s
+def test_equality_and_hash_read_the_coefficients():
+    # a constant equals, and hashes like, its int or Fraction value
     for c in (0, 2, Fraction(-1, 3)):
-        ct, cs = RatPoly.constant(c, "t"), RatPoly.constant(c, "s")
-        assert ct == c == cs and ct == cs
-        assert hash(ct) == hash(c) == hash(cs)
+        ct = RatPoly.constant(c)
+        assert ct == c and hash(ct) == hash(c)
+    # the repr rebuilds the polynomial: zero, constant and non-constant
+    for p in (RatPoly([]), RatPoly([Fraction(-1, 3)]), RatPoly([Fraction(1, 2), 0, -3])):
+        assert eval(repr(p)) == p and hash(eval(repr(p))) == hash(p)
+    # the one formal parameter t, however it is made
+    t = RatPoly.variable()
+    assert t == formal_t() == parse_scalar(["0", "1"]) and str(t) == RatPoly.symbol == T
+    assert hash(t) == hash(formal_t()) == hash(parse_scalar(["0", "1"]))
 
 
 from hypothesis import given, strategies as st

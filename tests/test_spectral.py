@@ -127,15 +127,6 @@ def test_is_squarefree_skips_vanishing_specialisations():
     assert not (f * f).is_squarefree()
 
 
-def test_is_squarefree_rejects_two_symbols():
-    t, s = RatPoly.variable("t"), RatPoly.variable("s")
-    f = GradedPolynomial([t, s])
-    with pytest.raises(ValueError):
-        f.is_squarefree()
-    with pytest.raises(ValueError):
-        in_heart(SheetBasePoint(profile(Partition((1, 1))), (f,)))
-
-
 ELL = 2**61 - 1  # the prime of the squarefreeness certificate
 
 
@@ -314,7 +305,7 @@ def test_products_and_division_by_evaluation():
     denominators and factors with a coefficient in t; divisors with and
     without a remainder; gcds against leading-coefficient Euclid."""
     rng = random.Random(2024)
-    t = RatPoly.variable("t")
+    t = RatPoly.variable()
     xs = [Fraction(k, 3) for k in range(-4, 5)]
     for trial in range(40):
         point = random_point(rng, Partition((3, 2, 2, 1, 1)))

@@ -73,7 +73,7 @@ def test_ratpoly_is_a_value_type():
         *("__eq__", "__hash__", "__repr__", "__str__"),
     }
     tracer_only = {"divmod", "gcd"}
-    internal = {"__init__", "__setattr__", "_sym"}
+    internal = {"__init__", "__setattr__"}
     methods = {name for name, v in vars(scalars.RatPoly).items() if callable(v) or isinstance(v, classmethod)}
     assert methods == value_type | tracer_only | internal
     wrapped = {attr.split(".")[1] for _, _, _, attr in _load("tracer").FUNCTIONS if attr.startswith("RatPoly.")}
