@@ -209,8 +209,9 @@ def cmd_triple_verify(args) -> int:
 
 def _bcd_kind(fam: str, a: int, res: int, case: str) -> GroupKind:
     """The group of the case ``bcd:fam,a,res``: Sp_(2a+2res) in type C, else
-    SO_(2a+res), whose size must be odd in type B and even in type D; a res
-    of the wrong parity is refused by the case's name."""
+    SO_(2a+res), whose size must be odd in type B and even in type D, and
+    in type D at least 4 with a residual other than SO_2; any other case is
+    refused by the case's name."""
     fam = fam.upper()
     if fam == "C":
         return sheets.type_c(a + res)
@@ -220,6 +221,10 @@ def _bcd_kind(fam: str, a: int, res: int, case: str) -> GroupKind:
         parity = "odd" if fam == "B" else "even"
         raise ValueError("--case must be bcd:%s,a,res with an %s res, as SO_(2a+res) has %s size in type %s, got %r"
                          % (fam, parity, parity, fam, case))
+    if fam == "D" and 2 * a + res < 4:
+        raise ValueError("--case must be bcd:D,a,res with 2a + res >= 4, as SO_(2a+res) has size at least 4 in type D, got %r" % case)
+    if fam == "D" and res == 2:
+        raise ValueError("--case must be bcd:D,a,res with a res other than 2, as SO_2 is a torus and no residual group in type D, got %r" % case)
     return GroupKind(fam, (2 * a + res) // 2)
 
 

@@ -12,15 +12,18 @@ substitution), S taken from a proven bound on the height of its result,
 and reads each integer value back to Z[t] exactly as its balanced
 base-2^S digits.  A monic division, whose result has no usable a priori
 bound, guesses S and proves its digits by an exact identity
-(:func:`scaled_divmod`).
+(:func:`scaled_divmod`).  A gcd over Q is Brown's modular gcd
+(:func:`poly_gcd`): residues modulo primes certify a gcd of 1, and any
+other gcd is returned only once it divides both inputs exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, count, repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 # One shared zero: every zero Fraction that scalars_over builds, and every zero
 # entry of a rational matrix's dense view, is this object.
@@ -230,9 +233,11 @@ Cleared = Tuple[int, list, Optional[str]]
 
 def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
     """(D, c, symbol) for scalars x_k in Q[t] (ints and Fractions being
-    constants): D is the lcm of the denominators of every t-coefficient and
-    c_k = D x_k, or D^k x_k when ``weighted``, as ints when ``symbol`` is
-    None, else (:data:`T`) as ascending integer coefficient lists in it."""
+    constants): c_k = D x_k, or D^k x_k when ``weighted``, as ints when
+    ``symbol`` is None, else (:data:`T`) as ascending integer coefficient
+    lists in it.  D is the lcm of the denominators of every t-coefficient,
+    except for weighted rationals, where :func:`weighted_den` gives a D that
+    is often far smaller."""
     if RatPoly in map(type, scalars):
         if any([len(x.coeffs) > 1 for x in scalars if type(x) is RatPoly]):
             cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
@@ -240,12 +245,25 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
             weights = accumulate(repeat(d), mul) if weighted else repeat(d)
             return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], T
         scalars = [x.constant_value() if type(x) is RatPoly else x for x in scalars]
-    d = lcm(*[x.denominator for x in scalars])
+    dens = [x.denominator for x in scalars]
+    d = weighted_den(dens) if weighted else lcm(*dens)
     out, w = [], 1
     for x in scalars:
         w = w * d if weighted else d
         out.append(x.numerator * (w // x.denominator))
     return d, out, None
+
+
+def weighted_den(dens: Sequence[int]) -> int:
+    """A divisor D of the lcm of the dens with dens[k-1] | D^k for k = 1, 2,
+    ...: each step multiplies D by the part of dens[k-1] that D^k lacks.
+    Often far smaller than that lcm: the coefficients a_k of
+    prod (λ - a_i/b_i) have denominators that grow with the degree, yet
+    each divides lcm(b_i)^k."""
+    d = 1
+    for k, q in enumerate(dens, start=1):
+        d *= q // gcd(q, d**k)
+    return d
 
 
 def at(c: list, t0: int) -> List[int]:
@@ -376,19 +394,15 @@ def scaled_divmod(p: Cleared, q: Cleared) -> Cleared:
         guess = max(guess * guess, identity)
 
 
-def monic_division(r: List[int], tail: Sequence[int], nquo: int, lead: int = 1) -> List[int]:
+def monic_division(r: List[int], tail: Sequence[int], nquo: int) -> List[int]:
     """Synthetic division, in place, of the integer polynomial r (descending
-    coefficients) by the one with coefficients lead, *tail.  With lead 1
-    (a monic divisor) r[: nquo + 1] is afterwards the quotient and
-    r[nquo + 1 :] the remainder.  Otherwise each step multiplies what is
-    left of r by lead before it subtracts, so r[nquo + 1 :] is the remainder
-    of lead^e r, e the number of nonzero steps: a pseudo-remainder."""
+    coefficients, any leading entry) by the monic one with coefficients
+    1, *tail: afterwards r[: nquo + 1] is the quotient and r[nquo + 1 :]
+    the remainder."""
     m = len(tail)
     for k in range(nquo + 1):
         c = r[k]
         if c:
-            if lead != 1:
-                r[k + 1 :] = [lead * x for x in r[k + 1 :]]
             r[k + 1 : k + 1 + m] = [x - c * y for x, y in zip(r[k + 1 : k + 1 + m], tail)]
     return r
 
@@ -399,39 +413,163 @@ def t_weight(form: Cleared) -> int:
     return max([0, *(-(-(len(x) - 1) // k) for k, x in enumerate(form[1], start=1))]) if form[2] else 0
 
 
+# ---------------------------------------------------------------------------
+# Gcds over Q by images modulo primes (W. S. Brown, "On Euclid's algorithm
+# and the computation of polynomial greatest common divisors", JACM 18
+# (1971); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).
+# Residues only ever certify gcd 1; a larger gcd is accepted only once it
+# divides both inputs exactly.
+
+# The Mersenne prime 2^61 - 1: the first modulus of every gcd, and of the
+# squarefreeness certificate.
+CERTIFICATE_PRIME = 2**61 - 1
+# Miller-Rabin with the first twelve primes as bases is correct for every
+# n < 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86 (2017)), so for
+# every 64-bit n.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n < 2^64, by deterministic Miller-Rabin."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        if a % n == 0:
+            return True
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _prime(k: int) -> int:
+    """The k-th prime below CERTIFICATE_PRIME, counting it as the 0th."""
+    if k == 0:
+        return CERTIFICATE_PRIME
+    n = _prime(k - 1) - 2
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def primes() -> Iterator[int]:
+    """CERTIFICATE_PRIME, then every prime below it in descending order,
+    each found once per process."""
+    return map(_prime, count())
+
+
+def _residues(r: Sequence[int], p: int) -> List[int]:
+    """r modulo p, leading zeros dropped."""
+    r = [v % p for v in r]
+    k = 0
+    while k < len(r) and not r[k]:
+        k += 1
+    return r[k:]
+
+
+def euclid_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """The monic gcd of integer polynomials a and b (descending
+    coefficients) over the field of p elements, p prime, as residues in
+    [0, p); empty when both vanish modulo p.  Euclid on pseudo-remainders:
+    each step subtracts c x^k b from lead(b) r, r the rest of a and c its
+    leading entry, and only the remainder is reduced; the gcd is made
+    monic once at the end."""
+    a, b = _residues(a, p), _residues(b, p)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        lead = b[0]
+        for k in range(len(a) - len(b), -1, -1):
+            c = a[0]
+            a = [lead * x - c * y for x, y in zip(a[1:], b[1:] + [0] * k)] if c else a[1:]
+        a, b = b, _residues(a, p)
+    # a nonzero constant b is a gcd
+    if b or len(a) == 1:
+        return [1]
+    inv = pow(a[0], -1, p) if a else 1
+    return [v * inv % p for v in a]
+
+
+def balanced(image: List[int], modulus: int) -> List[int]:
+    """The integers in (-modulus/2, modulus/2] congruent to the residues of
+    image: a candidate read from an image modulo ``modulus``."""
+    return [v - modulus if 2 * v > modulus else v for v in image]
+
+
+def monic_divides(g: List[int], r: Sequence[int]) -> bool:
+    """Whether the monic integer polynomial g divides r exactly in Z[x]
+    (descending coefficients, by :func:`monic_division`)."""
+    nquo = len(r) - len(g)
+    return nquo >= 0 and not any(monic_division(list(r), g[1:], nquo)[nquo + 1 :])
+
+
+def monic_gcd(a: List[int], b: List[int]) -> List[int]:
+    """The monic gcd over Q of a monic a and a nonzero b in Z[x]
+    (descending coefficients); by Gauss's lemma it lies in Z[x].
+
+    Brown's modular gcd with early termination.  Modulo each prime of
+    :func:`primes` a keeps its degree, so the image gcd has at least the
+    degree of the true gcd G and equals G modulo p when the degrees agree.
+    An image of degree 0 therefore proves G = 1: the certificate.  Images
+    of the least degree seen are combined by the Chinese remainder theorem
+    and read in balanced residues.  The candidate is tested once a further
+    prime leaves it unchanged, and returned only when it divides a and b
+    exactly.  Every coefficient of a monic factor of degree k of a or of b
+    is at most 2^k times its 2-norm (Mignotte; von zur Gathen and Gerhard,
+    §6.6), so once the modulus exceeds twice that bound the candidate is
+    tested, and if it fails, every prime of its degree was unlucky (such
+    primes divide a resultant, so there are finitely many): images of that
+    degree or more are dropped."""
+    bound = min(isqrt(sum(v * v for v in a)), isqrt(sum(v * v for v in b))) + 1
+    top, image, modulus, previous = len(a), [], 1, []
+    for p in primes():
+        g = euclid_mod(a, b, p)
+        if len(g) == 1:
+            return [1]
+        if len(g) > top or image and len(g) > len(image):
+            continue
+        if len(g) < len(image) or not image:
+            image, modulus = g, p
+        else:
+            step = pow(modulus, -1, p)
+            image = [u + modulus * ((v - u) * step % p) for u, v in zip(image, g)]
+            modulus *= p
+        candidate = balanced(image, modulus)
+        complete = modulus > bound << len(image)
+        if (complete or candidate == previous) and monic_divides(candidate, a) and monic_divides(candidate, b):
+            return candidate
+        if complete:
+            top, image = len(image) - 1, []
+        previous = candidate
+
+
 def poly_gcd(p: Sequence[Scalar], q: Sequence[Scalar]) -> List[Fraction]:
     """Monic gcd of dense polynomials with rational coefficients.
 
     Coefficients are ints, Fractions or constant polynomials; a non-constant
-    coefficient raises ValueError.  Each argument is cleared of denominators
-    once by :func:`clear`, Euclid runs on integers (:func:`integer_euclid`
-    with primitive parts), and Fractions are built only for the monic answer.
+    coefficient raises ValueError.  The monic p / lead(p) is read as its
+    scaled form over D, P(μ) = D^n p(μ/D) monic in Z[μ], and q, cleared of
+    denominators, in the same μ = Dλ; :func:`monic_gcd` finds their gcd
+    G(μ) in Z[μ], and Fractions are built only for the answer D^-k G(Dλ).
+    So gcd 1 rests on an image of degree 0 modulo a prime, and any other
+    answer on an exact division of both inputs.  The primes are 2^61 - 1
+    and those below it (:func:`primes`).
     """
-    (_, a, pt), (_, b, qt) = clear(p), clear(q)
+    (_, a, pt), (_, b, qt) = clear(poly_trim(list(p))), clear(poly_trim(list(q)))
     if pt or qt:
         raise ValueError("poly_gcd needs rational coefficients, not polynomials in %s" % (pt or qt))
-    g = integer_euclid(_primitive(a), _primitive(b), _primitive)
-    return [Fraction(v, g[0]) for v in g]
-
-
-def integer_euclid(a: List[int], b: List[int], reduce: Callable[[List[int]], List[int]]) -> List[int]:
-    """The last nonzero remainder of Euclid on integer polynomials a and b
-    (descending coefficients, leading entry nonzero; both are consumed).
-    Each remainder is a pseudo-remainder of :func:`monic_division`, a
-    nonzero multiple of the true one, passed through ``reduce``: the
-    primitive part gives a gcd over Q (W. S. Brown, JACM 1971), residues
-    modulo a prime a gcd over that field."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        top = len(a) - len(b) + 1
-        a, b = b, reduce(monic_division(a, b[1:], top - 1, b[0])[top:])
-    # a nonzero constant b is a gcd
-    return b or a
-
-
-def _primitive(c: List[int]) -> List[int]:
-    """c without leading zeros, divided by the gcd of its entries."""
-    c = poly_trim(c)
-    g = gcd(*c)
-    return c if g <= 1 else [v // g for v in c]
+    if not (a and b):
+        return [Fraction(v, (a or b)[0]) for v in a or b]
+    den, c, _ = clear([Fraction(v, a[0]) for v in a[1:]], weighted=True)
+    g = monic_gcd([1, *c], [b[0], *rescaled(b[1:], den)])
+    return [Fraction(1), *scalars_over(g[1:], map(den.__pow__, count(1)), None)]

@@ -18,11 +18,13 @@ convolve; monic division is synthetic division in Z[μ] after the same
 rescaling.  Over Q[t] the same routine runs once on P(2^S), S taken from a
 proven height bound (a guessed one for division, proven by an exact
 identity afterwards), and the answer's coefficients are read back as
-balanced base-2^S digits.  Gcds are taken over Q only: squarefreeness
-over Q(t), the heart test, is decided by specialising t (see
-:meth:`GradedPolynomial.is_squarefree`), where a gcd of P and P' modulo
-the prime 2^61 - 1 may certify squarefreeness first; it never answers
-"not squarefree", which only the exact integer Euclid does.
+balanced base-2^S digits.  Gcds are taken over Q only, by Brown's modular
+gcd (:func:`~sheet_atlas.scalars.poly_gcd`).  The heart test,
+squarefreeness over Q(t) (:meth:`GradedPolynomial.is_squarefree`), answers
+"squarefree" only on a certificate, P coprime to P' modulo a prime at some
+t = t0, and "not squarefree" only once a monic G of degree >= 1 divides P
+and P' exactly; over Q(t), G is lifted from t = 2^S.  Residues never decide
+alone.
 """
 from __future__ import annotations
 
@@ -30,20 +32,25 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record, _set
 from .partitions import MultiplicityProfile, Partition, profile
 from .scalars import (
+    CERTIFICATE_PRIME,
     Cleared,
     RatPoly,
     Scalar,
     as_scalar,
     at,
+    balanced,
     clear,
+    digits,
+    euclid_mod,
     format_scalar,
     format_terms,
-    integer_euclid,
+    monic_divides,
+    monic_division,
     norm,
     poly_gcd,
     poly_trim,
@@ -57,8 +64,6 @@ from .scalars import (
 )
 
 LAMBDA = "λ"
-# The Mersenne prime 2^61 - 1, modulus of the squarefreeness certificate.
-CERTIFICATE_PRIME = 2**61 - 1
 
 
 class GradedPolynomial:
@@ -166,36 +171,55 @@ class GradedPolynomial:
     def is_squarefree(self) -> bool:
         """True iff the polynomial has no repeated root over Q(t).
 
-        Decided by specialisation.  The polynomial is monic, so its
-        discriminant commutes with t = t0; being isobaric of weight d(d-1),
-        it has t-degree at most d(d-1)·w with w = max_k ceil(deg_t a_k / k).
-        It is therefore nonzero iff it is nonzero at one of the integers
-        0, ..., d(d-1)·w.  At each t0 the test runs on P(t0), monic in Z[μ]
-        and squarefree exactly when p(t0) is, and its derivative P'(t0):
-        :func:`~sheet_atlas.scalars.poly_gcd` of the two, an integer Euclid,
-        decides.  Rational coefficients give w = 0 and a single step.
+        Every answer is proven, on the scaled form P (monic in Z[μ], or in
+        Z[t][μ] over Q(t), and squarefree exactly when the polynomial is)
+        and its derivative P'.  Degree 0 and 1 are squarefree.
 
-        Before each gcd a certificate modulo the prime ℓ = 2^61 - 1 is
-        tried.  If P is coprime to P' modulo ℓ, P is squarefree over Q: a
-        repeated factor g^2 of P can be taken monic in Z[μ] (Gauss's lemma),
-        so g keeps its degree modulo ℓ and divides P and P' there.  Nothing
-        is asked of D.  The certificate only answers True; when it fails (ℓ
-        may divide the discriminant) the exact gcd decides, so every False
-        is exact.  Degree 0 and 1 need neither.
+        *True* rests on a certificate: P(t0) coprime to P'(t0) modulo a
+        prime, for some integer t0.  P(t0) is monic, so a repeated factor
+        g^2 of it, taken monic in Z[μ] (Gauss's lemma), would keep its
+        degree modulo the prime and divide P(t0) and P'(t0) there.  So
+        P(t0) is squarefree, the discriminant of P, which commutes with
+        t = t0, is not zero, and P is squarefree over Q(t).
+
+        *False* rests on an exact division: a monic G of degree >= 1 that
+        divides P and P' in Z[μ], or in Z[t][μ].
+
+        The candidates for G come from :func:`_candidates`: the gcd modulo
+        ℓ = 2^61 - 1 read in balanced residues, then :func:`poly_gcd`, whose
+        further primes are those below ℓ
+        (:func:`~sheet_atlas.scalars.primes`).  Over Q that decides.  Over
+        Q(t) only the certificate modulo ℓ is tried at t0 = 0 and 1; when
+        both fail, the candidates are taken at t = 2^S, S above the bound
+        of :func:`_lift_bound`, and each is tested in Z[t][μ] by
+        :func:`_divides_at`, which reads it back as base-2^S digits.  Should
+        2^S be a root of the discriminant, no candidate passes, and the
+        specialisations decide: the discriminant is isobaric of weight
+        d(d-1), so it has t-degree at most d(d-1)·w with w = max_k
+        ceil(deg_t a_k / k), and it vanishes iff it vanishes at each of the
+        integers 0, ..., d(d-1)·w.
         """
         d = self.degree
         if d < 2:
             return True
         _, c, symbol = self._scaled
-        for t0 in range(d * (d - 1) * t_weight(self._scaled) + 1 if symbol else 1):
-            values = [1, *(at(c, t0) if symbol else c)]
-            derivative = [v * (d - k) for k, v in enumerate(values[:-1])]
-            # the certificate: gcd(P, P') = 1 over the field of CERTIFICATE_PRIME elements
-            if len(integer_euclid(_residues(values), _residues(derivative), _residues)) == 1:
+        if not symbol:
+            return _squarefree_at([1, *c])
+        for t0 in (0, 1):
+            values = [1, *at(c, t0)]
+            if len(euclid_mod(values, _derivative(values), CERTIFICATE_PRIME)) == 1:
                 return True
-            if len(poly_gcd(values, derivative)) == 1:
+        # one lifted candidate: a gcd at t = 2^S, proven a divisor of P and P'
+        norm1 = scaled_norm(c)
+        s = _lift_bound(c, norm1).bit_length() + 1
+        values = [1, *at(c, 1 << s)]
+        derivative = _derivative(values)
+        for g in _candidates(values, derivative):
+            if len(g) == 1:
                 return True
-        return False
+            if _divides_at(g, values, s, d * norm1) and _divides_at(g, derivative, s, d * norm1):
+                return False
+        return any(_squarefree_at([1, *at(c, t0)]) for t0 in range(d * (d - 1) * t_weight(self._scaled) + 1))
 
     def __str__(self):
         terms = [(c, self.degree - k) for k, c in enumerate(self.dense()) if not scalar_is_zero(c)]
@@ -322,6 +346,64 @@ def _int_power(tail: List[int], e: int) -> List[int]:
     return _int_convolve([1, *square], tail)[1:] if e % 2 else square
 
 
-def _residues(r: List[int]) -> List[int]:
-    """r modulo CERTIFICATE_PRIME, leading zeros dropped."""
-    return poly_trim([v % CERTIFICATE_PRIME for v in r])
+def _derivative(values: List[int]) -> List[int]:
+    """The derivative of the integer polynomial with descending coefficients values."""
+    d = len(values) - 1
+    return [v * (d - k) for k, v in enumerate(values[:-1])]
+
+
+def _candidates(values: List[int], derivative: List[int]) -> Iterator[List[int]]:
+    """Monic candidates in Z[μ] for the gcd of the monic integer polynomial
+    ``values`` and its derivative, [1] for a certificate of gcd 1: first
+    the image modulo CERTIFICATE_PRIME in balanced residues, then the
+    exact gcd of :func:`poly_gcd`, which adds primes."""
+    image = euclid_mod(values, derivative, CERTIFICATE_PRIME)
+    yield balanced(image, CERTIFICATE_PRIME)
+    if len(image) > 1:
+        yield [v.numerator for v in poly_gcd(values, derivative)]
+
+
+def _squarefree_at(values: List[int]) -> bool:
+    """Whether the monic integer polynomial ``values`` is squarefree over Q:
+    True on a certificate, False once a candidate of :func:`_candidates`
+    divides it and its derivative exactly."""
+    derivative = _derivative(values)
+    for g in _candidates(values, derivative):
+        if len(g) == 1:
+            return True
+        if monic_divides(g, values) and monic_divides(g, derivative):
+            return False
+
+
+def _lift_bound(c: list, norm1: int) -> int:
+    """The height that the lift of :meth:`GradedPolynomial.is_squarefree`
+    needs, for the monic P = μ^d + c_1 μ^(d-1) + ... + c_d (ascending lists
+    in t, of t-degree at most e) with ‖P‖₁ = ``norm1``, which bounds its
+    2-norm and d ‖P‖₁ every t-coefficient of P and P'.
+
+    The Mahler measure M is multiplicative, at least 1 on nonzero integer
+    polynomials and at most the 2-norm, and each coefficient of t^i μ^j in
+    F is at most binom(deg_μ F, j) binom(deg_t F, i) M(F).  t-degrees add
+    in products, so every coefficient of a factor of P in Z[t][μ] is at
+    most B = 2^(d+e) ‖P‖₁, and of a factor of P' at most d B, as
+    M(P') <= ‖P'‖₂ <= d ‖P‖₁; a factor has at most n = (d+1)(e+1) terms.
+    So G = gcd(P, P') lies within B, and G Q = P and G R = P' have
+    ‖G‖₁ max(‖Q‖₁, ‖R‖₁) <= n^2 d B^2.  Returned: that plus d ‖P‖₁."""
+    d, e = len(c), max(map(len, c)) - 1
+    return d * norm1 + ((d + 1) * (e + 1) * (norm1 << (d + e))) ** 2 * d
+
+
+def _divides_at(g: List[int], r: List[int], s: int, bound: int) -> bool:
+    """Whether G divides R in Z[t][μ], from their values g and r at t = 2^s
+    (descending in μ, G monic) and a bound on the t-coefficients of R.  The
+    division g quo + rem = r runs in Z[μ].  A remainder other than 0 is the
+    value of R mod G, so G does not divide.  Otherwise G and Q, read as the
+    base-2^s digits of g and quo, make R - G Q vanish at 2^s with every
+    t-coefficient at most bound + ‖G‖₁ ‖Q‖₁: below 2^(s-1) it vanishes in
+    Z[t][μ] (as in :func:`~sheet_atlas.scalars.scaled_divmod`)."""
+    nquo = len(r) - len(g)
+    r = monic_division(list(r), g[1:], nquo)
+    if any(r[nquo + 1 :]):
+        return False
+    identity = sum(norm(digits(v, s)) for v in g) * sum(norm(digits(v, s)) for v in r[: nquo + 1])
+    return bound + identity < 1 << (s - 1)

@@ -360,6 +360,24 @@ def test_bcd_case_of_the_wrong_parity_is_refused_by_name():
     assert _serve(["triple-verify", "--case", "bcd:X,1,2"]) == (1, "", "error: bcd kind must be B, C or D\n")
 
 
+def test_bcd_case_that_is_no_type_d_group_is_refused_by_name():
+    """A type D case of matrix size 2 (no D(1)) or with an SO_2 residual
+    (a torus, not a residual group) is refused by --case before any group
+    is built, in the wording of the parity refusal, instead of by the
+    group's own rank or fit message."""
+    for case, message in (
+        ("bcd:D,1,0", "--case must be bcd:D,a,res with 2a + res >= 4, as SO_(2a+res) has size at least 4 in type D, got %r"),
+        ("bcd:d,1,0", "--case must be bcd:D,a,res with 2a + res >= 4, as SO_(2a+res) has size at least 4 in type D, got %r"),
+        ("bcd:D,1,2", "--case must be bcd:D,a,res with a res other than 2, as SO_2 is a torus and no residual group in type D, got %r"),
+        ("bcd:D,2,2", "--case must be bcd:D,a,res with a res other than 2, as SO_2 is a torus and no residual group in type D, got %r"),
+    ):
+        for extra in ([], ["--json"]):
+            assert _serve(["triple-verify", "--case", case, *extra]) == (1, "", "error: %s\n" % (message % case)), case
+    # the neighbouring type D cases still build and verify
+    for case in ("bcd:D,2,0", "bcd:D,1,4", "bcd:D,2,4"):
+        assert _serve(["triple-verify", "--case", case])[0] == 0, case
+
+
 def test_z_of_the_wrong_length_is_refused_by_name():
     """A --z with more or fewer rationals than the sheet's centre has
     dimensions is refused by --z, quoting it; the library's SlicePoint keeps

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt, lcm, prod
 
 import pytest
 
-from sheet_atlas.scalars import T, RatPoly, as_scalar, at, digits, format_scalar, parse_scalar
+from sheet_atlas.scalars import T, RatPoly, _is_prime, as_scalar, at, digits, format_scalar, parse_scalar, primes, weighted_den
 from sheet_atlas.triples import formal_t
 
 from oracles import convolve_fractions, long_division
@@ -157,3 +159,34 @@ def test_kronecker_digits_round_trip():
             d = digits(x, s)
             assert sum(c * 2 ** (s * i) for i, c in enumerate(d)) == x
             assert all(-(2 ** (s - 1)) <= c < 2 ** (s - 1) for c in d) and (not d or d[-1])
+
+
+def test_primes_descend_from_the_certificate_prime_and_are_proven():
+    """The primality test agrees with trial division below 20000 and
+    rejects strong pseudoprimes whose factors are known: one to the bases
+    2, 3, 5 and 7, and one to every prime base up to 23.  The gcd's primes
+    are 2^61 - 1 and then primes below it, each once."""
+    small = [n for n in range(2, 20000) if all(n % q for q in range(2, isqrt(n) + 1))]
+    assert [n for n in range(20000) if _is_prime(n)] == small
+    for n, factors in ((3215031751, (151, 751, 28351)), (3825123056546413051, (149491, 747451, 34233211))):
+        assert prod(factors) == n and not _is_prime(n)
+    first = list(islice(primes(), 6))
+    assert first[0] == 2**61 - 1 and first == sorted(set(first), reverse=True)
+    assert all(map(_is_prime, first)) and first == list(islice(primes(), 6))
+
+
+def test_weighted_den_clears_each_weight_and_divides_the_lcm():
+    """dens[k-1] divides D^k for every k, and D divides the lcm of the
+    dens; for the coefficients of a product of 40 factors λ - a/b with
+    b <= 9, whose denominators have an lcm beyond 2^40, it stays small."""
+    rng = random.Random(3301)
+    for _ in range(200):
+        dens = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 25, 49, 2**20, 3**7 * 5]) for _ in range(rng.randint(0, 8))]
+        d = weighted_den(dens)
+        assert all(d**k % q == 0 for k, q in enumerate(dens, start=1)) and lcm(*dens) % d == 0
+    coeffs = [Fraction(1)]
+    for _ in range(40):
+        r = Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+        coeffs = [x - r * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    dens = [c.denominator for c in coeffs[1:]]
+    assert weighted_den(dens) < 2**20 and lcm(*dens) > 2**40

@@ -253,6 +253,73 @@ def test_poly_gcd_against_euclid_up_to_degree_40():
         assert poly_gcd(p, derivative) == expected and len(expected) == 1 + repeated
 
 
+@pytest.mark.parametrize(
+    "roots, squarefree",
+    [
+        # the repeated root 3ℓ + 1 reads as 1 modulo ℓ: a candidate from ℓ
+        # alone fails, and a second prime is needed
+        ([3 * ELL + 1, 3 * ELL + 1], False),
+        ([3 * ELL + 1, 3 * ELL + 1, -2, 5], False),
+        ([3 * ELL + 1, 3 * ELL + 1, 1], False),
+        ([-3 * ELL - 1, Fraction(1, 2), -3 * ELL - 1], False),
+        # squarefree, yet 3ℓ + 1 and 1 agree modulo ℓ: no answer from residues
+        ([3 * ELL + 1, 1], True),
+        ([3 * ELL + 1, 1, 4 * ELL + 1, 7], True),
+    ],
+)
+def test_is_squarefree_when_the_first_prime_misreads_the_root(roots, squarefree):
+    f = GradedPolynomial.from_roots([Fraction(r) for r in roots])
+    dense = f.dense()
+    derivative = [c * (f.degree - k) for k, c in enumerate(dense[:-1])]
+    expected = gcd_by_euclid(dense, derivative)
+    assert (len(expected) == 1) == squarefree
+    assert f.is_squarefree() == squarefree
+    assert GradedPolynomial(f.coeffs).is_squarefree() == squarefree
+    assert poly_gcd(dense, derivative) == expected
+    if not squarefree:
+        # the gcd's root lies beyond ℓ / 2
+        assert 2 * max(abs(c) for c in expected) > ELL
+
+
+def test_poly_gcd_over_three_primes_at_degree_60_to_80():
+    """A common factor whose coefficients exceed 2^122, so that no two
+    61-bit primes hold it, times coprime cofactors: the gcd is the common
+    factor, which the oracle's division confirms divides both."""
+    rng = random.Random(2029)
+    pool = sorted({Fraction(a, b) for a in range(-20, 21) for b in range(1, 8)})
+    for degree, scale in ((60, Fraction(3, 7)), (70, Fraction(1)), (80, Fraction(-2, 5))):
+        common = [Fraction(rng.randint(2**40, 2**41), rng.choice([1, 3])) * rng.choice([-1, 1]) for _ in range(4)]
+        rest = rng.sample(pool, 2 * (degree - 4))
+        p = [scale * c for c in expand_roots(common + rest[: degree - 4])]
+        q = [Fraction(9, 4) * c for c in expand_roots(common + rest[degree - 4 :])]
+        expected = expand_roots(common)
+        assert max(abs(c.numerator) for c in expected) > 2**122
+        assert gcd_by_euclid(p, expected) == expected == gcd_by_euclid(q, expected)
+        assert poly_gcd(p, q) == expected
+        assert poly_gcd(q, p) == expected
+
+
+def test_is_squarefree_over_qt_where_the_gcd_at_zero_and_one_is_larger():
+    """λ^2 - t(t-1)(t-2)λ times a factor with a repeated root: at t0 = 0 and
+    1 the gcd with the derivative has one degree more than over Q(t), so
+    neither point yields the candidate; the oracle at a generic t gives
+    the degree over Q(t)."""
+    t = RatPoly.variable()
+    cubic = t * (t - 1) * (t - 2)
+    generic = Fraction(1, 7919)
+    for extra, gcd_degree in (([t + 5, t + 5], 1), ([2 * t - 3, 2 * t - 3, 2 * t - 3], 2), ([t + 5, -t + 3], 0), ([t * t + 1, t * t + 1], 1)):
+        f = GradedPolynomial.from_roots([0, cubic, *extra])
+        for t0 in (0, 1):
+            dense = _at(f, t0)
+            derivative = [c * (f.degree - k) for k, c in enumerate(dense[:-1])]
+            assert len(gcd_by_euclid(dense, derivative)) - 1 == gcd_degree + 1
+        dense = _at(f, generic)
+        derivative = [c * (f.degree - k) for k, c in enumerate(dense[:-1])]
+        assert len(gcd_by_euclid(dense, derivative)) - 1 == gcd_degree
+        assert f.is_squarefree() == (gcd_degree == 0)
+        assert GradedPolynomial(f.coeffs).is_squarefree() == (gcd_degree == 0)
+
+
 def test_witness_noninjectivity():
     for a in (1, 2, 3, Fraction(1, 2)):
         p1, p2 = witness_noninjectivity(a)
