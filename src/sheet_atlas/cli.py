@@ -8,7 +8,6 @@ help, abbreviations and parse errors go to an argparse parser built from it.
 """
 from __future__ import annotations
 
-import json
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import List, Optional
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
 from .liealg import centralizer_dim, char_poly, in_algebra
 from .partitions import Partition, profile
-from .sheets import GroupKind, Levi, MaxLevi, SheetDescriptor, parse_kind
+from .sheets import GroupKind, Levi, MaxLevi, SheetDescriptor, json_text, parse_kind
 
 TABLE1_NAME = "table1.json"
 TABLE2_NAME = "table2.json"
@@ -57,6 +56,17 @@ def _rational(text: str, field: str) -> Fraction:
     # 2^(3L) < 10^L, so the power is built only for a value of more than 3L bits
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
         raise ValueError("more than %d digits in a rational input" % limit)
+    return value
+
+
+def _printable(value: int, fields: str, what: str) -> int:
+    """``value``, or, when it has more digits than sys.get_int_max_str_digits()
+    lets an int be written with, a refusal by the names ``fields`` of the
+    inputs that give ``what``, the value's name."""
+    limit = sys.get_int_max_str_digits()
+    # 2^(3L) < 10^L, so the power is built only for a value of more than 3L bits
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ValueError("%s give %s of more than %d digits, too long to write" % (fields, what, limit))
     return value
 
 
@@ -169,7 +179,7 @@ def _verify_lines(checks, json_mode: bool, extra_payload=None) -> int:
         }
         if extra_payload:
             payload.update(extra_payload)
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         for name, ok, detail in checks:
             print("%s  %s (%s)" % ("PASS" if ok else "FAIL", name, detail))
@@ -269,12 +279,18 @@ def cmd_hitchin_dim(args) -> int:
     if args.levi is not None:
         # a request for a sheet record is refused beyond the rank bound
         # before anything is computed; the base dimension alone is a closed
-        # form and is answered at any rank
+        # form and is answered at any rank where it can be written
         sheets.check_rank(kind)
-    payload = {"kind": str(kind), "genus": g, "dim_base": hitchin.dim_hitchin_base(kind, g)}
+    dim_base = _printable(hitchin.dim_hitchin_base(kind, g), "--rank and --genus", "a base dimension")
+    payload = {"kind": str(kind), "genus": g, "dim_base": dim_base}
     if args.levi is not None:
         desc = sheets.find_sheet(kind, _parse_levi(kind, args.levi))
         weights = hitchin.slice_weights(desc)
+        limit = sys.get_int_max_str_digits()
+        # 4^g components, refused before the power is built: as no power of 2
+        # is 10^L, 2^(2g) >= 10^L exactly when 2g reaches the bit length of 10^L
+        if desc.katsylo_order == 2 and limit and 2 * g > 3 * limit and 2 * g >= (10**limit).bit_length():
+            raise ValueError("--genus gives 4^genus components, of more than %d digits, too long to write" % limit)
         payload.update(
             {
                 "sheet": desc.name,
@@ -316,18 +332,13 @@ def cmd_mu_s(args) -> int:
     minimal = spectral.min_poly(point)
     heart = spectral.in_heart(point)
     if _json_mode(args):
-        print(
-            json.dumps(
-                {
-                    "profile": prof.to_json(),
-                    "factors": [f.to_json() for f in factors],
-                    "image": image.to_json(),
-                    "min_poly": minimal.to_json(),
-                    "in_heart": heart,
-                },
-                indent=2,
-            )
-        )
+        print(json_text({
+            "profile": prof.to_json(),
+            "factors": [f.to_json() for f in factors],
+            "image": image.to_json(),
+            "min_poly": minimal.to_json(),
+            "in_heart": heart,
+        }))
     else:
         print("image:    %s" % image)
         print("min poly: %s" % minimal)
@@ -356,6 +367,8 @@ def cmd_multiplicity(args) -> int:
 def cmd_realform(args) -> int:
     label = realforms.parse_real_form(args.label)
     report = realforms.sheet_of_real_form(label, genus=args.genus)
+    for name, value in report.extra:  # integers, linear in the genus
+        _printable(value.numerator, "--label and --genus", "the " + name)
     payload = report.to_json()
     payload["abelianised_fibres_positive_dimensional"] = realforms.abelianized_fiber_dim_is_positive(label)
     _print_payload(args, payload)
@@ -365,7 +378,7 @@ def cmd_realform(args) -> int:
 def _print_payload(args, payload: dict) -> None:
     """The payload as indented JSON, or one "key: value" line per entry."""
     if _json_mode(args):
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         for key, value in payload.items():
             print("%s: %s" % (key, value))

@@ -264,12 +264,51 @@ def parse_kind(text: str) -> GroupKind:
     return GroupKind(fam, int(inner))
 
 
-# --- JSON text of records -----------------------------------------------------
+# --- JSON text -----------------------------------------------------------------
 #
-# The CLI and the golden fixtures write records as json.dumps(..., indent=2)
-# would, but from the descriptor's fixed schema: one %-template per record,
-# strings through the encoder json.dumps uses, ints written by %d and str as
-# json.dumps writes them, and no intermediate dict.
+# Every JSON answer of the CLI is written here, byte for byte as
+# json.dumps(..., indent=2) writes it.  With an indent, json.dumps builds a
+# pure-Python encoder afresh on every call; these writers use only its C
+# string encoder.  A payload goes through json_text.  Records, and the
+# golden fixtures, are written from the descriptor's fixed schema instead:
+# one %-template per record, strings through the same string encoder, ints
+# written by %d and str as json.dumps writes them, and no intermediate dict.
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, for dicts with
+    str keys (in their order), lists, tuples, str, int, bool and None, each
+    of exactly that type; every line after the first starts with ``newline``
+    (a line break and the indent of the value's nesting depth).  Anything
+    else, a float, a Fraction, bytes or a key other than a str among them,
+    raises TypeError."""
+    scalar = _scalar_text(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    items = []
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # the str encoder raises TypeError on a key of any other type
+        for key, item in value.items():
+            scalar = _scalar_text(type(item))
+            items.append(encode_basestring_ascii(key) + ": " + (json_text(item, inner) if scalar is None else scalar(item)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        for item in value:
+            scalar = _scalar_text(type(item))
+            items.append(json_text(item, inner) if scalar is None else scalar(item))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+# the text of a scalar, by its exact type: a bool, though an int, is true or false
+_CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
+_scalar_text = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANTS, type(None): _CONSTANTS}.get
+
 
 # (key, conversion) of each field of a record, in its order
 _RECORD_FIELDS = (
@@ -311,13 +350,6 @@ def _list_text(texts, inner: str, outer: str) -> str:
     return "[%s%s%s]" % (inner, ("," + inner).join(texts), outer)
 
 
-def _optional(value) -> str:
-    """A string or int field that may be None, as JSON."""
-    if value is None:
-        return "null"
-    return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
-
-
 def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
     """The record of ``desc``, byte for byte as ``json.dumps(..., indent=2)``
     writes it at nesting depth ``depth``: each line after the first is
@@ -340,7 +372,7 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
         orbit_text = _list_text([*map(str, orbit.parts)], b2, b1)
     return template % (
         encode_basestring_ascii(str(desc.kind)),
-        _optional(desc.name),
+        json_text(desc.name),
         levi_text,
         encode_basestring_ascii(desc.decomposition_data),
         "true" if desc.dixmier else "false",
@@ -351,9 +383,9 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
         desc.katsylo_order,
         desc.w_s_order,
         desc.dim_sheet,
-        _optional(desc.class_tag),
-        _optional(desc.type_tag),
-        _optional(desc.component_group_order),
+        json_text(desc.class_tag),
+        json_text(desc.type_tag),
+        json_text(desc.component_group_order),
         "true" if desc.levi_conjugacy_caveat else "false",
     )
 
@@ -441,7 +473,7 @@ def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
     # no text written in holds a literal %, so the fields cut it into 12 chunks
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = template.replace("%d", "%s").split("%s")
     text = [*map(str, range(n + 1))].__getitem__
-    tag_texts = {tags: tuple(map(_optional, tags)) for tags in (*_GL_TWO_PART_TAGS.values(), _NO_TAGS)}
+    tag_texts = {tags: tuple(map(json_text, tags)) for tags in (*_GL_TWO_PART_TAGS.values(), _NO_TAGS)}
     levi_sep, orbit_sep = "," + b3, "," + b2
     join = "".join
     for parts, d, dim_z, w_l, dim_sheet, conj, tags in records:

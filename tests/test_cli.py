@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -479,15 +480,41 @@ JSON_REQUESTS = [
 ]
 
 
+# a request of every other command that writes JSON
+PAYLOAD_REQUESTS = [
+    ["hitchin-dim", "--kind", "C", "--rank", "2", "--genus", "3"],
+    ["hitchin-dim", "--kind", "A", "--rank", "5", "--genus", "2"],
+    ["hitchin-dim", "--kind", "C", "--rank", "2", "--levi", "1,1", "--genus", "3"],
+    ["hitchin-dim", "--kind", "A", "--rank", "4", "--levi", "2,1,1", "--genus", "2"],
+    ["hitchin-dim", "--kind", "D", "--rank", "4", "--levi", "4,0", "--genus", "2"],
+    ["multiplicity", "--sheet", "C:2:1,1", "--z", "5"],
+    ["multiplicity", "--sheet", "A:3:2,1", "--z", "0,1/2"],
+    ["multiplicity", "--sheet", "F4"],
+    ["realform", "--label", "SU:3,1", "--genus", "2"],
+    ["realform", "--label", "SU:2,2"],
+    ["realform", "--label", "SOSTAR:7", "--genus", "3"],
+    ["realform", "--label", "SOSTAR:4"],
+    ["mu-s", "--profile", "2,1", "--factors", "1/2;3"],
+    ["mu-s", "--profile", "2,2", "--factors", ";1,-1/4"],
+    *(["triple-verify", "--case", case, *matrices]
+      for case in ("gl:2,1", "gl:3,3", "bcd:B,1,1", "bcd:C,2,0", "bcd:D,2,0", "sp4-slice")
+      for matrices in ([], ["--matrices"])),
+]
+
+
 def test_sheets_json_is_json_dumps(monkeypatch):
-    """`sheets --json` and `sheet-info --json` write exactly
-    json.dumps(..., indent=2) and a newline."""
+    """Every command writes JSON exactly as json.dumps(..., indent=2) does,
+    and a newline: `sheets --json` and `sheet-info --json` their records,
+    and every other command the payload its output reads back as."""
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     for argv, records in JSON_REQUESTS:
         got = records()
         obj = [descriptor_to_json(d) for d in got] if isinstance(got, list) else descriptor_to_json(got)
         out = run_cli(*argv, "--json")
         assert (out.stdout, out.stderr) == (json.dumps(obj, indent=2) + "\n", ""), argv
+    for argv in PAYLOAD_REQUESTS:
+        code, out, err = _serve([*argv, "--json"])
+        assert (code, err) == (0, "") and out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_listing_beyond_rank_40_is_refused_with_empty_stdout():
@@ -658,6 +685,48 @@ def test_hitchin_dim_without_levi_is_answered_at_any_rank(monkeypatch):
     assert (code, err) == (0, "") and json.loads(out)["dim_base"] == 2000000001000000000
     code, out, err = _serve(["hitchin-dim", "--genus", "1", "--kind", "C", "--rank", str(10**9)])
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_answers_too_long_to_write_are_refused_by_their_fields(monkeypatch):
+    """An integer answer of more than L = sys.get_int_max_str_digits()
+    digits cannot be written.  At the boundary the largest answer that fits
+    is written in full; one step beyond, the request is refused with exit 1,
+    an error naming its fields and nothing on stdout, in both output modes,
+    and 4^g components before the power is built."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    limit = sys.get_int_max_str_digits()
+    top = 10**limit  # the least integer of more than L digits
+
+    def refused(argv, message):
+        for extra in ([], ["--json"]):
+            assert _serve([*argv, *extra]) == (1, "", "error: %s\n" % message), (argv[:3], extra)
+
+    # the base dimension of C_r at genus 2 is r(2r + 1), at genus g of C_1 3(g - 1)
+    rank = math.isqrt(top // 2)
+    while rank * (2 * rank + 1) >= top:
+        rank -= 1
+    genus = (top - 1) // 3 + 1
+    for r, g, dim in ((rank, 2, rank * (2 * rank + 1)), (1, genus, 3 * (genus - 1))):
+        argv = ["hitchin-dim", "--kind", "C", "--rank", str(r), "--genus", str(g)]
+        assert len(str(dim)) == limit and _serve(argv) == (0, "%d\n" % dim, ""), r
+        code, out, err = _serve(argv + ["--json"])
+        assert (code, err) == (0, "") and json.loads(out)["dim_base"] == dim
+    message = "--rank and --genus give a base dimension of more than %d digits, too long to write" % limit
+    refused(["hitchin-dim", "--kind", "C", "--rank", str(rank + 1), "--genus", "2"], message)
+    refused(["hitchin-dim", "--kind", "C", "--rank", "1", "--genus", str(genus + 1)], message)
+    # |F| = 2: 4^g components, and 2^(2g) < 10^L for 2g below the bit length of 10^L
+    genus = (top.bit_length() - 1) // 2
+    code, out, err = _serve(["hitchin-dim", "--kind", "C", "--rank", "2", "--levi", "1,1", "--genus", str(genus), "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["components"] == 4**genus
+    for g in (genus + 1, 10**100):
+        refused(["hitchin-dim", "--kind", "C", "--rank", "2", "--levi", "1,1", "--genus", str(g)],
+                "--genus gives 4^genus components, of more than %d digits, too long to write" % limit)
+    # SO*(2n), n = 2m + 1, has fixed degree 4m(g - 1): 12(g - 1) for SO*(14)
+    genus = (top - 1) // 12 + 1
+    code, out, err = _serve(["realform", "--label", "SOSTAR:7", "--genus", str(genus), "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["extra"]["fixed_degree"] == str(12 * (genus - 1))
+    refused(["realform", "--label", "SOSTAR:7", "--genus", str(genus + 1)],
+            "--label and --genus give the fixed_degree of more than %d digits, too long to write" % limit)
 
 
 def test_realform_su_is_bounded_by_the_record_rank(monkeypatch):

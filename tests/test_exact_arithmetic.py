@@ -2,7 +2,10 @@
 probabilistic in src/.  Arithmetic modulo a prime may certify an answer,
 which needs only integers, so this guard does not stand in its way.  The
 same scan keeps ``dataclasses`` out of src/: its import and its generated
-code were most of the CLI's start-up time."""
+code were most of the CLI's start-up time.  It also keeps ``json.dumps``
+and ``json.dump`` out: with an indent they run a pure-Python encoder, and
+every answer is written by ``sheets.json_text`` or ``sheets.record_json``
+instead."""
 import ast
 from pathlib import Path
 
@@ -12,6 +15,8 @@ FORBIDDEN_NAMES = {"float", "complex"}
 FORBIDDEN_MODULES = {"random", "cmath", "statistics", "dataclasses"}
 # integer-only functions of math; everything else in it works on floats
 MATH_ALLOWED = {"gcd", "lcm", "factorial", "prod", "comb", "isqrt"}
+# json's writers; its readers and its string encoder are allowed
+JSON_FORBIDDEN = {"dumps", "dump"}
 
 
 def _findings(tree: ast.AST):
@@ -20,6 +25,9 @@ def _findings(tree: ast.AST):
             yield node.lineno, "literal %r" % (node.value,)
         elif isinstance(node, ast.Name) and node.id in FORBIDDEN_NAMES:
             yield node.lineno, "name %s" % node.id
+        elif (isinstance(node, ast.Attribute) and node.attr in JSON_FORBIDDEN
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            yield node.lineno, "json.%s" % node.attr
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 top = alias.name.split(".")[0]
@@ -33,6 +41,10 @@ def _findings(tree: ast.AST):
                 for alias in node.names:
                     if alias.name not in MATH_ALLOWED:
                         yield node.lineno, "from math import %s" % alias.name
+            elif node.module == "json":
+                for alias in node.names:
+                    if alias.name in JSON_FORBIDDEN:
+                        yield node.lineno, "from json import %s" % alias.name
 
 
 def test_no_floating_point_or_randomness_in_library():
@@ -42,7 +54,7 @@ def test_no_floating_point_or_randomness_in_library():
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s:%d: %s" % (path.relative_to(SRC.parent), line, what) for line, what in _findings(tree)]
-    assert not found, "inexact or probabilistic code, or a dataclasses import, in the library: " + "; ".join(found)
+    assert not found, "inexact or probabilistic code, a dataclasses import or json's writer in the library: " + "; ".join(found)
 
 
 def test_guard_catches_each_forbidden_form():
@@ -61,7 +73,14 @@ def test_guard_catches_each_forbidden_form():
             "from fractions import Fraction",
             "import dataclasses",
             "from dataclasses import dataclass",
+            "s = json.dumps(x, indent=2)",
+            "json.dump(x, out)",
+            "from json import loads, dumps",
+            "from json import dump as write",
+            "x = json.loads(s)",
+            "from json.encoder import encode_basestring_ascii",
+            "s = text.dumps",
         ]
     )
     lines = sorted(line for line, _ in _findings(ast.parse(source)))
-    assert lines == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13]
+    assert lines == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17]

@@ -1,9 +1,11 @@
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sheet_atlas import cli, partitions, sheets
 from sheet_atlas.partitions import Partition, conjugate, is_valid_orbit_partition
@@ -21,6 +23,7 @@ from sheet_atlas.sheets import (
     f4_b3_sheet,
     find_sheet,
     gl_sheet,
+    json_text,
     listing_json,
     listing_rows,
     maximal_levi_sheet,
@@ -367,6 +370,47 @@ def test_record_list_writer_matches_json_dumps():
             pieces = list(records_json(rows, depth))
             assert len(pieces) == len(rows) + 1
             assert "".join(pieces) == _dumps_at([descriptor_to_json(d) for d in rows], depth)
+
+
+# text with every kind of character the string encoder escapes or keeps:
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_JSON_CHARS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d54a'),
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80),
+    st.characters(min_codepoint=0x10000),
+)
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=8)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_TEXT, st.integers(-(2**64), 2**64), st.integers(-(2**200), 2**200),
+)
+
+
+def _json_values(depth: int):
+    """JSON values nested at most ``depth`` deep, empty containers included."""
+    if depth == 0:
+        return _JSON_SCALARS
+    children = _json_values(depth - 1)
+    return st.one_of(
+        _JSON_SCALARS,
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+    )
+
+
+@given(_json_values(4))
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_what_it_does_not_write():
+    """json.dumps would refuse the Fraction and bytes, and write the float
+    and the int key; the writer refuses all of them, also when nested."""
+    for value in (Fraction(1, 2), 0.5, b"x", {1: "x"}):
+        for nested in (value, [value], {"a": (1, value)}):
+            with pytest.raises(TypeError):
+                json_text(nested)
 
 
 def test_gln_enumeration_refusals_name_their_bound():
