@@ -5,7 +5,7 @@ identification."""
 
 from .partitions import MultiplicityProfile, Partition, conjugate, is_valid_orbit_partition, partitions_of, profile
 from .scalars import RatPoly
-from .spectral import GradedPolynomial, SheetBasePoint, in_heart, min_poly, mu_s, sp4_dix_image, witness_noninjectivity
+from .spectral import GradedPolynomial, SheetBasePoint, in_heart, min_poly, mu_s, sp4_dix_image
 from .liealg import (
     ClassicalForm,
     LieAlgebraModel,

@@ -88,79 +88,55 @@ class MultiplicityProfile(Record):
 
 
 # A node of the prefix tree of partitions: its parts >= 2, largest first, and
-# the partition they make when closed by ones.  It carries (parts, sum of
-# parts, sum of squared parts, product of l! over its closed runs of l equal
-# parts, the length of its last run, its last part, the conjugate parts above
-# its last part).  Exactly j parts are >= i for i in (m_{j+1}, m_j], so a
-# part q below the last part p of j parts puts p - q copies of j on top of
-# that conjugate tail.  The root has no parts; its last part 1 keeps the
-# tail of its children empty ([0] * (1 - q) is) and closes it to (n).
-_ROOT = ((), 0, 0, 1, 0, 1, [])
+# the partition they make when closed by ones.  It carries (parts, their text,
+# sum of parts, sum of squared parts, product of l! over its closed runs of l
+# equal parts, the length of its last run, its last part, the conjugate parts
+# above its last part).  The text writes each part after a comma, so a step
+# adds one piece ",q" and the closing run of ones one piece ",1" * r.  Exactly
+# j parts are >= i for i in (m_{j+1}, m_j], so a part q below the last part p
+# of j parts puts p - q copies of j on top of that conjugate tail.  The root
+# has no parts; its last part 1 keeps the tail of its children empty
+# ([0] * (1 - q) is) and closes it to (n).
+_ROOT = ((), "", 0, 0, 1, 0, 1, [])
 
 
-def _step(node: tuple, q: int) -> tuple:
+def _step(node: tuple, q: int, piece: str) -> tuple:
     """The child of ``node`` whose parts end in one more part q >= 2, no
-    larger than the last."""
-    parts, s, d, w, run, last, tail = node
+    larger than the last; ``piece`` is its text, ",q"."""
+    parts, text, s, d, w, run, last, tail = node
     if q == last:
-        return parts + (q,), s + q, d + q * q, w, run + 1, q, tail
-    return parts + (q,), s + q, d + q * q, w * factorial(run), 1, q, [len(parts)] * (last - q) + tail
+        return parts + (q,), text + piece, s + q, d + q * q, w, run + 1, q, tail
+    return parts + (q,), text + piece, s + q, d + q * q, w * factorial(run), 1, q, [len(parts)] * (last - q) + tail
 
 
-def _close(node: tuple, n: int) -> Tuple[Tuple[int, ...], int, int, List[int]]:
-    """(parts, sum of m_i^2, product of l! over the runs of l equal parts,
-    the conjugate parts largest first) of the partition m of n made of the
-    parts of ``node`` and n - (their sum) ones.  Every part of m counts
-    towards the first conjugate part, and the parts of ``node`` towards each
-    one up to its last part."""
-    parts, s, d, w, run, last, tail = node
+def _close(node: tuple, n: int) -> Tuple[str, int, int, List[int]]:
+    """(the parts written with commas between them, sum of m_i^2, product
+    of l! over the runs of l equal parts, the conjugate parts largest first)
+    of the partition m of n made of the parts of ``node`` and n - (their
+    sum) ones.  Every part of m counts towards the first conjugate part, and
+    the parts of ``node`` towards each one up to its last part."""
+    parts, text, s, d, w, run, last, tail = node
     r = n - s
     k = len(parts)
-    return parts + (1,) * r, d + r, w * factorial(run) * factorial(r), [k + r] + [k] * (last - 1) + tail if n else []
+    return (text + ",1" * r)[1:], d + r, w * factorial(run) * factorial(r), [k + r] + [k] * (last - 1) + tail if n else []
 
 
-def walk(n: int) -> Iterator[Tuple[Tuple[int, ...], int, int, List[int]]]:
-    """(parts, sum of m_i^2, product of l! over the runs of l equal parts,
-    the conjugate parts largest first) of each partition m of n, in
-    reverse-lexicographic order.
-
-    The partitions of n are the nodes of the prefix tree of parts >= 2,
-    each closed by ones; a child, ending in a part >= 2, comes before its
-    parent, ending in ones, so the order is the tree's post-order with the
-    children taken largest part first.  Each of the p(n) nodes but the
-    root is made by one step from its parent, and each is closed once.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def _node(parts: Tuple[int, ...]) -> tuple:
+    """The node of the partition with these parts, largest first: the walk's
+    steps along its own parts >= 2."""
     node = _ROOT
-    # (node, largest part of its next child) of each ancestor still open
-    stack = []
-    q = n
-    while True:
-        if q >= 2:
-            stack.append((node, q - 1))
-            node = _step(node, q)
-            r = n - node[1]
-            if r < q:
-                q = r
-        else:
-            yield _close(node, n)
-            if not stack:
-                return
-            node, q = stack.pop()
+    for q in parts:
+        if q == 1:
+            break
+        node = _step(node, q, ",%d" % q)
+    return node
 
 
 def conjugate_walk(parts: Tuple[int, ...]) -> Tuple[int, int, List[int]]:
     """(sum of m_i^2, product of l! over the runs of l equal parts, the
     conjugate parts largest first) of the partition m with these parts,
-    largest first: the walk's steps along m's own parts >= 2, then closed by
-    its ones."""
-    node = _ROOT
-    for q in parts:
-        if q == 1:
-            break
-        node = _step(node, q)
-    _, d, w, conj = _close(node, sum(parts))
+    largest first: its node, closed by its ones."""
+    _, d, w, conj = _close(_node(parts), sum(parts))
     return d, w, conj
 
 
@@ -201,7 +177,10 @@ def is_valid_orbit_partition(kind, p) -> bool:
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order (largest-first),
-    as :func:`walk` reaches them.  Parts are positive and descending by
-    construction, so they skip the validating constructor."""
-    for parts, _, _, _ in walk(n):
-        yield Partition._trusted(parts)
+    as the walk of the type A listing (``sheets._gl_walk``) reaches them.
+    Parts are positive and descending by construction, so they skip the
+    validating constructor."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    from .sheets import _PARTS, _gl_walk  # sheets imports this module
+    yield from _gl_walk(n, _PARTS, _ROOT, n)

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record, _set
-from .partitions import Partition, conjugate_walk, is_valid_orbit_partition, walk
+from . import partitions
+from .partitions import Partition, is_valid_orbit_partition
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
@@ -393,16 +395,10 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
 def records_json(descs: Iterable[SheetDescriptor], depth: int = 0) -> Iterator[str]:
     """The JSON list of ``descs`` as :func:`record_json` writes it at
     ``depth``, in pieces of one record each (the last piece closes it)."""
-    return _json_list((record_json(desc, depth + 1) for desc in descs), depth)
-
-
-def _json_list(records: Iterable[str], depth: int) -> Iterator[str]:
-    """The JSON list, written at ``depth``, of record texts written at
-    ``depth + 1``, in pieces of one record each (the last piece closes it)."""
     (b0, b1, _, _), _ = _layout(depth)
     sep = "[" + b1
-    for text in records:
-        yield sep + text
+    for desc in descs:
+        yield sep + record_json(desc, depth + 1)
         sep = "," + b1
     # an empty list leaves the opening separator unused
     yield "[]" if sep[0] == "[" else b0 + "]"
@@ -414,92 +410,119 @@ def _json_list(records: Iterable[str], depth: int) -> Iterator[str]:
 def enumerate_sheets_gln(n: int) -> List[SheetDescriptor]:
     """All sheets of gl_n, one per partition of n, reverse-lexicographic,
     sharing one (immutable) GroupKind."""
-    kind = type_a(n)
-    return _gl_sheets(kind, gl_records(kind))
+    return [*_gl_listing(type_a(n), _SHEETS)]
 
 
 def gl_sheet(m: Partition) -> SheetDescriptor:
-    """The sheet of gl_n with Levi partition m, n = |m| > 0."""
-    kind = type_a(m.n)
-    return _gl_sheets(kind, _gl_walk(kind, [(m.parts, *conjugate_walk(m.parts))]))[0]
+    """The sheet of gl_n with Levi partition m, n = |m| > 0: the listing's
+    loop started at m's own node, which it closes at once."""
+    return next(_gl_walk(m.n, _SHEETS, partitions._node(m.parts), 1))
 
 
-def gl_records(kind: GroupKind) -> Iterator[tuple]:
-    """(parts, d, dim_z, |W_L|, dim_sheet, conjugate parts, (class tag, type
-    tag)) of each sheet of gl_n, n = kind.rank, as the walk reaches it.
-    Every refusal is raised when this is called, before any record."""
+def _gl_listing(kind: GroupKind, form: str) -> Iterator:
+    """Every record of gl_n, n = kind.rank, written in ``form`` as the walk
+    reaches it.  Every refusal is raised when this is called, before any
+    record."""
     check_rank(kind)
     if kind.rank > 40:
         raise ValueError("n out of supported range 1..40")
-    return _gl_walk(kind, walk(kind.rank))
+    return _gl_walk(kind.rank, form, partitions._ROOT, kind.rank)
 
 
-def _gl_walk(kind: GroupKind, partitions: Iterable[tuple]) -> Iterator[tuple]:
-    """The one loop behind every type A record: the record of each Levi
-    partition m in ``partitions``, given as (parts, d = sum m_i^2, |W_L| =
-    prod l_i! over runs of l equal parts, conjugate parts) as
-    :func:`partitions.walk` yields them, checked: the orbit is the conjugate
-    m' and dim z = #parts."""
-    n = kind.rank
-    odd = range(1, 2 * n, 2)
-    for parts, d, w_l, conj in partitions:
-        dim_z = len(parts)
-        # dim O + dim z, with dim O = n^2 - sum (2i - 1) conj_i read off the orbit
-        dim_sheet = n * n - sum(map(mul, odd, conj)) + dim_z
-        check_record(kind, d, dim_z, w_l, 1, dim_sheet, conj)
-        yield parts, d, dim_z, w_l, dim_sheet, conj, _GL_TWO_PART_TAGS[parts[0] == parts[1]] if dim_z == 2 else _NO_TAGS
+def _gl_walk(n: int, form: str, node: tuple, q: int) -> Iterator:
+    """The one walk of the partitions of n, and the one loop behind every
+    type A record.
 
+    The partitions of n are the nodes of the prefix tree of parts >= 2,
+    each closed by ones; a child, ending in a part >= 2, comes before its
+    parent, ending in ones, so reverse-lexicographic order is the tree's
+    post-order with the children taken largest part first.  The loop walks
+    that tree from ``node``, its children first, none with a part above q
+    (so q = n from the root walks every partition of n, and q = 1 closes
+    ``node`` alone).  Each node but ``node`` is made by one
+    ``partitions._step`` from its parent.
 
-def _gl_sheets(kind: GroupKind, records: Iterable[tuple]) -> List[SheetDescriptor]:
-    """The descriptor of each of ``records``, as ``_gl_walk`` yields them."""
-    prefix = _GL_NAME % kind.rank
-    return [SheetDescriptor(kind, Levi(Partition._trusted(parts), 0), True, Partition._trusted(conj), d, dim_z, w_l, 1,
-                            dim_sheet, class_tag, type_tag, 1, False, prefix + ",".join(map(str, parts)))
-            for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, type_tag) in records]
-
-
-def _gl_texts(kind: GroupKind, records: Iterator[tuple]) -> Iterator[str]:
-    """The text of each of ``records = gl_records(kind)`` as record_json
-    writes it, from texts made once per rank: each integer up to n, each
-    pair of tags, and the template with every shared piece written in, cut
-    into the chunks between its fields."""
-    n = kind.rank
-    _, b1, b2, b3 = _layout(1)[0]
-    fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % (_GL_NAME % n),
-             "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"%s"' % _GL_DECOMPOSITION,
-             "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
-             "component_group_order": "1", "levi_conjugacy_caveat": "false"}
-    _, template = _layout(1, tuple(fixed.items()))
-    # no text written in holds a literal %, so the fields cut it into 12 chunks
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = template.replace("%d", "%s").split("%s")
-    text = [*map(str, range(n + 1))].__getitem__
-    tag_texts = {tags: tuple(map(json_text, tags)) for tags in (*_GL_TWO_PART_TAGS.values(), _NO_TAGS)}
-    levi_sep, orbit_sep = "," + b3, "," + b2
-    join = "".join
-    for parts, d, dim_z, w_l, dim_sheet, conj, tags in records:
-        parts_text = ",".join(map(text, parts))
-        class_tag, type_tag = tag_texts[tags]
-        w_l = str(w_l)
-        # w_s_order = w_l_order / katsylo_order = w_l_order
-        yield join((c0, parts_text, c1, parts_text.replace(",", levi_sep), c2, parts_text.replace(",", "xGL"),
-                    c3, orbit_sep.join(map(text, conj)), c4, str(d), c5, text(dim_z), c6, w_l, c7, w_l, c8,
-                    str(dim_sheet), c9, class_tag, c10, type_tag, c11))
-
-
-def _gl_rows(kind: GroupKind) -> Iterator[Tuple[str, ...]]:
-    """The header, then the table row of each record of gl_records(kind)."""
-    records = gl_records(kind)
-    yield LISTING_HEADER
-    prefix = _GL_NAME % kind.rank
-    text = [*map(str, range(kind.rank + 1))].__getitem__
-    for parts, d, dim_z, w_l, dim_sheet, conj, (class_tag, _) in records:
-        parts_text = ",".join(map(text, parts))
-        yield (prefix + parts_text, _GL_DECOMPOSITION % parts_text.replace(",", "xGL"),
-               "(%s)" % ",".join(map(text, conj)), str(d), text(dim_z), str(w_l), "1", str(dim_sheet), class_tag or "-")
+    In ``form`` _PARTS it yields each partition.  In every other form it
+    closes each node once (``partitions._close``), checks the record of gl_n
+    and writes it: _JSON the pieces of the JSON list, one record each (the
+    last closes it), _ROWS the table row of each record, _SHEETS its
+    descriptor.  Of the Levi partition m, the orbit is the conjugate m',
+    dim z = #parts = m'_1, and dim_sheet = dim O + dim z with dim O = n^2 -
+    sum (2i - 1) m'_i read off the orbit, so the record check (dim_sheet =
+    dim G - d + dim_z) compares the walk's d with the conjugate, and the
+    orbit written is the conjugate list it has just passed."""
+    step, close = partitions._step, partitions._close
+    pieces = [",%d" % i for i in range(q + 1)]
+    if form is not _PARTS:
+        kind = type_a(n)
+        odd = range(1, 2 * n, 2)
+        nn = n * n
+        prefix = _GL_NAME % n
+        # a two-part Levi partition is the class I record exactly when its parts are equal
+        halves = "%d,%d" % (n // 2, n - n // 2)
+        # the text of every dim_z, d, dim_sheet and orbit part: each is at most n^2
+        num = [*map(str, range(nn + 1))].__getitem__
+    if form is _JSON:
+        b0, b1, b2, b3 = _layout(1)[0]
+        fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % prefix,
+                 "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"%s"' % _GL_DECOMPOSITION,
+                 "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
+                 "component_group_order": "1", "levi_conjugacy_caveat": "false"}
+        # no text written in holds a literal %, so the fields cut the template into 12 chunks
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _layout(1, tuple(fixed.items()))[1].replace("%d", "%s").split("%s")
+        # the list's separators folded into the first chunk: "[" before the first record, "," before each other
+        head, c0 = "[" + b0 + c0, "," + b0 + c0
+        tag_texts = {equal: tuple(map(json_text, tags)) for equal, tags in _GL_TWO_PART_TAGS.items()}
+        no_tags = tuple(map(json_text, _NO_TAGS))
+        levi_sep, orbit_sep = "," + b3, "," + b2
+        join = "".join
+    # (node, largest part of its next child) of each ancestor still open
+    stack = []
+    push, pop = stack.append, stack.pop
+    while True:
+        if q >= 2:
+            push((node, q - 1))
+            node = step(node, q, pieces[q])
+            r = n - node[2]
+            if r < q:
+                q = r
+            continue
+        if form is _PARTS:
+            yield Partition._trusted(node[0] + (1,) * (n - node[2]))
+        else:
+            text, d, w_l, conj = close(node, n)
+            dim_z = conj[0]
+            dim_sheet = nn - sum(map(mul, odd, conj)) + dim_z
+            check_record(kind, d, dim_z, w_l, 1, dim_sheet, conj)
+            if form is _JSON:
+                class_tag, type_tag = tag_texts[text == halves] if dim_z == 2 else no_tags
+                w_l = str(w_l)
+                # w_s_order = w_l_order / katsylo_order = w_l_order
+                yield join((head, text, c1, text.replace(",", levi_sep), c2, text.replace(",", "xGL"),
+                            c3, orbit_sep.join(map(num, conj)), c4, num(d), c5, num(dim_z), c6, w_l, c7, w_l, c8,
+                            num(dim_sheet), c9, class_tag, c10, type_tag, c11))
+                head = c0
+            else:
+                class_tag, type_tag = _GL_TWO_PART_TAGS[text == halves] if dim_z == 2 else _NO_TAGS
+                if form is _ROWS:
+                    yield (prefix + text, _GL_DECOMPOSITION % text.replace(",", "xGL"),
+                           "(%s)" % ",".join(map(num, conj)), num(d), num(dim_z), str(w_l), "1", num(dim_sheet),
+                           class_tag or "-")
+                else:
+                    yield SheetDescriptor(kind, Levi(Partition._trusted(node[0] + (1,) * (n - node[2])), 0), True,
+                                          Partition._trusted(conj), d, dim_z, w_l, 1, dim_sheet, class_tag, type_tag,
+                                          1, False, prefix + text)
+        if not stack:
+            break
+        node, q = pop()
+    if form is _JSON:
+        yield "\n]"
 
 
 # the name of a type A record before its parts, and its decomposition data
 _GL_NAME, _GL_DECOMPOSITION = "gl%d:m=", "(GL%s,0)"
+# what _gl_walk writes of each partition: its record as JSON text, a table row or a descriptor, or itself
+_JSON, _ROWS, _SHEETS, _PARTS = "json", "rows", "sheets", "parts"
 # (class tag, type tag) of a two-part Levi partition, by whether its parts are equal
 _GL_TWO_PART_TAGS = {equal: (tag, 1 if tag in TYPE1_CLASSES else 2) for equal, tag in ((True, "I"), (False, "II"))}
 _NO_TAGS = (None, None)
@@ -757,7 +780,7 @@ def listing_json(kind: GroupKind, levi: Optional[Levi] = None) -> Iterator[str]:
         return records_json([find_sheet(kind, levi)])
     if kind.family != "A":
         return records_json(sheets_for(kind))
-    return _json_list(_gl_texts(kind, gl_records(kind)), 0)
+    return _gl_listing(kind, _JSON)
 
 
 def listing_rows(kind: GroupKind, levi: Optional[Levi] = None) -> Callable[[], Iterator[Tuple[str, ...]]]:
@@ -765,7 +788,7 @@ def listing_rows(kind: GroupKind, levi: Optional[Levi] = None) -> Callable[[], I
     call of the function returned.  A type A listing is walked on each call
     and refused in the first, before its header; any other is built here."""
     if levi is None and kind.family == "A":
-        return lambda: _gl_rows(kind)
+        return lambda: chain((LISTING_HEADER,), _gl_listing(kind, _ROWS))
     rows = [LISTING_HEADER, *((d.name or "", d.decomposition_data, str(d.nilpotent_orbit), str(d.d), str(d.dim_z),
                                str(d.w_l_order), str(d.katsylo_order), str(d.dim_sheet), d.class_tag or "-")
                               for d in ([find_sheet(kind, levi)] if levi is not None else sheets_for(kind)))]

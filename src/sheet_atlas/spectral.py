@@ -35,7 +35,7 @@ from math import lcm, prod
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record, _set
-from .partitions import MultiplicityProfile, Partition, profile
+from .partitions import MultiplicityProfile
 from .scalars import (
     CERTIFICATE_PRIME,
     Cleared,
@@ -285,28 +285,6 @@ def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial
 def in_heart(point: SheetBasePoint) -> bool:
     """True iff every factor is squarefree (each spectral factor reduced)."""
     return all(xi.is_squarefree() for xi in point.factors)
-
-
-def witness_noninjectivity(a) -> Tuple[SheetBasePoint, SheetBasePoint]:
-    """Two distinct non-heart points with the same composition image.
-
-    For the profile of (2,1,1) and a != 0, the points ((λ-a)^2, (λ+a)) and
-    ((λ+a)^2, (λ-a)) both compose to (λ-a)^2 (λ+a)^2.
-    """
-    a = as_scalar(a)
-    if scalar_is_zero(a):
-        raise ValueError("witness needs a nonzero coefficient")
-    prof = profile(Partition((2, 1, 1)))
-    minus = GradedPolynomial((-a,))
-    plus = GradedPolynomial((a,))
-    p1 = SheetBasePoint(prof, (minus * minus, plus))
-    p2 = SheetBasePoint(prof, (plus * plus, minus))
-    image1, image2 = mu_s(p1), mu_s(p2)
-    if image1 != image2:
-        raise AssertionError("witness images differ")
-    if in_heart(p1) or in_heart(p2):
-        raise AssertionError("witness point lies in the heart")
-    return p1, p2
 
 
 def sp4_dix_image(b) -> GradedPolynomial:

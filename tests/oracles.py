@@ -23,17 +23,20 @@ for the round-trip tests (the library only writes records),
 :func:`descriptor_to_json`, the record as a dict built field by field from
 the descriptor, against which the library's text writer is checked,
 :func:`sheets_table`, the ``sheets`` table formatted from those dicts, and
-two test inputs: :func:`graded_from_dense`, a graded polynomial from its
-dense coefficients, and :func:`sp4_triple`, the printed rank-2 symplectic
-subregular triple.  :func:`reference_parser` is the CLI's argparse parser
-written out by hand, against which the CLI's own parsing is checked.
+three test inputs: :func:`graded_from_dense`, a graded polynomial from its
+dense coefficients, :func:`witness_noninjectivity`, two points off the
+heart with one composition image, and :func:`sp4_triple`, the printed
+rank-2 symplectic subregular triple.  :func:`weighted_dens_by_trial_division`
+finds the least common denominators of weighted coefficients from prime
+exponents.  :func:`reference_parser` is the CLI's argparse parser written
+out by hand, against which the CLI's own parsing is checked.
 """
 from __future__ import annotations
 
 import argparse
 from fractions import Fraction
-from math import factorial
-from typing import Callable, List, Sequence
+from math import factorial, gcd, prod
+from typing import Callable, List, Sequence, Tuple
 
 from sheet_atlas import cli
 from sheet_atlas.liealg import RationalMatrix
@@ -336,6 +339,57 @@ def graded_from_dense(dense: Sequence) -> GradedPolynomial:
     if not dense or dense[0] != 1:
         raise ValueError("graded polynomials are monic")
     return GradedPolynomial(tuple(dense[1:]))
+
+
+def witness_noninjectivity(a) -> Tuple[SheetBasePoint, SheetBasePoint]:
+    """The classical witness that the composition map is not injective off
+    the heart: for the profile of (2,1,1), the points ((λ-a)^2, λ+a) and
+    ((λ+a)^2, λ-a), written from their dense coefficients.  Both compose to
+    (λ-a)^2 (λ+a)^2; for a != 0 they differ and neither lies in the heart,
+    and for a = 0 they are one point."""
+    a = Fraction(a)
+    prof = MultiplicityProfile((2, 1))  # l_1 = 2 parts 1 and l_2 = 1 part 2: the profile of (2,1,1)
+    square = lambda c: graded_from_dense([1, -2 * c, c * c])  # (λ - c)^2
+    return (SheetBasePoint(prof, (square(a), graded_from_dense([1, a]))),
+            SheetBasePoint(prof, (square(-a), graded_from_dense([1, -a]))))
+
+
+def weighted_dens_by_trial_division(dens: Sequence[int]) -> Tuple[int, int]:
+    """Two D with dens[k-1] | D^k for every k, each prime exponent
+    v_p(dens_k) found by trial division: the least of all,
+    prod_p p^(max_k ceil(v_p(dens_k)/k)); and the least that is a product of
+    powers of the numbers u = prod_p p^(a_p), one u for each class of primes
+    whose exponent vectors (v_p(dens_k))_k are proportional, a_p being
+    their ratio in lowest terms.  The two agree when every a_p is 1."""
+    vectors = {}
+    for k, q in enumerate(dens):
+        p = 2
+        while q > 1:
+            if p * p > q:
+                p = q
+            while q % p == 0:
+                q //= p
+                vectors.setdefault(p, [0] * len(dens))[k] += 1
+            p += 1
+    least = 1
+    for p, v in vectors.items():
+        least *= p ** max(-(-e // k) for k, e in enumerate(v, start=1))
+    classes = {}
+    for p, v in vectors.items():
+        g = 0
+        for e in v:
+            g = gcd(g, e)
+        classes.setdefault(tuple(e // g for e in v), []).append((p, g))
+    by_classes = 1
+    for direction, primes in classes.items():
+        # v_p = g_p * direction; with a the gcd of the g_p, the class's part
+        # of dens_k is u^(a * direction_k) for u = prod_p p^(g_p / a)
+        a = 0
+        for _, g in primes:
+            a = gcd(a, g)
+        u = prod(p ** (g // a) for p, g in primes)
+        by_classes *= u ** max(-(-(a * e) // k) for k, e in enumerate(direction, start=1))
+    return least, by_classes
 
 
 def sp4_h() -> RationalMatrix:

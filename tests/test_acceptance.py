@@ -37,7 +37,6 @@ from sheet_atlas.spectral import (
     min_poly,
     mu_s,
     sp4_dix_image,
-    witness_noninjectivity,
 )
 from sheet_atlas.triples import (
     build_bcd_triple,
@@ -49,7 +48,7 @@ from sheet_atlas.triples import (
     sp4_slice,
 )
 
-from oracles import descriptor_from_json, dim_hitchin_base_sp4, dim_s_hitchin_base_gln, recover_tuple
+from oracles import descriptor_from_json, dim_hitchin_base_sp4, dim_s_hitchin_base_gln, recover_tuple, witness_noninjectivity
 
 
 def _accept(name: str):
@@ -266,6 +265,7 @@ def test_spectral_suite():
         expected = GradedPolynomial.from_roots([a, a, -a, -a])
         assert mu_s(p1) == expected == mu_s(p2)
         assert p1 != p2
+        assert not in_heart(p1) and not in_heart(p2)
 
     pool = [Fraction(k) for k in range(-40, 41)]
     m = Partition((3, 2, 1, 1))

@@ -166,7 +166,10 @@ def test_rational_inputs_with_too_many_digits_are_refused(monkeypatch):
     """A rational input whose numerator or denominator, as written or as
     read, has more than sys.get_int_max_str_digits() digits is refused with
     the CLI's own error line, exit 1 and nothing on stdout, within 1 s; one
-    digit fewer is answered."""
+    digit fewer is answered.  At the default L = 4300, mu-s answers the
+    least prime of 4300 digits, 10^4299 + 3187 (a BPSW probable prime), as
+    a denominator within 2 s in both forms; its weighted clear seeks that
+    prime's least root."""
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     limit = sys.get_int_max_str_digits()
     long_digits = "7" * (limit + 1)
@@ -180,6 +183,13 @@ def test_rational_inputs_with_too_many_digits_are_refused(monkeypatch):
     for value in ("1e%d" % (limit - 1), "7" * limit, "1/" + "7" * limit):
         code, out, err = _serve(["multiplicity", "--sheet", "C:2:1,1", "--z=" + value, "--json"])
         assert (code, err) == (0, "") and json.loads(out)["z"] == [str(Fraction(value))]
+    if limit == 4300:
+        den = str(10**4299 + 3187)
+        for extra in ([], ["--json"]):
+            start = time.perf_counter()
+            code, out, err = _serve(["mu-s", "--profile", "2,1", "--factors=1/%s;3" % den, *extra])
+            assert time.perf_counter() - start < 2.0 and (code, err) == (0, ""), extra
+        assert json.loads(out)["factors"][0]["coeffs"] == ["1/" + den]
 
 
 def test_realform_command():

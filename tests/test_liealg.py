@@ -1011,13 +1011,21 @@ def test_bracket_and_membership_specialisation_bounds_are_met():
 
 def _char_poly_cases(rng):
     """(matrix, its eigenvalues or None): diagonal matrices with rational and
-    Q[t] eigenvalues, repeated ones included, then seeded dense matrices."""
+    Q[t] eigenvalues, repeated ones included, four matrices whose
+    characteristic polynomial has integer coefficients, then seeded dense
+    matrices."""
     half, t = Fraction(1, 2), RatPoly.variable()
     cases = [[half, -half], [half, half, Fraction(-1, 3)], [t * half, t * -half]]
     for _ in range(6):
         cases.append([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))])
         cases.append([RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-3, 3), rng.randint(1, 4))]) for _ in range(rng.randint(1, 3))])
     out = [(RationalMatrix.diagonal(roots), roots) for roots in cases]
+    # three projections and a nilpotent with entries over 2, 4 and 5: their
+    # characteristic polynomials, λ^2 - λ and λ^2, clear with D = 1
+    for rows, roots in (([[half, half], [half, half]], [0, 1]), ([[half, Fraction(1, 4)], [1, half]], [0, 1]),
+                        ([[Fraction(1, 5), Fraction(2, 5)], [Fraction(2, 5), Fraction(4, 5)]], [0, 1]),
+                        ([[half, -half], [half, -half]], [0, 0])):
+        out.append((RationalMatrix(rows), [Fraction(r) for r in roots]))
     for _ in range(8):
         n = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
@@ -1029,7 +1037,8 @@ def _char_poly_cases(rng):
 def test_char_poly_keeps_the_matrix_denominator_and_agrees_with_its_coefficients():
     """char_poly returns the scaled form (D, c_k = D^k a_k) with D the
     matrix's own denominator, which need not be the D that clearing its
-    coefficients gives: 2, not 4, for diag(1/2, -1/2).  Every operation on
+    coefficients gives: 2, not 1, for [[1/2, 1/2], [1/2, 1/2]], whose
+    characteristic polynomial is λ^2 - λ.  Every operation on
     it agrees with the same polynomial built from its coefficients and, for
     a diagonal matrix, from its eigenvalues."""
     rng = random.Random(4057)

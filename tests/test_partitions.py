@@ -11,8 +11,8 @@ from sheet_atlas.partitions import (
     is_valid_orbit_partition,
     partitions_of,
     profile,
-    walk,
 )
+from sheet_atlas import partitions, sheets
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d
 
 from oracles import (
@@ -157,24 +157,29 @@ def test_profile_json_roundtrip():
 
 def test_walk_is_every_partition_in_reverse_lexicographic_order():
     for n in range(15):
-        assert [parts for parts, _, _, _ in walk(n)] == partitions_by_recursion(n), n
+        assert [m.parts for m in partitions_of(n)] == partitions_by_recursion(n), n
 
 
 def test_walk_records_match_the_cell_oracle():
-    """d, |W_L| and the conjugate of each partition the walk reaches, against
-    the diagram's cells; and the walk along one partition's own parts, which
-    conjugate and gl_sheet take, gives the same values."""
+    """d, |W_L| and the conjugate of each partition the walk of the type A
+    listing reaches, against the diagram's cells; the text the walk carries
+    from parent to child and closes with the run of ones, written into each
+    record's name, against the parts written out; and the walk along one
+    partition's own parts, which conjugate and gl_sheet take, gives the same
+    values."""
     for n in range(1, 15):
-        for parts, d, w_l, conj in walk(n):
-            m = Partition(parts)
+        for desc in sheets._gl_walk(n, sheets._SHEETS, partitions._ROOT, n):
+            m = desc.levi.blocks
+            parts, d, w_l, conj = m.parts, desc.d, desc.w_l_order, list(desc.nilpotent_orbit.parts)
             fields = gl_record_fields(m)
+            assert desc.name == "gl%d:m=" % n + ",".join(map(str, parts)), parts
             assert (d, w_l) == (fields["d"], fields["w_l_order"]), parts
             assert conj == list(conjugate_by_cells(m).parts) == list(fields["nilpotent_orbit"].parts), parts
             assert conjugate_walk(parts) == (d, w_l, conj), parts
 
 
 def test_walk_of_zero_and_negative_n():
-    assert list(walk(0)) == [((), 0, 1, [])]
+    assert list(partitions_of(0)) == [Partition(())]
     assert conjugate_walk(()) == (0, 1, [])
     with pytest.raises(ValueError):
-        next(walk(-1))
+        next(partitions_of(-1))

@@ -150,19 +150,20 @@ def test_check_record_refuses_each_bad_record(case):
 
 
 def test_the_streamed_listing_checks_every_record(monkeypatch):
-    """A wrong d from the partition walk fails the record check, and the
-    CLI exits 1 with an error before writing anything, in both forms of the
-    listing and for one record.  The fault is in the walk's closing step,
-    which the listing and the walk of a single Levi partition share."""
+    """A wrong d from the function that closes each record fails the record
+    check, and the CLI exits 1 with an error before writing anything, in
+    both forms of the listing and for one record.  The fault is in
+    partitions._close, which the listing's loop calls on every node it
+    closes and gl_sheet on the node of its one Levi partition."""
     good = partitions._close
 
     def wrong_d(node, n):
-        parts, d, w_l, conj = good(node, n)
-        return parts, d + 1, w_l, conj
+        text, d, w_l, conj = good(node, n)
+        return text, d + 1, w_l, conj
 
     monkeypatch.setattr(partitions, "_close", wrong_d)
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
-    assert next(partitions.walk(5))[1] == 26
+    assert partitions.conjugate_walk((5,))[0] == 26
     with pytest.raises(ValueError, match="dim_sheet"):
         list(listing_json(type_a(5)))
     for argv in (["sheets", "--json"], ["sheets"], ["sheet-info", "--levi", "2,2,1"]):

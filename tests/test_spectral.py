@@ -17,7 +17,6 @@ from sheet_atlas.spectral import (
     poly_gcd,
     product_with_multiplicities,
     sp4_dix_image,
-    witness_noninjectivity,
 )
 
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     power,
     recover_tuple,
     value_at,
+    witness_noninjectivity,
 )
 
 
@@ -324,9 +324,11 @@ def test_witness_noninjectivity():
     for a in (1, 2, 3, Fraction(1, 2)):
         p1, p2 = witness_noninjectivity(a)
         assert p1 != p2
-        assert mu_s(p1) == mu_s(p2)
-    with pytest.raises(ValueError):
-        witness_noninjectivity(0)
+        assert mu_s(p1) == mu_s(p2) == poly_from_roots([a, a, -a, -a])
+        assert not in_heart(p1) and not in_heart(p2)
+    # at a = 0 the two points are one
+    p1, p2 = witness_noninjectivity(0)
+    assert p1 == p2 and mu_s(p1) == poly_from_roots([0, 0, 0, 0])
 
 
 def test_sp4_dix_image():
