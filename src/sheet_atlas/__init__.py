@@ -36,6 +36,6 @@ from .sheets import (
 from .triples import Sl2Triple, build_bcd_triple, build_gl_triple, sp4_flip_action, sp4_slice
 from .hitchin import component_count, dim_hitchin_base, h0_canonical_power, s_cameral_degree
 from .multiplicity import SlicePoint, inertia_order, orbit_method_multiplicity, polarisation_orbit_count
-from .realforms import SU, SOStar, abelianized_fiber_dim_is_positive, sheet_of_real_form, toledo, toledo_max
+from .realforms import SU, SOStar, abelianized_fiber_dim_is_positive, sheet_of_real_form, toledo_max
 
 __version__ = "0.1.0"

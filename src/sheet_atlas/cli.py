@@ -330,6 +330,10 @@ def cmd_mu_s(args) -> int:
     point = spectral.SheetBasePoint(prof, factors)
     image = spectral.mu_s(point)
     minimal = spectral.min_poly(point)
+    for name, poly in (("an image", image), ("a min poly", minimal)):
+        for c in poly.coeffs:  # Fractions, as every factor's coefficient is
+            _printable(c.numerator, "--factors", name + " coefficient")
+            _printable(c.denominator, "--factors", name + " coefficient")
     heart = spectral.in_heart(point)
     if _json_mode(args):
         print(json_text({

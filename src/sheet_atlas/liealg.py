@@ -48,7 +48,6 @@ from .scalars import (
     clear,
     format_scalar,
     height,
-    parse_scalar,
     run,
     scalars_over,
 )
@@ -214,10 +213,6 @@ class RationalMatrix:
 
     def to_json(self):
         return [[format_scalar(v) for v in r] for r in self.rows]
-
-    @classmethod
-    def from_json(cls, obj) -> "RationalMatrix":
-        return cls([[parse_scalar(v) for v in r] for r in obj])
 
 
 _index, _value = itemgetter(0), itemgetter(1)

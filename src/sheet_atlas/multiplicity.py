@@ -15,7 +15,6 @@ not computed or verified numerically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple
 
 from ._record import Record, _set
 from .sheets import SheetDescriptor

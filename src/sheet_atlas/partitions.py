@@ -34,10 +34,6 @@ class Partition(OrderedRecord):
         return sum(self.parts)
 
     @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    @property
     def largest(self) -> int:
         return self.parts[0] if self.parts else 0
 
@@ -80,11 +76,6 @@ class MultiplicityProfile(Record):
 
     def to_json(self) -> Dict[str, int]:
         return {str(i): c for i, c in self.items()}
-
-    @classmethod
-    def from_json(cls, obj) -> "MultiplicityProfile":
-        s = max((int(k) for k in obj), default=0)
-        return cls(tuple(int(obj.get(str(i), 0)) for i in range(1, s + 1)))
 
 
 # A node of the prefix tree of partitions: its parts >= 2, largest first, and

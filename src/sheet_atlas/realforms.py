@@ -91,13 +91,6 @@ class RealSheetReport(Record):
         }
 
 
-def toledo(p: int, q: int, deg_v: int, deg_w: int) -> Fraction:
-    """Characteristic number 2(q deg V - p deg W)/(p + q) of a U(p,q) pair."""
-    if p < 1 or q < 1:
-        raise ValueError("need p, q >= 1")
-    return Fraction(2 * (q * deg_v - p * deg_w), p + q)
-
-
 def toledo_max(q: int, g: int) -> int:
     """Largest value 2q(g-1) of the invariant on a genus-g curve."""
     return 2 * q * (g - 1)

@@ -215,15 +215,6 @@ def format_scalar(x: Scalar):
     return [str(c) for c in x.coeffs]
 
 
-def parse_scalar(obj) -> Scalar:
-    """Inverse of :func:`format_scalar`."""
-    if isinstance(obj, (str, int)):
-        return Fraction(obj)
-    if isinstance(obj, list):
-        return RatPoly([Fraction(c) for c in obj])
-    raise ValueError("cannot parse scalar from %r" % (obj,))
-
-
 # ---------------------------------------------------------------------------
 # Q[t] over the integer kernel: Kronecker substitution t = 2^S.
 

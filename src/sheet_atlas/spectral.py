@@ -53,7 +53,6 @@ from .scalars import (
     monic_division,
     norm,
     poly_gcd,
-    poly_trim,
     rescaled,
     run,
     scalar_is_zero,
@@ -116,14 +115,6 @@ class GradedPolynomial:
         return self.coeffs[k - 1]
 
     @classmethod
-    def one(cls) -> "GradedPolynomial":
-        return cls(())
-
-    @classmethod
-    def monomial(cls, d: int) -> "GradedPolynomial":
-        return cls((Fraction(0),) * d)
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "GradedPolynomial":
         """prod (λ - r): P = prod (μ - A) over the roots A/D.  Over Z[t]
         c_k = ±e_k(A), whose 1-norm is at most the sum over k-subsets of
@@ -148,22 +139,6 @@ class GradedPolynomial:
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return _product([(self, 1), (other, 1)])
-
-    def __pow__(self, k: int) -> "GradedPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        return _product([(self, k)])
-
-    def divmod(self, other: "GradedPolynomial"):
-        """Division by another monic polynomial; exact in the coefficient ring.
-
-        Both operands are monic, so the quotient is monic; a divisor of
-        larger degree is an error rather than a zero quotient.
-        """
-        den, values, symbol = scaled_divmod(self._scaled, other._scaled)
-        nquo = self.degree - other.degree
-        rem = scalars_over(values[nquo:], map(den.__pow__, count(nquo + 1)), symbol)
-        return _graded(den, values[:nquo], symbol), poly_trim(rem)
 
     def divides(self, other: "GradedPolynomial") -> bool:
         return self.degree <= other.degree and not any(scaled_divmod(other._scaled, self._scaled)[1][other.degree - self.degree :])
@@ -247,11 +222,7 @@ class SheetBasePoint(Record):
 
 def mu_s(point: SheetBasePoint) -> GradedPolynomial:
     """Composition into the full base: the product of ξ_i^i."""
-    return product_with_multiplicities(point.factors)
-
-
-def product_with_multiplicities(factors: Sequence[GradedPolynomial]) -> GradedPolynomial:
-    return _product([(xi, i) for i, xi in enumerate(factors, start=1)])
+    return _product([(xi, i) for i, xi in enumerate(point.factors, start=1)])
 
 
 def min_poly(point: SheetBasePoint) -> GradedPolynomial:

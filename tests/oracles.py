@@ -451,7 +451,7 @@ def recover_tuple(image: GradedPolynomial, prof: MultiplicityProfile) -> SheetBa
         w, rem = long_division(diff, a)
         assert not rem
     while len(factors) < prof.s:
-        factors.append(GradedPolynomial.one())
+        factors.append(GradedPolynomial(()))
     return SheetBasePoint(prof, factors[: prof.s])
 
 

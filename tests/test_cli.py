@@ -737,6 +737,17 @@ def test_answers_too_long_to_write_are_refused_by_their_fields(monkeypatch):
     assert (code, err) == (0, "") and json.loads(out)["extra"]["fixed_degree"] == str(12 * (genus - 1))
     refused(["realform", "--label", "SOSTAR:7", "--genus", str(genus + 1)],
             "--label and --genus give the fixed_degree of more than %d digits, too long to write" % limit)
+    # (λ + 1/R)(λ + 3)^2, R the repunit of k ones: its λ coefficient
+    # 9 + 6/R = (10^k + 5)/R has k + 1 digits over k, so k = L refuses it
+    for k in (limit - 1, limit):
+        argv = ["mu-s", "--profile", "2,1", "--factors=1/%s;3" % ("1" * k)]
+        if k < limit:
+            code, out, err = _serve(argv)
+            assert (code, err) == (0, "") and out.endswith("in heart: True\n")
+            code, out, err = _serve(argv + ["--json"])
+            assert (code, err) == (0, "") and json.loads(out)["image"]["coeffs"][1] == str(Fraction(10**k + 5, int("1" * k)))
+        else:
+            refused(argv, "--factors give an image coefficient of more than %d digits, too long to write" % limit)
 
 
 def test_realform_su_is_bounded_by_the_record_rank(monkeypatch):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -11,7 +10,6 @@ from sheet_atlas.realforms import (
     sheet_of_real_form,
     so_star_fixed_degree,
     su_sheet_partition,
-    toledo,
     toledo_max,
 )
 from sheet_atlas.sheets import Levi, gl_sheet
@@ -45,7 +43,7 @@ def test_quasi_split_iff_all_ones():
             m = rep.levi_description.blocks
             assert rep.quasi_split == (m == Partition([1] * (p + q)))
             assert m.n == p + q
-            assert m.num_parts == 2 * q + (1 if p > q else 0)
+            assert len(m) == 2 * q + (1 if p > q else 0)
 
 
 def test_su_sheet_descriptor():
@@ -58,14 +56,9 @@ def test_su_sheet_descriptor():
     assert desc.katsylo_order == 1
 
 
-def test_toledo():
-    assert toledo(2, 2, 2, -2) == 4
-    assert toledo(3, 1, 0, 0) == 0
-    assert toledo(3, 2, 1, 1) == Fraction(-2, 5)
+def test_toledo_max():
     assert toledo_max(2, 2) == 4
     assert toledo_max(3, 4) == 18
-    with pytest.raises(ValueError):
-        toledo(0, 1, 0, 0)
 
 
 def test_su_report_with_genus():

@@ -5,7 +5,7 @@ from math import isqrt, lcm, prod
 
 import pytest
 
-from sheet_atlas.scalars import T, RatPoly, _is_prime, _least_root, as_scalar, at, digits, format_scalar, parse_scalar, primes, weighted_den
+from sheet_atlas.scalars import T, RatPoly, _is_prime, _least_root, at, digits, format_scalar, primes, weighted_den
 from sheet_atlas.triples import formal_t
 
 from oracles import convolve_fractions, long_division, weighted_dens_by_trial_division
@@ -80,10 +80,12 @@ def test_constant_comparisons():
     assert RatPoly([]) == 0
 
 
-def test_scalar_format_roundtrip():
-    vals = [Fraction(3, 4), Fraction(-2), RatPoly([Fraction(0), Fraction(1, 3)])]
-    for v in vals:
-        assert parse_scalar(format_scalar(v)) == as_scalar(v)
+def test_format_scalar():
+    # rationals as "p/q" text, constants of Q[t] among them; others as their
+    # ascending coefficient texts
+    for v, text in ((Fraction(3, 4), "3/4"), (Fraction(-2), "-2"), (RatPoly.constant(Fraction(-5, 6)), "-5/6")):
+        assert format_scalar(v) == text
+    assert format_scalar(RatPoly([Fraction(0), Fraction(1, 3)])) == ["0", "1/3"]
 
 
 def test_equality_and_hash_read_the_coefficients():
@@ -96,8 +98,8 @@ def test_equality_and_hash_read_the_coefficients():
         assert eval(repr(p)) == p and hash(eval(repr(p))) == hash(p)
     # the one formal parameter t, however it is made
     t = RatPoly.variable()
-    assert t == formal_t() == parse_scalar(["0", "1"]) and str(t) == RatPoly.symbol == T
-    assert hash(t) == hash(formal_t()) == hash(parse_scalar(["0", "1"]))
+    assert t == formal_t() == RatPoly([Fraction(0), Fraction(1)]) and str(t) == RatPoly.symbol == T
+    assert hash(t) == hash(formal_t()) == hash(RatPoly([Fraction(0), Fraction(1)]))
 
 
 from hypothesis import given, strategies as st

@@ -1,21 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sheet_atlas import spectral
 from sheet_atlas.liealg import RationalMatrix, char_poly
-from sheet_atlas.partitions import Partition, partitions_of, profile
-from sheet_atlas.scalars import ZERO, RatPoly
+from sheet_atlas.partitions import MultiplicityProfile, Partition, partitions_of, profile
+from sheet_atlas.scalars import ZERO, RatPoly, poly_trim, scalars_over, scaled_divmod
 from sheet_atlas.spectral import (
     GradedPolynomial,
     SheetBasePoint,
+    _graded,
     in_heart,
     min_poly,
     mu_s,
     poly_gcd,
-    product_with_multiplicities,
     sp4_dix_image,
 )
 
@@ -37,6 +39,27 @@ def poly_from_roots(roots):
     return GradedPolynomial.from_roots([Fraction(r) for r in roots])
 
 
+def divide(p: GradedPolynomial, q: GradedPolynomial):
+    """Quotient and trimmed remainder of the monic p by the monic q, read
+    back from scalars.scaled_divmod on their scaled forms; checked against
+    oracles.long_division and against q.divides(p)."""
+    den, values, symbol = scaled_divmod(p._scaled, q._scaled)
+    nquo = p.degree - q.degree
+    quo = _graded(den, values[:nquo], symbol)
+    rem = poly_trim(scalars_over(values, map(den.__pow__, count(1)), symbol)[nquo:])
+    assert (quo.dense(), rem) == long_division(p.dense(), q.dense())
+    assert q.divides(p) == (not rem)
+    return quo, rem
+
+
+def times(*factors: GradedPolynomial) -> GradedPolynomial:
+    """The product of the factors by repeated *."""
+    out = GradedPolynomial(())
+    for f in factors:
+        out = out * f
+    return out
+
+
 def random_point(rng, m: Partition) -> SheetBasePoint:
     prof = profile(m)
     factors = []
@@ -49,14 +72,14 @@ def random_point(rng, m: Partition) -> SheetBasePoint:
 def test_mu_s_examples():
     prof = profile(Partition((2, 2)))
     xi2 = GradedPolynomial([Fraction(3), Fraction(-1)])  # λ^2 + 3λ - 1
-    point = SheetBasePoint(prof, (GradedPolynomial.one(), xi2))
+    point = SheetBasePoint(prof, (GradedPolynomial(()), xi2))
     assert mu_s(point) == xi2 * xi2
 
     # regular-sheet nilpotent point: single degree-n factor λ^n
     n = 5
     prof = profile(Partition([1] * n))
-    point = SheetBasePoint(prof, (GradedPolynomial.monomial(n),))
-    assert mu_s(point) == GradedPolynomial.monomial(n)
+    point = SheetBasePoint(prof, (GradedPolynomial([0] * n),))
+    assert mu_s(point) == GradedPolynomial([0] * n)
 
 
 def test_mu_s_witness_pair():
@@ -78,7 +101,7 @@ def test_min_poly_examples():
 
     prof = profile(Partition((2, 2)))
     xi2 = GradedPolynomial([Fraction(1), Fraction(1)])
-    point = SheetBasePoint(prof, (GradedPolynomial.one(), xi2))
+    point = SheetBasePoint(prof, (GradedPolynomial(()), xi2))
     assert min_poly(point) == xi2
 
 
@@ -95,9 +118,9 @@ def test_in_heart_symbolic_coefficients():
     t = RatPoly.variable()
     prof = profile(Partition((2, 2)))
     sq = GradedPolynomial([-2 * t, t * t])  # (λ - t)^2, not squarefree
-    assert not in_heart(SheetBasePoint(prof, (GradedPolynomial.one(), sq)))
+    assert not in_heart(SheetBasePoint(prof, (GradedPolynomial(()), sq)))
     free = GradedPolynomial([RatPoly([]), -(t * t)])  # (λ - t)(λ + t)
-    assert in_heart(SheetBasePoint(prof, (GradedPolynomial.one(), free)))
+    assert in_heart(SheetBasePoint(prof, (GradedPolynomial(()), free)))
 
 
 def test_is_squarefree_over_qt_seeded():
@@ -125,6 +148,30 @@ def test_is_squarefree_skips_vanishing_specialisations():
         assert not GradedPolynomial.from_roots([0, t0 * (t0 - 1) * (t0 - 2)]).is_squarefree()
     assert f.is_squarefree()
     assert not (f * f).is_squarefree()
+
+
+def test_is_squarefree_over_qt_walks_the_specialisations_when_the_lift_fails(monkeypatch):
+    """With the lift's height bound cut to 1, the lift runs at t = 4, where
+    both inputs below have the repeated root 4, and no candidate can be
+    proven; the walk over t0 = 0, ..., d(d-1)·w then decides.  For
+    (λ - t)(λ - t^2)(λ - 4) the roots first differ at t0 = 3; (λ - t)^2(λ - 4)
+    has a repeated root at every t0, so all 3·2·1 + 1 of them are tried."""
+    walked = []
+    squarefree_at = spectral._squarefree_at
+
+    def counted(values):
+        walked.append(values)
+        return squarefree_at(values)
+
+    monkeypatch.setattr(spectral, "_lift_bound", lambda c, norm1: 1)
+    monkeypatch.setattr(spectral, "_squarefree_at", counted)
+    t = RatPoly.variable()
+    for roots, squarefree, steps in (([t, t * t, 4], True, 4), ([t, t, 4], False, 7)):
+        walked.clear()
+        assert GradedPolynomial.from_roots(roots).is_squarefree() == squarefree
+        assert len(walked) == steps
+        # the oracle at the last t0 the walk tried
+        assert _squarefree_by_oracle([Fraction(v) for v in walked[-1]]) == squarefree
 
 
 ELL = 2**61 - 1  # the prime of the squarefreeness certificate
@@ -333,7 +380,7 @@ def test_witness_noninjectivity():
 
 def test_sp4_dix_image():
     assert sp4_dix_image(1) == GradedPolynomial([0, Fraction(-1), 0, 0])
-    assert sp4_dix_image(0) == GradedPolynomial.monomial(4)
+    assert sp4_dix_image(0) == GradedPolynomial([0] * 4)
     t = RatPoly.variable()
     img = sp4_dix_image(t)
     assert img.coefficient(2) == -(t * t)
@@ -357,8 +404,8 @@ def test_multiplicativity_in_each_factor():
     for slot in range(1, prof.s + 1):
         factors = list(point.factors)
         factors[slot - 1] = factors[slot - 1] * eta
-        lhs = product_with_multiplicities(factors)
-        assert lhs == mu_s(point) * eta**slot
+        lhs = mu_s(SheetBasePoint(profile(Partition((*m, slot))), factors))
+        assert lhs == times(mu_s(point), *[eta] * slot)
 
 
 
@@ -381,8 +428,8 @@ def test_products_and_division_by_evaluation():
         factors = list(point.factors)
         if trial % 4 == 3:
             factors[0] = GradedPolynomial([factors[0].coeffs[0] + t, *factors[0].coeffs[1:]])
-        image = product_with_multiplicities(factors)
-        minimal = min_poly(SheetBasePoint(point.profile, factors))
+        moved = SheetBasePoint(point.profile, factors)
+        image, minimal = mu_s(moved), min_poly(moved)
         for x in xs:
             expected, once = Fraction(1), Fraction(1)
             for i, xi in enumerate(factors, start=1):
@@ -401,7 +448,7 @@ def test_products_and_division_by_evaluation():
             (NON_DIVISOR, False),
         ]
         for divisor, divides in divisors:
-            quo, rem = image.divmod(divisor)
+            quo, rem = divide(image, divisor)
             assert len(rem) < divisor.degree + 1 and (not rem or rem[0] != 0)
             for x in xs:
                 rem_at_x = Fraction(0)
@@ -456,14 +503,14 @@ def test_products_and_division_specialisation_bounds_are_met():
     for k, dq in ((1, 1), (2, 2), (3, 1), (1, 2)):
         # λ^k mod (λ - t^dq) is t^(k dq), of full t-degree; λ mod (λ - r),
         # with r zero at t = 0, ..., dq - 1, is r
-        for p, q in ((GradedPolynomial.monomial(k), GradedPolynomial([RatPoly([0] * dq + [-1])])), (GradedPolynomial.monomial(1), GradedPolynomial([-falling_factorial(t, 0, dq)]))):
+        for p, q in ((GradedPolynomial([0] * k), GradedPolynomial([RatPoly([0] * dq + [-1])])), (GradedPolynomial([0]), GradedPolynomial([-falling_factorial(t, 0, dq)]))):
             quo, rem = _check_division(p, q)
             assert rem == [power(-q.coeffs[0], p.degree)] and rem[0].degree() == p.degree * dq
     # monic divisions of graded polynomials over Q[t], exact and not
     f = GradedPolynomial([t, Fraction(1, 3) * t * t, falling_factorial(t, 0, 3), Fraction(-2)])
     for g in (GradedPolynomial([falling_factorial(t, 0, 2)]), GradedPolynomial([t, Fraction(5, 7)]), COPRIME_DIVISOR):
-        assert (f * g).divmod(g) == (f, [])
-        quo, rem = f.divmod(g)
+        assert divide(f * g, g) == (f, [])
+        quo, rem = divide(f, g)
         assert rem
         for lam, t0 in SAMPLES:
             assert _value(quo.dense(), lam, t0) * _value(g.dense(), lam, t0) + _value(rem, lam, t0) == _value(
@@ -472,9 +519,9 @@ def test_products_and_division_specialisation_bounds_are_met():
 
 
 def _check_division(p, q):
-    """p.divmod(q) against p = quo q + rem by Horner at the sample points,
+    """divide(p, q) against p = quo q + rem by Horner at the sample points,
     with deg rem < deg q."""
-    quo, rem = p.divmod(q)
+    quo, rem = divide(p, q)
     assert quo.degree == p.degree - q.degree and len(rem) <= q.degree
     for lam, t0 in SAMPLES + [(Fraction(5, 4), Fraction(11)), (Fraction(-1), Fraction(-2, 9))]:
         assert _value(quo.dense(), lam, t0) * _value(q.dense(), lam, t0) + _value(rem, lam, t0) == _value(p.dense(), lam, t0)
@@ -501,7 +548,7 @@ def test_division_over_qt_up_to_degree_ten():
         image, minimal = mu_s(point), min_poly(point)
         quo, rem = _check_division(image, minimal)
         assert rem == [] and minimal.divides(image)
-        assert quo.dense() == product_with_multiplicities(factors[1:]).dense()
+        assert quo.dense() == mu_s(SheetBasePoint(MultiplicityProfile(prof.counts[1:]), factors[1:])).dense()
         # not weight-bounded: a_1 of t-degree 3, other coefficients raised
         p = GradedPolynomial([RatPoly([-2, 0, 0, 1]), *(c * (t * t + 1) if k % 2 else c for k, c in enumerate(image.coeffs))])
         _check_division(p, minimal)
@@ -515,12 +562,12 @@ def test_division_over_qt_up_to_degree_ten():
         # λ^k mod (λ^k + r λ^(k-1)), r zero at t = 0, 1: the remainder -r
         # λ^(k-1) has t-degree dp + (nquo + 1) dq = 2, below the weight count 2k
         r = falling_factorial(t, 0, 2)
-        quo, rem = _check_division(GradedPolynomial.monomial(k), GradedPolynomial([r, *[Fraction(0)] * (k - 1)]))
+        quo, rem = _check_division(GradedPolynomial([0] * k), GradedPolynomial([r, *[Fraction(0)] * (k - 1)]))
         assert rem[0] == -r
 
 
 def test_product_height_bounds_are_outgrown():
-    """from_roots, ** and * over Q[t] where a coefficient of the answer
+    """from_roots and * over Q[t] where a coefficient of the answer
     (27 t^3, then 3^6 t^6 and more) is far above the largest 1-norm of an
     input (3), so that reading the answer at t = 2^S needs the product
     bounds: against the root expansion by plain RatPoly arithmetic."""
@@ -529,14 +576,14 @@ def test_product_height_bounds_are_outgrown():
     assert cube.dense()[-1] == RatPoly([0, 0, 0, -27])
     assert GradedPolynomial.from_roots([3 * t] * 3) == cube
     linear = GradedPolynomial([-3 * t])
-    assert linear**3 == cube and linear * linear * linear == cube
-    assert (linear**6).dense() == expand_roots([3 * t] * 6)
+    assert linear * linear * linear == cube
+    assert times(*[linear] * 6).dense() == expand_roots([3 * t] * 6)
     # mu_s and min_poly raise and multiply the rescaled factors (D = 2 and 3)
     xi1, xi2 = GradedPolynomial([Fraction(-3, 2) * t]), GradedPolynomial([Fraction(-5, 3) * t, Fraction(4, 3) * t])
     point = SheetBasePoint(_staircase(2, 1), [xi1, GradedPolynomial.from_roots([Fraction(-7, 3) * t])])
     assert mu_s(point).dense() == expand_roots([Fraction(3, 2) * t, Fraction(-7, 3) * t, Fraction(-7, 3) * t])
     assert min_poly(point).dense() == expand_roots([Fraction(3, 2) * t, Fraction(-7, 3) * t])
-    assert (xi1 * xi2**4).dense() == _dense_product([xi1.dense()] + [xi2.dense()] * 4)
+    assert times(xi1, *[xi2] * 4).dense() == _dense_product([xi1.dense()] + [xi2.dense()] * 4)
 
 
 def _dense_product(dense_factors):
@@ -554,22 +601,19 @@ def test_division_whose_remainder_outgrows_the_first_guess():
     1 · (1 + 5), and seeded dividends by λ^2 + 7t λ - 9t^2/2.  Against
     long division by plain RatPoly arithmetic."""
     t = RatPoly.variable()
-    cases = [(GradedPolynomial.monomial(6), GradedPolynomial([Fraction(-5, 3) * t]))]
+    cases = [(GradedPolynomial([0] * 6), GradedPolynomial([Fraction(-5, 3) * t]))]
     rng = random.Random(1618)
     divisor = GradedPolynomial([7 * t, Fraction(-9, 2) * t * t])
     for d in range(2, 12):
         cases.append((GradedPolynomial([RatPoly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(d)]), divisor))
-    cases.append((GradedPolynomial.monomial(9) * divisor, divisor))
+    cases.append((GradedPolynomial([0] * 9) * divisor, divisor))
     for p, q in cases:
-        want_quo, want_rem = long_division(p.dense(), q.dense())
-        quo, rem = p.divmod(q)
-        assert (quo.dense(), rem) == (want_quo, want_rem)
-        assert q.divides(p) == (not want_rem)
-    assert cases[0][0].divmod(cases[0][1])[1] == [power(Fraction(5, 3) * t, 6)]
+        divide(p, q)
+    assert divide(*cases[0])[1] == [power(Fraction(5, 3) * t, 6)]
 
 
 def test_mu_s_min_poly_and_divides_over_qt_at_degree_forty():
-    """mu_s, min_poly, divides and divmod on a Q[t] point of a profile with
+    """mu_s, min_poly, divides and the division on a Q[t] point of a profile with
     n = 40, roots r + s t: against the root expansion by plain RatPoly
     arithmetic, each factor's roots repeated by its multiplicity."""
     rng = random.Random(4040)
@@ -583,12 +627,12 @@ def test_mu_s_min_poly_and_divides_over_qt_at_degree_forty():
     assert image.dense() == expand_roots([r for i, rs in roots.items() for r in rs for _ in range(i)])
     assert minimal.dense() == expand_roots([r for rs in roots.values() for r in rs])
     assert minimal.divides(image)
-    quo, rem = image.divmod(minimal)
+    quo, rem = divide(image, minimal)
     assert rem == [] and quo.dense() == expand_roots([r for i, rs in roots.items() for r in rs for _ in range(i - 1)])
     # one root moved: not a divisor, and the remainder is long division's
     other = GradedPolynomial.from_roots([roots[1][0] + 1, *[r for rs in roots.values() for r in rs][1:]])
     assert not other.divides(image)
-    assert image.divmod(other)[1] == long_division(image.dense(), other.dense())[1]
+    assert divide(image, other)[1]
 
 
 def coprime_heart_point(rng, m: Partition, pool):
@@ -633,7 +677,7 @@ def test_monic_division_rejects_nonmonic():
 def test_divmod_reconstructs(coeffs):
     f = GradedPolynomial([Fraction(c) for c in coeffs])
     g = GradedPolynomial([Fraction(1), Fraction(-2)])
-    quo, rem = f.divmod(g)
+    quo, rem = divide(f, g)
     rebuilt = quo * g
     dense = rebuilt.dense()
     dense = [Fraction(c) for c in dense]
@@ -711,7 +755,7 @@ def test_scaled_route_against_oracles_rational(pool):
         expected = _divides_by_roots(divisor_roots, every)
         assert divisor.divides(image) == expected
         assert (gcd_by_euclid(image.dense(), divisor.dense()) == divisor.dense()) == expected
-        quo, rem = image.divmod(divisor)
+        quo, rem = divide(image, divisor)
         assert (not rem) == expected
         if expected:
             rest = list(every)
@@ -772,10 +816,10 @@ def _routes(roots):
     point = SheetBasePoint(profile(Partition((2, *[1] * len(roots)))), (whole, GradedPolynomial.from_roots([b])))
     yield whole, roots
     yield first * rest, roots
-    yield whole**2, roots * 2
+    yield whole * whole, roots * 2
     yield mu_s(point), [*roots, b, b]
     yield min_poly(point), [*roots, b]
-    quo, rem = (whole * GradedPolynomial.from_roots([b, b])).divmod(GradedPolynomial.from_roots([b]))
+    quo, rem = divide(whole * GradedPolynomial.from_roots([b, b]), GradedPolynomial.from_roots([b]))
     assert rem == []
     yield quo, [*roots, b]
 
