@@ -21,7 +21,8 @@ form (D, c_k = D^k a_k) and builds its coefficients on first read.  With
 entries in Q[t] the same integer routine runs once at t = 2^S, for an S
 above a proven bound on the height of its result
 (:func:`~sheet_atlas.scalars.run`), and the integer values are read back
-exactly as balanced base-2^S digits.
+exactly as balanced base-2^S digits.  A conjugation by a permutation
+(:meth:`RationalMatrix.permuted`) only relabels the stored rows.
 There is one elimination, sparse and fraction-free with Markowitz-style
 pivots: its pivot rows give centraliser ranks, on the ad x rows that a
 model fills from its basis, and read back in reverse order they give the
@@ -97,12 +98,19 @@ class RationalMatrix:
         dropped, D and every integer are divided by their gcd, and the
         symbol is dropped when no entry is a non-constant polynomial.
         """
-        rows = [tuple(filter(_value, row)) for row in rows]
-        if symbol and all(len(v) == 1 for row in rows for _, v in row):
-            rows, symbol = [tuple((j, v[0]) for j, v in row) for row in rows], None
         if symbol:
-            g = gcd(den, *(c for row in rows for _, v in row for c in v)) if den > 1 else 1
-            rows = [tuple((j, tuple(c // g for c in v)) for j, v in row) for row in rows]
+            # tuple(v) keeps a tuple v as it is; the one list of coefficients
+            # serves both the all-constant test and the gcd
+            rows = [tuple([(j, tuple(v)) for j, v in row if v]) for row in rows]
+            coeffs = [c for row in rows for _, v in row for c in v]
+            if len(coeffs) == sum(map(len, rows)):
+                rows, symbol = [tuple([(j, v[0]) for j, v in row]) for row in rows], None
+        else:
+            rows = [tuple(filter(_value, row)) for row in rows]
+        if symbol:
+            g = gcd(den, *coeffs) if den > 1 else 1
+            if g > 1:
+                rows = [tuple([(j, tuple([c // g for c in v])) for j, v in row]) for row in rows]
         else:
             g = gcd(den, *map(_value, chain.from_iterable(rows))) if den > 1 else 1
             if g > 1:
@@ -188,6 +196,16 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix.from_cleared(self.dim, self.den, _columns(self.nz), self.symbol)
+
+    def permuted(self, p: Sequence[int]) -> "RationalMatrix":
+        """P x P⁻¹ for the permutation matrix P with P e_i = e_p[i]: entry
+        (p[i], p[j]) is x[i][j].  It relabels the cleared rows and does no
+        arithmetic."""
+        rows: List[list] = [[]] * self.dim
+        for i, row in zip(p, self.nz):
+            # the new columns of a row are distinct, so no value is compared
+            rows[i] = sorted([(p[j], v) for j, v in row])
+        return RationalMatrix.from_cleared(self.dim, self.den, rows, self.symbol)
 
     def is_zero(self) -> bool:
         return not any(self.nz)

@@ -10,6 +10,7 @@ uncorrected t^2 behind an as_printed flag for comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ._record import Record, _set
@@ -332,7 +333,10 @@ def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: b
 # --- Rank-2 symplectic artifacts -------------------------------------------------
 
 
+@cache
 def sp4_model() -> LieAlgebraModel:
+    """The model of sp_4 for the unit symplectic form, built once per
+    process (its basis-size check runs at that build)."""
     return build_model(type_c(2), sp_gram(4))
 
 
@@ -340,9 +344,14 @@ def sp4_e() -> RationalMatrix:
     return RationalMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
 
 
+SP4_FLIP = (1, 0, 3, 2)  # the flip as the permutation σ of the basis: e_1 <-> e_2, e_3 <-> e_4
+
+
 def sp4_flip_matrix() -> RationalMatrix:
-    """Order-2 symplectic element generating the component group of e."""
-    return RationalMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    """Order-2 symplectic element generating the component group of e: the
+    permutation matrix P of :data:`SP4_FLIP`, P e_i = e_σ(i).  σ is an
+    involution, so row i holds its one entry in column σ(i)."""
+    return RationalMatrix.from_cleared(4, 1, [[(j, 1)] for j in SP4_FLIP])
 
 
 def formal_t() -> RatPoly:
@@ -371,10 +380,11 @@ def sp4_slice(t, as_printed: bool = False) -> RationalMatrix:
 
 
 def sp4_flip_action(t, as_printed: bool = False) -> RationalMatrix:
-    """Conjugate x_t by the flip; equals x_{-t}, and this is checked."""
-    s = sp4_flip_matrix()
-    x = sp4_slice(t, as_printed=as_printed)
-    conj = s @ x @ s  # s is an involution
+    """Conjugate x_t by the flip s; equals x_{-t}, and this is checked.
+    s permutes the basis by :data:`SP4_FLIP`, so s x_t s⁻¹ relabels the
+    cleared form of x_t (:meth:`~sheet_atlas.liealg.RationalMatrix.permuted`)
+    and takes no matrix product."""
+    conj = sp4_slice(t, as_printed=as_printed).permuted(SP4_FLIP)
     expected = sp4_slice(-as_scalar(t), as_printed=as_printed)
     if conj != expected:
         raise AssertionError("flip action did not negate the slice parameter")

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sheet_atlas.liealg import (
     ClassicalForm,
@@ -815,6 +816,32 @@ def test_a_rational_matrix_scaled_by_t_is_over_qt():
         assert out.symbol == ("t" if not x.is_zero() else None)
         assert _dense(out) == [[t * v for v in r] for r in x.rows]
         assert out.scale(Fraction(1, 2)) == x.scale(t * Fraction(1, 2))
+
+
+_FRAC = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_ENTRIES = {False: _FRAC, True: st.one_of(_FRAC, st.lists(_FRAC, max_size=4).map(RatPoly))}
+
+
+@st.composite
+def _matrix_and_permutation(draw):
+    """A rational or Q[t] matrix of size 1-6 and a permutation of its indices."""
+    n = draw(st.integers(1, 6))
+    entry = _ENTRIES[draw(st.booleans())]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return RationalMatrix(rows), draw(st.permutations(range(n)))
+
+
+@given(_matrix_and_permutation())
+def test_permuted_is_conjugation_by_the_permutation_matrix(case):
+    """x.permuted(p) is P x P^T through two matrix products, for the P with
+    P e_i = e_p[i]: the same cleared form and hash, and entry (p[i], p[j])
+    is x[i][j]."""
+    x, p = case
+    n = x.dim
+    pm = RationalMatrix([[int(p[j] == i) for j in range(n)] for i in range(n)])
+    out, expected = x.permuted(p), pm @ x @ pm.transpose()
+    assert out == expected and hash(out) == hash(expected)
+    assert all(out.entry(p[i], p[j]) == x.entry(i, j) for i in range(n) for j in range(n))
 
 
 def test_from_cleared_over_one_keeps_entries_sharing_a_factor():

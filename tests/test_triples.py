@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from sheet_atlas.liealg import RationalMatrix, bracket, centralizer_dim, char_poly, in_algebra
+from sheet_atlas.liealg import RationalMatrix, bracket, build_model, centralizer_dim, char_poly, in_algebra, sp_gram
 from sheet_atlas.partitions import Partition
 from sheet_atlas.sheets import MaxLevi, maximal_levi_sheet, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import sp4_dix_image
 from sheet_atlas.triples import (
+    SP4_FLIP,
     Sl2Triple,
     build_bcd_triple,
     build_gl_triple,
@@ -169,6 +170,27 @@ def test_sp4_flip_action():
     gram = sp4_model().form.gram
     assert s.transpose() @ gram @ s == gram  # s is symplectic
     assert sp4_flip_action(t, as_printed=True) == sp4_slice(-t, as_printed=True)
+
+
+def test_sp4_flip_is_the_permutation_sigma():
+    """The flip matrix is the permutation matrix of σ = SP4_FLIP, and
+    relabelling x_t by σ gives x_{-t}; the identity and (2, 3, 0, 1) do not,
+    so the flip check tells σ from other permutations."""
+    assert SP4_FLIP == (1, 0, 3, 2)
+    assert sp4_flip_matrix() == RationalMatrix([[int(SP4_FLIP[j] == i) for j in range(4)] for i in range(4)])
+    for tv in (formal_t(), Fraction(3, 2), -2):
+        for as_printed in (False, True):
+            x = sp4_slice(tv, as_printed=as_printed)
+            assert x.permuted(SP4_FLIP) == sp4_slice(-tv, as_printed=as_printed)
+            assert x.permuted((0, 1, 2, 3)) != sp4_slice(-tv, as_printed=as_printed)
+            assert x.permuted((2, 3, 0, 1)) != sp4_slice(-tv, as_printed=as_printed)
+
+
+def test_sp4_model_is_built_once():
+    """One model per process, equal to a fresh build (whose basis-size check
+    runs there)."""
+    assert sp4_model() is sp4_model()
+    assert sp4_model() == build_model(type_c(2), sp_gram(4))
 
 
 def test_sp4_slice_stabiliser_degeneration():
