@@ -276,7 +276,7 @@ def _on_integers(mats: Sequence[RationalMatrix], bound, kernel, *scalars: Cleare
     flat = [[v for row in x.nz for _, v in row] for x in mats]
     forms = [(x.den, v if x.symbol else x.nz, x.symbol) for x, v in zip(mats, flat)] + list(scalars)
     heights = lambda: bound(*map(height, flat), *(height(c) for _, c, _ in scalars))
-    return run(forms, heights, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)], *values[len(mats) :]))
+    return run(forms, heights, lambda *values: kernel(*[_rows(x.nz, v) if x.symbol else v for x, v in zip(mats, values)], *values[len(mats) :]))[:2]
 
 
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

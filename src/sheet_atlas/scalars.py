@@ -10,9 +10,11 @@ cleared of denominators once by :func:`clear`; :func:`run` runs an integer
 routine on cleared inputs, for inputs in Q[t] once at t = 2^S (Kronecker
 substitution), S taken from a proven bound on the height of its result,
 and reads each integer value back to Z[t] exactly as its balanced
-base-2^S digits.  A monic division, whose result has no usable a priori
-bound, guesses S and proves its digits by an exact identity
-(:func:`scaled_divmod`).  A gcd over Q is Brown's modular gcd
+base-2^S digits; a Z[t] result may keep its values at 2^S and that bound
+(:data:`Held`) for later runs.  A monic division, whose result has no
+usable a priori bound, guesses S and proves its digits by an exact
+identity (:func:`scaled_divmod`), starting from a height its operands
+hold when they carry one.  A gcd over Q is Brown's modular gcd
 (:func:`poly_gcd`): residues modulo primes certify a gcd of 1, and any
 other gcd is returned only once it divides both inputs exactly.
 """
@@ -23,7 +25,7 @@ from functools import cache
 from itertools import accumulate, count, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 # One shared zero: every zero Fraction that scalars_over builds, and every zero
 # entry of a rational matrix's dense view, is this object.
@@ -108,8 +110,9 @@ class RatPoly:
         return -(self - other)
 
     def __mul__(self, other):
-        other = _to_ratpoly(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return RatPoly([c * other for c in self.coeffs])
+        if not isinstance(other, RatPoly):
             return NotImplemented
         # the convolution of the cleared coefficients, over Da Db
         (da, a, _), (db, b, _) = clear(self.coeffs), clear(other.coeffs)
@@ -233,6 +236,8 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
         if any([len(x.coeffs) > 1 for x in scalars if type(x) is RatPoly]):
             cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
             d = lcm(*[x.denominator for c in cs for x in c])
+            if d == 1:
+                return d, [[x.numerator for x in c] for c in cs], T
             weights = accumulate(repeat(d), mul) if weighted else repeat(d)
             return d, [[x.numerator * (w // x.denominator) for x in c] for c, w in zip(cs, weights)], T
         scalars = [x.constant_value() if type(x) is RatPoly else x for x in scalars]
@@ -396,21 +401,49 @@ def scaled_norm(c: Sequence, r: int = 1) -> int:
     return 1 + sum(r**k * norm(v) for k, v in enumerate(c, start=1))
 
 
-def run(forms: Sequence[Cleared], bound: Callable[[], int], kernel: Callable[..., list]) -> Tuple[list, Optional[str]]:
-    """(output, symbol) of ``kernel`` on the integer lists c of the forms:
-    one pass for rational forms, else one pass at t = 2^S by Kronecker
-    substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
-    §8.4).  The kernel may use only ring operations and exact divisions, so
-    that it commutes with t = 2^S; bound() must bound every t-coefficient
-    of every output as an integer polynomial in t, and S = bitlen(bound())
-    + 1 (at least 2) puts each coefficient strictly inside the balanced
-    digit range, so that each output is read back exactly as its digits
-    (:func:`digits`)."""
+# What a Z[t] scaled form carries beside its digits: a proven bound on its
+# 1-norm, and its integer values at t = 2^S, by S, for each S at which it
+# was read.
+Held = Tuple[int, Dict[int, List[int]]]
+
+
+def run(
+    forms: Sequence[Cleared],
+    bound: Callable[[], int],
+    kernel: Callable[..., list],
+    held: Optional[Sequence[Dict[int, List[int]]]] = None,
+    spare: int = 0,
+) -> Tuple[list, Optional[str], Optional[Held]]:
+    """(output, symbol, carried) of ``kernel`` on the integer lists c of the
+    forms: one pass for rational forms, else one pass at t = 2^S by
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, §8.4).  The kernel may use only ring operations and exact
+    divisions, so that it commutes with t = 2^S; bound() must bound every
+    t-coefficient of every output as an integer polynomial in t, and S =
+    bitlen(bound()) + 1 (at least 2), plus ``spare`` bits, puts each
+    coefficient strictly inside the balanced digit range, so that each
+    output is read back exactly as its digits (:func:`digits`).
+
+    ``held``, if given, holds per form its values by S (as in
+    :data:`Held`): a Z[t] form is evaluated (:func:`at`) only when it holds
+    none at S, and then keeps them.  ``carried`` is None for rational
+    forms, else (bound(), {S: the output's values}): what a Z[t] result
+    carries when bound() also bounds its 1-norm."""
     if not any([s for _, _, s in forms]):
-        return kernel(*[c for _, c, _ in forms]), None
-    s = max(bound(), 1).bit_length() + 1
-    values = kernel(*[at(c, 1 << s) if sym else c for _, c, sym in forms])
-    return [digits(v, s) for v in values], T
+        return kernel(*[c for _, c, _ in forms]), None, None
+    b = bound()
+    s = max(b, 1).bit_length() + 1 + spare
+    if held is None:
+        values = kernel(*[at(c, 1 << s) if sym else c for _, c, sym in forms])
+    else:
+        args = []
+        for (_, c, sym), x in zip(forms, held):
+            if sym:
+                values = x.get(s)
+                c = x[s] = at(c, 1 << s) if values is None else values
+            args.append(c)
+        values = kernel(*args)
+    return [digits(v, s) for v in values], T, (b, {s: values})
 
 
 def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -> List[Scalar]:
@@ -440,7 +473,7 @@ def rescaled(c: List[int], r: int) -> List[int]:
     return c if r == 1 else [v * r**k for k, v in enumerate(c, start=1)]
 
 
-def scaled_divmod(p: Cleared, q: Cleared) -> Cleared:
+def scaled_divmod(p: Cleared, q: Cleared, held: Optional[Callable[[], Sequence[Held]]] = None, zero_test: bool = False) -> Cleared:
     """(D, values, symbol): monic p of degree n divided by monic q of degree
     m <= n, read as scaled forms (D_p, c, symbol), P(μ) = D_p^n p(μ/D_p) in
     Z[μ] (the substitution λ = μ/D of von zur Gathen and Gerhard, Modern
@@ -449,13 +482,23 @@ def scaled_divmod(p: Cleared, q: Cleared) -> Cleared:
     then the remainder, the value of weight j standing for value / D^j.
 
     Over Z[t] the quotient and remainder have no usable a priori height
-    bound, so the division runs at t = 2^S for a guessed bound, first
-    ‖P‖₁ ‖Q‖₁, and its digits are proven by the identity P = Q quo + rem:
-    the division at 2^S makes it hold there, and every t-coefficient of
-    P - Q quo - rem is at most ‖P‖₁ + ‖Q‖₁ ‖quo‖₁ + ‖rem‖₁, so below
-    2^(S-1) it holds in Z[t][μ], where monic division is unique.
-    Otherwise the division runs again at the larger of that bound and the
-    square of the guess."""
+    bound, so the division runs at t = 2^S for a guessed S and its digits
+    are proven by the identity P = Q quo + rem: the division at 2^S makes
+    it hold there, and every t-coefficient of P - Q quo - rem is at most
+    ‖P‖₁ + ‖Q‖₁ ‖quo‖₁ + ‖rem‖₁, so below 2^(S-1) it holds in Z[t][μ],
+    where monic division is unique.  Otherwise the division runs again at
+    the larger of that bound and the square of the guess.
+
+    ``held`` returns what p and q carry (:data:`Held`, as from
+    :func:`run`); without it they carry their 1-norms and no values.  A
+    bound, times r^n for a form of degree n rescaled by r, stands for
+    ‖P‖₁ or ‖Q‖₁.  The first S is the largest at which either holds its
+    values, when 2^(S-1) is above both bounds, and otherwise
+    bitlen(‖P‖₁ ‖Q‖₁) + 1.  A form is evaluated only at an S where it
+    holds no values, and keeps them.  With ``zero_test`` only whether the
+    remainder vanishes is wanted: its values at 2^S, when not all 0, end
+    the loop unproven, since the remainder of P by Q in Z[t][μ] takes
+    those values there."""
     nquo = len(p[1]) - len(q[1])
     if nquo < 0:
         raise ValueError("divisor degree exceeds dividend degree")
@@ -467,10 +510,14 @@ def scaled_divmod(p: Cleared, q: Cleared) -> Cleared:
 
     if not (p[2] or q[2]):
         return den, divide(p[1], q[1]), None
-    norm_p, norm_q = scaled_norm(p[1], rp), scaled_norm(q[1], rq)
-    guess = norm_p * norm_q
+    (norm_p, at_p), (norm_q, at_q) = held() if held else ((scaled_norm(p[1]), {}), (scaled_norm(q[1]), {}))
+    norm_p, norm_q = norm_p * rp ** len(p[1]), norm_q * rq ** len(q[1])
+    top = 1 << max([*at_p, *at_q], default=1) - 1
+    guess = top - 1 if top > max(norm_p, norm_q) else norm_p * norm_q
     while True:
-        values, symbol = run([p, q], lambda: guess, divide)
+        values, symbol, _ = run([p, q], lambda: guess, divide, (at_p, at_q))
+        if zero_test and any(values[nquo:]):
+            return den, values, symbol
         identity = norm_p + norm_q * scaled_norm(values[:nquo]) + sum(map(norm, values[nquo:]))
         if identity.bit_length() <= guess.bit_length():
             return den, values, symbol

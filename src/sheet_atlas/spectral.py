@@ -18,8 +18,12 @@ convolve; monic division is synthetic division in Z[μ] after the same
 rescaling.  Over Q[t] the same routine runs once on P(2^S), S taken from a
 proven height bound (a guessed one for division, proven by an exact
 identity afterwards), and the answer's coefficients are read back as
-balanced base-2^S digits.  Gcds are taken over Q only, by Brown's modular
-gcd (:func:`~sheet_atlas.scalars.poly_gcd`).  The heart test,
+balanced base-2^S digits.  A Z[t] result of ``from_roots`` or of a product
+also keeps its values at 2^S and the bound that chose S, which bounds its
+1-norm: a later product takes its bound from its factors' instead of
+summing their digits, and a division starts at a height an operand holds,
+evaluating only the one that holds none there.  Gcds are taken over Q
+only, by Brown's modular gcd (:func:`~sheet_atlas.scalars.poly_gcd`).  The heart test,
 squarefreeness over Q(t) (:meth:`GradedPolynomial.is_squarefree`), answers
 "squarefree" only on a certificate, P coprime to P' modulo a prime at some
 t = t0, and "not squarefree" only once a monic G of degree >= 1 divides P
@@ -39,6 +43,7 @@ from .partitions import MultiplicityProfile
 from .scalars import (
     CERTIFICATE_PRIME,
     Cleared,
+    Held,
     RatPoly,
     Scalar,
     as_scalar,
@@ -78,7 +83,10 @@ class GradedPolynomial:
     Z[symbol], for any D that makes them so.  A polynomial made by an
     operation (``char_poly`` included) stores only that form and builds
     ``coeffs`` on first read; one made from coefficients stores them and
-    clears them on first use.  ``degree`` is set from either.
+    clears them on first use.  ``degree`` is set from either.  Over Z[t] a
+    result of ``from_roots`` or of a product also carries ``_held`` (see
+    :meth:`_carried`): a bound on its 1-norm and its values at the 2^S it
+    was computed at, to which a division adds the values it evaluates.
     """
 
     def __init__(self, coeffs: Sequence = ()):
@@ -96,6 +104,16 @@ class GradedPolynomial:
     @cached_property
     def _scaled(self) -> Cleared:
         return clear(self.coeffs, weighted=True)
+
+    def _carried(self) -> Held:
+        """What the scaled form carries (:data:`~sheet_atlas.scalars.Held`):
+        a Z[t] result's bound and values, as :func:`_graded` stored them;
+        otherwise its 1-norm and no values yet, computed on the first call
+        and kept."""
+        held = self.__dict__.get("_held")
+        if held is None:
+            held = self.__dict__["_held"] = (scaled_norm(self._scaled[1]), {})
+        return held
 
     def __eq__(self, other):
         return self.coeffs == other.coeffs if isinstance(other, GradedPolynomial) else NotImplemented
@@ -141,7 +159,19 @@ class GradedPolynomial:
         return _product([(self, 1), (other, 1)])
 
     def divides(self, other: "GradedPolynomial") -> bool:
-        return self.degree <= other.degree and not any(scaled_divmod(other._scaled, self._scaled)[1][other.degree - self.degree :])
+        """Whether self divides other: :func:`~sheet_atlas.scalars.scaled_divmod`
+        on their scaled forms and what they carry (:meth:`_carried`).  Over
+        Z[t] the first division is at the largest S at which either holds
+        its values, with the carried 1-norm bounds; the other is evaluated
+        there once and keeps the values.  A remainder value at 2^S other
+        than 0 answers False at once; a zero one answers True when
+        ‖other‖₁ + ‖self‖₁ ‖quo‖₁ < 2^(S-1), else the division runs again
+        higher.  For min_poly(point) and mu_s(point) that S is mu_s's, and
+        the identity holds there: the quotient prod xi_i^(i-1) has
+        ‖min_poly‖₁ ‖quo‖₁ <= prod ‖P_i‖₁^i too, and mu_s's S has a bit to
+        spare."""
+        nquo = other.degree - self.degree
+        return nquo >= 0 and not any(scaled_divmod(other._scaled, self._scaled, lambda: (other._carried(), self._carried()), zero_test=True)[1][nquo:])
 
     def is_squarefree(self) -> bool:
         """True iff the polynomial has no repeated root over Q(t).
@@ -221,8 +251,11 @@ class SheetBasePoint(Record):
 
 
 def mu_s(point: SheetBasePoint) -> GradedPolynomial:
-    """Composition into the full base: the product of ξ_i^i."""
-    return _product([(xi, i) for i, xi in enumerate(point.factors, start=1)])
+    """Composition into the full base: the product of ξ_i^i.  Over Q[t] it
+    runs one bit above the least S, at 2^(S-1) > 2 prod ‖P_i‖₁^i, so that
+    min_poly(point).divides(mu_s(point)) is proven at this S on its first
+    division (:meth:`GradedPolynomial.divides`)."""
+    return _product([(xi, i) for i, xi in enumerate(point.factors, start=1)], 1)
 
 
 def min_poly(point: SheetBasePoint) -> GradedPolynomial:
@@ -230,12 +263,14 @@ def min_poly(point: SheetBasePoint) -> GradedPolynomial:
     return _product([(xi, 1) for xi in point.factors])
 
 
-def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial:
+def _product(powers: Sequence[Tuple[GradedPolynomial, int]], spare: int = 0) -> GradedPolynomial:
     """Product of xi**e over (xi, e) pairs: each P_i rescaled to D =
     lcm(D_i), raised to its power e_i by repeated squaring and convolved.
     The 1-norm over every μ- and t-coefficient is submultiplicative, so
-    over Z[t] every t-coefficient of the product is at most
-    prod ‖P_i‖₁^(e_i), on the rescaled P_i.
+    over Z[t] the product's 1-norm, and so every t-coefficient, is at most
+    prod ‖P_i‖₁^(e_i), on the rescaled P_i: from the bounds the P_i carry,
+    times r_i^(deg P_i) for a P_i rescaled by r_i.  ``spare`` bits are
+    added to run's S (:func:`~sheet_atlas.scalars.run`).
     """
     forms = [xi._scaled for xi, _ in powers]
     den = lcm(*[d for d, _, _ in forms])
@@ -248,9 +283,9 @@ def _product(powers: Sequence[Tuple[GradedPolynomial, int]]) -> GradedPolynomial
         return acc[1:]
 
     def bound():
-        return prod([scaled_norm(c, den // d) ** e for (d, c, _), (_, e) in zip(forms, powers)])
+        return prod([(xi._carried()[0] * (den // d) ** len(c) if sym else scaled_norm(c, den // d)) ** e for (d, c, sym), (xi, e) in zip(forms, powers)])
 
-    return _graded(den, *run(forms, bound, convolve))
+    return _graded(den, *run(forms, bound, convolve, None, spare))
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -268,10 +303,14 @@ def sp4_dix_image(b) -> GradedPolynomial:
 # Scaled forms (D, c, symbol), as from :func:`~sheet_atlas.scalars.clear`.
 
 
-def _graded(den: int, values: list, symbol: Optional[str]) -> GradedPolynomial:
-    """The monic polynomial with scaled form (den, values, symbol) alone."""
+def _graded(den: int, values: list, symbol: Optional[str], carried: Optional[Held] = None) -> GradedPolynomial:
+    """The monic polynomial with scaled form (den, values, symbol) and, over
+    Z[t], what it carries from :func:`~sheet_atlas.scalars.run`, when that
+    bounds its 1-norm."""
     out = object.__new__(GradedPolynomial)
     out.__dict__.update(_scaled=(den, values, symbol), degree=len(values))
+    if carried:
+        out.__dict__["_held"] = carried
     return out
 
 

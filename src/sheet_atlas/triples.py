@@ -374,7 +374,7 @@ def sp4_slice(t, as_printed: bool = False) -> RationalMatrix:
     form = clear([as_scalar(t)])
     q, k = form[0], 1 if as_printed else 4
     bound = lambda: max(2 * q * height(form[1]), q * q, k * height(form[1]) ** 2)
-    (half, neg, unit, corner), symbol = run([form], bound, lambda c: [2 * q * c[0], -2 * q * c[0], q * q, k * c[0] ** 2])
+    (half, neg, unit, corner), symbol, _ = run([form], bound, lambda c: [2 * q * c[0], -2 * q * c[0], q * q, k * c[0] ** 2])
     rows = [[(0, half), (2, unit)], [(1, neg), (3, unit)], [(0, corner), (2, half)], [(1, corner), (3, neg)]]
     return RationalMatrix.from_cleared(4, 4 * q * q, rows, symbol)
 

@@ -119,6 +119,19 @@ def test_divmod_reconstruction_fuzz(p, q):
     assert rem.is_zero() or rem.degree() < q.degree()
 
 
+@given(poly, st.one_of(st.integers(-10**6, 10**6), st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999))))
+def test_mul_by_a_rational_scales_each_coefficient(p, c):
+    """RatPoly × int, RatPoly × Fraction and int/Fraction × RatPoly against
+    the coefficient-wise product, trailing zeros trimmed (a zero c gives the
+    zero polynomial); every coefficient stays a Fraction."""
+    want = [a * c for a in p.coeffs]
+    while want and not want[-1]:
+        want.pop()
+    for got in (p * c, c * p):
+        assert type(got) is RatPoly and got.coeffs == tuple(want)
+        assert all(type(a) is Fraction for a in got.coeffs)
+
+
 @given(poly, poly, poly)
 def test_gcd_divides_both_fuzz(g, a, b):
     if g.is_zero():

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from sheet_atlas import spectral
+from sheet_atlas import scalars, spectral
 from sheet_atlas.liealg import RationalMatrix, char_poly
 from sheet_atlas.partitions import MultiplicityProfile, Partition, partitions_of, profile
 from sheet_atlas.scalars import ZERO, RatPoly, poly_trim, scalars_over, scaled_divmod
@@ -855,3 +855,134 @@ def test_char_poly_of_a_diagonal_matrix_is_from_roots(case):
     cp, p = char_poly(RationalMatrix.diagonal(roots)), GradedPolynomial.from_roots(roots)
     assert cp == p and p == cp and hash(cp) == hash(p)
     assert str(cp) == str(p) and cp.to_json() == p.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Z[t] results carry their values at t = 2^S and a bound on their 1-norm
+# (scalars.run); later products and divisions read them.  Every answer below
+# is checked against the root expansion and long division of oracles.py.
+
+
+def _check_carried_point(prof, factors, roots):
+    """mu_s, min_poly and divides on the point with these factors (the i-th
+    with the roots roots[i - 1]) against the root expansion; the quotient
+    and remainder against long division (``divide``); and a divisor with
+    one root moved, which must not divide."""
+    point = SheetBasePoint(prof, factors)
+    every = [r for i, rs in enumerate(roots, start=1) for r in rs for _ in range(i)]
+    once = [r for rs in roots for r in rs]
+    image, minimal = mu_s(point), min_poly(point)
+    assert image.dense() == expand_roots(every)
+    assert minimal.dense() == expand_roots(once)
+    assert minimal.divides(image)
+    quo, rem = divide(image, minimal)
+    assert rem == [] and quo.dense() == expand_roots([r for i, rs in enumerate(roots, start=1) for r in rs for _ in range(i - 1)])
+    moved = GradedPolynomial.from_roots([once[0] + Fraction(1, 5), *once[1:]])
+    assert not moved.divides(image)
+    assert divide(image, moved)[1] != []
+    return image, minimal
+
+
+def test_carried_values_with_rescaled_roots_and_coefficient_factors():
+    """Roots a/b + (c/d) t, so that every factor has D > 1 and mu_s rescales
+    each one to the lcm of their D, with factors built from coefficients
+    (which carry no values) mixed in among factors from roots."""
+    rng = random.Random(3407)
+
+    def root():
+        return RatPoly([Fraction(rng.randint(-9, 9), rng.randint(2, 7)), Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.randint(2, 9))])
+
+    profiles = [m for n in range(2, 8) for m in partitions_of(n)]
+    dens, built = set(), set()
+    for trial, m in enumerate(profiles):
+        prof = profile(m)
+        roots = [[root() for _ in range(li)] for _, li in prof.items()]
+        factors = []
+        for k, rs in enumerate(roots):
+            by_coeffs = (trial + k) % 2 == 1
+            built.add(by_coeffs)
+            factors.append(GradedPolynomial(expand_roots(rs)[1:]) if by_coeffs else GradedPolynomial.from_roots(rs))
+            dens.add(factors[-1]._scaled[0] > 1 if rs else None)
+        _check_carried_point(prof, factors, roots)
+    assert built == {True, False} and True in dens
+
+
+def test_a_factor_shared_by_points_of_two_heights():
+    """One factor object in two points whose images have very different
+    heights: it is divided into both images, so it holds values at two S
+    besides its own, and every later product and division that reads it
+    still agrees with the oracles."""
+    t = RatPoly.variable()
+    shared = GradedPolynomial.from_roots([t + 1, 2 * t - 3])
+    low = [[RatPoly([Fraction(1, 2), 1])], [t + 1, 2 * t - 3]]
+    high = [[RatPoly([-40, 9]), RatPoly([Fraction(77, 3), -8])], [t + 1, 2 * t - 3], [RatPoly([31, Fraction(-25, 2)])]]
+    images = []
+    for roots in (low, high, low):
+        prof = profile(Partition(tuple(i for i, rs in enumerate(roots, start=1) for _ in rs)))
+        factors = [shared if rs is roots[1] else GradedPolynomial.from_roots(rs) for rs in roots]
+        image, _ = _check_carried_point(prof, factors, roots)
+        assert shared.divides(image)
+        images.append(image)
+    assert len(shared._carried()[1]) >= 3
+    # the shared factor times each image, by products that read it again
+    for image in images:
+        assert (shared * image).dense() == _dense_product([shared.dense(), image.dense()])
+        assert shared.divides(shared * image)
+        for power in (shared * shared, shared * shared * shared):
+            assert power.divides(image) == (long_division(image.dense(), power.dense())[1] == [])
+
+
+def test_divides_answers_false_where_the_remainder_vanishes_at_a_held_height():
+    """λ - (t + k) does not divide a = λ^2 - 2kλ + t - t^2: the remainder
+    t - k^2 is not zero, yet it vanishes at t = k^2 = 2^s.  The divisor is
+    first divided into λ - (2^(s-2) + t), whose own height is 2^s, so that
+    it holds its values there; both operands of the second division are
+    read at 2^s (their 1-norms are below 2^(s-1)), and the remainder's
+    value there is 0.  The answer must come from the exact identity, not
+    from that value.  Every answer against long division."""
+    t = RatPoly.variable()
+    for s in range(6, 22, 2):
+        k = 2 ** (s // 2)
+        divisor = GradedPolynomial.from_roots([t + k])
+        for p in (GradedPolynomial.from_roots([t + 2 ** (s - 2)]), GradedPolynomial([-2 * k, t - t * t])):
+            rem = long_division(p.dense(), divisor.dense())[1]
+            assert rem != [] and not divisor.divides(p)
+            assert divide(p, divisor)[1] == rem
+        assert rem == [t - k * k] and value_at(rem[0], 2**s) == 0
+
+
+def test_divides_retries_when_mu_s_loses_its_spare_bit(monkeypatch):
+    """mu_s runs one bit above the least height so that divides proves
+    min_poly | mu_s at its first S.  With that bit cut (run's ``spare``
+    forced to 0) on points whose roots -(a + b t), a, b >= 0, make every
+    norm bound exact, the identity ‖P‖₁ + ‖Q‖₁ ‖quo‖₁ = 2 ‖P‖₁ fails
+    there: the division runs again, and every answer still agrees with
+    the oracles.  Without the cut it runs once."""
+    runs, run = [], scalars.run
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    def cut(forms, bound, kernel, held=None, spare=0):
+        return run(forms, bound, kernel, held)
+
+    monkeypatch.setattr(scalars, "run", counted)
+    cases = [
+        ((2,), [[], [RatPoly([0, -1])]]),
+        ((2, 1), [[RatPoly([-1, -2])], [RatPoly([-3, -1])]]),
+        ((3, 2, 2, 1), [[RatPoly([-2, -1])], [RatPoly([-1, -3]), RatPoly([0, -2])], [RatPoly([-5, -1])]]),
+    ]
+    for spare in (1, 0):
+        if not spare:
+            monkeypatch.setattr(spectral, "run", cut)
+        for parts, roots in cases:
+            prof = profile(Partition(parts))
+            point = SheetBasePoint(prof, [GradedPolynomial.from_roots(rs) for rs in roots])
+            image, minimal = mu_s(point), min_poly(point)
+            assert image.dense() == expand_roots([r for i, rs in enumerate(roots, start=1) for r in rs for _ in range(i)])
+            assert minimal.dense() == expand_roots([r for rs in roots for r in rs])
+            runs.clear()
+            assert minimal.divides(image)
+            assert len(runs) == (1 if spare else 2)
+            assert divide(image, minimal)[1] == []
