@@ -13,8 +13,8 @@ and reads each integer value back to Z[t] exactly as its balanced
 base-2^S digits; a Z[t] result may keep its values at 2^S and that bound
 (:data:`Held`) for later runs.  A monic division, whose result has no
 usable a priori bound, guesses S and proves its digits by an exact
-identity (:func:`scaled_divmod`), starting from a height its operands
-hold when they carry one.  A gcd over Q is Brown's modular gcd
+identity (:func:`scaled_divmod`), first at the height at which its
+dividend carries its values, when it carries them.  A gcd over Q is Brown's modular gcd
 (:func:`poly_gcd`): residues modulo primes certify a gcd of 1, and any
 other gcd is returned only once it divides both inputs exactly.
 """
@@ -25,7 +25,7 @@ from functools import cache
 from itertools import accumulate, count, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 # One shared zero: every zero Fraction that scalars_over builds, and every zero
 # entry of a rational matrix's dense view, is this object.
@@ -401,18 +401,17 @@ def scaled_norm(c: Sequence, r: int = 1) -> int:
     return 1 + sum(r**k * norm(v) for k, v in enumerate(c, start=1))
 
 
-# What a Z[t] scaled form carries beside its digits: a proven bound on its
-# 1-norm, and its integer values at t = 2^S, by S, for each S at which it
-# was read.
-Held = Tuple[int, Dict[int, List[int]]]
+# What a Z[t] result of run carries beside its digits: the bound that chose
+# its S, and (S, its integer values at t = 2^S) or None.
+Held = Tuple[int, Optional[Tuple[int, List[int]]]]
 
 
 def run(
     forms: Sequence[Cleared],
     bound: Callable[[], int],
     kernel: Callable[..., list],
-    held: Optional[Sequence[Dict[int, List[int]]]] = None,
     spare: int = 0,
+    images: Optional[Sequence[Optional[Tuple[int, List[int]]]]] = None,
 ) -> Tuple[list, Optional[str], Optional[Held]]:
     """(output, symbol, carried) of ``kernel`` on the integer lists c of the
     forms: one pass for rational forms, else one pass at t = 2^S by
@@ -424,26 +423,15 @@ def run(
     coefficient strictly inside the balanced digit range, so that each
     output is read back exactly as its digits (:func:`digits`).
 
-    ``held``, if given, holds per form its values by S (as in
-    :data:`Held`): a Z[t] form is evaluated (:func:`at`) only when it holds
-    none at S, and then keeps them.  ``carried`` is None for rational
-    forms, else (bound(), {S: the output's values}): what a Z[t] result
-    carries when bound() also bounds its 1-norm."""
+    ``images`` gives per form (S', its values at 2^S') or None: a Z[t] form
+    is evaluated (:func:`at`) unless S' = S.  ``carried`` is None for
+    rational forms, else (bound(), (S, the output's values)) (:data:`Held`)."""
     if not any([s for _, _, s in forms]):
         return kernel(*[c for _, c, _ in forms]), None, None
     b = bound()
     s = max(b, 1).bit_length() + 1 + spare
-    if held is None:
-        values = kernel(*[at(c, 1 << s) if sym else c for _, c, sym in forms])
-    else:
-        args = []
-        for (_, c, sym), x in zip(forms, held):
-            if sym:
-                values = x.get(s)
-                c = x[s] = at(c, 1 << s) if values is None else values
-            args.append(c)
-        values = kernel(*args)
-    return [digits(v, s) for v in values], T, (b, {s: values})
+    values = kernel(*[x[1] if x and x[0] == s else at(c, 1 << s) if sym else c for (_, c, sym), x in zip(forms, images or repeat(None))])
+    return [digits(v, s) for v in values], T, (b, (s, values))
 
 
 def scalars_over(values: Iterable, dens: Iterable[int], symbol: Optional[str]) -> List[Scalar]:
@@ -473,7 +461,7 @@ def rescaled(c: List[int], r: int) -> List[int]:
     return c if r == 1 else [v * r**k for k, v in enumerate(c, start=1)]
 
 
-def scaled_divmod(p: Cleared, q: Cleared, held: Optional[Callable[[], Sequence[Held]]] = None, zero_test: bool = False) -> Cleared:
+def scaled_divmod(p: Cleared, q: Cleared, held: Sequence[Optional[Held]] = (None, None)) -> Cleared:
     """(D, values, symbol): monic p of degree n divided by monic q of degree
     m <= n, read as scaled forms (D_p, c, symbol), P(μ) = D_p^n p(μ/D_p) in
     Z[μ] (the substitution λ = μ/D of von zur Gathen and Gerhard, Modern
@@ -489,16 +477,13 @@ def scaled_divmod(p: Cleared, q: Cleared, held: Optional[Callable[[], Sequence[H
     where monic division is unique.  Otherwise the division runs again at
     the larger of that bound and the square of the guess.
 
-    ``held`` returns what p and q carry (:data:`Held`, as from
-    :func:`run`); without it they carry their 1-norms and no values.  A
-    bound, times r^n for a form of degree n rescaled by r, stands for
-    ‖P‖₁ or ‖Q‖₁.  The first S is the largest at which either holds its
-    values, when 2^(S-1) is above both bounds, and otherwise
-    bitlen(‖P‖₁ ‖Q‖₁) + 1.  A form is evaluated only at an S where it
-    holds no values, and keeps them.  With ``zero_test`` only whether the
-    remainder vanishes is wanted: its values at 2^S, when not all 0, end
-    the loop unproven, since the remainder of P by Q in Z[t][μ] takes
-    those values there."""
+    ``held`` gives what p and q carry (:data:`Held`, as from :func:`run`)
+    or None.  A carried bound on the 1-norm of a form of degree n, times r^n
+    for a form rescaled by r, stands for ‖P‖₁ or ‖Q‖₁; without one the norm
+    is computed.  The first S is the one at which p carries its values,
+    read there instead of evaluated, when 2^(S-1) is above both norms, and
+    otherwise bitlen(‖P‖₁ ‖Q‖₁) + 1.  Every other operand, and p at any
+    other S, is evaluated."""
     nquo = len(p[1]) - len(q[1])
     if nquo < 0:
         raise ValueError("divisor degree exceeds dividend degree")
@@ -510,14 +495,14 @@ def scaled_divmod(p: Cleared, q: Cleared, held: Optional[Callable[[], Sequence[H
 
     if not (p[2] or q[2]):
         return den, divide(p[1], q[1]), None
-    (norm_p, at_p), (norm_q, at_q) = held() if held else ((scaled_norm(p[1]), {}), (scaled_norm(q[1]), {}))
-    norm_p, norm_q = norm_p * rp ** len(p[1]), norm_q * rq ** len(q[1])
-    top = 1 << max([*at_p, *at_q], default=1) - 1
+    held_p, held_q = held
+    norm_p = held_p[0] * rp ** len(p[1]) if held_p else scaled_norm(p[1], rp)
+    norm_q = held_q[0] * rq ** len(q[1]) if held_q else scaled_norm(q[1], rq)
+    image = held_p and held_p[1]
+    top = 1 << image[0] - 1 if image else 0
     guess = top - 1 if top > max(norm_p, norm_q) else norm_p * norm_q
     while True:
-        values, symbol, _ = run([p, q], lambda: guess, divide, (at_p, at_q))
-        if zero_test and any(values[nquo:]):
-            return den, values, symbol
+        values, symbol, _ = run([p, q], lambda: guess, divide, 0, (image, None))
         identity = norm_p + norm_q * scaled_norm(values[:nquo]) + sum(map(norm, values[nquo:]))
         if identity.bit_length() <= guess.bit_length():
             return den, values, symbol

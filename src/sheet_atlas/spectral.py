@@ -19,11 +19,11 @@ rescaling.  Over Q[t] the same routine runs once on P(2^S), S taken from a
 proven height bound (a guessed one for division, proven by an exact
 identity afterwards), and the answer's coefficients are read back as
 balanced base-2^S digits.  A Z[t] result of ``from_roots`` or of a product
-also keeps its values at 2^S and the bound that chose S, which bounds its
-1-norm: a later product takes its bound from its factors' instead of
-summing their digits, and a division starts at a height an operand holds,
-evaluating only the one that holds none there.  Gcds are taken over Q
-only, by Brown's modular gcd (:func:`~sheet_atlas.scalars.poly_gcd`).  The heart test,
+also keeps the bound that chose S, which bounds its 1-norm, so that a later
+product or division takes its bound from it instead of summing its digits;
+a product's result also keeps its values at 2^S, and a division into it
+runs first at that S, reading them and evaluating only the divisor.
+Gcds are taken over Q only, by Brown's modular gcd (:func:`~sheet_atlas.scalars.poly_gcd`).  The heart test,
 squarefreeness over Q(t) (:meth:`GradedPolynomial.is_squarefree`), answers
 "squarefree" only on a certificate, P coprime to P' modulo a prime at some
 t = t0, and "not squarefree" only once a monic G of degree >= 1 divides P
@@ -84,10 +84,13 @@ class GradedPolynomial:
     operation (``char_poly`` included) stores only that form and builds
     ``coeffs`` on first read; one made from coefficients stores them and
     clears them on first use.  ``degree`` is set from either.  Over Z[t] a
-    result of ``from_roots`` or of a product also carries ``_held`` (see
-    :meth:`_carried`): a bound on its 1-norm and its values at the 2^S it
-    was computed at, to which a division adds the values it evaluates.
+    result of ``from_roots`` or of a product also carries ``_held``
+    (:data:`~sheet_atlas.scalars.Held`): a bound on its 1-norm and, for a
+    product, its values at the 2^S it was computed at; every other
+    polynomial has ``_held`` None.
     """
+
+    _held: Optional[Held] = None
 
     def __init__(self, coeffs: Sequence = ()):
         coeffs = tuple(as_scalar(c) for c in coeffs)
@@ -104,16 +107,6 @@ class GradedPolynomial:
     @cached_property
     def _scaled(self) -> Cleared:
         return clear(self.coeffs, weighted=True)
-
-    def _carried(self) -> Held:
-        """What the scaled form carries (:data:`~sheet_atlas.scalars.Held`):
-        a Z[t] result's bound and values, as :func:`_graded` stored them;
-        otherwise its 1-norm and no values yet, computed on the first call
-        and kept."""
-        held = self.__dict__.get("_held")
-        if held is None:
-            held = self.__dict__["_held"] = (scaled_norm(self._scaled[1]), {})
-        return held
 
     def __eq__(self, other):
         return self.coeffs == other.coeffs if isinstance(other, GradedPolynomial) else NotImplemented
@@ -149,7 +142,8 @@ class GradedPolynomial:
                         c[k] -= v * c[k - 1]
             return c[1:]
 
-        return _graded(form[0], *run([form], lambda: prod([1 + norm(v) for v in form[1]]), expand))
+        values, symbol, held = run([form], lambda: prod([1 + norm(v) for v in form[1]]), expand)
+        return _graded(form[0], values, symbol, held and (held[0], None))
 
     def dense(self) -> List[Scalar]:
         """Descending-power coefficient list [1, a_1, ..., a_d]."""
@@ -160,18 +154,16 @@ class GradedPolynomial:
 
     def divides(self, other: "GradedPolynomial") -> bool:
         """Whether self divides other: :func:`~sheet_atlas.scalars.scaled_divmod`
-        on their scaled forms and what they carry (:meth:`_carried`).  Over
-        Z[t] the first division is at the largest S at which either holds
-        its values, with the carried 1-norm bounds; the other is evaluated
-        there once and keeps the values.  A remainder value at 2^S other
-        than 0 answers False at once; a zero one answers True when
-        ‖other‖₁ + ‖self‖₁ ‖quo‖₁ < 2^(S-1), else the division runs again
-        higher.  For min_poly(point) and mu_s(point) that S is mu_s's, and
-        the identity holds there: the quotient prod xi_i^(i-1) has
-        ‖min_poly‖₁ ‖quo‖₁ <= prod ‖P_i‖₁^i too, and mu_s's S has a bit to
-        spare."""
+        on their scaled forms and what they carry (``_held``), the answer
+        proven by its identity.  Over Z[t], when other is a product's
+        result, the first division is at the S of other's values, read
+        there, with self evaluated at that S; otherwise both are evaluated.
+        For min_poly(point) and mu_s(point) that S is mu_s's, and the
+        identity ‖other‖₁ + ‖self‖₁ ‖quo‖₁ < 2^(S-1) holds there: the
+        quotient prod xi_i^(i-1) has ‖min_poly‖₁ ‖quo‖₁ <= prod ‖P_i‖₁^i
+        too, and mu_s's S has a bit to spare."""
         nquo = other.degree - self.degree
-        return nquo >= 0 and not any(scaled_divmod(other._scaled, self._scaled, lambda: (other._carried(), self._carried()), zero_test=True)[1][nquo:])
+        return nquo >= 0 and not any(scaled_divmod(other._scaled, self._scaled, (other._held, self._held))[1][nquo:])
 
     def is_squarefree(self) -> bool:
         """True iff the polynomial has no repeated root over Q(t).
@@ -268,9 +260,9 @@ def _product(powers: Sequence[Tuple[GradedPolynomial, int]], spare: int = 0) -> 
     lcm(D_i), raised to its power e_i by repeated squaring and convolved.
     The 1-norm over every μ- and t-coefficient is submultiplicative, so
     over Z[t] the product's 1-norm, and so every t-coefficient, is at most
-    prod ‖P_i‖₁^(e_i), on the rescaled P_i: from the bounds the P_i carry,
-    times r_i^(deg P_i) for a P_i rescaled by r_i.  ``spare`` bits are
-    added to run's S (:func:`~sheet_atlas.scalars.run`).
+    prod ‖P_i‖₁^(e_i), on the rescaled P_i: from the bound a P_i carries,
+    times r_i^(deg P_i) for a P_i rescaled by r_i, else from its digits.
+    ``spare`` bits are added to run's S (:func:`~sheet_atlas.scalars.run`).
     """
     forms = [xi._scaled for xi, _ in powers]
     den = lcm(*[d for d, _, _ in forms])
@@ -283,9 +275,9 @@ def _product(powers: Sequence[Tuple[GradedPolynomial, int]], spare: int = 0) -> 
         return acc[1:]
 
     def bound():
-        return prod([(xi._carried()[0] * (den // d) ** len(c) if sym else scaled_norm(c, den // d)) ** e for (d, c, sym), (xi, e) in zip(forms, powers)])
+        return prod([(xi._held[0] * (den // d) ** len(c) if xi._held else scaled_norm(c, den // d)) ** e for (d, c, _), (xi, e) in zip(forms, powers)])
 
-    return _graded(den, *run(forms, bound, convolve, None, spare))
+    return _graded(den, *run(forms, bound, convolve, spare))
 
 
 def in_heart(point: SheetBasePoint) -> bool:
@@ -303,14 +295,14 @@ def sp4_dix_image(b) -> GradedPolynomial:
 # Scaled forms (D, c, symbol), as from :func:`~sheet_atlas.scalars.clear`.
 
 
-def _graded(den: int, values: list, symbol: Optional[str], carried: Optional[Held] = None) -> GradedPolynomial:
+def _graded(den: int, values: list, symbol: Optional[str], held: Optional[Held] = None) -> GradedPolynomial:
     """The monic polynomial with scaled form (den, values, symbol) and, over
-    Z[t], what it carries from :func:`~sheet_atlas.scalars.run`, when that
-    bounds its 1-norm."""
+    Z[t], what it carries (``_held``) from :func:`~sheet_atlas.scalars.run`,
+    whose bound must bound its 1-norm."""
     out = object.__new__(GradedPolynomial)
     out.__dict__.update(_scaled=(den, values, symbol), degree=len(values))
-    if carried:
-        out.__dict__["_held"] = carried
+    if held:
+        out.__dict__["_held"] = held
     return out
 
 

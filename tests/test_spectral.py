@@ -858,8 +858,8 @@ def test_char_poly_of_a_diagonal_matrix_is_from_roots(case):
 
 
 # ---------------------------------------------------------------------------
-# Z[t] results carry their values at t = 2^S and a bound on their 1-norm
-# (scalars.run); later products and divisions read them.  Every answer below
+# Z[t] results carry a bound on their 1-norm and, for products, their values
+# at t = 2^S (scalars.run); later products and divisions read them.  Every answer below
 # is checked against the root expansion and long division of oracles.py.
 
 
@@ -909,9 +909,9 @@ def test_carried_values_with_rescaled_roots_and_coefficient_factors():
 
 def test_a_factor_shared_by_points_of_two_heights():
     """One factor object in two points whose images have very different
-    heights: it is divided into both images, so it holds values at two S
-    besides its own, and every later product and division that reads it
-    still agrees with the oracles."""
+    heights: it is divided into both images, each at that image's S, and
+    every later product and division that reads its bound still agrees
+    with the oracles."""
     t = RatPoly.variable()
     shared = GradedPolynomial.from_roots([t + 1, 2 * t - 3])
     low = [[RatPoly([Fraction(1, 2), 1])], [t + 1, 2 * t - 3]]
@@ -923,7 +923,7 @@ def test_a_factor_shared_by_points_of_two_heights():
         image, _ = _check_carried_point(prof, factors, roots)
         assert shared.divides(image)
         images.append(image)
-    assert len(shared._carried()[1]) >= 3
+    assert len({image._held[1][0] for image in images}) == 2
     # the shared factor times each image, by products that read it again
     for image in images:
         assert (shared * image).dense() == _dense_product([shared.dense(), image.dense()])
@@ -932,23 +932,25 @@ def test_a_factor_shared_by_points_of_two_heights():
             assert power.divides(image) == (long_division(image.dense(), power.dense())[1] == [])
 
 
-def test_divides_answers_false_where_the_remainder_vanishes_at_a_held_height():
-    """λ - (t + k) does not divide a = λ^2 - 2kλ + t - t^2: the remainder
-    t - k^2 is not zero, yet it vanishes at t = k^2 = 2^s.  The divisor is
-    first divided into λ - (2^(s-2) + t), whose own height is 2^s, so that
-    it holds its values there; both operands of the second division are
-    read at 2^s (their 1-norms are below 2^(s-1)), and the remainder's
-    value there is 0.  The answer must come from the exact identity, not
-    from that value.  Every answer against long division."""
+def test_divides_answers_false_where_the_remainder_vanishes_at_the_carried_height():
+    """λ - (t + k) does not divide mu_s of the point (a, λ - m), with a =
+    λ^2 - 2kλ + t - t^2 built from its coefficients: the remainder
+    (t - k^2)(t + k - m)^2 is not zero, yet it vanishes at t = k^2 = 2^s.
+    m is chosen so that mu_s runs at that s, so the first division, at the
+    S of the image's carried values, finds remainder values 0 there.  The
+    answer must come from the exact identity, not from those values.
+    Every answer against long division."""
     t = RatPoly.variable()
-    for s in range(6, 22, 2):
+    prof = profile(Partition((1, 1, 2)))
+    for s in range(12, 26, 2):
         k = 2 ** (s // 2)
-        divisor = GradedPolynomial.from_roots([t + k])
-        for p in (GradedPolynomial.from_roots([t + 2 ** (s - 2)]), GradedPolynomial([-2 * k, t - t * t])):
-            rem = long_division(p.dense(), divisor.dense())[1]
-            assert rem != [] and not divisor.divides(p)
-            assert divide(p, divisor)[1] == rem
-        assert rem == [t - k * k] and value_at(rem[0], 2**s) == 0
+        a, divisor = GradedPolynomial([-2 * k, t - t * t]), GradedPolynomial.from_roots([t + k])
+        points = (SheetBasePoint(prof, [a, GradedPolynomial([-m])]) for m in range(k))
+        image = next(image for image in map(mu_s, points) if image._held[1][0] == s)
+        rem = long_division(image.dense(), divisor.dense())[1]
+        assert len(rem) == 1 and value_at(rem[0], 2**s) == 0
+        assert not divisor.divides(image)
+        assert divide(image, divisor)[1] == rem
 
 
 def test_divides_retries_when_mu_s_loses_its_spare_bit(monkeypatch):
@@ -964,8 +966,8 @@ def test_divides_retries_when_mu_s_loses_its_spare_bit(monkeypatch):
         runs.append(args)
         return run(*args, **kwargs)
 
-    def cut(forms, bound, kernel, held=None, spare=0):
-        return run(forms, bound, kernel, held)
+    def cut(forms, bound, kernel, spare=0, images=None):
+        return run(forms, bound, kernel, 0, images)
 
     monkeypatch.setattr(scalars, "run", counted)
     cases = [
