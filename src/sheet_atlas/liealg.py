@@ -33,7 +33,7 @@ the cleared form of its Gram matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -417,13 +417,32 @@ class LieAlgebraModel(Record):
 Term = Tuple[int, int, int]
 
 
+MODEL_CACHE_SIZE = 128
+"""How many models :func:`build_model` keeps, the most recently used, one
+per (group, form).  The sheet-points benchmark reaches 106: 13 gl_n, 92
+Jordan-basis forms of B/C/D triples and sp_4.  At matrix size 64
+(:data:`~sheet_atlas.triples.MAX_TRIPLE_SIZE`) one model and its form hold
+0.43-0.51 MB (gl_64 0.49 MB, D(32) 0.51 MB, measured with tracemalloc), so
+a full cache holds at most about 65 MB.  That leaves out the dense
+``basis``, which no library route reads."""
+
+
 def build_model(kind: GroupKind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
     """Matrix model of gl_n (type A) or of the stabiliser algebra of a form.
 
     For B/C/D the basis spans {x | x^T G + G x = 0}, by default for the unit
     form of the group's form sign, and its size is asserted to be dim G.
     Type A has no form, and passing one raises ValueError.
+
+    The model is shared and immutable: it is built once per process per
+    (group, form), and its checks run at that build.  The last
+    :data:`MODEL_CACHE_SIZE` of them are kept.
     """
+    return _model(kind, form)
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _model(kind: GroupKind, form: Optional[ClassicalForm]) -> LieAlgebraModel:
     n = kind.matrix_size
     if kind.family == "A":
         if form is not None:

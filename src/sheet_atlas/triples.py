@@ -10,11 +10,12 @@ uncorrected t^2 behind an as_printed flag for comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ._record import Record, _set
-from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket_is, build_model, in_algebra, sp_gram
+from .liealg import ClassicalForm, LieAlgebraModel, RationalMatrix, bracket_is, build_model, in_algebra
 from .partitions import Partition
 from .scalars import RatPoly, as_scalar, clear, height, run
 from .sheets import GroupKind, Levi, maximal_levi_sheet, type_a, type_c
@@ -195,7 +196,9 @@ def build_bcd_triple(kind: GroupKind, levi: Levi) -> Sl2Triple:
     flag V+ < V+ + W < V, and the sign recursion produces a Gram
     matrix of the symmetry the group requires.  e is the down-shift, h the
     chain-weight diagonal, and f carries the coefficients i(n_j - i) forced
-    by the bracket relations.
+    by the bracket relations.  The plan, the basis order and the form are
+    shared per (orbit, a, form sign); e, h, f and every check are made on
+    each call.
     """
     if kind.form_sign is None:
         raise ValueError("normalised Jordan triples apply to types B, C, D")
@@ -203,12 +206,7 @@ def build_bcd_triple(kind: GroupKind, levi: Levi) -> Sl2Triple:
     sheet = maximal_levi_sheet(kind, levi)
     orbit: Partition = sheet.nilpotent_orbit
     a = levi.blocks.parts[0]
-    symmetric = kind.form_sign == 1
-    beta = _plan_beta(orbit.parts, a, symmetric)
-    pos = _basis_order(orbit.parts, beta, a)
-    gram = _build_gram(orbit.parts, beta, pos, symmetric)
-    plan = JordanBasisPlan(orbit=orbit, beta=tuple(beta), gl_block_size=a, symmetric=symmetric)
-    form = ClassicalForm("symmetric" if symmetric else "antisymmetric", gram)
+    plan, pos, form = _jordan_basis(orbit, a, kind.form_sign == 1)
     model = build_model(kind, form)
 
     size = orbit.n
@@ -248,6 +246,25 @@ def build_bcd_triple(kind: GroupKind, levi: Levi) -> Sl2Triple:
         plan=plan,
         label="bcd:%s,%d,%d" % (kind.family, a, levi.residual),
     )
+
+
+PLAN_CACHE_SIZE = 128
+"""How many Jordan-basis plans :func:`build_bcd_triple` keeps, the most
+recently used, one per (orbit, a, form sign).  The sheet-points benchmark
+reaches 92.  At matrix size 64 a plan holds under 20 KB, its form included,
+so a full cache holds at most about 2.5 MB."""
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _jordan_basis(orbit: Partition, a: int, symmetric: bool) -> Tuple[JordanBasisPlan, Mapping, ClassicalForm]:
+    """The pairing plan of the normalised Jordan basis, the position of each
+    basis vector (i, j), read-only, and the form of its Gram matrix.
+    Shared: built, and their checks run, once per process per key."""
+    beta = _plan_beta(orbit.parts, a, symmetric)
+    pos = _basis_order(orbit.parts, beta, a)
+    gram = _build_gram(orbit.parts, beta, pos, symmetric)
+    plan = JordanBasisPlan(orbit=orbit, beta=tuple(beta), gl_block_size=a, symmetric=symmetric)
+    return plan, MappingProxyType(pos), ClassicalForm("symmetric" if symmetric else "antisymmetric", gram)
 
 
 def _plan_beta(parts: Tuple[int, ...], a: int, symmetric: bool) -> List[int]:
@@ -333,11 +350,12 @@ def _build_gram(parts: Tuple[int, ...], beta: List[int], pos: Dict, symmetric: b
 # --- Rank-2 symplectic artifacts -------------------------------------------------
 
 
-@cache
 def sp4_model() -> LieAlgebraModel:
-    """The model of sp_4 for the unit symplectic form, built once per
-    process (its basis-size check runs at that build)."""
-    return build_model(type_c(2), sp_gram(4))
+    """The model of sp_4 for the unit symplectic form ``sp_gram(4)``, the
+    default form of C(2): the shared model of
+    :func:`~sheet_atlas.liealg.build_model`, built once per process (its
+    basis-size check runs at that build)."""
+    return build_model(type_c(2))
 
 
 def sp4_e() -> RationalMatrix:

@@ -265,8 +265,8 @@ def rank_by_rational_elimination(rows: List[List[Fraction]]) -> int:
         for r in mat[1:]:
             if r[col] != 0:
                 factor = r[col] / head[col]
-                r = [a - factor * b for a, b in zip(r, head)]
-            if any(v != 0 for v in r):
+                r = [a - factor * b if b else a for a, b in zip(r, head)]
+            if any(r):
                 rest.append(r)
         mat = rest
         rank += 1

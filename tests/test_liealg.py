@@ -19,6 +19,7 @@ from sheet_atlas.liealg import (
     so_gram,
     sp_gram,
 )
+from sheet_atlas.liealg import _model
 from sheet_atlas.scalars import ZERO, RatPoly
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
@@ -404,7 +405,9 @@ def test_model_basis_matches_terms():
 
 def test_models_of_one_kind_compare_equal():
     for kind in (type_a(4), type_b(2), type_c(3), type_d(3)):
-        first, second = build_model(kind), build_model(kind)
+        # the shared model, and one built again outside the cache
+        first, second = build_model(kind), _model.__wrapped__(kind, None)
+        assert first is build_model(kind) and first is not second
         assert first == second and hash(first) == hash(second)
         second.basis  # building the dense basis does not change equality
         assert first == second

@@ -13,7 +13,7 @@ import pytest
 import sheet_atlas
 from sheet_atlas._record import OrderedRecord, Record
 from sheet_atlas.hitchin import SliceWeights
-from sheet_atlas.liealg import ClassicalForm, LieAlgebraModel, build_model, so_gram, sp_gram
+from sheet_atlas.liealg import ClassicalForm, LieAlgebraModel, _model, build_model, so_gram, sp_gram
 from sheet_atlas.multiplicity import SlicePoint
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.realforms import SU, RealSheetReport, SOStar
@@ -209,7 +209,7 @@ def test_copies_are_built_through_the_constructor():
 
 def test_model_basis_is_cached_beside_the_fields():
     model = build_model(type_b(2))
-    fresh = build_model(type_b(2))
+    fresh = _model.__wrapped__(type_b(2), None)  # built again outside the shared cache
     assert model.basis is model.basis and len(model.basis) == model.dimension
     assert model == fresh and hash(model) == hash(fresh)
     with pytest.raises(AttributeError):

@@ -4,9 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from sheet_atlas import triples
 from sheet_atlas.liealg import RationalMatrix, bracket, build_model, centralizer_dim, char_poly, in_algebra, sp_gram
 from sheet_atlas.partitions import Partition
-from sheet_atlas.sheets import MaxLevi, maximal_levi_sheet, type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.sheets import MaxLevi, maximal_levi_sheet, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import sp4_dix_image
 from sheet_atlas.triples import (
     SP4_FLIP,
@@ -22,7 +23,7 @@ from sheet_atlas.triples import (
 )
 from sheet_atlas.triples import _block_diagonal, _strictly_block_upper
 
-from oracles import flag_condition_by_scan, sp4_triple
+from oracles import flag_condition_by_scan, rank_by_rational_elimination, sp4_triple
 
 
 def all_bcd_cases(max_n):
@@ -187,9 +188,10 @@ def test_sp4_flip_is_the_permutation_sigma():
 
 
 def test_sp4_model_is_built_once():
-    """One model per process, equal to a fresh build (whose basis-size check
-    runs there)."""
-    assert sp4_model() is sp4_model()
+    """One model per process: the one build_model shares for sp_4 and its
+    default form (whose basis-size check runs at its first build), which is
+    the unit symplectic form."""
+    assert sp4_model() is sp4_model() is build_model(type_c(2))
     assert sp4_model() == build_model(type_c(2), sp_gram(4))
 
 
@@ -387,3 +389,106 @@ def test_checks_agree_with_the_product_oracle_under_faults():
             faults_seen += 1
         assert not _failed_by_products(_fields(trip, **changes[1]))
     assert faults_seen >= 600
+
+
+# --- shared models and plans ------------------------------------------------------
+
+
+def _sheet_point_builds():
+    """(build, diag) for every GL triple with n <= 14 and every B/C/D
+    maximal-Levi triple with n <= 16: a builder of the triple and the
+    diagonal of the unit direction of its Levi centre."""
+    for n in range(2, 15):
+        for m2 in range(1, n // 2 + 1):
+            m1 = n - m2
+            yield (lambda m1=m1, m2=m2: build_gl_triple(m1, m2)), [m2] * m1 + [-m1] * m2
+    for kind, levi in all_bcd_cases(16):
+        a, size = levi.blocks.parts[0], kind.matrix_size
+        yield (lambda kind=kind, levi=levi: build_bcd_triple(kind, levi)), [1] * a + [0] * (size - 2 * a) + [-1] * a
+
+
+def _dense_terms(terms, n):
+    x = [[0] * n for _ in range(n)]
+    for r, c, k in terms:
+        x[r][c] += k
+    return x
+
+
+def _matmul(a, b):
+    """a b of dense matrices by the plain triple loop, skipping zero factors."""
+    out = [[0] * len(b[0]) for _ in a]
+    for out_i, a_i in zip(out, a):
+        for a_ik, b_k in zip(a_i, b):
+            if a_ik:
+                for j, v in enumerate(b_k):
+                    if v:
+                        out_i[j] += a_ik * v
+    return out
+
+
+def _linearised_condition(g):
+    """The n^2 x n^2 matrix of x -> x^T G + G x on the entries x[p][q]
+    (column p n + q), row i n + j for entry (i, j); the zero matrix in type A."""
+    n = len(g)
+    rows = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            row = rows[i * n + j]
+            for k in range(n):
+                if g[k][j]:
+                    row[k * n + i] += g[k][j]  # (x^T G)[i][j] holds x[k][i] G[k][j]
+                if g[i][k]:
+                    row[k * n + j] += g[i][k]  # (G x)[i][j] holds G[i][k] x[k][j]
+    return rows
+
+
+def _check_model_by_oracles(model):
+    """Every basis element of the model solves x^T G + G x = 0 by dense
+    Fraction products, the basis is independent, and its size is n^2 minus
+    the rank of the linearised condition: so it is a basis of the algebra."""
+    n = model.matrix_size
+    g = [list(row) for row in model.form.gram.rows] if model.form else [[0] * n for _ in range(n)]
+    dense = [_dense_terms(terms, n) for terms in model.terms]
+    for x in dense:
+        xt = [list(col) for col in zip(*x)]
+        assert all(u + v == 0 for p, q in zip(_matmul(xt, g), _matmul(g, x)) for u, v in zip(p, q))
+    assert rank_by_rational_elimination([sum(x, []) for x in dense]) == model.dimension
+    assert model.dimension == n * n - rank_by_rational_elimination(_linearised_condition(g))
+
+
+def test_shared_models_and_plans_give_the_answers_of_the_oracles():
+    """On a warm cache every model that a sheet-points triple is checked in,
+    gl_n with n <= 14 and each B/C/D Jordan-basis form with n <= 16, is a
+    basis of its algebra by the oracles; and a triple built again equals
+    the first build, with the same centraliser dimension and
+    characteristic polynomial at one rational point z + e."""
+    cases = list(_sheet_point_builds())
+    firsts = [build() for build, _ in cases]
+    models = {}
+    z = Fraction(-355, 113)
+    for (build, diag), first in zip(cases, firsts):
+        again = build()
+        assert again == first and again.model is first.model
+        models[id(again.model)] = again.model
+        x, y = (t.e + RationalMatrix.diagonal([z * v for v in diag]) for t in (first, again))
+        assert centralizer_dim(x, first.model) == centralizer_dim(y, again.model)
+        assert char_poly(x) == char_poly(y)
+    models.update((id(m), m) for m in map(build_model, map(type_a, range(1, 15))))
+    assert len(models) == 14 + 92  # gl_1 to gl_14, and one model per B/C/D form
+    for model in models.values():
+        _check_model_by_oracles(model)
+
+
+def test_every_build_runs_the_checks_on_a_warm_cache(monkeypatch):
+    """The models and plans are shared, the triples are not: once bracket_is
+    reports [h,e] = 2e false, each later build of a triple whose model and
+    plan are already cached still fails its check."""
+    builds = [lambda: build_gl_triple(3, 2), lambda: build_bcd_triple(type_c(3), MaxLevi(1, 2)), lambda: build_bcd_triple(type_d(4), MaxLevi(2, 4))]
+    for build in builds:
+        build()
+    relation = triples.bracket_is
+    monkeypatch.setattr(triples, "bracket_is", lambda a, b, k, c: relation(a, b, k, c) and k != 2)
+    for _ in range(3):
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape("failed check '[h,e] = 2e'")):
+                build()
