@@ -23,8 +23,7 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # a "__dict__" slot only makes room for cached properties
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = cls.__slots__
         # one C-level getter per class: the value of a single field, a tuple
         # of values for more (an attrgetter does not bind as a method)
         cls._values = attrgetter(*cls._fields) if cls._fields else staticmethod(_no_values)

@@ -372,7 +372,7 @@ def cmd_realform(args) -> int:
     label = realforms.parse_real_form(args.label)
     report = realforms.sheet_of_real_form(label, genus=args.genus)
     for name, value in report.extra:  # integers, linear in the genus
-        _printable(value.numerator, "--label and --genus", "the " + name)
+        _printable(value, "--label and --genus", "the " + name)
     payload = report.to_json()
     payload["abelianised_fibres_positive_dimensional"] = realforms.abelianized_fiber_dim_is_positive(label)
     _print_payload(args, payload)

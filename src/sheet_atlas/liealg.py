@@ -13,11 +13,11 @@ once, and a scalar factor is cleared once by
 :func:`~sheet_atlas.scalars.clear`.  Every matrix it makes goes through one
 reduction to the cleared form (:meth:`RationalMatrix.from_cleared`), so
 equal matrices have equal forms.  A relation [a, b] = k c makes no
-matrix (:func:`bracket_is`): the commutator kernel of :func:`bracket`
-takes AB - BA on the stored rows, and Dc (AB - BA) = k Da Db C is compared
-entry by entry, with no gcd.  Fractions are built only for the dense view
-and a determinant; a characteristic polynomial is returned in its scaled
-form (D, c_k = D^k a_k) and builds its coefficients on first read.  With
+matrix (:func:`bracket_is`): its kernel takes AB - BA on the stored rows,
+and Dc (AB - BA) = k Da Db C is compared entry by entry, with no gcd.
+Fractions are built only for the dense view and a determinant; a
+characteristic polynomial is returned in its scaled form (D, c_k =
+D^k a_k) and builds its coefficients on first read.  With
 entries in Q[t] the same integer routine runs once at t = 2^S, for an S
 above a proven bound on the height of its result
 (:func:`~sheet_atlas.scalars.run`), and the integer values are read back
@@ -33,11 +33,11 @@ the cleared form of its Gram matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._record import Record, _set
 from .scalars import (
@@ -280,25 +280,15 @@ def _on_integers(mats: Sequence[RationalMatrix], bound, kernel, *scalars: Cleare
 
 
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Commutator ab - ba, exactly.
-
-    The commutator of the integer forms A = Da a and B = Db b is taken on
-    their nonzero entries, and [a, b] = (AB - BA) / (Da Db).  Entries in
-    Q[t] take the same commutator at t = 2^S.
-    """
-    a._same_dim(b)
-    # an entry of AB - BA sums 2n products of an entry of A and one of B:
-    # 1-norm at most 2n h_a h_b
-    n = a.dim
-    values, symbol = _on_integers((a, b), lambda ha, hb: 2 * n * ha * hb, lambda ra, rb: _product(ra, rb, commutator=True))
-    return _from_flat(a.dim, a.den * b.den, values, symbol)
+    """Commutator ab - ba, exactly."""
+    return a @ b - b @ a
 
 
 def bracket_is(a: RationalMatrix, b: RationalMatrix, k: int, c: RationalMatrix) -> bool:
     """Whether [a, b] = k c, for an int k: the integer identity
-    Dc (AB - BA) = k Da Db C on the cleared forms, AB - BA as in
-    :func:`bracket`.  It makes no matrix and no gcd.  Entries in Q[t] take
-    it at t = 2^S."""
+    Dc (AB - BA) = k Da Db C on the cleared forms A = Da a, B = Db b and
+    C = Dc c, with AB - BA taken on their nonzero entries.  It makes no
+    matrix and no gcd.  Entries in Q[t] take it at t = 2^S."""
     a._same_dim(b)
     a._same_dim(c)
     wc, w = c.den, k * a.den * b.den
@@ -386,11 +376,11 @@ class LieAlgebraModel(Record):
 
     ``terms[i]`` lists basis element i as its nonzero (row, col, k) entries,
     coprime ints: the one representation of the basis, read by the integer
-    centraliser kernel.  The dense matrices ``basis`` are built on first
-    access.
+    centraliser kernel.  A shared model holds these four fields and nothing
+    else.
     """
 
-    __slots__ = ("kind", "form", "matrix_size", "terms", "__dict__")  # __dict__ holds basis once built
+    __slots__ = ("kind", "form", "matrix_size", "terms")
 
     def __init__(
         self,
@@ -403,11 +393,6 @@ class LieAlgebraModel(Record):
         _set(self, "form", form)
         _set(self, "matrix_size", matrix_size)
         _set(self, "terms", terms)
-
-    @cached_property
-    def basis(self) -> Tuple[RationalMatrix, ...]:
-        n = self.matrix_size
-        return tuple(RationalMatrix.from_cleared(n, 1, [[(c, k) for r, c, k in sorted(t) if r == i] for i in range(n)]) for t in self.terms)
 
     @property
     def dimension(self) -> int:
@@ -423,8 +408,7 @@ per (group, form).  The sheet-points benchmark reaches 106: 13 gl_n, 92
 Jordan-basis forms of B/C/D triples and sp_4.  At matrix size 64
 (:data:`~sheet_atlas.triples.MAX_TRIPLE_SIZE`) one model and its form hold
 0.43-0.51 MB (gl_64 0.49 MB, D(32) 0.51 MB, measured with tracemalloc), so
-a full cache holds at most about 65 MB.  That leaves out the dense
-``basis``, which no library route reads."""
+a full cache holds at most about 65 MB: a model holds only its fields."""
 
 
 def build_model(kind: GroupKind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
@@ -625,34 +609,32 @@ def _char_poly_ints(nz: SparseRows) -> List[int]:
 # Exact row reduction.
 
 
-def fraction_free_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank by fraction-free sparse elimination on integers: the number of
     pivot rows of :func:`_pivot_rows`."""
     return len(_pivot_rows(rows))
 
 
-def _pivot_rows(rows: Sequence[Sequence[Union[int, Fraction]]]) -> List[Tuple[int, Dict[int, int]]]:
+def _pivot_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, Dict[int, int]]]:
     """The (pivot column, pivot row) pairs of a sparse fraction-free
     elimination on integers, in the order the pivots were chosen.
 
-    Each nonzero row, cleared of denominators if it holds Fractions, is kept
-    as its nonzero entries {col: value} divided by their content.  The pivot
-    is chosen Markowitz-style: the shortest remaining row, then its entry p
-    of least absolute value, in column c.  That row leaves the rest, and each
-    row with an entry e in column c becomes (p/g) row - (e/g) pivot_row,
-    g = gcd(p, e), divided by its content.  Every surviving row is a nonzero
-    rational multiple of the Bareiss row for the same pivot sequence (both
-    lie in the span of the row and the pivot rows and vanish on the pivot
-    columns), so its entries stay within the Bareiss (Hadamard) bound.  A
-    pivot row therefore vanishes on every earlier pivot column.
+    Each nonzero row of ints is kept as its nonzero entries {col: value}
+    divided by their content.  The pivot is chosen Markowitz-style: the
+    shortest remaining row, then its entry p of least absolute value, in
+    column c.  That row leaves the rest, and each row with an entry e in
+    column c becomes (p/g) row - (e/g) pivot_row, g = gcd(p, e), divided by
+    its content.  Every surviving row is a nonzero rational multiple of the
+    Bareiss row for the same pivot sequence (both lie in the span of the row
+    and the pivot rows and vanish on the pivot columns), so its entries stay
+    within the Bareiss (Hadamard) bound.  A pivot row therefore vanishes on
+    every earlier pivot column.
     """
     pending: List[Dict[int, int]] = []
     for row in rows:
         values = list(filter(None, row))
         if not values:
             continue
-        if set(map(type, values)) != {int}:
-            values = clear(values)[1]
         g = gcd(*values)
         pending.append(dict(zip(compress(count(), row), values if g == 1 else [v // g for v in values])))
     pivots = []

@@ -123,17 +123,10 @@ def _node(parts: Tuple[int, ...]) -> tuple:
     return node
 
 
-def conjugate_walk(parts: Tuple[int, ...]) -> Tuple[int, int, List[int]]:
-    """(sum of m_i^2, product of l! over the runs of l equal parts, the
-    conjugate parts largest first) of the partition m with these parts,
-    largest first: its node, closed by its ones."""
-    _, d, w, conj = _close(_node(parts), sum(parts))
-    return d, w, conj
-
-
 def conjugate(m: Partition) -> Partition:
-    """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i}."""
-    return Partition._trusted(conjugate_walk(m.parts)[2])
+    """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i},
+    read off m's node closed by its ones."""
+    return Partition._trusted(_close(_node(m.parts), m.n)[3])
 
 
 def profile(m: Partition) -> MultiplicityProfile:

@@ -14,7 +14,6 @@ the fixed-point fibres generically have order 2^(m-1)).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from ._record import Record, _set
@@ -56,7 +55,7 @@ RealFormLabel = Union[SU, SOStar]
 
 class RealSheetReport(Record):
     """Sheet, quasi-split status and abelianisation target of a real form.
-    ``extra`` holds the numeric invariants as (name, value) pairs, in the
+    ``extra`` holds the integer invariants as (name, value) pairs, in the
     order they are written, so the record is immutable and hashable."""
 
     __slots__ = ("label", "levi_description", "quasi_split", "abelianised_target", "extra", "note")
@@ -67,7 +66,7 @@ class RealSheetReport(Record):
         levi_description: Union[Levi, str, None],
         quasi_split: bool,
         abelianised_target: Optional[str],
-        extra: Tuple[Tuple[str, Fraction], ...] = (),
+        extra: Tuple[Tuple[str, int], ...] = (),
         note: Optional[str] = None,
     ):
         _set(self, "label", label)
@@ -128,7 +127,7 @@ def _su_report(label: SU, genus: Optional[int]) -> RealSheetReport:
     else:
         target = "Hitchin fibration for U(%d,%d) at maximal Toledo invariant" % (q, q)
         if genus is not None:
-            extra = (("toledo_max", Fraction(toledo_max(q, genus))),)
+            extra = (("toledo_max", toledo_max(q, genus)),)
     return RealSheetReport(
         label=label,
         levi_description=Levi(m, 0),
@@ -143,9 +142,9 @@ def _so_star_report(label: SOStar, genus: Optional[int]) -> RealSheetReport:
     n = label.n
     if n % 2 == 1:
         m = (n - 1) // 2
-        extra = (("jh_rank", Fraction(1)), ("gl2_blocks", Fraction(m)))
+        extra = (("jh_rank", 1), ("gl2_blocks", m))
         if genus is not None:
-            extra += (("fixed_degree", Fraction(so_star_fixed_degree(m, genus))),)
+            extra += (("fixed_degree", so_star_fixed_degree(m, genus)),)
         return RealSheetReport(
             label=label,
             levi_description="GL2^%d x Gm" % m,
@@ -164,13 +163,6 @@ def _so_star_report(label: SOStar, genus: Optional[int]) -> RealSheetReport:
     )
 
 
-# Registry keyed by label type; new families plug in without schema change.
-_REPORT_BUILDERS = {
-    SU: _su_report,
-    SOStar: _so_star_report,
-}
-
-
 def sheet_of_real_form(label: RealFormLabel, genus: Optional[int] = None) -> RealSheetReport:
     """Identify the sheet and abelianisation data of a real form.
 
@@ -178,12 +170,11 @@ def sheet_of_real_form(label: RealFormLabel, genus: Optional[int] = None) -> Rea
     (maximal characteristic number, fixed reduced degree); without one only
     structural data is reported.  A genus below 2 is an error.
     """
-    builder = _REPORT_BUILDERS.get(type(label))
-    if builder is None:
+    if type(label) not in (SU, SOStar):
         raise ValueError("unknown real form label %r" % (label,))
     if genus is not None and genus < 2:
         raise ValueError("genus must be at least 2")
-    return builder(label, genus)
+    return _su_report(label, genus) if type(label) is SU else _so_star_report(label, genus)
 
 
 def abelianized_fiber_dim_is_positive(label: RealFormLabel) -> bool:

@@ -460,6 +460,7 @@ def _gl_walk(n: int, form: str, node: tuple, q: int) -> Iterator:
         prefix = _GL_NAME % n
         # a two-part Levi partition is the class I record exactly when its parts are equal
         halves = "%d,%d" % (n // 2, n - n // 2)
+    if form is _JSON or form is _ROWS:
         # the text of every dim_z, d, dim_sheet and orbit part: each is at most n^2
         num = [*map(str, range(nn + 1))].__getitem__
     if form is _JSON:

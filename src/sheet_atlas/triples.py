@@ -362,14 +362,9 @@ def sp4_e() -> RationalMatrix:
     return RationalMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
 
 
-SP4_FLIP = (1, 0, 3, 2)  # the flip as the permutation σ of the basis: e_1 <-> e_2, e_3 <-> e_4
-
-
-def sp4_flip_matrix() -> RationalMatrix:
-    """Order-2 symplectic element generating the component group of e: the
-    permutation matrix P of :data:`SP4_FLIP`, P e_i = e_σ(i).  σ is an
-    involution, so row i holds its one entry in column σ(i)."""
-    return RationalMatrix.from_cleared(4, 1, [[(j, 1)] for j in SP4_FLIP])
+# the order-2 symplectic flip s that generates the component group of e, as
+# the permutation σ of the basis it makes: e_1 <-> e_2, e_3 <-> e_4
+SP4_FLIP = (1, 0, 3, 2)
 
 
 def formal_t() -> RatPoly:

@@ -26,7 +26,9 @@ the descriptor, against which the library's text writer is checked,
 three test inputs: :func:`graded_from_dense`, a graded polynomial from its
 dense coefficients, :func:`witness_noninjectivity`, two points off the
 heart with one composition image, and :func:`sp4_triple`, the printed
-rank-2 symplectic subregular triple.  :func:`weighted_dens_by_trial_division`
+rank-2 symplectic subregular triple.  :func:`dense_basis` writes a model's
+basis out as dense Fraction matrices, read off its sparse terms (the
+library keeps only the terms).  :func:`weighted_dens_by_trial_division`
 finds the least common denominators of weighted coefficients from prime
 exponents.  :func:`reference_parser` is the CLI's argparse parser written
 out by hand, against which the CLI's own parsing is checked.
@@ -398,6 +400,19 @@ def sp4_h() -> RationalMatrix:
 
 def sp4_f() -> RationalMatrix:
     return RationalMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def dense_basis(model) -> Tuple[RationalMatrix, ...]:
+    """The basis of a Lie algebra model as dense matrices: element i has the
+    Fraction entry k at (r, c) for each term (r, c, k) of model.terms[i]."""
+    n = model.matrix_size
+    out = []
+    for terms in model.terms:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for r, c, k in terms:
+            rows[r][c] += Fraction(k)
+        out.append(RationalMatrix(rows))
+    return tuple(out)
 
 
 def sp4_triple() -> Sl2Triple:

@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 from sheet_atlas.partitions import (
     Partition,
     conjugate,
-    conjugate_walk,
     is_valid_orbit_partition,
     partitions_of,
     profile,
 )
 from sheet_atlas import partitions, sheets
-from sheet_atlas.sheets import type_a, type_b, type_c, type_d
+from sheet_atlas.sheets import gl_sheet, type_a, type_b, type_c, type_d
 
 from oracles import (
     conjugate_by_cells,
@@ -131,9 +130,11 @@ def test_partitions_of_rejects_negative():
 
 
 def test_conjugate_and_profile_on_every_small_partition():
-    """conjugate against the cell transpose, the walk's sum of squared parts
-    and product of l_i! over the steps l_i of the transpose, and the profile
-    against those steps, for every partition with n <= 30."""
+    """conjugate against the cell transpose; gl_sheet's d, |W_L| and orbit,
+    which the walk along the partition's own parts gives, against the sum
+    of squared parts, the product of l_i! over the steps l_i of the
+    transpose and the conjugate; and the profile against those steps, for
+    every partition with n <= 30."""
     for n in range(31):
         for m in partitions_of(n):
             conj = conjugate(m)
@@ -143,7 +144,9 @@ def test_conjugate_and_profile_on_every_small_partition():
             w = 1
             for li in steps.values():
                 w *= factorial(li)
-            assert conjugate_walk(m.parts) == (sum(p * p for p in m.parts), w, list(conj.parts)), m
+            if n:
+                desc = gl_sheet(m)
+                assert (desc.d, desc.w_l_order, desc.nilpotent_orbit) == (sum(p * p for p in m.parts), w, conj), m
             prof = profile(m)
             assert prof.s == m.largest
             assert dict(prof.items()) == steps
@@ -169,11 +172,11 @@ def test_walk_records_match_the_cell_oracle():
             assert desc.name == "gl%d:m=" % n + ",".join(map(str, parts)), parts
             assert (d, w_l) == (fields["d"], fields["w_l_order"]), parts
             assert conj == list(conjugate_by_cells(m).parts) == list(fields["nilpotent_orbit"].parts), parts
-            assert conjugate_walk(parts) == (d, w_l, conj), parts
+            assert gl_sheet(m) == desc and list(conjugate(m).parts) == conj, parts
 
 
 def test_walk_of_zero_and_negative_n():
     assert list(partitions_of(0)) == [Partition(())]
-    assert conjugate_walk(()) == (0, 1, [])
+    assert conjugate(Partition(())) == Partition(())
     with pytest.raises(ValueError):
         next(partitions_of(-1))

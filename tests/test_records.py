@@ -31,6 +31,8 @@ from sheet_atlas.sheets import (
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 from sheet_atlas.triples import JordanBasisPlan, Sl2Triple, build_bcd_triple
 
+from oracles import dense_basis
+
 SDIX_FIELDS = [
     ("kind", GroupKind("C", 2)), ("levi", MaxLevi(1, 1)), ("dixmier", True), ("nilpotent_orbit", Partition((2, 2))),
     ("d", 4), ("dim_z", 1), ("w_l_order", 2), ("katsylo_order", 2), ("dim_sheet", 7), ("class_tag", "VIII"),
@@ -207,10 +209,11 @@ def test_copies_are_built_through_the_constructor():
         assert copy.copy(record) == record and copy.deepcopy(record) == record
 
 
-def test_model_basis_is_cached_beside_the_fields():
+def test_shared_model_holds_only_its_fields():
     model = build_model(type_b(2))
     fresh = _model.__wrapped__(type_b(2), None)  # built again outside the shared cache
-    assert model.basis is model.basis and len(model.basis) == model.dimension
+    assert not hasattr(model, "__dict__") and model._fields == ("kind", "form", "matrix_size", "terms")
+    assert len(dense_basis(model)) == model.dimension
     assert model == fresh and hash(model) == hash(fresh)
     with pytest.raises(AttributeError):
         model.basis = ()

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -163,7 +164,7 @@ def test_the_streamed_listing_checks_every_record(monkeypatch):
 
     monkeypatch.setattr(partitions, "_close", wrong_d)
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
-    assert partitions.conjugate_walk((5,))[0] == 26
+    assert partitions.conjugate(Partition((5,))) == Partition((1,) * 5)  # the fault is in d alone
     with pytest.raises(ValueError, match="dim_sheet"):
         list(listing_json(type_a(5)))
     for argv in (["sheets", "--json"], ["sheets"], ["sheet-info", "--levi", "2,2,1"]):
@@ -174,6 +175,25 @@ def test_the_streamed_listing_checks_every_record(monkeypatch):
         # the first record fails, before anything is written (the table
         # fails in its first walk, which only takes the column widths)
         assert out.getvalue() == "", argv
+
+
+def test_one_type_a_record_at_the_rank_bound_is_small():
+    """One type A record at rank 1000 is read off its Levi partition's own
+    node: its lookup allocates under 1 MB at its peak, for a record of a few
+    KB, where the text table a listing writes its numbers from would hold
+    the n^2 + 1 = 10^6 + 1 strings 0..n^2."""
+    find_sheet(type_a(4), Levi(Partition((2, 2)), 0))
+    for parts in ((500, 500), (1,) * 1000):
+        levi = Levi(Partition(parts), 0)
+        tracemalloc.start()
+        try:
+            desc = find_sheet(type_a(1000), levi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = sum(p * p for p in parts)
+        assert (desc.d, desc.dim_z, desc.dim_sheet) == (d, len(parts), 1000**2 - d + len(parts)), parts
+        assert peak < 10**6, (parts, peak)
 
 
 def test_gl_sheet_refuses_the_empty_partition():

@@ -17,7 +17,6 @@ from sheet_atlas.triples import (
     formal_t,
     sp4_e,
     sp4_flip_action,
-    sp4_flip_matrix,
     sp4_model,
     sp4_slice,
 )
@@ -162,27 +161,32 @@ def test_sp4_slice_as_printed_leaves_sheet():
     assert cp1.coefficient(4) == Fraction(9, 256)  # nonzero constant term: not in the sheet
 
 
+def _flip_matrix() -> RationalMatrix:
+    """The flip s as the permutation matrix P of σ = SP4_FLIP, P e_j = e_σ(j)."""
+    return RationalMatrix([[int(SP4_FLIP[j] == i) for j in range(4)] for i in range(4)])
+
+
 def test_sp4_flip_action():
     t = formal_t()
     assert sp4_flip_action(t) == sp4_slice(-t)
     assert sp4_flip_action(1) == sp4_slice(-1)
     assert sp4_flip_action(0) == sp4_slice(0)
-    s = sp4_flip_matrix()
+    s = _flip_matrix()
     gram = sp4_model().form.gram
     assert s.transpose() @ gram @ s == gram  # s is symplectic
     assert sp4_flip_action(t, as_printed=True) == sp4_slice(-t, as_printed=True)
 
 
 def test_sp4_flip_is_the_permutation_sigma():
-    """The flip matrix is the permutation matrix of σ = SP4_FLIP, and
-    relabelling x_t by σ gives x_{-t}; the identity and (2, 3, 0, 1) do not,
-    so the flip check tells σ from other permutations."""
+    """Relabelling x_t by σ = SP4_FLIP is conjugation by its permutation
+    matrix s and gives x_{-t}; the identity and (2, 3, 0, 1) do not, so the
+    flip check tells σ from other permutations."""
     assert SP4_FLIP == (1, 0, 3, 2)
-    assert sp4_flip_matrix() == RationalMatrix([[int(SP4_FLIP[j] == i) for j in range(4)] for i in range(4)])
+    s = _flip_matrix()
     for tv in (formal_t(), Fraction(3, 2), -2):
         for as_printed in (False, True):
             x = sp4_slice(tv, as_printed=as_printed)
-            assert x.permuted(SP4_FLIP) == sp4_slice(-tv, as_printed=as_printed)
+            assert x.permuted(SP4_FLIP) == s @ x @ s.transpose() == sp4_slice(-tv, as_printed=as_printed)
             assert x.permuted((0, 1, 2, 3)) != sp4_slice(-tv, as_printed=as_printed)
             assert x.permuted((2, 3, 0, 1)) != sp4_slice(-tv, as_printed=as_printed)
 
