@@ -6,8 +6,7 @@ own conjugate.
 """
 from __future__ import annotations
 
-from math import factorial
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from ._record import OrderedRecord, Record, _set
 
@@ -78,55 +77,14 @@ class MultiplicityProfile(Record):
         return {str(i): c for i, c in self.items()}
 
 
-# A node of the prefix tree of partitions: its parts >= 2, largest first, and
-# the partition they make when closed by ones.  It carries (parts, their text,
-# sum of parts, sum of squared parts, product of l! over its closed runs of l
-# equal parts, the length of its last run, its last part, the conjugate parts
-# above its last part).  The text writes each part after a comma, so a step
-# adds one piece ",q" and the closing run of ones one piece ",1" * r.  Exactly
-# j parts are >= i for i in (m_{j+1}, m_j], so a part q below the last part p
-# of j parts puts p - q copies of j on top of that conjugate tail.  The root
-# has no parts; its last part 1 keeps the tail of its children empty
-# ([0] * (1 - q) is) and closes it to (n).
-_ROOT = ((), "", 0, 0, 1, 0, 1, [])
-
-
-def _step(node: tuple, q: int, piece: str) -> tuple:
-    """The child of ``node`` whose parts end in one more part q >= 2, no
-    larger than the last; ``piece`` is its text, ",q"."""
-    parts, text, s, d, w, run, last, tail = node
-    if q == last:
-        return parts + (q,), text + piece, s + q, d + q * q, w, run + 1, q, tail
-    return parts + (q,), text + piece, s + q, d + q * q, w * factorial(run), 1, q, [len(parts)] * (last - q) + tail
-
-
-def _close(node: tuple, n: int) -> Tuple[str, int, int, List[int]]:
-    """(the parts written with commas between them, sum of m_i^2, product
-    of l! over the runs of l equal parts, the conjugate parts largest first)
-    of the partition m of n made of the parts of ``node`` and n - (their
-    sum) ones.  Every part of m counts towards the first conjugate part, and
-    the parts of ``node`` towards each one up to its last part."""
-    parts, text, s, d, w, run, last, tail = node
-    r = n - s
-    k = len(parts)
-    return (text + ",1" * r)[1:], d + r, w * factorial(run) * factorial(r), [k + r] + [k] * (last - 1) + tail if n else []
-
-
-def _node(parts: Tuple[int, ...]) -> tuple:
-    """The node of the partition with these parts, largest first: the walk's
-    steps along its own parts >= 2."""
-    node = _ROOT
-    for q in parts:
-        if q == 1:
-            break
-        node = _step(node, q, ",%d" % q)
-    return node
-
-
 def conjugate(m: Partition) -> Partition:
     """Conjugate (transposed Young diagram) partition: m^i = #{m_j >= i},
-    read off m's node closed by its ones."""
-    return Partition._trusted(_close(_node(m.parts), m.n)[3])
+    the orbit of m's gl_n record, read off the walk of the type A listing
+    led down m's own parts (``sheets.gl_sheet``)."""
+    if not m.parts:
+        return m
+    from .sheets import gl_sheet  # sheets imports this module
+    return gl_sheet(m).nilpotent_orbit
 
 
 def profile(m: Partition) -> MultiplicityProfile:
@@ -167,4 +125,4 @@ def partitions_of(n: int) -> Iterator[Partition]:
     if n < 0:
         raise ValueError("n must be non-negative")
     from .sheets import _PARTS, _gl_walk  # sheets imports this module
-    yield from _gl_walk(n, _PARTS, _ROOT, n)
+    yield from _gl_walk(n, _PARTS)

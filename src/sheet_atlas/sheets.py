@@ -10,11 +10,11 @@ import json
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import factorial
 from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record, _set
-from . import partitions
 from .partitions import Partition, is_valid_orbit_partition
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
@@ -415,8 +415,8 @@ def enumerate_sheets_gln(n: int) -> List[SheetDescriptor]:
 
 def gl_sheet(m: Partition) -> SheetDescriptor:
     """The sheet of gl_n with Levi partition m, n = |m| > 0: the listing's
-    loop started at m's own node, which it closes at once."""
-    return next(_gl_walk(m.n, _SHEETS, partitions._node(m.parts), 1))
+    loop led down m's own parts >= 2 to m's node, which it closes first."""
+    return next(_gl_walk(m.n, _SHEETS, m.parts))
 
 
 def _gl_listing(kind: GroupKind, form: str) -> Iterator:
@@ -426,43 +426,71 @@ def _gl_listing(kind: GroupKind, form: str) -> Iterator:
     check_rank(kind)
     if kind.rank > 40:
         raise ValueError("n out of supported range 1..40")
-    return _gl_walk(kind.rank, form, partitions._ROOT, kind.rank)
+    return _gl_walk(kind.rank, form)
 
 
-def _gl_walk(n: int, form: str, node: tuple, q: int) -> Iterator:
+def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterator:
     """The one walk of the partitions of n, and the one loop behind every
     type A record.
 
     The partitions of n are the nodes of the prefix tree of parts >= 2,
-    each closed by ones; a child, ending in a part >= 2, comes before its
-    parent, ending in ones, so reverse-lexicographic order is the tree's
-    post-order with the children taken largest part first.  The loop walks
-    that tree from ``node``, its children first, none with a part above q
-    (so q = n from the root walks every partition of n, and q = 1 closes
-    ``node`` alone).  Each node but ``node`` is made by one
-    ``partitions._step`` from its parent.
+    each closed by ones; a child, ending in one more part >= 2, comes before
+    its parent, ending in ones, so reverse-lexicographic order is the tree's
+    post-order with the children taken largest part first.  Without ``own``
+    the loop walks the whole tree from the root.  With ``own``, the parts of
+    a partition m of n, its way down takes m's parts >= 2 and then no more,
+    so the first node it closes is m's.
+
+    The loop keeps the node it stands on in its locals, each child one step
+    from its parent: its parts, their sum, d = sum m_i^2, the product of l!
+    over its runs of l equal parts (the last run still growing), the length
+    of its last run, its last part, and the conjugate parts above that last
+    part (the tail).  Exactly k parts are >= i for i in (m_{k+1}, m_k], so a
+    step to a part q below the last part p of k parts puts p - q copies of k
+    on top of the tail, and adds k (p^2 - q^2) to the tail's share of
+    sum (2i - 1) m'_i.  That step is the one place the tail changes, and it
+    updates its three views together: the list, the text in the written
+    orbit's separator, and the share.  The root has no parts and last part
+    1, so its children's tail is empty.
 
     In ``form`` _PARTS it yields each partition.  In every other form it
-    closes each node once (``partitions._close``), checks the record of gl_n
-    and writes it: _JSON the pieces of the JSON list, one record each (the
-    last closes it), _ROWS the table row of each record, _SHEETS its
-    descriptor.  Of the Levi partition m, the orbit is the conjugate m',
-    dim z = #parts = m'_1, and dim_sheet = dim O + dim z with dim O = n^2 -
-    sum (2i - 1) m'_i read off the orbit, so the record check (dim_sheet =
-    dim G - d + dim_z) compares the walk's d with the conjugate, and the
-    orbit written is the conjugate list it has just passed."""
-    step, close = partitions._step, partitions._close
-    pieces = [",%d" % i for i in range(q + 1)]
+    closes each node with its r ones: the orbit is the conjugate m' = (k +
+    r, k, ..., k, tail) with last - 1 parts k, dim z = m'_1, and dim_sheet =
+    dim O + dim z with dim O = n^2 - sum (2i - 1) m'_i = n^2 - (r + k last^2
+    + the tail's share).  So the record check (dim_sheet = dim G - d +
+    dim_z, and the orbit list is a partition of n) compares the walk's d
+    with the conjugate it carries.  Then it writes the record: _JSON the
+    pieces of the JSON list, one record each (the last closes it), _ROWS
+    the table row of each record, _SHEETS its descriptor.
+
+    _JSON and _ROWS carry the texts they write too: the parts in the name's
+    separator, the Levi's (JSON) and the decomposition's, each part followed
+    by its separator (but the last part of a node without ones), so a
+    record's text is its node's text and the text of its r ones; and the
+    orbit's tail, a separator before each part.  Every piece comes from a
+    table of at most n^2 + 1 texts built for these two forms alone; in the
+    others every piece is empty, and _SHEETS writes the name from the Levi
+    partition."""
+    # the largest part of the next child of each node on the way down
+    if own is None:
+        q, path = n, []
+    else:
+        path = [1, *(p for p in reversed(own) if p >= 2)]
+        q = path.pop()
+    # each piece a step or a closing adds to a text: none outside _JSON and _ROWS
+    nums = pieces = levi_pieces = dec_pieces = orbit_pieces = ones = levi_ones = dec_ones = [""] * (n + 1)
     if form is not _PARTS:
         kind = type_a(n)
-        odd = range(1, 2 * n, 2)
         nn = n * n
         prefix = _GL_NAME % n
         # a two-part Levi partition is the class I record exactly when its parts are equal
         halves = "%d,%d" % (n // 2, n - n // 2)
     if form is _JSON or form is _ROWS:
-        # the text of every dim_z, d, dim_sheet and orbit part: each is at most n^2
-        num = [*map(str, range(nn + 1))].__getitem__
+        # the text of every dim_z, d, dim_sheet and part: each is at most n^2
+        nums = [*map(str, range(nn + 1))]
+        pieces, ones = _gl_pieces(nums[:n + 1], ",")
+        dec_pieces, dec_ones = _gl_pieces(nums[:n + 1], "xGL")
+        orbit_pieces = ["," + i for i in nums[:n + 1]]
     if form is _JSON:
         b0, b1, b2, b3 = _layout(1)[0]
         fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % prefix,
@@ -475,49 +503,83 @@ def _gl_walk(n: int, form: str, node: tuple, q: int) -> Iterator:
         head, c0 = "[" + b0 + c0, "," + b0 + c0
         tag_texts = {equal: tuple(map(json_text, tags)) for equal, tags in _GL_TWO_PART_TAGS.items()}
         no_tags = tuple(map(json_text, _NO_TAGS))
-        levi_sep, orbit_sep = "," + b3, "," + b2
+        levi_pieces, levi_ones = _gl_pieces(nums[:n + 1], "," + b3)
+        orbit_pieces = ["," + b2 + i for i in nums[:n + 1]]
         join = "".join
-    # (node, largest part of its next child) of each ancestor still open
+    parts, text, levi, dec, s, d, w, run, last, tail, tail_text, share = (), "", "", "", 0, 0, 1, 0, 1, [], "", 0
+    # the state of each ancestor still open, with the largest part of its next child
     stack = []
     push, pop = stack.append, stack.pop
     while True:
         if q >= 2:
-            push((node, q - 1))
-            node = step(node, q, pieces[q])
-            r = n - node[2]
-            if r < q:
-                q = r
+            push((parts, text, levi, dec, s, d, w, run, last, tail, tail_text, share, q - 1))
+            if q == last:
+                run += 1
+                w *= run
+            else:
+                k = len(parts)
+                tail = [k] * (last - q) + tail
+                tail_text = orbit_pieces[k] * (last - q) + tail_text
+                share += k * (last * last - q * q)
+                run, last = 1, q
+            parts += (q,)
+            s += q
+            d += q * q
+            if s < n:
+                text += pieces[q]
+                levi += levi_pieces[q]
+                dec += dec_pieces[q]
+            else:  # a node without ones: its last part ends its texts
+                text += nums[q]
+                levi += nums[q]
+                dec += nums[q]
+            if path:
+                q = path.pop()
+            elif n - s < q:
+                q = n - s
             continue
+        r = n - s
         if form is _PARTS:
-            yield Partition._trusted(node[0] + (1,) * (n - node[2]))
+            yield Partition._trusted(parts + (1,) * r)
         else:
-            text, d, w_l, conj = close(node, n)
-            dim_z = conj[0]
-            dim_sheet = nn - sum(map(mul, odd, conj)) + dim_z
-            check_record(kind, d, dim_z, w_l, 1, dim_sheet, conj)
+            k = len(parts)
+            dim_z = k + r
+            conj = [dim_z, *[k] * (last - 1), *tail]
+            dim_sheet = nn - (r + k * last * last + share) + dim_z
+            w_l = w * factorial(r)
+            check_record(kind, d + r, dim_z, w_l, 1, dim_sheet, conj)
             if form is _JSON:
-                class_tag, type_tag = tag_texts[text == halves] if dim_z == 2 else no_tags
+                class_tag, type_tag = tag_texts[text + ones[r] == halves] if dim_z == 2 else no_tags
                 w_l = str(w_l)
                 # w_s_order = w_l_order / katsylo_order = w_l_order
-                yield join((head, text, c1, text.replace(",", levi_sep), c2, text.replace(",", "xGL"),
-                            c3, orbit_sep.join(map(num, conj)), c4, num(d), c5, num(dim_z), c6, w_l, c7, w_l, c8,
-                            num(dim_sheet), c9, class_tag, c10, type_tag, c11))
+                yield join((head, text, ones[r], c1, levi, levi_ones[r], c2, dec, dec_ones[r], c3, nums[dim_z],
+                            orbit_pieces[k] * (last - 1), tail_text, c4, nums[d + r], c5, nums[dim_z], c6, w_l, c7,
+                            w_l, c8, nums[dim_sheet], c9, class_tag, c10, type_tag, c11))
                 head = c0
+            elif form is _ROWS:
+                name = text + ones[r]
+                class_tag = _GL_TWO_PART_TAGS[name == halves][0] if dim_z == 2 else "-"
+                yield (prefix + name, _GL_DECOMPOSITION % (dec + dec_ones[r]),
+                       "(%s%s%s)" % (nums[dim_z], orbit_pieces[k] * (last - 1), tail_text), nums[d + r],
+                       nums[dim_z], str(w_l), "1", nums[dim_sheet], class_tag)
             else:
-                class_tag, type_tag = _GL_TWO_PART_TAGS[text == halves] if dim_z == 2 else _NO_TAGS
-                if form is _ROWS:
-                    yield (prefix + text, _GL_DECOMPOSITION % text.replace(",", "xGL"),
-                           "(%s)" % ",".join(map(num, conj)), num(d), num(dim_z), str(w_l), "1", num(dim_sheet),
-                           class_tag or "-")
-                else:
-                    yield SheetDescriptor(kind, Levi(Partition._trusted(node[0] + (1,) * (n - node[2])), 0), True,
-                                          Partition._trusted(conj), d, dim_z, w_l, 1, dim_sheet, class_tag, type_tag,
-                                          1, False, prefix + text)
+                levi_parts = parts + (1,) * r
+                name = ",".join(map(str, levi_parts))
+                class_tag, type_tag = _GL_TWO_PART_TAGS[name == halves] if dim_z == 2 else _NO_TAGS
+                yield SheetDescriptor(kind, Levi(Partition._trusted(levi_parts), 0), True, Partition._trusted(conj),
+                                      d + r, dim_z, w_l, 1, dim_sheet, class_tag, type_tag, 1, False, prefix + name)
         if not stack:
             break
-        node, q = pop()
+        parts, text, levi, dec, s, d, w, run, last, tail, tail_text, share, q = pop()
     if form is _JSON:
         yield "\n]"
+
+
+def _gl_pieces(nums: List[str], sep: str) -> Tuple[List[str], List[str]]:
+    """What a step and a closing add to a text of parts in separator
+    ``sep``, from the texts of 0..n: part q followed by sep, and r ones
+    with a separator between them, for q, r = 0..n."""
+    return [i + sep for i in nums], [sep.join("1" * r) for r in range(len(nums))]
 
 
 # the name of a type A record before its parts, and its decomposition data

@@ -159,13 +159,11 @@ def test_walk_is_every_partition_in_reverse_lexicographic_order():
 
 def test_walk_records_match_the_cell_oracle():
     """d, |W_L| and the conjugate of each partition the walk of the type A
-    listing reaches, against the diagram's cells; the text the walk carries
-    from parent to child and closes with the run of ones, written into each
-    record's name, against the parts written out; and the walk along one
-    partition's own parts, which conjugate and gl_sheet take, gives the same
-    values."""
+    listing reaches, against the diagram's cells; each record's name against
+    the parts written out; and the walk led down one partition's own parts,
+    which conjugate and gl_sheet take, gives the same values."""
     for n in range(1, 15):
-        for desc in sheets._gl_walk(n, sheets._SHEETS, partitions._ROOT, n):
+        for desc in sheets._gl_walk(n, sheets._SHEETS):
             m = desc.levi.blocks
             parts, d, w_l, conj = m.parts, desc.d, desc.w_l_order, list(desc.nilpotent_orbit.parts)
             fields = gl_record_fields(m)

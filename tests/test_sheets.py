@@ -1,5 +1,7 @@
+import inspect
 import json
 import re
+import textwrap
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -39,7 +41,7 @@ from sheet_atlas.sheets import (
     valid_max_levi_labels,
 )
 
-from oracles import descriptor_from_json, descriptor_to_json, gl_record_fields, partition_count
+from oracles import descriptor_from_json, descriptor_to_json, gl_record_fields, partition_count, partitions_by_recursion
 
 
 def test_gln_sheet_example_n4():
@@ -113,6 +115,26 @@ def test_streamed_type_a_listing_against_the_oracle():
             assert record == expected, parts
 
 
+def test_streamed_type_a_table_against_the_oracle():
+    """Every row of the streamed table for n <= 24, header first, against the
+    record computed from the cells of its Levi diagram: its name,
+    decomposition, orbit (the carried text, "," between parts), d, dim_z,
+    |W_L|, |F|, dim and class, p(n) rows in reverse-lexicographic order."""
+    for n in range(1, 25):
+        rows = list(listing_rows(type_a(n))())
+        assert rows[0] == LISTING_HEADER and len(rows) == partition_count(n) + 1, n
+        levis = [tuple(map(int, row[0].split("=")[1].split(","))) for row in rows[1:]]
+        assert all(a > b for a, b in zip(levis, levis[1:])), n
+        for row, parts in zip(rows[1:], levis):
+            m = Partition(parts)
+            assert m.parts == parts and m.n == n
+            f = gl_record_fields(m)
+            expected = (f["name"], f["decomposition_data"], "(%s)" % ",".join(map(str, f["nilpotent_orbit"].parts)),
+                        str(f["d"]), str(f["dim_z"]), str(f["w_l_order"]), str(f["katsylo_order"]),
+                        str(f["dim_sheet"]), f["class_tag"] or "-")
+            assert row == expected, parts
+
+
 # Each bad record: (kind, d, dim_z, |W_L|, katsylo order, dim_sheet, orbit),
 # one value off a good record (gl4 with Levi (2,1,1); C(2) class VIII).
 BAD_RECORDS = {
@@ -150,31 +172,53 @@ def test_check_record_refuses_each_bad_record(case):
         )
 
 
+# Faults put into the walk's own source, each one line of it changed: a
+# wrong d at the record check, and the carried share of sum (2i - 1) m'_i off
+# by one at the step that moves the conjugate tail.
+WALK_FAULTS = {
+    "d": ("check_record(kind, d + r, dim_z,", "check_record(kind, d + r + 1, dim_z,"),
+    "share": ("share += k * (last * last - q * q)", "share += k * (last * last - q * q) + 1"),
+}
+
+
+def _faulty_walk(fault):
+    """sheets._gl_walk compiled from its source with one fault of
+    WALK_FAULTS put in, in a copy of the module's namespace."""
+    good, bad = WALK_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(sheets._gl_walk))
+    assert source.count(good) == 1, fault  # the fault has its one place in the walk
+    namespace = dict(vars(sheets))
+    exec(compile(source.replace(good, bad), sheets.__file__, "exec"), namespace)
+    return namespace["_gl_walk"]
+
+
 def test_the_streamed_listing_checks_every_record(monkeypatch):
-    """A wrong d from the function that closes each record fails the record
-    check, and the CLI exits 1 with an error before writing anything, in
-    both forms of the listing and for one record.  The fault is in
-    partitions._close, which the listing's loop calls on every node it
-    closes and gl_sheet on the node of its one Levi partition."""
-    good = partitions._close
-
-    def wrong_d(node, n):
-        text, d, w_l, conj = good(node, n)
-        return text, d + 1, w_l, conj
-
-    monkeypatch.setattr(partitions, "_close", wrong_d)
+    """A wrong d, or a wrong carried sum (2i - 1) m'_i, in the walk fails the
+    record check, and the CLI exits 1 with an error before writing anything,
+    in both forms of the listing and for one record.  The walk is the one
+    loop behind every type A record, so each fault reaches the listing's
+    loop on every node it closes and gl_sheet (and conjugate, read off it) on
+    the node of its one Levi partition; the partitions it walks are
+    unchanged."""
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
-    assert partitions.conjugate(Partition((5,))) == Partition((1,) * 5)  # the fault is in d alone
-    with pytest.raises(ValueError, match="dim_sheet"):
-        list(listing_json(type_a(5)))
-    for argv in (["sheets", "--json"], ["sheets"], ["sheet-info", "--levi", "2,2,1"]):
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main([argv[0], "--kind", "A", "--rank", "5", *argv[1:]])
-        assert code == 1 and err.getvalue().startswith("error:"), argv
-        # the first record fails, before anything is written (the table
-        # fails in its first walk, which only takes the column widths)
-        assert out.getvalue() == "", argv
+    for fault in sorted(WALK_FAULTS):
+        with monkeypatch.context() as patch:
+            patch.setattr(sheets, "_gl_walk", _faulty_walk(fault))
+            assert [m.parts for m in partitions.partitions_of(5)] == partitions_by_recursion(5), fault
+            with pytest.raises(ValueError, match="dim_sheet"):
+                conjugate(Partition((5,)))
+            with pytest.raises(ValueError, match="dim_sheet"):
+                list(listing_json(type_a(5)))
+            for argv in (["sheets", "--json"], ["sheets"], ["sheet-info", "--levi", "2,2,1"]):
+                out, err = StringIO(), StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main([argv[0], "--kind", "A", "--rank", "5", *argv[1:]])
+                assert code == 1 and err.getvalue().startswith("error:"), (fault, argv)
+                # the first record fails, before anything is written (the table
+                # fails in its first walk, which only takes the column widths)
+                assert out.getvalue() == "", (fault, argv)
+        # the walk restored, the same requests succeed
+        assert conjugate(Partition((5,))) == Partition((1,) * 5)
 
 
 def test_one_type_a_record_at_the_rank_bound_is_small():
