@@ -7,15 +7,15 @@ classes), and the one exceptional record (the B3 Levi inside F4).
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import factorial
 from operator import mul
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record, _set
-from .partitions import Partition, is_valid_orbit_partition
+from .partitions import Partition, is_valid_orbit_of_size
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
@@ -249,11 +249,25 @@ def check_record(kind: GroupKind, d: int, dim_z: int, w_l_order: int, katsylo_or
     katsylo_order divides |W_L|, dim_sheet = dim G - d + dim_z, and the orbit
     (a Partition or its parts) is a valid orbit of the group's size; a
     Bala-Carter tag is not checked."""
+    _check_record(kind, kind.dim, kind.matrix_size, d, dim_z, w_l_order, katsylo_order, dim_sheet, orbit)
+
+
+def record_check(kind: GroupKind) -> Callable[[int, int, int, int, int, object], None]:
+    """:func:`check_record` bound to ``kind``, a function of the record's
+    (d, dim_z, w_l_order, katsylo_order, dim_sheet, orbit): dim G and the
+    group's matrix size are read here, once, and not for each record."""
+    return partial(_check_record, kind, kind.dim, kind.matrix_size)
+
+
+def _check_record(kind: GroupKind, dim: int, size: Optional[int], d: int, dim_z: int, w_l_order: int,
+                  katsylo_order: int, dim_sheet: int, orbit) -> None:
+    """check_record's conditions, with dim G and the matrix size of ``kind``
+    given."""
     if w_l_order % katsylo_order:
         raise ValueError("katsylo order %d does not divide |W_L| = %d" % (katsylo_order, w_l_order))
-    if dim_sheet != kind.dim - d + dim_z:
+    if dim_sheet != dim - d + dim_z:
         raise ValueError("dim_sheet fails dim G - d + dim_z")
-    if type(orbit) is not str and not is_valid_orbit_partition(kind, orbit):
+    if type(orbit) is not str and not is_valid_orbit_of_size(kind, size, orbit):
         raise ValueError("orbit partition %s invalid for %s" % (Partition(orbit), kind))
 
 
@@ -332,16 +346,21 @@ _RECORD_FIELDS = (
     ("levi_conjugacy_caveat", "%s"),
 )
 
-@lru_cache(maxsize=64)  # a few depths, and one template per type A rank
-def _layout(depth: int, fixed: Tuple[Tuple[str, str], ...] = ()):
+@lru_cache(maxsize=8)  # a few depths
+def _layout(depth: int):
     """Line breaks indented to nesting depths depth, ..., depth + 3, and the
-    record template at ``depth``, with the text of each (key, text) of
-    ``fixed`` written in place of the field's conversion: the JSON text of a
-    field every record shares, or a text around its own conversion."""
+    record template at ``depth``."""
     breaks = tuple("\n" + "  " * k for k in range(depth, depth + 4))
-    texts = dict(fixed)
-    fields = ",".join('%s"%s": %s' % (breaks[1], key, texts.get(key, conv)) for key, conv in _RECORD_FIELDS)
-    return breaks, "{" + fields + breaks[0] + "}"
+    return breaks, _template(breaks, {})
+
+
+def _template(breaks: Tuple[str, ...], fixed: Dict[str, str]) -> str:
+    """The record template with line breaks ``breaks``, with the text of each
+    field of ``fixed`` written in place of the field's conversion: the JSON
+    text of a field every record shares, or a text around its own
+    conversion."""
+    fields = ",".join('%s"%s": %s' % (breaks[1], key, fixed.get(key, conv)) for key, conv in _RECORD_FIELDS)
+    return "{" + fields + breaks[0] + "}"
 
 
 def _list_text(texts, inner: str, outer: str) -> str:
@@ -459,7 +478,9 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
     dim O + dim z with dim O = n^2 - sum (2i - 1) m'_i = n^2 - (r + k last^2
     + the tail's share).  So the record check (dim_sheet = dim G - d +
     dim_z, and the orbit list is a partition of n) compares the walk's d
-    with the conjugate it carries.  Then it writes the record: _JSON the
+    with the conjugate it carries.  It runs on every record, as
+    check_record bound to gl_n (_gl_group) before the first, so dim G and n
+    are read once.  Then it writes the record: _JSON the
     pieces of the JSON list, one record each (the last closes it), _ROWS
     the table row of each record, _SHEETS its descriptor.
 
@@ -468,44 +489,27 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
     by its separator (but the last part of a node without ones), so a
     record's text is its node's text and the text of its r ones; and the
     orbit's tail, a separator before each part.  Every piece comes from a
-    table of at most n^2 + 1 texts built for these two forms alone; in the
-    others every piece is empty, and _SHEETS writes the name from the Levi
-    partition."""
+    table of at most n^2 + 1 texts, made with the record template, the tag
+    texts and the bound check once per rank and form in a process
+    (_gl_tables) and only read by a walk.  The other forms make no table:
+    every piece is empty, and _SHEETS writes the name from the Levi
+    partition, so one record of a large rank stays small."""
     # the largest part of the next child of each node on the way down
     if own is None:
         q, path = n, []
     else:
         path = [1, *(p for p in reversed(own) if p >= 2)]
         q = path.pop()
-    # each piece a step or a closing adds to a text: none outside _JSON and _ROWS
-    nums = pieces = levi_pieces = dec_pieces = orbit_pieces = ones = levi_ones = dec_ones = [""] * (n + 1)
-    if form is not _PARTS:
-        kind = type_a(n)
-        nn = n * n
-        prefix = _GL_NAME % n
-        # a two-part Levi partition is the class I record exactly when its parts are equal
-        halves = "%d,%d" % (n // 2, n - n // 2)
     if form is _JSON or form is _ROWS:
-        # the text of every dim_z, d, dim_sheet and part: each is at most n^2
-        nums = [*map(str, range(nn + 1))]
-        pieces, ones = _gl_pieces(nums[:n + 1], ",")
-        dec_pieces, dec_ones = _gl_pieces(nums[:n + 1], "xGL")
-        orbit_pieces = ["," + i for i in nums[:n + 1]]
-    if form is _JSON:
-        b0, b1, b2, b3 = _layout(1)[0]
-        fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % prefix,
-                 "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"%s"' % _GL_DECOMPOSITION,
-                 "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
-                 "component_group_order": "1", "levi_conjugacy_caveat": "false"}
-        # no text written in holds a literal %, so the fields cut the template into 12 chunks
-        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _layout(1, tuple(fixed.items()))[1].replace("%d", "%s").split("%s")
-        # the list's separators folded into the first chunk: "[" before the first record, "," before each other
-        head, c0 = "[" + b0 + c0, "," + b0 + c0
-        tag_texts = {equal: tuple(map(json_text, tags)) for equal, tags in _GL_TWO_PART_TAGS.items()}
-        no_tags = tuple(map(json_text, _NO_TAGS))
-        levi_pieces, levi_ones = _gl_pieces(nums[:n + 1], "," + b3)
-        orbit_pieces = ["," + b2 + i for i in nums[:n + 1]]
+        (kind, check, prefix, halves, nums, pieces, ones, levi_pieces, levi_ones, dec_pieces, dec_ones, orbit_pieces,
+         tag_texts, no_tags, head, c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11) = _gl_tables(n, form)
         join = "".join
+    else:
+        # each piece a step or a closing adds to a text: none outside _JSON and _ROWS
+        nums = pieces = levi_pieces = dec_pieces = orbit_pieces = ones = levi_ones = dec_ones = ("",) * (n + 1)
+        if form is _SHEETS:
+            kind, check, prefix, halves = _gl_group(n)
+    nn = n * n
     parts, text, levi, dec, s, d, w, run, last, tail, tail_text, share = (), "", "", "", 0, 0, 1, 0, 1, [], "", 0
     # the state of each ancestor still open, with the largest part of its next child
     stack = []
@@ -547,7 +551,7 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
             conj = [dim_z, *[k] * (last - 1), *tail]
             dim_sheet = nn - (r + k * last * last + share) + dim_z
             w_l = w * factorial(r)
-            check_record(kind, d + r, dim_z, w_l, 1, dim_sheet, conj)
+            check(d + r, dim_z, w_l, 1, dim_sheet, conj)
             if form is _JSON:
                 class_tag, type_tag = tag_texts[text + ones[r] == halves] if dim_z == 2 else no_tags
                 w_l = str(w_l)
@@ -575,11 +579,58 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
         yield "\n]"
 
 
-def _gl_pieces(nums: List[str], sep: str) -> Tuple[List[str], List[str]]:
+def _gl_group(n: int) -> Tuple[GroupKind, Callable[..., None], str, str]:
+    """What every type A record of gl_n shares: the group, the record check
+    bound to it, the prefix of the record's name, and the text of the
+    two-part Levi partition with equal parts (for odd n, a text no Levi
+    partition has)."""
+    kind = type_a(n)
+    # a two-part Levi partition is the class I record exactly when its parts are equal
+    return kind, record_check(kind), _GL_NAME % n, "%d,%d" % (n // 2, n - n // 2)
+
+
+@lru_cache(maxsize=2 * 40)  # both text forms of every rank a listing takes
+def _gl_tables(n: int, form: str) -> tuple:
+    """The fixed data of a walk of gl_n in ``form``, _JSON or _ROWS, made
+    once per rank and form in a process: _gl_group's and then the texts
+    every record is written from.
+
+    The tables hold the texts of 0..n^2 (each dim_z, d, dim_sheet and part
+    is one), what a step to part q and a closing with r ones add to the
+    name, the Levi's text (JSON only) and the decomposition's, and the
+    orbit's piece for a conjugate part; _JSON adds the texts of the tags
+    and the record template cut into chunks at its fields, with the list's
+    separators in front: 27 items in all, the unused ones empty.  Every
+    table is a tuple, so a walk cannot change what the next one reads.
+    _JSON shares the _ROWS tables of its rank (made here if they are not),
+    so a rank listed both ways keeps one table of n^2 + 1 texts."""
+    if form is _ROWS:
+        # the text of every dim_z, d, dim_sheet and part: each is at most n^2
+        nums = tuple(map(str, range(n * n + 1)))
+        blank = ("",) * (n + 1)
+        return (*_gl_group(n), nums, *_gl_pieces(nums[:n + 1], ","), blank, blank,
+                *_gl_pieces(nums[:n + 1], "xGL"), tuple("," + i for i in nums[:n + 1]), None, None, *("",) * 13)
+    kind, check, prefix, halves, nums, pieces, ones, _, _, dec_pieces, dec_ones = _gl_tables(n, _ROWS)[:11]
+    b0, b1, b2, b3 = _layout(1)[0]
+    fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % prefix,
+             "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"%s"' % _GL_DECOMPOSITION,
+             "dixmier": "true", "nilpotent_orbit": "[%s%%s%s]" % (b2, b1), "katsylo_order": "1",
+             "component_group_order": "1", "levi_conjugacy_caveat": "false"}
+    # no text written in holds a literal %, so the fields cut the template into 12 chunks
+    chunks = _template((b0, b1, b2, b3), fixed).replace("%d", "%s").split("%s")
+    # the list's separators folded into the first chunk: "[" before the first record, "," before each other
+    head, chunks[0] = "[" + b0 + chunks[0], "," + b0 + chunks[0]
+    # the texts of the tags of a two-part Levi partition, at index 1 when its parts are equal
+    tag_texts = tuple(tuple(map(json_text, _GL_TWO_PART_TAGS[equal])) for equal in (False, True))
+    return (kind, check, prefix, halves, nums, pieces, ones, *_gl_pieces(nums[:n + 1], "," + b3), dec_pieces, dec_ones,
+            tuple("," + b2 + i for i in nums[:n + 1]), tag_texts, tuple(map(json_text, _NO_TAGS)), head, *chunks)
+
+
+def _gl_pieces(nums: Tuple[str, ...], sep: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """What a step and a closing add to a text of parts in separator
     ``sep``, from the texts of 0..n: part q followed by sep, and r ones
     with a separator between them, for q, r = 0..n."""
-    return [i + sep for i in nums], [sep.join("1" * r) for r in range(len(nums))]
+    return tuple(i + sep for i in nums), tuple(sep.join("1" * r) for r in range(len(nums)))
 
 
 # the name of a type A record before its parts, and its decomposition data

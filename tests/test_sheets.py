@@ -157,6 +157,9 @@ def test_check_record_refuses_each_bad_record(case):
     kind, d, dim_z, w_l, katsylo, dim_sheet, orbit = BAD_RECORDS[case]
     with pytest.raises(ValueError):
         check_record(kind, d, dim_z, w_l, katsylo, dim_sheet, orbit)
+    # and bound to its group, as a listing checks each record
+    with pytest.raises(ValueError):
+        sheets.record_check(kind)(d, dim_z, w_l, katsylo, dim_sheet, orbit)
     # and through the descriptor, whose constructor calls it
     with pytest.raises(ValueError):
         SheetDescriptor(
@@ -172,34 +175,40 @@ def test_check_record_refuses_each_bad_record(case):
         )
 
 
-# Faults put into the walk's own source, each one line of it changed: a
-# wrong d at the record check, and the carried share of sum (2i - 1) m'_i off
-# by one at the step that moves the conjugate tail.
+# Faults put into the source of the walk or of the fixed data it reads, each
+# one line of it changed: a wrong d at the record check, the carried share of
+# sum (2i - 1) m'_i off by one at the step that moves the conjugate tail, and
+# the record check bound to the group of the next rank.
 WALK_FAULTS = {
-    "d": ("check_record(kind, d + r, dim_z,", "check_record(kind, d + r + 1, dim_z,"),
+    "d": ("check(d + r, dim_z,", "check(d + r + 1, dim_z,"),
     "share": ("share += k * (last * last - q * q)", "share += k * (last * last - q * q) + 1"),
+    "group": ("kind, record_check(kind),", "kind, record_check(type_a(n + 1)),"),
 }
+# the walk and the functions that make its fixed data, the cached one with its cache
+WALK_FUNCTIONS = ("_gl_group", "_gl_tables", "_gl_walk")
 
 
 def _faulty_walk(fault):
-    """sheets._gl_walk compiled from its source with one fault of
-    WALK_FAULTS put in, in a copy of the module's namespace."""
+    """sheets._gl_walk compiled, with the functions it reads its fixed data
+    from, from their source with one fault of WALK_FAULTS put in, in a copy
+    of the module's namespace (so with a cache of its own)."""
     good, bad = WALK_FAULTS[fault]
-    source = textwrap.dedent(inspect.getsource(sheets._gl_walk))
-    assert source.count(good) == 1, fault  # the fault has its one place in the walk
+    sources = [textwrap.dedent(inspect.getsource(getattr(sheets, name))) for name in WALK_FUNCTIONS]
+    assert sum(source.count(good) for source in sources) == 1, fault  # the fault has its one place
     namespace = dict(vars(sheets))
-    exec(compile(source.replace(good, bad), sheets.__file__, "exec"), namespace)
+    for source in sources:
+        exec(compile(source.replace(good, bad), sheets.__file__, "exec"), namespace)
     return namespace["_gl_walk"]
 
 
 def test_the_streamed_listing_checks_every_record(monkeypatch):
-    """A wrong d, or a wrong carried sum (2i - 1) m'_i, in the walk fails the
-    record check, and the CLI exits 1 with an error before writing anything,
-    in both forms of the listing and for one record.  The walk is the one
-    loop behind every type A record, so each fault reaches the listing's
-    loop on every node it closes and gl_sheet (and conjugate, read off it) on
-    the node of its one Levi partition; the partitions it walks are
-    unchanged."""
+    """A wrong d, or a wrong carried sum (2i - 1) m'_i, in the walk, or the
+    check bound to the wrong group, fails the record check, and the CLI exits
+    1 with an error before writing anything, in both forms of the listing and
+    for one record.  The walk is the one loop behind every type A record, so
+    each fault reaches the listing's loop on every node it closes and
+    gl_sheet (and conjugate, read off it) on the node of its one Levi
+    partition; the partitions it walks are unchanged."""
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     for fault in sorted(WALK_FAULTS):
         with monkeypatch.context() as patch:
@@ -217,8 +226,9 @@ def test_the_streamed_listing_checks_every_record(monkeypatch):
                 # the first record fails, before anything is written (the table
                 # fails in its first walk, which only takes the column widths)
                 assert out.getvalue() == "", (fault, argv)
-        # the walk restored, the same requests succeed
+        # the walk restored, the same requests succeed: the faulty tables were cached apart
         assert conjugate(Partition((5,))) == Partition((1,) * 5)
+        assert json.loads("".join(listing_json(type_a(5))))[-1]["name"] == "gl5:m=1,1,1,1,1"
 
 
 def test_one_type_a_record_at_the_rank_bound_is_small():
@@ -238,6 +248,33 @@ def test_one_type_a_record_at_the_rank_bound_is_small():
         d = sum(p * p for p in parts)
         assert (desc.d, desc.dim_z, desc.dim_sheet) == (d, len(parts), 1000**2 - d + len(parts)), parts
         assert peak < 10**6, (parts, peak)
+
+
+def test_the_kept_type_a_tables_are_small():
+    """The tables the type A listings write from are made once per rank and
+    form and kept for the process.  With every rank 1..40 listed in both
+    forms, all the cache holds, they keep under 4 MB, the n^2 + 1 number
+    texts of a rank shared by its two forms.  A listing makes its tables
+    before its first record, so the traced part stops there; the whole
+    listings that follow make no table again."""
+    sheets._gl_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(1, 41):
+            for walk in (listing_json(type_a(n)), listing_rows(type_a(n))()):
+                next(walk), next(walk)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sheets._gl_tables.cache_info().currsize == 2 * 40
+    assert kept < 4 * 10**6, kept
+    for n in range(1, 41):
+        assert sum(1 for _ in listing_json(type_a(n))) == partition_count(n) + 1
+        assert sum(1 for _ in listing_rows(type_a(n))()) == partition_count(n) + 1
+    assert sheets._gl_tables.cache_info().misses == 2 * 40  # no table made again
+    json_tables, row_tables = sheets._gl_tables(40, sheets._JSON), sheets._gl_tables(40, sheets._ROWS)
+    # item 4 is the texts of 0..n^2
+    assert json_tables[4] is row_tables[4] and len(row_tables[4]) == 40**2 + 1
 
 
 def test_gl_sheet_refuses_the_empty_partition():

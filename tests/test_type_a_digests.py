@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from sheet_atlas import cli
+from sheet_atlas import cli, partitions, sheets
 
 GOLDEN = Path(__file__).parent / "golden" / "type_a_listing_digests.json"
 RANKS = tuple(range(1, 31)) + (40,)
@@ -73,6 +73,35 @@ def test_type_a_listing_beyond_rank_40_is_refused(monkeypatch):
         code, digest, err = _listing(["sheets", "--kind", "A", "--rank", "41", *extra])
         assert (code, digest["bytes"]) == (1, 0) and err.startswith("error:"), extra
 
+
+
+def _digest(texts) -> str:
+    sha = hashlib.sha256()
+    for text in texts:
+        sha.update(text.encode("utf-8"))
+    return sha.hexdigest()
+
+
+def test_repeated_and_interleaved_listings_are_byte_identical(monkeypatch):
+    """A process keeps the tables each type A rank is written from, so no
+    listing may change them: ranks 5, 22, 5 and 40, twice over, as JSON, as
+    a table, as descriptors and as partitions, with a refused rank-41
+    request after each, give what their first listing gave, and the
+    recorded digests."""
+    monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    first = {}
+    for n in (5, 22, 5, 40) * 2:
+        for form, extra in (("json", ["--json"]), ("table", [])):
+            code, digest, err = _listing(["sheets", "--kind", "A", "--rank", str(n), *extra])
+            assert (code, err) == (0, "") and digest == golden["%d %s" % (n, form)], (n, form)
+        answers = {
+            "descriptors": _digest(sheets.records_json(sheets.enumerate_sheets_gln(n))),
+            "partitions": _digest(repr(m.parts) for m in partitions.partitions_of(n)),
+        }
+        assert first.setdefault(n, answers) == answers, n
+        code, digest, err = _listing(["sheets", "--kind", "A", "--rank", "41", "--json"])
+        assert (code, digest["bytes"]) == (1, 0) and err.startswith("error:"), n
 
 if __name__ == "__main__":
     json.dump(listing_digests(), sys.stdout, indent=2, sort_keys=True)
