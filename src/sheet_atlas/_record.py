@@ -1,12 +1,14 @@
 """Immutable value records: the base of the library's record classes.
 
 A record class names its fields in ``__slots__`` and sets each one once,
-in its own ``__init__``, through :data:`_set`.  The base compares and
-hashes records of the same class by their field values, prints them as
-``Name(field=value, ...)`` and refuses assignment and deletion.  No code
-is generated for a class and no module beyond ``operator`` is imported, so
-defining the records costs the package's import next to nothing; see the
-cold-start note in the README.
+in its own ``__init__``, through :data:`_set`.  A class that keeps values
+read off its fields in further slots names the fields in ``_fields``
+instead.  The base compares and hashes records of the same class by their
+field values, prints them as ``Name(field=value, ...)``, pickles and
+copies them through the constructor with those values, and refuses
+assignment and deletion.  No code is generated for a class and no module
+beyond ``operator`` is imported, so defining the records costs the
+package's import next to nothing; see the cold-start note in the README.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__slots__
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         # one C-level getter per class: the value of a single field, a tuple
         # of values for more (an attrgetter does not bind as a method)
         cls._values = attrgetter(*cls._fields) if cls._fields else staticmethod(_no_values)

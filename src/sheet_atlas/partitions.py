@@ -16,7 +16,10 @@ class Partition(OrderedRecord):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = sorted((int(p) for p in parts), reverse=True)
+        ps = tuple(parts)
+        if any(type(p) is not int for p in ps):
+            raise ValueError("partition parts must be ints: %r" % (ps,))
+        ps = sorted(ps, reverse=True)
         if any(p <= 0 for p in ps):
             raise ValueError("partition parts must be positive: %r" % (ps,))
         _set(self, "parts", tuple(ps))
@@ -104,14 +107,8 @@ def is_valid_orbit_partition(kind, p) -> bool:
     form (B, D), the odd parts for an alternating one (C).  A size mismatch
     between the group and p is an error, not a False.
     """
-    return is_valid_orbit_of_size(kind, kind.matrix_size, p)
-
-
-def is_valid_orbit_of_size(kind, size, p) -> bool:
-    """:func:`is_valid_orbit_partition` with ``size``, the matrix size of
-    ``kind`` (None for F4), read by the caller: once for a loop over the
-    partitions of one group."""
     parts = p.parts if type(p) is Partition else p
+    size = kind.matrix_size
     if size is not None and sum(parts) != size:
         raise ValueError("partition of %d does not match group on %d letters" % (sum(parts), size))
     if kind.family == "A":

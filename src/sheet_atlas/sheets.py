@@ -7,7 +7,7 @@ classes), and the one exceptional record (the B3 Levi inside F4).
 from __future__ import annotations
 
 import json
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import factorial
@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record, _set
-from .partitions import Partition, is_valid_orbit_of_size
+from .partitions import Partition, is_valid_orbit_partition
 
 CLASS_NUMBER = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7, "VIII": 8, "IX": 9}
 TYPE1_CLASSES = frozenset({"II", "III", "VI", "VIII"})
@@ -24,47 +24,40 @@ _FORM_SIGNS = {"B": 1, "C": -1, "D": 1}  # the sign of the form each B/C/D group
 
 class GroupKind(Record):
     """A classical group label A(n)=GL_n, B(r)=SO_{2r+1}, C(r)=Sp_{2r},
-    D(r)=SO_{2r}, or the exceptional F4 (rank 4, which rank 0 also means)."""
+    D(r)=SO_{2r}, or the exceptional F4 (rank 4, which rank 0 also means).
 
-    __slots__ = ("family", "rank")
+    ``family`` and ``rank`` are its fields.  What the label fixes is read
+    off them once, here: ``matrix_size`` (n, 2r + 1, 2r, 2r; None for F4),
+    ``form_sign``, the sign of the form G keeps (+1 symmetric in B and D,
+    -1 alternating in C, None in A and F4), and ``dim``, dim G."""
+
+    __slots__ = ("family", "rank", "matrix_size", "form_sign", "dim")
+    _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int = 0):
         if family not in ("A", "B", "C", "D", "F4"):
             raise ValueError("unknown group family %r" % (family,))
+        if type(rank) is not int:
+            raise ValueError("rank must be an int, got %r" % (rank,))
         if family == "F4":
             if rank not in (0, 4):
                 raise ValueError("F4 has rank 4, not %r" % (rank,))
-            rank = 4
+            rank, size, sign, dim = 4, None, None, 52
         elif rank < 1:
             raise ValueError("rank must be positive")
+        elif family == "A":
+            size, sign, dim = rank, None, rank * rank
         elif family == "D" and rank < 2:
             raise ValueError("type D needs rank >= 2")
+        else:
+            sign = _FORM_SIGNS[family]
+            size = 2 * rank + 1 if family == "B" else 2 * rank
+            dim = _form_dim(size, sign)
         _set(self, "family", family)
         _set(self, "rank", rank)
-
-    @property
-    def matrix_size(self) -> Optional[int]:
-        fam = self.family
-        if fam == "A":
-            return self.rank
-        if fam == "B":
-            return 2 * self.rank + 1
-        if fam == "F4":
-            return None
-        return 2 * self.rank
-
-    @property
-    def form_sign(self) -> Optional[int]:
-        """The sign of the form G keeps: +1 symmetric (SO, types B and D), -1
-        alternating (Sp, type C), None in A and F4."""
-        return _FORM_SIGNS.get(self.family)
-
-    @property
-    def dim(self) -> int:
-        fam = self.family
-        if fam == "A":
-            return self.rank * self.rank
-        return 52 if fam == "F4" else self._form_dim(self.matrix_size)
+        _set(self, "matrix_size", size)
+        _set(self, "form_sign", sign)
+        _set(self, "dim", dim)
 
     @property
     def name(self) -> str:
@@ -76,10 +69,6 @@ class GroupKind(Record):
     # The groups keeping the form of G on s letters, and what a Levi's residual
     # means: G' keeps that form, Sp_{2p} for residual p in type C and SO_q for
     # q in B and D; F4's B3 Levi has SO_7, and type A has none (residual 0).
-
-    def _form_dim(self, size: int) -> int:
-        """s(s - sign)/2: dim so_s for sign +1 (and in F4), sp_s for -1."""
-        return size * (size - (self.form_sign or 1)) // 2
 
     def _form_name(self, size: int) -> str:
         return ("Sp%d" if self.form_sign == -1 else "SO%d") % size
@@ -94,7 +83,7 @@ class GroupKind(Record):
     def levi_dim(self, levi: Levi) -> int:
         """dim of the Levi: b^2 for each GL_b block, plus dim G'."""
         blocks = levi.blocks.parts
-        return sum(map(mul, blocks, blocks)) + self._form_dim(self.residual_size(levi.residual))
+        return sum(map(mul, blocks, blocks)) + _form_dim(self.residual_size(levi.residual), self.form_sign or 1)
 
     def fits(self, levi: Levi) -> bool:
         """Whether ``levi`` is a Levi of this group: in type A a partition of
@@ -108,6 +97,11 @@ class GroupKind(Record):
 
     def __str__(self):
         return "F4" if self.family == "F4" else "%s(%d)" % (self.family, self.rank)
+
+
+def _form_dim(size: int, sign: int) -> int:
+    """s(s - sign)/2: dim so_s for sign +1, sp_s for -1."""
+    return size * (size - sign) // 2
 
 
 def type_a(n: int) -> GroupKind:
@@ -142,6 +136,8 @@ class Levi(Record):
     __slots__ = ("blocks", "residual")
 
     def __init__(self, blocks: Partition, residual: int):
+        if type(residual) is not int:
+            raise ValueError("a Levi's residual must be an int, got %r" % (residual,))
         if residual < 0:
             raise ValueError("a Levi's residual is at least 0, got %d" % residual)
         _set(self, "blocks", blocks)
@@ -249,25 +245,11 @@ def check_record(kind: GroupKind, d: int, dim_z: int, w_l_order: int, katsylo_or
     katsylo_order divides |W_L|, dim_sheet = dim G - d + dim_z, and the orbit
     (a Partition or its parts) is a valid orbit of the group's size; a
     Bala-Carter tag is not checked."""
-    _check_record(kind, kind.dim, kind.matrix_size, d, dim_z, w_l_order, katsylo_order, dim_sheet, orbit)
-
-
-def record_check(kind: GroupKind) -> Callable[[int, int, int, int, int, object], None]:
-    """:func:`check_record` bound to ``kind``, a function of the record's
-    (d, dim_z, w_l_order, katsylo_order, dim_sheet, orbit): dim G and the
-    group's matrix size are read here, once, and not for each record."""
-    return partial(_check_record, kind, kind.dim, kind.matrix_size)
-
-
-def _check_record(kind: GroupKind, dim: int, size: Optional[int], d: int, dim_z: int, w_l_order: int,
-                  katsylo_order: int, dim_sheet: int, orbit) -> None:
-    """check_record's conditions, with dim G and the matrix size of ``kind``
-    given."""
     if w_l_order % katsylo_order:
         raise ValueError("katsylo order %d does not divide |W_L| = %d" % (katsylo_order, w_l_order))
-    if dim_sheet != dim - d + dim_z:
+    if dim_sheet != kind.dim - d + dim_z:
         raise ValueError("dim_sheet fails dim G - d + dim_z")
-    if type(orbit) is not str and not is_valid_orbit_of_size(kind, size, orbit):
+    if type(orbit) is not str and not is_valid_orbit_partition(kind, orbit):
         raise ValueError("orbit partition %s invalid for %s" % (Partition(orbit), kind))
 
 
@@ -479,8 +461,8 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
     + the tail's share).  So the record check (dim_sheet = dim G - d +
     dim_z, and the orbit list is a partition of n) compares the walk's d
     with the conjugate it carries.  It runs on every record, as
-    check_record bound to gl_n (_gl_group) before the first, so dim G and n
-    are read once.  Then it writes the record: _JSON the
+    check_record on the group of gl_n (_gl_group), whose dim G and n are
+    read off its slots.  Then it writes the record: _JSON the
     pieces of the JSON list, one record each (the last closes it), _ROWS
     the table row of each record, _SHEETS its descriptor.
 
@@ -489,8 +471,8 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
     by its separator (but the last part of a node without ones), so a
     record's text is its node's text and the text of its r ones; and the
     orbit's tail, a separator before each part.  Every piece comes from a
-    table of at most n^2 + 1 texts, made with the record template, the tag
-    texts and the bound check once per rank and form in a process
+    table of at most n^2 + 1 texts, made with the record template and the
+    tag texts once per rank and form in a process
     (_gl_tables) and only read by a walk.  The other forms make no table:
     every piece is empty, and _SHEETS writes the name from the Levi
     partition, so one record of a large rank stays small."""
@@ -501,14 +483,14 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
         path = [1, *(p for p in reversed(own) if p >= 2)]
         q = path.pop()
     if form is _JSON or form is _ROWS:
-        (kind, check, prefix, halves, nums, pieces, ones, levi_pieces, levi_ones, dec_pieces, dec_ones, orbit_pieces,
+        (kind, prefix, halves, nums, pieces, ones, levi_pieces, levi_ones, dec_pieces, dec_ones, orbit_pieces,
          tag_texts, no_tags, head, c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11) = _gl_tables(n, form)
         join = "".join
     else:
         # each piece a step or a closing adds to a text: none outside _JSON and _ROWS
         nums = pieces = levi_pieces = dec_pieces = orbit_pieces = ones = levi_ones = dec_ones = ("",) * (n + 1)
         if form is _SHEETS:
-            kind, check, prefix, halves = _gl_group(n)
+            kind, prefix, halves = _gl_group(n)
     nn = n * n
     parts, text, levi, dec, s, d, w, run, last, tail, tail_text, share = (), "", "", "", 0, 0, 1, 0, 1, [], "", 0
     # the state of each ancestor still open, with the largest part of its next child
@@ -551,7 +533,7 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
             conj = [dim_z, *[k] * (last - 1), *tail]
             dim_sheet = nn - (r + k * last * last + share) + dim_z
             w_l = w * factorial(r)
-            check(d + r, dim_z, w_l, 1, dim_sheet, conj)
+            check_record(kind, d + r, dim_z, w_l, 1, dim_sheet, conj)
             if form is _JSON:
                 class_tag, type_tag = tag_texts[text + ones[r] == halves] if dim_z == 2 else no_tags
                 w_l = str(w_l)
@@ -579,14 +561,13 @@ def _gl_walk(n: int, form: str, own: Optional[Tuple[int, ...]] = None) -> Iterat
         yield "\n]"
 
 
-def _gl_group(n: int) -> Tuple[GroupKind, Callable[..., None], str, str]:
-    """What every type A record of gl_n shares: the group, the record check
-    bound to it, the prefix of the record's name, and the text of the
-    two-part Levi partition with equal parts (for odd n, a text no Levi
-    partition has)."""
+def _gl_group(n: int) -> Tuple[GroupKind, str, str]:
+    """What every type A record of gl_n shares: the group, the prefix of the
+    record's name, and the text of the two-part Levi partition with equal
+    parts (for odd n, a text no Levi partition has)."""
     kind = type_a(n)
     # a two-part Levi partition is the class I record exactly when its parts are equal
-    return kind, record_check(kind), _GL_NAME % n, "%d,%d" % (n // 2, n - n // 2)
+    return kind, _GL_NAME % n, "%d,%d" % (n // 2, n - n // 2)
 
 
 @lru_cache(maxsize=2 * 40)  # both text forms of every rank a listing takes
@@ -600,7 +581,7 @@ def _gl_tables(n: int, form: str) -> tuple:
     name, the Levi's text (JSON only) and the decomposition's, and the
     orbit's piece for a conjugate part; _JSON adds the texts of the tags
     and the record template cut into chunks at its fields, with the list's
-    separators in front: 27 items in all, the unused ones empty.  Every
+    separators in front: 26 items in all, the unused ones empty.  Every
     table is a tuple, so a walk cannot change what the next one reads.
     _JSON shares the _ROWS tables of its rank (made here if they are not),
     so a rank listed both ways keeps one table of n^2 + 1 texts."""
@@ -610,7 +591,7 @@ def _gl_tables(n: int, form: str) -> tuple:
         blank = ("",) * (n + 1)
         return (*_gl_group(n), nums, *_gl_pieces(nums[:n + 1], ","), blank, blank,
                 *_gl_pieces(nums[:n + 1], "xGL"), tuple("," + i for i in nums[:n + 1]), None, None, *("",) * 13)
-    kind, check, prefix, halves, nums, pieces, ones, _, _, dec_pieces, dec_ones = _gl_tables(n, _ROWS)[:11]
+    kind, prefix, halves, nums, pieces, ones, _, _, dec_pieces, dec_ones = _gl_tables(n, _ROWS)[:10]
     b0, b1, b2, b3 = _layout(1)[0]
     fixed = {"kind": encode_basestring_ascii(str(kind)), "name": '"%s%%s"' % prefix,
              "levi": '{%s"gl": [%s%%s%s]%s}' % (b2, b3, b2, b1), "decomposition_data": '"%s"' % _GL_DECOMPOSITION,
@@ -622,7 +603,7 @@ def _gl_tables(n: int, form: str) -> tuple:
     head, chunks[0] = "[" + b0 + chunks[0], "," + b0 + chunks[0]
     # the texts of the tags of a two-part Levi partition, at index 1 when its parts are equal
     tag_texts = tuple(tuple(map(json_text, _GL_TWO_PART_TAGS[equal])) for equal in (False, True))
-    return (kind, check, prefix, halves, nums, pieces, ones, *_gl_pieces(nums[:n + 1], "," + b3), dec_pieces, dec_ones,
+    return (kind, prefix, halves, nums, pieces, ones, *_gl_pieces(nums[:n + 1], "," + b3), dec_pieces, dec_ones,
             tuple("," + b2 + i for i in nums[:n + 1]), tag_texts, tuple(map(json_text, _NO_TAGS)), head, *chunks)
 
 

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately take different computational routes from the library:
-partition counts by Euler's pentagonal recurrence, the partitions themselves
+a group label's matrix size, form sign and dimension by one closed form
+per family, partition counts by Euler's pentagonal recurrence, the partitions themselves
 by recursion on the largest part and a sort, the nilpotent-orbit parity
 rule by counting multiplicities per family, diagram transposition by
 cells, type A sheet records from those cells, Hitchin base dimensions by
@@ -38,7 +39,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 from math import factorial, gcd, prod
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from sheet_atlas import cli
 from sheet_atlas.liealg import RationalMatrix
@@ -63,6 +64,22 @@ def partition_count(n: int) -> int:
             k += 1
         p[m] = total
     return p[n]
+
+
+def group_values_by_family(family: str, rank: int) -> Tuple[Optional[int], Optional[int], int]:
+    """(matrix size, sign of the kept form, dim G) of a group label, one
+    closed form per family: GL_n is n x n, keeps no form and has n^2
+    entries; SO_{2r+1} keeps a symmetric form, dim r(2r + 1); Sp_{2r} an
+    alternating one, dim r(2r + 1); SO_{2r} a symmetric one, dim r(2r - 1);
+    F4 has no matrix size and no form, and dim 52."""
+    r = rank
+    return {
+        "A": (r, None, r * r),
+        "B": (2 * r + 1, 1, r * (2 * r + 1)),
+        "C": (2 * r, -1, r * (2 * r + 1)),
+        "D": (2 * r, 1, r * (2 * r - 1)),
+        "F4": (None, None, 52),
+    }[family]
 
 
 def partitions_by_recursion(n: int) -> List[tuple]:

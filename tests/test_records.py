@@ -31,7 +31,7 @@ from sheet_atlas.sheets import (
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 from sheet_atlas.triples import JordanBasisPlan, Sl2Triple, build_bcd_triple
 
-from oracles import dense_basis
+from oracles import dense_basis, group_values_by_family
 
 SDIX_FIELDS = [
     ("kind", GroupKind("C", 2)), ("levi", MaxLevi(1, 1)), ("dixmier", True), ("nilpotent_orbit", Partition((2, 2))),
@@ -191,7 +191,14 @@ def test_construction_checks_still_raise():
         (lambda: GroupKind("E", 6), "unknown group family"),
         (lambda: GroupKind("D", 1), "type D needs rank >= 2"),
         (lambda: GroupKind("F4", 7), "F4 has rank 4, not 7"),
+        (lambda: GroupKind("A", 2.5), "rank must be an int, got 2.5"),
+        (lambda: GroupKind("C", 2.0), "rank must be an int, got 2.0"),
+        (lambda: GroupKind("B", True), "rank must be an int, got True"),
         (lambda: Partition((2, 0)), "parts must be positive"),
+        (lambda: Partition([2.5, 1.9]), "parts must be ints"),
+        (lambda: Partition(["3", 1]), "parts must be ints"),
+        (lambda: Partition([2, True]), "parts must be ints"),
+        (lambda: Levi(Partition([1]), 1.5), "residual must be an int, got 1.5"),
         (lambda: JordanBasisPlan(Partition((2, 1)), (1, 0), 1, False), "not a size-preserving involution"),
         (lambda: ClassicalForm("hermitian", so_gram(3).gram), "form kind must be"),
         (lambda: ClassicalForm("antisymmetric", so_gram(3).gram), "does not have antisymmetric symmetry"),
@@ -207,6 +214,27 @@ def test_copies_are_built_through_the_constructor():
     for record in (f4_b3_sheet(), Partition((2, 1)), GroupKind("B", 3), SU(3, 1), Levi(Partition((1, 1)), 0), SliceWeights((1, 2))):
         assert pickle.loads(pickle.dumps(record)) == record
         assert copy.copy(record) == record and copy.deepcopy(record) == record
+
+
+def test_group_kind_reads_its_values_off_its_label():
+    """A group's matrix size, form sign and dim, read off its family and
+    rank, against their closed forms in every family up to rank 12.  They
+    are not fields: groups of equal family and rank are equal and hash
+    alike, a pickle or a copy keeps them, and none can be assigned."""
+    kinds = [GroupKind(family, rank) for family in "ABCD" for rank in range(2 if family == "D" else 1, 13)]
+    for kind in kinds + [GroupKind("F4")]:
+        expected = group_values_by_family(kind.family, kind.rank)
+        assert (kind.matrix_size, kind.form_sign, kind.dim) == expected, kind
+        again = GroupKind(kind.family, kind.rank)
+        assert kind == again and hash(kind) == hash(again), kind
+        for copied in (pickle.loads(pickle.dumps(kind)), copy.copy(kind), copy.deepcopy(kind)):
+            assert copied == kind and (copied.matrix_size, copied.form_sign, copied.dim) == expected, kind
+        for name in ("dim", "matrix_size", "form_sign"):
+            with pytest.raises(AttributeError):
+                setattr(kind, name, 0)
+        assert (kind.matrix_size, kind.form_sign, kind.dim) == expected, kind
+    assert GroupKind("F4", 0) == GroupKind("F4", 4) and hash(GroupKind("F4", 0)) == hash(GroupKind("F4", 4))
+    assert GroupKind("B", 3) != GroupKind("D", 3) and GroupKind("C", 3) != GroupKind("C", 4)
 
 
 def test_shared_model_holds_only_its_fields():

@@ -157,9 +157,6 @@ def test_check_record_refuses_each_bad_record(case):
     kind, d, dim_z, w_l, katsylo, dim_sheet, orbit = BAD_RECORDS[case]
     with pytest.raises(ValueError):
         check_record(kind, d, dim_z, w_l, katsylo, dim_sheet, orbit)
-    # and bound to its group, as a listing checks each record
-    with pytest.raises(ValueError):
-        sheets.record_check(kind)(d, dim_z, w_l, katsylo, dim_sheet, orbit)
     # and through the descriptor, whose constructor calls it
     with pytest.raises(ValueError):
         SheetDescriptor(
@@ -178,11 +175,11 @@ def test_check_record_refuses_each_bad_record(case):
 # Faults put into the source of the walk or of the fixed data it reads, each
 # one line of it changed: a wrong d at the record check, the carried share of
 # sum (2i - 1) m'_i off by one at the step that moves the conjugate tail, and
-# the record check bound to the group of the next rank.
+# the walk's group made the group of the next rank.
 WALK_FAULTS = {
-    "d": ("check(d + r, dim_z,", "check(d + r + 1, dim_z,"),
+    "d": ("check_record(kind, d + r, dim_z,", "check_record(kind, d + r + 1, dim_z,"),
     "share": ("share += k * (last * last - q * q)", "share += k * (last * last - q * q) + 1"),
-    "group": ("kind, record_check(kind),", "kind, record_check(type_a(n + 1)),"),
+    "group": ("kind = type_a(n)", "kind = type_a(n + 1)"),
 }
 # the walk and the functions that make its fixed data, the cached one with its cache
 WALK_FUNCTIONS = ("_gl_group", "_gl_tables", "_gl_walk")
@@ -203,7 +200,7 @@ def _faulty_walk(fault):
 
 def test_the_streamed_listing_checks_every_record(monkeypatch):
     """A wrong d, or a wrong carried sum (2i - 1) m'_i, in the walk, or the
-    check bound to the wrong group, fails the record check, and the CLI exits
+    walk's group of the wrong rank, fails the record check, and the CLI exits
     1 with an error before writing anything, in both forms of the listing and
     for one record.  The walk is the one loop behind every type A record, so
     each fault reaches the listing's loop on every node it closes and
@@ -273,8 +270,8 @@ def test_the_kept_type_a_tables_are_small():
         assert sum(1 for _ in listing_rows(type_a(n))()) == partition_count(n) + 1
     assert sheets._gl_tables.cache_info().misses == 2 * 40  # no table made again
     json_tables, row_tables = sheets._gl_tables(40, sheets._JSON), sheets._gl_tables(40, sheets._ROWS)
-    # item 4 is the texts of 0..n^2
-    assert json_tables[4] is row_tables[4] and len(row_tables[4]) == 40**2 + 1
+    # item 3 is the texts of 0..n^2
+    assert json_tables[3] is row_tables[3] and len(row_tables[3]) == 40**2 + 1
 
 
 def test_gl_sheet_refuses_the_empty_partition():
