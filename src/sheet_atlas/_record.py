@@ -6,7 +6,8 @@ read off its fields in further slots names the fields in ``_fields``
 instead.  The base compares and hashes records of the same class by their
 field values, prints them as ``Name(field=value, ...)``, pickles and
 copies them through the constructor with those values, and refuses
-assignment and deletion.  No code is generated for a class and no module
+assignment and deletion.  :func:`check_int` refuses a field or argument
+that is not exactly an int.  No code is generated for a class and no module
 beyond ``operator`` is imported, so defining the records costs the
 package's import next to nothing; see the cold-start note in the README.
 """
@@ -15,6 +16,13 @@ from __future__ import annotations
 from operator import attrgetter
 
 _set = object.__setattr__
+
+
+def check_int(name: str, value) -> None:
+    """Refuse a field or argument whose type is not exactly int (so also a
+    bool or an integral float), by its name."""
+    if type(value) is not int:
+        raise ValueError("%s must be an int, got %r" % (name, value))
 
 
 def _no_values(record) -> tuple:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ._record import Record, _set
+from ._record import Record, _set, check_int
 from .partitions import profile
 from .sheets import GroupKind, SheetDescriptor, levi_shape
 
@@ -20,6 +20,8 @@ class SliceWeights(Record):
     __slots__ = ("weights",)
 
     def __init__(self, weights: Tuple[int, ...]):
+        for w in weights:
+            check_int("a weight", w)
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
         _set(self, "weights", weights)
@@ -27,6 +29,8 @@ class SliceWeights(Record):
 
 def h0_canonical_power(g: int, j: int) -> int:
     """dim H^0 of the j-th power of the canonical bundle on a genus-g curve."""
+    check_int("genus", g)
+    check_int("j", j)
     if g < 2 or j < 1:
         raise ValueError("need g >= 2 and j >= 1")
     return g if j == 1 else (2 * j - 1) * (g - 1)
@@ -51,6 +55,7 @@ def dim_hitchin_base(kind: GroupKind, g: int) -> int:
     degrees d, in closed form: the (2d - 1) summed over the degrees make
     dim G, and the degree-1 invariant of GL_n has g sections instead of
     g - 1, so the base has dimension (g - 1) dim G + [family A]."""
+    check_int("genus", g)
     if g < 2:
         raise ValueError("genus must be at least 2")
     return (g - 1) * kind.dim + (1 if kind.family == "A" else 0)
@@ -62,6 +67,7 @@ def component_count(katsylo_order: int, g: int) -> int:
     Components are counted by torsors for the residual finite group on the
     curve: one for the trivial group, 2^(2g) for the order-2 group.
     """
+    check_int("genus", g)
     if g < 2:
         raise ValueError("genus must be at least 2")
     if katsylo_order == 1:

@@ -21,15 +21,16 @@ from .sheets import SheetDescriptor
 
 
 class SlicePoint(Record):
-    """A point of the slice quotient: a rational tuple of length dim_z."""
+    """A point of the slice quotient: a rational tuple of length dim_z,
+    given as an int or Fraction or as a tuple or list of them."""
 
     __slots__ = ("sheet", "z")
 
     def __init__(self, sheet: SheetDescriptor, z):
-        if isinstance(z, (int, Fraction)):
-            z = (Fraction(z),)
-        else:
-            z = tuple(Fraction(v) for v in z)
+        zs = tuple(z) if isinstance(z, (tuple, list)) else (z,)
+        if any(type(v) not in (int, Fraction) for v in zs):
+            raise ValueError("slice point z must be an int, a Fraction or a sequence of them, got %r" % (z,))
+        z = tuple(map(Fraction, zs))
         if len(z) != sheet.dim_z:
             raise ValueError("slice point has length %d, sheet centre has dimension %d" % (len(z), sheet.dim_z))
         _set(self, "sheet", sheet)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from ._record import Record, _set
+from ._record import Record, _set, check_int
 from .partitions import Partition
 from .sheets import Levi, check_rank, type_a
 
@@ -27,6 +27,8 @@ class SU(Record):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int):
+        check_int("p", p)
+        check_int("q", q)
         if not p >= q >= 1:
             raise ValueError("need p >= q >= 1")
         _set(self, "p", p)
@@ -42,6 +44,7 @@ class SOStar(Record):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
+        check_int("n", n)
         if n < 3:
             raise ValueError("need n >= 3")
         _set(self, "n", n)
@@ -172,8 +175,10 @@ def sheet_of_real_form(label: RealFormLabel, genus: Optional[int] = None) -> Rea
     """
     if type(label) not in (SU, SOStar):
         raise ValueError("unknown real form label %r" % (label,))
-    if genus is not None and genus < 2:
-        raise ValueError("genus must be at least 2")
+    if genus is not None:
+        check_int("genus", genus)
+        if genus < 2:
+            raise ValueError("genus must be at least 2")
     return _su_report(label, genus) if type(label) is SU else _so_star_report(label, genus)
 
 

@@ -231,7 +231,7 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
     ``symbol`` is None, else (:data:`T`) as ascending integer coefficient
     lists in it.  D is the lcm of the denominators of every t-coefficient,
     except for weighted rationals, where :func:`weighted_den` gives a D that
-    is often far smaller."""
+    divides it, chosen with one gcd per weight, and is often far smaller."""
     if RatPoly in map(type, scalars):
         if any([len(x.coeffs) > 1 for x in scalars if type(x) is RatPoly]):
             cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
@@ -251,107 +251,18 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
 
 
 def weighted_den(dens: Sequence[int]) -> int:
-    """The least D with dens[k-1] | D^k for k = 1, 2, ... among the products
-    of powers of the elements of :func:`_root_base`, found with gcds and
-    integer roots alone: an element b takes the power b^c, c = max_k
-    ceil(e_k / k), where b^(e_k) is the part of dens[k-1] made of b's primes.
-    Often far smaller than the lcm of the dens, which it divides: the
-    coefficients a_k of prod (λ - a_i/b_i) have denominators that grow with
-    the degree, yet each divides lcm(b_i)^k.
-
-    It is the least such D of all, prod_p p^(max_k ceil(v_p(dens_k)/k)),
-    whenever every element of the base is squarefree.  An element with
-    unequal prime exponents is not split: the least D of [1, p r^2] is p r,
-    and finding it would factor p r^2.  So [1, 12] gives 12 where 6
-    suffices."""
+    """A D with dens[k-1] | D^k for k = 1, 2, ..., by one gcd per weight:
+    step k multiplies D by the part of dens[k-1] that D^k lacks.  D only
+    grows, so every earlier weight stays cleared, and each prime's exponent
+    in D stays at most its largest in the dens, so D divides their lcm.  It
+    is often far smaller: the coefficients a_k of prod (λ - a_i/b_i) have
+    denominators that grow with the degree, yet each divides lcm(b_i)^k.
+    It need not be the least such D: [1, 4] gives 4 where 2 suffices."""
     d = 1
-    for b in _root_base(dens):
-        c = 0
-        for k, q in enumerate(dens, start=1):
-            e = 0
-            while q % b == 0:
-                q //= b
-                e += 1
-            c = max(c, -(-e // k))
-        d *= b**c
+    for k, q in enumerate(dens, start=1):
+        # gcd(q, D^k), with D^k taken modulo q
+        d *= q // gcd(q, pow(d, k, q))
     return d
-
-
-def _root_base(nums: Iterable[int]) -> List[int]:
-    """Pairwise coprime integers > 1, none a perfect power, of which each of
-    ``nums`` is a product of powers (a coprime base: Bernstein, "Factoring
-    into coprimes in essentially linear time", J. Algorithms 54 (2005)).
-    A number sharing a factor g > 1 with an element b replaces b by b/g, g
-    and its own cofactor; their product is smaller than the two it
-    replaces, so the splitting ends.  Each element is then replaced by its
-    least root, which keeps the base coprime and every number a product of
-    powers of it."""
-    base, todo = [], [x for x in set(nums) if x > 1]
-    while todo:
-        a = todo.pop()
-        for i, b in enumerate(base):
-            g = gcd(a, b)
-            if g > 1:
-                base[i] = base[-1]
-                base.pop()
-                todo += [x for x in (b // g, g, a // g) if x > 1]
-                break
-        else:
-            base.append(a)
-    return [_least_root(b) for b in base]
-
-
-def _least_root(b: int) -> int:
-    """The r with b = r^j, j as large as it can be (b > 1).  The roots are
-    taken by the prime degrees k with 2^k <= b, smallest first, each as
-    often as it goes.  A k-th root is sought only when b is a k-th power
-    modulo the prime p = _residue_prime(k): b^((p - 1)/k) != 1 (mod p), b
-    prime to p, proves that b is none, so a b of L bits that is no power
-    costs about L / ln L residues and a few roots."""
-    bits = b.bit_length()
-    sieve = bytearray([1]) * bits
-    for k in range(2, bits):
-        if not sieve[k]:
-            continue
-        if 1 << k > b:
-            break
-        sieve[k * k::k] = bytes(len(range(k * k, bits, k)))
-        p = _residue_prime(k)
-        while b % p == 0 or pow(b, (p - 1) // k, p) == 1:
-            r = _iroot(b, k)
-            if r**k != b:
-                break
-            b = r
-    return b
-
-
-@cache
-def _residue_prime(k: int) -> int:
-    """The least prime p = 1 (mod 2k)."""
-    p = 2 * k + 1
-    while not _is_prime(p):
-        p += 2 * k
-    return p
-
-
-def _iroot(x: int, k: int) -> int:
-    """floor(x^(1/k)) for x >= 1 and k >= 2: bit by bit when the root has
-    at most k bits, else by Newton's iteration from above, which then
-    reaches it in about k ln 2 + log2(bits) steps."""
-    bits = -(-x.bit_length() // k)
-    if bits <= k:
-        r = 0
-        for i in reversed(range(bits)):
-            s = r | 1 << i
-            if s**k <= x:
-                r = s
-        return r
-    r = 1 << bits
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def at(c: list, t0: int) -> List[int]:

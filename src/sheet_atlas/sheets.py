@@ -136,6 +136,8 @@ class Levi(Record):
     __slots__ = ("blocks", "residual")
 
     def __init__(self, blocks: Partition, residual: int):
+        if type(blocks) is not Partition:
+            raise ValueError("a Levi's blocks must be a Partition, got %r" % (blocks,))
         if type(residual) is not int:
             raise ValueError("a Levi's residual must be an int, got %r" % (residual,))
         if residual < 0:

