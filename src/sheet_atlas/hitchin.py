@@ -20,6 +20,7 @@ class SliceWeights(Record):
     __slots__ = ("weights",)
 
     def __init__(self, weights: Tuple[int, ...]):
+        weights = tuple(weights)
         for w in weights:
             check_int("a weight", w)
         if any(w < 1 for w in weights):
@@ -67,6 +68,7 @@ def component_count(katsylo_order: int, g: int) -> int:
     Components are counted by torsors for the residual finite group on the
     curve: one for the trivial group, 2^(2g) for the order-2 group.
     """
+    check_int("katsylo_order", katsylo_order)
     check_int("genus", g)
     if g < 2:
         raise ValueError("genus must be at least 2")

@@ -17,18 +17,20 @@ matrix (:func:`bracket_is`): its kernel takes AB - BA on the stored rows,
 and Dc (AB - BA) = k Da Db C is compared entry by entry, with no gcd.
 Fractions are built only for the dense view and a determinant; a
 characteristic polynomial is returned in its scaled form (D, c_k =
-D^k a_k) and builds its coefficients on first read.  With
-entries in Q[t] the same integer routine runs once at t = 2^S, for an S
-above a proven bound on the height of its result
+D^k a_k) and builds its coefficients on first read; it takes linear
+factors off by Laplace expansion where the pattern of the stored rows
+allows, and runs the trace recursion only on the rest, which is empty at
+x = z + e.  With entries in Q[t] the same integer routine runs once at
+t = 2^S, for an S above a proven bound on the height of its result
 (:func:`~sheet_atlas.scalars.run`), and the integer values are read back
 exactly as balanced base-2^S digits.  A conjugation by a permutation
 (:meth:`RationalMatrix.permuted`) only relabels the stored rows.
 There is one elimination, sparse and fraction-free with Markowitz-style
-pivots: its pivot rows give centraliser ranks, on the ad x rows that a
-model fills from its basis, and read back in reverse order they give the
-nullspace behind the model of a form that is not monomial.  A model keeps
-its basis in one representation, sparse coprime integer terms, read from
-the cleared form of its Gram matrix.
+pivots, on :class:`SparseRow` s: its pivot rows give centraliser ranks, on
+the ad x rows that a model fills from its basis as dicts, and read back in
+reverse order they give the nullspace behind the model of a form that is
+not monomial.  A model keeps its basis in one representation, sparse
+coprime integer terms, read from the cleared form of its Gram matrix.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from .scalars import (
     scalars_over,
 )
 from .sheets import GroupKind
-from .spectral import GradedPolynomial, _graded
+from .spectral import GradedPolynomial, _graded, _int_convolve
 
 
 SparseRows = Sequence[Sequence[Tuple[int, int]]]
@@ -483,13 +485,14 @@ def form_stabiliser_basis(gram: RationalMatrix) -> List[Tuple[Term, ...]]:
 
 def _form_stabiliser_basis_generic(rg: SparseRows) -> List[Tuple[Term, ...]]:
     n = len(rg)
-    rows = [[0] * (n * n) for _ in range(n * n)]
+    rows = [SparseRow(n * n, {}) for _ in range(n * n)]
     for k, row in enumerate(rg):
         for j, g in row:
             for i in range(n):
                 # G'[k][j] = g enters (x^T G')[i][j] with x[k][i] and (G' x)[k][i] with x[j][i]
-                rows[i * n + j][k * n + i] += g
-                rows[k * n + i][j * n + i] += g
+                a, b = rows[i * n + j].entries, rows[k * n + i].entries
+                a[k * n + i] = a.get(k * n + i, 0) + g
+                b[j * n + i] = b.get(j * n + i, 0) + g
     return [tuple((p // n, p % n, k) for p, k in vec) for vec in _integer_nullspace(rows)]
 
 
@@ -536,8 +539,9 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     ValueError.  The rank is taken on integers: with X = D x cleared of
     denominators, the row for a basis element sum k E_rc is its integer
     multiple [X, sum k E_rc] = sum k (X[:, r] e_c^T - e_r X[c, :]), filled
-    from the model's sparse basis in O(n) per term, and the rows go to
-    :func:`fraction_free_rank`.
+    from the model's sparse basis in O(n) per term as a dict, and the rows
+    go to :func:`fraction_free_rank` as :class:`SparseRow` s of width n^2
+    (at n = 64, gl:32,32 at a generic z, about 0.3 s and a 3 MB peak).
     """
     if not in_algebra(x, model):
         raise ValueError("element is not in the modelled Lie algebra")
@@ -547,41 +551,85 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     row_nz, col_nz = x.nz, _columns(x.nz)
     rows = []
     for terms in model.terms:
-        out = [0] * (n * n)
+        out: Dict[int, int] = {}
         for r, c, k in terms:
             for i, v in col_nz[r]:
-                out[i * n + c] += k * v
+                out[i * n + c] = out.get(i * n + c, 0) + k * v
             base = r * n
             for j, v in row_nz[c]:
-                out[base + j] -= k * v
-        rows.append(out)
+                out[base + j] = out.get(base + j, 0) - k * v
+        rows.append(SparseRow(n * n, out))
     return model.dimension - fraction_free_rank(rows)
 
 
 def char_poly(x: RationalMatrix) -> GradedPolynomial:
     """Monic characteristic polynomial det(λ - x), exactly.
 
-    Uses the trace recursion (Faddeev-LeVerrier) on the integer matrix
-    X = D x (D the lcm of the denominators), where each division by k is
-    exact.  The coefficients c_k of X are D^k a_k, so (D, c) is already the
-    scaled form of the answer, which is returned as it is.  With entries in
-    Q[t], c_k is ± the sum of the C(n, k) principal k x k minors of X, each
-    a sum of k! products of k entries, so ‖c_k‖₁ <= C(n, k) k! h^k <= (n h)^k
-    for h the largest 1-norm of an entry: the recursion runs once at
-    t = 2^S for the bound max(1, n h)^n, and every c_k is returned as a
-    polynomial in t.
+    It works on the integer matrix X = D x (D the lcm of the denominators),
+    whose coefficients c_k are D^k a_k, so (D, c) is already the scaled form
+    of the answer, which is returned as it is.  First the indices of
+    :func:`_peel` are taken off: Laplace expansion along a row i with no
+    nonzero off the diagonal gives det(λ - X) = (λ - X_ii) det(rest), and
+    those p factors are multiplied out.  The m indices left go to the trace
+    recursion (Faddeev-LeVerrier), where each division by k is exact: none
+    at x = z + e, and all n, not relabelled, when nothing peels.  With
+    entries in Q[t], for h the largest 1-norm of an entry, the peeled
+    product's coefficients have 1-norms summing to at most (1 + h)^p, and a
+    coefficient of the rest is ± the sum of the C(m, k) principal k x k
+    minors, each a sum of k! products of k entries, so of 1-norm at most
+    (m h)^k: the work runs once at t = 2^S for the bound
+    (1 + h)^p max(1, m h)^m, and every c_k is returned as a polynomial in t.
     """
-    n = x.dim
-    return _graded(x.den, *_on_integers((x,), lambda h: max(1, n * h) ** n, _char_poly_ints))
+    peeled = _peel(x.nz)
+    p, m = len(peeled), x.dim - len(peeled)
+    kernel = (lambda nz: _peeled_char_poly_ints(nz, peeled)) if peeled else _char_poly_ints
+    return _graded(x.den, *_on_integers((x,), lambda h: (1 + h) ** p * max(1, m * h) ** m, kernel))
+
+
+def _peel(nz: SparseRows) -> List[int]:
+    """The indices of sparse rows X in Kahn's order: each one's row, among
+    the indices not yet taken, has no nonzero off the diagonal.  All of them
+    when the off-diagonal pattern of X is acyclic, none when every row has
+    two nonzeros or more."""
+    if min(map(len, nz), default=0) > 1:
+        return []
+    left = [sum([j != i for j, _ in row]) for i, row in enumerate(nz)]
+    order = [i for i, k in enumerate(left) if not k]
+    columns = _columns(nz)
+    for j in order:
+        for i, _ in columns[j]:
+            # i is not taken yet: a taken row has no entry in a column left
+            if i != j:
+                left[i] -= 1
+                if not left[i]:
+                    order.append(i)
+    return order
+
+
+def _peeled_char_poly_ints(nz: SparseRows, peeled: Sequence[int]) -> List[int]:
+    """Coefficients c_1, ..., c_n of det(λ - X) for sparse integer rows X:
+    prod (λ - X_ii) over the peeled indices, multiplied out in place, times
+    the trace recursion on the rows and columns left."""
+    c = [1] + [0] * len(peeled)
+    for d, i in enumerate(peeled, 1):
+        v = next((v for j, v in nz[i] if j == i), 0)
+        if v:
+            for k in range(d, 0, -1):
+                c[k] -= v * c[k - 1]
+    if len(peeled) == len(nz):
+        return c[1:]
+    taken = set(peeled)
+    index = {i: k for k, i in enumerate(i for i in range(len(nz)) if i not in taken)}
+    return _int_convolve(c, _char_poly_ints([[(index[j], v) for j, v in nz[i] if j in index] for i in index]))[1:]
 
 
 def _char_poly_ints(nz: SparseRows) -> List[int]:
     """Coefficients c_1, ..., c_n of det(λ - X) for sparse integer rows X, by
     c_k = -tr(X M_{k-1}) / k, M_k = X M_{k-1} + c_k I from M_0 = I: M_1 =
     X + c_1 I needs no product and c_n only the trace of X M_{n-1}, so n - 2
-    full products are taken, each row from its first nonzero."""
+    full products are taken, each row from its first two nonzeros at once."""
     n = len(nz)
-    ck = -sum(v for i, row in enumerate(nz) for j, v in row if i == j)
+    ck = -sum([v for i, row in enumerate(nz) for j, v in row if i == j])
     coeffs = [ck] if n else []
     m = [[0] * n for _ in nz]
     for i, (mi, row) in enumerate(zip(m, nz)):
@@ -591,17 +639,21 @@ def _char_poly_ints(nz: SparseRows) -> List[int]:
     for k in range(2, n):
         prod = []
         for row in nz:
-            out = [row[0][1] * w for w in m[row[0][0]]] if row else [0] * n
-            for j, v in row[1:]:
+            if len(row) > 1:
+                (j, v), (l, u) = row[:2]
+                out = [v * a + u * b for a, b in zip(m[j], m[l])]
+            else:
+                out = [row[0][1] * w for w in m[row[0][0]]] if row else [0] * n
+            for j, v in row[2:]:
                 out = [o + v * w for o, w in zip(out, m[j])]
             prod.append(out)
-        ck = -sum(prod[i][i] for i in range(n)) // k
+        ck = -sum([p[i] for i, p in enumerate(prod)]) // k
         coeffs.append(ck)
-        for i in range(n):
-            prod[i][i] += ck
+        for i, p in enumerate(prod):
+            p[i] += ck
         m = prod
     if n > 1:
-        coeffs.append(-sum(v * m[j][i] for i, row in enumerate(nz) for j, v in row) // n)
+        coeffs.append(-sum([v * m[j][i] for i, row in enumerate(nz) for j, v in row]) // n)
     return coeffs
 
 
@@ -609,19 +661,39 @@ def _char_poly_ints(nz: SparseRows) -> List[int]:
 # Exact row reduction.
 
 
-def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank by fraction-free sparse elimination on integers: the number of
-    pivot rows of :func:`_pivot_rows`."""
-    return len(_pivot_rows(rows))
+class SparseRow:
+    """A row of ints of length ``width``, given by ``entries``: {column:
+    value} for every entry that may be nonzero, which the elimination reads
+    in their order; a zero reads as no entry.  ``len()`` is the width, as a
+    dense row's is."""
+
+    __slots__ = ("width", "entries")
+
+    def __init__(self, width: int, entries: Dict[int, int]):
+        self.width, self.entries = width, entries
+
+    def __len__(self) -> int:
+        return self.width
 
 
-def _pivot_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, Dict[int, int]]]:
+def _sparse(rows: Sequence) -> List[SparseRow]:
+    """rows as :class:`SparseRow` s, each dense row of ints by its nonzeros."""
+    return [row if type(row) is SparseRow else SparseRow(len(row), dict(zip(compress(count(), row), filter(None, row)))) for row in rows]
+
+
+def fraction_free_rank(rows: Sequence) -> int:
+    """Rank by fraction-free sparse elimination on integer rows, each a
+    :class:`SparseRow` or dense: the number of pivots of :func:`_pivot_rows`."""
+    return len(_pivot_rows(_sparse(rows)))
+
+
+def _pivot_rows(rows: Sequence[SparseRow]) -> List[Tuple[int, Dict[int, int]]]:
     """The (pivot column, pivot row) pairs of a sparse fraction-free
     elimination on integers, in the order the pivots were chosen.
 
-    Each nonzero row of ints is kept as its nonzero entries {col: value}
-    divided by their content.  The pivot is chosen Markowitz-style: the
-    shortest remaining row, then its entry p of least absolute value, in
+    Each nonzero row is kept as its nonzero entries {col: value}, in the
+    order it gives them, divided by their content.  The pivot is chosen
+    Markowitz-style: the shortest remaining row, then its entry p of least absolute value, in
     column c.  That row leaves the rest, and each row with an entry e in
     column c becomes (p/g) row - (e/g) pivot_row, g = gcd(p, e), divided by
     its content.  Every surviving row is a nonzero rational multiple of the
@@ -632,11 +704,11 @@ def _pivot_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, Dict[int, int]
     """
     pending: List[Dict[int, int]] = []
     for row in rows:
-        values = list(filter(None, row))
-        if not values:
+        entries = {j: v for j, v in row.entries.items() if v}
+        if not entries:
             continue
-        g = gcd(*values)
-        pending.append(dict(zip(compress(count(), row), values if g == 1 else [v // g for v in values])))
+        g = gcd(*entries.values())
+        pending.append(entries if g == 1 else {j: v // g for j, v in entries.items()})
     pivots = []
     while pending:
         lengths = list(map(len, pending))
@@ -664,10 +736,11 @@ def _pivot_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, Dict[int, int]
     return pivots
 
 
-def _integer_nullspace(rows: Sequence[Sequence[int]]) -> List[List[Tuple[int, int]]]:
-    """A basis of the nullspace of integer rows, one vector per column that
-    is no pivot of :func:`_pivot_rows`, each as its nonzero (column, value)
-    entries: coprime ints, positive in that column.
+def _integer_nullspace(rows: Sequence) -> List[List[Tuple[int, int]]]:
+    """A basis of the nullspace of integer rows (:class:`SparseRow` s or
+    dense), one vector per column that is no pivot of :func:`_pivot_rows`,
+    each as its nonzero (column, value) entries: coprime ints, positive in
+    that column.
 
     The pivot rows are solved in reverse order.  A pivot row vanishes on
     every earlier pivot column, so its other entries lie in the free
@@ -675,7 +748,7 @@ def _integer_nullspace(rows: Sequence[Sequence[int]]) -> List[List[Tuple[int, in
     vector is kept integral by scaling it by |p| / g before solving for the
     pivot entry p, g the gcd of p and the sum already known.
     """
-    pivots = _pivot_rows(rows)
+    pivots = _pivot_rows(_sparse(rows))
     pivot_cols = {col for col, _ in pivots}
     basis = []
     for free in range(len(rows[0]) if rows else 0):

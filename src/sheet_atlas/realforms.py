@@ -95,11 +95,15 @@ class RealSheetReport(Record):
 
 def toledo_max(q: int, g: int) -> int:
     """Largest value 2q(g-1) of the invariant on a genus-g curve."""
+    check_int("q", q)
+    check_int("genus", g)
     return 2 * q * (g - 1)
 
 
 def so_star_fixed_degree(m: int, g: int) -> int:
     """Degree 4m(g-1) of the reduced bundle in the SO*(4m+2) deconstruction."""
+    check_int("m", m)
+    check_int("genus", g)
     return 4 * m * (g - 1)
 
 

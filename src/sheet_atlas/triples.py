@@ -132,7 +132,8 @@ def _block_diagonal(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> bool:
 MAX_TRIPLE_SIZE = 64
 """The largest matrix size n of a GL or B/C/D triple.  The cost is set by
 the centraliser dimension: at n = 64 (gl:32,32 at a generic z) it takes
-1.0-1.4 s and peaks at 146 MB RSS, nearly all of it the dense rank rows."""
+about 0.3 s on sparse rank rows, and ``triple-verify --case gl:32,32``
+peaks at about 17 MB RSS in all."""
 
 
 def _check_size(n: int):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,13 +20,13 @@ from sheet_atlas.liealg import (
     so_gram,
     sp_gram,
 )
-from sheet_atlas.liealg import _model
+from sheet_atlas.liealg import SparseRow, _integer_nullspace, _model
 from sheet_atlas.scalars import ZERO, RatPoly
 from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
-from oracles import charpoly_by_expansion, dense_basis, expand_roots, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, value_at
+from oracles import charpoly_by_expansion, convolve_fractions, dense_basis, expand_roots, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, value_at
 from test_spectral import divide
 
 
@@ -1088,3 +1089,177 @@ def test_char_poly_keeps_the_matrix_denominator_and_agrees_with_its_coefficients
                 assert cp.is_squarefree() == (len(set(roots)) == len(roots))
     # the cases exercise a D other than the cleared one
     assert other_den >= 10
+
+
+# ---------------------------------------------------------------------------
+# Block triangular matrices, whose characteristic polynomial is the product
+# over their diagonal blocks, relabelled by a permutation.
+
+
+def _descending_product(a, b):
+    """The product of two monic descending coefficient lists."""
+    return convolve_fractions(a[::-1], b[::-1])[::-1]
+
+
+def _block_triangular(rng, sizes, entry, above=0.5):
+    """(P B P^-1, det(λ - B)) for B block upper triangular with diagonal
+    blocks of the given sizes, P a seeded permutation: a 1 x 1 block is one
+    entry -c_1 and a larger one the companion matrix of c_1, ..., c_k with
+    c_k != 0, whose pattern is a cycle; either has characteristic
+    polynomial λ^k + c_1 λ^(k-1) + ... + c_k.  Entries above
+    the blocks are drawn with probability ``above``, and each block's first
+    row has one into the next block.  det(λ - B) is the product over the
+    blocks."""
+    n = sum(sizes)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    expected, start = [Fraction(1)], 0
+    for k in sizes:
+        coeffs = [entry() for _ in range(k)]
+        if k > 1 and not coeffs[-1]:
+            coeffs[-1] = Fraction(1)  # the block's first row closes the cycle
+        block = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(1, k):
+            block[i][i - 1] = Fraction(1)
+        for i, c in enumerate(coeffs):
+            block[k - 1 - i][k - 1] = -c
+        for i in range(k):
+            rows[start + i][start : start + k] = block[i]
+            for j in range(start + k, n):
+                if rng.random() < above or (i == 0 and j == start + k):
+                    rows[start + i][j] = entry() or Fraction(1)
+        expected = _descending_product(expected, [1, *coeffs])
+        start += k
+    p = list(range(n))
+    rng.shuffle(p)
+    relabelled = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            relabelled[p[i]][p[j]] = rows[i][j]
+    return relabelled, expected
+
+
+def _block_sizes(rng):
+    """Diagonal block sizes of at most 9 letters: 1 x 1 blocks around one or
+    two cycles of size 2 or 3."""
+    sizes = [rng.choice((2, 3)) for _ in range(rng.choice((1, 2)))]
+    sizes += [1] * rng.randint(0, 9 - sum(sizes))
+    rng.shuffle(sizes)
+    return sizes
+
+
+def test_char_poly_of_relabelled_block_triangular_matrices():
+    """char_poly of P B P^-1 against the product over B's diagonal blocks,
+    and for n <= 6 against cofactor expansion of the whole matrix, over Q
+    and over Q[t].  The shapes include a companion matrix (no row or column
+    free of off-diagonal entries), a triangular matrix (all of them, one at
+    a time) and 1 x 1 blocks on both sides of a cycle, each tied to it."""
+    rng = random.Random(4409)
+    t = RatPoly.variable()
+    rational = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    polynomial = lambda: RatPoly([rational(), rational(), Fraction(rng.randint(-2, 2), 3)])
+    shapes = [[9], [1] * 9, [1, 1, 3, 1, 1], [1, 2, 1, 3, 1], [2, 1, 1, 1, 2]]
+    shapes += [_block_sizes(rng) for _ in range(24)]
+    for sizes in shapes:
+        for entry in (rational, polynomial):
+            rows, expected = _block_triangular(rng, sizes, entry, above=rng.choice((0.2, 0.6, 1.0)))
+            got = char_poly(RationalMatrix(rows))
+            assert got.dense() == expected, sizes
+            if len(rows) <= 6:
+                assert expected == charpoly_by_expansion(rows)
+    # a single letter, a matrix of zeros and a 1 x 1 block under a cycle
+    assert char_poly(RationalMatrix([[t]])).dense() == [1, -t]
+    assert char_poly(RationalMatrix.zero(5)) == GradedPolynomial([0] * 5)
+    rows = [[0, 1, 5], [2, 0, 7], [0, 0, Fraction(1, 3)]]
+    assert char_poly(RationalMatrix(rows)).dense() == charpoly_by_expansion(rows) == [1, Fraction(-1, 3), -2, Fraction(2, 3)]
+
+
+def test_char_poly_specialisation_bound_is_met_around_a_cycle():
+    """1 x 1 blocks r_k vanishing on consecutive blocks of m integers on both
+    sides of t^m times a companion block, tied to it from above and below
+    and relabelled: a_n is ±(prod r_k) t^(3m) c_3, of t-degree 7m, zero at
+    t = 0, ..., 4m - 1, and every coefficient read at a rational t0 is the
+    cofactor expansion of the matrix read there."""
+    rng = random.Random(4421)
+    t = RatPoly.variable()
+    for m in (1, 2, 3):
+        coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(3)]
+        cycle = [[RatPoly([0] * m + [v]) if v else v for v in row] for row in _companion(coeffs)]
+        diagonal = [falling_factorial(t, k * m, m) * Fraction(k + 2, 3) for k in range(4)]
+        n, order = 7, [0, 1, 5, 6]
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(3):
+            rows[2 + i][2:5] = cycle[i]
+        for k, i in enumerate(order):
+            rows[i][i] = diagonal[k]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not rows[i][j] and (rows[i][i] or j > 4):
+                    rows[i][j] = RatPoly([rng.randint(-3, 3), rng.randint(1, 3)])
+        p = list(range(n))
+        rng.shuffle(p)
+        x = RationalMatrix(rows).permuted(p)
+        got = char_poly(x)
+        expected = _descending_product(expand_roots(diagonal), charpoly_by_expansion(cycle))
+        assert got.dense() == expected
+        a_n = got.coefficient(n)
+        assert a_n.degree() == 7 * m and all(value_at(a_n, i) == 0 for i in range(4 * m)) and value_at(a_n, 4 * m) != 0
+        for t0 in (Fraction(1, 3), Fraction(-7, 2)):
+            at_t0 = [[value_at(v, t0) for v in row] for row in x.rows]
+            assert [value_at(c, t0) for c in got.coeffs] == _expanded(at_t0)[1:]
+
+
+def _sparse_forms(rng, rows, shuffled):
+    """Each dense row as a SparseRow of its width: its nonzero entries and
+    some zero entries, in ascending column order or shuffled."""
+    out = []
+    for row in rows:
+        entries = [(j, v) for j, v in enumerate(row) if v or rng.random() < 0.2]
+        if shuffled:
+            rng.shuffle(entries)
+        out.append(SparseRow(len(row), dict(entries)))
+    return out
+
+
+def test_rank_and_nullspace_read_dense_and_sparse_rows_alike():
+    """fraction_free_rank and _integer_nullspace give the same rank and the
+    same basis on the dense rows of the tests above and on their SparseRow
+    forms in ascending column order.  In any other order the rank is the
+    same and the basis spans the same nullspace: its vectors are killed by
+    every row, and there are width - rank of them."""
+    rng = random.Random(4431)
+    cases = [_ad_like_rows(random.Random(101), n) for n in (2, 3, 4, 5)]
+    big = random.Random(103)
+    for _ in range(12):
+        nrows, ncols = big.randint(1, 7), big.randint(1, 7)
+        rows = [[big.randint(-10**6, 10**6) for _ in range(ncols)] for _ in range(nrows)]
+        rows[-1] = [3 * u - 5 * v for u, v in zip(rows[0], rows[-1])]
+        cases.append(rows)
+    cases += [[[0, 0, 0], [0, 0, 0]], [[0], [-7], [3]]]
+    for rows in cases:
+        rank, basis = _rank_oracle(rows), _integer_nullspace(rows)
+        assert fraction_free_rank(rows) == rank and len(basis) == len(rows[0]) - rank
+        for shuffled in (False, True):
+            sparse = _sparse_forms(rng, rows, shuffled)
+            assert [len(row) for row in sparse] == [len(row) for row in rows]
+            assert fraction_free_rank(sparse) == rank
+            got = _integer_nullspace(sparse)
+            assert got == basis or shuffled
+            assert len(got) == len(basis) == _rank_oracle([[dict(vec).get(j, 0) for j in range(len(rows[0]))] for vec in got] or [[0]])
+            for vec in got:
+                assert all(sum(row[j] * v for j, v in vec) == 0 for row in rows)
+
+
+def test_centralizer_dim_at_matrix_size_64_holds_little_memory():
+    """At a generic point of gl:32,32 (n = 64) the rank rows hold only their
+    nonzero entries: one centraliser dimension peaks at about 3 MB of traced
+    allocations, where dense rows of n^2 ints took about 136 MB."""
+    trip = build_gl_triple(32, 32)
+    x = trip.e + RationalMatrix.diagonal([Fraction(-355, 113) * v for v in [32] * 32 + [-32] * 32])
+    tracemalloc.start()
+    try:
+        d = centralizer_dim(x, trip.model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 2 * 32 * 32
+    assert peak < 8 * 2**20, peak

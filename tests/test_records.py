@@ -16,7 +16,7 @@ from sheet_atlas.hitchin import SliceWeights, component_count, dim_hitchin_base,
 from sheet_atlas.liealg import ClassicalForm, LieAlgebraModel, _model, build_model, so_gram, sp_gram
 from sheet_atlas.multiplicity import SlicePoint
 from sheet_atlas.partitions import MultiplicityProfile, Partition
-from sheet_atlas.realforms import SU, RealSheetReport, SOStar, sheet_of_real_form
+from sheet_atlas.realforms import SU, RealSheetReport, SOStar, sheet_of_real_form, so_star_fixed_degree, toledo_max
 from sheet_atlas.sheets import (
     GroupKind,
     Levi,
@@ -219,6 +219,11 @@ def test_construction_checks_still_raise():
         (lambda: h0_canonical_power(2, 1.0), "j must be an int, got 1.0"),
         (lambda: dim_hitchin_base(type_a(2), 2.5), "genus must be an int, got 2.5"),
         (lambda: component_count(2, 2.5), "genus must be an int, got 2.5"),
+        (lambda: component_count(2.0, 2), "katsylo_order must be an int, got 2.0"),
+        (lambda: toledo_max(1, 2.5), "genus must be an int, got 2.5"),
+        (lambda: toledo_max(1.0, 2), "q must be an int, got 1.0"),
+        (lambda: so_star_fixed_degree(1, 2.5), "genus must be an int, got 2.5"),
+        (lambda: so_star_fixed_degree(True, 2), "m must be an int, got True"),
         # a Levi's blocks are a Partition, so find_sheet refuses a bare tuple
         (lambda: Levi((2, 1), 0), "a Levi's blocks must be a Partition"),
         (lambda: find_sheet(type_a(3), Levi((2, 1), 0)), "a Levi's blocks must be a Partition"),
@@ -231,6 +236,12 @@ def test_construction_checks_still_raise():
     for build, message in cases:
         with pytest.raises(ValueError, match=message):
             build()
+
+
+def test_slice_weights_of_a_list_hash_as_their_tuple():
+    weights = SliceWeights([1, 2])
+    assert weights == SliceWeights((1, 2)) and hash(weights) == hash(SliceWeights((1, 2)))
+    assert weights.weights == (1, 2)
 
 
 def test_copies_are_built_through_the_constructor():
