@@ -25,18 +25,22 @@ t = 2^S, for an S above a proven bound on the height of its result
 (:func:`~sheet_atlas.scalars.run`), and the integer values are read back
 exactly as balanced base-2^S digits.  A conjugation by a permutation
 (:meth:`RationalMatrix.permuted`) only relabels the stored rows.
-There is one elimination, sparse and fraction-free with Markowitz-style
-pivots, on :class:`SparseRow` s: its pivot rows give centraliser ranks, on
-the ad x rows that a model fills from its basis as dicts, and read back in
-reverse order they give the nullspace behind the model of a form that is
-not monomial.  A model keeps its basis in one representation, sparse
-coprime integer terms, read from the cleared form of its Gram matrix.
+There is one elimination on :class:`SparseRow` s, fraction-free: it
+peels row and column singletons with no arithmetic, then takes
+Markowitz-style pivots on what is left.  Its pivot rows give centraliser
+ranks, on the ad x rows that a model fills from its basis as dicts at its
+key cells, and read back in reverse order they give the nullspace behind
+the model of a form that is not monomial.  A model keeps its basis in one
+representation, sparse coprime integer terms, read from the cleared form of
+its Gram matrix; each element's first term is its key, a cell no other
+element touches, so in those coordinates ad x at z + e peels almost whole.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -378,11 +382,15 @@ class LieAlgebraModel(Record):
 
     ``terms[i]`` lists basis element i as its nonzero (row, col, k) entries,
     coprime ints: the one representation of the basis, read by the integer
-    centraliser kernel.  A shared model holds these four fields and nothing
-    else.
+    centraliser kernel.  Each element's first term is its key, a cell no
+    other element touches (else ValueError), so an element of the algebra
+    is fixed by its entries at the keys.  Those four are the fields;
+    ``keys`` is read off them here, n^2 bytes over the row-major cells, 1
+    at a key.
     """
 
-    __slots__ = ("kind", "form", "matrix_size", "terms")
+    __slots__ = ("kind", "form", "matrix_size", "terms", "keys")
+    _fields = ("kind", "form", "matrix_size", "terms")
 
     def __init__(
         self,
@@ -391,10 +399,19 @@ class LieAlgebraModel(Record):
         matrix_size: int,
         terms: Tuple[Tuple[Term, ...], ...],
     ):
+        n = matrix_size
+        touched = Counter(r * n + c for element in terms for r, c, _ in element)
+        keys = bytearray(n * n)
+        for element in terms:
+            r, c, _ = element[0]
+            if touched[r * n + c] != 1:
+                raise ValueError("the first term of basis element %r is a cell another element touches" % (element,))
+            keys[r * n + c] = 1
         _set(self, "kind", kind)
         _set(self, "form", form)
         _set(self, "matrix_size", matrix_size)
         _set(self, "terms", terms)
+        _set(self, "keys", bytes(keys))
 
     @property
     def dimension(self) -> int:
@@ -410,7 +427,8 @@ per (group, form).  The sheet-points benchmark reaches 106: 13 gl_n, 92
 Jordan-basis forms of B/C/D triples and sp_4.  At matrix size 64
 (:data:`~sheet_atlas.triples.MAX_TRIPLE_SIZE`) one model and its form hold
 0.43-0.51 MB (gl_64 0.49 MB, D(32) 0.51 MB, measured with tracemalloc), so
-a full cache holds at most about 65 MB: a model holds only its fields."""
+a full cache holds at most about 65 MB: a model holds only its fields and
+its key mask, n^2 bytes, which adds at most 4 KB."""
 
 
 def build_model(kind: GroupKind, form: Optional[ClassicalForm] = None) -> LieAlgebraModel:
@@ -539,25 +557,32 @@ def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:
     ValueError.  The rank is taken on integers: with X = D x cleared of
     denominators, the row for a basis element sum k E_rc is its integer
     multiple [X, sum k E_rc] = sum k (X[:, r] e_c^T - e_r X[c, :]), filled
-    from the model's sparse basis in O(n) per term as a dict, and the rows
-    go to :func:`fraction_free_rank` as :class:`SparseRow` s of width n^2
-    (at n = 64, gl:32,32 at a generic z, about 0.3 s and a 3 MB peak).
+    from the model's sparse basis in O(n) per term as a dict, at the model's
+    key cells only.  That row lies in the algebra, since x does (checked
+    first), and an element of the algebra is fixed by its entries at the
+    keys, so the rank is the same.  In these coordinates the rank's
+    singleton peel takes every pivot at the sheet-points' x = z + e.  The
+    rows go to :func:`fraction_free_rank` as :class:`SparseRow` s of width
+    n^2 (at n = 64, gl:32,32 at a generic z, about 0.005 s and a 3.4 MB
+    traced peak).
     """
     if not in_algebra(x, model):
         raise ValueError("element is not in the modelled Lie algebra")
     if x.symbol:
         raise ValueError("centraliser dimension needs rational entries")
-    n = x.dim
+    n, keys = x.dim, model.keys
     row_nz, col_nz = x.nz, _columns(x.nz)
     rows = []
     for terms in model.terms:
         out: Dict[int, int] = {}
         for r, c, k in terms:
             for i, v in col_nz[r]:
-                out[i * n + c] = out.get(i * n + c, 0) + k * v
+                if keys[p := i * n + c]:
+                    out[p] = out.get(p, 0) + k * v
             base = r * n
             for j, v in row_nz[c]:
-                out[base + j] = out.get(base + j, 0) - k * v
+                if keys[p := base + j]:
+                    out[p] = out.get(p, 0) - k * v
         rows.append(SparseRow(n * n, out))
     return model.dimension - fraction_free_rank(rows)
 
@@ -676,15 +701,10 @@ class SparseRow:
         return self.width
 
 
-def _sparse(rows: Sequence) -> List[SparseRow]:
-    """rows as :class:`SparseRow` s, each dense row of ints by its nonzeros."""
-    return [row if type(row) is SparseRow else SparseRow(len(row), dict(zip(compress(count(), row), filter(None, row)))) for row in rows]
-
-
-def fraction_free_rank(rows: Sequence) -> int:
-    """Rank by fraction-free sparse elimination on integer rows, each a
-    :class:`SparseRow` or dense: the number of pivots of :func:`_pivot_rows`."""
-    return len(_pivot_rows(_sparse(rows)))
+def fraction_free_rank(rows: Sequence[SparseRow]) -> int:
+    """Rank by fraction-free sparse elimination on integer
+    :class:`SparseRow` s: the number of pivots of :func:`_pivot_rows`."""
+    return len(_pivot_rows(rows))
 
 
 def _pivot_rows(rows: Sequence[SparseRow]) -> List[Tuple[int, Dict[int, int]]]:
@@ -692,24 +712,60 @@ def _pivot_rows(rows: Sequence[SparseRow]) -> List[Tuple[int, Dict[int, int]]]:
     elimination on integers, in the order the pivots were chosen.
 
     Each nonzero row is kept as its nonzero entries {col: value}, in the
-    order it gives them, divided by their content.  The pivot is chosen
-    Markowitz-style: the shortest remaining row, then its entry p of least absolute value, in
-    column c.  That row leaves the rest, and each row with an entry e in
-    column c becomes (p/g) row - (e/g) pivot_row, g = gcd(p, e), divided by
-    its content.  Every surviving row is a nonzero rational multiple of the
-    Bareiss row for the same pivot sequence (both lie in the span of the row
-    and the pivot rows and vanish on the pivot columns), so its entries stay
-    within the Bareiss (Hadamard) bound.  A pivot row therefore vanishes on
-    every earlier pivot column.
+    order it gives them.  First the singletons are peeled, with no
+    arithmetic and one index of the rows holding each column: a row with
+    one entry pivots there, and that column is deleted from every other
+    row; a column with one entry pivots on its row, which leaves the rest as
+    it is.  This repeats until neither applies.  The rows left, in their
+    order, are divided by their content, and each further pivot is chosen
+    Markowitz-style: the shortest row, then its entry p of least absolute
+    value, in column c.  That row leaves the rest, and each row with an
+    entry e in column c becomes (p/g) row - (e/g) pivot_row, g = gcd(p, e),
+    divided by its content.  Every surviving row is a nonzero rational
+    multiple of the Bareiss row for the same pivot sequence (both lie in the
+    span of the row and the pivot rows and vanish on the pivot columns), so
+    its entries stay within the Bareiss (Hadamard) bound.  A pivot row
+    therefore vanishes on every earlier pivot column: a peeled row's column
+    is gone from the rest, and a peeled column was only in its row.
     """
-    pending: List[Dict[int, int]] = []
-    for row in rows:
-        entries = {j: v for j, v in row.entries.items() if v}
-        if not entries:
-            continue
-        g = gcd(*entries.values())
-        pending.append(entries if g == 1 else {j: v // g for j, v in entries.items()})
+    pending = list(filter(None, [dict(filter(_value, row.entries.items())) for row in rows]))
+    holders: Dict[int, List[int]] = {}
+    for i, row in enumerate(pending):
+        for j in row:
+            holders.setdefault(j, []).append(i)
+    held = {j: len(h) for j, h in holders.items()}
+    live = [True] * len(pending)
+    singles = [i for i, row in enumerate(pending) if len(row) == 1]
+    lone = [j for j, k in held.items() if k == 1]
     pivots = []
+    while singles or lone:
+        if singles:
+            i = singles.pop()
+            if not live[i]:
+                continue
+            # a row that loses its last entry dies, so a live one here has one
+            (col,) = prow = pending[i]
+            live[i], held[col] = False, 0
+            for k in holders[col]:
+                if live[k]:
+                    row = pending[k]
+                    del row[col]
+                    if len(row) == 1:
+                        singles.append(k)
+                    elif not row:
+                        live[k] = False
+        else:
+            col = lone.pop()
+            if held[col] != 1:
+                continue
+            i = next(filter(live.__getitem__, holders[col]))
+            prow, live[i] = pending[i], False
+            for j in prow:
+                held[j] -= 1
+                if held[j] == 1:
+                    lone.append(j)
+        pivots.append((col, prow))
+    pending = [row if (g := gcd(*row.values())) == 1 else {j: v // g for j, v in row.items()} for row in compress(pending, live)]
     while pending:
         lengths = list(map(len, pending))
         prow = pending.pop(lengths.index(min(lengths)))
@@ -736,11 +792,12 @@ def _pivot_rows(rows: Sequence[SparseRow]) -> List[Tuple[int, Dict[int, int]]]:
     return pivots
 
 
-def _integer_nullspace(rows: Sequence) -> List[List[Tuple[int, int]]]:
-    """A basis of the nullspace of integer rows (:class:`SparseRow` s or
-    dense), one vector per column that is no pivot of :func:`_pivot_rows`,
-    each as its nonzero (column, value) entries: coprime ints, positive in
-    that column.
+def _integer_nullspace(rows: Sequence[SparseRow]) -> List[List[Tuple[int, int]]]:
+    """A basis of the nullspace of integer :class:`SparseRow` s, one vector
+    per column that is no pivot of :func:`_pivot_rows`, each as its nonzero
+    (column, value) entries: coprime ints, that free column first with a
+    positive value, then the others in ascending column.  No other vector
+    has an entry in a vector's free column.
 
     The pivot rows are solved in reverse order.  A pivot row vanishes on
     every earlier pivot column, so its other entries lie in the free
@@ -748,7 +805,7 @@ def _integer_nullspace(rows: Sequence) -> List[List[Tuple[int, int]]]:
     vector is kept integral by scaling it by |p| / g before solving for the
     pivot entry p, g the gcd of p and the sum already known.
     """
-    pivots = _pivot_rows(_sparse(rows))
+    pivots = _pivot_rows(rows)
     pivot_cols = {col for col, _ in pivots}
     basis = []
     for free in range(len(rows[0]) if rows else 0):
@@ -765,7 +822,7 @@ def _integer_nullspace(rows: Sequence) -> List[List[Tuple[int, int]]]:
                         x[j] *= abs(p) // g
                 x[col] = -s // g if p > 0 else s // g
         g = gcd(*x.values())
-        basis.append(sorted((j, v // g) for j, v in x.items()))
+        basis.append([(free, x.pop(free) // g)] + sorted((j, v // g) for j, v in x.items()))
     return basis
 
 

@@ -132,8 +132,9 @@ def _block_diagonal(x: RationalMatrix, flag_dims: Tuple[int, ...]) -> bool:
 MAX_TRIPLE_SIZE = 64
 """The largest matrix size n of a GL or B/C/D triple.  The cost is set by
 the centraliser dimension: at n = 64 (gl:32,32 at a generic z) it takes
-about 0.3 s on sparse rank rows, and ``triple-verify --case gl:32,32``
-peaks at about 17 MB RSS in all."""
+about 0.005 s on sparse rank rows in the model's key cells, and
+``triple-verify --case gl:32,32`` or ``--case bcd:C,8,24`` peaks at about
+19 MB RSS in all."""
 
 
 def _check_size(n: int):

@@ -34,7 +34,9 @@ finds the least common denominator of weighted coefficients from prime
 exponents, of which the library's weighted denominator (one gcd per
 weight, not always the least) must be a multiple, and
 :func:`seed_3301_inputs` draws the weighted denominators it is checked
-on.  :func:`reference_parser` is the CLI's argparse parser written
+on.  :func:`sparse_rows` writes dense integer rows as the
+:class:`~sheet_atlas.liealg.SparseRow` s that the library's elimination
+takes.  :func:`reference_parser` is the CLI's argparse parser written
 out by hand, against which the CLI's own parsing is checked.
 """
 from __future__ import annotations
@@ -46,7 +48,7 @@ from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from sheet_atlas import cli
-from sheet_atlas.liealg import RationalMatrix
+from sheet_atlas.liealg import RationalMatrix, SparseRow
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import RatPoly, as_scalar, poly_trim
 from sheet_atlas.sheets import GroupKind, Levi, SheetDescriptor, parse_kind
@@ -295,6 +297,12 @@ def rank_by_rational_elimination(rows: List[List[Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def sparse_rows(rows: Sequence[Sequence[int]]) -> List[SparseRow]:
+    """Dense rows of ints as SparseRows of their width, each by its nonzero
+    entries in ascending column."""
+    return [SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in rows]
 
 
 def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:

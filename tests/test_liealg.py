@@ -20,13 +20,13 @@ from sheet_atlas.liealg import (
     so_gram,
     sp_gram,
 )
-from sheet_atlas.liealg import SparseRow, _integer_nullspace, _model
+from sheet_atlas.liealg import LieAlgebraModel, SparseRow, _integer_nullspace, _model
 from sheet_atlas.scalars import ZERO, RatPoly
-from sheet_atlas.sheets import type_a, type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.sheets import MaxLevi, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
-from oracles import charpoly_by_expansion, convolve_fractions, dense_basis, expand_roots, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, value_at
+from oracles import charpoly_by_expansion, convolve_fractions, dense_basis, expand_roots, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, sparse_rows, value_at
 from test_spectral import divide
 
 
@@ -235,9 +235,10 @@ def _inverse_unipotent_product(g):
 
 
 def _cleared(rows):
-    """Each row of Fractions times the lcm of its denominators, as ints: the
-    rows fraction_free_rank takes, spanning the same space row by row."""
-    return [[int(v * lcm(*(u.denominator for u in row))) for v in row] for row in rows]
+    """Each row of Fractions times the lcm of its denominators, as the
+    SparseRows of ints fraction_free_rank takes, spanning the same space row
+    by row."""
+    return sparse_rows([[int(v * lcm(*(u.denominator for u in row))) for v in row] for row in rows])
 
 
 def test_fraction_free_rank_matches_rational_elimination():
@@ -246,7 +247,7 @@ def test_fraction_free_rank_matches_rational_elimination():
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)] for _ in range(5)]
         assert fraction_free_rank(_cleared(rows)) == rank_by_rational_elimination(rows)
         ints = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)]
-        assert fraction_free_rank(ints) == rank_by_rational_elimination([[Fraction(v) for v in r] for r in ints])
+        assert fraction_free_rank(sparse_rows(ints)) == rank_by_rational_elimination([[Fraction(v) for v in r] for r in ints])
 
 
 def _rank_oracle(rows):
@@ -280,11 +281,11 @@ def test_fraction_free_rank_on_sparse_ad_like_rows():
         n = rng.randint(2, 6)
         rows = _ad_like_rows(rng, n)
         expected = _rank_oracle(rows)
-        assert fraction_free_rank(rows) == expected
+        assert fraction_free_rank(sparse_rows(rows)) == expected
         ranks.add((n, expected))
         # the rank ignores the order of the rows and how they are scaled
         scaled = [[k * v for v in row] for k, row in zip(rng.choices([-6, -1, 2, 7], k=len(rows)), reversed(rows))]
-        assert fraction_free_rank(scaled) == expected
+        assert fraction_free_rank(sparse_rows(scaled)) == expected
     # the planted rows make every rank deficient, by varying amounts
     assert all(r < n * n for n, r in ranks) and len({n * n - r for n, r in ranks}) > 5
 
@@ -298,16 +299,16 @@ def test_fraction_free_rank_on_dense_rows_with_large_entries():
             # a planted dependency, and a row with a large common factor
             rows[-1] = [3 * u - 5 * v for u, v in zip(rows[0], rows[1])]
             rows[-2] = [999983 * v for v in rows[-2]]
-        assert fraction_free_rank(rows) == _rank_oracle(rows)
+        assert fraction_free_rank(sparse_rows(rows)) == _rank_oracle(rows)
 
 
 def test_fraction_free_rank_edge_shapes():
     rng = random.Random(107)
     assert fraction_free_rank([]) == 0
-    assert fraction_free_rank([[0, 0, 0], [0, 0, 0]]) == 0
-    assert fraction_free_rank([[0], [0]]) == 0
-    assert fraction_free_rank([[5]]) == 1
-    assert fraction_free_rank([[0], [-7], [3]]) == 1
+    assert fraction_free_rank(sparse_rows([[0, 0, 0], [0, 0, 0]])) == 0
+    assert fraction_free_rank(sparse_rows([[0], [0]])) == 0
+    assert fraction_free_rank(sparse_rows([[5]])) == 1
+    assert fraction_free_rank(sparse_rows([[0], [-7], [3]])) == 1
     assert fraction_free_rank(_cleared([[Fraction(0)] * 4, [Fraction(1, 3), 0, 0, Fraction(-2, 7)]])) == 1
     assert fraction_free_rank(_cleared([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]])) == 1
     for _ in range(20):
@@ -580,6 +581,28 @@ def test_generic_gram_models_against_dense_products():
                     vec[r * n + c] = Fraction(k)
                 vectors.append(vec)
             assert rank_by_rational_elimination(vectors) == expected
+
+
+def test_centralizer_dim_on_generic_gram_models_against_oracle():
+    """A model of a form that is not monomial takes its basis from
+    _integer_nullspace, whose vectors lead with their free column: the cell
+    centralizer_dim reads each element at.  At seeded elements of such
+    models, integer and rational forms alike, the centraliser dimension is
+    the oracle's; elements from the small pool have larger centralisers."""
+    rng = random.Random(79)
+    cases = [("symmetric", kind) for kind in (type_b(1), type_d(2), type_b(2), type_d(3))]
+    cases += [("antisymmetric", kind) for kind in (type_c(2), type_c(3))]
+    dims = set()
+    for form_kind, kind in cases:
+        for rational in (False, True):
+            model = build_model(kind, _random_gram(rng, form_kind, kind.matrix_size, rational))
+            for terms in (1, 2, 3, model.dimension):
+                x = _random_element(rng, model, min(terms, model.dimension))
+                got = centralizer_dim(x, model)
+                assert got == _oracle_centralizer_dim(x, model), (kind, rational, terms)
+                dims.add((model.dimension, got))
+    # regular elements (d the rank) and larger centralisers both occur
+    assert {(3, 1), (6, 2), (10, 2), (15, 3), (21, 3)} <= dims and len(dims) > 8
 
 
 def test_constant_polynomial_entries_match_fractions():
@@ -1222,10 +1245,11 @@ def _sparse_forms(rng, rows, shuffled):
 
 def test_rank_and_nullspace_read_dense_and_sparse_rows_alike():
     """fraction_free_rank and _integer_nullspace give the same rank and the
-    same basis on the dense rows of the tests above and on their SparseRow
-    forms in ascending column order.  In any other order the rank is the
-    same and the basis spans the same nullspace: its vectors are killed by
-    every row, and there are width - rank of them."""
+    same basis on the dense rows of the tests above, written by sparse_rows,
+    and on SparseRow forms that also hold some zero entries, in ascending
+    column order.  In any other order the rank is the same and the basis
+    spans the same nullspace: its vectors are killed by every row, and there
+    are width - rank of them."""
     rng = random.Random(4431)
     cases = [_ad_like_rows(random.Random(101), n) for n in (2, 3, 4, 5)]
     big = random.Random(103)
@@ -1236,8 +1260,8 @@ def test_rank_and_nullspace_read_dense_and_sparse_rows_alike():
         cases.append(rows)
     cases += [[[0, 0, 0], [0, 0, 0]], [[0], [-7], [3]]]
     for rows in cases:
-        rank, basis = _rank_oracle(rows), _integer_nullspace(rows)
-        assert fraction_free_rank(rows) == rank and len(basis) == len(rows[0]) - rank
+        rank, basis = _rank_oracle(rows), _integer_nullspace(sparse_rows(rows))
+        assert fraction_free_rank(sparse_rows(rows)) == rank and len(basis) == len(rows[0]) - rank
         for shuffled in (False, True):
             sparse = _sparse_forms(rng, rows, shuffled)
             assert [len(row) for row in sparse] == [len(row) for row in rows]
@@ -1249,9 +1273,119 @@ def test_rank_and_nullspace_read_dense_and_sparse_rows_alike():
                 assert all(sum(row[j] * v for j, v in vec) == 0 for row in rows)
 
 
+def _small(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 5])
+
+
+def _permuted(rng, rows):
+    """rows with their order and their columns shuffled."""
+    cols = list(range(len(rows[0])))
+    rng.shuffle(cols)
+    rows = [[row[j] for j in cols] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def _triangular_rows(rng):
+    """m rows in w >= m columns, triangular after a permutation: row i has
+    its diagonal entry in column i (zero now and then) and others only in
+    the columns after i, or only before it.  Upper rows peel by column
+    singletons, lower rows by row singletons."""
+    m = rng.randint(1, 9)
+    w = m + rng.randint(0, 3)
+    upper = rng.random() < 0.5
+    rows = []
+    for i in range(m):
+        row = [0] * w
+        row[i] = _small(rng) if rng.random() < 0.85 else 0
+        for j in range(i + 1, w) if upper else range(i):
+            if rng.random() < 0.5:
+                row[j] = _small(rng)
+        rows.append(row)
+    return _permuted(rng, rows)
+
+
+def _core_rows(rng):
+    """Triangular rows around a dense core: in block form [[L, 0, 0],
+    [Y, U, X], [Z, 0, C]], with L lower and U upper triangular and C dense,
+    sometimes with a planted dependent row.  Row singletons peel L, which
+    deletes Y and Z; column singletons then peel U; C is left."""
+    a, b, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(2, 5)
+    w = a + b + k
+    rows = []
+    for i in range(a):
+        rows.append([_small(rng) if j < i and rng.random() < 0.5 else 0 for j in range(a)] + [0] * (b + k))
+        rows[-1][i] = _small(rng)
+    for i in range(b):
+        row = [_small(rng) if rng.random() < 0.5 else 0 for _ in range(a)]
+        row += [_small(rng) if j > i and rng.random() < 0.5 else 0 for j in range(b)]
+        row += [_small(rng) if rng.random() < 0.7 else 0 for _ in range(k)]
+        row[a + i] = _small(rng)
+        rows.append(row)
+    core = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+    if rng.random() < 0.5:
+        core[-1] = [2 * u - 3 * v for u, v in zip(core[0], core[1])]
+    for line in core:
+        rows.append([_small(rng) if rng.random() < 0.5 else 0 for _ in range(a)] + [0] * b + line)
+    return _permuted(rng, rows)
+
+
+def _dense_rows(rng):
+    """Rows with every entry drawn, some of them planted combinations."""
+    m, w = rng.randint(1, 7), rng.randint(1, 7)
+    rows = [[rng.randint(-99, 99) for _ in range(w)] for _ in range(m)]
+    for i in range(2, m):
+        if rng.random() < 0.3:
+            rows[i] = [u - 4 * v for u, v in zip(rows[i - 1], rows[i - 2])]
+    return rows
+
+
+def test_rank_and_nullspace_on_triangular_cored_and_dense_rows():
+    """fraction_free_rank and _integer_nullspace against the rational
+    oracle, on rows the singleton peel takes whole, rows it peels down to
+    a dense core, and dense rows it cannot peel.  The nullspace has
+    width - rank independent vectors killed by every row, each leading
+    with a positive entry in a column no other vector has."""
+    rng = random.Random(4457)
+    for make in (_triangular_rows, _core_rows, _dense_rows):
+        deficits = set()
+        for _ in range(60):
+            rows = make(rng)
+            width, rank = len(rows[0]), _rank_oracle(rows)
+            assert fraction_free_rank(sparse_rows(rows)) == rank, (make.__name__, rows)
+            basis = _integer_nullspace(sparse_rows(rows))
+            assert len(basis) == width - rank, (make.__name__, rows)
+            for vec in basis:
+                assert all(sum(row[j] * v for j, v in vec) == 0 for row in rows)
+                assert vec[0][1] > 0 and gcd(*(v for _, v in vec)) == 1
+            leads = {vec[0][0] for vec in basis}
+            assert len(leads) == len(basis) and not any(j in leads for vec in basis for j, _ in vec[1:])
+            deficits.add(min(len(rows), width) - rank)
+        # full-rank and deficient row sets both occur
+        assert 0 in deficits and len(deficits) > 1, make.__name__
+
+
+def test_model_refuses_first_terms_that_collide():
+    """An element's first term must be a cell no other element touches:
+    the same first cell twice, or one that another element's later term
+    touches, is refused when the model is built.  Sorting the terms of a
+    nullspace model's elements moves their first cells onto shared ones."""
+    kind, form = type_b(1), so_gram(3)
+    model = build_model(kind, form)
+    with pytest.raises(ValueError, match="another element touches"):
+        LieAlgebraModel(kind, form, 3, model.terms[:1] * 2)
+    first, second = model.terms[:2]
+    with pytest.raises(ValueError, match="another element touches"):
+        LieAlgebraModel(kind, form, 3, (first, second + first[:1]))
+    generic = _generic_gram_model()
+    LieAlgebraModel(generic.kind, generic.form, 3, generic.terms)
+    with pytest.raises(ValueError, match="another element touches"):
+        LieAlgebraModel(generic.kind, generic.form, 3, tuple(tuple(sorted(terms)) for terms in generic.terms))
+
+
 def test_centralizer_dim_at_matrix_size_64_holds_little_memory():
     """At a generic point of gl:32,32 (n = 64) the rank rows hold only their
-    nonzero entries: one centraliser dimension peaks at about 3 MB of traced
+    nonzero entries: one centraliser dimension peaks at about 4 MB of traced
     allocations, where dense rows of n^2 ints took about 136 MB."""
     trip = build_gl_triple(32, 32)
     x = trip.e + RationalMatrix.diagonal([Fraction(-355, 113) * v for v in [32] * 32 + [-32] * 32])
@@ -1262,4 +1396,20 @@ def test_centralizer_dim_at_matrix_size_64_holds_little_memory():
     finally:
         tracemalloc.stop()
     assert d == 2 * 32 * 32
+    assert peak < 8 * 2**20, peak
+
+
+def test_bcd_centralizer_dim_at_matrix_size_64_holds_little_memory():
+    """The same at a generic point of bcd:C,8,24 (Sp_64 with the Levi
+    GL_8 x Sp_48): d is dim L, within the same traced-allocation gate."""
+    kind, levi = type_c(32), MaxLevi(8, 24)
+    trip = build_bcd_triple(kind, levi)
+    x = trip.e + RationalMatrix.diagonal([Fraction(-355, 113) * v for v in [1] * 8 + [0] * 48 + [-1] * 8])
+    tracemalloc.start()
+    try:
+        d = centralizer_dim(x, trip.model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == kind.levi_dim(levi) == 8 * 8 + 48 * 49 // 2
     assert peak < 8 * 2**20, peak
