@@ -105,6 +105,27 @@ def _parse_levi(kind: GroupKind, text: Optional[str], field: str = "--levi") -> 
     raise ValueError("%s must be a,res with integers a >= 1 and res >= 0, got %r" % (field, text))
 
 
+def _real_form(text: str) -> realforms.RealFormLabel:
+    """The real form of a --label such as "SU:3,1" or "SOSTAR:5" (the
+    family case-insensitive); fields that are not integers of the right
+    count and range are refused by the field's name."""
+    head, _, tail = text.partition(":")
+    head = head.strip().upper()
+    if head == "SU":
+        form = "SU:p,q with integers p >= q >= 1"
+        p, q = _ints(tail, "--label", 2, form, text)
+        if p >= q >= 1:
+            return realforms.SU(p, q)
+    elif head in ("SOSTAR", "SO*"):
+        form = "SOSTAR:n with an integer n >= 3"
+        (n,) = _ints(tail, "--label", 1, form, text)
+        if n >= 3:
+            return realforms.SOStar(n)
+    else:
+        raise ValueError("cannot parse real form label %r" % (text,))
+    raise ValueError("--label must be %s, got %r" % (form, text))
+
+
 def _group_kind(args) -> GroupKind:
     """The group of --kind and --rank.  F4 has rank 4: an explicit other
     rank is refused, not ignored."""
@@ -369,7 +390,7 @@ def cmd_multiplicity(args) -> int:
 
 
 def cmd_realform(args) -> int:
-    label = realforms.parse_real_form(args.label)
+    label = _real_form(args.label)
     report = realforms.sheet_of_real_form(label, genus=args.genus)
     for name, value in report.extra:  # integers, linear in the genus
         _printable(value, "--label and --genus", "the " + name)

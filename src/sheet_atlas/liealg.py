@@ -19,9 +19,11 @@ Fractions are built only for the dense view and a determinant; a
 characteristic polynomial is returned in its scaled form (D, c_k =
 D^k a_k) and builds its coefficients on first read; it takes linear
 factors off by Laplace expansion where the pattern of the stored rows
-allows, and runs the trace recursion only on the rest, which is empty at
-x = z + e.  With entries in Q[t] the same integer routine runs once at
-t = 2^S, for an S above a proven bound on the height of its result
+allows, multiplies them out with the root-expansion kernel that
+:meth:`~sheet_atlas.spectral.GradedPolynomial.from_roots` runs, and runs
+the trace recursion only on the rest, which is empty at x = z + e.  With
+entries in Q[t] the same integer routine runs once at t = 2^S, for an S
+above a proven bound on the height of its result
 (:func:`~sheet_atlas.scalars.run`), and the integer values are read back
 exactly as balanced base-2^S digits.  A conjugation by a permutation
 (:meth:`RationalMatrix.permuted`) only relabels the stored rows.
@@ -31,9 +33,10 @@ Markowitz-style pivots on what is left.  Its pivot rows give centraliser
 ranks, on the ad x rows that a model fills from its basis as dicts at its
 key cells, and read back in reverse order they give the nullspace behind
 the model of a form that is not monomial.  A model keeps its basis in one
-representation, sparse coprime integer terms, read from the cleared form of
-its Gram matrix; each element's first term is its key, a cell no other
-element touches, so in those coordinates ad x at z + e peels almost whole.
+representation, sparse coprime integer terms in the n x n cells of its
+group's matrix size, read from the cleared form of its Gram matrix; each
+element's first term is its key, a cell no other element touches, so in
+those coordinates ad x at z + e peels almost whole.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ from .scalars import (
     scalars_over,
 )
 from .sheets import GroupKind
-from .spectral import GradedPolynomial, _graded, _int_convolve
+from .spectral import GradedPolynomial, _graded, _int_convolve, _int_from_roots
 
 
 SparseRows = Sequence[Sequence[Tuple[int, int]]]
@@ -132,23 +135,14 @@ class RationalMatrix:
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
-    def zero(cls, n: int) -> "RationalMatrix":
-        return cls.from_cleared(n, 1, [()] * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_cleared(n, 1, [[(i, 1)] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries: Sequence) -> "RationalMatrix":
         rows = [[(i, x)] for i, x in enumerate(entries)]
         # integer entries are their own cleared form over D = 1
         return cls.from_cleared(len(rows), 1, rows) if all(type(x) is int for x in entries) else cls._of_scalars(len(rows), rows)
 
     @classmethod
-    def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
-        rows = [[(j, value)] if r == i else [] for r in range(n)]
-        return cls.from_cleared(n, 1, rows) if type(value) is int else cls._of_scalars(n, rows)
+    def unit(cls, n: int, i: int, j: int) -> "RationalMatrix":
+        return cls.from_cleared(n, 1, [[(j, 1)] if r == i else [] for r in range(n)])
 
     @property
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
@@ -162,9 +156,6 @@ class RationalMatrix:
                     out[j] = v
             object.__setattr__(self, "_view", tuple(map(tuple, dense)))
         return self._view
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._combine(other, 1)
@@ -181,9 +172,6 @@ class RationalMatrix:
         bound = lambda ha, hb: abs(wa) * ha + abs(wb) * hb
         values, symbol = _on_integers((self, other), bound, lambda ra, rb: _linear(ra, rb, wa, wb))
         return _from_flat(self.dim, d, values, symbol)
-
-    def __neg__(self) -> "RationalMatrix":
-        return self.scale(-1)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_dim(other)
@@ -212,9 +200,6 @@ class RationalMatrix:
             # the new columns of a row are distinct, so no value is compared
             rows[i] = sorted([(p[j], v) for j, v in row])
         return RationalMatrix.from_cleared(self.dim, self.den, rows, self.symbol)
-
-    def is_zero(self) -> bool:
-        return not any(self.nz)
 
     def __eq__(self, other):
         # the size is len(nz)
@@ -382,25 +367,25 @@ class LieAlgebraModel(Record):
 
     ``terms[i]`` lists basis element i as its nonzero (row, col, k) entries,
     coprime ints: the one representation of the basis, read by the integer
-    centraliser kernel.  Each element's first term is its key, a cell no
-    other element touches (else ValueError), so an element of the algebra
-    is fixed by its entries at the keys.  Those four are the fields;
-    ``keys`` is read off them here, n^2 bytes over the row-major cells, 1
-    at a key.
+    centraliser kernel.  Every term lies in the n x n cells, n the group's
+    matrix size, and each element's first term is its key, a cell no other
+    element touches (else ValueError), so an element of the algebra is
+    fixed by its entries at the keys.  Those three are the fields;
+    ``matrix_size`` is read off ``kind`` and ``keys`` off the terms, here:
+    n^2 bytes over the row-major cells, 1 at a key.
     """
 
-    __slots__ = ("kind", "form", "matrix_size", "terms", "keys")
-    _fields = ("kind", "form", "matrix_size", "terms")
+    __slots__ = ("kind", "form", "terms", "matrix_size", "keys")
+    _fields = ("kind", "form", "terms")
 
-    def __init__(
-        self,
-        kind: GroupKind,
-        form: Optional[ClassicalForm],
-        matrix_size: int,
-        terms: Tuple[Tuple[Term, ...], ...],
-    ):
-        n = matrix_size
-        touched = Counter(r * n + c for element in terms for r, c, _ in element)
+    def __init__(self, kind: GroupKind, form: Optional[ClassicalForm], terms: Tuple[Tuple[Term, ...], ...]):
+        n = kind.matrix_size
+        touched = Counter()
+        for element in terms:
+            for r, c, _ in element:
+                if not (0 <= r < n and 0 <= c < n):
+                    raise ValueError("basis element %r has a term outside the %d x %d cells" % (element, n, n))
+                touched[r * n + c] += 1
         keys = bytearray(n * n)
         for element in terms:
             r, c, _ = element[0]
@@ -409,8 +394,8 @@ class LieAlgebraModel(Record):
             keys[r * n + c] = 1
         _set(self, "kind", kind)
         _set(self, "form", form)
-        _set(self, "matrix_size", matrix_size)
         _set(self, "terms", terms)
+        _set(self, "matrix_size", n)
         _set(self, "keys", bytes(keys))
 
     @property
@@ -451,7 +436,7 @@ def _model(kind: GroupKind, form: Optional[ClassicalForm]) -> LieAlgebraModel:
     if kind.family == "A":
         if form is not None:
             raise ValueError("type A is modelled by gl_n and takes no form")
-        return LieAlgebraModel(kind, None, n, tuple(((i, j, 1),) for i in range(n) for j in range(n)))
+        return LieAlgebraModel(kind, None, tuple(((i, j, 1),) for i in range(n) for j in range(n)))
     if kind.form_sign is None:
         raise ValueError("no matrix model for group family %r" % (kind.family,))
     if form is None:
@@ -461,7 +446,7 @@ def _model(kind: GroupKind, form: Optional[ClassicalForm]) -> LieAlgebraModel:
     terms = form_stabiliser_basis(form.gram)
     if len(terms) != kind.dim:
         raise AssertionError("basis size %d, expected %d" % (len(terms), kind.dim))
-    return LieAlgebraModel(kind, form, n, tuple(terms))
+    return LieAlgebraModel(kind, form, tuple(terms))
 
 
 def form_stabiliser_basis(gram: RationalMatrix) -> List[Tuple[Term, ...]]:
@@ -633,14 +618,9 @@ def _peel(nz: SparseRows) -> List[int]:
 
 def _peeled_char_poly_ints(nz: SparseRows, peeled: Sequence[int]) -> List[int]:
     """Coefficients c_1, ..., c_n of det(λ - X) for sparse integer rows X:
-    prod (λ - X_ii) over the peeled indices, multiplied out in place, times
+    prod (λ - X_ii) over the peeled indices (:func:`_int_from_roots`), times
     the trace recursion on the rows and columns left."""
-    c = [1] + [0] * len(peeled)
-    for d, i in enumerate(peeled, 1):
-        v = next((v for j, v in nz[i] if j == i), 0)
-        if v:
-            for k in range(d, 0, -1):
-                c[k] -= v * c[k - 1]
+    c = _int_from_roots([next((v for j, v in nz[i] if j == i), 0) for i in peeled])
     if len(peeled) == len(nz):
         return c[1:]
     taken = set(peeled)
@@ -834,4 +814,5 @@ def determinant(x: RationalMatrix) -> Fraction:
     """
     if x.symbol:
         raise ValueError("determinant needs rational entries")
-    return (-1) ** x.dim * char_poly(x).coefficient(x.dim)
+    coeffs = char_poly(x).coeffs
+    return (-1) ** x.dim * (coeffs[-1] if coeffs else Fraction(1))

@@ -4,7 +4,7 @@ The special unitary family SU(p, q) attaches to the gl sheet with Levi
 partition (p-q, 1^{2q}); the quaternionic orthogonal family SO*(2n) is
 worked out for n = 2m+1, where the Levi is a product of m GL_2 blocks and
 a one-dimensional torus.  Quasi-splitness is equivalent to the attached
-sheet being the regular one.
+sheet being the regular one.  The CLI reads the labels from its ``--label``.
 
 Reports store only the RANK of the abelianised structure group, not the
 group itself: the group is pinned down only up to finite index inside a
@@ -14,7 +14,7 @@ the fixed-point fibres generically have order 2^(m-1)).
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ._record import Record, _set, check_int
 from .partitions import Partition
@@ -197,31 +197,3 @@ def abelianized_fiber_dim_is_positive(label: RealFormLabel) -> bool:
         return label.n % 2 == 1
     raise ValueError("unknown real form label %r" % (label,))
 
-
-def parse_real_form(text: str) -> RealFormLabel:
-    """Parse labels like "SU:3,1" or "SOSTAR:5" (case-insensitive), the
-    ``--label`` of the CLI; fields that are not integers of the right count
-    and range are refused by its name."""
-    head, _, tail = text.partition(":")
-    head = head.strip().upper()
-    if head == "SU":
-        values, form = _int_fields(tail, 2), "SU:p,q with integers p >= q >= 1"
-        if values and values[0] >= values[1] >= 1:
-            return SU(*values)
-    elif head in ("SOSTAR", "SO*"):
-        values, form = _int_fields(tail, 1), "SOSTAR:n with an integer n >= 3"
-        if values and values[0] >= 3:
-            return SOStar(*values)
-    else:
-        raise ValueError("cannot parse real form label %r" % (text,))
-    raise ValueError("--label must be %s, got %r" % (form, text))
-
-
-def _int_fields(tail: str, count: int) -> List[int]:
-    """The ``count`` comma-separated integers of ``tail``, the part of a
-    label after its colon, or [] for any other tail."""
-    try:
-        values = [int(v) for v in tail.split(",")]
-    except ValueError:
-        return []
-    return values if len(values) == count else []

@@ -58,16 +58,8 @@ class RatPoly:
         raise AttributeError("RatPoly is immutable")
 
     @classmethod
-    def constant(cls, c) -> "RatPoly":
-        return cls([Fraction(c)])
-
-    @classmethod
     def variable(cls) -> "RatPoly":
         return cls([0, 1])
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -229,13 +221,13 @@ def clear(scalars: Sequence[Scalar], weighted: bool = False) -> Cleared:
     """(D, c, symbol) for scalars x_k in Q[t] (ints and Fractions being
     constants): c_k = D x_k, or D^k x_k when ``weighted``, as ints when
     ``symbol`` is None, else (:data:`T`) as ascending integer coefficient
-    lists in it.  D is the lcm of the denominators of every t-coefficient,
-    except for weighted rationals, where :func:`weighted_den` gives a D that
+    lists in it.  D is the lcm of the denominators of every t-coefficient;
+    when ``weighted``, :func:`weighted_den` on each x_k's lcm gives a D that
     divides it, chosen with one gcd per weight, and is often far smaller."""
     if RatPoly in map(type, scalars):
         if any([len(x.coeffs) > 1 for x in scalars if type(x) is RatPoly]):
             cs = [x.coeffs if type(x) is RatPoly else (x,) for x in scalars]
-            d = lcm(*[x.denominator for c in cs for x in c])
+            d = weighted_den([lcm(*[x.denominator for x in c]) for c in cs]) if weighted else lcm(*[x.denominator for c in cs for x in c])
             if d == 1:
                 return d, [[x.numerator for x in c] for c in cs], T
             weights = accumulate(repeat(d), mul) if weighted else repeat(d)

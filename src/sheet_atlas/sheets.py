@@ -711,11 +711,10 @@ def all_max_levi_sheets(max_n: int) -> List[SheetDescriptor]:
             if m1 >= m2 >= 1:
                 out.append(maximal_levi_sheet(type_a(n), Levi(Partition((m1, m2)), 0)))
     for r in range(1, max_n // 2 + 1):
-        for kind in (type_b(r) if 2 * r + 1 <= max_n else None, type_c(r) if 2 * r <= max_n else None, type_d(r) if r >= 2 and 2 * r <= max_n else None):
-            if kind is None:
-                continue
-            for levi in valid_max_levi_labels(kind):
-                out.append(maximal_levi_sheet(kind, levi))
+        for kind in (type_b(r), type_c(r), type_d(r)) if r >= 2 else (type_b(r), type_c(r)):
+            if kind.matrix_size <= max_n:
+                for levi in valid_max_levi_labels(kind):
+                    out.append(maximal_levi_sheet(kind, levi))
     out.sort(key=_table2_sort_key)
     return out
 

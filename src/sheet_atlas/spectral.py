@@ -12,13 +12,14 @@ stores only (D, P) and builds its coefficients on first read, and so does a
 characteristic polynomial (:func:`~sheet_atlas.liealg.char_poly`), whose
 trace recursion on D x yields c_k directly.  Only polynomials built from
 coefficients (``GradedPolynomial(coeffs)``) store them.  Roots A/D
-give P = prod (μ - A) in one pass; products rescale each P_i to D = lcm(D_i)
-(c_k -> c_k (D/D_i)^k), raise each to its power by repeated squaring and
-convolve; monic division is synthetic division in Z[μ] after the same
-rescaling.  Over Q[t] the same routine runs once on P(2^S), S taken from a
-proven height bound (a guessed one for division, proven by an exact
-identity afterwards), and the answer's coefficients are read back as
-balanced base-2^S digits.  A Z[t] result of ``from_roots`` or of a product
+give P = prod (μ - A) in one pass of :func:`_int_from_roots`, the kernel
+that ``char_poly`` runs on the diagonal entries it peels; products rescale
+each P_i to D = lcm(D_i) (c_k -> c_k (D/D_i)^k), raise each to its power
+by repeated squaring and convolve; monic division is synthetic division
+in Z[μ] after the same rescaling.  Over Q[t] the same routine runs once on
+P(2^S), S taken from a proven height bound (a guessed one for division,
+proven by an exact identity afterwards), and the answer's coefficients are
+read back as balanced base-2^S digits.  A Z[t] result of ``from_roots`` or of a product
 also keeps the bound that chose S, which bounds its 1-norm, so that a later
 product or division takes its bound from it instead of summing its digits;
 a product's result also keeps its values at 2^S, and a division into it
@@ -117,32 +118,14 @@ class GradedPolynomial:
     def __repr__(self):
         return "GradedPolynomial(coeffs=%r)" % (self.coeffs,)
 
-    def coefficient(self, k: int) -> Scalar:
-        """Weight-k coefficient a_k (k = 0 gives the leading 1)."""
-        if k == 0:
-            return Fraction(1)
-        if not 1 <= k <= self.degree:
-            raise ValueError("no coefficient of weight %d in degree %d" % (k, self.degree))
-        return self.coeffs[k - 1]
-
     @classmethod
     def from_roots(cls, roots: Sequence) -> "GradedPolynomial":
         """prod (λ - r): P = prod (μ - A) over the roots A/D.  Over Z[t]
         c_k = ±e_k(A), whose 1-norm is at most the sum over k-subsets of
         prod ‖A_i‖₁, so every t-coefficient of every c_k is at most
         prod (1 + ‖A_i‖₁)."""
-        roots = [as_scalar(r) for r in roots]
-        form = clear(roots)
-
-        def expand(a):  # times μ - A for each root A, in place from the top down
-            c = [1] + [0] * len(a)
-            for d, v in enumerate(a, 1):
-                if v:
-                    for k in range(d, 0, -1):
-                        c[k] -= v * c[k - 1]
-            return c[1:]
-
-        values, symbol, held = run([form], lambda: prod([1 + norm(v) for v in form[1]]), expand)
+        form = clear([as_scalar(r) for r in roots])
+        values, symbol, held = run([form], lambda: prod([1 + norm(v) for v in form[1]]), lambda a: _int_from_roots(a)[1:])
         return _graded(form[0], values, symbol, held and (held[0], None))
 
     def dense(self) -> List[Scalar]:
@@ -304,6 +287,17 @@ def _graded(den: int, values: list, symbol: Optional[str], held: Optional[Held] 
     if held:
         out.__dict__["_held"] = held
     return out
+
+
+def _int_from_roots(roots: Sequence[int]) -> List[int]:
+    """The coefficients 1, c_1, ..., c_d of prod (μ - A) over the integers
+    A: μ - A multiplied in, in place, from the top coefficient down."""
+    c = [1] + [0] * len(roots)
+    for d, v in enumerate(roots, 1):
+        if v:
+            for k in range(d, 0, -1):
+                c[k] -= v * c[k - 1]
+    return c
 
 
 def _int_convolve(ip: List[int], tail: List[int]) -> List[int]:

@@ -456,7 +456,7 @@ def sp4_triple() -> Sl2Triple:
 def falling_factorial(t, start: int, count: int):
     """(t - start)(t - start - 1)...(t - start - count + 1): zero at `count`
     consecutive integers, nonzero at the next one."""
-    out = RatPoly.constant(1)
+    out = RatPoly([1])
     for i in range(start, start + count):
         out = out * (t - i)
     return out

@@ -88,7 +88,7 @@ def test_table1_reproduction():
         RationalMatrix.diagonal([1, 0, 0, -1]),   # the one-parameter family at t = 1
         RationalMatrix.diagonal([1, 1, -1, -1]),  # the equal-eigenvalue family
         RationalMatrix.unit(4, 0, 3),             # minimal nilpotent
-        RationalMatrix.zero(4),
+        RationalMatrix.diagonal([0] * 4),
     ]
     for desc, x in zip(rows, representatives):
         assert in_algebra(x, model)
@@ -218,7 +218,7 @@ def test_sp4_slice():
 
     bad = char_poly(sp4_slice(Fraction(1), as_printed=True))
     assert in_algebra(sp4_slice(t, as_printed=True), model)
-    assert bad.coefficient(4) == Fraction(9, 256)  # nonzero constant term
+    assert bad.coeffs[3] == Fraction(9, 256)  # nonzero constant term
     assert bad != sp4_dix_image(Fraction(1))
     _accept("slice matrix: corrected entries verified, printed entries fail")
 

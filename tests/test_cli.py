@@ -319,6 +319,19 @@ def test_mu_s_profile_must_be_integers():
         assert _serve(["mu-s", "--profile", profile, "--factors", "1"]) == (1, "", message), profile
 
 
+def test_real_form_labels_read_as_their_records():
+    """--label reads SU:p,q and SOSTAR:n, the family in any case, as the
+    realforms records; a label of another family is refused by its text."""
+    from sheet_atlas import cli
+    from sheet_atlas.realforms import SOStar, SU
+
+    assert cli._real_form("SU:3,1") == SU(3, 1)
+    assert cli._real_form("sostar:5") == SOStar(5)
+    with pytest.raises(ValueError, match="cannot parse real form label 'E8:1'"):
+        cli._real_form("E8:1")
+    assert _serve(["realform", "--label", "E8:1"]) == (1, "", "error: cannot parse real form label 'E8:1'\n")
+
+
 def test_real_form_label_fields_must_be_integers():
     """A label that is not made of integers gets the wording of one out of
     range: the field's name, its form and range, and the quoted text."""

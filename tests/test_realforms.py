@@ -6,7 +6,6 @@ from sheet_atlas.realforms import (
     SOStar,
     SU,
     abelianized_fiber_dim_is_positive,
-    parse_real_form,
     sheet_of_real_form,
     so_star_fixed_degree,
     su_sheet_partition,
@@ -108,15 +107,11 @@ def test_positive_dimensional_abelianised_fibres():
     assert not abelianized_fiber_dim_is_positive(SOStar(4))
 
 
-def test_label_validation_and_parsing():
+def test_label_validation():
     with pytest.raises(ValueError):
         SU(1, 2)
     with pytest.raises(ValueError):
         SOStar(2)
-    assert parse_real_form("SU:3,1") == SU(3, 1)
-    assert parse_real_form("sostar:5") == SOStar(5)
-    with pytest.raises(ValueError):
-        parse_real_form("E8:1")
 
 
 def test_report_json():

@@ -58,7 +58,7 @@ def _cases():
         (Levi, [("blocks", Partition((2, 1))), ("residual", 0)], {"residual": 1}),
         (SheetDescriptor, SDIX_FIELDS, {"name": "sp4:other"}),
         (ClassicalForm, [("kind", "symmetric"), ("gram", so_gram(3).gram)], {"kind": "antisymmetric", "gram": sp_gram(4).gram}),
-        (LieAlgebraModel, [("kind", model.kind), ("form", model.form), ("matrix_size", 3), ("terms", model.terms)], {"terms": model.terms[:1]}),
+        (LieAlgebraModel, [("kind", model.kind), ("form", model.form), ("terms", model.terms)], {"terms": model.terms[:1]}),
         (JordanBasisPlan, [("orbit", Partition((2, 2, 1, 1))), ("beta", (1, 0, 3, 2)), ("gl_block_size", 1), ("symmetric", False)], {"symmetric": True}),
         (Sl2Triple, trip_fields, {"label": "other"}),
         (SheetBasePoint, [("profile", MultiplicityProfile((1, 1))), ("factors", (GradedPolynomial([1]), GradedPolynomial([2])))],
@@ -274,7 +274,7 @@ def test_group_kind_reads_its_values_off_its_label():
 def test_shared_model_holds_only_its_fields():
     model = build_model(type_b(2))
     fresh = _model.__wrapped__(type_b(2), None)  # built again outside the shared cache
-    assert not hasattr(model, "__dict__") and model._fields == ("kind", "form", "matrix_size", "terms")
+    assert not hasattr(model, "__dict__") and model._fields == ("kind", "form", "terms")
     assert len(dense_basis(model)) == model.dimension
     assert model == fresh and hash(model) == hash(fresh)
     with pytest.raises(AttributeError):

@@ -5,7 +5,7 @@ from math import isqrt, lcm, prod
 
 import pytest
 
-from sheet_atlas.scalars import T, RatPoly, _is_prime, at, digits, format_scalar, primes, weighted_den
+from sheet_atlas.scalars import T, RatPoly, _is_prime, at, clear, digits, format_scalar, primes, weighted_den
 from sheet_atlas.triples import formal_t
 
 from oracles import convolve_fractions, long_division, seed_3301_inputs, weighted_dens_by_trial_division
@@ -47,7 +47,7 @@ def test_divmod_and_gcd():
     assert r.is_zero() and q == t - 1
     g = a.gcd((t - 2) * (t - 5))
     assert g == t - 2
-    assert a.gcd(RatPoly.constant(7)).is_constant()
+    assert a.gcd(RatPoly([7])).is_constant()
 
 
 def test_divmod_against_long_division():
@@ -75,7 +75,7 @@ def test_divmod_against_long_division():
 
 
 def test_constant_comparisons():
-    assert RatPoly.constant(3) == 3
+    assert RatPoly([3]) == 3
     assert RatPoly([0, 1]) != 0
     assert RatPoly([]) == 0
 
@@ -83,7 +83,7 @@ def test_constant_comparisons():
 def test_format_scalar():
     # rationals as "p/q" text, constants of Q[t] among them; others as their
     # ascending coefficient texts
-    for v, text in ((Fraction(3, 4), "3/4"), (Fraction(-2), "-2"), (RatPoly.constant(Fraction(-5, 6)), "-5/6")):
+    for v, text in ((Fraction(3, 4), "3/4"), (Fraction(-2), "-2"), (RatPoly([Fraction(-5, 6)]), "-5/6")):
         assert format_scalar(v) == text
     assert format_scalar(RatPoly([Fraction(0), Fraction(1, 3)])) == ["0", "1/3"]
 
@@ -91,7 +91,7 @@ def test_format_scalar():
 def test_equality_and_hash_read_the_coefficients():
     # a constant equals, and hashes like, its int or Fraction value
     for c in (0, 2, Fraction(-1, 3)):
-        ct = RatPoly.constant(c)
+        ct = RatPoly([c])
         assert ct == c and hash(ct) == hash(c)
     # the repr rebuilds the polynomial: zero, constant and non-constant
     for p in (RatPoly([]), RatPoly([Fraction(-1, 3)]), RatPoly([Fraction(1, 2), 0, -3])):
@@ -116,7 +116,7 @@ def test_divmod_reconstruction_fuzz(p, q):
         return
     quo, rem = p.divmod(q)
     assert quo * q + rem == p
-    assert rem.is_zero() or rem.degree() < q.degree()
+    assert rem.is_zero() or len(rem.coeffs) < len(q.coeffs)
 
 
 @given(poly, st.one_of(st.integers(-10**6, 10**6), st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999))))
@@ -143,7 +143,7 @@ def test_gcd_divides_both_fuzz(g, a, b):
     assert f1.divmod(d)[1].is_zero()
     assert f2.divmod(d)[1].is_zero()
     # g divides the gcd
-    assert d.divmod(g * (1 / g.coeffs[-1]))[1].is_zero() or d.degree() >= g.degree()
+    assert d.divmod(g * (1 / g.coeffs[-1]))[1].is_zero() or len(d.coeffs) >= len(g.coeffs)
 
 
 def test_kronecker_digits_round_trip():
@@ -218,3 +218,19 @@ def test_weighted_den_against_trial_division(dens):
     d = weighted_den(dens)
     assert d % weighted_dens_by_trial_division(dens) == 0 and lcm(*dens) % d == 0
     assert all(d**k % q == 0 for k, q in enumerate(dens, start=1))
+
+
+@given(st.lists(poly, max_size=6))
+def test_weighted_clear_over_qt_clears_each_weight(xs):
+    """A weighted clear of scalars x_k in Q[t] takes D by weighted_den on
+    each x_k's coefficient denominators, as a rational clear does: every
+    denominator of weight k divides D^k, D divides the lcm of them all, and
+    c_k = D^k x_k.  t/2 and t^2/4 give D = 2 where their lcm is 4."""
+    t = RatPoly.variable()
+    assert clear([t * Fraction(1, 2), t * t * Fraction(1, 4)], weighted=True) == (2, [[0, 1], [0, 0, 1]], T)
+    xs = [t, *xs]  # a non-constant scalar makes the clear one over Q[t]
+    d, c, symbol = clear(xs, weighted=True)
+    assert symbol == T and lcm(*[a.denominator for x in xs for a in x.coeffs]) % d == 0
+    for k, (x, ck) in enumerate(zip(xs, c), start=1):
+        assert all(d**k % a.denominator == 0 for a in x.coeffs)
+        assert RatPoly([Fraction(v, d**k) for v in ck]) == x
