@@ -31,15 +31,16 @@ There is one elimination on :class:`SparseRow` s, fraction-free: it
 peels row and column singletons with no arithmetic, then takes
 Markowitz-style pivots on what is left.  Its pivot rows give centraliser
 ranks, on the ad x rows that a model fills from its basis as dicts at its
-key cells, and read back in reverse order they give the nullspace behind
-the model of a form that is not monomial.  A model keeps its basis in one
-representation, sparse coprime integer terms in the n x n cells of its
-group's matrix size, read from the cleared form of its Gram matrix; each
-element's first term is its key, a cell no other element touches, so in
+key cells, and read back in reverse order they give the integer nullspace
+that is every B/C/D model, the stabiliser of its form.  A model keeps its
+basis in one representation, sparse coprime integer terms in the n x n
+cells of its group's matrix size; each element's first term is its key, a
+nullspace vector's free column, a cell no other element touches, so in
 those coordinates ad x at z + e peels almost whole.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -380,6 +381,8 @@ class LieAlgebraModel(Record):
 
     def __init__(self, kind: GroupKind, form: Optional[ClassicalForm], terms: Tuple[Tuple[Term, ...], ...]):
         n = kind.matrix_size
+        if n is None:
+            raise ValueError("group %s has no matrix size to model" % kind.name)
         touched = Counter()
         for element in terms:
             for r, c, _ in element:
@@ -420,8 +423,9 @@ def build_model(kind: GroupKind, form: Optional[ClassicalForm] = None) -> LieAlg
     """Matrix model of gl_n (type A) or of the stabiliser algebra of a form.
 
     For B/C/D the basis spans {x | x^T G + G x = 0}, by default for the unit
-    form of the group's form sign, and its size is asserted to be dim G.
-    Type A has no form, and passing one raises ValueError.
+    form of the group's form sign (a form of the other symmetry raises
+    ValueError), and its size is asserted to be dim G.  Type A has no form,
+    and passing one raises ValueError.
 
     The model is shared and immutable: it is built once per process per
     (group, form), and its checks run at that build.  The last
@@ -443,6 +447,9 @@ def _model(kind: GroupKind, form: Optional[ClassicalForm]) -> LieAlgebraModel:
         form = so_gram(n) if kind.form_sign == 1 else sp_gram(n)
     if form.gram.dim != n:
         raise ValueError("form size %d does not match group on %d letters" % (form.gram.dim, n))
+    want = "symmetric" if kind.form_sign == 1 else "antisymmetric"
+    if form.kind != want:
+        raise ValueError("the form of %s must be %s, not %s" % (kind.name, want, form.kind))
     terms = form_stabiliser_basis(form.gram)
     if len(terms) != kind.dim:
         raise AssertionError("basis size %d, expected %d" % (len(terms), kind.dim))
@@ -452,51 +459,28 @@ def _model(kind: GroupKind, form: Optional[ClassicalForm]) -> LieAlgebraModel:
 def form_stabiliser_basis(gram: RationalMatrix) -> List[Tuple[Term, ...]]:
     """Basis of {x | x^T G + G x = 0} for the Gram matrix G of a
     :class:`ClassicalForm`, each element as its nonzero (row, col, k) terms
-    with coprime integers k.
-
-    Both routes read the cleared form G' = D G.  When every row of G
-    has one nonzero entry (all the Gram matrices this library constructs),
-    G is monomial, the constraint pairs matrix entries one against one and
-    the basis is written down directly; otherwise it is the integer
-    nullspace of the linearised condition (:func:`_integer_nullspace`).
+    with coprime integers k: the integer nullspace (:func:`_integer_nullspace`)
+    of X^T G' + G' X = 0 on the cleared form G' = D G.  That matrix is
+    symmetric or antisymmetric, as G' is, so only the conditions on and
+    above the diagonal are taken: cell X[a][b] enters (X^T G')[b][j] with
+    G'[a][j] and (G' X)[i][b] with G'[i][a].  When G' is monomial each cell
+    lies in one condition, and the singleton peel takes every pivot.
     """
     rg = gram.nz
     n = len(rg)
-    if any(len(row) != 1 for row in rg):
-        return _form_stabiliser_basis_generic(rg)
-    # row i of G' is the single entry v[i] in column inv[i]; G'^T = ±G'
-    # makes inv an involution
-    inv, v = zip(*(row[0] for row in rg))
-    basis: List[Tuple[Term, ...]] = []
-    seen = set()
-    for r in range(n):
-        for c in range(n):
-            if (r, c) in seen:
-                continue
-            # entry (inv r, c) of x^T G' + G' x: a x[r][c] + b x[r2][c2] = 0
-            r2, c2, a, b = inv[c], inv[r], v[inv[r]], v[inv[c]]
-            seen.add((r, c))
-            if (r2, c2) == (r, c):
-                if a + b == 0:
-                    basis.append(((r, c, 1),))
-            else:
-                seen.add((r2, c2))
-                g = gcd(a, b) if b > 0 else -gcd(a, b)
-                basis.append(((r, c, b // g), (r2, c2, -a // g)))
-    return basis
-
-
-def _form_stabiliser_basis_generic(rg: SparseRows) -> List[Tuple[Term, ...]]:
-    n = len(rg)
-    rows = [SparseRow(n * n, {}) for _ in range(n * n)]
-    for k, row in enumerate(rg):
+    conditions: Dict[int, Dict[int, int]] = {}
+    for a, (row, col) in enumerate(zip(rg, _columns(rg))):
+        base = a * n
         for j, g in row:
-            for i in range(n):
-                # G'[k][j] = g enters (x^T G')[i][j] with x[k][i] and (G' x)[k][i] with x[j][i]
-                a, b = rows[i * n + j].entries, rows[k * n + i].entries
-                a[k * n + i] = a.get(k * n + i, 0) + g
-                b[j * n + i] = b.get(j * n + i, 0) + g
-    return [tuple((p // n, p % n, k) for p, k in vec) for vec in _integer_nullspace(rows)]
+            for b in range(j + 1):
+                cond = conditions.setdefault(b * n + j, {})
+                cond[base + b] = cond.get(base + b, 0) + g
+        for i, g in col:
+            for b in range(i, n):
+                cond = conditions.setdefault(i * n + b, {})
+                cond[base + b] = cond.get(base + b, 0) + g
+    rows = [SparseRow(n * n, cond) for cond in conditions.values()]
+    return [tuple([(p // n, p % n, k) for p, k in vec]) for vec in _integer_nullspace(rows)]
 
 
 def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
@@ -781,18 +765,31 @@ def _integer_nullspace(rows: Sequence[SparseRow]) -> List[List[Tuple[int, int]]]
 
     The pivot rows are solved in reverse order.  A pivot row vanishes on
     every earlier pivot column, so its other entries lie in the free
-    columns and in later pivot columns, which are solved already.  The
+    columns and in later pivot columns, which are solved already.  Only the
+    rows that hold a column already solved are visited, latest first, from
+    a sorted list of their pivot indices: any other row's sum is 0.  The
     vector is kept integral by scaling it by |p| / g before solving for the
     pivot entry p, g the gcd of p and the sum already known.
     """
     pivots = _pivot_rows(rows)
+    # holders[j]: ascending, each pivot row with an entry off its pivot in column j
+    holders: Dict[int, List[int]] = {}
+    for t, (col, prow) in enumerate(pivots):
+        for j in prow:
+            if j != col:
+                holders.setdefault(j, []).append(t)
     pivot_cols = {col for col, _ in pivots}
     basis = []
     for free in range(len(rows[0]) if rows else 0):
         if free in pivot_cols:
             continue
         x = {free: 1}
-        for col, prow in reversed(pivots):
+        queue = holders.get(free, [])[:]
+        while queue:
+            t = queue.pop()
+            while queue and queue[-1] == t:
+                queue.pop()
+            col, prow = pivots[t]
             s = sum(v * x[j] for j, v in prow.items() if j in x)
             if s:
                 p = prow[col]
@@ -801,8 +798,14 @@ def _integer_nullspace(rows: Sequence[SparseRow]) -> List[List[Tuple[int, int]]]
                     for j in x:
                         x[j] *= abs(p) // g
                 x[col] = -s // g if p > 0 else s // g
+                # a row holding col is earlier than t, so it has not been popped
+                for u in holders.get(col, ()):
+                    insort(queue, u)
         g = gcd(*x.values())
-        basis.append([(free, x.pop(free) // g)] + sorted((j, v // g) for j, v in x.items()))
+        if g > 1:
+            for j in x:
+                x[j] //= g
+        basis.append([(free, x.pop(free))] + sorted(x.items()))
     return basis
 
 

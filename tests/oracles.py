@@ -36,19 +36,25 @@ weight, not always the least) must be a multiple, and
 :func:`seed_3301_inputs` draws the weighted denominators it is checked
 on.  :func:`sparse_rows` writes dense integer rows as the
 :class:`~sheet_atlas.liealg.SparseRow` s that the library's elimination
-takes.  :func:`reference_parser` is the CLI's argparse parser written
-out by hand, against which the CLI's own parsing is checked.
+takes, and :func:`form_condition_rows` writes the conditions x^T G + G x
+= 0 as such rows from a form's dense entries.
+:func:`monomial_stabiliser_pairs` writes the stabiliser of a monomial form
+down by pairing cells, and :func:`nullspace_by_full_back_substitution`
+solves every pivot row of the library's elimination for every free column:
+the references for the library's one stabiliser route and its indexed
+back-substitution.  :func:`reference_parser` is the CLI's argparse parser
+written out by hand, against which the CLI's own parsing is checked.
 """
 from __future__ import annotations
 
 import argparse
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from sheet_atlas import cli
-from sheet_atlas.liealg import RationalMatrix, SparseRow
+from sheet_atlas.liealg import RationalMatrix, SparseRow, _pivot_rows
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import RatPoly, as_scalar, poly_trim
 from sheet_atlas.sheets import GroupKind, Levi, SheetDescriptor, parse_kind
@@ -303,6 +309,81 @@ def sparse_rows(rows: Sequence[Sequence[int]]) -> List[SparseRow]:
     """Dense rows of ints as SparseRows of their width, each by its nonzero
     entries in ascending column."""
     return [SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in rows]
+
+
+def nullspace_by_full_back_substitution(rows: Sequence[SparseRow]) -> List[List[Tuple[int, int]]]:
+    """The nullspace basis of :func:`~sheet_atlas.liealg._integer_nullspace`
+    on the same pivot rows (:func:`~sheet_atlas.liealg._pivot_rows`), by a
+    back-substitution that walks every pivot row, in reverse order, for
+    every free column.  Only the choice of the rows visited differs from the
+    library's, so the two bases are equal."""
+    pivots = _pivot_rows(rows)
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(len(rows[0]) if rows else 0):
+        if free in pivot_cols:
+            continue
+        x = {free: 1}
+        for col, prow in reversed(pivots):
+            s = sum(v * x[j] for j, v in prow.items() if j in x)
+            if s:
+                p = prow[col]
+                g = gcd(s, p)
+                if abs(p) != g:
+                    for j in x:
+                        x[j] *= abs(p) // g
+                x[col] = -s // g if p > 0 else s // g
+        g = gcd(*x.values())
+        basis.append([(free, x.pop(free) // g)] + sorted((j, v // g) for j, v in x.items()))
+    return basis
+
+
+def form_condition_rows(gram: RationalMatrix, upper: bool = False) -> List[SparseRow]:
+    """The n^2 conditions (X^T G + G X)[i][j] = 0 on the n^2 cells of X, for
+    the Gram matrix G scaled to integers by the lcm of its denominators,
+    read off its dense entries; with upper, only those with i <= j."""
+    d = lcm(*(v.denominator for row in gram.rows for v in row))
+    g = [[int(v * d) for v in row] for row in gram.rows]
+    n = len(g)
+    out = []
+    for i in range(n):
+        for j in range(i if upper else 0, n):
+            row = [0] * (n * n)
+            for k in range(n):
+                # X[k][i] G[k][j] from X^T G, and G[i][k] X[k][j] from G X
+                row[k * n + i] += g[k][j]
+                row[k * n + j] += g[i][k]
+            out.append(SparseRow(n * n, {p: v for p, v in enumerate(row) if v}))
+    return out
+
+
+def monomial_stabiliser_pairs(gram: RationalMatrix) -> List[Tuple[Tuple[int, int, Fraction], ...]]:
+    """The stabiliser {x | x^T G + G x = 0} of a monomial Gram matrix G (one
+    nonzero entry per row), by pairing cells: with G[i][inv i] = v_i, entry
+    (inv r, c) of x^T G + G x is v_{inv r} x[r][c] + v_{inv c} x[inv c][inv r].
+    So a cell (r, c) is tied to the one cell (inv c, inv r), and the pair
+    spans the line of (v_{inv c}, -v_{inv r}); a self-paired cell is free
+    when its two terms cancel, and zero otherwise.  Each element is given
+    as its (row, col, coefficient) terms, Fractions in no normal form."""
+    rows = gram.rows
+    inv, v = [], []
+    for row in rows:
+        (j, x), = [(j, x) for j, x in enumerate(row) if x]
+        inv.append(j)
+        v.append(x)
+    n = len(rows)
+    out, seen = [], set()
+    for r in range(n):
+        for c in range(n):
+            if (r, c) in seen:
+                continue
+            r2, c2, a, b = inv[c], inv[r], v[inv[r]], v[inv[c]]
+            seen |= {(r, c), (r2, c2)}
+            if (r2, c2) != (r, c):
+                out.append(((r, c, b), (r2, c2, -a)))
+            elif a + b == 0:
+                out.append(((r, c, Fraction(1)),))
+    return out
 
 
 def gcd_by_euclid(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:

@@ -22,11 +22,25 @@ from sheet_atlas.liealg import (
 )
 from sheet_atlas.liealg import LieAlgebraModel, SparseRow, _integer_nullspace, _model
 from sheet_atlas.scalars import ZERO, RatPoly
-from sheet_atlas.sheets import MaxLevi, type_a, type_b, type_c, type_d, valid_max_levi_labels
+from sheet_atlas.sheets import GroupKind, MaxLevi, type_a, type_b, type_c, type_d, valid_max_levi_labels
 from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
-from oracles import charpoly_by_expansion, convolve_fractions, dense_basis, expand_roots, falling_factorial, rank_by_rational_elimination, sp4_f, sp4_h, sparse_rows, value_at
+from oracles import (
+    charpoly_by_expansion,
+    convolve_fractions,
+    dense_basis,
+    expand_roots,
+    falling_factorial,
+    form_condition_rows,
+    monomial_stabiliser_pairs,
+    nullspace_by_full_back_substitution,
+    rank_by_rational_elimination,
+    sp4_f,
+    sp4_h,
+    sparse_rows,
+    value_at,
+)
 from test_spectral import divide
 
 
@@ -152,6 +166,23 @@ def test_model_dimensions():
 def test_type_a_model_rejects_a_form():
     with pytest.raises(ValueError):
         build_model(type_a(3), so_gram(3))
+
+
+def test_model_refuses_a_form_of_the_wrong_symmetry():
+    """D keeps a symmetric form and C an antisymmetric one: the other kind
+    is refused before anything is solved."""
+    with pytest.raises(ValueError, match="must be symmetric, not antisymmetric"):
+        build_model(type_d(2), sp_gram(4))
+    with pytest.raises(ValueError, match="must be antisymmetric, not symmetric"):
+        build_model(type_c(2), so_gram(4))
+
+
+def test_model_refuses_a_group_without_a_matrix_size():
+    """F4 has no matrix size, so no cells to hold terms: refused with or
+    without terms, before any term is read."""
+    for terms in ((), (((0, 0, 1),),)):
+        with pytest.raises(ValueError, match="no matrix size"):
+            LieAlgebraModel(GroupKind("F4"), None, terms)
 
 
 def test_model_default_forms():
@@ -533,7 +564,7 @@ def test_generic_gram_model():
 
 def _random_gram(rng, kind: str, n: int, rational: bool) -> ClassicalForm:
     """A seeded non-degenerate Gram matrix with a row of two or more nonzero
-    entries, so that its model takes the nullspace route."""
+    entries, so that its conditions do not split into pairs of cells."""
     sign = 1 if kind == "symmetric" else -1
     while True:
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -584,11 +615,12 @@ def test_generic_gram_models_against_dense_products():
 
 
 def test_centralizer_dim_on_generic_gram_models_against_oracle():
-    """A model of a form that is not monomial takes its basis from
-    _integer_nullspace, whose vectors lead with their free column: the cell
-    centralizer_dim reads each element at.  At seeded elements of such
-    models, integer and rational forms alike, the centraliser dimension is
-    the oracle's; elements from the small pool have larger centralisers."""
+    """A model takes its basis from _integer_nullspace, whose vectors lead
+    with their free column: the cell centralizer_dim reads each element at.
+    For a form that is not monomial the conditions do not split into pairs
+    of cells.  At seeded elements of such models, integer and rational
+    forms alike, the centraliser dimension is the oracle's; elements from
+    the small pool have larger centralisers."""
     rng = random.Random(79)
     cases = [("symmetric", kind) for kind in (type_b(1), type_d(2), type_b(2), type_d(3))]
     cases += [("antisymmetric", kind) for kind in (type_c(2), type_c(3))]
@@ -1244,6 +1276,19 @@ def _sparse_forms(rng, rows, shuffled):
     return out
 
 
+def _ad_like_and_dense_rows():
+    """Seeded ad-like rows, dense rows with large entries and a planted
+    dependency, and two edge cases, each as its dense rows."""
+    cases = [_ad_like_rows(random.Random(101), n) for n in (2, 3, 4, 5)]
+    big = random.Random(103)
+    for _ in range(12):
+        nrows, ncols = big.randint(1, 7), big.randint(1, 7)
+        rows = [[big.randint(-10**6, 10**6) for _ in range(ncols)] for _ in range(nrows)]
+        rows[-1] = [3 * u - 5 * v for u, v in zip(rows[0], rows[-1])]
+        cases.append(rows)
+    return cases + [[[0, 0, 0], [0, 0, 0]], [[0], [-7], [3]]]
+
+
 def test_rank_and_nullspace_read_dense_and_sparse_rows_alike():
     """fraction_free_rank and _integer_nullspace give the same rank and the
     same basis on the dense rows of the tests above, written by sparse_rows,
@@ -1252,15 +1297,7 @@ def test_rank_and_nullspace_read_dense_and_sparse_rows_alike():
     spans the same nullspace: its vectors are killed by every row, and there
     are width - rank of them."""
     rng = random.Random(4431)
-    cases = [_ad_like_rows(random.Random(101), n) for n in (2, 3, 4, 5)]
-    big = random.Random(103)
-    for _ in range(12):
-        nrows, ncols = big.randint(1, 7), big.randint(1, 7)
-        rows = [[big.randint(-10**6, 10**6) for _ in range(ncols)] for _ in range(nrows)]
-        rows[-1] = [3 * u - 5 * v for u, v in zip(rows[0], rows[-1])]
-        cases.append(rows)
-    cases += [[[0, 0, 0], [0, 0, 0]], [[0], [-7], [3]]]
-    for rows in cases:
+    for rows in _ad_like_and_dense_rows():
         rank, basis = _rank_oracle(rows), _integer_nullspace(sparse_rows(rows))
         assert fraction_free_rank(sparse_rows(rows)) == rank and len(basis) == len(rows[0]) - rank
         for shuffled in (False, True):
@@ -1426,3 +1463,62 @@ def test_bcd_centralizer_dim_at_matrix_size_64_holds_little_memory():
         tracemalloc.stop()
     assert d == kind.levi_dim(levi) == 8 * 8 + 48 * 49 // 2
     assert peak < 8 * 2**20, peak
+
+
+def _check_on_monomial_pairs(model):
+    """model has dim G elements, each on the cells of one pair (or one
+    self-paired cell) of the pairing rule for its monomial form, with
+    proportional coefficients, and each pair is used once."""
+    pairs = {frozenset((r, c) for r, c, _ in pair): pair for pair in monomial_stabiliser_pairs(model.form.gram)}
+    assert model.dimension == len(model.terms) == model.kind.dim == len(pairs)
+    used = set()
+    for terms in model.terms:
+        cells = frozenset((r, c) for r, c, _ in terms)
+        assert len(cells) == len(terms) and cells in pairs and cells not in used, terms
+        used.add(cells)
+        ref = {(r, c): k for r, c, k in pairs[cells]}
+        r0, c0, k0 = terms[0]
+        assert all(k * ref[(r0, c0)] == k0 * ref[(r, c)] for r, c, k in terms), terms
+
+
+def test_bcd_models_lie_on_the_monomial_pairing_rule():
+    """Every model comes from the integer nullspace of its form's
+    conditions; for a monomial form it is the pairing rule's basis up to
+    scaling: every default B/C/D model with matrix size <= 16, and the
+    Jordan-basis model of every maximal-Levi triple with matrix size <= 12,
+    whose forms carry signs."""
+    kinds = [type_b(r) for r in range(1, 8)] + [type_c(r) for r in range(1, 9)] + [type_d(r) for r in range(2, 9)]
+    for kind in kinds:
+        _check_on_monomial_pairs(build_model(kind))
+    triples = [build_bcd_triple(kind, levi) for kind in kinds if kind.matrix_size <= 12 for levi in valid_max_levi_labels(kind)]
+    assert len(triples) > 40
+    for trip in triples:
+        _check_on_monomial_pairs(trip.model)
+
+
+def test_integer_nullspace_matches_full_back_substitution():
+    """The back-substitution visits only the pivot rows that hold a column
+    already solved; walking every pivot row for every free column gives the
+    same basis.  On the seeded row sets, in ascending and shuffled column
+    order, and on the conditions of every default form with n <= 16 and of
+    seeded non-monomial forms, all n^2 of them or those on and above the
+    diagonal."""
+    rng = random.Random(4463)
+    cases, made = _ad_like_and_dense_rows(), random.Random(4457)
+    for make in (_triangular_rows, _core_rows, _dense_rows):
+        cases += [make(made) for _ in range(60)]
+    sets = []
+    for rows in cases:
+        sets += [sparse_rows(rows), _sparse_forms(rng, rows, True)]
+    forms = [(so_gram if sign == 1 else sp_gram)(n) for n in range(3, 17) for sign in (1, -1) if sign == 1 or n % 2 == 0]
+    forms += [_random_gram(rng, kind, n, rational) for kind in ("symmetric", "antisymmetric") for n in (4, 6) for rational in (False, True)]
+    for form in forms:
+        sets += [form_condition_rows(form.gram), form_condition_rows(form.gram, upper=True)]
+    assert len(sets) > 400
+    solved = 0
+    for rows in sets:
+        basis = _integer_nullspace(rows)
+        assert basis == nullspace_by_full_back_substitution(rows)
+        solved += any(len(vec) > 2 for vec in basis)
+    # some bases need more than one pivot row solved per vector
+    assert solved > 50
