@@ -18,7 +18,7 @@ from typing import List, Optional
 from . import hitchin, multiplicity, realforms, sheets, spectral, triples
 from .liealg import centralizer_dim, char_poly, in_algebra
 from .partitions import Partition, profile
-from .sheets import GroupKind, Levi, MaxLevi, SheetDescriptor, json_text, parse_kind
+from .sheets import GroupKind, Levi, MaxLevi, SheetDescriptor, json_text
 
 TABLE1_NAME = "table1.json"
 TABLE2_NAME = "table2.json"
@@ -146,9 +146,10 @@ def _parse_sheet_spec(spec: str) -> SheetDescriptor:
         int(rank_text)
     except ValueError:  # not three fields, or a RANK that is no integer
         raise ValueError("sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1") from None
-    if len(kind_text.strip()) != 1:
+    letter = kind_text.strip().upper()
+    if letter not in ("A", "B", "C", "D"):
         raise ValueError("the KIND of a sheet spec KIND:RANK:LEVI is one letter, A, B, C or D, got %r" % kind_text)
-    kind = parse_kind(kind_text + rank_text)
+    kind = GroupKind(letter, int(rank_text))
     return sheets.find_sheet(kind, _parse_levi(kind, levi_text, "the LEVI of a sheet spec KIND:RANK:LEVI"))
 
 

@@ -12,9 +12,11 @@ integers: with rational entries its integer routine reads the stored rows
 once, and a scalar factor is cleared once by
 :func:`~sheet_atlas.scalars.clear`.  Every matrix it makes goes through one
 reduction to the cleared form (:meth:`RationalMatrix.from_cleared`), so
-equal matrices have equal forms.  A relation [a, b] = k c makes no
-matrix (:func:`bracket_is`): its kernel takes AB - BA on the stored rows,
-and Dc (AB - BA) = k Da Db C is compared entry by entry, with no gcd.
+equal matrices have equal forms.  ``@``, a relation [a, b] = k c
+(:func:`bracket_is`) and membership (:func:`in_algebra`, read off the
+symmetry of G' X) multiply on one kernel (:func:`_product`), which adds
+w A B for stored rows A and B to a dict of cells; the two tests make no
+matrix and no gcd, and only ask whether every cell is 0.
 Fractions are built only for the dense view and a determinant; a
 characteristic polynomial is returned in its scaled form (D, c_k =
 D^k a_k) and builds its coefficients on first read; it takes linear
@@ -179,8 +181,8 @@ class RationalMatrix:
         # an entry of AB sums n products of an entry of A and one of B, and
         # the 1-norm is submultiplicative: at most n h_a h_b
         n = self.dim
-        values, symbol = _on_integers((self, other), lambda ha, hb: n * ha * hb, _product)
-        return _from_flat(self.dim, self.den * other.den, values, symbol)
+        values, symbol = _on_integers((self, other), lambda ha, hb: n * ha * hb, lambda ra, rb: _dense(n, _product({}, 1, ra, rb)))
+        return _from_flat(n, self.den * other.den, values, symbol)
 
     def scale(self, c) -> "RationalMatrix":
         c = clear([c if type(c) in _EXACT else as_scalar(c)])
@@ -279,18 +281,20 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 def bracket_is(a: RationalMatrix, b: RationalMatrix, k: int, c: RationalMatrix) -> bool:
     """Whether [a, b] = k c, for an int k: the integer identity
     Dc (AB - BA) = k Da Db C on the cleared forms A = Da a, B = Db b and
-    C = Dc c, with AB - BA taken on their nonzero entries.  It makes no
-    matrix and no gcd.  Entries in Q[t] take it at t = 2^S."""
+    C = Dc c: Dc AB - Dc BA - k Da Db C, accumulated on one dict of cells by
+    :func:`_product`, must be zero in every cell.  Entries in Q[t] take it
+    at t = 2^S."""
     a._same_dim(b)
     a._same_dim(c)
     wc, w = c.den, k * a.den * b.den
 
     def defect(ra, rb, rc):
-        out = [wc * v for v in _product(ra, rb, commutator=True)]
+        out = _product(_product({}, wc, ra, rb), -wc, rb, ra)
         for i, row in enumerate(rc):
             for j, v in row:
-                out[i * len(ra) + j] -= w * v
-        return out
+                key = i, j
+                out[key] = out.get(key, 0) - w * v
+        return out.values()
 
     # an entry of Dc (AB - BA) - k Da Db C has 1-norm at most
     # Dc 2n h_a h_b + |k Da Db| h_c
@@ -298,21 +302,22 @@ def bracket_is(a: RationalMatrix, b: RationalMatrix, k: int, c: RationalMatrix) 
     return not any(_on_integers((a, b, c), bound, defect)[0])
 
 
-def _product(ra: SparseRows, rb: SparseRows, commutator: bool = False) -> List[int]:
-    """AB, or with commutator AB - BA, of sparse integer rows, as a flat
-    row-major list."""
-    out: List[int] = []
-    for ra_i, rb_i in zip(ra, rb):
-        oi = [0] * len(ra)
-        for k, v in ra_i:
-            for j, w in rb[k]:
-                oi[j] += v * w
-        if commutator:
-            for k, v in rb_i:
-                for j, w in ra[k]:
-                    oi[j] -= v * w
-        out += oi
+def _product(out: Dict[Tuple[int, int], int], w: int, ra: SparseRows, rb: SparseRows) -> Dict[Tuple[int, int], int]:
+    """out += w A B for sparse integer rows A and B, on the dict of cells
+    {(i, j): value} out, which is returned: the one matrix product kernel."""
+    get = out.get
+    for i, row in enumerate(ra):
+        for k, v in row:
+            v *= w
+            for j, u in rb[k]:
+                key = i, j
+                out[key] = get(key, 0) + v * u
     return out
+
+
+def _dense(n: int, cells: Dict[Tuple[int, int], int]) -> List[int]:
+    """The cells {(i, j): value} of an n x n matrix as a flat row-major list."""
+    return [cells.get((i, j), 0) for i in range(n) for j in range(n)]
 
 
 def _linear(ra: SparseRows, rb: SparseRows, wa: int, wb: int) -> List[int]:
@@ -489,32 +494,25 @@ def in_algebra(x: RationalMatrix, model: LieAlgebraModel) -> bool:
     Exact, and valid for polynomial entries, so symbolic slice parameters
     can be checked without substitution.  The test is X^T G' + G' X = 0 on
     the integer forms of x and of the Gram matrix, a positive multiple of
-    x^T G + G x.
+    x^T G + G x.  For σ the form sign, G'^T = σ G' gives X^T G' = σ M^T
+    for the one product M = G' X (:func:`_product`), so the test is
+    M[i][j] + σ M[j][i] = 0 at every cell (i, j) of M: below the diagonal
+    too, as a cell there may face no cell above it.
     """
     if x.dim != model.matrix_size:
         raise ValueError("dimension mismatch: %d vs model on %d letters" % (x.dim, model.matrix_size))
     if model.form is None:
         return True
-    # an entry of X^T G' + G' X sums 2n products of an entry of X and one
-    # of G': 1-norm at most 2n h h_G (G' is rational, read only with a symbol)
-    rg = model.form.gram.nz
+    sign, rg = model.kind.form_sign, model.form.gram.nz
+
+    def defect(rx):
+        m = _product({}, 1, rg, rx)
+        return [v + sign * m.get((j, i), 0) for (i, j), v in m.items()]
+
+    # an entry of M + σ M^T sums 2n products of an entry of X and one of G':
+    # 1-norm at most 2n h h_G (G' is rational, read only with a symbol)
     bound = lambda h: 2 * x.dim * h * height(v for row in rg for _, v in row)
-    return not any(_on_integers((x,), bound, lambda rx: _form_defect(rx, rg))[0])
-
-
-def _form_defect(rx: SparseRows, rg: SparseRows) -> List[int]:
-    """X^T G + G X of sparse integer rows, as a flat row-major list."""
-    out = [[0] * len(rx) for _ in rx]
-    for rx_k, rg_k in zip(rx, rg):
-        for i, v in rx_k:
-            oi = out[i]
-            for j, g in rg_k:
-                oi[j] += v * g
-    for oi, rg_i in zip(out, rg):
-        for k, g in rg_i:
-            for j, v in rx[k]:
-                oi[j] += g * v
-    return list(chain.from_iterable(out))
+    return not any(_on_integers((x,), bound, defect)[0])
 
 
 def centralizer_dim(x: RationalMatrix, model: LieAlgebraModel) -> int:

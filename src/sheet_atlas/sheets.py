@@ -255,15 +255,6 @@ def check_record(kind: GroupKind, d: int, dim_z: int, w_l_order: int, katsylo_or
         raise ValueError("orbit partition %s invalid for %s" % (Partition(orbit), kind))
 
 
-def parse_kind(text: str) -> GroupKind:
-    text = text.strip()
-    if text.upper() == "F4":
-        return F4
-    fam = text[0].upper()
-    inner = text[1:].strip("() ")
-    return GroupKind(fam, int(inner))
-
-
 # --- JSON text -----------------------------------------------------------------
 #
 # Every JSON answer of the CLI is written here, byte for byte as

@@ -29,8 +29,13 @@ dense coefficients, :func:`witness_noninjectivity`, two points off the
 heart with one composition image, and :func:`sp4_triple`, the printed
 rank-2 symplectic subregular triple.  :func:`dense_basis` writes a model's
 basis out as dense Fraction matrices, read off its sparse terms (the
-library keeps only the terms).  :func:`weighted_dens_by_trial_division`
-finds the least common denominator of weighted coefficients from prime
+library keeps only the terms).  :func:`dense_product` multiplies dense
+entries by the plain triple loop, and from it :func:`bracket_by_products`
+and :func:`in_algebra_by_products` take a bracket and the test
+x^T G + G x = 0 (the library multiplies its sparse integer rows on one
+kernel for ``@``, brackets and membership alike).
+:func:`weighted_dens_by_trial_division` finds the least common
+denominator of weighted coefficients from prime
 exponents, of which the library's weighted denominator (one gcd per
 weight, not always the least) must be a multiple, and
 :func:`seed_3301_inputs` draws the weighted denominators it is checked
@@ -57,7 +62,7 @@ from sheet_atlas import cli
 from sheet_atlas.liealg import RationalMatrix, SparseRow, _pivot_rows
 from sheet_atlas.partitions import MultiplicityProfile, Partition
 from sheet_atlas.scalars import RatPoly, as_scalar, poly_trim
-from sheet_atlas.sheets import GroupKind, Levi, SheetDescriptor, parse_kind
+from sheet_atlas.sheets import GroupKind, Levi, SheetDescriptor
 from sheet_atlas.spectral import GradedPolynomial, SheetBasePoint
 from sheet_atlas.triples import Sl2Triple, sp4_e, sp4_model
 
@@ -521,6 +526,28 @@ def dense_basis(model) -> Tuple[RationalMatrix, ...]:
     return tuple(out)
 
 
+def dense_product(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[list]:
+    """The product of dense square matrices by the plain triple loop over
+    their Fraction or RatPoly entries."""
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def bracket_by_products(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """ab - ba, from two plain products of the dense entries."""
+    ab, ba = dense_product(a.rows, b.rows), dense_product(b.rows, a.rows)
+    return RationalMatrix([[u - v for u, v in zip(p, q)] for p, q in zip(ab, ba)])
+
+
+def in_algebra_by_products(x: RationalMatrix, model) -> bool:
+    """Whether x^T G + G x = 0 for the model's Gram matrix G (always in
+    type A), from two plain products of the dense entries."""
+    if model.form is None:
+        return True
+    g, xt = model.form.gram.rows, [list(col) for col in zip(*x.rows)]
+    return all(u + v == 0 for p, q in zip(dense_product(xt, g), dense_product(g, x.rows)) for u, v in zip(p, q))
+
+
 def sp4_triple() -> Sl2Triple:
     """The standard subregular triple, adapted to the flag (1, 3, 4)."""
     return Sl2Triple(
@@ -603,7 +630,8 @@ def _named_levis(kind: GroupKind) -> dict:
 def descriptor_from_json(obj: dict) -> SheetDescriptor:
     """The descriptor whose ``to_json()`` is ``obj``; building it runs the
     descriptor's checks."""
-    kind = parse_kind(obj["kind"])
+    # the kind is written "F4", or FAMILY(RANK) as in "C(2)"
+    kind = GroupKind("F4") if obj["kind"] == "F4" else GroupKind(obj["kind"][0], int(obj["kind"][2:-1]))
     levi = obj["levi"]
     if isinstance(levi, dict):
         levi = Levi(Partition(levi["gl"]), 0) if "gl" in levi else Levi(Partition([levi["a"]]), levi["residual"])

@@ -261,7 +261,7 @@ def test_f4_sheet_spec_takes_no_fields():
         code, out, err = _serve(["multiplicity", "--sheet", spec, "--z", "5"])
         assert (code, out) == (1, "") and err.startswith("error:") and "'F4' alone" in err, spec
     code, out, _ = _serve(["multiplicity", "--sheet", "F4", "--z", "5"])
-    assert code == 0 and out
+    assert code == 0 and out.startswith("sheet: f4:B3\n")
 
 
 def test_zero_denominators_are_refused_by_name():
@@ -278,19 +278,22 @@ def test_zero_denominators_are_refused_by_name():
 
 def test_sheet_spec_rank_must_be_an_integer():
     """An empty or non-integer RANK field of a --sheet spec is refused with
-    the spec's format; an integer rank is read as before."""
+    the spec's format; an integer rank is read by int(), and KIND stripped
+    and in either case."""
     for spec in ("A::1", "A:x:2,1", "C:1.5:1,1", "C: :1,1"):
         assert _serve(["multiplicity", "--sheet", spec]) == (1, "", "error: sheet spec must be KIND:RANK:LEVI, e.g. C:2:1,1\n"), spec
     assert _serve(["multiplicity", "--sheet", "A:-2:1"]) == (1, "", "error: rank must be positive\n")
-    code, out, _ = _serve(["multiplicity", "--sheet", "C: 2 :1,1", "--z", "1"])
-    assert code == 0 and out.startswith("sheet: sp4:SDix\n")
+    for spec in ("C: 2 :1,1", "C:+2:1,1", "c:2:1,1", " C :2:1,1"):
+        code, out, _ = _serve(["multiplicity", "--sheet", spec, "--z", "1"])
+        assert code == 0 and out.startswith("sheet: sp4:SDix\n"), spec
 
 
 def test_sheet_spec_kind_must_be_one_letter():
-    """A KIND field of a --sheet spec that is not one letter is refused by
-    name, not with int()'s message (it was read into the rank: C1:2 was
-    C12)."""
-    for spec, kind in (("AB:3:1", "AB"), (":3:1", ""), ("C1:2:1,1", "C1")):
+    """A KIND field of a --sheet spec that is not one of the letters A, B, C
+    or D is refused by name, not with int()'s message (it was read into the
+    rank: C1:2 was C12), and F with rank 4 does not reach F4 (the F4 sheet's
+    spec is 'F4' alone)."""
+    for spec, kind in (("AB:3:1", "AB"), (":3:1", ""), ("C1:2:1,1", "C1"), ("F:4:1,1", "F"), ("f:4:1,1", "f"), ("x:2:1,1", "x")):
         message = "error: the KIND of a sheet spec KIND:RANK:LEVI is one letter, A, B, C or D, got %r\n" % kind
         assert _serve(["multiplicity", "--sheet", spec]) == (1, "", message), spec
 

@@ -27,12 +27,15 @@ from sheet_atlas.spectral import GradedPolynomial
 from sheet_atlas.triples import build_bcd_triple, build_gl_triple, sp4_e, sp4_model, sp4_slice
 
 from oracles import (
+    bracket_by_products,
     charpoly_by_expansion,
     convolve_fractions,
     dense_basis,
+    dense_product,
     expand_roots,
     falling_factorial,
     form_condition_rows,
+    in_algebra_by_products,
     monomial_stabiliser_pairs,
     nullspace_by_full_back_substitution,
     rank_by_rational_elimination,
@@ -438,7 +441,7 @@ def test_model_basis_matches_terms():
             cells = {(r, c): k for r, c, k in terms}
             assert len(cells) == len(terms) and all(k for k in cells.values())
             assert all(type(k) is int for k in cells.values()) and gcd(*cells.values()) == 1
-            assert in_algebra(b, model) and _in_algebra_by_products(b, model)
+            assert in_algebra(b, model) and in_algebra_by_products(b, model)
 
 
 def test_models_of_one_kind_compare_equal():
@@ -581,16 +584,6 @@ def _random_gram(rng, kind: str, n: int, rational: bool) -> ClassicalForm:
             continue
 
 
-def _form_defect_by_hand(terms, gram, n):
-    """x^T G + G x for the element with the given terms, by dense Fraction
-    products."""
-    x = [[Fraction(0)] * n for _ in range(n)]
-    for r, c, k in terms:
-        x[r][c] += k
-    g = gram.rows
-    return [[sum(x[k][i] * g[k][j] + g[i][k] * x[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def test_generic_gram_models_against_dense_products():
     rng = random.Random(71)
     cases = [("symmetric", kind) for kind in (type_b(1), type_d(2), type_b(2), type_d(3))]
@@ -603,10 +596,10 @@ def test_generic_gram_models_against_dense_products():
             model = build_model(kind, form)
             assert model.dimension == len(model.terms) == expected
             vectors = []
-            for terms in model.terms:
+            for terms, b in zip(model.terms, dense_basis(model)):
                 ks = [k for _, _, k in terms]
                 assert all(type(k) is int for k in ks) and gcd(*ks) == 1
-                assert not any(any(row) for row in _form_defect_by_hand(terms, form.gram, n))
+                assert in_algebra_by_products(b, model)
                 vec = [Fraction(0)] * (n * n)
                 for r, c, k in terms:
                     vec[r * n + c] = Fraction(k)
@@ -655,17 +648,6 @@ def test_constant_polynomial_entries_match_fractions():
 # --- the integer bracket, membership and Q[t] char poly against their definitions
 
 
-def _bracket_by_products(a, b):
-    return a @ b - b @ a
-
-
-def _in_algebra_by_products(x, model):
-    if model.form is None:
-        return True
-    gram = model.form.gram
-    return not any((x.transpose() @ gram + gram @ x).nz)
-
-
 def _generic_gram_model():
     return build_model(type_b(1), ClassicalForm("symmetric", RationalMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])))
 
@@ -696,13 +678,13 @@ def test_integer_bracket_and_membership_against_products():
         seen_outside = False
         for x in elements:
             member = in_algebra(x, model)
-            assert member == _in_algebra_by_products(x, model)
+            assert member == in_algebra_by_products(x, model)
             seen_outside |= not member
             y = elements[rng.randrange(len(elements))]
             got = bracket(x, y)
-            assert got == _bracket_by_products(x, y)
+            assert got == bracket_by_products(x, y)
             assert all(isinstance(v, Fraction) for row in got.rows for v in row)
-            # the relation test's own commutator kernel, against the products
+            # the relation test's accumulated AB - BA, against the products
             assert bracket_is(x, y, 1, got) and bracket_is(x, y, 2, got) == (not any(got.nz))
         assert seen_outside == (model.form is not None)
     with pytest.raises(ValueError):
@@ -715,10 +697,31 @@ def test_bracket_and_membership_over_qt_use_products():
     t = RatPoly.variable()
     model = sp4_model()
     x = sp4_slice(t)
-    assert bracket(x, sp4_e()) == _bracket_by_products(x, sp4_e())
-    assert bracket(sp4_h(), x) == _bracket_by_products(sp4_h(), x)
+    assert bracket(x, sp4_e()) == bracket_by_products(x, sp4_e())
+    assert bracket(sp4_h(), x) == bracket_by_products(sp4_h(), x)
     assert in_algebra(x, model)
     assert not in_algebra(RationalMatrix.diagonal([t, t, 0, 0]), model)
+
+
+def test_membership_of_every_unit_matrix_and_basis_element():
+    """in_algebra against the dense products on every E_ij and every basis
+    element, over Q and scaled by t over Q[t], in every B/C/D model with
+    matrix size <= 6 and in the generic and unit-free Gram models.  With
+    an antidiagonal form, G E_ij has one nonzero cell: on the diagonal (the
+    middle index of type B, or a member of sp) or alone on either side of
+    it."""
+    t = RatPoly.variable()
+    kinds = [type_b(1), type_b(2), type_c(1), type_c(2), type_c(3), type_d(2), type_d(3)]
+    for model in [build_model(kind) for kind in kinds] + [_generic_gram_model(), _unit_free_monomial_model()]:
+        n = model.matrix_size
+        units = [RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n)]
+        answers = set()
+        for x in units + list(dense_basis(model)):
+            for y in (x, x.scale(t)):
+                member = in_algebra(y, model)
+                assert member == in_algebra_by_products(y, model), (model.kind, y)
+                answers.add(member)
+        assert answers == {True, False}
 
 
 def test_cleared_form_is_canonical():
@@ -826,8 +829,7 @@ def test_products_scales_and_transposes_entrywise():
         b = RationalMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
         c = _random_entry(rng)
         ra, rb = a.rows, b.rows
-        ab = [[sum((ra[i][k] * rb[k][j] for k in range(n)), start=Fraction(0)) for j in range(n)] for i in range(n)]
-        ba = [[sum((rb[i][k] * ra[k][j] for k in range(n)), start=Fraction(0)) for j in range(n)] for i in range(n)]
+        ab, ba = dense_product(ra, rb), dense_product(rb, ra)
         assert [list(r) for r in (a @ b).rows] == ab
         assert [list(r) for r in bracket(a, b).rows] == [[u - v for u, v in zip(p, q)] for p, q in zip(ab, ba)]
         assert [list(r) for r in a.scale(c).rows] == [[c * v for v in r] for r in ra]
@@ -953,12 +955,6 @@ def test_char_poly_over_qt_against_cofactor_expansion():
 # --- Q[t] by Kronecker substitution: every height bound outgrown ------------------
 
 
-def _plain_product(a, b):
-    """The product of dense square matrices by plain scalar arithmetic."""
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
-
-
 def _plain_sum(a, b, sign=1):
     return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -977,9 +973,9 @@ def test_matrix_height_bounds_are_outgrown():
     b = RationalMatrix([[z, z, z], [Fraction(3), z, z], [Fraction(3), z, Fraction(-3, 2) * t]])
     assert (a + a).rows[0][1] == 6 * t
     assert _dense(a + b) == _plain_sum(a.rows, b.rows) and _dense(a - b.scale(-1)) == _plain_sum(a.rows, b.rows)
-    assert _dense(a @ b) == _plain_product(a.rows, b.rows) and (a @ b).rows[0][0] == 18 * t
+    assert _dense(a @ b) == dense_product(a.rows, b.rows) and (a @ b).rows[0][0] == 18 * t
     assert a.scale(3 * t) == RationalMatrix([[z, 9 * t * t, 9 * t * t], [z, z, z], [z, z, z]])
-    assert _dense(bracket(a, b)) == _plain_sum(_plain_product(a.rows, b.rows), _plain_product(b.rows, a.rows), -1)
+    assert _dense(bracket(a, b)) == _plain_sum(dense_product(a.rows, b.rows), dense_product(b.rows, a.rows), -1)
     x = RationalMatrix([[3 * t, 3 * t, z], [z, 3 * t, 3 * t], [3 * t, z, 3 * t]])
     assert char_poly(x).dense() == charpoly_by_expansion(x.rows)
     assert char_poly(RationalMatrix.diagonal([3 * t] * 3)).dense() == expand_roots([3 * t] * 3)
@@ -990,7 +986,7 @@ def test_matrix_height_bounds_are_outgrown():
     # X^T G + G X = (t - 16)(E_01 + E_10) for G = diag(1, 4, 1): X is not in so(G)
     model = build_model(type_b(1), ClassicalForm("symmetric", RationalMatrix.diagonal([1, 4, 1])))
     outside = RationalMatrix([[z, t, z], [Fraction(-4), z, z], [z, z, z]])
-    defect = _plain_sum(_plain_product(_transposed(outside.rows), model.form.gram.rows), _plain_product(model.form.gram.rows, outside.rows))
+    defect = _plain_sum(dense_product(_transposed(outside.rows), model.form.gram.rows), dense_product(model.form.gram.rows, outside.rows))
     assert defect[0][1] == t - 16
     assert not in_algebra(outside, model)
     assert in_algebra(RationalMatrix([[z, 4 * t, z], [-t, z, z], [z, z, z]]), model)
@@ -1081,14 +1077,14 @@ def test_bracket_and_membership_specialisation_bounds_are_met():
         a = RationalMatrix.unit(3, 0, 1).scale(ra) + RationalMatrix.unit(3, 2, 2).scale(RatPoly([0] * ma + [1]))
         b = RationalMatrix.unit(3, 1, 0).scale(rb) + RationalMatrix.unit(3, 2, 1).scale(Fraction(1, 9))
         got = bracket(a, b)
-        assert got == _bracket_by_products(a, b) and bracket_is(a, b, 1, got) and not bracket_is(a, b, 2, got)
+        assert got == bracket_by_products(a, b) and bracket_is(a, b, 1, got) and not bracket_is(a, b, 2, got)
         assert got.rows[0][0] == ra * rb and len(got.rows[0][0].coeffs) - 1 == ma + mb
         assert all(isinstance(v, RatPoly) for row in got.rows for v in row)
         # r_m times sp4 elements (members) and times the identity (defect
         # 2 r_m J, zero at t = 0, ..., ma - 1)
         r = falling_factorial(t, 0, ma) * Fraction(1, 4)
         for x in (sp4_e().scale(r) + sp4_h().scale(RatPoly([0] * ma + [1])), RationalMatrix.diagonal([1] * 4).scale(r), sp4_slice(t).scale(r)):
-            assert in_algebra(x, model) == _in_algebra_by_products(x, model)
+            assert in_algebra(x, model) == in_algebra_by_products(x, model)
         assert not in_algebra(RationalMatrix.diagonal([1] * 4).scale(r), model)
         assert in_algebra(sp4_slice(t).scale(r), model)
 

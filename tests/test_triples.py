@@ -22,7 +22,7 @@ from sheet_atlas.triples import (
 )
 from sheet_atlas.triples import _block_diagonal, _strictly_block_upper
 
-from oracles import flag_condition_by_scan, rank_by_rational_elimination, sp4_triple
+from oracles import bracket_by_products, flag_condition_by_scan, in_algebra_by_products, rank_by_rational_elimination, sp4_triple
 
 
 def all_bcd_cases(max_n):
@@ -227,17 +227,12 @@ def test_bcd_n_bound():
 
 def _failed_by_products(trip_fields):
     """Names of the failing checks, in the order of Sl2Triple.checks, each
-    evaluated from its definition with matrix products."""
+    evaluated from its definition with plain products of dense entries."""
     e, h, f, model, flag_dims, hp = trip_fields
-
-    def br(a, b):
-        return a @ b - b @ a
+    br = bracket_by_products
 
     def member(x):
-        if model.form is None:
-            return True
-        g = model.form.gram
-        return not any((x.transpose() @ g + g @ x).nz)
+        return in_algebra_by_products(x, model)
 
     def group(i):
         return next(k for k, bound in enumerate(flag_dims) if i < bound)
