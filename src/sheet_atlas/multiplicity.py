@@ -30,7 +30,7 @@ class SlicePoint(Record):
         zs = tuple(z) if isinstance(z, (tuple, list)) else (z,)
         if any(type(v) not in (int, Fraction) for v in zs):
             raise ValueError("slice point z must be an int, a Fraction or a sequence of them, got %r" % (z,))
-        z = tuple(map(Fraction, zs))
+        z = tuple([v if type(v) is Fraction else Fraction(v) for v in zs])
         if len(z) != sheet.dim_z:
             raise ValueError("slice point has length %d, sheet centre has dimension %d" % (len(z), sheet.dim_z))
         _set(self, "sheet", sheet)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import factorial
 from operator import mul
@@ -150,8 +150,14 @@ class Levi(Record):
 
 
 def MaxLevi(a: int, residual: int) -> Levi:
-    """The maximal Levi GL_a x G' of a B, C or D group."""
-    return Levi(Partition((a,)), residual)
+    """The maximal Levi GL_a x G' of a B, C or D group.  ``a`` is checked
+    here, with the messages of the validating Partition, so its one part
+    skips that constructor; Levi checks the residual."""
+    if type(a) is not int:
+        raise ValueError("partition parts must be ints: %r" % ((a,),))
+    if a <= 0:
+        raise ValueError("partition parts must be positive: %r" % ([a],))
+    return Levi(Partition._trusted((a,)), residual)
 
 
 def levi_shape(kind: GroupKind, levi: Levi) -> str:
@@ -225,9 +231,12 @@ class SheetDescriptor(Record):
 
     @property
     def decomposition_data(self) -> str:
+        return self._decomposition(levi_shape(self.kind, self.levi))
+
+    def _decomposition(self, shape: str) -> str:
+        """decomposition_data, with the Levi's shape already read."""
         orbit = "0" if self.dixmier else str(self.nilpotent_orbit)
         kind, levi = self.kind, self.levi
-        shape = levi_shape(kind, levi)
         if shape == "gl":
             name = "GL" + "xGL".join(map(str, levi.blocks.parts))
         elif shape == "max":
@@ -370,7 +379,7 @@ def record_json(desc: SheetDescriptor, depth: int = 0) -> str:
         encode_basestring_ascii(str(desc.kind)),
         json_text(desc.name),
         levi_text,
-        encode_basestring_ascii(desc.decomposition_data),
+        encode_basestring_ascii(desc._decomposition(shape)),
         "true" if desc.dixmier else "false",
         orbit_text,
         desc.d,
@@ -633,21 +642,22 @@ def classify_max_levi(kind: GroupKind, levi: Levi) -> Tuple[str, Partition, int,
     if len(levi.blocks.parts) != 1 or not kind.fits(levi):
         raise ValueError("label %s does not fit %s" % (levi, kind))
     a, q = levi.blocks.parts[0], kind.residual_size(levi.residual)
+    trusted = Partition._trusted  # each orbit below is written largest part first, every part >= 1
     if kind.form_sign == -1:
         if a >= q:
-            return "VII", Partition([3] * q + [2] * (a - q)), 1, 2
+            return "VII", trusted((3,) * q + (2,) * (a - q)), 1, 2
         if a % 2 == 1:
-            return "VIII", Partition([3] * (a - 1) + [2, 2] + [1] * (q - a - 1)), 2, 2
-        return "IX", Partition([3] * a + [1] * (q - a)), 1, 2
+            return "VIII", trusted((3,) * (a - 1) + (2, 2) + (1,) * (q - a - 1)), 2, 2
+        return "IX", trusted((3,) * a + (1,) * (q - a)), 1, 2
     if q == 0:
         if a % 2 == 1:
-            return "VI", Partition([2] * (a - 1) + [1, 1]), 1, 1
-        return "IV", Partition([2] * a), 1, 2
+            return "VI", trusted((2,) * (a - 1) + (1, 1)), 1, 1
+        return "IV", trusted((2,) * a), 1, 2
     if a >= q and (a - q) % 2 == 1:
-        return "III", Partition([3] * q + [2] * (a - q - 1) + [1, 1]), 2, 2
+        return "III", trusted((3,) * q + (2,) * (a - q - 1) + (1, 1)), 2, 2
     if a >= q:
-        return "IV", Partition([3] * q + [2] * (a - q)), 1, 2
-    return "V", Partition([3] * a + [1] * (q - a)), 1, 2
+        return "IV", trusted((3,) * q + (2,) * (a - q)), 1, 2
+    return "V", trusted((3,) * a + (1,) * (q - a)), 1, 2
 
 
 def maximal_levi_sheet(kind: GroupKind, levi: Levi) -> SheetDescriptor:
@@ -657,24 +667,21 @@ def maximal_levi_sheet(kind: GroupKind, levi: Levi) -> SheetDescriptor:
         if len(levi.blocks.parts) != 2:
             raise ValueError("type A maximal Levi labels are two-part partitions")
         return find_sheet(kind, levi)
+    return _max_levi_record(kind, levi)
+
+
+def _max_levi_record(kind: GroupKind, levi: Levi, name: Optional[str] = None,
+                     component_group_order: Optional[int] = None) -> SheetDescriptor:
+    """The record of the maximal Levi label ``levi`` of a B, C or D group,
+    built once: under ``name`` and with ``component_group_order`` where the
+    rank-2 symplectic table gives them, else under its label's name."""
     class_tag, orbit, f_order, w_l = classify_max_levi(kind, levi)
     d = kind.levi_dim(levi)
-    return SheetDescriptor(
-        kind=kind,
-        levi=levi,
-        dixmier=True,
-        nilpotent_orbit=orbit,
-        d=d,
-        dim_z=1,
-        w_l_order=w_l,
-        katsylo_order=f_order,
-        dim_sheet=kind.dim - d + 1,
-        class_tag=class_tag,
-        type_tag=1 if class_tag in TYPE1_CLASSES else 2,
-        component_group_order=None,
-        levi_conjugacy_caveat=(kind.family == "D" and levi.residual == 0),
-        name="%s:levi=%d,%d" % (str(kind), levi.blocks.parts[0], levi.residual),
-    )
+    if name is None:
+        name = "%s:levi=%d,%d" % (kind, levi.blocks.parts[0], levi.residual)
+    return SheetDescriptor(kind, levi, True, orbit, d, 1, w_l, f_order, kind.dim - d + 1, class_tag,
+                           1 if class_tag in TYPE1_CLASSES else 2, component_group_order,
+                           kind.family == "D" and levi.residual == 0, name)
 
 
 def valid_max_levi_labels(kind: GroupKind) -> List[Levi]:
@@ -725,22 +732,10 @@ def sheets_sp4() -> List[SheetDescriptor]:
     and the zero sheet.
     """
     kind = type_c(2)
-    rows = [
-        SheetDescriptor(
-            kind=kind,
-            levi=Levi(Partition((1, 1)), 0),
-            dixmier=True,
-            nilpotent_orbit=Partition((4,)),
-            d=2,
-            dim_z=2,
-            w_l_order=8,
-            katsylo_order=1,
-            dim_sheet=10,
-            component_group_order=None,
-            name="sp4:regular",
-        ),
-        _sp4_dixmier(MaxLevi(1, 1), "sp4:SDix", component_group_order=2),
-        _sp4_dixmier(MaxLevi(2, 0), "sp4:SDix'"),
+    return [
+        _sp4_row(kind, Levi(Partition((1, 1)), 0)),
+        _sp4_row(kind, MaxLevi(1, 1)),
+        _sp4_row(kind, MaxLevi(2, 0)),
         SheetDescriptor(
             kind=kind,
             levi=Levi(Partition(()), 2),
@@ -766,17 +761,23 @@ def sheets_sp4() -> List[SheetDescriptor]:
             name="sp4:zero",
         ),
     ]
-    return rows
 
 
-def _sp4_dixmier(levi: Levi, name: str, component_group_order: Optional[int] = None) -> SheetDescriptor:
-    """The maximal Levi sheet of Sp4 for ``levi``, under its name in the
-    table and with the given component group order."""
-    row = maximal_levi_sheet(type_c(2), levi)
-    return SheetDescriptor(
-        row.kind, row.levi, row.dixmier, row.nilpotent_orbit, row.d, row.dim_z, row.w_l_order, row.katsylo_order,
-        row.dim_sheet, row.class_tag, row.type_tag, component_group_order, row.levi_conjugacy_caveat, name,
-    )
+# (name, component group order) of the two maximal Levi rows of the sp4 table, by (a, residual)
+_SP4_DIXMIER = {(1, 1): ("sp4:SDix", 2), (2, 0): ("sp4:SDix'", None)}
+
+
+def _sp4_row(kind: GroupKind, levi: Levi) -> Optional[SheetDescriptor]:
+    """The one row of the sp4 table (``kind`` is C(2)) that ``levi`` names,
+    built alone, or None when no row has that label: the regular sheet for
+    the torus, a Dixmier row for a maximal Levi.  The two rows of the whole
+    group share their label, so it names neither."""
+    blocks, residual = levi.blocks.parts, levi.residual
+    if blocks == (1, 1) and residual == 0:
+        return SheetDescriptor(kind, levi, True, Partition((4,)), 2, 2, 8, 1, 10, name="sp4:regular")
+    if len(blocks) == 1 and (blocks[0], residual) in _SP4_DIXMIER:
+        return _max_levi_record(kind, levi, *_SP4_DIXMIER[blocks[0], residual])
+    return None
 
 
 # --- The exceptional record ---------------------------------------------------
@@ -833,27 +834,28 @@ def find_sheet(kind: GroupKind, levi: Optional[Levi]) -> SheetDescriptor:
         return gl_sheet(levi.blocks)
     if levi is None:
         raise ValueError("a Levi label is required for %s" % (kind,))
-    # the whole group names two rows of the sp4 table, so it finds neither
-    if kind == type_c(2) and levi.blocks:
-        for row in sheets_sp4():
-            if row.levi == levi:
-                return row
+    if kind.family == "C" and kind.rank == 2:
+        row = _sp4_row(kind, levi)
+        if row is not None:
+            return row
     if len(levi.blocks.parts) != 1:
         raise ValueError("only maximal Levi labels are classified for %s" % (kind,))
     return maximal_levi_sheet(kind, levi)
 
 
-def sheets_for(kind: GroupKind) -> List[SheetDescriptor]:
+def sheets_for(kind: GroupKind) -> Iterable[SheetDescriptor]:
     """Everything this library classifies for one group; ranks above
-    MAX_RANK are refused."""
+    MAX_RANK are refused when this is called.  The maximal Levi records of
+    B, C and D are built one at a time, as the iterator returned reaches
+    them; the other groups' records come as a list."""
     check_rank(kind)
     if kind.family == "A":
         return enumerate_sheets_gln(kind.rank)
     if kind.family == "F4":
         return [f4_b3_sheet()]
-    if kind == type_c(2):
+    if kind.family == "C" and kind.rank == 2:
         return sheets_sp4()
-    return [maximal_levi_sheet(kind, levi) for levi in valid_max_levi_labels(kind)]
+    return map(_max_levi_record, repeat(kind), valid_max_levi_labels(kind))
 
 
 LISTING_HEADER = ("sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|", "dim", "class")
@@ -861,8 +863,10 @@ LISTING_HEADER = ("sheet", "decomposition", "orbit", "d", "dim_z", "|W_L|", "|F|
 
 def listing_json(kind: GroupKind, levi: Optional[Levi] = None) -> Iterator[str]:
     """The pieces of the JSON list of a ``sheets`` request: the record of
-    ``levi``, or every record of ``kind``, type A as the walk reaches each.
-    Every refusal is raised when this is called, before any piece."""
+    ``levi``, or every record of ``kind``, type A as the walk reaches each
+    and the maximal Levi records of B, C and D as each is built, so a
+    listing holds one record at a time.  Every refusal is raised when this
+    is called, before any piece."""
     if levi is not None:
         return records_json([find_sheet(kind, levi)])
     if kind.family != "A":

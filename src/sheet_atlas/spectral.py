@@ -21,15 +21,17 @@ P(2^S), S taken from a proven height bound (a guessed one for division,
 proven by an exact identity afterwards), and the answer's coefficients are
 read back as balanced base-2^S digits.  A Z[t] result of ``from_roots`` or of a product
 also keeps the bound that chose S, which bounds its 1-norm, so that a later
-product or division takes its bound from it instead of summing its digits;
+product, division or heart test takes its bound from it instead of summing
+its digits;
 a product's result also keeps its values at 2^S, and a division into it
 runs first at that S, reading them and evaluating only the divisor.
 Gcds are taken over Q only, by Brown's modular gcd (:func:`~sheet_atlas.scalars.poly_gcd`).  The heart test,
 squarefreeness over Q(t) (:meth:`GradedPolynomial.is_squarefree`), answers
 "squarefree" only on a certificate, P coprime to P' modulo a prime at some
 t = t0, and "not squarefree" only once a monic G of degree >= 1 divides P
-and P' exactly; over Q(t), G is lifted from t = 2^S.  Residues never decide
-alone.
+and P' exactly; over Q(t), P is evaluated once, at t0 = 2^S, whose image
+modulo the prime gives the certificate or the candidate G lifted from it.
+Residues never decide alone.
 """
 from __future__ import annotations
 
@@ -169,10 +171,12 @@ class GradedPolynomial:
         ℓ = 2^61 - 1 read in balanced residues, then :func:`poly_gcd`, whose
         further primes are those below ℓ
         (:func:`~sheet_atlas.scalars.primes`).  Over Q that decides.  Over
-        Q(t) only the certificate modulo ℓ is tried at t0 = 0 and 1; when
-        both fail, the candidates are taken at t = 2^S, S above the bound
-        of :func:`_lift_bound`, and each is tested in Z[t][μ] by
-        :func:`_divides_at`, which reads it back as base-2^S digits.  Should
+        Q(t) P is evaluated once, at t0 = 2^S with S above the bound of
+        :func:`_lift_bound`; ‖P‖₁ there is the bound a result of
+        ``from_roots`` or of a product carries (``_held``), else the sum of
+        P's digits.  A gcd 1 modulo ℓ at t0 is the certificate; otherwise
+        each candidate is tested in Z[t][μ] by :func:`_divides_at`, which
+        reads it back as base-2^S digits.  Should
         2^S be a root of the discriminant, no candidate passes, and the
         specialisations decide: the discriminant is isobaric of weight
         d(d-1), so it has t-degree at most d(d-1)·w with w = max_k
@@ -185,12 +189,9 @@ class GradedPolynomial:
         _, c, symbol = self._scaled
         if not symbol:
             return _squarefree_at([1, *c])
-        for t0 in (0, 1):
-            values = [1, *at(c, t0)]
-            if len(euclid_mod(values, _derivative(values), CERTIFICATE_PRIME)) == 1:
-                return True
-        # one lifted candidate: a gcd at t = 2^S, proven a divisor of P and P'
-        norm1 = scaled_norm(c)
+        # one evaluation at t = 2^S: its image modulo ℓ is the certificate
+        # or the candidate, a gcd proven a divisor of P and P' in Z[t][μ]
+        norm1 = self._held[0] if self._held else scaled_norm(c)
         s = _lift_bound(c, norm1).bit_length() + 1
         values = [1, *at(c, 1 << s)]
         derivative = _derivative(values)
@@ -352,8 +353,8 @@ def _squarefree_at(values: List[int]) -> bool:
 def _lift_bound(c: list, norm1: int) -> int:
     """The height that the lift of :meth:`GradedPolynomial.is_squarefree`
     needs, for the monic P = μ^d + c_1 μ^(d-1) + ... + c_d (ascending lists
-    in t, of t-degree at most e) with ‖P‖₁ = ``norm1``, which bounds its
-    2-norm and d ‖P‖₁ every t-coefficient of P and P'.
+    in t, of t-degree at most e) with ‖P‖₁ <= ``norm1``, which bounds its
+    2-norm and d ``norm1`` every t-coefficient of P and P'.
 
     The Mahler measure M is multiplicative, at least 1 on nonzero integer
     polynomials and at most the 2-norm, and each coefficient of t^i μ^j in
@@ -362,7 +363,8 @@ def _lift_bound(c: list, norm1: int) -> int:
     most B = 2^(d+e) ‖P‖₁, and of a factor of P' at most d B, as
     M(P') <= ‖P'‖₂ <= d ‖P‖₁; a factor has at most n = (d+1)(e+1) terms.
     So G = gcd(P, P') lies within B, and G Q = P and G R = P' have
-    ‖G‖₁ max(‖Q‖₁, ‖R‖₁) <= n^2 d B^2.  Returned: that plus d ‖P‖₁."""
+    ‖G‖₁ max(‖Q‖₁, ‖R‖₁) <= n^2 d B^2.  Returned: that plus d ‖P‖₁, with
+    ``norm1`` for ‖P‖₁ throughout."""
     d, e = len(c), max(map(len, c)) - 1
     return d * norm1 + ((d + 1) * (e + 1) * (norm1 << (d + e))) ** 2 * d
 

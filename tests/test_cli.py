@@ -496,7 +496,7 @@ def test_reused_parser_matches_fresh_processes(monkeypatch):
 JSON_REQUESTS = [
     (["sheets", "--kind", "A", "--rank", "7"], lambda: sheets.enumerate_sheets_gln(7)),
     (["sheets", "--kind", "C", "--rank", "2"], sheets.sheets_sp4),
-    (["sheets", "--kind", "D", "--rank", "4"], lambda: sheets.sheets_for(sheets.type_d(4))),
+    (["sheets", "--kind", "D", "--rank", "4"], lambda: [*sheets.sheets_for(sheets.type_d(4))]),
     (["sheets", "--kind", "B", "--rank", "3", "--levi", "2,3"], lambda: [sheets.maximal_levi_sheet(sheets.type_b(3), sheets.MaxLevi(2, 3))]),
     (["sheets", "--kind", "F4"], lambda: [sheets.f4_b3_sheet()]),
     (["sheet-info", "--kind", "C", "--rank", "2", "--levi", "1,1"], lambda: sheets.sheets_sp4()[1]),

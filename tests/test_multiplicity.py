@@ -80,3 +80,21 @@ def test_polarisation_counts():
     omin = [d for d in sheets_sp4() if d.name == "sp4:Omin"][0]
     with pytest.raises(ValueError):
         polarisation_orbit_count(omin)
+
+
+def test_slice_point_keeps_each_coordinate_as_an_exact_fraction():
+    """A Fraction coordinate is kept with its value and an int becomes a
+    Fraction, alone or in a tuple or list; a float, a bool or any other
+    type is refused, alone or among good coordinates."""
+    sheet, gl = sdix(), gl_sheet(Partition((2, 1)))
+    for v in (Fraction(7, 5), Fraction(-3), Fraction(0), 4, 0, -2):
+        for z in (v, (v,), [v]):
+            point = SlicePoint(sheet, z)
+            assert point.z == (Fraction(v),) and type(point.z[0]) is Fraction, z
+    point = SlicePoint(gl, [Fraction(1, 3), 2])
+    assert point.z == (Fraction(1, 3), Fraction(2)) and all(type(v) is Fraction for v in point.z)
+    for bad in (0.5, 1.0, True, False, "1", None):
+        with pytest.raises(ValueError, match="slice point z must be"):
+            SlicePoint(sheet, bad)
+        with pytest.raises(ValueError, match="slice point z must be"):
+            SlicePoint(gl, [Fraction(1), bad])

@@ -328,6 +328,73 @@ def test_invalid_labels_raise():
         classify_max_levi(type_b(2), MaxLevi(1, 2))  # even residual in type B
 
 
+def test_closed_form_orbits_are_the_validating_partitions_of_their_parts():
+    """classify_max_levi writes each orbit from its closed form and skips
+    the validating constructor: at every maximal label of B, C and D at
+    ranks 1-60 and 998-1000, the orbit must be a Partition equal to the one
+    that constructor makes of the same parts (positive ints, largest first)."""
+    ranks = (*range(1, 61), 998, 999, 1000)
+    labels = 0
+    for rank in ranks:
+        for kind in (type_b(rank), type_c(rank)) + ((type_d(rank),) if rank >= 2 else ()):
+            for levi in valid_max_levi_labels(kind):
+                orbit = classify_max_levi(kind, levi)[1]
+                assert type(orbit) is Partition and type(orbit.parts) is tuple, (kind, levi)
+                assert orbit == Partition(orbit.parts) and orbit.n == kind.matrix_size, (kind, levi)
+                labels += 1
+    # r labels in B(r) and C(r), and r - 1 in D(r), whose SO_2 residual is no Levi factor
+    assert labels == sum(2 * r + (r - 1 if r >= 2 else 0) for r in ranks)
+
+
+def test_max_levi_refuses_a_bad_block_as_the_validating_partition_does():
+    """MaxLevi checks its one block size itself: what the validating
+    Partition refuses, it refuses with the same message, before the
+    residual is read; a good one gives the same Levi."""
+    for a in (True, 2.0, "2", 0, -1, None):
+        with pytest.raises(ValueError) as want:
+            Partition((a,))
+        for residual in (1, -1):
+            with pytest.raises(ValueError) as got:
+                MaxLevi(a, residual)
+            assert str(got.value) == str(want.value), (a, residual)
+    with pytest.raises(ValueError, match="residual is at least 0"):
+        MaxLevi(2, -1)
+    with pytest.raises(ValueError, match="residual must be an int"):
+        MaxLevi(2, True)
+    for a in (1, 2, 1000):
+        levi = MaxLevi(a, 3)
+        assert levi == Levi(Partition((a,)), 3) and levi.blocks.parts == (a,)
+
+
+def test_each_sp4_label_finds_its_row_alone():
+    """find_sheet builds the one row of the rank-2 symplectic table that a
+    label names: its record is byte for byte the row of sheets_sp4() and of
+    the committed table1.json (written at depth 2 there), and the CLI
+    writes the same; the whole group's label, shared by two rows, is
+    refused, as are labels no row has."""
+    rows = sheets_sp4()
+    table = (cli.data_dir() / cli.TABLE1_NAME).read_text(encoding="utf-8")
+    committed = {row["name"]: row for row in json.loads(table)["rows"]}
+    found = 0
+    for row in rows:
+        if not row.levi.blocks.parts:
+            continue
+        desc = find_sheet(type_c(2), row.levi)
+        assert desc == row and record_json(desc) == record_json(row), row.name
+        assert json.loads(record_json(desc)) == committed[desc.name] and record_json(desc, 2) in table, row.name
+        found += 1
+    assert found == 3
+    for levi in (MaxLevi(1, 1), MaxLevi(2, 0)):
+        row = next(r for r in rows if r.levi == levi)
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            code = cli.main(["sheet-info", "--kind", "C", "--rank", "2", "--levi", "%d,%d" % (levi.blocks.parts[0], levi.residual), "--json"])
+        assert (code, out.getvalue()) == (0, record_json(row) + "\n"), row.name
+    for levi in (Levi(Partition(()), 2), Levi(Partition((1, 1)), 1), MaxLevi(1, 0), MaxLevi(2, 1)):
+        with pytest.raises(ValueError):
+            find_sheet(type_c(2), levi)
+
+
 def test_table2_partitions_are_valid_orbits():
     for desc in all_max_levi_sheets(12):
         assert desc.nilpotent_orbit.n == desc.kind.matrix_size
